@@ -362,6 +362,34 @@ let with_session ?(tvars = 4) ?(blame = false) ?(latency = false) ?registry
           finish ();
           raise e)
 
+(* Whether domain [d]'s fault has taken effect: a crasher has died, a
+   parasite has reached its onset.  Other faults are active throughout
+   the run. *)
+let onset_landed ses d =
+  match ses.ses_plan.Plan.faults.(d) with
+  | Plan.Crash _ -> session_crashed ses d
+  | Plan.Parasitic { from_op } ->
+      Tel.Instrument.value ses.ses_ops.(d) >= from_op
+  | _ -> true
+
+(* Onsets are a few hundred operations in, well inside the warm-up on
+   an idle machine.  On a loaded one a faulty domain that keeps losing
+   the CPU or the global-lock serializer can still be short of its
+   onset when the warm-up ends, and the window would then classify the
+   onset instead of the steady faulty state.  So the warm-up also waits
+   for every onset, for at most this long. *)
+let onset_budget = 2.0
+
+let await_onsets ses =
+  let deadline = Unix.gettimeofday () +. onset_budget in
+  let landed () =
+    List.for_all (onset_landed ses)
+      (List.init ses.ses_plan.Plan.domains Fun.id)
+  in
+  while (not (landed ())) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done
+
 let run ?tvars ?blame ?latency ?(warmup = 0.05) ?(window = 0.15) ?registry
     ?on_sample (plan : Plan.t) =
   let nd = plan.Plan.domains in
@@ -380,6 +408,7 @@ let run ?tvars ?blame ?latency ?(warmup = 0.05) ?(window = 0.15) ?registry
   let first, last, ses =
     with_session ?tvars ?blame ?latency ?registry plan (fun ses ->
         Unix.sleepf warmup;
+        await_onsets ses;
         let first = samples ses in
         (* Baseline the liveness gauge on the exact watchdog samples so
            the exported classes equal the verdicts below. *)

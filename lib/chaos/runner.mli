@@ -161,9 +161,10 @@ val run :
     sizes the shared hot set (default 4), [warmup] is the settle time in
     seconds before the first sample (default 0.05 — fault onsets are a
     few hundred operations in, i.e. microseconds, so the window observes
-    the steady faulty state), [window] the observation time between
-    samples (default 0.15).  The [Stm.Chaos] handler is uninstalled
-    before returning, even on exceptions.
+    the steady faulty state; the warm-up is extended by up to 2 s until
+    every crash and parasitic onset has landed), [window] the
+    observation time between samples (default 0.15).  The [Stm.Chaos]
+    handler is uninstalled before returning, even on exceptions.
 
     [registry] and [on_sample] expose the run's telemetry: the watchdog
     scrapes the session registry right after each of its two samples

@@ -1,19 +1,20 @@
 (* Shared substrate of the real-domains STM algorithm zoo.
 
    Everything algorithm-independent lives here: the t-variable
-   representation, the universal-type trick for heterogeneous
-   read/write sets, the three zero-cost observation seams ([Trace],
-   [Chaos], [Tel]) and the core interface [S] that each algorithm
-   implements.  The [Stm] facade dispatches the public API to the
-   currently selected core; the cores themselves live in [Stm_tl2],
-   [Stm_glock], [Stm_dstm] and [Stm_norec].
+   representation, the write set the write-back cores share, the
+   observation seams ([Trace], [Chaos], [Tel], [Blame]) and the core
+   interface [S] that each algorithm implements.  The [Stm] facade
+   dispatches the public API to the currently selected core; the cores
+   themselves live in [Stm_tl2], [Stm_glock], [Stm_dstm] and
+   [Stm_norec].
 
-   Type erasure for the heterogeneous read/write sets uses the
-   universal type trick: every t-variable carries its own
-   injection/projection pair built from a locally generated
-   extensible-variant constructor, so no [Obj] is needed. *)
+   Type erasure for heterogeneous sets uses a per-t-variable
+   [Type.Id] witness: a set entry keeps the t-variable it came from,
+   and a lookup that finds the entry by id casts its value back through
+   [Type.Id.provably_equal] — no [Obj], and the cast allocates
+   nothing. *)
 
-type univ = exn
+type univ = U : 'a Type.Id.t * 'a -> univ
 
 (* DSTM-style locator: the committed value of a t-variable owned by a
    transaction is derived from the owner's status.  [l_status] is the
@@ -32,14 +33,13 @@ type locator = {
 
 type 'a tvar = {
   id : int;
+  wit : 'a Type.Id.t;
   content : 'a Atomic.t;
   vlock : int Atomic.t;
   locator : locator Atomic.t;
   owner : int Atomic.t;
       (* plan slot of the last lock holder / committed writer, written
          only while the Blame seam is armed (-1 = unknown) *)
-  inj : 'a -> univ;
-  proj : univ -> 'a option;
 }
 
 let next_id = Atomic.make 0
@@ -148,21 +148,28 @@ module Trace = struct
 end
 
 let tvar (type a) (init : a) : a tvar =
-  let module M = struct
-    exception E of a
-  end in
-  let inj x = M.E x in
-  let u0 = inj init in
+  let wit = Type.Id.make () in
+  let u0 = U (wit, init) in
   {
     id = Atomic.fetch_and_add next_id 1;
+    wit;
     content = Atomic.make init;
     vlock = Atomic.make 0;
     locator =
       Atomic.make { l_status = root_status; l_old = u0; l_new = u0; l_owner = -1 };
     owner = Atomic.make (-1);
-    inj;
-    proj = (function M.E x -> Some x | _ -> None);
   }
+
+(* The witness cast: [x], typed at [dst], given that [src] and [dst]
+   belong to the same t-variable.  Callers only pair witnesses after
+   matching t-variable ids, so the [None] arm is unreachable. *)
+let cast (type a b) (src : a Type.Id.t) (dst : b Type.Id.t) (x : a) : b =
+  match Type.Id.provably_equal src dst with
+  | Some Type.Equal -> x
+  | None -> assert false
+
+let univ tv x = U (tv.wit, x)
+let of_univ (type a) (tv : a tvar) (U (w, x)) : a = cast w tv.wit x
 
 exception Retry
 exception Conflict
@@ -347,55 +354,123 @@ let unlock_tvar tv =
   let v = read_vlock tv in
   if locked v then Atomic.set tv.vlock (v land lnot 1)
 
-let publish_tvar (type a) (tv : a tvar) u wv =
-  (match tv.proj u with
-  | Some x -> Atomic.set tv.content x
-  | None -> assert false);
+let publish_tvar tv x wv =
+  Atomic.set tv.content x;
   Atomic.set tv.vlock (wv lsl 1)
 
-let set_tvar (type a) (tv : a tvar) u =
-  match tv.proj u with
-  | Some x -> Atomic.set tv.content x
-  | None -> assert false
+(* The write set shared by the write-back cores (TL2, global-lock,
+   NOrec): the pending value of each written t-variable, as data.  An
+   entry is the t-variable plus its buffered value, so the commit
+   protocols can lock, publish and stamp ownership without closures.
+   Entries live in a pair of parallel arrays — the ids, scanned by
+   lookups and the commit-time sort, and the entries themselves — that
+   each core keeps per domain and reuses for every transaction: they
+   grow by doubling and are never freed (nor cleared, so they keep the
+   last values written alive until overwritten). *)
+type wentry = W : { tv : 'a tvar; mutable v : 'a } -> wentry
 
-(* Write-set entry shared by the write-back cores: the pending value
-   plus closures for the commit protocol.  TL2 uses
-   [w_try_lock]/[w_unlock]/[w_publish]; the serialized cores
-   (global-lock, NOrec) only use [w_set]. *)
-type wentry = {
-  w_id : int;
-  mutable w_value : univ;
-  w_try_lock : unit -> bool;
-  w_unlock : unit -> unit;
-  w_publish : univ -> int -> unit;
-  w_set : univ -> unit;
-  w_owner : int Atomic.t;  (* the t-variable's [owner] word *)
-}
-
-let wentry_of tv =
-  {
-    w_id = tv.id;
-    w_value = tv.inj (Atomic.get tv.content) (* overwritten before use *);
-    w_try_lock = (fun () -> try_lock_tvar tv);
-    w_unlock = (fun () -> unlock_tvar tv);
-    w_publish = (fun u wv -> publish_tvar tv u wv);
-    w_set = (fun u -> set_tvar tv u);
-    w_owner = tv.owner;
+module Wset = struct
+  type t = {
+    mutable ids : int array;
+    mutable entries : wentry array;
+    mutable n : int;
   }
 
-let find_written (type a) writes (tv : a tvar) : a option =
-  match List.find_opt (fun w -> w.w_id = tv.id) writes with
-  | None -> None
-  | Some w -> (
-      match tv.proj w.w_value with Some x -> Some x | None -> assert false)
+  (* Empty until the first write: [grow] fills fresh slots with the
+     entry being added, so no placeholder entry is needed. *)
+  let create () = { ids = [||]; entries = [||]; n = 0 }
 
-let buffer_write (type a) writes (tv : a tvar) (x : a) =
-  match List.find_opt (fun w -> w.w_id = tv.id) !writes with
-  | Some w -> w.w_value <- tv.inj x
-  | None ->
-      let w = wentry_of tv in
-      w.w_value <- tv.inj x;
-      writes := w :: !writes
+  let clear s = s.n <- 0
+  let length s = s.n
+  let entry s i = s.entries.(i)
+  let id s i = s.ids.(i)
+
+  (* Index of [tv]'s entry, or -1.  Newest first: a transaction that
+     re-reads what it just wrote finds it at once. *)
+  let index s tv =
+    let i = ref (s.n - 1) in
+    while !i >= 0 && s.ids.(!i) <> tv.id do
+      decr i
+    done;
+    !i
+
+  let value (type a) s i (tv : a tvar) : a =
+    match s.entries.(i) with W w -> cast w.tv.wit tv.wit w.v
+
+  let grow s fill =
+    let cap = max 32 (2 * s.n) in
+    let ids = Array.make cap 0 and entries = Array.make cap fill in
+    Array.blit s.ids 0 ids 0 s.n;
+    Array.blit s.entries 0 entries 0 s.n;
+    s.ids <- ids;
+    s.entries <- entries
+
+  (* Buffer [x] for [tv]: a first write costs the one entry block, a
+     rewrite allocates nothing. *)
+  let add (type a) s (tv : a tvar) (x : a) =
+    let i = index s tv in
+    if i >= 0 then (
+      match s.entries.(i) with W w -> w.v <- cast tv.wit w.tv.wit x)
+    else begin
+      let e = W { tv; v = x } in
+      if s.n = Array.length s.ids then grow s e;
+      s.ids.(s.n) <- tv.id;
+      s.entries.(s.n) <- e;
+      s.n <- s.n + 1
+    end
+
+  (* Ascending ids, in place: the canonical commit order.  Insertion
+     sort — write sets are short and often nearly sorted. *)
+  let sort s =
+    for i = 1 to s.n - 1 do
+      let id = s.ids.(i) and e = s.entries.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && s.ids.(!j) > id do
+        s.ids.(!j + 1) <- s.ids.(!j);
+        s.entries.(!j + 1) <- s.entries.(!j);
+        decr j
+      done;
+      s.ids.(!j + 1) <- id;
+      s.entries.(!j + 1) <- e
+    done
+
+  (* Membership by binary search; only valid after [sort]. *)
+  let rec search (ids : int array) id lo hi =
+    lo < hi
+    &&
+    let mid = (lo + hi) lsr 1 in
+    let m = ids.(mid) in
+    m = id
+    || if m < id then search ids id (mid + 1) hi else search ids id lo mid
+
+  let mem_sorted s id = search s.ids id 0 s.n
+end
+
+(* Write-back for the serialized cores (global-lock, NOrec), which run
+   it holding their one lock.  Holding it is holding every lock, so the
+   trace shows the write set acquired, published and released under it
+   in id order, and the lock-discipline lints see a coherent protocol.
+   [tr] is tracing as sampled when the commit began. *)
+let write_back tr ws =
+  Wset.sort ws;
+  let n = Wset.length ws in
+  let tr = tr && Atomic.get Trace.tracing in
+  if tr then
+    for k = 0 to n - 1 do
+      Trace.emit Tev.Lock "acquire" Tev.Instant
+        [ ("tvar", Tev.Int (Wset.id ws k)); ("order", Tev.Int k) ]
+    done;
+  for k = 0 to n - 1 do
+    match Wset.entry ws k with
+    | W { tv; v } ->
+        if tr then begin
+          Trace.emit Tev.Txn "publish" Tev.Instant
+            [ ("tvar", Tev.Int tv.id) ];
+          Trace.emit Tev.Lock "release" Tev.Instant
+            [ ("tvar", Tev.Int tv.id) ]
+        end;
+        Atomic.set tv.content v
+  done
 
 (* Direct (non-transactional) atomic snapshot read through the vlock
    seqlock — the write-back cores' [direct_read]. *)
@@ -427,6 +502,8 @@ let spin_budget = 1 lsl 14
    per-domain current-transaction slot.
 
    Contract:
+   - At most one transaction per core is live on a domain at a time:
+     [begin_] hands out the domain's reused buffer.
    - [begin_] never blocks and never raises: any waiting happens in
      [read]/[write]/[commit] where the re-run transaction body keeps
      external stop-flags observable.

@@ -1,16 +1,18 @@
 (** Shared substrate of the real-domains STM algorithm zoo (internal).
 
     This module is the algorithm-independent half of [lib/stm]: the
-    t-variable representation, the three observation seams ([Trace],
-    [Chaos], [Tel]) and the core interface {!S} each algorithm
-    implements.  User code should go through the {!Stm} facade; the
-    types here are exposed so the cores ([Stm_tl2], [Stm_glock],
-    [Stm_dstm], [Stm_norec]) can share one t-variable type and so the
-    facade can re-export the seams unchanged. *)
+    t-variable representation, the write set the write-back cores
+    share, the observation seams ([Trace], [Chaos], [Tel], [Blame]) and
+    the core interface {!S} each algorithm implements.  User code
+    should go through the {!Stm} facade; the types here are exposed so
+    the cores ([Stm_tl2], [Stm_glock], [Stm_dstm], [Stm_norec]) can
+    share one t-variable type and so the facade can re-export the seams
+    unchanged. *)
 
-type univ = exn
-(** The universal type: values of any ['a] are injected via a
-    per-t-variable extensible-variant constructor (no [Obj]). *)
+type univ = U : 'a Type.Id.t * 'a -> univ
+(** The universal type: a value packed with the type witness of the
+    t-variable it belongs to (no [Obj]).  Only DSTM's locators hold
+    [univ]s: its validation compares these blocks by identity. *)
 
 type locator = {
   l_status : int Atomic.t;
@@ -27,14 +29,15 @@ type locator = {
 
 type 'a tvar = {
   id : int;
+  wit : 'a Type.Id.t;
+      (** the t-variable's type witness: casts a value found in a
+          heterogeneous set back to ['a] *)
   content : 'a Atomic.t;
   vlock : int Atomic.t;
   locator : locator Atomic.t;
   owner : int Atomic.t;
       (** plan slot of the last lock holder / committed writer, written
           only while {!Blame} is armed (-1 = unknown) *)
-  inj : 'a -> univ;
-  proj : univ -> 'a option;
 }
 
 val tvar : 'a -> 'a tvar
@@ -42,6 +45,12 @@ val tvar : 'a -> 'a tvar
     initial (committed) locator both hold the initial value.  A
     t-variable must not be shared across algorithm switches: each core
     maintains its own side of the representation. *)
+
+val univ : 'a tvar -> 'a -> univ
+(** Pack a value of the t-variable (a fresh block each call). *)
+
+val of_univ : 'a tvar -> univ -> 'a
+(** Unpack a value packed for the same t-variable. *)
 
 val root_status : int Atomic.t
 (** The permanently-committed status cell shared by all initial
@@ -179,31 +188,55 @@ val read_vlock : 'a tvar -> int
 val try_lock_tvar : 'a tvar -> bool
 val unlock_tvar : 'a tvar -> unit
 
-val publish_tvar : 'a tvar -> univ -> int -> unit
+val publish_tvar : 'a tvar -> 'a -> int -> unit
 (** Set the content and release the vlock at the given version. *)
 
-val set_tvar : 'a tvar -> univ -> unit
-(** Set the content only (serialized cores' write-back). *)
+(** {1 The shared write set}
 
-(** {1 Write-set entries} *)
+    The write set of the write-back cores (TL2, global-lock, NOrec),
+    held as data: one entry per written t-variable, in arrays each core
+    keeps per domain and reuses for every transaction.  The arrays grow
+    by doubling and are never freed. *)
 
-type wentry = {
-  w_id : int;
-  mutable w_value : univ;
-  w_try_lock : unit -> bool;
-  w_unlock : unit -> unit;
-  w_publish : univ -> int -> unit;
-  w_set : univ -> unit;
-  w_owner : int Atomic.t;  (** the t-variable's [owner] word *)
-}
+type wentry = W : { tv : 'a tvar; mutable v : 'a } -> wentry
+(** A written t-variable and its buffered value. *)
 
-val wentry_of : 'a tvar -> wentry
+module Wset : sig
+  type t
 
-val find_written : wentry list -> 'a tvar -> 'a option
-(** Read-own-write lookup. *)
+  val create : unit -> t
+  val clear : t -> unit
+  val length : t -> int
 
-val buffer_write : wentry list ref -> 'a tvar -> 'a -> unit
-(** Insert or update the buffered write for the t-variable. *)
+  val entry : t -> int -> wentry
+  (** The [i]-th entry, [0 <= i < length]. *)
+
+  val index : t -> 'a tvar -> int
+  (** The index of the t-variable's entry, or -1 (read-own-write
+      lookup; allocates nothing). *)
+
+  val value : t -> int -> 'a tvar -> 'a
+  (** The buffered value at an index {!index} returned for the same
+      t-variable. *)
+
+  val add : t -> 'a tvar -> 'a -> unit
+  (** Buffer a write: the first write of a t-variable allocates one
+      entry block, a rewrite allocates nothing. *)
+
+  val sort : t -> unit
+  (** Order the entries by ascending id, in place — the canonical
+      commit order. *)
+
+  val mem_sorted : t -> int -> bool
+  (** Whether a t-variable id has an entry, by binary search; only
+      valid after {!sort}. *)
+end
+
+val write_back : bool -> Wset.t -> unit
+(** [write_back tr ws] sorts the write set and publishes every entry's
+    value, for a serialized core holding its one lock.  With [tr] (the
+    commit's tracing sample) it traces the set as acquired, published
+    and released under that lock. *)
 
 val snapshot_read : 'a tvar -> 'a
 (** Direct atomic snapshot read through the vlock seqlock. *)
@@ -221,6 +254,12 @@ val spin_budget : int
     current-transaction slot.
 
     Contract:
+    - At most one transaction per core is live on a domain at a time.
+      [begin_] hands out the domain's reused buffer (the write-back
+      cores keep their read and write sets in per-domain arrays), so
+      beginning a second transaction of the same core on the same
+      domain resets the first.  The facade's flat nesting keeps to
+      this; direct users of a core must too.
     - [begin_] never blocks and never raises: any waiting happens in
       [read]/[write]/[commit] where the re-run transaction body keeps
       external stop-flags observable.

@@ -118,9 +118,7 @@ let validate t =
 
 let read (type a) t (tv : a tvar) : a =
   match List.find_opt (fun w -> w.dw_id = tv.id) t.d_writes with
-  | Some w -> (
-      (* Read-own-write, served from the journal. *)
-      match tv.proj w.dw_val with Some x -> x | None -> assert false)
+  | Some w -> of_univ tv w.dw_val (* read-own-write, from the journal *)
   | None ->
       if Atomic.get Chaos.armed then Chaos.fire Chaos.Read;
       if Atomic.get Tel.armed then (Atomic.get Tel.probe).Tel.count Tel.Read;
@@ -136,10 +134,10 @@ let read (type a) t (tv : a tvar) : a =
           dr_owner = (fun () -> (Atomic.get tv.locator).l_owner);
         }
         :: t.d_reads;
-      (match tv.proj u with Some x -> x | None -> assert false)
+      of_univ tv u
 
 let write (type a) t (tv : a tvar) (x : a) : unit =
-  let u = tv.inj x in
+  let u = univ tv x in
   let rec acquire () =
     let loc = Atomic.get tv.locator in
     if loc.l_status == t.d_status then loc.l_new <- u
@@ -198,7 +196,4 @@ let abort_cleanup t =
    next rival, which is the whole point of the algorithm. *)
 let recover () = ()
 
-let direct_read (type a) (tv : a tvar) : a =
-  match tv.proj (committed_univ tv) with
-  | Some x -> x
-  | None -> assert false
+let direct_read tv = of_univ tv (committed_univ tv)

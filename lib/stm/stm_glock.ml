@@ -27,7 +27,6 @@
    sit behind its armed guard (tmlive static: seam-contract/guard). *)
 
 open Stm_core
-module Tev = Tm_trace.Trace_event
 
 let algo_name = "global-lock"
 
@@ -53,9 +52,19 @@ let yield_spins = 512
    only while the Blame seam is armed). *)
 let blame_holder = Atomic.make (-1)
 
-type txn = { mutable held : bool; mutable writes : wentry list }
+(* A transaction is its domain's reused buffer (one live global-lock
+   transaction per domain): the serializer flag and the shared write
+   set. *)
+type txn = { mutable held : bool; ws : Wset.t }
 
-let begin_ () = { held = false; writes = [] }
+let buffer =
+  Domain.DLS.new_key (fun () -> { held = false; ws = Wset.create () })
+
+let begin_ () =
+  let t = Domain.DLS.get buffer in
+  t.held <- false;
+  Wset.clear t.ws;
+  t
 
 let release t =
   if t.held then begin
@@ -104,19 +113,18 @@ let ensure_locked t =
   end
 
 let read (type a) t (tv : a tvar) : a =
-  match find_written t.writes tv with
-  | Some x -> x (* read-own-write *)
-  | None ->
-      ensure_locked t;
-      if Atomic.get Chaos.armed then Chaos.fire Chaos.Read;
-      if Atomic.get Tel.armed then (Atomic.get Tel.probe).Tel.count Tel.Read;
-      Atomic.get tv.content
+  let i = Wset.index t.ws tv in
+  if i >= 0 then Wset.value t.ws i tv (* read-own-write *)
+  else begin
+    ensure_locked t;
+    if Atomic.get Chaos.armed then Chaos.fire Chaos.Read;
+    if Atomic.get Tel.armed then (Atomic.get Tel.probe).Tel.count Tel.Read;
+    Atomic.get tv.content
+  end
 
-let write (type a) t (tv : a tvar) (x : a) : unit =
+let write t tv x =
   ensure_locked t;
-  let writes = ref t.writes in
-  buffer_write writes tv x;
-  t.writes <- !writes
+  Wset.add t.ws tv x
 
 let commit t =
   let tr = Atomic.get Trace.tracing in
@@ -132,36 +140,16 @@ let commit t =
          release t;
          raise Conflict
      | Chaos.Crash -> raise Chaos.Crashed);
-  (match t.writes with
-  | [] -> ()
-  | writes ->
-      let t0 = if tel then tp.Tel.now () else 0 in
-      let ws = List.sort_uniq (fun a b -> Int.compare a.w_id b.w_id) writes in
-      (* Holding the serializer is holding every lock: the trace shows
-         the write set acquired, published and released under it so the
-         lock-discipline lints see a coherent protocol. *)
-      if tr then
-        List.iteri
-          (fun k (w : wentry) ->
-            Trace.emit Tev.Lock "acquire" Tev.Instant
-              [ ("tvar", Tev.Int w.w_id); ("order", Tev.Int k) ])
-          ws;
-      List.iter
-        (fun (w : wentry) ->
-          if tr then begin
-            Trace.emit Tev.Txn "publish" Tev.Instant
-              [ ("tvar", Tev.Int w.w_id) ];
-            Trace.emit Tev.Lock "release" Tev.Instant
-              [ ("tvar", Tev.Int w.w_id) ]
-          end;
-          w.w_set w.w_value)
-        ws;
-      if tel then tp.Tel.observe Tel.Publish (tp.Tel.now () - t0));
+  if Wset.length t.ws > 0 then begin
+    let t0 = if tel then tp.Tel.now () else 0 in
+    write_back tr t.ws;
+    if tel then tp.Tel.observe Tel.Publish (tp.Tel.now () - t0)
+  end;
   release t;
   if Atomic.get Chaos.armed then Chaos.fire Chaos.Post_commit
 
 let abort_cleanup t =
-  t.writes <- [];
+  Wset.clear t.ws;
   release t
 
 (* A domain that crashed (or is abandoned) while holding the serializer

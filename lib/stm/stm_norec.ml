@@ -44,20 +44,41 @@ let seqlock = Atomic.make 0
    exhausts its budget, blames this slot. *)
 let seq_owner = Atomic.make (-1)
 
-type rentry = { nr_id : int; nr_check : unit -> bool }
+(* A read-set entry: the content cell read and the value seen there. *)
+type rentry = R : 'a Atomic.t * 'a -> rentry
 
+(* A transaction is its domain's reused buffer (one live NOrec
+   transaction per domain): the snapshot, the read set as two parallel
+   arrays filled in read order up to [nr] (the t-variable ids and the
+   entries), and the shared write set. *)
 type txn = {
   mutable snap : int;
-  mutable reads : rentry list;
-  mutable writes : wentry list;
+  mutable nr : int;
+  mutable r_id : int array;
+  mutable r_seen : rentry array;
+  ws : Wset.t;
 }
+
+let buffer =
+  Domain.DLS.new_key (fun () ->
+      { snap = 0; nr = 0; r_id = [||]; r_seen = [||]; ws = Wset.create () })
 
 let begin_ () =
   let g = Atomic.get seqlock in
+  let t = Domain.DLS.get buffer in
   (* Never block in begin: under an odd (held or stranded) lock start
-     from the next even value — the first read will spin/validate where
-     the re-run transaction body keeps stop flags observable. *)
-  { snap = (if g land 1 = 0 then g else g + 1); reads = []; writes = [] }
+     from the even value before it.  The lock returns there only if the
+     holder backs out without writing anything, so otherwise the first
+     read revalidates — spinning where the re-run transaction body
+     keeps stop flags observable — and adopts a snapshot taken after
+     the holder's write-back.  (The next even value would be wrong: the
+     holder releases to exactly that, so a read that sampled a
+     t-variable before the write-back would pass the snapshot check
+     afterwards and keep the stale value.) *)
+  t.snap <- (if g land 1 = 0 then g else g - 1);
+  t.nr <- 0;
+  Wset.clear t.ws;
+  t
 
 let await_even () =
   let rec go budget =
@@ -76,123 +97,118 @@ let await_even () =
   in
   go spin_budget
 
+(* The newest read at or below [k] whose t-variable no longer holds the
+   value seen, or -1. *)
+let rec invalid_below t k =
+  if k < 0 then -1
+  else
+    match t.r_seen.(k) with
+    | R (cell, v) -> if Atomic.get cell == v then invalid_below t (k - 1) else k
+
 (* Value-based revalidation: wait for a quiescent lock, re-check every
    read, and adopt the observed sequence number as the new snapshot if
    the lock did not move during the checks. *)
-let revalidate t =
-  let rec go () =
-    let s = await_even () in
-    let rec first_invalid = function
-      | [] -> None
-      | r :: rest -> if r.nr_check () then first_invalid rest else Some r.nr_id
-    in
-    (match first_invalid t.reads with
-    | None -> ()
-    | Some bad ->
-        if Atomic.get Trace.tracing then
-          Trace.emit Tev.Validation "read-invalid" Tev.Instant
-            [ ("tvar", Tev.Int bad) ];
-        if Atomic.get Blame.armed then
-          Blame.emit ~aggressor:(Atomic.get seq_owner) ~tvar:bad
-            Blame.Validation;
-        raise Conflict);
-    if Atomic.get seqlock = s then t.snap <- s else go ()
+let rec revalidate t =
+  let s = await_even () in
+  let bad = invalid_below t (t.nr - 1) in
+  if bad >= 0 then begin
+    let id = t.r_id.(bad) in
+    if Atomic.get Trace.tracing then
+      Trace.emit Tev.Validation "read-invalid" Tev.Instant
+        [ ("tvar", Tev.Int id) ];
+    if Atomic.get Blame.armed then
+      Blame.emit ~aggressor:(Atomic.get seq_owner) ~tvar:id Blame.Validation;
+    raise Conflict
+  end;
+  if Atomic.get seqlock = s then t.snap <- s else revalidate t
+
+let rec sample t tv =
+  let v = Atomic.get tv.content in
+  if Atomic.get seqlock = t.snap then v
+  else begin
+    revalidate t;
+    sample t tv
+  end
+
+(* The read set starts empty and doubles; fresh slots are filled with
+   the read being added. *)
+let grow_reads t r =
+  let cap = max 64 (2 * t.nr) in
+  let extend a fill =
+    let b = Array.make cap fill in
+    Array.blit a 0 b 0 t.nr;
+    b
   in
-  go ()
+  t.r_id <- extend t.r_id 0;
+  t.r_seen <- extend t.r_seen r
 
 let read (type a) t (tv : a tvar) : a =
-  match find_written t.writes tv with
-  | Some x -> x (* read-own-write *)
-  | None ->
-      if Atomic.get Chaos.armed then Chaos.fire Chaos.Read;
-      if Atomic.get Tel.armed then (Atomic.get Tel.probe).Tel.count Tel.Read;
-      let rec sample () =
-        let v = Atomic.get tv.content in
-        if Atomic.get seqlock = t.snap then v
-        else begin
-          revalidate t;
-          sample ()
-        end
-      in
-      let v = sample () in
-      t.reads <-
-        { nr_id = tv.id; nr_check = (fun () -> Atomic.get tv.content == v) }
-        :: t.reads;
-      v
+  let i = Wset.index t.ws tv in
+  if i >= 0 then Wset.value t.ws i tv (* read-own-write *)
+  else begin
+    if Atomic.get Chaos.armed then Chaos.fire Chaos.Read;
+    if Atomic.get Tel.armed then (Atomic.get Tel.probe).Tel.count Tel.Read;
+    let v = sample t tv in
+    let r = R (tv.content, v) in
+    let k = t.nr in
+    if k = Array.length t.r_id then grow_reads t r;
+    t.r_id.(k) <- tv.id;
+    t.r_seen.(k) <- r;
+    t.nr <- k + 1;
+    v
+  end
 
-let write (type a) t (tv : a tvar) (x : a) : unit =
-  let writes = ref t.writes in
-  buffer_write writes tv x;
-  t.writes <- !writes
+let write t tv x = Wset.add t.ws tv x
+
+(* Acquire = validate: CAS the validated snapshot to odd, revalidating
+   (and adopting newer snapshots) until it wins. *)
+let rec acquire t =
+  if not (Atomic.compare_and_set seqlock t.snap (t.snap + 1)) then begin
+    revalidate t;
+    acquire t
+  end
 
 let commit t =
-  match t.writes with
-  | [] -> () (* read-only: the read set was kept snapshot-consistent *)
-  | writes ->
-      let tr = Atomic.get Trace.tracing in
-      let tel = Atomic.get Tel.armed in
-      let tp = if tel then Atomic.get Tel.probe else Tel.null_probe in
-      if Atomic.get Chaos.armed then Chaos.fire Chaos.Validate;
-      let t0 = if tel then tp.Tel.now () else 0 in
-      (* Acquire = validate: CAS the validated snapshot to odd,
-         revalidating (and adopting newer snapshots) until it wins. *)
-      let rec acquire () =
-        if not (Atomic.compare_and_set seqlock t.snap (t.snap + 1)) then begin
-          revalidate t;
-          acquire ()
-        end
-      in
-      acquire ();
-      if Atomic.get Blame.armed then Atomic.set seq_owner (Blame.self ());
-      let t1 =
-        if tel then begin
-          let t' = tp.Tel.now () in
-          tp.Tel.observe Tel.Validate (t' - t0);
-          t'
-        end
-        else 0
-      in
-      (* Sequence lock held (odd): a chaos [Abort] must restore it, a
-         [Crash] deliberately leaves it odd — the stranded-seqlock
-         adversary. *)
-      (if Atomic.get Chaos.armed then
-         match Chaos.decide Chaos.Pre_commit with
-         | Chaos.Proceed -> ()
-         | Chaos.Stall n -> Chaos.stall n
-         | Chaos.Abort ->
-             Atomic.set seqlock t.snap;
-             raise Conflict
-         | Chaos.Crash -> raise Chaos.Crashed);
-      let ws = List.sort_uniq (fun a b -> Int.compare a.w_id b.w_id) writes in
-      (* Holding the sequence lock is holding every lock: trace the
-         write set as acquired, published and released under it so the
-         lock-discipline lints see a coherent protocol. *)
-      if tr then
-        List.iteri
-          (fun k (w : wentry) ->
-            Trace.emit Tev.Lock "acquire" Tev.Instant
-              [ ("tvar", Tev.Int w.w_id); ("order", Tev.Int k) ])
-          ws;
-      List.iter
-        (fun (w : wentry) ->
-          if tr then begin
-            Trace.emit Tev.Txn "publish" Tev.Instant
-              [ ("tvar", Tev.Int w.w_id) ];
-            Trace.emit Tev.Lock "release" Tev.Instant
-              [ ("tvar", Tev.Int w.w_id) ]
-          end;
-          w.w_set w.w_value)
-        ws;
-      Atomic.set seqlock (t.snap + 2);
-      if tel then tp.Tel.observe Tel.Publish (tp.Tel.now () - t1);
-      if Atomic.get Chaos.armed then Chaos.fire Chaos.Post_commit
+  (* Read-only: the read set was kept snapshot-consistent. *)
+  if Wset.length t.ws > 0 then begin
+    let tr = Atomic.get Trace.tracing in
+    let tel = Atomic.get Tel.armed in
+    let tp = if tel then Atomic.get Tel.probe else Tel.null_probe in
+    if Atomic.get Chaos.armed then Chaos.fire Chaos.Validate;
+    let t0 = if tel then tp.Tel.now () else 0 in
+    acquire t;
+    if Atomic.get Blame.armed then Atomic.set seq_owner (Blame.self ());
+    let t1 =
+      if tel then begin
+        let t' = tp.Tel.now () in
+        tp.Tel.observe Tel.Validate (t' - t0);
+        t'
+      end
+      else 0
+    in
+    (* Sequence lock held (odd): a chaos [Abort] must restore it, a
+       [Crash] deliberately leaves it odd — the stranded-seqlock
+       adversary. *)
+    (if Atomic.get Chaos.armed then
+       match Chaos.decide Chaos.Pre_commit with
+       | Chaos.Proceed -> ()
+       | Chaos.Stall n -> Chaos.stall n
+       | Chaos.Abort ->
+           Atomic.set seqlock t.snap;
+           raise Conflict
+       | Chaos.Crash -> raise Chaos.Crashed);
+    write_back tr t.ws;
+    Atomic.set seqlock (t.snap + 2);
+    if tel then tp.Tel.observe Tel.Publish (tp.Tel.now () - t1);
+    if Atomic.get Chaos.armed then Chaos.fire Chaos.Post_commit
+  end
 
 (* Conflict is only ever raised while the sequence lock is free (the
    held-lock window cannot fail except by deliberate chaos, which
    restores or strands it itself), so there is nothing to release. *)
 let abort_cleanup t =
-  t.reads <- [];
-  t.writes <- []
+  t.nr <- 0;
+  Wset.clear t.ws
 
 (* A transaction that crashed between acquiring the sequence lock and
    publishing leaves it odd forever; once every transaction is finished

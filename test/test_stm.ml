@@ -825,6 +825,205 @@ let blame_causes_truthful algo () =
             true (List.mem c allowed))
         (Atomic.get seen))
 
+(* ------------------------------------------------------------------ *)
+(* Read and write sets as data: the write-back cores keep their sets in
+   per-domain arrays reused by every transaction. *)
+
+(* Minor-heap words per call of [f] on this domain, after a warm-up that
+   grows the per-domain sets to their working size (they never
+   shrink).  Allocation is deterministic, so the gates below hold on
+   any number of cores. *)
+let words_per f =
+  for _ = 1 to 100 do
+    f ()
+  done;
+  let n = 1000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let check_words msg expected got =
+  if Float.abs (got -. expected) > 0.01 then
+    Alcotest.failf "%s: expected %.2f words, got %.2f" msg expected got
+
+let test_tl2_read_allocates_nothing () =
+  Stm.with_algo Stm.Algo.Tl2 (fun () ->
+      let tvs = Array.init 64 (fun i -> Stm.tvar i) in
+      let reads k () =
+        Stm.atomically (fun () ->
+            for i = 0 to k - 1 do
+              ignore (Sys.opaque_identity (Stm.read tvs.(i)))
+            done)
+      in
+      let r1 = words_per (reads 1) and r64 = words_per (reads 64) in
+      check_words "64 reads cost what 1 read costs" r1 r64;
+      check_words "words per extra read" 0. ((r64 -. r1) /. 63.))
+
+(* A first write costs one entry block; rewriting a t-variable already
+   in the write set allocates nothing. *)
+let write_allocation algo () =
+  Stm.with_algo algo (fun () ->
+      let name = Stm.Algo.name algo in
+      let tvs = Array.init 64 (fun i -> Stm.tvar i) in
+      let writes k () =
+        Stm.atomically (fun () ->
+            for i = 0 to k - 1 do
+              Stm.write tvs.(i) i
+            done)
+      in
+      let rewrites k () =
+        Stm.atomically (fun () ->
+            for i = 1 to k do
+              Stm.write tvs.(0) i
+            done)
+      in
+      let w1 = words_per (writes 1) in
+      let per_write = (words_per (writes 64) -. w1) /. 63. in
+      if per_write > 3. then
+        Alcotest.failf "%s: %.2f words per extra write, more than 3" name
+          per_write;
+      check_words (name ^ ": rewrites allocate nothing") w1
+        (words_per (rewrites 64)))
+
+(* Increment [tv] in a transaction on a second domain, so the
+   transaction under test sees it as a foreign commit. *)
+let bump tv =
+  Domain.join
+    (Domain.spawn (fun () ->
+         Stm.atomically (fun () -> Stm.write tv (Stm.read tv + 1))))
+
+(* Nothing an abandoned attempt buffered may leak into the next attempt
+   or the next transaction on the domain: not its writes (they would be
+   read back or published), not its reads (a stale read entry would
+   fail validation forever).  A foreign commit on an unrelated
+   t-variable forces the cores that validate lazily to check the whole
+   read set.  The global-lock core holds its serializer from the first
+   access, so a foreign commit there would wait on us: it only gets the
+   write-set half. *)
+let reuse_after_abort algo () =
+  Stm.with_algo algo (fun () ->
+      let name = Stm.Algo.name algo in
+      let foreign = algo <> Stm.Algo.Global_lock in
+      let a = Stm.tvar 0 and b = Stm.tvar 0 and c = Stm.tvar 0 in
+      let x = Stm.tvar 0 and z = Stm.tvar 0 in
+      (* A body that raises with reads and writes buffered. *)
+      (try
+         Stm.atomically (fun () ->
+             ignore (Stm.read x);
+             Stm.write a 1;
+             Stm.write b 2;
+             if foreign then bump x;
+             raise Exit)
+       with Exit -> ());
+      let attempts = ref 0 in
+      let seen =
+        Stm.atomically (fun () ->
+            (* tmstatic: allow txn-purity — counts the body's runs *)
+            incr attempts;
+            if !attempts > 1 then failwith "stale read entry aborted a commit";
+            if foreign then bump z;
+            Stm.write c 3;
+            (Stm.read a, Stm.read b))
+      in
+      Alcotest.(check (pair int int))
+        (name ^ ": raised writes unseen by the next transaction")
+        (0, 0) seen;
+      (* An attempt that retries mid-body with reads and writes
+         buffered. *)
+      let attempts = ref 0 in
+      let seen =
+        Stm.atomically (fun () ->
+            (* tmstatic: allow txn-purity — counts the body's runs *)
+            incr attempts;
+            match !attempts with
+            | 1 ->
+                ignore (Stm.read x);
+                Stm.write a 10;
+                Stm.write b 20;
+                if foreign then bump x;
+                Stm.retry ()
+            | 2 ->
+                if foreign then bump z;
+                Stm.write c 4;
+                (Stm.read a, Stm.read b)
+            | _ -> failwith "stale read entry aborted a commit")
+      in
+      Alcotest.(check (pair int int))
+        (name ^ ": retried writes unseen by the next attempt")
+        (0, 0) seen;
+      Alcotest.(check (list int))
+        (name ^ ": only committed writes published")
+        [ 0; 0; 4 ]
+        [ Stm.read a; Stm.read b; Stm.read c ])
+
+(* On a fresh domain the sets start empty; a thousand reads and a
+   thousand writes take both through several doublings. *)
+let big_transaction algo () =
+  Stm.with_algo algo (fun () ->
+      let name = Stm.Algo.name algo in
+      let n = 1000 in
+      let tvs = Array.init n (fun i -> Stm.tvar i) in
+      let own =
+        Domain.join
+          (Domain.spawn (fun () ->
+               Stm.atomically (fun () ->
+                   let vs = Array.map Stm.read tvs in
+                   Array.iteri (fun i tv -> Stm.write tv (vs.(i) + 1)) tvs;
+                   Array.for_all Fun.id
+                     (Array.mapi (fun i tv -> Stm.read tv = i + 1) tvs))))
+      in
+      Alcotest.(check bool) (name ^ ": reads its own 1,000 writes") true own;
+      Array.iteri
+        (fun i tv ->
+          Alcotest.(check int) (name ^ ": committed") (i + 1) (Stm.read tv))
+        tvs)
+
+(* Named regression: a NOrec transaction that begins while a writer
+   holds the sequence lock (odd) must not take a snapshot the lock
+   reaches when the writer releases.  The writer is held at
+   [Pre_commit], lock odd, before its write-back.  The reader's
+   [read] samples a content cell, then accepts the sample if the lock
+   still equals its snapshot; this replays those two halves around the
+   writer's release.  With a snapshot of the odd value plus one, the
+   stale sample was accepted and the update it missed could be lost. *)
+let test_norec_begin_under_held_seqlock () =
+  let module C = Tm_stm.Stm_core in
+  let module N = Tm_stm.Stm_norec in
+  let x = C.tvar 0 in
+  let held = Atomic.make false and go = Atomic.make false in
+  Stm.Chaos.install (function
+    | Stm.Chaos.Pre_commit ->
+        Atomic.set held true;
+        while not (Atomic.get go) do
+          Domain.cpu_relax ()
+        done;
+        Stm.Chaos.Proceed
+    | _ -> Stm.Chaos.Proceed);
+  Fun.protect ~finally:Stm.Chaos.uninstall (fun () ->
+      let writer =
+        Domain.spawn (fun () ->
+            let t = N.begin_ () in
+            N.write t x 1;
+            N.commit t)
+      in
+      while not (Atomic.get held) do
+        Domain.cpu_relax ()
+      done;
+      Alcotest.(check bool) "writer holds the sequence lock" true
+        (Atomic.get N.seqlock land 1 = 1);
+      let t = N.begin_ () in
+      let sampled = Atomic.get x.C.content in
+      Atomic.set go true;
+      Domain.join writer;
+      Alcotest.(check int) "sampled before the write-back" 0 sampled;
+      Alcotest.(check bool) "stale sample rejected after the release" false
+        (Atomic.get N.seqlock = t.N.snap);
+      Alcotest.(check int) "the read revalidates and sees the write" 1
+        (N.read t x);
+      N.abort_cleanup t)
+
 (* The announcement tables are consumed as association keys — telemetry
    label sets, chaos plans, blame classification — so a duplicated
    entry or an order that varied between calls would silently skew
@@ -925,6 +1124,31 @@ let () =
             (blame_causes_truthful Stm.Algo.Dstm);
           Alcotest.test_case "norec causes truthful" `Slow
             (blame_causes_truthful Stm.Algo.Norec);
+        ] );
+      ( "sets as data",
+        [
+          Alcotest.test_case "tl2 read allocates nothing" `Quick
+            test_tl2_read_allocates_nothing;
+          Alcotest.test_case "tl2 write allocation" `Quick
+            (write_allocation Stm.Algo.Tl2);
+          Alcotest.test_case "global-lock write allocation" `Quick
+            (write_allocation Stm.Algo.Global_lock);
+          Alcotest.test_case "norec write allocation" `Quick
+            (write_allocation Stm.Algo.Norec);
+          Alcotest.test_case "tl2 reuse after abort" `Quick
+            (reuse_after_abort Stm.Algo.Tl2);
+          Alcotest.test_case "global-lock reuse after abort" `Quick
+            (reuse_after_abort Stm.Algo.Global_lock);
+          Alcotest.test_case "norec reuse after abort" `Quick
+            (reuse_after_abort Stm.Algo.Norec);
+          Alcotest.test_case "tl2 1,000-entry sets" `Quick
+            (big_transaction Stm.Algo.Tl2);
+          Alcotest.test_case "global-lock 1,000-entry sets" `Quick
+            (big_transaction Stm.Algo.Global_lock);
+          Alcotest.test_case "norec 1,000-entry sets" `Quick
+            (big_transaction Stm.Algo.Norec);
+          Alcotest.test_case "norec begin under a held seqlock" `Quick
+            test_norec_begin_under_held_seqlock;
         ] );
       ( "multicore stress",
         [
