@@ -96,6 +96,18 @@ end) : Tm_impl.Tm_intf.S = struct
         Some resp
 
   let pending t p = Tm_impl.Tm_intf.Mailbox.get t.mail p
+
+  (* The model checker expands each schedule node from a copy of its
+     parent, so a copy must share no mutable block with the original:
+     copy every array and every mutable record (the lists inside are
+     immutable and may be shared). *)
+  let copy t =
+    {
+      t with
+      mail = Tm_impl.Tm_intf.Mailbox.copy t.mail;
+      store = Array.copy t.store;
+      txns = Array.map (fun txn -> { txn with reads = txn.reads }) t.txns;
+    }
 end
 
 let entry_of (module M : Tm_impl.Tm_intf.S) =

@@ -1,11 +1,14 @@
 (** Bounded state-space exploration of a (replayable) system.
 
-    The TM implementations in the zoo are mutable, so the explorer works by
-    {e replay}: a reachable state is identified by the action sequence that
-    leads to it, and expanding a node re-executes that sequence on a fresh
-    system.  This costs O(depth) per expansion, which is irrelevant at the
-    sizes we explore (Figure 15's automaton has 10 states), and keeps the
-    implementations free of any cloning obligation.
+    The explored systems are mutable, so the explorer works by {e replay}:
+    a reachable state is identified by the action sequence that leads to
+    it, and expanding a node re-executes that sequence on a fresh system.
+    This costs O(depth) per expansion, which is irrelevant at the sizes we
+    explore (Figure 15's automaton has 10 states), and asks of a system
+    only [make] and [apply] — no copy.  The zoo's TMs can copy themselves
+    ([Tm_impl.Tm_intf.S.copy], which the exhaustive model checker
+    [Tm_sim.Sweep.Exhaustive] uses), but the explorer stays generic over
+    any replayable system.
 
     Exploration is breadth-first and deduplicates on a user-supplied
     observable snapshot, so it terminates whenever the snapshot space is

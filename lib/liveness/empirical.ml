@@ -41,39 +41,67 @@ type window_summary = {
   looks_progressing : bool;
 }
 
+(* One pass over the events: per-process counts over the whole history
+   and over its last [window] events, in arrays indexed from the lowest
+   process seen. *)
 let classify_window ~window h =
   let es = History.events h in
-  let n = List.length es in
-  let tail = List.filteri (fun i _ -> i >= n - window) es in
-  let count_in l pred p =
-    List.length (List.filter (fun e -> Event.proc e = p && pred e) l)
+  let n = History.length h in
+  let lo = ref max_int and hi = ref min_int in
+  List.iter
+    (fun e ->
+      lo := Int.min !lo (Event.proc e);
+      hi := Int.max !hi (Event.proc e))
+    es;
+  let lo = !lo in
+  let size = if n = 0 then 0 else !hi - lo + 1 in
+  let total = Array.make size 0
+  and in_window = Array.make size 0
+  and commits = Array.make size 0
+  and aborts = Array.make size 0
+  and trycs = Array.make size 0 in
+  let rec count i = function
+    | [] -> ()
+    | e :: rest ->
+        let k = Event.proc e - lo in
+        total.(k) <- total.(k) + 1;
+        if i >= n - window then begin
+          in_window.(k) <- in_window.(k) + 1;
+          if Event.is_commit e then commits.(k) <- commits.(k) + 1;
+          if Event.is_abort e then aborts.(k) <- aborts.(k) + 1;
+          if Event.is_try_commit e then trycs.(k) <- trycs.(k) + 1
+        end;
+        count (i + 1) rest
   in
-  List.map
-    (fun p ->
-      let events_total = History.event_count h p in
-      let events_in_window = count_in tail (fun _ -> true) p in
-      let commits_in_window = count_in tail Event.is_commit p in
-      let aborts_in_window = count_in tail Event.is_abort p in
-      let trycs_in_window = count_in tail Event.is_try_commit p in
-      let looks_pending = commits_in_window = 0 in
-      let looks_crashed = events_total > 0 && events_in_window = 0 in
-      let looks_parasitic =
-        events_in_window > 0 && trycs_in_window = 0 && aborts_in_window = 0
-      in
-      {
-        proc = p;
-        events_total;
-        events_in_window;
-        commits_in_window;
-        aborts_in_window;
-        trycs_in_window;
-        looks_pending;
-        looks_crashed;
-        looks_parasitic;
-        looks_progressing =
-          (not looks_pending) && (not looks_crashed) && not looks_parasitic;
-      })
-    (History.procs h)
+  count 0 es;
+  let summary k =
+    let events_total = total.(k) and events_in_window = in_window.(k) in
+    let commits_in_window = commits.(k) and aborts_in_window = aborts.(k) in
+    let trycs_in_window = trycs.(k) in
+    let looks_pending = commits_in_window = 0 in
+    let looks_crashed = events_total > 0 && events_in_window = 0 in
+    let looks_parasitic =
+      events_in_window > 0 && trycs_in_window = 0 && aborts_in_window = 0
+    in
+    {
+      proc = lo + k;
+      events_total;
+      events_in_window;
+      commits_in_window;
+      aborts_in_window;
+      trycs_in_window;
+      looks_pending;
+      looks_crashed;
+      looks_parasitic;
+      looks_progressing =
+        (not looks_pending) && (not looks_crashed) && not looks_parasitic;
+    }
+  in
+  let rec collect k acc =
+    if k < 0 then acc
+    else collect (k - 1) (if total.(k) > 0 then summary k :: acc else acc)
+  in
+  collect (size - 1) []
 
 (* Counter-sample classification: the watchdog's view of a real domain.
    Two samples of monotone per-domain counters bracket an observation

@@ -41,7 +41,8 @@ type window_summary = {
 
 val classify_window : window:int -> History.t -> window_summary list
 (** One summary per process, ascending; the window is the last [window]
-    events of the history. *)
+    events of the history.  One pass over the events, with per-process
+    counters spanning the lowest to the highest process id. *)
 
 val pp_window_summary : Format.formatter -> window_summary -> unit
 

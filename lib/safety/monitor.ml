@@ -8,10 +8,16 @@ open Tm_history
    Reads are recorded and evaluated lazily when the transaction finishes:
    by then the version history covers the transaction's whole lifetime, so
    the set of epochs at which the entire read set is simultaneously
-   consistent is exact. *)
+   consistent is exact.
+
+   The tables are arrays indexed by t-variable and by process, grown on
+   demand.  A process gets its transaction record on its first event and
+   reuses it from one transaction to the next, [live] marking whether one
+   is open; until then its slot holds the shared, never-live [no_txn]. *)
 
 type txn = {
-  start_epoch : int;
+  mutable live : bool;
+  mutable start_epoch : int;
   mutable reads : (Event.tvar * Event.value) list;  (** non-own reads *)
   mutable writes : (Event.tvar * Event.value) list;  (** latest first *)
   mutable commit_pending : bool;
@@ -19,66 +25,104 @@ type txn = {
 
 type t = {
   mutable epoch : int;
-  versions : (Event.tvar, (int * Event.value) list) Hashtbl.t;
-  pending : (Event.proc, Event.invocation) Hashtbl.t;
-  txns : (Event.proc, txn) Hashtbl.t;
+  mutable versions : (int * Event.value) list array;  (** by t-variable *)
+  mutable pending : Event.invocation option array;  (** by process *)
+  mutable txns : txn array;  (** by process *)
   mutable failed : string option;
 }
 
+let initial_versions = [ (0, 0) ]
+
+let no_txn =
+  {
+    live = false;
+    start_epoch = 0;
+    reads = [];
+    writes = [];
+    commit_pending = false;
+  }
+
+(* Processes 0..3 fit without growing. *)
 let create () =
   {
     epoch = 0;
-    versions = Hashtbl.create 16;
-    pending = Hashtbl.create 8;
-    txns = Hashtbl.create 8;
+    versions = [||];
+    pending = Array.make 4 None;
+    txns = Array.make 4 no_txn;
     failed = None;
   }
 
+let capacity n i = Int.max (i + 1) (2 * n)
+
+let max_id = (1 lsl 20) - 1
+
+let check_id what i =
+  if i < 0 || i > max_id then
+    invalid_arg (Fmt.str "Monitor.step: %s %d out of range 0..%d" what i max_id)
+
 let versions_of t x =
-  match Hashtbl.find_opt t.versions x with
-  | Some vs -> vs
-  | None -> [ (0, 0) ]
+  if x < Array.length t.versions then t.versions.(x) else initial_versions
 
-(* Inclusive epoch intervals during which x held value v; [max_int] means
-   "through the present". *)
-let intervals_for t x v =
-  let rec go upper = function
-    | [] -> []
-    | (from, value) :: rest ->
-        let seg = if value = v && upper >= from then [ (from, upper) ] else [] in
-        seg @ go (from - 1) rest
-  in
-  go max_int (versions_of t x)
+let set_versions t x vs =
+  let n = Array.length t.versions in
+  if x >= n then begin
+    let a = Array.make (capacity n x) initial_versions in
+    Array.blit t.versions 0 a 0 n;
+    t.versions <- a
+  end;
+  t.versions.(x) <- vs
 
-let intersect l1 l2 =
-  List.concat_map
-    (fun (a1, b1) ->
-      List.filter_map
-        (fun (a2, b2) ->
-          let a = max a1 a2 and b = min b1 b2 in
-          if a <= b then Some (a, b) else None)
-        l2)
-    l1
+(* Make room for process [p] in the by-process tables. *)
+let ensure_proc t p =
+  let n = Array.length t.txns in
+  if p >= n then begin
+    let m = capacity n p in
+    let pending = Array.make m None and txns = Array.make m no_txn in
+    Array.blit t.pending 0 pending 0 n;
+    Array.blit t.txns 0 txns 0 n;
+    t.pending <- pending;
+    t.txns <- txns
+  end
 
-(* Epochs within [lo, hi] at which every read of the transaction is
-   simultaneously consistent. *)
-let candidates t txn ~lo ~hi =
-  List.fold_left
-    (fun acc (x, v) -> intersect acc (intervals_for t x v))
-    [ (lo, hi) ] txn.reads
+(* Whether some epoch in [lo, hi] lets every read in [reads] see its value
+   in the committed store: a depth-first walk that picks, read by read, a
+   version segment holding the read value and narrows [lo, hi] to it. *)
+let rec consistent t lo hi = function
+  | [] -> true
+  | (x, v) :: rest -> segments t lo hi v rest max_int (versions_of t x)
 
-let has_point t txn ~lo ~hi = candidates t txn ~lo ~hi <> []
+(* The segments of one t-variable, newest first; [upper] is the last
+   epoch of the first one.  Older segments end earlier still, so the walk
+   stops at the first segment that ends before [lo]. *)
+and segments t lo hi v rest upper = function
+  | [] -> false
+  | (from, value) :: older ->
+      upper >= lo
+      && ((value = v
+          &&
+          let a = Int.max from lo and b = Int.min upper hi in
+          a <= b && consistent t a b rest)
+         || segments t lo hi v rest (from - 1) older)
 
-let fresh_txn t =
-  { start_epoch = t.epoch; reads = []; writes = []; commit_pending = false }
+let has_point t txn ~lo ~hi = consistent t lo hi txn.reads
 
 let txn_of t p =
-  match Hashtbl.find_opt t.txns p with
-  | Some txn -> txn
-  | None ->
-      let txn = fresh_txn t in
-      Hashtbl.replace t.txns p txn;
-      txn
+  let txn = t.txns.(p) in
+  if txn == no_txn then begin
+    let txn = { no_txn with live = true; start_epoch = t.epoch } in
+    t.txns.(p) <- txn;
+    txn
+  end
+  else begin
+    if not txn.live then begin
+      txn.live <- true;
+      txn.start_epoch <- t.epoch;
+      txn.reads <- [];
+      txn.writes <- [];
+      txn.commit_pending <- false
+    end;
+    txn
+  end
 
 let fail t msg = if t.failed = None then t.failed <- Some msg
 
@@ -87,7 +131,19 @@ let finish_aborted t p txn =
     fail t
       (Fmt.str "aborted transaction of p%d has no consistent snapshot point"
          p);
-  Hashtbl.remove t.txns p
+  txn.live <- false
+
+(* Install a committed writer's final value per variable.  [writes] is
+   latest-first, so the first write met for a variable is its final value;
+   a variable whose newest version is already at the current epoch was
+   installed by this commit. *)
+let rec install t = function
+  | [] -> ()
+  | (x, v) :: rest ->
+      (match versions_of t x with
+      | (from, _) :: _ when from = t.epoch -> ()
+      | vs -> set_versions t x ((t.epoch, v) :: vs));
+      install t rest
 
 let finish_committed t p txn =
   (match txn.writes with
@@ -108,32 +164,32 @@ let finish_committed t p txn =
               instant"
              p);
       t.epoch <- t.epoch + 1;
-      (* The transaction's final value per variable is its latest write;
-         [txn.writes] is latest-first, so [assoc] finds it. *)
-      let vars = List.sort_uniq Int.compare (List.map fst writes) in
-      List.iter
-        (fun x ->
-          let v = List.assoc x txn.writes in
-          Hashtbl.replace t.versions x ((t.epoch, v) :: versions_of t x))
-        vars);
-  Hashtbl.remove t.txns p
+      install t writes);
+  txn.live <- false
 
 let step t e =
   match e with
   | Event.Inv (p, inv) -> (
-      match Hashtbl.find_opt t.pending p with
+      check_id "process" p;
+      (match inv with
+      | Event.Read x | Event.Write (x, _) -> check_id "t-variable" x
+      | Event.Try_commit -> ());
+      ensure_proc t p;
+      match t.pending.(p) with
       | Some _ -> invalid_arg "Monitor.step: pending invocation exists"
       | None ->
-          Hashtbl.replace t.pending p inv;
+          t.pending.(p) <- Some inv;
           let txn = txn_of t p in
           if inv = Event.Try_commit then txn.commit_pending <- true)
   | Event.Res (p, r) -> (
       let inv =
-        match Hashtbl.find_opt t.pending p with
+        match
+          if p >= 0 && p < Array.length t.pending then t.pending.(p) else None
+        with
         | Some i -> i
         | None -> invalid_arg "Monitor.step: response without invocation"
       in
-      Hashtbl.remove t.pending p;
+      t.pending.(p) <- None;
       let txn = txn_of t p in
       txn.commit_pending <- false;
       match (inv, r) with
@@ -155,29 +211,29 @@ let step t e =
 
 type verdict = Accepted | No_witness of string
 
+(* Close out live transactions, lowest process first: commit-pending ones
+   may be taken either way (committed-last or aborted); others are
+   aborted. *)
 let verdict t =
   match t.failed with
   | Some msg -> No_witness msg
   | None ->
-      (* Close out live transactions: commit-pending ones may be taken
-         either way (committed-last or aborted); others are aborted. *)
-      let bad = ref None in
-      Hashtbl.iter
-        (fun p txn ->
-          if !bad = None then
-            let aborted_ok = has_point t txn ~lo:txn.start_epoch ~hi:t.epoch in
-            let committed_ok =
-              txn.commit_pending && has_point t txn ~lo:t.epoch ~hi:t.epoch
-            in
-            if not (aborted_ok || committed_ok) then
-              bad :=
-                Some
-                  (Fmt.str
-                     "live transaction of p%d has no consistent snapshot \
-                      point"
-                     p))
-        t.txns;
-      (match !bad with Some m -> No_witness m | None -> Accepted)
+      let rec first_bad p =
+        if p >= Array.length t.txns then Accepted
+        else
+          let txn = t.txns.(p) in
+          let ok =
+            (not txn.live)
+            || has_point t txn ~lo:txn.start_epoch ~hi:t.epoch
+            || (txn.commit_pending && has_point t txn ~lo:t.epoch ~hi:t.epoch)
+          in
+          if ok then first_bad (p + 1)
+          else
+            No_witness
+              (Fmt.str
+                 "live transaction of p%d has no consistent snapshot point" p)
+      in
+      first_bad 0
 
 let run h =
   let t = create () in

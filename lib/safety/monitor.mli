@@ -30,8 +30,10 @@ type t
 val create : unit -> t
 
 val step : t -> Event.t -> unit
-(** Feed the next event.  @raise Invalid_argument on a non-well-formed
-    event sequence. *)
+(** Feed the next event.  Process and t-variable ids index the monitor's
+    tables, whose size follows the largest id seen, so they must lie in
+    [0..1048575].  @raise Invalid_argument on a non-well-formed event
+    sequence or an id out of that range. *)
 
 type verdict =
   | Accepted  (** a serialization witness exists: the history is opaque *)
@@ -43,7 +45,9 @@ type verdict =
 val verdict : t -> verdict
 (** The verdict for the events fed so far.  Live transactions are treated
     as aborted-at-the-end (commit-pending ones as either, like the full
-    checker). *)
+    checker).  A failure recorded while feeding is reported first; when
+    only live transactions fail, the message names the lowest-numbered
+    such process. *)
 
 val run : History.t -> verdict
 (** Feed a whole history. *)

@@ -19,16 +19,37 @@ let bucket_of v =
     min (nbuckets - 1) (log2 0 v + 1)
   end
 
-let hist_add h v =
-  let buckets = Array.copy h.buckets in
+(* A histogram under construction: samples go into mutable buckets, and
+   [freeze] hands the buckets over to an immutable [histogram] once. *)
+type acc = {
+  a_buckets : int array;
+  mutable a_count : int;
+  mutable a_sum : int;
+  mutable a_max : int;
+}
+
+let acc () =
+  { a_buckets = Array.make nbuckets 0; a_count = 0; a_sum = 0; a_max = 0 }
+
+let acc_add a v =
   let b = bucket_of v in
-  buckets.(b) <- buckets.(b) + 1;
+  a.a_buckets.(b) <- a.a_buckets.(b) + 1;
+  a.a_count <- a.a_count + 1;
+  a.a_sum <- a.a_sum + v;
+  a.a_max <- Int.max a.a_max v
+
+let freeze a =
   {
-    buckets;
-    count = h.count + 1;
-    sum = h.sum + v;
-    max_sample = max h.max_sample v;
+    buckets = a.a_buckets;
+    count = a.a_count;
+    sum = a.a_sum;
+    max_sample = a.a_max;
   }
+
+let hist_of_list vs =
+  let a = acc () in
+  List.iter (acc_add a) vs;
+  freeze a
 
 let hist_merge a b =
   {
@@ -101,55 +122,64 @@ let fault_counters h =
       (0, 0)
       (Tm_liveness.Empirical.classify_window ~window:(max 1 (n / 4)) h)
 
+(* The cause an abort is charged to: the kind of the pending invocation,
+   with no pending invocation counting as a commit-time abort. *)
+type cause = On_read | On_write | On_commit
+
 (* Walk the history once, tracking per process the index of its current
-   transaction's first invocation, its pending invocation (the abort
-   cause), and its streak of consecutive aborts (the retry depth recorded
-   at the next commit). *)
-let of_history h =
-  let nprocs =
-    List.fold_left (fun acc p -> max acc p) 0 (History.procs h)
-  in
+   transaction's first invocation, the cause its pending invocation would
+   be charged and its streak of consecutive aborts (the retry depth
+   recorded at the next commit). *)
+let of_history es =
+  let nprocs = List.fold_left (fun acc e -> Int.max acc (Event.proc e)) 0 es in
   let txn_start = Array.make (nprocs + 1) (-1) in
-  let pending = Array.make (nprocs + 1) None in
+  let pending = Array.make (nprocs + 1) On_commit in
   let retries = Array.make (nprocs + 1) 0 in
-  let causes = ref { on_read = 0; on_write = 0; on_commit = 0 } in
-  let retry_depth = ref hist_empty in
-  let commit_latency = ref hist_empty in
-  let abort_latency = ref hist_empty in
-  List.iteri
-    (fun i e ->
-      match (e : Event.t) with
-      | Event.Inv (p, inv) ->
-          if txn_start.(p) < 0 then txn_start.(p) <- i;
-          pending.(p) <- Some inv
-      | Event.Res (p, resp) -> (
-          let latency () = i - max 0 txn_start.(p) in
-          match resp with
-          | Event.Value _ | Event.Ok_written -> pending.(p) <- None
-          | Event.Committed ->
-              commit_latency := hist_add !commit_latency (latency ());
-              retry_depth := hist_add !retry_depth retries.(p);
-              retries.(p) <- 0;
-              txn_start.(p) <- -1;
-              pending.(p) <- None
-          | Event.Aborted ->
-              (causes :=
-                 let c = !causes in
-                 match pending.(p) with
-                 | Some (Event.Read _) -> { c with on_read = c.on_read + 1 }
-                 | Some (Event.Write _) -> { c with on_write = c.on_write + 1 }
-                 | Some Event.Try_commit | None ->
-                     { c with on_commit = c.on_commit + 1 });
-              abort_latency := hist_add !abort_latency (latency ());
-              retries.(p) <- retries.(p) + 1;
-              txn_start.(p) <- -1;
-              pending.(p) <- None))
-    (History.events h);
-  (!causes, !retry_depth, !commit_latency, !abort_latency)
+  let on_read = ref 0 and on_write = ref 0 and on_commit = ref 0 in
+  let retry_depth = acc () in
+  let commit_latency = acc () in
+  let abort_latency = acc () in
+  let rec walk i = function
+    | [] -> ()
+    | e :: rest ->
+        (match (e : Event.t) with
+        | Event.Inv (p, inv) ->
+            if txn_start.(p) < 0 then txn_start.(p) <- i;
+            pending.(p) <-
+              (match inv with
+              | Event.Read _ -> On_read
+              | Event.Write _ -> On_write
+              | Event.Try_commit -> On_commit)
+        | Event.Res (p, resp) -> (
+            let latency = i - Int.max 0 txn_start.(p) in
+            match resp with
+            | Event.Value _ | Event.Ok_written -> pending.(p) <- On_commit
+            | Event.Committed ->
+                acc_add commit_latency latency;
+                acc_add retry_depth retries.(p);
+                retries.(p) <- 0;
+                txn_start.(p) <- -1;
+                pending.(p) <- On_commit
+            | Event.Aborted ->
+                (match pending.(p) with
+                | On_read -> incr on_read
+                | On_write -> incr on_write
+                | On_commit -> incr on_commit);
+                acc_add abort_latency latency;
+                retries.(p) <- retries.(p) + 1;
+                txn_start.(p) <- -1;
+                pending.(p) <- On_commit));
+        walk (i + 1) rest
+  in
+  walk 0 es;
+  ( { on_read = !on_read; on_write = !on_write; on_commit = !on_commit },
+    freeze retry_depth,
+    freeze commit_latency,
+    freeze abort_latency )
 
 let of_outcome (o : Runner.outcome) =
   let abort_causes, retry_depth, commit_latency, abort_latency =
-    of_history o.Runner.history
+    of_history (History.events o.Runner.history)
   in
   let faults, starvations = fault_counters o.Runner.history in
   {

@@ -28,7 +28,9 @@ type histogram = {
 val nbuckets : int
 
 val hist_empty : histogram
-val hist_add : histogram -> int -> histogram
+val hist_of_list : int list -> histogram
+(** The histogram of the given samples. *)
+
 val hist_merge : histogram -> histogram -> histogram
 val hist_mean : histogram -> float
 

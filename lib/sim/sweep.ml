@@ -134,46 +134,46 @@ let pp_table ppf results =
 module Exhaustive = struct
   type action = Invoke of Event.proc * Event.invocation | Poll of Event.proc
 
-  let fresh entry ~nprocs ~ntvars =
-    Tm_impl.Registry.instance entry
-      (Tm_impl.Tm_intf.config ~nprocs ~ntvars ())
-
-  (* Replay an action sequence on a fresh instance, recording the
-     history. *)
-  let replay entry ~nprocs ~ntvars actions =
-    let tm = fresh entry ~nprocs ~ntvars in
-    let h = ref History.empty in
-    List.iter
-      (fun a ->
-        match a with
-        | Invoke (p, inv) ->
-            tm.Tm_impl.Tm_intf.invoke p inv;
-            h := History.append !h (Event.Inv (p, inv))
-        | Poll p -> (
-            match tm.Tm_impl.Tm_intf.poll p with
-            | Some r -> h := History.append !h (Event.Res (p, r))
-            | None -> ()))
-      actions;
-    (tm, !h)
-
-  let enabled tm ~nprocs ~invocations =
-    List.concat_map
-      (fun p ->
-        match tm.Tm_impl.Tm_intf.pending p with
-        | Some _ -> [ Poll p ]
-        | None -> List.map (fun inv -> Invoke (p, inv)) invocations)
-      (List.init nprocs (fun i -> i + 1))
-
-  let run entry ~nprocs ~ntvars ~invocations ~depth ~on_history =
-    let rec dfs actions d =
-      let tm, h = replay entry ~nprocs ~ntvars actions in
-      on_history h actions;
-      if d > 0 then
-        List.iter
-          (fun a -> dfs (actions @ [ a ]) (d - 1))
-          (enabled tm ~nprocs ~invocations)
+  (* Depth-first, preorder.  A child node is a copy of its parent's TM
+     advanced by one action, and the parent's history extended by the
+     event that action produced (if any): O(1) TM steps per node.  The
+     parent is never mutated, so its pending invocations — and hence its
+     enabled actions — are read off it while the children are expanded.
+     The per-process actions and invocation events are built once. *)
+  let run (entry : Tm_impl.Registry.entry) ~nprocs ~ntvars ~invocations
+      ~depth ~on_history =
+    let (module M) = entry.Tm_impl.Registry.impl in
+    let polls = Array.init (nprocs + 1) (fun p -> Poll p) in
+    let menus =
+      Array.init (nprocs + 1) (fun p ->
+          List.map (fun inv -> (inv, Invoke (p, inv), Event.Inv (p, inv)))
+            invocations)
     in
-    dfs [] depth
+    let rec visit tm h rev_actions d =
+      on_history h (List.rev rev_actions);
+      if d > 0 then
+        for p = 1 to nprocs do
+          match M.pending tm p with
+          | Some _ ->
+              let tm' = M.copy tm in
+              let h' =
+                match M.poll tm' p with
+                | Some r -> History.append h (Event.Res (p, r))
+                | None -> h
+              in
+              visit tm' h' (polls.(p) :: rev_actions) (d - 1)
+          | None ->
+              List.iter
+                (fun (inv, a, e) ->
+                  let tm' = M.copy tm in
+                  M.invoke tm' p inv;
+                  visit tm' (History.append h e) (a :: rev_actions) (d - 1))
+                menus.(p)
+        done
+    in
+    visit
+      (M.create (Tm_impl.Tm_intf.config ~nprocs ~ntvars ()))
+      History.empty [] depth
 
   let count_nodes entry ~nprocs ~ntvars ~invocations ~depth =
     let n = ref 0 in

@@ -80,12 +80,14 @@ val pp_table : Format.formatter -> result list -> unit
     Enumerates {e every} interleaving of up to [depth] scheduler actions —
     at each step each process either polls its pending operation or issues
     any invocation from the given menu — and hands each reached history to
-    the callback.  Because TM implementations are mutable and a poll can
-    advance internal state without emitting an event (multi-poll commits),
-    nodes are identified by {e action} sequences and replayed on fresh
-    instances; O(depth) per node, irrelevant at the depths that are
-    feasible anyway (the tree has ~[(nprocs * |invocations|)^depth]
-    nodes).
+    the callback.  A poll can advance a TM's internal state without
+    emitting an event (multi-poll commits), so a node is its TM state, not
+    its history.  The enumeration is {e copy-and-extend}: each child node
+    is a {!Tm_impl.Tm_intf.S.copy} of its parent's TM advanced by one
+    action, and its history is the parent's extended by the event that
+    action produced.  A node therefore costs one copy and one TM step —
+    O(1) in the depth — and the tree has ~[(nprocs * |invocations|)^depth]
+    nodes.
 
     Combined with the linear-time {!Tm_safety.Monitor} this gives a small
     bounded model checker: [Exhaustive.run] over all schedules, monitor
@@ -102,8 +104,11 @@ module Exhaustive : sig
     depth:int ->
     on_history:(History.t -> action list -> unit) ->
     unit
-  (** [on_history] is called on every node (including internal ones) with
-      the recorded history and the action sequence that produced it. *)
+  (** [on_history] is called on every node (including internal ones), in
+      depth-first preorder, with the recorded history and the action
+      sequence that produced it.  Children are visited in process order,
+      and a process without a pending invocation in the order of
+      [invocations]. *)
 
   val count_nodes :
     Tm_impl.Registry.entry ->

@@ -162,6 +162,16 @@ let poll_t t p =
 
 let pending_t t p = Tm_intf.Mailbox.get t.mail p
 
+let copy_t t =
+  {
+    t with
+    mail = Tm_intf.Mailbox.copy t.mail;
+    committed = Array.copy t.committed;
+    tentative = Array.copy t.tentative;
+    owner = Array.copy t.owner;
+    txns = Array.map (fun txn -> { txn with started = txn.started }) t.txns;
+  }
+
 let make cm : (module Tm_intf.S) =
   (module struct
     type nonrec t = t
@@ -176,6 +186,7 @@ let make cm : (module Tm_intf.S) =
     let invoke = invoke_t
     let poll = poll_t
     let pending = pending_t
+    let copy = copy_t
   end)
 
 (* Default variant: aggressive contention manager. *)
@@ -189,3 +200,4 @@ let create = create_with Cm.aggressive
 let invoke = invoke_t
 let poll = poll_t
 let pending = pending_t
+let copy = copy_t

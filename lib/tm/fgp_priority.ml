@@ -77,3 +77,13 @@ let poll t p =
       Some resp
 
 let pending t p = Tm_intf.Mailbox.get t.mail p
+
+let copy t =
+  {
+    t with
+    mail = Tm_intf.Mailbox.copy t.mail;
+    status = Array.copy t.status;
+    cp = Array.copy t.cp;
+    vals = Array.map Array.copy t.vals;
+    committed = Array.copy t.committed;
+  }

@@ -74,3 +74,12 @@ let poll t p =
       end
 
 let pending t p = Tm_intf.Mailbox.get t.mail p
+
+let copy t =
+  {
+    t with
+    mail = Tm_intf.Mailbox.copy t.mail;
+    store = Array.copy t.store;
+    queue = Queue.copy t.queue;
+    waiting = Array.copy t.waiting;
+  }

@@ -146,3 +146,12 @@ let poll t p =
       resp
 
 let pending t p = Tm_intf.Mailbox.get t.mail p
+
+let copy t =
+  {
+    t with
+    mail = Tm_intf.Mailbox.copy t.mail;
+    versions = Array.copy t.versions;
+    lock = Array.copy t.lock;
+    txns = Array.map (fun txn -> { txn with started = txn.started }) t.txns;
+  }

@@ -133,3 +133,11 @@ let poll t p =
               None))
 
 let pending t p = Tm_intf.Mailbox.get t.mail p
+
+let copy t =
+  {
+    t with
+    mail = Tm_intf.Mailbox.copy t.mail;
+    value = Array.copy t.value;
+    txns = Array.map (fun txn -> { txn with started = txn.started }) t.txns;
+  }

@@ -194,3 +194,27 @@ let poll t p =
               | Acquiring _ | Checking _ | Writing _ -> None)))
 
 let pending t p = Tm_intf.Mailbox.get t.mail p
+
+(* A descriptor can sit in several holders and in its transaction at
+   once; the memo (keyed by physical identity) maps each one to a single
+   copy so the copy keeps that aliasing. *)
+let copy t =
+  let memo = ref [] in
+  let copy_desc = function
+    | None -> None
+    | Some d -> (
+        match List.assq_opt d !memo with
+        | Some d' -> Some d'
+        | None ->
+            let d' = { d with d_wv = d.d_wv } in
+            memo := (d, d') :: !memo;
+            Some d')
+  in
+  {
+    t with
+    mail = Tm_intf.Mailbox.copy t.mail;
+    value = Array.copy t.value;
+    version = Array.copy t.version;
+    holder = Array.map copy_desc t.holder;
+    txns = Array.map (fun txn -> { txn with desc = copy_desc txn.desc }) t.txns;
+  }

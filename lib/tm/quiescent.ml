@@ -80,3 +80,11 @@ let poll t p =
       Some resp
 
 let pending t p = Tm_intf.Mailbox.get t.mail p
+
+let copy t =
+  {
+    t with
+    mail = Tm_intf.Mailbox.copy t.mail;
+    store = Array.copy t.store;
+    txns = Array.map (fun txn -> { txn with live = txn.live }) t.txns;
+  }

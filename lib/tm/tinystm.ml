@@ -159,6 +159,16 @@ let poll t p =
 
 let pending t p = Tm_intf.Mailbox.get t.mail p
 
+let copy t =
+  {
+    t with
+    mail = Tm_intf.Mailbox.copy t.mail;
+    value = Array.copy t.value;
+    version = Array.copy t.version;
+    lock = Array.copy t.lock;
+    txns = Array.map (fun txn -> { txn with started = txn.started }) t.txns;
+  }
+
 let make ~extension : (module Tm_intf.S) =
   (module struct
     type nonrec t = t
@@ -175,4 +185,5 @@ let make ~extension : (module Tm_intf.S) =
     let invoke = invoke
     let poll = poll
     let pending = pending
+    let copy = copy
   end)

@@ -160,3 +160,13 @@ let poll t p =
       resp
 
 let pending t p = Tm_intf.Mailbox.get t.mail p
+
+let copy t =
+  {
+    t with
+    mail = Tm_intf.Mailbox.copy t.mail;
+    value = Array.copy t.value;
+    version = Array.copy t.version;
+    lock = Array.copy t.lock;
+    txns = Array.map (fun txn -> { txn with started = txn.started }) t.txns;
+  }

@@ -47,6 +47,19 @@ module type S = sig
       pending invocation. *)
 
   val pending : t -> Event.proc -> Event.invocation option
+
+  val copy : t -> t
+  (** [copy t] is an independent instance in the same state as [t]: the
+      same pending invocations, transactions, locks and committed store,
+      so the same future [invoke]/[poll] sequence yields the same
+      responses on either.  No mutable block is shared between the two —
+      mutating one never shows in the other.  Sharing {e within} an
+      instance is kept: if two fields of [t] reference one mutable block
+      (OSTM's commit descriptors sit both in the t-variable holders and
+      in their transaction), the copy's two fields reference one copied
+      block.  Immutable values (lists, the config, a contention-manager
+      policy) may be shared.  The exhaustive model checker relies on this
+      to expand each schedule node with one [copy] and one action. *)
 end
 
 (** A TM instance packed with its state, convenient for heterogeneous
@@ -56,16 +69,20 @@ type instance = {
   invoke : Event.proc -> Event.invocation -> unit;
   poll : Event.proc -> Event.response option;
   pending : Event.proc -> Event.invocation option;
+  copy : unit -> instance;  (** {!module-type-S.copy}, packed *)
 }
 
 let pack (module M : S) cfg =
-  let t = M.create cfg in
-  {
-    name = M.name;
-    invoke = M.invoke t;
-    poll = M.poll t;
-    pending = M.pending t;
-  }
+  let rec wrap t =
+    {
+      name = M.name;
+      invoke = M.invoke t;
+      poll = M.poll t;
+      pending = M.pending t;
+      copy = (fun () -> wrap (M.copy t));
+    }
+  in
+  wrap (M.create cfg)
 
 (** Shared per-process pending-invocation bookkeeping. *)
 module Mailbox = struct
@@ -90,4 +107,5 @@ module Mailbox = struct
 
   let get (m : t) p = m.(p)
   let clear (m : t) p = m.(p) <- None
+  let copy : t -> t = Array.copy
 end

@@ -153,3 +153,13 @@ let poll t p =
             answer Event.Committed)
 
 let pending t p = Tm_intf.Mailbox.get t.mail p
+
+let copy t =
+  {
+    t with
+    mail = Tm_intf.Mailbox.copy t.mail;
+    value = Array.copy t.value;
+    readers = Array.map Array.copy t.readers;
+    writer = Array.copy t.writer;
+    txns = Array.map (fun txn -> { txn with started = txn.started }) t.txns;
+  }

@@ -51,6 +51,13 @@ module Bogus : Tm_impl.Tm_intf.S = struct
         Some resp
 
   let pending t p = Tm_impl.Tm_intf.Mailbox.get t.mail p
+
+  let copy t =
+    {
+      t with
+      mail = Tm_impl.Tm_intf.Mailbox.copy t.mail;
+      store = Array.copy t.store;
+    }
 end
 
 let bogus_entry =

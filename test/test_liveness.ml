@@ -430,9 +430,87 @@ let prop_verdict_stable_under_rotation =
       Property.verdict l = Property.verdict r
       && Property.verdict l = Property.verdict u)
 
+(* [Empirical.classify_window] as it was written before it became one
+   pass: per process, a filter over the window's events for each count. *)
+let classify_window_by_filters ~window h =
+  let es = History.events h in
+  let n = List.length es in
+  let tail = List.filteri (fun i _ -> i >= n - window) es in
+  let count_in l pred p =
+    List.length (List.filter (fun e -> Event.proc e = p && pred e) l)
+  in
+  List.map
+    (fun p ->
+      let events_total = History.event_count h p in
+      let events_in_window = count_in tail (fun _ -> true) p in
+      let commits_in_window = count_in tail Event.is_commit p in
+      let aborts_in_window = count_in tail Event.is_abort p in
+      let trycs_in_window = count_in tail Event.is_try_commit p in
+      let looks_pending = commits_in_window = 0 in
+      let looks_crashed = events_total > 0 && events_in_window = 0 in
+      let looks_parasitic =
+        events_in_window > 0 && trycs_in_window = 0 && aborts_in_window = 0
+      in
+      {
+        Empirical.proc = p;
+        events_total;
+        events_in_window;
+        commits_in_window;
+        aborts_in_window;
+        trycs_in_window;
+        looks_pending;
+        looks_crashed;
+        looks_parasitic;
+        looks_progressing =
+          (not looks_pending) && (not looks_crashed) && not looks_parasitic;
+      })
+    (History.procs h)
+
+(* Well-formed draws, and arbitrary event sequences over processes -1..4
+   (the classifier does not need well-formedness), with windows from
+   below zero to past the end. *)
+let gen_window_case =
+  QCheck2.Gen.(
+    let raw_event =
+      let* p = int_range (-1) 4 in
+      oneofl
+        [
+          Event.Inv (p, Event.Read 0);
+          Event.Inv (p, Event.Write (1, 2));
+          Event.Inv (p, Event.Try_commit);
+          Event.Res (p, Event.Value 0);
+          Event.Res (p, Event.Ok_written);
+          Event.Res (p, Event.Committed);
+          Event.Res (p, Event.Aborted);
+        ]
+    in
+    let* h =
+      oneof
+        [
+          map2
+            (fun nprocs (steps, seed) ->
+              Tm_history.Generator.well_formed
+                ~config:{ Tm_history.Generator.default with nprocs }
+                ~steps seed)
+            (int_range 1 5)
+            (pair (int_bound 80) (int_bound 100_000));
+          map History.of_events (list_size (int_bound 60) raw_event);
+        ]
+    in
+    let* window = int_range (-2) (History.length h + 3) in
+    return (window, h))
+
+let prop_classify_window_one_pass =
+  QCheck2.Test.make ~count:500
+    ~name:"one-pass classify_window = per-process filters" gen_window_case
+    (fun (window, h) ->
+      Empirical.classify_window ~window h
+      = classify_window_by_filters ~window h)
+
 let properties =
   List.map QCheck_alcotest.to_alcotest
     [
+      prop_classify_window_one_pass;
       prop_taxonomy_inclusions;
       prop_library_generator_lassos;
       prop_property_chain;

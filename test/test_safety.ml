@@ -336,6 +336,129 @@ let test_monitor_long_run () =
   Alcotest.(check bool) "20k-step TL2 run accepted" true
     (accepted (Monitor.run o.Tm_sim.Runner.history))
 
+(* Several live transactions fail: the verdict names the lowest process,
+   whatever order their events came in. *)
+let test_monitor_names_lowest_live () =
+  let msg h =
+    match Monitor.run h with
+    | Monitor.Accepted -> "accepted"
+    | Monitor.No_witness m -> m
+  in
+  (* x0 never holds 5 or 7: neither read has a snapshot point. *)
+  let p1_bad = History.read 1 0 5 and p2_bad = History.read 2 0 7 in
+  let expect = "live transaction of p1 has no consistent snapshot point" in
+  Alcotest.(check string) "p1 first" expect
+    (msg (History.steps [ p1_bad; p2_bad ]));
+  Alcotest.(check string) "p2 first" expect
+    (msg (History.steps [ p2_bad; p1_bad ]));
+  Alcotest.(check string) "only p2 fails"
+    "live transaction of p2 has no consistent snapshot point"
+    (msg (History.steps [ p2_bad; History.read 1 0 0 ]))
+
+let test_monitor_id_range () =
+  let raises what e =
+    match Monitor.step (Monitor.create ()) e with
+    | () -> Alcotest.failf "%s accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  raises "negative process" (Event.Inv (-1, Event.Read 0));
+  raises "huge process" (Event.Inv (1 lsl 40, Event.Try_commit));
+  raises "negative t-variable" (Event.Inv (1, Event.Read (-1)));
+  raises "huge t-variable" (Event.Inv (1, Event.Write (1 lsl 40, 1)));
+  Alcotest.(check bool)
+    "largest ids accepted" true
+    (accepted
+       (Monitor.run
+          (History.steps
+             [ History.write 1_048_575 1_048_575 1;
+               History.read 1_048_575 1_048_575 1; History.commit 1_048_575 ])))
+
+(* Outputs pinned on the monitor before its tables became arrays: per
+   zoo TM, every depth-7 schedule of the model-check menu (history count,
+   no-witness count, MD5 of the verdicts, one line each), OSTM at depth 8
+   (its 14 no-witness histories carry the messages), and 3,000 random
+   well-formed draws.  Live-transaction failures in the random corpus are
+   digested without their process: the old tables named an arbitrary one
+   when several failed, the arrays name the lowest. *)
+let verdict_line = function
+  | Monitor.Accepted -> "accepted"
+  | Monitor.No_witness m -> "no-witness: " ^ m
+
+let digest_verdicts entry ~depth =
+  let n = ref 0 and nw = ref 0 in
+  let buf = Buffer.create 4096 in
+  Tm_sim.Sweep.Exhaustive.run entry ~nprocs:2 ~ntvars:1
+    ~invocations:[ Event.Read 0; Event.Write (0, 1); Event.Try_commit ]
+    ~depth ~on_history:(fun h _ ->
+      incr n;
+      let v = Monitor.run h in
+      (match v with
+      | Monitor.Accepted -> ()
+      | Monitor.No_witness _ ->
+          incr nw;
+          if not (Opacity.is_opaque h) then
+            Alcotest.failf "non-opaque history:@ %a" History.pp h);
+      Buffer.add_string buf (verdict_line v);
+      Buffer.add_char buf '\n');
+  (!n, !nw, Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let zoo_verdict_pins =
+  [
+    ("global-lock", 7, 11239, 0, "1a220219a5a183a7d8f387f4a26de273");
+    ("fgp", 7, 15079, 0, "e87f3fe24c5e7baf028c055263462504");
+    ("tl2", 7, 14631, 0, "b2f479852c538e24c451df74e4435632");
+    ("tinystm", 7, 15079, 0, "e87f3fe24c5e7baf028c055263462504");
+    ("tinystm-ext", 7, 15079, 0, "e87f3fe24c5e7baf028c055263462504");
+    ("swisstm", 7, 15079, 0, "e87f3fe24c5e7baf028c055263462504");
+    ("dstm-aggressive", 7, 15079, 0, "e87f3fe24c5e7baf028c055263462504");
+    ("dstm-polite-4", 7, 13679, 0, "d1112e7fccd507f09b7a6af6c2b45e0f");
+    ("dstm-karma", 7, 14095, 0, "f10b7d316dfc004a9f94fa1f9d56b5c3");
+    ("dstm-greedy", 7, 15079, 0, "e87f3fe24c5e7baf028c055263462504");
+    ("ostm", 7, 14631, 0, "b2f479852c538e24c451df74e4435632");
+    ("norec", 7, 14615, 0, "bb400e3d6588f7140eed48f2b887562e");
+    ("mvstm", 7, 14635, 0, "37e8aa7d234ab4d2a9da8fdac7454a6a");
+    ("quiescent", 7, 15079, 0, "e87f3fe24c5e7baf028c055263462504");
+    ("twopl", 7, 13063, 0, "77a7b199c44ed9db172bd2793c6a0b43");
+    ("fgp-priority", 7, 15079, 0, "e87f3fe24c5e7baf028c055263462504");
+    ("ostm", 8, 52951, 14, "b88373f33f18a372bfcc309a4c42ef6b");
+  ]
+
+let test_zoo_verdicts_pinned () =
+  Alcotest.(check (list string))
+    "every zoo TM pinned at depth 7" Tm_impl.Registry.names
+    (List.filter_map
+       (fun (name, depth, _, _, _) -> if depth = 7 then Some name else None)
+       zoo_verdict_pins);
+  List.iter
+    (fun (name, depth, histories, no_witness, md5) ->
+      let n, nw, d =
+        digest_verdicts (Option.get (Tm_impl.Registry.find name)) ~depth
+      in
+      let label what = Fmt.str "%s depth %d: %s" name depth what in
+      Alcotest.(check int) (label "histories") histories n;
+      Alcotest.(check int) (label "no-witness") no_witness nw;
+      Alcotest.(check string) (label "verdict MD5") md5 d)
+    zoo_verdict_pins
+
+let test_random_verdicts_pinned () =
+  let live = "live transaction of p" in
+  let buf = Buffer.create 4096 in
+  let nw = ref 0 in
+  for seed = 1 to 3000 do
+    (match Monitor.run (Generator.well_formed ~steps:30 seed) with
+    | Monitor.Accepted -> Buffer.add_string buf "accepted"
+    | Monitor.No_witness m ->
+        incr nw;
+        Buffer.add_string buf
+          (if String.starts_with ~prefix:live m then
+             live ^ "? has no consistent snapshot point"
+           else m));
+    Buffer.add_char buf '\n'
+  done;
+  Alcotest.(check int) "no-witness draws" 2751 !nw;
+  Alcotest.(check string) "verdict MD5" "c3e4f18ac4a2dcb590e6f32902058aed"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let monitor_zoo_cases =
   (* Every zoo TM's (fault-free and faulty) runs are accepted by the
      monitor — stronger and much faster than the search-based stress. *)
@@ -586,6 +709,13 @@ let () =
           Alcotest.test_case "snapshot points" `Quick
             test_monitor_snapshot_points;
           Alcotest.test_case "20k-step run" `Quick test_monitor_long_run;
+          Alcotest.test_case "lowest failing live process named" `Quick
+            test_monitor_names_lowest_live;
+          Alcotest.test_case "id range" `Quick test_monitor_id_range;
+          Alcotest.test_case "zoo verdicts pinned" `Quick
+            test_zoo_verdicts_pinned;
+          Alcotest.test_case "random verdicts pinned" `Quick
+            test_random_verdicts_pinned;
         ]
         @ monitor_zoo_cases );
       ( "corner cases",

@@ -208,7 +208,10 @@ let test_sweep_counts () =
     Tm_sim.Sweep.Exhaustive.count_nodes tl2 ~nprocs:1 ~ntvars:1
       ~invocations:sweep_invocations ~depth:1
   in
-  Alcotest.(check int) "root + 3" 4 n1
+  Alcotest.(check int) "root + 3" 4 n1;
+  Alcotest.(check int) "tl2, 2 processes, depth 10" 585_259
+    (Tm_sim.Sweep.Exhaustive.count_nodes tl2 ~nprocs:2 ~ntvars:1
+       ~invocations:sweep_invocations ~depth:10)
 
 let sweep_tm_opaque name depth =
   let entry = Option.get (Reg.find name) in
@@ -224,6 +227,189 @@ let sweep_tm_opaque name depth =
           if not (Tm_safety.Opacity.is_opaque h) then incr bad);
   Alcotest.(check bool) (name ^ " visited many schedules") true (!checked > 1000);
   Alcotest.(check int) (name ^ " non-opaque histories") 0 !bad
+
+(* Copy-and-extend against replay.  The oracle is the model checker as it
+   was before instances could be copied: every node is a fresh instance
+   with the node's whole action list replayed on it. *)
+module Exh = Tm_sim.Sweep.Exhaustive
+
+let apply tm h = function
+  | Exh.Invoke (p, inv) ->
+      tm.Tm_impl.Tm_intf.invoke p inv;
+      History.append h (Event.Inv (p, inv))
+  | Exh.Poll p -> (
+      match tm.Tm_impl.Tm_intf.poll p with
+      | Some r -> History.append h (Event.Res (p, r))
+      | None -> h)
+
+let replay entry ~nprocs ~ntvars actions =
+  let tm = Reg.instance entry (Tm_impl.Tm_intf.config ~nprocs ~ntvars ()) in
+  (tm, List.fold_left (apply tm) History.empty actions)
+
+let enabled tm ~nprocs ~invocations =
+  List.concat_map
+    (fun p ->
+      match tm.Tm_impl.Tm_intf.pending p with
+      | Some _ -> [ Exh.Poll p ]
+      | None -> List.map (fun inv -> Exh.Invoke (p, inv)) invocations)
+    (List.init nprocs (fun i -> i + 1))
+
+let replay_preorder entry ~nprocs ~ntvars ~invocations ~depth =
+  let nodes = ref [] in
+  let rec dfs actions d =
+    let tm, h = replay entry ~nprocs ~ntvars actions in
+    nodes := (h, actions) :: !nodes;
+    if d > 0 then
+      List.iter
+        (fun a -> dfs (actions @ [ a ]) (d - 1))
+        (enabled tm ~nprocs ~invocations)
+  in
+  dfs [] depth;
+  List.rev !nodes
+
+let diff_invocations =
+  [ Event.Read 0; Event.Read 1; Event.Write (0, 1); Event.Write (1, 2);
+    Event.Try_commit ]
+
+let test_copy_matches_replay_preorder () =
+  List.iter
+    (fun entry ->
+      let name = entry.Reg.entry_name in
+      let got = ref [] in
+      Exh.run entry ~nprocs:2 ~ntvars:2 ~invocations:diff_invocations
+        ~depth:6 ~on_history:(fun h actions -> got := (h, actions) :: !got);
+      let got = List.rev !got in
+      let want =
+        replay_preorder entry ~nprocs:2 ~ntvars:2
+          ~invocations:diff_invocations ~depth:6
+      in
+      Alcotest.(check int) (name ^ ": node count") (List.length want)
+        (List.length got);
+      List.iteri
+        (fun i ((h, a), (h', a')) ->
+          if a <> a' then
+            Alcotest.failf "%s: node %d: action lists differ" name i;
+          if not (History.equal h h') then
+            Alcotest.failf "%s: node %d: histories differ:@ %a@ vs@ %a" name i
+              History.pp h History.pp h')
+        (List.combine got want))
+    Reg.all
+
+(* An instance and its copy driven apart, in alternation: each must
+   answer as a fresh instance replaying its own actions, so neither may
+   see the other's mutations (a shared or wrongly de-aliased block shows
+   up as a divergent response).  Random enabled actions; three processes
+   so that commits contend and OSTM helps. *)
+type driven = {
+  tm : Tm_impl.Tm_intf.instance;
+  mutable h : History.t;
+  mutable rev : Exh.action list;
+}
+
+let test_copies_are_independent () =
+  let nprocs = 3 and ntvars = 2 in
+  let step g d =
+    let choices = enabled d.tm ~nprocs ~invocations:diff_invocations in
+    let a = List.nth choices (Tm_sim.Prng.int g (List.length choices)) in
+    d.h <- apply d.tm d.h a;
+    d.rev <- a :: d.rev
+  in
+  List.iter
+    (fun entry ->
+      let name = entry.Reg.entry_name in
+      for seed = 1 to 100 do
+        let g = Tm_sim.Prng.create seed in
+        let original =
+          {
+            tm = Reg.instance entry (Tm_impl.Tm_intf.config ~nprocs ~ntvars ());
+            h = History.empty;
+            rev = [];
+          }
+        in
+        for _ = 1 to Tm_sim.Prng.int g 40 do
+          step g original
+        done;
+        let copy = { original with tm = original.tm.Tm_impl.Tm_intf.copy () } in
+        for _ = 1 to 40 do
+          step g original;
+          step g copy
+        done;
+        List.iter
+          (fun (which, d) ->
+            let oracle, h = replay entry ~nprocs ~ntvars (List.rev d.rev) in
+            if not (History.equal d.h h) then
+              Alcotest.failf "%s seed %d: %s diverged from replay:@ %a@ vs@ %a"
+                name seed which History.pp d.h History.pp h;
+            for p = 1 to nprocs do
+              if
+                d.tm.Tm_impl.Tm_intf.pending p
+                <> oracle.Tm_impl.Tm_intf.pending p
+              then
+                Alcotest.failf "%s seed %d: %s p%d pending differs" name seed
+                  which p
+            done)
+          [ ("original", original); ("copy", copy) ]
+      done)
+    Reg.all
+
+(* ------------------------------------------------------------------ *)
+(* Allocation gates for the paper pipeline: words are deterministic, so
+   these hold on any number of cores. *)
+
+let words () =
+  let s = Gc.quick_stat () in
+  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+
+let words_of f =
+  let w0 = words () in
+  f ();
+  words () -. w0
+
+let check_at_most what bound got =
+  if got > bound then Alcotest.failf "%s: %.1f words, bound %.0f" what got bound
+
+let tl2_depth10 on_history =
+  Exh.run tl2 ~nprocs:2 ~ntvars:1 ~invocations:sweep_invocations ~depth:10
+    ~on_history
+
+let test_enumeration_words () =
+  let n = ref 0 in
+  let w = words_of (fun () -> tl2_depth10 (fun _ _ -> incr n)) in
+  check_at_most "words per enumerated node" 110. (w /. float_of_int !n)
+
+let test_monitor_words () =
+  let n = ref 0 in
+  let bare = words_of (fun () -> tl2_depth10 (fun _ _ -> ())) in
+  let checked =
+    words_of (fun () ->
+        tl2_depth10 (fun h _ ->
+            incr n;
+            ignore (Sys.opaque_identity (Tm_safety.Monitor.run h))))
+  in
+  check_at_most "Monitor.run words per history" 150.
+    ((checked -. bare) /. float_of_int !n)
+
+let test_metrics_words () =
+  let outcomes =
+    List.map
+      (fun c -> Tm_sim.Runner.run c.Tm_sim.Sweep.tm c.Tm_sim.Sweep.spec)
+      (Tm_sim.Sweep.grid
+         ~patterns:(Tm_sim.Sweep.fault_patterns ~steps:1000 ())
+         ~seeds:[ 1 ] ())
+  in
+  let events =
+    List.fold_left
+      (fun n o -> n + History.length o.Tm_sim.Runner.history)
+      0 outcomes
+  in
+  let w =
+    words_of (fun () ->
+        List.iter
+          (fun o -> ignore (Sys.opaque_identity (Tm_sim.Metrics.of_outcome o)))
+          outcomes)
+  in
+  check_at_most "Metrics.of_outcome words per history event" 15.
+    (w /. float_of_int events)
 
 let test_sweep_tl2 () = sweep_tm_opaque "tl2" 7
 let test_sweep_tinystm () = sweep_tm_opaque "tinystm" 7
@@ -285,10 +471,7 @@ let test_pool_shutdown_rejects () =
 (* Metrics. *)
 
 let test_metrics_histogram () =
-  let h =
-    List.fold_left Tm_sim.Metrics.hist_add Tm_sim.Metrics.hist_empty
-      [ 0; 1; 2; 3; 4; 1000000 ]
-  in
+  let h = Tm_sim.Metrics.hist_of_list [ 0; 1; 2; 3; 4; 1000000 ] in
   Alcotest.(check int) "count" 6 h.Tm_sim.Metrics.count;
   Alcotest.(check int) "max" 1000000 h.Tm_sim.Metrics.max_sample;
   Alcotest.(check int) "bucket 0 (value 0)" 1 h.Tm_sim.Metrics.buckets.(0);
@@ -359,7 +542,7 @@ let test_metrics_histogram_edges () =
      ordinary range's upper neighbour — both 2^(nbuckets-2) and anything
      larger land in the overflow bucket. *)
   let h =
-    List.fold_left M.hist_add M.hist_empty
+    M.hist_of_list
       [ (1 lsl (last - 1)) - 1; 1 lsl (last - 1); 1 lsl last; max_int ]
   in
   Alcotest.(check int) "8191 is the last non-overflow value" 1
@@ -367,7 +550,7 @@ let test_metrics_histogram_edges () =
   Alcotest.(check int) "8192, 16384 and max_int all overflow" 3
     h.M.buckets.(last);
   (* Negative samples count as 0. *)
-  let hneg = M.hist_add M.hist_empty (-5) in
+  let hneg = M.hist_of_list [ -5 ] in
   Alcotest.(check int) "negative sample lands in bucket 0" 1
     hneg.M.buckets.(0);
   (* Labels at the boundaries. *)
@@ -387,10 +570,9 @@ let test_metrics_histogram_empty_pp () =
 
 let test_metrics_hist_merge_laws () =
   let module M = Tm_sim.Metrics in
-  let of_list vs = List.fold_left M.hist_add M.hist_empty vs in
-  let a = of_list [ 0; 1; 7; 9000; 12 ]
-  and b = of_list [ 3; 3; 3; 100000 ]
-  and c = of_list [ 42 ] in
+  let a = M.hist_of_list [ 0; 1; 7; 9000; 12 ]
+  and b = M.hist_of_list [ 3; 3; 3; 100000 ]
+  and c = M.hist_of_list [ 42 ] in
   let eq name x y =
     Alcotest.(check (array int)) (name ^ " buckets") x.M.buckets y.M.buckets;
     Alcotest.(check int) (name ^ " count") x.M.count y.M.count;
@@ -495,6 +677,19 @@ let test_sweep_json_file_deterministic () =
   in
   Alcotest.(check string) "metrics JSON byte-stable through a file" (dump ())
     (dump ())
+
+(* The whole zoo's sweep document, pinned before the metrics moved to
+   mutable buckets and a one-pass window classifier. *)
+let test_sweep_json_pinned () =
+  let configs =
+    Tm_sim.Sweep.grid
+      ~patterns:(Tm_sim.Sweep.fault_patterns ~steps:300 ())
+      ~seeds:[ 1; 2 ] ()
+  in
+  Alcotest.(check string)
+    "sweep document MD5" "5912bc52b2b8b18c27b72fcfab656f1c"
+    (Digest.to_hex
+       (Digest.string (Tm_sim.Sweep.to_json (Tm_sim.Sweep.run configs))))
 
 (* ------------------------------------------------------------------ *)
 (* Statistics helpers. *)
@@ -644,6 +839,8 @@ let () =
             test_sweep_grid_canonical_order;
           Alcotest.test_case "metrics JSON file-stable" `Quick
             test_sweep_json_file_deterministic;
+          Alcotest.test_case "zoo sweep document pinned" `Quick
+            test_sweep_json_pinned;
         ] );
       ( "stats",
         [ Alcotest.test_case "summaries and percentiles" `Quick test_stats ]
@@ -658,9 +855,22 @@ let () =
           Alcotest.test_case "counter value" `Quick
             test_controlled_counter_value;
         ] );
+      ( "pipeline allocation",
+        [
+          Alcotest.test_case "enumeration words per node" `Quick
+            test_enumeration_words;
+          Alcotest.test_case "monitor words per history" `Quick
+            test_monitor_words;
+          Alcotest.test_case "metrics words per event" `Quick
+            test_metrics_words;
+        ] );
       ( "exhaustive sweep",
         [
           Alcotest.test_case "node counts" `Quick test_sweep_counts;
+          Alcotest.test_case "copy-and-extend = replay preorder" `Quick
+            test_copy_matches_replay_preorder;
+          Alcotest.test_case "copies are independent" `Quick
+            test_copies_are_independent;
           Alcotest.test_case "tl2 opaque at depth 7" `Slow test_sweep_tl2;
           Alcotest.test_case "tinystm opaque at depth 7" `Slow
             test_sweep_tinystm;

@@ -94,10 +94,7 @@ let prop_quantiles =
 let test_absorb () =
   (* Folding a 15-bucket Tm_sim.Metrics histogram into a 32-bucket
      telemetry one preserves count, sum and max. *)
-  let src =
-    List.fold_left Tm_sim.Metrics.hist_add Tm_sim.Metrics.hist_empty
-      [ 0; 1; 5; 100; 9000 ]
-  in
+  let src = Tm_sim.Metrics.hist_of_list [ 0; 1; 5; 100; 9000 ] in
   let h = I.histogram ~shards:1 () in
   I.absorb h ~buckets:src.Tm_sim.Metrics.buckets ~sum:src.Tm_sim.Metrics.sum
     ~max_sample:src.Tm_sim.Metrics.max_sample;
@@ -111,10 +108,7 @@ let test_absorb_overflow () =
      to be >= 2^(nbuckets - 2); folding it into the same-index
      destination bucket would under-read it by orders of magnitude.  It
      must land in the destination's own overflow bucket. *)
-  let src =
-    List.fold_left Tm_sim.Metrics.hist_add Tm_sim.Metrics.hist_empty
-      [ 20_000; 3 ]
-  in
+  let src = Tm_sim.Metrics.hist_of_list [ 20_000; 3 ] in
   Alcotest.(check int) "sample sits in the source overflow bucket" 1
     src.Tm_sim.Metrics.buckets.(Tm_sim.Metrics.nbuckets - 1);
   let h = I.histogram ~shards:1 () in
