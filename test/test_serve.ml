@@ -97,6 +97,49 @@ let test_workload_deterministic () =
       done)
     Workload.profiles
 
+(* Digests recorded before the request generator's draws were made
+   allocation-free: the request stream of every profile, one line per
+   request, over clients 0-999 x indices 0-3. *)
+let render_op = function
+  | Store.O_get k -> Fmt.str "g%d" k
+  | Store.O_put (k, v) -> Fmt.str "p%d,%d" k v
+  | Store.O_add (k, d) -> Fmt.str "a%d,%d" k d
+  | Store.O_cas (k, e, v) -> Fmt.str "c%d,%d,%d" k e v
+
+let request_stream_digest profile =
+  let w = Workload.create ~profile ~seed:42 ~keys:1024 () in
+  let b = Buffer.create 65536 in
+  for client = 0 to 999 do
+    for index = 0 to 3 do
+      (match Workload.request w ~client ~index with
+      | Workload.Single op -> Buffer.add_string b (render_op op)
+      | Workload.Txn ops ->
+          Buffer.add_char b '[';
+          List.iter
+            (fun op ->
+              Buffer.add_string b (render_op op);
+              Buffer.add_char b ' ')
+            ops;
+          Buffer.add_char b ']');
+      Buffer.add_char b '\n'
+    done
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_workload_pinned () =
+  List.iter
+    (fun (profile, expected) ->
+      Alcotest.(check string)
+        (Workload.profile_name profile ^ " request stream")
+        expected
+        (request_stream_digest profile))
+    [
+      (Workload.Read_mostly, "1db5282329f0bd07c32edac75f1eb0b5");
+      (Workload.Write_heavy, "a73ee186f3f0bd3929ac32b043b6dd59");
+      (Workload.Long_txn, "7827af56fac7bce69fd846733be8447d");
+      (Workload.Mixed, "2a4439ee1309f32967ed44c25ba1f766");
+    ]
+
 let test_workload_planes_and_conservation () =
   let keys = 128 in
   List.iter
@@ -222,6 +265,31 @@ let test_server_canonical_deterministic () =
   let j1 = Server.to_json (Server.run cfg)
   and j2 = Server.to_json (Server.run cfg) in
   Alcotest.(check string) "two runs, byte-identical canonical JSON" j1 j2
+
+(* The canonical document of every profile at 1 and 2 domains, as
+   recorded before the executor's telemetry went to kind-indexed arrays
+   and the facade's counters went per domain. *)
+let test_server_pinned () =
+  List.iter
+    (fun (profile, domains, expected) ->
+      let cfg =
+        Server.config ~clients:400 ~ops:3 ~keys:128 ~stripes:16 ~profile
+          ~seed:42 ~domains ()
+      in
+      Alcotest.(check string)
+        (Fmt.str "%s at %d domains" (Workload.profile_name profile) domains)
+        expected
+        (Digest.to_hex (Digest.string (Server.to_json (Server.run cfg)))))
+    [
+      (Workload.Read_mostly, 1, "23c81acc7298bd5c5c65512017d96a5a");
+      (Workload.Read_mostly, 2, "62dc969fefa63267abf3b6cd8bcec1f5");
+      (Workload.Write_heavy, 1, "6156b8adbb019769578d3d69a7e02a4c");
+      (Workload.Write_heavy, 2, "c21e881e53320dd57a0b1ee077922ec4");
+      (Workload.Long_txn, 1, "1d10821121940955274f3c488dea6ce8");
+      (Workload.Long_txn, 2, "0b9b673d8c4f8bc106d01eb130813387");
+      (Workload.Mixed, 1, "2dcb729e421e6cdf2ce52437aa35b9b2");
+      (Workload.Mixed, 2, "28d6f704428a8d4d6e8fca0a100ca99b");
+    ]
 
 let test_server_counts () =
   let cfg = small_cfg ~journal:true () in
@@ -521,6 +589,8 @@ let () =
           Alcotest.test_case "planes and conservation" `Quick
             test_workload_planes_and_conservation;
           Alcotest.test_case "admission costs" `Quick test_workload_costs;
+          Alcotest.test_case "request streams pinned" `Quick
+            test_workload_pinned;
         ] );
       ( "store",
         [
@@ -533,6 +603,8 @@ let () =
         [
           Alcotest.test_case "canonical json byte-deterministic" `Quick
             test_server_canonical_deterministic;
+          Alcotest.test_case "canonical documents pinned" `Quick
+            test_server_pinned;
           Alcotest.test_case "count invariants" `Quick test_server_counts;
           Alcotest.test_case "batching leaves canon unchanged" `Quick
             test_server_batching_invariant;

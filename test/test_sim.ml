@@ -62,6 +62,111 @@ let test_prng_errors () =
     (Invalid_argument "Prng.pick: empty list") (fun () ->
       ignore (Tm_sim.Prng.pick g ([] : int list)))
 
+(* Golden streams, recorded before the generator state was unboxed: the
+   representation may change, the streams may not. *)
+let golden_next =
+  [
+    ( 0,
+      [
+        0xbfef8030ddc2d772L; 0x5f552ce482f2aa47L; 0x70335fc3daf3d8a7L;
+        0xf440fe3b62c79d2cL; 0x33ba2f29e7c168bbL; 0x98843f48a94b7866L;
+        0x74ad4c24d41a25f8L; 0x2f9a1f13648eab6eL; 0x509a840d44beedbdL;
+        0xe1d9d25350c18b44L; 0x83db02da19918686L; 0x889af42f2e548689L;
+        0xec3add8a85bfa5eeL; 0x33ab0c5babe05527L; 0x27a774aeba5ef45bL;
+        0x8bcb0ba992bb02deL;
+      ] );
+    ( 1,
+      [
+        0xd0bb866aae328182L; 0x6f6203387a582791L; 0x669bb27a971cd2e4L;
+        0xd33756a89082caeaL; 0x9dba23001212fe2eL; 0xb88f26fcc93054abL;
+        0x82f6bc57f6437cb2L; 0xc9f51660eb9fb926L; 0x41c438e608b4a9ecL;
+        0xf34ac142b6c86cb2L; 0xe6e4f61a094ab8abL; 0xc3ba7601fe632dd0L;
+        0x6360a3059ac0f4edL; 0xb4e5398b55d9ded7L; 0xac420b9f555848f4L;
+        0x55af9a1259535dd9L;
+      ] );
+    ( 42,
+      [
+        0xcff0e851cb81f27bL; 0x7c96725217bec9d4L; 0xa495397d28f03731L;
+        0xc384dc7cf8a7e182L; 0x6c1aa5220addd1bL; 0x81ca7a6721767c60L;
+        0xbee4cef94bf8899aL; 0x1e668a6ebb5d23edL; 0xb3304446598c3e4L;
+        0xeff0eb77dd7780afL; 0xba859a9a5a878a9bL; 0x39a88fe3fb040b81L;
+        0x8fe504b7c138c310L; 0xca34f52a1aeaceb5L; 0x8212997f98510f7cL;
+        0xee5f5265e134aa12L;
+      ] );
+    ( -7,
+      [
+        0xafc0620faa065d37L; 0xeaeba8459e081db7L; 0xff43d5042f2425a6L;
+        0x211640710ed7233L; 0x52a31dce5d815132L; 0x4d7dd763bcac55a1L;
+        0x466503c191df67a9L; 0x25745346af22f387L; 0xa4f46e56d246a606L;
+        0x857beff86eca2a3dL; 0xcc74416dbc053e46L; 0xf53030ceb06431fdL;
+        0x9e70d767a1aafe8aL; 0x2db68f22bfd6b0e7L; 0x7711bf3a943f5dd0L;
+        0x968c602019b73a63L;
+      ] );
+  ]
+
+let golden_int =
+  [
+    (1, [ 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 ]);
+    (7, [ 6; 6; 4; 0; 2; 4; 5; 0; 6; 4; 4; 3; 6; 5; 4; 2 ]);
+    ( 1000,
+      [
+        566; 669; 972; 336; 414; 408; 830; 19; 105; 547; 678; 256; 996; 173;
+        255; 156;
+      ] );
+  ]
+
+let draws n f = List.init n (fun _ -> f ())
+
+let test_prng_golden () =
+  let module P = Tm_sim.Prng in
+  List.iter
+    (fun (seed, expected) ->
+      let g = P.create seed in
+      Alcotest.(check (list int64))
+        (Fmt.str "seed %d: first 16 outputs" seed)
+        expected
+        (draws 16 (fun () -> P.next g)))
+    golden_next;
+  List.iter
+    (fun (bound, expected) ->
+      let g = P.create 42 in
+      Alcotest.(check (list int))
+        (Fmt.str "int at bound %d" bound)
+        expected
+        (draws 16 (fun () -> P.int g bound)))
+    golden_int;
+  let g = P.create 9 in
+  Alcotest.(check (list bool)) "bool"
+    [ true; false; true; false; false; false; true; true; false; true; false; false; true; true; true; true ]
+    (draws 16 (fun () -> P.bool g));
+  let g = P.create 5 in
+  let s = P.split g in
+  Alcotest.(check (list int64)) "split: the child stream"
+    [
+      0xc2920e3284da2f27L; 0x2077351f449561a5L; 0x26b48e19b9488449L;
+      0xc28c2a205e8f7c66L; 0xada237a87bf1d65L; 0x764b871a032754d6L;
+      0xfe543624d4be8ee6L; 0x9f8c4d63b2fc81c2L;
+    ]
+    (draws 8 (fun () -> P.next s));
+  Alcotest.(check (list int64)) "split: the parent stream after it"
+    [
+      0x83af4cfbaea8aa91L; 0x36f940a065401aa7L; 0xb27807669d02d00dL;
+      0x6a7d6987fddf8464L; 0xb990c39ffb1d3786L; 0x209c872d0d766044L;
+      0xbeb023a06e7cabebL; 0x37d041e7e131beeeL;
+    ]
+    (draws 8 (fun () -> P.next g));
+  (* A copy shares no state: drawing from it leaves the original where
+     it was. *)
+  let g = P.create 42 in
+  let c = P.copy g in
+  let from_copy = draws 6 (fun () -> P.next c) in
+  Alcotest.(check int64) "the original is untouched by its copy"
+    (List.hd (List.assoc 42 golden_next))
+    (P.next g);
+  Alcotest.(check (list int64)) "the copy replays the stream"
+    (List.filteri (fun i _ -> i < 6) (List.assoc 42 golden_next))
+    from_copy
+
 (* ------------------------------------------------------------------ *)
 (* Workloads. *)
 
@@ -796,6 +901,7 @@ let () =
             test_prng_split_independent;
           Alcotest.test_case "copy" `Quick test_prng_copy;
           Alcotest.test_case "errors" `Quick test_prng_errors;
+          Alcotest.test_case "golden streams" `Quick test_prng_golden;
         ] );
       ( "workloads",
         [
