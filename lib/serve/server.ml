@@ -193,17 +193,18 @@ let run ?on_sample cfg =
     per "tm_serve_batched_total" "Admitted puts routed through a combiner"
   in
   let mutators = per "tm_serve_mutators_total" "Admitted mutating requests" in
+  (* By {!Workload.kind_index}, in {!Workload.kinds} order. *)
+  let kinds = Array.of_list Workload.kinds in
   let by_kind =
-    List.map
+    Array.map
       (fun k ->
-        ( k,
-          Tel.Registry.counter reg
-            ~labels:[ ("kind", k) ]
-            ~help:"Admitted requests by kind" "tm_serve_admitted_kind_total" ))
-      Workload.kinds
+        Tel.Registry.counter reg
+          ~labels:[ ("kind", k) ]
+          ~help:"Admitted requests by kind" "tm_serve_admitted_kind_total")
+      kinds
   in
   (* Measured, non-canonical: bare instruments, never scraped. *)
-  let lat = List.map (fun k -> (k, Tel.Instrument.histogram ())) Workload.kinds in
+  let lat = Array.map (fun _ -> Tel.Instrument.histogram ()) kinds in
   let flushes = Tel.Instrument.counter () in
   (* The open-loop recorder is registry-free on purpose: its samples are
      wall-clock measurements, and the canonical scrape must not see
@@ -258,12 +259,12 @@ let run ?on_sample cfg =
         if not adm then Tel.Instrument.incr shed.(d)
         else begin
           Tel.Instrument.incr admitted.(d);
-          Tel.Instrument.incr (List.assoc (Workload.kind req) by_kind);
+          let kind = Workload.kind_index req in
+          Tel.Instrument.incr by_kind.(kind);
           if Workload.mutates req then Tel.Instrument.incr mutators.(d);
-          let h = List.assoc (Workload.kind req) lat in
-          Option.iter
-            (fun r -> Tel.Latency_recorder.mark r d ~sched)
-            recorder;
+          (match recorder with
+          | Some r -> Tel.Latency_recorder.mark r d ~sched
+          | None -> ());
           let start = now_ns () in
           (match req with
           | Workload.Single (Store.O_put (k, v)) when cfg.c_batching ->
@@ -283,10 +284,10 @@ let run ?on_sample cfg =
                        Store.journal_mark store 1;
                      rs)));
           let finish = now_ns () in
-          Tel.Instrument.observe h (finish - start);
-          Option.iter
-            (fun r -> Tel.Latency_recorder.complete r d ~start ~finish)
-            recorder
+          Tel.Instrument.observe lat.(kind) (finish - start);
+          match recorder with
+          | Some r -> Tel.Latency_recorder.complete r d ~start ~finish
+          | None -> ()
         end)
   in
   let ds = List.init nd (fun d -> Domain.spawn (worker d)) in
@@ -310,7 +311,8 @@ let run ?on_sample cfg =
     s_batched = sum batched;
     s_mutators = mut_total;
     s_by_kind =
-      List.map (fun (k, c) -> (k, Tel.Instrument.value c)) by_kind;
+      Array.to_list
+        (Array.map2 (fun k c -> (k, Tel.Instrument.value c)) kinds by_kind);
     s_per_domain =
       Array.init nd (fun d ->
           {
@@ -328,9 +330,10 @@ let run ?on_sample cfg =
     s_aborts = aborts1 - aborts0;
     s_flushes = Tel.Instrument.value flushes;
     s_latency =
-      List.map
-        (fun (k, h) -> { l_kind = k; l_snap = Tel.Instrument.hist_snapshot h })
-        lat;
+      Array.to_list
+        (Array.map2
+           (fun k h -> { l_kind = k; l_snap = Tel.Instrument.hist_snapshot h })
+           kinds lat);
     s_open =
       Option.map
         (fun r -> Tel.Latency_recorder.summary r ~now:(now_ns ()))

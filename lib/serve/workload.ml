@@ -30,11 +30,13 @@ type request = Single of Store.op | Txn of Store.op list
 
 let kinds = [ "cas"; "get"; "put"; "txn" ]
 
-let kind = function
-  | Single (Store.O_get _) -> "get"
-  | Single (Store.O_put _) | Single (Store.O_add _) -> "put"
-  | Single (Store.O_cas _) -> "cas"
-  | Txn _ -> "txn"
+let kind_index = function
+  | Single (Store.O_cas _) -> 0
+  | Single (Store.O_get _) -> 1
+  | Single (Store.O_put _) | Single (Store.O_add _) -> 2
+  | Txn _ -> 3
+
+let kind req = List.nth kinds (kind_index req)
 
 let mutates = function
   | Single op -> Store.op_mutates op

@@ -32,6 +32,11 @@ val kinds : string list
     ["cas"; "get"; "put"; "txn"]. *)
 
 val kind : request -> string
+
+val kind_index : request -> int
+(** The position of {!kind} in {!kinds}: the index executors keep their
+    per-kind instruments under. *)
+
 val mutates : request -> bool
 
 val cost : request -> int

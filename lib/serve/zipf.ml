@@ -38,9 +38,7 @@ let sample_u t u =
   done;
   !lo
 
-(* 53 uniform bits, the double-precision standard construction. *)
-let uniform01 g =
-  let bits = Int64.to_int (Int64.shift_right_logical (Prng.next g) 11) in
-  float_of_int bits *. 0x1p-53
-
+(* 53 uniform bits, the double-precision standard construction, drawn
+   as a native int: only the variate's own float box is allocated. *)
+let uniform01 g = float_of_int (Prng.bits g 53) *. 0x1p-53
 let sample t g = sample_u t (uniform01 g)

@@ -1,7 +1,11 @@
 (** A deterministic splittable PRNG (splitmix64).
 
     All simulation randomness flows through explicit generator values so
-    every experiment is reproducible from its seed. *)
+    every experiment is reproducible from its seed.
+
+    The state is one unboxed 64-bit word, updated in place: a generator
+    is a 3-word block, and every draw except {!next} allocates nothing
+    (no [int64] is boxed on the way to an [int], a [bool] or {!bits}). *)
 
 type t
 
@@ -9,7 +13,12 @@ val create : int -> t
 val copy : t -> t
 
 val next : t -> int64
-(** The next raw 64-bit output. *)
+(** The next raw 64-bit output (boxed: the one draw that allocates). *)
+
+val bits : t -> int -> int
+(** [bits g n] is the top [n] bits of the next raw output, [1 <= n <= 62]:
+    uniform in [\[0, 2^n)], the draw {!next} would make, without the
+    box. *)
 
 val int : t -> int -> int
 (** [int g bound] is uniform in [\[0, bound)].  [bound > 0]. *)

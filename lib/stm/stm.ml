@@ -3,11 +3,10 @@
    Algorithm-independent machinery lives in [Stm_core] (t-variables,
    the Trace/Chaos/Tel seams); the four cores live in [Stm_tl2],
    [Stm_glock], [Stm_dstm] and [Stm_norec].  This module owns what the
-   cores share behaviourally: the per-domain current-transaction slot,
-   the retry loop with randomized exponential backoff, trace attempt
-   spans, Tel Begin/Commit/Abort accounting and the global
-   commit/abort counters — so every algorithm gets identical
-   observability for free. *)
+   cores share behaviourally: the per-domain slot, the retry loop with
+   randomized exponential backoff, trace attempt spans, Tel
+   Begin/Commit/Abort accounting and the per-domain commit/abort
+   counts — so every algorithm gets identical observability for free. *)
 
 module Tev = Tm_trace.Trace_event
 module Trace = Stm_core.Trace
@@ -139,32 +138,94 @@ let with_algo a f =
   set_algo a;
   Fun.protect ~finally:(fun () -> set_algo prev) f
 
-let commit_count = Atomic.make 0
-let abort_count = Atomic.make 0
+(* {2 Commit and abort counts}
 
-let current : Stm_core.packed option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+   One cell per domain, written only by its domain, so a commit costs
+   two plain stores and no domain contends with another on a counter
+   (the facade keeps disjoint-access parallelism: transactions on
+   disjoint data share no base object here).  [stats] sums the live
+   cells and the counts folded in from exited domains; the registry
+   holds only these cells, never a domain's transaction buffers. *)
+type counts = { mutable commits : int; mutable aborts : int }
 
-let in_transaction () = Option.is_some !(Domain.DLS.get current)
+let registry = Mutex.create ()
+let live : counts list ref = ref []
+let retired = { commits = 0; aborts = 0 }
+
+(* A fresh cell for the calling domain, folded into [retired] when the
+   domain exits: [Domain.join] returns only after the exit callbacks ran,
+   so a joined domain's counts are exact. *)
+let register () =
+  let c = { commits = 0; aborts = 0 } in
+  Mutex.protect registry (fun () -> live := c :: !live);
+  Domain.at_exit (fun () ->
+      Mutex.protect registry (fun () ->
+          retired.commits <- retired.commits + c.commits;
+          retired.aborts <- retired.aborts + c.aborts;
+          live := List.filter (fun c' -> c' != c) !live));
+  c
+
+let stats () =
+  Mutex.protect registry (fun () ->
+      List.fold_left
+        (fun (n, a) c -> (n + c.commits, a + c.aborts))
+        (retired.commits, retired.aborts)
+        !live)
+
+(* {2 The per-domain slot}
+
+   Everything the attempt loop keeps between attempts, in one record per
+   domain reused by every transaction: the live transaction ([cur],
+   [None] outside one), the pairing of each core with its transaction,
+   the backoff generator and the counts.  An attempt allocates nothing
+   here for the cores that reuse a per-domain buffer (TL2, global-lock,
+   NOrec): their pair is built once and [begin_] hands back the same
+   buffer.  DSTM allocates a fresh transaction per attempt (its locators
+   need a fresh status cell), so its pair is packed anew each attempt. *)
+type slot = {
+  mutable cur : Stm_core.packed option;
+  cores : Stm_core.packed option array;  (** by {!algo_index} *)
+  self : int;
+  mutable prng : int;
+  counts : counts;
+}
+
+let algo_index = function
+  | Algo.Tl2 -> 0
+  | Algo.Global_lock -> 1
+  | Algo.Dstm -> 2
+  | Algo.Norec -> 3
+
+let slot : slot Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      {
+        cur = None;
+        cores = Array.make (List.length Algo.all) None;
+        self = (Domain.self () :> int);
+        prng = 0;
+        counts = register ();
+      })
+
+let in_transaction () = Option.is_some (Domain.DLS.get slot).cur
 
 let read (type a) (tv : a tvar) : a =
-  match !(Domain.DLS.get current) with
+  match (Domain.DLS.get slot).cur with
   | Some (Stm_core.P ((module C), t)) -> C.read t tv
   | None ->
       let (module C) = Atomic.get selected in
       C.direct_read tv
 
 let write (type a) (tv : a tvar) (x : a) : unit =
-  match !(Domain.DLS.get current) with
+  match (Domain.DLS.get slot).cur with
   | Some (Stm_core.P ((module C), t)) -> C.write t tv x
   | None -> invalid_arg "Stm.write outside a transaction"
 
 let retry () = raise Retry
 
-let backoff attempts prng_state =
+let backoff s attempts =
   let bound = 1 lsl min attempts 10 in
-  let spins = 1 + (!prng_state * 1103515245 + 12345) land 0x3FFFFFFF in
-  prng_state := spins;
+  let spins = 1 + ((s.prng * 1103515245) + 12345) land 0x3FFFFFFF in
+  s.prng <- spins;
   let n_spins = spins mod bound in
   if Atomic.get Trace.tracing then
     Trace.emit Tev.Backoff "wait" Tev.Instant
@@ -173,86 +234,105 @@ let backoff attempts prng_state =
     Domain.cpu_relax ()
   done
 
-let atomically (type a) (f : unit -> a) : a =
-  let slot = Domain.DLS.get current in
-  match !slot with
+(* Begin an attempt of core [i]: make its transaction the slot's live
+   one.  On the core's first use on this domain the pair is built around
+   a transaction that never runs: a buffer-reusing core hands the same
+   buffer to the next [begin_], so the pair is reused from then on; a
+   core that allocates per attempt is packed anew and the unused
+   transaction stays empty. *)
+let rec begin_attempt s a =
+  let i = algo_index a in
+  match s.cores.(i) with
+  | Some (Stm_core.P ((module C), t)) as pair ->
+      let t' = C.begin_ () in
+      s.cur <- (if t' == t then pair else Some (Stm_core.P ((module C), t')))
+  | None ->
+      let (module C) = core_of a in
+      s.cores.(i) <- Some (Stm_core.P ((module C), C.begin_ ()));
+      begin_attempt s a
+
+let end_attempt outcome =
+  if Atomic.get Trace.tracing then
+    Trace.emit Tev.Txn "attempt" Tev.Span_end [ ("outcome", Tev.Str outcome) ]
+
+(* Release what the live transaction holds and leave it. *)
+let abandon s =
+  (match s.cur with
+  | Some (Stm_core.P ((module C), t)) -> C.abort_cleanup t
+  | None -> ());
+  s.cur <- None
+
+(* After an abandoned attempt: count the abort, close its span and back
+   off before the next one. *)
+let next_attempt s outcome backoff_n =
+  s.counts.aborts <- s.counts.aborts + 1;
+  end_attempt outcome;
+  backoff s backoff_n
+
+let commit_live s =
+  match s.cur with
+  | Some (Stm_core.P ((module C), t)) -> C.commit t
+  | None -> ()
+
+(* One attempt, and the next ones until a commit.  Every argument is
+   explicit so that an attempt builds no closure; the Tel observations
+   stay inline under their guard. *)
+let rec attempt : type a. slot -> Algo.t -> (unit -> a) -> int -> a =
+ fun s a f n ->
+  if Atomic.get Trace.tracing then
+    Trace.emit Tev.Txn "attempt" Tev.Span_begin [ ("attempt", Tev.Int n) ];
+  let tel = Atomic.get Tel.armed in
+  let tp = if tel then Atomic.get Tel.probe else Tel.null_probe in
+  if tel then tp.Tel.count Tel.Begin;
+  let t0 = if tel then tp.Tel.now () else 0 in
+  begin_attempt s a;
+  match f () with
+  | result -> (
+      match commit_live s with
+      | () ->
+          s.cur <- None;
+          s.counts.commits <- s.counts.commits + 1;
+          Blame.progress ();
+          if tel then tp.Tel.observe Tel.Commit (tp.Tel.now () - t0);
+          end_attempt "commit";
+          result
+      | exception Stm_core.Conflict ->
+          abandon s;
+          if tel then tp.Tel.observe Tel.Abort (tp.Tel.now () - t0);
+          next_attempt s "conflict" n;
+          attempt s a f (n + 1)
+      | exception (Chaos.Crashed as e) ->
+          (* A crashed commit keeps everything it holds: no cleanup, and
+             the attempt span stays open — the domain is gone. *)
+          s.cur <- None;
+          raise e)
+  | exception Stm_core.Conflict ->
+      abandon s;
+      if tel then tp.Tel.observe Tel.Abort (tp.Tel.now () - t0);
+      next_attempt s "conflict" n;
+      attempt s a f (n + 1)
+  | exception Retry ->
+      abandon s;
+      if tel then tp.Tel.observe Tel.Abort (tp.Tel.now () - t0);
+      next_attempt s "retry" (n + 2);
+      attempt s a f (n + 1)
+  | exception (Chaos.Crashed as e) ->
+      (* Crashed in the body: same no-cleanup contract. *)
+      s.cur <- None;
+      end_attempt "exception";
+      raise e
+  | exception e ->
+      abandon s;
+      end_attempt "exception";
+      raise e
+
+let atomically f =
+  let s = Domain.DLS.get slot in
+  match s.cur with
   | Some _ -> f () (* flat nesting: join the enclosing transaction *)
   | None ->
-      let (module C) = Atomic.get selected in
-      let prng_state = ref (Domain.self () :> int) in
-      let end_attempt outcome =
-        if Atomic.get Trace.tracing then
-          Trace.emit Tev.Txn "attempt" Tev.Span_end
-            [ ("outcome", Tev.Str outcome) ]
-      in
-      let rec attempt n =
-        if Atomic.get Trace.tracing then
-          Trace.emit Tev.Txn "attempt" Tev.Span_begin
-            [ ("attempt", Tev.Int n) ];
-        let tel = Atomic.get Tel.armed in
-        let tp = if tel then Atomic.get Tel.probe else Tel.null_probe in
-        if tel then tp.Tel.count Tel.Begin;
-        let t0 = if tel then tp.Tel.now () else 0 in
-        let aborted () =
-          if tel then tp.Tel.observe Tel.Abort (tp.Tel.now () - t0)
-        in
-        let txn = C.begin_ () in
-        slot := Some (Stm_core.P ((module C), txn));
-        match f () with
-        | result -> (
-            try
-              C.commit txn;
-              slot := None;
-              Atomic.incr commit_count;
-              Blame.progress ();
-              if tel then tp.Tel.observe Tel.Commit (tp.Tel.now () - t0);
-              end_attempt "commit";
-              result
-            with
-            | Stm_core.Conflict ->
-                slot := None;
-                C.abort_cleanup txn;
-                Atomic.incr abort_count;
-                aborted ();
-                end_attempt "conflict";
-                backoff n prng_state;
-                attempt (n + 1)
-            | Chaos.Crashed as e ->
-                (* A crashed commit keeps everything it holds: no
-                   cleanup, and the attempt span stays open — the
-                   domain is gone. *)
-                slot := None;
-                raise e)
-        | exception Stm_core.Conflict ->
-            slot := None;
-            C.abort_cleanup txn;
-            Atomic.incr abort_count;
-            aborted ();
-            end_attempt "conflict";
-            backoff n prng_state;
-            attempt (n + 1)
-        | exception Retry ->
-            slot := None;
-            C.abort_cleanup txn;
-            Atomic.incr abort_count;
-            aborted ();
-            end_attempt "retry";
-            backoff (n + 2) prng_state;
-            attempt (n + 1)
-        | exception (Chaos.Crashed as e) ->
-            (* Crashed in the body: same no-cleanup contract. *)
-            slot := None;
-            end_attempt "exception";
-            raise e
-        | exception e ->
-            slot := None;
-            C.abort_cleanup txn;
-            end_attempt "exception";
-            raise e
-      in
-      attempt 0
-
-let stats () = (Atomic.get commit_count, Atomic.get abort_count)
+      s.prng <- s.self;
+      attempt s (Atomic.get selected_algo) f 0
 
 let recover () =
   (* A recovery point is also where stranded observation handlers go:

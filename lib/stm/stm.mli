@@ -64,7 +64,15 @@ val in_transaction : unit -> bool
 
 val stats : unit -> int * int
 (** [(commits, aborts)] since program start, summed over all domains
-    and algorithms. *)
+    and algorithms.
+
+    Each domain counts its own transactions in a cell only it writes
+    (no counter is shared between domains), and [stats] sums the cells.
+    Publication rule: the sum is exact for the caller's own
+    transactions and for those of every domain the caller has joined
+    (an exiting domain folds its counts into a retired total before
+    {!Domain.join} returns).  Domains still running may lag: their
+    latest commits can be missing from the sum. *)
 
 val recover : unit -> unit
 (** Release core-global lock state abandoned by crashed transactions of

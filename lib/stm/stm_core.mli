@@ -250,8 +250,8 @@ val spin_budget : int
 
     A core supplies the transaction engine; the [Stm] facade owns the
     retry loop (backoff, trace attempt spans, Tel Begin/Commit/Abort
-    timing, global commit/abort counters) and the per-domain
-    current-transaction slot.
+    timing, per-domain commit/abort counts) and the per-domain slot
+    holding the live transaction.
 
     Contract:
     - At most one transaction per core is live on a domain at a time.
@@ -291,5 +291,6 @@ module type S = sig
 end
 
 type packed = P : (module S with type txn = 't) * 't -> packed
-(** A core paired with one of its in-flight transactions — the
-    facade's per-domain current-transaction slot. *)
+(** A core paired with one of its transactions — the facade's live
+    transaction.  For a core whose [begin_] hands out its domain's
+    reused buffer the facade builds the pair once per domain. *)

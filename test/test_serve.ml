@@ -451,6 +451,26 @@ let test_arrival_cursor_stride () =
     done
   done
 
+(* The open-loop recorder's parts add up: each completed request's
+   queueing delay plus its service time is its sojourn, so the sums over
+   a paced run agree exactly. *)
+let test_server_sojourn_reconciles () =
+  let arrival = Arrival.make ~kind:Arrival.Poisson ~rate:200_000. ~seed:3 in
+  let cfg =
+    Server.config ~arrival ~clients:500 ~ops:2 ~keys:64 ~profile:Workload.Mixed
+      ~seed:42 ~domains:2 ()
+  in
+  let o = Server.run cfg in
+  let y = Option.get o.Server.s_open in
+  let q = y.Tel.Latency_recorder.y_queueing
+  and sv = y.Tel.Latency_recorder.y_service
+  and so = y.Tel.Latency_recorder.y_sojourn in
+  Alcotest.(check int) "every admitted request completed" o.Server.s_admitted
+    so.Tel.Instrument.count;
+  Alcotest.(check int) "queueing + service = sojourn"
+    so.Tel.Instrument.sum
+    (q.Tel.Instrument.sum + sv.Tel.Instrument.sum)
+
 let lc_cfg domains =
   Server.config ~clients:500 ~ops:2 ~keys:64 ~profile:Workload.Mixed
     ~seed:42 ~domains ()
@@ -633,6 +653,8 @@ let () =
             test_loadcurve_counts_and_knee;
           Alcotest.test_case "open loop leaves the canon unchanged" `Quick
             test_server_open_loop_invariance;
+          Alcotest.test_case "queueing + service = sojourn" `Quick
+            test_server_sojourn_reconciles;
         ] );
       ( "chaos-serve",
         [

@@ -1024,6 +1024,89 @@ let test_norec_begin_under_held_seqlock () =
         (N.read t x);
       N.abort_cleanup t)
 
+(* ------------------------------------------------------------------ *)
+(* The facade off the allocator: one reused slot per domain, per-domain
+   counts. *)
+
+(* An empty body and a one-read body: the closures are built once, so
+   only the facade and the core allocate in the loop. *)
+let facade_words algo =
+  Stm.with_algo algo (fun () ->
+      let tv = Stm.tvar 0 in
+      let empty () = () and one_read () = ignore (Stm.read tv) in
+      ( words_per (fun () -> Stm.atomically empty),
+        words_per (fun () -> Stm.atomically one_read) ))
+
+let facade_allocation algo () =
+  let name = Stm.Algo.name algo in
+  let empty, one_read = facade_words algo in
+  if empty > 3. then
+    Alcotest.failf "%s: an empty transaction allocates %.2f words" name empty;
+  if one_read > 3. then
+    Alcotest.failf "%s: a one-read transaction allocates %.2f words" name
+      one_read
+
+(* DSTM allocates per attempt: its transaction (a record and a fresh
+   status cell, 6 words) and the slot's pair around it (5 words).  Its
+   reads allocate in the core (a closure read-set entry, 20 words), not
+   in the facade. *)
+let test_dstm_facade_allocation () =
+  let empty, one_read = facade_words Stm.Algo.Dstm in
+  if empty > 11. then
+    Alcotest.failf "dstm: an empty transaction allocates %.2f words" empty;
+  if one_read -. empty > 20. then
+    Alcotest.failf "dstm: a read allocates %.2f words" (one_read -. empty)
+
+let stats_delta f =
+  let c0, a0 = Stm.stats () in
+  f ();
+  let c1, a1 = Stm.stats () in
+  (c1 - c0, a1 - a0)
+
+(* Contended commits on two domains: every one is counted once, and
+   the aborts the contention causes are counted too. *)
+let test_stats_exact_contended () =
+  let hot = Stm.tvar 0 and n = 10_000 in
+  let commits, aborts =
+    stats_delta (fun () ->
+        spawn_all
+          (List.init 2 (fun _ () ->
+               for _ = 1 to n do
+                 Stm.atomically (fun () -> Stm.write hot (Stm.read hot + 1))
+               done)))
+  in
+  Alcotest.(check int) "commits" (2 * n) commits;
+  Alcotest.(check int) "every increment" (2 * n) (Stm.read hot);
+  Alcotest.(check bool) "aborts are not negative" true (aborts >= 0)
+
+(* A thousand domains, one after another, each with a transaction whose
+   read set grows the domain's TL2 buffer to 4,096 entries (16,384
+   words).  Their counts survive them exactly, and their buffers do not:
+   the facade keeps only each domain's counts. *)
+let test_stats_survive_domains () =
+  Stm.with_algo Stm.Algo.Tl2 (fun () ->
+      let tvs = Array.init 3000 (fun i -> Stm.tvar i) in
+      let domains = 1000 in
+      let live_words () =
+        Gc.compact ();
+        (Gc.stat ()).Gc.live_words
+      in
+      let w0 = live_words () in
+      let commits, _ =
+        stats_delta (fun () ->
+            for _ = 1 to domains do
+              Domain.join
+                (Domain.spawn (fun () ->
+                     Stm.atomically (fun () ->
+                         Array.iter (fun tv -> ignore (Stm.read tv)) tvs)))
+            done)
+      in
+      Alcotest.(check int) "commits of joined domains" domains commits;
+      let grown = live_words () - w0 in
+      if grown > 1_000_000 then
+        Alcotest.failf "%d words still live after %d domains exited" grown
+          domains)
+
 (* The announcement tables are consumed as association keys — telemetry
    label sets, chaos plans, blame classification — so a duplicated
    entry or an order that varied between calls would silently skew
@@ -1149,6 +1232,22 @@ let () =
             (big_transaction Stm.Algo.Norec);
           Alcotest.test_case "norec begin under a held seqlock" `Quick
             test_norec_begin_under_held_seqlock;
+        ] );
+      ( "facade",
+        [
+          Alcotest.test_case "tl2 allocates nothing per transaction" `Quick
+            (facade_allocation Stm.Algo.Tl2);
+          Alcotest.test_case "global-lock allocates nothing per transaction"
+            `Quick
+            (facade_allocation Stm.Algo.Global_lock);
+          Alcotest.test_case "norec allocates nothing per transaction" `Quick
+            (facade_allocation Stm.Algo.Norec);
+          Alcotest.test_case "dstm allocation is bounded" `Quick
+            test_dstm_facade_allocation;
+          Alcotest.test_case "stats exact under contention" `Quick
+            test_stats_exact_contended;
+          Alcotest.test_case "stats survive 1,000 domains" `Quick
+            test_stats_survive_domains;
         ] );
       ( "multicore stress",
         [

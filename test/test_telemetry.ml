@@ -639,6 +639,37 @@ let test_jsonl_deterministic () =
     (String.length a >= 8 && String.sub a 0 8 = {|{"ts":0,|})
 
 (* ------------------------------------------------------------------ *)
+(* Signals that must agree: the Tel probe's counts and [Stm.stats]. *)
+
+(* Two domains increment one hot t-variable: the probe's commit and
+   abort deltas equal the facade's, and every attempt it saw begin ended
+   in one of the two. *)
+let tel_matches_stats algo () =
+  Stm.with_algo algo (fun () ->
+      let p = Tm_telemetry.Stm_probe.install (R.create ()) in
+      let hot = Stm.tvar 0 and n = 5_000 in
+      let c0, a0 = Stm.stats () in
+      Fun.protect ~finally:Tm_telemetry.Stm_probe.uninstall (fun () ->
+          List.init 2 (fun _ ->
+              Domain.spawn (fun () ->
+                  for _ = 1 to n do
+                    Stm.atomically (fun () -> Stm.write hot (Stm.read hot + 1))
+                  done))
+          |> List.iter Domain.join);
+      let c1, a1 = Stm.stats () in
+      let name = Stm.Algo.name algo in
+      let v = I.value in
+      Alcotest.(check int) (name ^ ": commits") (2 * n) (c1 - c0);
+      Alcotest.(check int) (name ^ ": tm_stm_commits_total = stats") (c1 - c0)
+        (v p.commits);
+      Alcotest.(check int) (name ^ ": tm_stm_aborts_total = stats") (a1 - a0)
+        (v p.aborts);
+      Alcotest.(check int)
+        (name ^ ": every attempt commits or aborts")
+        (v p.begins)
+        (v p.commits + v p.aborts))
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "tm_telemetry"
@@ -707,4 +738,11 @@ let () =
           Alcotest.test_case "step-clock series is byte-deterministic"
             `Quick test_jsonl_deterministic;
         ] );
+      ( "reconciliation",
+        List.map
+          (fun a ->
+            Alcotest.test_case
+              (Stm.Algo.name a ^ " Tel counts = Stm.stats")
+              `Quick (tel_matches_stats a))
+          Stm.Algo.all );
     ]
