@@ -193,7 +193,7 @@ let run ?on_sample cfg =
     per "tm_serve_batched_total" "Admitted puts routed through a combiner"
   in
   let mutators = per "tm_serve_mutators_total" "Admitted mutating requests" in
-  (* By {!Workload.kind_index}, in {!Workload.kinds} order. *)
+  (* Indexed by [Workload.kind_index], in [Workload.kinds] order. *)
   let kinds = Array.of_list Workload.kinds in
   let by_kind =
     Array.map

@@ -184,7 +184,7 @@ let stats () =
    need a fresh status cell), so its pair is packed anew each attempt. *)
 type slot = {
   mutable cur : Stm_core.packed option;
-  cores : Stm_core.packed option array;  (** by {!algo_index} *)
+  cores : Stm_core.packed option array;  (* by [algo_index] *)
   self : int;
   mutable prng : int;
   counts : counts;
@@ -234,12 +234,12 @@ let backoff s attempts =
     Domain.cpu_relax ()
   done
 
-(* Begin an attempt of core [i]: make its transaction the slot's live
-   one.  On the core's first use on this domain the pair is built around
-   a transaction that never runs: a buffer-reusing core hands the same
-   buffer to the next [begin_], so the pair is reused from then on; a
-   core that allocates per attempt is packed anew and the unused
-   transaction stays empty. *)
+(* Begin an attempt under algorithm [a]: make its core's transaction the
+   slot's live one.  On the core's first use on this domain the pair is
+   built around a transaction that never runs: a buffer-reusing core
+   hands the same buffer to the next [begin_], so the pair is reused
+   from then on; a core that allocates per attempt is packed anew and
+   the unused transaction stays empty. *)
 let rec begin_attempt s a =
   let i = algo_index a in
   match s.cores.(i) with

@@ -61,13 +61,12 @@ let gauge_value g = Atomic.get g
 
 let hist_buckets = 32
 
-let bucket_of v =
-  if v <= 0 then 0
-  else
-    let rec go k =
-      if k >= hist_buckets - 1 || v < 1 lsl k then k else go (k + 1)
-    in
-    go 1
+(* The first bucket from [k] that holds [v].  Top-level, not a local
+   closure over [v], so an observation allocates nothing. *)
+let rec bucket_from v k =
+  if k >= hist_buckets - 1 || v < 1 lsl k then k else bucket_from v (k + 1)
+
+let bucket_of v = if v <= 0 then 0 else bucket_from v 1
 
 let bucket_upper k =
   if k <= 0 then 0
@@ -199,9 +198,8 @@ let hires_log_max = 40
 let hires_buckets =
   hires_sub + ((hires_log_max - hires_sub_bits) * hires_sub) + 1
 
-let log2_floor v =
-  let rec go m = if v lsr (m + 1) = 0 then m else go (m + 1) in
-  go 0
+let rec log2_from v m = if v lsr (m + 1) = 0 then m else log2_from v (m + 1)
+let log2_floor v = log2_from v 0
 
 let hires_bucket_of v =
   if v <= 0 then 0

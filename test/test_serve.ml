@@ -140,6 +140,29 @@ let test_workload_pinned () =
       (Workload.Mixed, "2a4439ee1309f32967ed44c25ba1f766");
     ]
 
+(* Minor-heap words per call, over 100,000 calls.  Allocation is
+   deterministic, so these gates hold on any number of cores. *)
+let words_per f =
+  let n = 100_000 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to n do
+    ignore (Sys.opaque_identity (f i))
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let at_most what bound got =
+  if got > bound then Alcotest.failf "%s: %.2f words, bound %.0f" what got bound
+
+(* A draw is the variate's float box and nothing else; a read-mostly
+   request is its generator (3 words) and the request it builds. *)
+let test_generation_words () =
+  let z = Zipf.create ~n:512 () and g = Prng.create 3 in
+  at_most "Zipf.sample" 5. (words_per (fun _ -> Zipf.sample z g));
+  let w = Workload.create ~profile:Workload.Read_mostly ~seed:1 ~keys:1024 () in
+  at_most "Workload.request, read-mostly" 16.
+    (words_per (fun i ->
+         Workload.request w ~client:(i land 8191) ~index:(i lsr 13)))
+
 let test_workload_planes_and_conservation () =
   let keys = 128 in
   List.iter
@@ -611,6 +634,8 @@ let () =
           Alcotest.test_case "admission costs" `Quick test_workload_costs;
           Alcotest.test_case "request streams pinned" `Quick
             test_workload_pinned;
+          Alcotest.test_case "generation allocation" `Quick
+            test_generation_words;
         ] );
       ( "store",
         [

@@ -477,6 +477,19 @@ let tl2_depth10 on_history =
   Exh.run tl2 ~nprocs:2 ~ntvars:1 ~invocations:sweep_invocations ~depth:10
     ~on_history
 
+(* The generator's state is updated in place: a draw that returns a
+   native int or a bool allocates nothing (the loop's 10,000 draws
+   share the measurement's own few words). *)
+let test_prng_words () =
+  let g = Tm_sim.Prng.create 1 and n = 10_000 in
+  let per f = words_of (fun () -> for _ = 1 to n do f () done) /. float n in
+  let draw f () = ignore (Sys.opaque_identity (f g)) in
+  check_at_most "words per Prng.int" 0.01
+    (per (draw (fun g -> Tm_sim.Prng.int g 1000)));
+  check_at_most "words per Prng.bits" 0.01
+    (per (draw (fun g -> Tm_sim.Prng.bits g 53)));
+  check_at_most "words per Prng.bool" 0.01 (per (draw Tm_sim.Prng.bool))
+
 let test_enumeration_words () =
   let n = ref 0 in
   let w = words_of (fun () -> tl2_depth10 (fun _ _ -> incr n)) in
@@ -963,6 +976,8 @@ let () =
         ] );
       ( "pipeline allocation",
         [
+          Alcotest.test_case "PRNG draws allocate nothing" `Quick
+            test_prng_words;
           Alcotest.test_case "enumeration words per node" `Quick
             test_enumeration_words;
           Alcotest.test_case "monitor words per history" `Quick

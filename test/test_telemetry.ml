@@ -205,6 +205,30 @@ let prop_merge_quantile_monotone =
 
 module Lr = Tm_telemetry.Latency_recorder
 
+(* The write paths allocate nothing, whatever bucket a sample lands in:
+   minor-heap words over 10,000 observations of growing values. *)
+let test_write_paths_allocate_nothing () =
+  let n = 10_000 in
+  let per f =
+    let w0 = Gc.minor_words () in
+    for i = 1 to n do
+      f (i * i)
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  let h = I.histogram () and r = I.hires () in
+  let lr = Tm_telemetry.Latency_recorder.create ~domains:1 () in
+  let check what w =
+    if w > 0.01 then Alcotest.failf "%s: %.2f words per call" what w
+  in
+  check "observe" (per (fun v -> I.observe h v));
+  check "hires_observe" (per (fun v -> I.hires_observe r v));
+  check "recorder mark + complete"
+    (per (fun v ->
+         Tm_telemetry.Latency_recorder.mark lr 0 ~sched:v;
+         Tm_telemetry.Latency_recorder.complete lr 0 ~start:(v + 1)
+           ~finish:(v + v)))
+
 let test_latency_recorder_split () =
   let r = Lr.create ~domains:2 ~interval_ns:100 () in
   Lr.mark r 0 ~sched:1_000;
@@ -699,6 +723,8 @@ let () =
         [
           Alcotest.test_case "queueing/service/sojourn split" `Quick
             test_latency_recorder_split;
+          Alcotest.test_case "write paths allocate nothing" `Quick
+            test_write_paths_allocate_nothing;
           Alcotest.test_case "open vs closed quantile under a stall"
             `Quick test_latency_recorder_open_vs_closed;
         ] );
