@@ -141,7 +141,7 @@ let with_algo a f =
 (* {2 Commit and abort counts}
 
    One cell per domain, written only by its domain, so a commit costs
-   two plain stores and no domain contends with another on a counter
+   one plain store and no domain contends with another on a counter
    (the facade keeps disjoint-access parallelism: transactions on
    disjoint data share no base object here).  [stats] sums the live
    cells and the counts folded in from exited domains; the registry
