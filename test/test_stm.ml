@@ -1063,11 +1063,10 @@ let stats_delta f =
   let c1, a1 = Stm.stats () in
   (c1 - c0, a1 - a0)
 
-(* Contended commits on two domains: every one is counted once, and
-   the aborts the contention causes are counted too. *)
+(* Contended commits on two domains: every one is counted once. *)
 let test_stats_exact_contended () =
   let hot = Stm.tvar 0 and n = 10_000 in
-  let commits, aborts =
+  let commits, _ =
     stats_delta (fun () ->
         spawn_all
           (List.init 2 (fun _ () ->
@@ -1076,8 +1075,7 @@ let test_stats_exact_contended () =
                done)))
   in
   Alcotest.(check int) "commits" (2 * n) commits;
-  Alcotest.(check int) "every increment" (2 * n) (Stm.read hot);
-  Alcotest.(check bool) "aborts are not negative" true (aborts >= 0)
+  Alcotest.(check int) "every increment" (2 * n) (Stm.read hot)
 
 (* A thousand domains, one after another, each with a transaction whose
    read set grows the domain's TL2 buffer to 4,096 entries (16,384

@@ -217,7 +217,7 @@ let test_write_paths_allocate_nothing () =
     (Gc.minor_words () -. w0) /. float_of_int n
   in
   let h = I.histogram () and r = I.hires () in
-  let lr = Tm_telemetry.Latency_recorder.create ~domains:1 () in
+  let lr = Lr.create ~domains:1 () in
   let check what w =
     if w > 0.01 then Alcotest.failf "%s: %.2f words per call" what w
   in
@@ -225,9 +225,8 @@ let test_write_paths_allocate_nothing () =
   check "hires_observe" (per (fun v -> I.hires_observe r v));
   check "recorder mark + complete"
     (per (fun v ->
-         Tm_telemetry.Latency_recorder.mark lr 0 ~sched:v;
-         Tm_telemetry.Latency_recorder.complete lr 0 ~start:(v + 1)
-           ~finish:(v + v)))
+         Lr.mark lr 0 ~sched:v;
+         Lr.complete lr 0 ~start:(v + 1) ~finish:(v + v)))
 
 let test_latency_recorder_split () =
   let r = Lr.create ~domains:2 ~interval_ns:100 () in
