@@ -11,7 +11,7 @@ let[@inline] mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let of_state s =
+let[@inline] of_state s =
   let g = Bytes.create 8 in
   Bytes.set_int64_ne g 0 s;
   g
