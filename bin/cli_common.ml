@@ -236,17 +236,27 @@ let telemetry_format_arg () =
            exposition of the final scrape) or $(b,jsonl) (one JSON object \
            per scrape — the whole time series).")
 
+(* An output file, opened before the command does its work: a path that
+   cannot be written is a classified error (exit 2), not an uncaught
+   [Sys_error] after the whole run. *)
+let open_output file =
+  try open_out file
+  with Sys_error m ->
+    Fmt.epr "error: %s@." m;
+    exit 2
+
 (* A telemetry sink for one command invocation: [add] collects scrape
    snapshots (plug it in as a sampler consumer / [on_sample]), [flush]
    writes them out.  OpenMetrics is a point-in-time exposition, so it
    gets the last snapshot; JSONL gets the whole series.  [file] "-"
-   means stdout. *)
+   means stdout; any other file is opened here, up front. *)
 let telemetry_writer file format =
+  let oc = if file = "-" then stdout else open_output file in
   let snaps = ref [] in
   let add s = snaps := s :: !snaps in
   let flush () =
     match List.rev !snaps with
-    | [] -> ()
+    | [] -> if file <> "-" then close_out oc
     | l ->
         let write oc =
           match format with
@@ -267,7 +277,6 @@ let telemetry_writer file format =
           flush stdout
         end
         else begin
-          let oc = open_out file in
           write oc;
           close_out oc;
           Fmt.epr "telemetry: %d snapshot%s written to %s@." (List.length l)
@@ -373,10 +382,11 @@ let run_trace_events i (r : Tm_sim.Sweep.result) =
 
 let combined_trace results = List.concat (List.mapi run_trace_events results)
 
-let write_trace_file file events =
-  let oc = open_out file in
+let write_trace oc events =
   Tm_trace.Export.to_chrome_channel oc events;
   close_out oc
+
+let write_trace_file file events = write_trace (open_output file) events
 
 let read_file file =
   let ic = open_in_bin file in

@@ -330,6 +330,11 @@ let sweep_cmd =
         ~seeds:(List.init seeds (fun i -> i + 1))
         ()
     in
+    let opened = Option.map (fun file -> (file, open_output file)) in
+    let metrics_file = opened metrics_file and trace_file = opened trace_file in
+    let telemetry =
+      Option.map (fun file -> telemetry_writer file telemetry_format) telemetry
+    in
     let trace = Option.is_some trace_file in
     let t0 = Unix.gettimeofday () in
     let results = run_sweep ~jobs ~trace configs in
@@ -362,24 +367,22 @@ let sweep_cmd =
           (Tm_sim.Sweep.by_tm results));
     (match metrics_file with
     | None -> ()
-    | Some file ->
-        let oc = open_out file in
+    | Some (file, oc) ->
         output_string oc (Tm_sim.Sweep.to_json results);
         output_char oc '\n';
         close_out oc;
         Fmt.pr "@.metrics written to %s@." file);
     (match trace_file with
     | None -> ()
-    | Some file ->
+    | Some (file, oc) ->
         let events = combined_trace results in
-        write_trace_file file events;
+        write_trace oc events;
         Fmt.pr "@.trace: %d events written to %s@." (List.length events) file);
     (match telemetry with
     | None -> ()
-    | Some file ->
+    | Some (add, flush) ->
         (* Published post-hoc in canonical grid order (snapshot ts = run
            index), so the series is byte-identical across --jobs. *)
-        let add, flush = telemetry_writer file telemetry_format in
         let reg = Tm_telemetry.Registry.create () in
         let pub = Tm_telemetry.Sweep_pub.create ~consumers:[ add ] reg in
         ignore (Tm_telemetry.Sweep_pub.publish_all pub results);
@@ -468,6 +471,7 @@ let trace_cmd =
     let tms = match tms with [] -> Tm_impl.Registry.all | tms -> tms in
     let patterns = resolve_patterns ~nprocs ~ntvars ~steps ~sched faults in
     let configs = Tm_sim.Sweep.grid ~tms ~patterns ~seeds:[ seed ] () in
+    let out = Option.map (fun file -> (file, open_output file)) out in
     let results = run_sweep ~jobs ~trace:true configs in
     let events = combined_trace results in
     let render oc =
@@ -477,8 +481,7 @@ let trace_cmd =
     in
     match out with
     | None -> render stdout
-    | Some file ->
-        let oc = open_out file in
+    | Some (file, oc) ->
         render oc;
         close_out oc;
         Fmt.pr "wrote %d trace events to %s@." (List.length events) file

@@ -3,6 +3,7 @@ type t = { rev : Event.t list; len : int }
 let empty = { rev = []; len = 0 }
 
 let of_events es = { rev = List.rev es; len = List.length es }
+let of_rev_events rev = { rev; len = List.length rev }
 let events h = List.rev h.rev
 let length h = h.len
 

@@ -18,6 +18,11 @@ val of_events : Event.t list -> t
 (** [of_events es] is the history whose event sequence is [es].  No
     well-formedness check is performed; see {!well_formed}. *)
 
+val of_rev_events : Event.t list -> t
+(** [of_rev_events es] is [of_events (List.rev es)], without copying
+    [es]: a recorder that conses each new event on the front builds its
+    history once, at the end. *)
+
 val events : t -> Event.t list
 (** The event sequence, in order. *)
 

@@ -34,9 +34,4 @@ let int g bound =
 
 let bool g = Int64.to_int (advance g) land 1 = 1
 
-let pick g xs =
-  match xs with
-  | [] -> invalid_arg "Prng.pick: empty list"
-  | _ -> List.nth xs (int g (List.length xs))
-
 let split g = of_state (mix (advance g))

@@ -24,7 +24,6 @@ val int : t -> int -> int
 (** [int g bound] is uniform in [\[0, bound)].  [bound > 0]. *)
 
 val bool : t -> bool
-val pick : t -> 'a list -> 'a
 
 val split : t -> t
 (** An independent generator derived from (and advancing) [g]. *)

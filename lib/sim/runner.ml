@@ -58,8 +58,8 @@ type mode = Normal | Parasite
 
 (* Per-process program state. *)
 type pstate = {
-  proc : Event.proc;
   prng : Prng.t;
+  workload : Workload.t;
   mutable mode : mode;
   mutable body : Workload.op list;  (** remaining ops before tryC *)
   mutable reads_acc : (Event.tvar * Event.value) list;  (** latest first *)
@@ -88,17 +88,20 @@ let fate_label = function
 
 let mode_label = function Normal -> "normal" | Parasite -> "parasite"
 
+(* The threshold of a fate that does not apply: no tick, count or poll
+   number reaches it. *)
+let never = max_int
+
 let run ?trace ?on_event (entry : Tm_impl.Registry.entry) s =
-  let cfg =
-    Tm_impl.Tm_intf.config ~seed:s.seed ~nprocs:s.nprocs ~ntvars:s.ntvars ()
-  in
+  let n = s.nprocs in
+  let cfg = Tm_impl.Tm_intf.config ~seed:s.seed ~nprocs:n ~ntvars:s.ntvars () in
   let tm = Tm_impl.Registry.instance entry cfg in
   let master = Prng.create s.seed in
   let ps =
-    Array.init (s.nprocs + 1) (fun i ->
+    Array.init (n + 1) (fun p ->
         {
-          proc = i;
           prng = Prng.split master;
+          workload = workload_of s p;
           mode = Normal;
           body = [];
           reads_acc = [];
@@ -108,50 +111,86 @@ let run ?trace ?on_event (entry : Tm_impl.Registry.entry) s =
           tryc_polls = 0;
         })
   in
-  for p = 1 to s.nprocs do
-    ps.(p).body <- (workload_of s p).Workload.body ps.(p).prng 0
+  for p = 1 to n do
+    ps.(p).body <- ps.(p).workload.Workload.body ps.(p).prng 0
   done;
-  let history = ref History.empty in
-  let commits = Array.make (s.nprocs + 1) 0 in
-  let aborts = Array.make (s.nprocs + 1) 0 in
-  let invocations = Array.make (s.nprocs + 1) 0 in
-  let defers = Array.make (s.nprocs + 1) 0 in
-  let streak = Array.make (s.nprocs + 1) 0 in
+  (* Each process's fate, read once: the tick from which it is crashed or
+     parasitic, and the write acknowledgements or unanswered tryC polls
+     after which it crashes. *)
+  let crash_tick = Array.make (n + 1) never in
+  let parasitic_tick = Array.make (n + 1) never in
+  let crash_after_oks = Array.make (n + 1) never in
+  let crash_after_polls = Array.make (n + 1) never in
+  for p = 1 to n do
+    match fate_of s p with
+    | Healthy -> ()
+    | Crash_at t -> crash_tick.(p) <- t
+    | Parasitic_from t -> parasitic_tick.(p) <- t
+    | Crash_after_write k -> crash_after_oks.(p) <- k
+    | Crash_mid_commit k -> crash_after_polls.(p) <- k
+  done;
+  (* The run's invariant events, built once and shared by every
+     occurrence: only read values and writes are allocated per event. *)
+  let reads = Array.init s.ntvars (fun x -> Event.Read x) in
+  let inv_read =
+    Array.init (n + 1) (fun p -> Array.map (fun r -> Event.Inv (p, r)) reads)
+  in
+  let inv_tryc = Array.init (n + 1) (fun p -> Event.Inv (p, Event.Try_commit)) in
+  let res_ok = Array.init (n + 1) (fun p -> Event.Res (p, Event.Ok_written)) in
+  let res_commit = Array.init (n + 1) (fun p -> Event.Res (p, Event.Committed)) in
+  let res_abort = Array.init (n + 1) (fun p -> Event.Res (p, Event.Aborted)) in
+  let read_inv x = if x >= 0 && x < s.ntvars then reads.(x) else Event.Read x in
+  let inv_event p (inv : Event.invocation) =
+    match inv with
+    | Event.Read x when x >= 0 && x < s.ntvars -> inv_read.(p).(x)
+    | Event.Try_commit -> inv_tryc.(p)
+    | Event.Read _ | Event.Write _ -> Event.Inv (p, inv)
+  in
+  let res_event p (resp : Event.response) =
+    match resp with
+    | Event.Ok_written -> res_ok.(p)
+    | Event.Committed -> res_commit.(p)
+    | Event.Aborted -> res_abort.(p)
+    | Event.Value _ -> Event.Res (p, resp)
+  in
+  let commits = Array.make (n + 1) 0 in
+  let aborts = Array.make (n + 1) 0 in
+  let invocations = Array.make (n + 1) 0 in
+  let defers = Array.make (n + 1) 0 in
+  let streak = Array.make (n + 1) 0 in
   let sched_prng = Prng.split master in
-  (* The trace's clock is the number of history events recorded so far —
-     the same deterministic event-count clock Metrics uses for latencies.
-     An event emitted with [ts = !nev] is simultaneous with the history
-     event about to be recorded at that index. *)
+  (* The history, latest event first.  The trace's clock is the number of
+     history events recorded so far — the same deterministic event-count
+     clock Metrics uses for latencies.  An event emitted with [ts = !nev]
+     is simultaneous with the history event about to be recorded at that
+     index. *)
+  let rev_events = ref [] in
   let nev = ref 0 in
   let record e =
     (* Observers see the event at its history index, before it is
        appended — the same step clock the trace and metrics use. *)
     (match on_event with Some f -> f ~ts:!nev e | None -> ());
-    history := History.append !history e;
+    rev_events := e :: !rev_events;
     incr nev
   in
   let tracing = Option.is_some trace in
   let emit_tr e =
     match trace with Some sink -> sink.Tm_trace.Sink.emit e | None -> ()
   in
-  let txn_open = Array.make (s.nprocs + 1) false in
-  let tryc_open = Array.make (s.nprocs + 1) false in
-  let crash_noted = Array.make (s.nprocs + 1) false in
+  let defer_counter =
+    if tracing then Array.init (n + 1) (Fmt.str "defers-p%d") else [||]
+  in
+  let txn_open = Array.make (n + 1) false in
+  let tryc_open = Array.make (n + 1) false in
+  let crash_noted = Array.make (n + 1) false in
 
-  let dyn_crashed = Array.make (s.nprocs + 1) false in
-  let crashed tick p =
-    dyn_crashed.(p)
-    ||
-    match fate_of s p with
-    | Crash_at t -> tick >= t
-    | Healthy | Parasitic_from _ | Crash_after_write _ | Crash_mid_commit _ ->
-        false
+  let dyn_crashed = Array.make (n + 1) false in
+  let crash_landed = ref false in
+  let crash_now p =
+    dyn_crashed.(p) <- true;
+    crash_landed := true
   in
-  let parasitic tick p =
-    match fate_of s p with
-    | Parasitic_from t -> tick >= t
-    | Healthy | Crash_at _ | Crash_after_write _ | Crash_mid_commit _ -> false
-  in
+  let crashed tick p = dyn_crashed.(p) || tick >= crash_tick.(p) in
 
   (* Start a fresh transaction body (after a commit or an abort, or when a
      parasite exhausts its current run of operations). *)
@@ -161,11 +200,11 @@ let run ?trace ?on_event (entry : Tm_impl.Registry.entry) s =
         st.parasite_counter <- st.parasite_counter + 1;
         st.body <-
           s.parasite_workload.Workload.body st.prng st.parasite_counter
-    | Normal -> st.body <- (workload_of s st.proc).Workload.body st.prng st.txn_index);
+    | Normal -> st.body <- st.workload.Workload.body st.prng st.txn_index);
     st.reads_acc <- []
   in
 
-  let handle_response p (st : pstate) inv resp =
+  let handle_response p (st : pstate) (inv : Event.invocation option) resp =
     (* Close trace spans before recording the response, so their end
        timestamp is the index of the [Committed]/[Aborted] event itself. *)
     (if tracing then
@@ -187,19 +226,15 @@ let run ?trace ?on_event (entry : Tm_impl.Registry.entry) s =
                   [ ("outcome", Tev.Str outcome) ])
            end
        | Event.Value _ | Event.Ok_written -> ());
-    record (Event.Res (p, resp));
+    record (res_event p resp);
     match (resp : Event.response) with
     | Event.Value v -> (
-        match (inv : Event.invocation option) with
+        match inv with
         | Some (Event.Read x) -> st.reads_acc <- (x, v) :: st.reads_acc
         | Some (Event.Write _ | Event.Try_commit) | None -> ())
-    | Event.Ok_written -> (
+    | Event.Ok_written ->
         st.ok_count <- st.ok_count + 1;
-        match fate_of s p with
-        | Crash_after_write n when st.ok_count >= n -> dyn_crashed.(p) <- true
-        | Healthy | Crash_at _ | Parasitic_from _ | Crash_after_write _
-        | Crash_mid_commit _ ->
-            ())
+        if st.ok_count >= crash_after_oks.(p) then crash_now p
     | Event.Committed ->
         commits.(p) <- commits.(p) + 1;
         st.txn_index <- st.txn_index + 1;
@@ -215,7 +250,7 @@ let run ?trace ?on_event (entry : Tm_impl.Registry.entry) s =
       match st.body with
       | Workload.W_read x :: rest ->
           st.body <- rest;
-          Event.Read x
+          read_inv x
       | Workload.W_write (x, f) :: rest ->
           st.body <- rest;
           Event.Write (x, f st.reads_acc)
@@ -229,7 +264,7 @@ let run ?trace ?on_event (entry : Tm_impl.Registry.entry) s =
               (match st.body with
               | Workload.W_read x :: rest ->
                   st.body <- rest;
-                  Event.Read x
+                  read_inv x
               | Workload.W_write (x, f) :: rest ->
                   st.body <- rest;
                   Event.Write (x, f st.reads_acc)
@@ -251,44 +286,61 @@ let run ?trace ?on_event (entry : Tm_impl.Registry.entry) s =
         emit_tr (Tev.span_begin ~ts:!nev ~tid:p Tev.Txn "tryC" [])
       end
     end;
-    record (Event.Inv (p, inv));
+    record (inv_event p inv);
     tm.Tm_impl.Tm_intf.invoke p inv
   in
 
-  let all_procs = List.init s.nprocs (fun i -> i + 1) in
+  (* The processes not crashed at the current tick, in increasing order.
+     Rebuilt only when a [Crash_at] tick of a live process passes
+     ([next_crash]) or a crash lands mid-run ([crash_landed]); the first
+     tick always builds it. *)
+  let live = Array.make n 0 in
+  let nlive = ref 0 in
+  let next_crash = ref 0 in
+  let rebuild tick =
+    nlive := 0;
+    next_crash := never;
+    for p = 1 to n do
+      if not (crashed tick p) then begin
+        live.(!nlive) <- p;
+        incr nlive;
+        next_crash := min !next_crash crash_tick.(p)
+      end
+    done;
+    crash_landed := false
+  in
+
   let rr = ref 0 in
   let quantum_left = ref 0 in
+  (* Process 0 is never a holder: the first choice finds no quantum
+     left. *)
   let quantum_proc = ref 0 in
-
+  let next_rr () =
+    let p = live.(!rr mod !nlive) in
+    incr rr;
+    p
+  in
   let choose tick =
-    match List.filter (fun p -> not (crashed tick p)) all_procs with
-    | [] -> None
-    | procs -> (
-        let next_rr () =
-          let p = List.nth procs (!rr mod List.length procs) in
-          incr rr;
+    match s.sched with
+    | Round_robin -> next_rr ()
+    | Uniform -> live.(Prng.int sched_prng !nlive)
+    | Quantum q ->
+        if !quantum_left > 0 && not (crashed tick !quantum_proc) then begin
+          decr quantum_left;
+          !quantum_proc
+        end
+        else begin
+          let p = next_rr () in
+          quantum_proc := p;
+          quantum_left := q - 1;
           p
-        in
-        match s.sched with
-        | Round_robin -> Some (next_rr ())
-        | Uniform -> Some (Prng.pick sched_prng procs)
-        | Quantum q ->
-            if !quantum_left > 0 && List.mem !quantum_proc procs then begin
-              decr quantum_left;
-              Some !quantum_proc
-            end
-            else begin
-              let p = next_rr () in
-              quantum_proc := p;
-              quantum_left := q - 1;
-              Some p
-            end)
+        end
   in
 
   (* Record faults as trace instants the first time they are observable:
      a crashed process gets a [Fault] instant labelled with its fate. *)
   let note_crashes tick =
-    for p = 1 to s.nprocs do
+    for p = 1 to n do
       if (not crash_noted.(p)) && crashed tick p then begin
         crash_noted.(p) <- true;
         emit_tr
@@ -301,51 +353,51 @@ let run ?trace ?on_event (entry : Tm_impl.Registry.entry) s =
   let steps_taken = ref 0 in
   (try
      for tick = 0 to s.steps - 1 do
-       if tracing then note_crashes tick;
-       match choose tick with
-       | None -> raise Exit
-       | Some p ->
-           incr steps_taken;
-           let st = ps.(p) in
-           (* A process turning parasitic abandons its plan to commit. *)
-           if st.mode = Normal && parasitic tick p then begin
-             st.mode <- Parasite;
-             if tracing then
-               emit_tr (Tev.instant ~ts:!nev ~tid:p Tev.Fault "parasitic" []);
-             if st.body = [] then fresh_body st
-           end;
-           let pending = tm.Tm_impl.Tm_intf.pending p in
-           (* Crash inside the commit procedure once the pending tryC has
-              gone unanswered the configured number of times. *)
-           (match (pending, fate_of s p) with
-           | Some Event.Try_commit, Crash_mid_commit n when st.tryc_polls >= n
-             ->
-               dyn_crashed.(p) <- true
-           | (Some _ | None), _ -> ());
-           if not dyn_crashed.(p) then
-             match pending with
-             | Some _ -> (
-                 match tm.Tm_impl.Tm_intf.poll p with
-                 | Some resp ->
-                     streak.(p) <- 0;
-                     st.tryc_polls <- 0;
-                     handle_response p st pending resp
-                 | None ->
-                     defers.(p) <- defers.(p) + 1;
-                     streak.(p) <- streak.(p) + 1;
-                     if tracing then
-                       emit_tr
-                         (Tev.counter ~ts:!nev ~tid:p Tev.Sched
-                            (Fmt.str "defers-p%d" p)
-                            defers.(p));
-                     if pending = Some Event.Try_commit then
-                       st.tryc_polls <- st.tryc_polls + 1)
-             | None -> emit p st
+       (* Crashes become observable only where the live set changes. *)
+       if !crash_landed || tick >= !next_crash then begin
+         rebuild tick;
+         if tracing then note_crashes tick
+       end;
+       if !nlive = 0 then raise Exit;
+       let p = choose tick in
+       incr steps_taken;
+       let st = ps.(p) in
+       (* A process turning parasitic abandons its plan to commit. *)
+       if st.mode = Normal && tick >= parasitic_tick.(p) then begin
+         st.mode <- Parasite;
+         if tracing then
+           emit_tr (Tev.instant ~ts:!nev ~tid:p Tev.Fault "parasitic" []);
+         if st.body = [] then fresh_body st
+       end;
+       let pending = tm.Tm_impl.Tm_intf.pending p in
+       let in_tryc =
+         match pending with Some Event.Try_commit -> true | Some _ | None -> false
+       in
+       (* Crash inside the commit procedure once the pending tryC has
+          gone unanswered the configured number of times. *)
+       if in_tryc && st.tryc_polls >= crash_after_polls.(p) then crash_now p
+       else
+         match pending with
+         | Some _ -> (
+             match tm.Tm_impl.Tm_intf.poll p with
+             | Some resp ->
+                 streak.(p) <- 0;
+                 st.tryc_polls <- 0;
+                 handle_response p st pending resp
+             | None ->
+                 defers.(p) <- defers.(p) + 1;
+                 streak.(p) <- streak.(p) + 1;
+                 if tracing then
+                   emit_tr
+                     (Tev.counter ~ts:!nev ~tid:p Tev.Sched defer_counter.(p)
+                        defers.(p));
+                 if in_tryc then st.tryc_polls <- st.tryc_polls + 1)
+         | None -> emit p st
      done
    with Exit -> ());
   if tracing then note_crashes s.steps;
   {
-    history = !history;
+    history = History.of_rev_events !rev_events;
     commits;
     aborts;
     invocations;

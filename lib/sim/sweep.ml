@@ -139,7 +139,8 @@ module Exhaustive = struct
      event that action produced (if any): O(1) TM steps per node.  The
      parent is never mutated, so its pending invocations — and hence its
      enabled actions — are read off it while the children are expanded.
-     The per-process actions and invocation events are built once. *)
+     The per-process actions and invocation events are built once, and a
+     node's action list only on demand. *)
   let run (entry : Tm_impl.Registry.entry) ~nprocs ~ntvars ~invocations
       ~depth ~on_history =
     let (module M) = entry.Tm_impl.Registry.impl in
@@ -150,7 +151,7 @@ module Exhaustive = struct
             invocations)
     in
     let rec visit tm h rev_actions d =
-      on_history h (List.rev rev_actions);
+      on_history h (fun () -> List.rev rev_actions);
       if d > 0 then
         for p = 1 to nprocs do
           match M.pending tm p with

@@ -102,12 +102,13 @@ module Exhaustive : sig
     ntvars:int ->
     invocations:Event.invocation list ->
     depth:int ->
-    on_history:(History.t -> action list -> unit) ->
+    on_history:(History.t -> (unit -> action list) -> unit) ->
     unit
   (** [on_history] is called on every node (including internal ones), in
-      depth-first preorder, with the recorded history and the action
-      sequence that produced it.  Children are visited in process order,
-      and a process without a pending invocation in the order of
+      depth-first preorder, with the recorded history and a function that
+      builds the action sequence that produced it (O(depth) words per
+      call; most callers never need it).  Children are visited in process
+      order, and a process without a pending invocation in the order of
       [invocations]. *)
 
   val count_nodes :

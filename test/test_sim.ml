@@ -57,10 +57,7 @@ let test_prng_errors () =
   let g = Tm_sim.Prng.create 1 in
   Alcotest.check_raises "zero bound"
     (Invalid_argument "Prng.int: bound must be positive") (fun () ->
-      ignore (Tm_sim.Prng.int g 0));
-  Alcotest.check_raises "empty pick"
-    (Invalid_argument "Prng.pick: empty list") (fun () ->
-      ignore (Tm_sim.Prng.pick g ([] : int list)))
+      ignore (Tm_sim.Prng.int g 0))
 
 (* Golden streams, recorded before the generator state was unboxed: the
    representation may change, the streams may not. *)
@@ -382,7 +379,7 @@ let test_copy_matches_replay_preorder () =
       let name = entry.Reg.entry_name in
       let got = ref [] in
       Exh.run entry ~nprocs:2 ~ntvars:2 ~invocations:diff_invocations
-        ~depth:6 ~on_history:(fun h actions -> got := (h, actions) :: !got);
+        ~depth:6 ~on_history:(fun h actions -> got := (h, actions ()) :: !got);
       let got = List.rev !got in
       let want =
         replay_preorder entry ~nprocs:2 ~ntvars:2
@@ -493,7 +490,7 @@ let test_prng_words () =
 let test_enumeration_words () =
   let n = ref 0 in
   let w = words_of (fun () -> tl2_depth10 (fun _ _ -> incr n)) in
-  check_at_most "words per enumerated node" 110. (w /. float_of_int !n)
+  check_at_most "words per enumerated node" 70. (w /. float_of_int !n)
 
 let test_monitor_words () =
   let n = ref 0 in
@@ -506,6 +503,26 @@ let test_monitor_words () =
   in
   check_at_most "Monitor.run words per history" 150.
     ((checked -. bare) /. float_of_int !n)
+
+(* One 4,000-step sweep row: per step, the runner's own work (choosing
+   a process, recording the event) plus global-lock's poll. *)
+let test_runner_words () =
+  let global_lock = Option.get (Reg.find "global-lock") in
+  let configs =
+    Tm_sim.Sweep.grid ~tms:[ global_lock ]
+      ~patterns:(Tm_sim.Sweep.fault_patterns ~steps:4000 ())
+      ~seeds:[ 1 ] ()
+  in
+  let steps = ref 0 in
+  let w =
+    words_of (fun () ->
+        List.iter
+          (fun c ->
+            let o = Tm_sim.Runner.run c.Tm_sim.Sweep.tm c.Tm_sim.Sweep.spec in
+            steps := !steps + o.Tm_sim.Runner.steps_taken)
+          configs)
+  in
+  check_at_most "Runner.run words per step" 10. (w /. float_of_int !steps)
 
 let test_metrics_words () =
   let outcomes =
@@ -1080,6 +1097,7 @@ let () =
             test_monitor_words;
           Alcotest.test_case "metrics words per event" `Quick
             test_metrics_words;
+          Alcotest.test_case "runner words per step" `Quick test_runner_words;
         ] );
       ( "exhaustive sweep",
         [
