@@ -637,7 +637,7 @@ let dump_cmd =
     in
     let o = Tm_sim.Runner.run entry spec in
     let text = Tm_history.Codec.history_to_string o.Tm_sim.Runner.history in
-    let oc = open_out file in
+    let oc = open_output file in
     output_string oc text;
     close_out oc;
     Fmt.pr "wrote %d events to %s@."
@@ -803,7 +803,7 @@ let analyze_cmd =
       (match out with
       | None -> ()
       | Some file ->
-          let oc = open_out file in
+          let oc = open_output file in
           output_string oc (An.Finding.list_to_json findings);
           close_out oc;
           Fmt.epr "findings written to %s@." file);
@@ -944,7 +944,7 @@ let static_cmd =
           (match out with
           | None -> ()
           | Some file ->
-              let oc = open_out file in
+              let oc = open_output file in
               output_string oc (An.Finding.list_to_json findings);
               close_out oc;
               Fmt.epr "findings written to %s@." file);
@@ -1023,7 +1023,7 @@ let chaos_cmd =
           (match out with
           | None -> ()
           | Some file ->
-              let oc = open_out file in
+              let oc = open_output file in
               output_string oc (Tm_chaos.Runner.to_json o);
               output_char oc '\n';
               close_out oc;
@@ -1229,7 +1229,7 @@ let blame_cmd =
                     blame_dot o shape evidence
                   else blame_json o shape evidence ^ "\n"
                 in
-                let oc = open_out file in
+                let oc = open_output file in
                 output_string oc doc;
                 close_out oc;
                 Fmt.epr "blame document written to %s@." file);
@@ -1434,7 +1434,7 @@ let serve_cmd =
               (match out with
               | None -> ()
               | Some file ->
-                  let oc = open_out file in
+                  let oc = open_output file in
                   output_string oc (Serve.chaos_to_json o);
                   output_char oc '\n';
                   close_out oc;
@@ -1454,7 +1454,7 @@ let serve_cmd =
           (match out with
           | None -> ()
           | Some file ->
-              let oc = open_out file in
+              let oc = open_output file in
               output_string oc (Serve.to_json o);
               output_char oc '\n';
               close_out oc;
@@ -1609,7 +1609,7 @@ let loadcurve_cmd =
     (match out with
     | None -> ()
     | Some file ->
-        let oc = open_out file in
+        let oc = open_output file in
         output_string oc (Loadcurve.to_json curve);
         output_char oc '\n';
         close_out oc;

@@ -94,7 +94,9 @@ let never = max_int
 
 let run ?trace ?on_event (entry : Tm_impl.Registry.entry) s =
   let n = s.nprocs in
-  let cfg = Tm_impl.Tm_intf.config ~seed:s.seed ~nprocs:n ~ntvars:s.ntvars () in
+  let cfg =
+    Tm_impl.Tm_intf.config ~seed:s.seed ~nprocs:n ~ntvars:s.ntvars ()
+  in
   let tm = Tm_impl.Registry.instance entry cfg in
   let master = Prng.create s.seed in
   let ps =
@@ -135,14 +137,16 @@ let run ?trace ?on_event (entry : Tm_impl.Registry.entry) s =
   let inv_read =
     Array.init (n + 1) (fun p -> Array.map (fun r -> Event.Inv (p, r)) reads)
   in
-  let inv_tryc = Array.init (n + 1) (fun p -> Event.Inv (p, Event.Try_commit)) in
-  let res_ok = Array.init (n + 1) (fun p -> Event.Res (p, Event.Ok_written)) in
-  let res_commit = Array.init (n + 1) (fun p -> Event.Res (p, Event.Committed)) in
-  let res_abort = Array.init (n + 1) (fun p -> Event.Res (p, Event.Aborted)) in
-  let read_inv x = if x >= 0 && x < s.ntvars then reads.(x) else Event.Read x in
+  let per_proc f = Array.init (n + 1) f in
+  let inv_tryc = per_proc (fun p -> Event.Inv (p, Event.Try_commit)) in
+  let res_ok = per_proc (fun p -> Event.Res (p, Event.Ok_written)) in
+  let res_commit = per_proc (fun p -> Event.Res (p, Event.Committed)) in
+  let res_abort = per_proc (fun p -> Event.Res (p, Event.Aborted)) in
+  let in_range x = x >= 0 && x < s.ntvars in
+  let read_inv x = if in_range x then reads.(x) else Event.Read x in
   let inv_event p (inv : Event.invocation) =
     match inv with
-    | Event.Read x when x >= 0 && x < s.ntvars -> inv_read.(p).(x)
+    | Event.Read x when in_range x -> inv_read.(p).(x)
     | Event.Try_commit -> inv_tryc.(p)
     | Event.Read _ | Event.Write _ -> Event.Inv (p, inv)
   in
@@ -176,9 +180,6 @@ let run ?trace ?on_event (entry : Tm_impl.Registry.entry) s =
   let tracing = Option.is_some trace in
   let emit_tr e =
     match trace with Some sink -> sink.Tm_trace.Sink.emit e | None -> ()
-  in
-  let defer_counter =
-    if tracing then Array.init (n + 1) (Fmt.str "defers-p%d") else [||]
   in
   let txn_open = Array.make (n + 1) false in
   let tryc_open = Array.make (n + 1) false in
@@ -371,7 +372,9 @@ let run ?trace ?on_event (entry : Tm_impl.Registry.entry) s =
        end;
        let pending = tm.Tm_impl.Tm_intf.pending p in
        let in_tryc =
-         match pending with Some Event.Try_commit -> true | Some _ | None -> false
+         match pending with
+         | Some Event.Try_commit -> true
+         | Some (Event.Read _ | Event.Write _) | None -> false
        in
        (* Crash inside the commit procedure once the pending tryC has
           gone unanswered the configured number of times. *)
@@ -389,7 +392,8 @@ let run ?trace ?on_event (entry : Tm_impl.Registry.entry) s =
                  streak.(p) <- streak.(p) + 1;
                  if tracing then
                    emit_tr
-                     (Tev.counter ~ts:!nev ~tid:p Tev.Sched defer_counter.(p)
+                     (Tev.counter ~ts:!nev ~tid:p Tev.Sched
+                        (Fmt.str "defers-p%d" p)
                         defers.(p));
                  if in_tryc then st.tryc_polls <- st.tryc_polls + 1)
          | None -> emit p st

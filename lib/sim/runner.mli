@@ -11,7 +11,27 @@ open Tm_history
     its in-flight operation holds stays held).  A process with
     [Parasitic_from t] switches at step [t] to issuing operations from the
     parasite workload forever, never invoking [tryC] (the paper's parasitic
-    process — as long as the TM never aborts it). *)
+    process — as long as the TM never aborts it).
+
+    {b Cost model.}  A tick does O(1) work in the runner, and allocates
+    only the event it records:
+    - each fate is read once, into per-process arrays (crash tick,
+      parasitic onset, crash-after-write count, crash-mid-commit count);
+    - the scheduler indexes an increasing array of the live processes.
+      It is rebuilt, in O([nprocs]), only on a tick where a [Crash_at]
+      tick passes or after a crash has landed mid-run;
+    - the history is a list consed latest-first, made a {!History.t}
+      once, at the end;
+    - the invariant events [Inv (p, Read x)], [Inv (p, Try_commit)] and
+      [Res (p, Ok_written | Committed | Aborted)] come from tables built
+      per run (O([nprocs] × [ntvars]) words), so the events of
+      [outcome.history] may be physically shared within a run: compare
+      them structurally ({!Event.equal}), never with [==].  Only
+      [Value v] responses and [Write (x, v)] invocations are allocated per
+      event.
+    The TM's [pending]/[poll] and the workload's bodies (one list per
+    transaction) allocate on their own account.  test_sim gates the sum
+    on a global-lock sweep row at 10 words per step. *)
 
 type fate =
   | Healthy

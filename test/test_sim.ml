@@ -830,11 +830,18 @@ let test_sweep_json_pinned () =
    events in per-run tables: every scheduler's choice of process, the
    trace instants and the early exit must come out the same. *)
 let md5 s = Digest.to_hex (Digest.string s)
-let scheds = Tm_sim.Runner.[ ("rr", Round_robin); ("q3", Quantum 3); ("uniform", Uniform) ]
+
+(* [f name sched pin] for each scheduler, with its pin. *)
+let each_sched f pins =
+  List.iter2
+    (fun (name, sched) pin -> f name sched pin)
+    Tm_sim.Runner.
+      [ ("rr", Round_robin); ("q3", Quantum 3); ("uniform", Uniform) ]
+    pins
 
 let test_sweep_scheds_pinned () =
-  List.iter
-    (fun (name, sched, want) ->
+  each_sched
+    (fun name sched want ->
       let configs =
         Tm_sim.Sweep.grid
           ~patterns:(Tm_sim.Sweep.fault_patterns ~steps:4000 ~sched ())
@@ -844,19 +851,18 @@ let test_sweep_scheds_pinned () =
         (name ^ ": zoo sweep document MD5")
         want
         (md5 (Tm_sim.Sweep.to_json (Tm_sim.Sweep.run configs))))
-    (List.map2
-       (fun (name, sched) want -> (name, sched, want))
-       scheds
-       [
-         "e4633723092d019febee503a8b7c3d7d";
-         "38d5d30f137dcfdddcf741ea7b6f88e8";
-         "bc887ef6da84ee8454fb175c7a858d07";
-       ])
+    [
+      "e4633723092d019febee503a8b7c3d7d";
+      "38d5d30f137dcfdddcf741ea7b6f88e8";
+      "bc887ef6da84ee8454fb175c7a858d07";
+    ]
 
 let test_trace_scheds_pinned () =
-  let tms = List.filter_map Reg.find [ "tl2"; "fgp"; "global-lock"; "ostm" ] in
-  List.iter
-    (fun (name, sched, want) ->
+  let tms =
+    List.filter_map Reg.find [ "tl2"; "fgp"; "global-lock"; "ostm" ]
+  in
+  each_sched
+    (fun name sched want ->
       let results =
         Tm_sim.Sweep.run ~trace:true
           (Tm_sim.Sweep.grid ~tms
@@ -868,14 +874,11 @@ let test_trace_scheds_pinned () =
         (name ^ ": trace MD5")
         want
         (md5 (Tm_trace.Export.text_string events)))
-    (List.map2
-       (fun (name, sched) want -> (name, sched, want))
-       scheds
-       [
-         "e2c297b57550f8adbf53068913718ca6";
-         "65f5ce534c7a6ddad622a41137070e29";
-         "4e705170a20813ce361551ec07a850bd";
-       ])
+    [
+      "e2c297b57550f8adbf53068913718ca6";
+      "65f5ce534c7a6ddad622a41137070e29";
+      "4e705170a20813ce361551ec07a850bd";
+    ]
 
 (* Every process crashes, by each kind of crash: the run ends early, when
    the last one goes. *)
@@ -884,8 +887,8 @@ let test_all_crash_pinned () =
     Tm_sim.Runner.
       [ (1, Crash_at 40); (2, Crash_after_write 3); (3, Crash_mid_commit 0) ]
   in
-  List.iter
-    (fun (name, sched, want_tl2_steps, want) ->
+  each_sched
+    (fun name sched (want_tl2_steps, want) ->
       let doc = Buffer.create 4096 in
       List.iter
         (fun entry ->
@@ -907,14 +910,11 @@ let test_all_crash_pinned () =
         (name ^ ": zoo steps and histories MD5")
         want
         (md5 (Buffer.contents doc)))
-    (List.map2
-       (fun (name, sched) (steps, want) -> (name, sched, steps, want))
-       scheds
-       [
-         (51, "d38abc4edfeadb70731ac0baae3c191d");
-         (52, "45e440ee5c3491ded7c5b946fc376785");
-         (43, "b531d8c88d378a60cebb9988672ff865");
-       ])
+    [
+      (51, "d38abc4edfeadb70731ac0baae3c191d");
+      (52, "45e440ee5c3491ded7c5b946fc376785");
+      (43, "b531d8c88d378a60cebb9988672ff865");
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Statistics helpers. *)
