@@ -236,9 +236,9 @@ let telemetry_format_arg () =
            exposition of the final scrape) or $(b,jsonl) (one JSON object \
            per scrape — the whole time series).")
 
-(* An output file, opened before the command does its work: a path that
-   cannot be written is a classified error (exit 2), not an uncaught
-   [Sys_error] after the whole run. *)
+(* Opens an output file.  A path that cannot be written is a classified
+   error (exit 2), not an uncaught [Sys_error]; a command with a long run
+   opens its outputs before the run, so the error comes first. *)
 let open_output file =
   try open_out file
   with Sys_error m ->

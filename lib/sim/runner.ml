@@ -132,12 +132,14 @@ let run ?trace ?on_event (entry : Tm_impl.Registry.entry) s =
     | Crash_mid_commit k -> crash_after_polls.(p) <- k
   done;
   (* The run's invariant events, built once and shared by every
-     occurrence: only read values and writes are allocated per event. *)
+     occurrence: only read values and writes are allocated per event.
+     They are built here, not in [spec]: a sweep builds its specs by the
+     hundred, up front. *)
+  let per_proc f = Array.init (n + 1) f in
   let reads = Array.init s.ntvars (fun x -> Event.Read x) in
   let inv_read =
-    Array.init (n + 1) (fun p -> Array.map (fun r -> Event.Inv (p, r)) reads)
+    per_proc (fun p -> Array.map (fun r -> Event.Inv (p, r)) reads)
   in
-  let per_proc f = Array.init (n + 1) f in
   let inv_tryc = per_proc (fun p -> Event.Inv (p, Event.Try_commit)) in
   let res_ok = per_proc (fun p -> Event.Res (p, Event.Ok_written)) in
   let res_commit = per_proc (fun p -> Event.Res (p, Event.Committed)) in
