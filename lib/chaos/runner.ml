@@ -390,6 +390,40 @@ let await_onsets ses =
     Unix.sleepf 0.001
   done
 
+(* A starving domain's blame evidence is counted over the whole run and
+   is attributed only from [Blame_graph.min_events] witnessed events on
+   (below that it reads "quiet").  On an idle machine the window
+   collects thousands; on a loaded one a victim that gets little CPU can
+   still be short when the window closes.  Its starvation outlasts the
+   window (the fault behind it stays in place), so with blame armed the
+   session also waits, for at most this long, until every domain the
+   window found starving has been witnessed that often.  The verdicts
+   are the window's; only the evidence count grows. *)
+let witness_budget = 2.0
+
+let await_witnesses ses ~first ~last =
+  match ses.ses_blame with
+  | None -> ()
+  | Some g ->
+      let starving =
+        List.filter
+          (fun d ->
+            Pc.equal_cls Pc.Starving
+              (Emp.classify_counters ~first:(counters_of first.(d))
+                 ~last:(counters_of last.(d))))
+          (List.init ses.ses_plan.Plan.domains Fun.id)
+      in
+      let deadline = Unix.gettimeofday () +. witness_budget in
+      let witnessed () =
+        List.for_all
+          (fun d ->
+            Tel.Blame_graph.victim_total g d >= Tel.Blame_graph.min_events)
+          starving
+      in
+      while (not (witnessed ())) && Unix.gettimeofday () < deadline do
+        Unix.sleepf 0.001
+      done
+
 let run ?tvars ?blame ?latency ?(warmup = 0.05) ?(window = 0.15) ?registry
     ?on_sample (plan : Plan.t) =
   let nd = plan.Plan.domains in
@@ -421,6 +455,7 @@ let run ?tvars ?blame ?latency ?(warmup = 0.05) ?(window = 0.15) ?registry
           (Tel.Liveness_gauge.update_with ses.ses_liveness
              (Array.map counters_of last));
         scrape ses 1;
+        await_witnesses ses ~first ~last;
         (first, last, ses))
   in
   (* [with_session] has joined the workers, so the crashed gauges are

@@ -163,7 +163,12 @@ val run :
     few hundred operations in, i.e. microseconds, so the window observes
     the steady faulty state; the warm-up is extended by up to 2 s until
     every crash and parasitic onset has landed), [window] the
-    observation time between samples (default 0.15).  The [Stm.Chaos]
+    observation time between samples (default 0.15).  With [blame]
+    armed, the workers also run on after the window, by up to 2 s, until
+    every domain the window classified starving has
+    {!Tm_telemetry.Blame_graph.min_events} witnessed blame events, so a
+    victim short of CPU is attributed rather than read as quiet.  The
+    [Stm.Chaos]
     handler is uninstalled before returning, even on exceptions.
 
     [registry] and [on_sample] expose the run's telemetry: the watchdog

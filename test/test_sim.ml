@@ -456,11 +456,18 @@ let test_copies_are_independent () =
 
 (* ------------------------------------------------------------------ *)
 (* Allocation gates for the paper pipeline: words are deterministic, so
-   these hold on any number of cores. *)
+   these hold on any number of cores.  A reading counts this domain's
+   words only, exact at any instant: [Gc.minor_words] includes the
+   minor heap's current fill, and [Gc.counters]' major and promoted
+   words are this domain's own (its minor count is not used: on OCaml
+   5.1 it undercounts that fill).  ([Gc.quick_stat]'s counters advance
+   only at minor collections and add every other domain's, including
+   one that exits during the reading, so they can lag or jump by a
+   minor heap.) *)
 
 let words () =
-  let s = Gc.quick_stat () in
-  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
 
 let words_of f =
   let w0 = words () in
