@@ -5,6 +5,41 @@ let empty = { rev = []; len = 0 }
 let of_events es = { rev = List.rev es; len = List.length es }
 let of_rev_events rev = { rev; len = List.length rev }
 let events h = List.rev h.rev
+let rev_events h = h.rev
+
+(* The [k] newest events of [rev], oldest first. *)
+let rec iter_newest f rev k =
+  if k > 0 then
+    match rev with
+    | e :: older ->
+        iter_newest f older (k - 1);
+        f e
+    | [] -> ()
+
+let chunk = 16
+
+(* Oldest chunk first, each walked by a recursion at most [chunk] deep:
+   [marks.(i)] is the spine from the [i]-th chunk boundary, counted from
+   the newest event.  A deeper recursion outruns the processor's
+   return-address predictor: with 64-event chunks the walk took about
+   two thirds longer. *)
+let iter f h =
+  if h.len <= chunk then iter_newest f h.rev h.len
+  else begin
+    let nchunks = (h.len + chunk - 1) / chunk in
+    let marks = Array.make nchunks [] in
+    let l = ref h.rev in
+    for i = 0 to nchunks - 1 do
+      marks.(i) <- !l;
+      for _ = 1 to chunk do
+        match !l with _ :: older -> l := older | [] -> ()
+      done
+    done;
+    iter_newest f marks.(nchunks - 1) (h.len - ((nchunks - 1) * chunk));
+    for i = nchunks - 2 downto 0 do
+      iter_newest f marks.(i) chunk
+    done
+  end
 let length h = h.len
 
 let append h e = { rev = e :: h.rev; len = h.len + 1 }

@@ -24,7 +24,19 @@ val of_rev_events : Event.t list -> t
     history once, at the end. *)
 
 val events : t -> Event.t list
-(** The event sequence, in order. *)
+(** The event sequence, in order.  A fresh list: O(n) time and words. *)
+
+val rev_events : t -> Event.t list
+(** The event sequence, newest first, in O(1).  The list is the
+    history's own spine, shared rather than copied: [rev_events (append h
+    e)] is [e :: rev_events h] with its tail physically equal to
+    [rev_events h].  So [h] extends [h'] whenever [rev_events h'] is
+    physically a tail of [rev_events h]. *)
+
+val iter : (Event.t -> unit) -> t -> unit
+(** [iter f h] applies [f] to the events of [h] in order, without
+    copying the event list and without recursion deeper than 16 frames:
+    its scratch space is one word per 16 events. *)
 
 val length : t -> int
 

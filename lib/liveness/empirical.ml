@@ -45,14 +45,13 @@ type window_summary = {
    and over its last [window] events, in arrays indexed from the lowest
    process seen. *)
 let classify_window ~window h =
-  let es = History.events h in
   let n = History.length h in
   let lo = ref max_int and hi = ref min_int in
   List.iter
     (fun e ->
       lo := Int.min !lo (Event.proc e);
       hi := Int.max !hi (Event.proc e))
-    es;
+    (History.rev_events h);
   let lo = !lo in
   let size = if n = 0 then 0 else !hi - lo + 1 in
   let total = Array.make size 0
@@ -60,20 +59,19 @@ let classify_window ~window h =
   and commits = Array.make size 0
   and aborts = Array.make size 0
   and trycs = Array.make size 0 in
-  let rec count i = function
-    | [] -> ()
-    | e :: rest ->
-        let k = Event.proc e - lo in
-        total.(k) <- total.(k) + 1;
-        if i >= n - window then begin
-          in_window.(k) <- in_window.(k) + 1;
-          if Event.is_commit e then commits.(k) <- commits.(k) + 1;
-          if Event.is_abort e then aborts.(k) <- aborts.(k) + 1;
-          if Event.is_try_commit e then trycs.(k) <- trycs.(k) + 1
-        end;
-        count (i + 1) rest
-  in
-  count 0 es;
+  let next = ref 0 in
+  History.iter
+    (fun e ->
+      let k = Event.proc e - lo in
+      total.(k) <- total.(k) + 1;
+      if !next >= n - window then begin
+        in_window.(k) <- in_window.(k) + 1;
+        if Event.is_commit e then commits.(k) <- commits.(k) + 1;
+        if Event.is_abort e then aborts.(k) <- aborts.(k) + 1;
+        if Event.is_try_commit e then trycs.(k) <- trycs.(k) + 1
+      end;
+      incr next)
+    h;
   let summary k =
     let events_total = total.(k) and events_in_window = in_window.(k) in
     let commits_in_window = commits.(k) and aborts_in_window = aborts.(k) in

@@ -10,50 +10,76 @@ open Tm_history
    the set of epochs at which the entire read set is simultaneously
    consistent is exact.
 
-   The tables are arrays indexed by t-variable and by process, grown on
-   demand.  A process gets its transaction record on its first event and
-   reuses it from one transaction to the next, [live] marking whether one
-   is open; until then its slot holds the shared, never-live [no_txn]. *)
+   The state is plain data.  Each process has [nf] ints in one flat
+   array: its pending invocation, the start epoch of its open transaction
+   (-1 when none is open), and the ranges of its own read and write logs
+   that hold that transaction's (t-variable, value) pairs.  Versions are
+   an array of immutable lists indexed by t-variable.  All tables grow on
+   demand; a slot past the processes seen so far is always clear. *)
 
-type txn = {
-  mutable live : bool;
-  mutable start_epoch : int;
-  mutable reads : (Event.tvar * Event.value) list;  (** non-own reads *)
-  mutable writes : (Event.tvar * Event.value) list;  (** latest first *)
-  mutable commit_pending : bool;
-}
+let f_inv = 0 (* the pending invocation: one of the [k_*] below *)
+let f_x = 1 (* its t-variable *)
+let f_v = 2 (* its value, for a write *)
+let f_start = 3 (* start epoch of the open transaction, or -1 *)
+let f_r0 = 4 (* the open transaction's reads: [reads.(p).(r0 .. r1-1)] *)
+let f_r1 = 5
+let f_w0 = 6 (* its writes, oldest first: [writes.(p).(w0 .. w1-1)] *)
+let f_w1 = 7
+let nf = 8
+let k_none = 0
+let k_read = 1
+let k_write = 2
+let k_commit = 3
 
 type t = {
+  mutable record : bool;
+      (** logs only grow and installs are logged, so earlier states can be
+          restored (see [run]); otherwise a transaction's logs restart at
+          0 *)
   mutable epoch : int;
-  mutable versions : (int * Event.value) list array;  (** by t-variable *)
-  mutable pending : Event.invocation option array;  (** by process *)
-  mutable txns : txn array;  (** by process *)
   mutable failed : string option;
+  mutable versions : (int * Event.value) list array;  (** by t-variable *)
+  mutable procs : int array;  (** by process, [nf] ints each *)
+  mutable np : int;  (** processes [0 .. np-1] may be non-clear *)
+  mutable reads : int array array;  (** by process: x, v, x, v, ... *)
+  mutable writes : int array array;
+  mutable installs : int array;  (** recording: t-variables installed *)
+  mutable ninstalls : int;
 }
 
 let initial_versions = [ (0, 0) ]
 
-let no_txn =
-  {
-    live = false;
-    start_epoch = 0;
-    reads = [];
-    writes = [];
-    commit_pending = false;
-  }
+let clear_procs a lo hi =
+  for p = lo to hi - 1 do
+    let b = p * nf in
+    for k = 0 to nf - 1 do
+      a.(b + k) <- 0
+    done;
+    a.(b + f_start) <- -1
+  done
+
+let new_procs n =
+  let a = Array.make (n * nf) 0 in
+  clear_procs a 0 n;
+  a
 
 (* Processes 0..3 fit without growing. *)
-let create () =
+let make ~record =
   {
+    record;
     epoch = 0;
-    versions = [||];
-    pending = Array.make 4 None;
-    txns = Array.make 4 no_txn;
     failed = None;
+    versions = [||];
+    procs = new_procs 4;
+    np = 0;
+    reads = Array.make 4 [||];
+    writes = Array.make 4 [||];
+    installs = [||];
+    ninstalls = 0;
   }
 
+let create () = make ~record:false
 let capacity n i = Int.max (i + 1) (2 * n)
-
 let max_id = (1 lsl 20) - 1
 
 let check_id what i =
@@ -74,139 +100,200 @@ let set_versions t x vs =
 
 (* Make room for process [p] in the by-process tables. *)
 let ensure_proc t p =
-  let n = Array.length t.txns in
+  let n = Array.length t.reads in
   if p >= n then begin
     let m = capacity n p in
-    let pending = Array.make m None and txns = Array.make m no_txn in
-    Array.blit t.pending 0 pending 0 n;
-    Array.blit t.txns 0 txns 0 n;
-    t.pending <- pending;
-    t.txns <- txns
-  end
+    let procs = new_procs m in
+    for k = 0 to (t.np * nf) - 1 do
+      procs.(k) <- t.procs.(k)
+    done;
+    let widen a =
+      let b = Array.make m [||] in
+      Array.blit a 0 b 0 n;
+      b
+    in
+    t.procs <- procs;
+    t.reads <- widen t.reads;
+    t.writes <- widen t.writes
+  end;
+  if p >= t.np then t.np <- p + 1
 
-(* Whether some epoch in [lo, hi] lets every read in [reads] see its value
-   in the committed store: a depth-first walk that picks, read by read, a
-   version segment holding the read value and narrows [lo, hi] to it. *)
-let rec consistent t lo hi = function
-  | [] -> true
-  | (x, v) :: rest -> segments t lo hi v rest max_int (versions_of t x)
+(* A copy of [log]'s first [n] ints with room for at least 2 more. *)
+let grow log n =
+  let log' = Array.make (Int.max 8 (2 * Array.length log)) 0 in
+  for i = 0 to n - 1 do
+    log'.(i) <- log.(i)
+  done;
+  log'
+
+(* Whether some epoch in [lo, hi] lets every read in [log.(r0 .. i+1)]
+   see its value in the committed store: a depth-first walk, newest read
+   first, that picks, read by read, a version segment holding the read
+   value and narrows [lo, hi] to it. *)
+let rec consistent t log r0 i lo hi =
+  i < r0
+  || segments t log r0 i log.(i + 1) lo hi max_int (versions_of t log.(i))
 
 (* The segments of one t-variable, newest first; [upper] is the last
    epoch of the first one.  Older segments end earlier still, so the walk
    stops at the first segment that ends before [lo]. *)
-and segments t lo hi v rest upper = function
+and segments t log r0 i v lo hi upper = function
   | [] -> false
   | (from, value) :: older ->
       upper >= lo
       && ((value = v
           &&
           let a = Int.max from lo and b = Int.min upper hi in
-          a <= b && consistent t a b rest)
-         || segments t lo hi v rest (from - 1) older)
+          a <= b && consistent t log r0 (i - 2) a b)
+         || segments t log r0 i v lo hi (from - 1) older)
 
-let has_point t txn ~lo ~hi = consistent t lo hi txn.reads
+let has_point t p ~lo ~hi =
+  let b = p * nf in
+  consistent t t.reads.(p) t.procs.(b + f_r0) (t.procs.(b + f_r1) - 2) lo hi
 
-let txn_of t p =
-  let txn = t.txns.(p) in
-  if txn == no_txn then begin
-    let txn = { no_txn with live = true; start_epoch = t.epoch } in
-    t.txns.(p) <- txn;
-    txn
-  end
-  else begin
-    if not txn.live then begin
-      txn.live <- true;
-      txn.start_epoch <- t.epoch;
-      txn.reads <- [];
-      txn.writes <- [];
-      txn.commit_pending <- false
-    end;
-    txn
+(* The index of the open transaction's latest write to [x] in its write
+   log [log], searched down from [i] to [w0], or -1. *)
+let rec own_write log w0 x i =
+  if i < w0 then -1 else if log.(i) = x then i else own_write log w0 x (i - 2)
+
+(* Open a transaction for [p] unless one is open. *)
+let open_txn t p =
+  let a = t.procs and b = p * nf in
+  if a.(b + f_start) < 0 then begin
+    a.(b + f_start) <- t.epoch;
+    if t.record then begin
+      a.(b + f_r0) <- a.(b + f_r1);
+      a.(b + f_w0) <- a.(b + f_w1)
+    end
+    else begin
+      a.(b + f_r0) <- 0;
+      a.(b + f_r1) <- 0;
+      a.(b + f_w0) <- 0;
+      a.(b + f_w1) <- 0
+    end
   end
 
 let fail t msg = if t.failed = None then t.failed <- Some msg
 
-let finish_aborted t p txn =
-  if not (has_point t txn ~lo:txn.start_epoch ~hi:t.epoch) then
+let finish_aborted t p =
+  let b = p * nf in
+  if not (has_point t p ~lo:t.procs.(b + f_start) ~hi:t.epoch) then
     fail t
       (Fmt.str "aborted transaction of p%d has no consistent snapshot point"
          p);
-  txn.live <- false
+  t.procs.(b + f_start) <- -1
 
-(* Install a committed writer's final value per variable.  [writes] is
-   latest-first, so the first write met for a variable is its final value;
-   a variable whose newest version is already at the current epoch was
-   installed by this commit. *)
-let rec install t = function
-  | [] -> ()
-  | (x, v) :: rest ->
-      (match versions_of t x with
-      | (from, _) :: _ when from = t.epoch -> ()
-      | vs -> set_versions t x ((t.epoch, v) :: vs));
-      install t rest
+(* Install a committed writer's final value per variable.  The write log
+   is walked latest first, so the first write met for a variable is its
+   final value; a variable whose newest version is already at the current
+   epoch was installed by this commit. *)
+let install t p =
+  let log = t.writes.(p) and b = p * nf in
+  let w0 = t.procs.(b + f_w0) in
+  let i = ref (t.procs.(b + f_w1) - 2) in
+  while !i >= w0 do
+    let x = log.(!i) in
+    (match versions_of t x with
+    | (from, _) :: _ when from = t.epoch -> ()
+    | vs ->
+        set_versions t x ((t.epoch, log.(!i + 1)) :: vs);
+        if t.record then begin
+          if t.ninstalls = Array.length t.installs then
+            t.installs <- grow t.installs t.ninstalls;
+          t.installs.(t.ninstalls) <- x;
+          t.ninstalls <- t.ninstalls + 1
+        end);
+    i := !i - 2
+  done
 
-let finish_committed t p txn =
-  (match txn.writes with
-  | [] ->
-      if not (has_point t txn ~lo:txn.start_epoch ~hi:t.epoch) then
-        fail t
-          (Fmt.str
-             "read-only committed transaction of p%d has no consistent \
-              snapshot point"
-             p)
-  | writes ->
-      (* A committed writer serializes at its commit instant: the reads
-         must be consistent with the current committed store. *)
-      if not (has_point t txn ~lo:t.epoch ~hi:t.epoch) then
-        fail t
-          (Fmt.str
-             "committed transaction of p%d is not consistent at its commit \
-              instant"
-             p);
-      t.epoch <- t.epoch + 1;
-      install t writes);
-  txn.live <- false
+let finish_committed t p =
+  let b = p * nf in
+  (if t.procs.(b + f_w0) = t.procs.(b + f_w1) then begin
+     if not (has_point t p ~lo:t.procs.(b + f_start) ~hi:t.epoch) then
+       fail t
+         (Fmt.str
+            "read-only committed transaction of p%d has no consistent \
+             snapshot point"
+            p)
+   end
+   else begin
+     (* A committed writer serializes at its commit instant: the reads
+        must be consistent with the current committed store. *)
+     if not (has_point t p ~lo:t.epoch ~hi:t.epoch) then
+       fail t
+         (Fmt.str
+            "committed transaction of p%d is not consistent at its commit \
+             instant"
+            p);
+     t.epoch <- t.epoch + 1;
+     install t p
+   end);
+  t.procs.(b + f_start) <- -1
+
+(* Append the pair [x, v] to one of [p]'s logs, whose end is field
+   [f]. *)
+let log_pair t logs p f x v =
+  let i = t.procs.((p * nf) + f) in
+  if i + 2 > Array.length logs.(p) then logs.(p) <- grow logs.(p) i;
+  let log = logs.(p) in
+  log.(i) <- x;
+  log.(i + 1) <- v;
+  t.procs.((p * nf) + f) <- i + 2
+
+let on_read t p x v =
+  let b = p * nf in
+  let w =
+    own_write t.writes.(p) t.procs.(b + f_w0) x (t.procs.(b + f_w1) - 2)
+  in
+  if w < 0 then log_pair t t.reads p f_r1 x v
+  else
+    let own = t.writes.(p).(w + 1) in
+    if own <> v then
+      fail t
+        (Fmt.str "p%d read %d from x%d shadowed by its own write of %d" p v x
+           own)
 
 let step t e =
   match e with
-  | Event.Inv (p, inv) -> (
+  | Event.Inv (p, inv) ->
       check_id "process" p;
       (match inv with
       | Event.Read x | Event.Write (x, _) -> check_id "t-variable" x
       | Event.Try_commit -> ());
       ensure_proc t p;
-      match t.pending.(p) with
-      | Some _ -> invalid_arg "Monitor.step: pending invocation exists"
-      | None ->
-          t.pending.(p) <- Some inv;
-          let txn = txn_of t p in
-          if inv = Event.Try_commit then txn.commit_pending <- true)
+      let a = t.procs and b = p * nf in
+      if a.(b + f_inv) <> k_none then
+        invalid_arg "Monitor.step: pending invocation exists";
+      (match inv with
+      | Event.Read x ->
+          a.(b + f_inv) <- k_read;
+          a.(b + f_x) <- x
+      | Event.Write (x, v) ->
+          a.(b + f_inv) <- k_write;
+          a.(b + f_x) <- x;
+          a.(b + f_v) <- v
+      | Event.Try_commit -> a.(b + f_inv) <- k_commit);
+      open_txn t p
   | Event.Res (p, r) -> (
-      let inv =
-        match
-          if p >= 0 && p < Array.length t.pending then t.pending.(p) else None
-        with
-        | Some i -> i
-        | None -> invalid_arg "Monitor.step: response without invocation"
-      in
-      t.pending.(p) <- None;
-      let txn = txn_of t p in
-      txn.commit_pending <- false;
-      match (inv, r) with
-      | Event.Read x, Event.Value v -> (
-          match List.assoc_opt x txn.writes with
-          | Some own ->
-              if own <> v then
-                fail t
-                  (Fmt.str
-                     "p%d read %d from x%d shadowed by its own write of %d"
-                     p v x own)
-          | None -> txn.reads <- (x, v) :: txn.reads)
-      | Event.Write (x, v), Event.Ok_written ->
-          txn.writes <- (x, v) :: txn.writes
-      | Event.Try_commit, Event.Committed -> finish_committed t p txn
-      | _, Event.Aborted -> finish_aborted t p txn
-      | (Event.Read _ | Event.Write _ | Event.Try_commit), _ ->
+      let a = t.procs and b = p * nf in
+      let k = if p >= 0 && p < t.np then a.(b + f_inv) else k_none in
+      if k = k_none then
+        invalid_arg "Monitor.step: response without invocation";
+      let x = a.(b + f_x) and v = a.(b + f_v) in
+      match r with
+      | Event.Value got when k = k_read ->
+          a.(b + f_inv) <- k_none;
+          on_read t p x got
+      | Event.Ok_written when k = k_write ->
+          a.(b + f_inv) <- k_none;
+          log_pair t t.writes p f_w1 x v
+      | Event.Committed when k = k_commit ->
+          a.(b + f_inv) <- k_none;
+          finish_committed t p
+      | Event.Aborted ->
+          a.(b + f_inv) <- k_none;
+          finish_aborted t p
+      | Event.Value _ | Event.Ok_written | Event.Committed ->
           invalid_arg "Monitor.step: mismatched response")
 
 type verdict = Accepted | No_witness of string
@@ -214,31 +301,190 @@ type verdict = Accepted | No_witness of string
 (* Close out live transactions, lowest process first: commit-pending ones
    may be taken either way (committed-last or aborted); others are
    aborted. *)
+let rec first_bad t p =
+  if p >= t.np then Accepted
+  else
+    let b = p * nf in
+    let start = t.procs.(b + f_start) in
+    let ok =
+      start < 0
+      || has_point t p ~lo:start ~hi:t.epoch
+      || t.procs.(b + f_inv) = k_commit
+         && has_point t p ~lo:t.epoch ~hi:t.epoch
+    in
+    if ok then first_bad t (p + 1)
+    else
+      No_witness
+        (Fmt.str "live transaction of p%d has no consistent snapshot point" p)
+
 let verdict t =
-  match t.failed with
-  | Some msg -> No_witness msg
-  | None ->
-      let rec first_bad p =
-        if p >= Array.length t.txns then Accepted
-        else
-          let txn = t.txns.(p) in
-          let ok =
-            (not txn.live)
-            || has_point t txn ~lo:txn.start_epoch ~hi:t.epoch
-            || (txn.commit_pending && has_point t txn ~lo:t.epoch ~hi:t.epoch)
-          in
-          if ok then first_bad (p + 1)
-          else
-            No_witness
-              (Fmt.str
-                 "live transaction of p%d has no consistent snapshot point" p)
-      in
-      first_bad 0
+  match t.failed with Some msg -> No_witness msg | None -> first_bad t 0
+
+(* Resuming.  Each domain keeps a monitor and, for each prefix of the
+   last history it checked (up to [bound] events), a frame: that prefix's
+   spine and the monitor's state after it.  While recording, a monitor's
+   logs only grow along a history and its installs are logged, so a
+   frame is the epoch, the install count, [np] and the [np * nf] process
+   ints, plus the failure: restoring one copies those back, pops the
+   versions installed since, and clears the processes first seen since.
+   Nothing is allocated to save or restore a frame once its int array
+   has grown to [np].
+
+   Only histories of at most [bound] events whose new events use ids of
+   at most [max_recorded_id] are recorded, so every table a frame covers
+   stays small.  The others run from scratch, unrecorded, on the same
+   monitor, which is then cleared and shrunk back. *)
+
+let bound = 64
+let max_recorded_id = 63
+let max_kept_log = 1024 (* ints: a longer log is dropped after a run *)
+
+type frames = {
+  m : t;
+  spine : Event.t list array;  (** frame [i]: its prefix, newest first *)
+  failure : string option array;
+  ints : int array array;  (** epoch, ninstalls, np, process ints *)
+  mutable valid : int;
+      (** frames [0 .. valid-1] hold prefixes of one history *)
+  mutable at : int;  (** the frame [m] is in, or -1 *)
+}
+
+let frames_key =
+  Domain.DLS.new_key (fun () ->
+      {
+        m = make ~record:true;
+        spine = Array.make (bound + 1) [];
+        failure = Array.make (bound + 1) None;
+        ints = Array.init (bound + 1) (fun _ -> [| 0; 0; 0 |]);
+        valid = 1;
+        at = 0;
+      })
+
+let save r i s =
+  let m = r.m in
+  let n = m.np * nf in
+  if Array.length r.ints.(i) < 3 + n then
+    r.ints.(i) <- Array.make (3 + Int.max n (2 * Array.length r.ints.(i))) 0;
+  let a = r.ints.(i) in
+  a.(0) <- m.epoch;
+  a.(1) <- m.ninstalls;
+  a.(2) <- m.np;
+  for k = 0 to n - 1 do
+    a.(3 + k) <- m.procs.(k)
+  done;
+  r.spine.(i) <- s;
+  r.failure.(i) <- m.failed;
+  r.valid <- i + 1
+
+let restore r i =
+  let m = r.m and a = r.ints.(i) in
+  m.epoch <- a.(0);
+  while m.ninstalls > a.(1) do
+    m.ninstalls <- m.ninstalls - 1;
+    let x = m.installs.(m.ninstalls) in
+    m.versions.(x) <- List.tl m.versions.(x)
+  done;
+  let np = a.(2) in
+  for k = 0 to (np * nf) - 1 do
+    m.procs.(k) <- a.(3 + k)
+  done;
+  clear_procs m.procs np m.np;
+  m.np <- np;
+  m.failed <- r.failure.(i);
+  r.valid <- i + 1
+
+let rec drop s k = if k = 0 then s else drop (List.tl s) (k - 1)
+
+(* The longest frame at most [i] whose prefix is [s], [s]'s length-[i]
+   tail: frame 0, the empty prefix, always is. *)
+let rec longest_prefix r i s =
+  if r.spine.(i) == s then i else longest_prefix r (i - 1) (List.tl s)
+
+let recordable_id i = 0 <= i && i <= max_recorded_id
+
+(* Whether the [k] newest events of [s] can be recorded. *)
+let rec recordable s k =
+  k = 0
+  ||
+  match s with
+  | [] -> true
+  | e :: older ->
+      (match e with
+      | Event.Inv (p, (Event.Read x | Event.Write (x, _))) ->
+          recordable_id p && recordable_id x
+      | Event.Inv (p, Event.Try_commit) | Event.Res (p, _) -> recordable_id p)
+      && recordable older (k - 1)
+
+(* Step the [k] newest events of [s], oldest first, saving a frame after
+   each: [s] is the spine of the prefix of length [n]. *)
+let rec replay r s k n =
+  if k > 0 then
+    match s with
+    | e :: older ->
+        replay r older (k - 1) (n - 1);
+        step r.m e;
+        save r n s
+    | [] -> ()
+
+(* After an unrecorded run: back to frame 0, recording, with every table
+   no larger than recording needs. *)
+let release r =
+  let m = r.m and small = max_recorded_id + 1 in
+  if Array.length m.versions > small then m.versions <- [||]
+  else Array.fill m.versions 0 (Array.length m.versions) initial_versions;
+  if Array.length m.reads > small then begin
+    m.procs <- new_procs 4;
+    m.reads <- Array.make 4 [||];
+    m.writes <- Array.make 4 [||]
+  end
+  else begin
+    clear_procs m.procs 0 m.np;
+    let trim logs =
+      Array.iteri
+        (fun p log -> if Array.length log > max_kept_log then logs.(p) <- [||])
+        logs
+    in
+    trim m.reads;
+    trim m.writes
+  end;
+  m.np <- 0;
+  m.epoch <- 0;
+  m.failed <- None;
+  m.record <- true;
+  r.at <- 0
+
+let from_scratch r h =
+  let m = r.m in
+  restore r 0;
+  m.record <- false;
+  match
+    History.iter (step m) h;
+    verdict m
+  with
+  | v ->
+      release r;
+      v
+  | exception e ->
+      release r;
+      raise e
 
 let run h =
-  let t = create () in
-  List.iter (step t) (History.events h);
-  verdict t
+  let r = Domain.DLS.get frames_key in
+  let n = History.length h and s = History.rev_events h in
+  let i =
+    if n > bound then 0
+    else
+      let i = Int.min n (r.valid - 1) in
+      longest_prefix r i (drop s (n - i))
+  in
+  if n > bound || not (recordable s (n - i)) then from_scratch r h
+  else begin
+    if i <> r.at then restore r i;
+    r.at <- -1;
+    replay r s (n - i) n;
+    r.at <- n;
+    verdict r.m
+  end
 
 module Tev = Tm_trace.Trace_event
 
@@ -246,7 +492,7 @@ let run_traced ~trace h =
   let emit e = trace.Tm_trace.Sink.emit e in
   let t = create () in
   let i = ref 0 in
-  List.iter
+  History.iter
     (fun e ->
       let epoch_before = t.epoch and failed_before = t.failed in
       step t e;
@@ -262,7 +508,7 @@ let run_traced ~trace h =
                [ ("msg", Tev.Str msg) ])
       | _ -> ());
       incr i)
-    (History.events h);
+    h;
   let v = verdict t in
   let args =
     match v with

@@ -50,7 +50,30 @@ val verdict : t -> verdict
     such process. *)
 
 val run : History.t -> verdict
-(** Feed a whole history. *)
+(** Feed a whole history: the verdict of {!create}, {!step} on each
+    event and {!verdict}, raising what {!step} raises.
+
+    {b Cost.}  Each domain keeps the state after every prefix, up to 64
+    events, of the last history [run] checked on it.  A history that
+    extends one of those prefixes — its {!History.rev_events} spine
+    physically has the prefix's spine as a tail, as {!History.append}
+    makes it — is checked from there: O(new events) when it extends the
+    last history checked on the same domain, as each schedule of the
+    model checker's depth-first enumeration extends its parent.  Any
+    other history costs O(|h|), walked in place without copying its
+    events.  Saving and restoring a prefix state allocates nothing.
+
+    {b Order independence.}  Verdicts and messages depend only on the
+    history: not on which histories were checked before on the domain,
+    nor on an earlier call that raised part-way.
+
+    {b Retained state.}  Per domain: the spine of the last history of
+    at most 64 events, its prefix states, and the monitor's tables, all
+    bounded by process and t-variable ids below 64 — under 2,600 words
+    per process.  A history with a larger id, or longer than 64 events,
+    is checked without saving prefix states, and the tables it grew are
+    dropped afterwards: nothing retained grows with the largest id seen
+    or with the longest history. *)
 
 val run_traced : trace:Tm_trace.Sink.t -> History.t -> verdict
 (** Like {!run}, but streams the monitor's progress into the sink as it

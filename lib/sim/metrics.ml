@@ -130,8 +130,12 @@ type cause = On_read | On_write | On_commit
    transaction's first invocation, the cause its pending invocation would
    be charged and its streak of consecutive aborts (the retry depth
    recorded at the next commit). *)
-let of_history es =
-  let nprocs = List.fold_left (fun acc e -> Int.max acc (Event.proc e)) 0 es in
+let of_history h =
+  let nprocs =
+    List.fold_left
+      (fun acc e -> Int.max acc (Event.proc e))
+      0 (History.rev_events h)
+  in
   let txn_start = Array.make (nprocs + 1) (-1) in
   let pending = Array.make (nprocs + 1) On_commit in
   let retries = Array.make (nprocs + 1) 0 in
@@ -139,39 +143,39 @@ let of_history es =
   let retry_depth = acc () in
   let commit_latency = acc () in
   let abort_latency = acc () in
-  let rec walk i = function
-    | [] -> ()
-    | e :: rest ->
-        (match (e : Event.t) with
-        | Event.Inv (p, inv) ->
-            if txn_start.(p) < 0 then txn_start.(p) <- i;
-            pending.(p) <-
-              (match inv with
-              | Event.Read _ -> On_read
-              | Event.Write _ -> On_write
-              | Event.Try_commit -> On_commit)
-        | Event.Res (p, resp) -> (
-            let latency = i - Int.max 0 txn_start.(p) in
-            match resp with
-            | Event.Value _ | Event.Ok_written -> pending.(p) <- On_commit
-            | Event.Committed ->
-                acc_add commit_latency latency;
-                acc_add retry_depth retries.(p);
-                retries.(p) <- 0;
-                txn_start.(p) <- -1;
-                pending.(p) <- On_commit
-            | Event.Aborted ->
-                (match pending.(p) with
-                | On_read -> incr on_read
-                | On_write -> incr on_write
-                | On_commit -> incr on_commit);
-                acc_add abort_latency latency;
-                retries.(p) <- retries.(p) + 1;
-                txn_start.(p) <- -1;
-                pending.(p) <- On_commit));
-        walk (i + 1) rest
-  in
-  walk 0 es;
+  let next = ref 0 in
+  History.iter
+    (fun (e : Event.t) ->
+      let i = !next in
+      next := i + 1;
+      match e with
+      | Event.Inv (p, inv) ->
+          if txn_start.(p) < 0 then txn_start.(p) <- i;
+          pending.(p) <-
+            (match inv with
+            | Event.Read _ -> On_read
+            | Event.Write _ -> On_write
+            | Event.Try_commit -> On_commit)
+      | Event.Res (p, resp) -> (
+          let latency = i - Int.max 0 txn_start.(p) in
+          match resp with
+          | Event.Value _ | Event.Ok_written -> pending.(p) <- On_commit
+          | Event.Committed ->
+              acc_add commit_latency latency;
+              acc_add retry_depth retries.(p);
+              retries.(p) <- 0;
+              txn_start.(p) <- -1;
+              pending.(p) <- On_commit
+          | Event.Aborted ->
+              (match pending.(p) with
+              | On_read -> incr on_read
+              | On_write -> incr on_write
+              | On_commit -> incr on_commit);
+              acc_add abort_latency latency;
+              retries.(p) <- retries.(p) + 1;
+              txn_start.(p) <- -1;
+              pending.(p) <- On_commit))
+    h;
   ( { on_read = !on_read; on_write = !on_write; on_commit = !on_commit },
     freeze retry_depth,
     freeze commit_latency,
@@ -179,7 +183,7 @@ let of_history es =
 
 let of_outcome (o : Runner.outcome) =
   let abort_causes, retry_depth, commit_latency, abort_latency =
-    of_history (History.events o.Runner.history)
+    of_history o.Runner.history
   in
   let faults, starvations = fault_counters o.Runner.history in
   {

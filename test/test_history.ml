@@ -179,6 +179,29 @@ let test_complete () =
   Alcotest.(check int) "pending answered" 2 (History.length c2);
   Alcotest.(check bool) "c2 well-formed" true (History.is_well_formed c2)
 
+(* [iter] walks the shared spine in chunks; [rev_events] is that spine.
+   Lengths around the chunk size and its multiples. *)
+let test_iter_and_spine () =
+  List.iter
+    (fun n ->
+      let es =
+        List.init n (fun i ->
+            if i mod 2 = 0 then Event.Inv (1 + (i mod 3), Event.Read i)
+            else Event.Res (1 + (i mod 3), Event.Value i))
+      in
+      let h = History.of_events es in
+      let seen = ref [] in
+      History.iter (fun e -> seen := e :: !seen) h;
+      Alcotest.(check bool)
+        (Fmt.str "iter visits %d events in order" n)
+        true
+        (List.equal Event.equal es (List.rev !seen));
+      let e = Event.Inv (1, Event.Try_commit) in
+      Alcotest.(check bool) "append shares the spine" true
+        (List.tl (History.rev_events (History.append h e))
+        == History.rev_events h))
+    [ 0; 1; 15; 16; 17; 31; 32; 33; 100; 1000 ]
+
 let test_counts () =
   let h = Figures.fig3 in
   Alcotest.(check int) "p1 commits" 1 (History.commit_count h 1);
@@ -563,6 +586,7 @@ let () =
           Alcotest.test_case "equivalence" `Quick test_equivalent;
           Alcotest.test_case "completion" `Quick test_complete;
           Alcotest.test_case "counts" `Quick test_counts;
+          Alcotest.test_case "iter and spine" `Quick test_iter_and_spine;
         ] );
       ( "transactions",
         [

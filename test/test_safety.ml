@@ -459,6 +459,106 @@ let test_random_verdicts_pinned () =
   Alcotest.(check string) "verdict MD5" "c3e4f18ac4a2dcb590e6f32902058aed"
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
+(* Resumption is invisible.  [Monitor.run] resumes from the longest
+   prefix of the last history it checked on the domain; a fresh
+   [create]/[step]/[verdict] on the same events is the reference.  The
+   corpus is every depth-7 model-check history of the zoo, checked in
+   DFS order (each extends one checked just before), then again in a
+   seeded shuffled order among random draws on both sides of the 64
+   resumable events, histories with the largest process id, and
+   ill-formed histories that raise mid-way, then on a 2-job pool. *)
+let fresh_verdict h =
+  let t = Monitor.create () in
+  match List.iter (Monitor.step t) (History.events h) with
+  | () -> verdict_line (Monitor.verdict t)
+  | exception Invalid_argument m -> "raises: " ^ m
+
+let run_verdict h =
+  match Monitor.run h with
+  | v -> verdict_line v
+  | exception Invalid_argument m -> "raises: " ^ m
+
+(* [h]'s first [k] events, then an invocation by a process that already
+   has one pending (or a response for one that has none), then the rest:
+   built on [h]'s own spine, so the monitor resumes from [h]'s prefix,
+   steps the bad event and raises. *)
+let ill_formed h k =
+  let es = History.events h in
+  let rec drop l k = if k = 0 then l else drop (List.tl l) (k - 1) in
+  let prefix =
+    History.of_rev_events (drop (History.rev_events h) (History.length h - k))
+  in
+  let bad =
+    match List.nth es (k - 1) with
+    | Event.Inv (p, _) -> Event.Inv (p, Event.Try_commit)
+    | Event.Res (p, _) -> Event.Res (p, Event.Committed)
+  in
+  History.concat (History.append prefix bad)
+    (List.filteri (fun i _ -> i >= k) es)
+
+(* [got] are the verdicts of [hs] by some run of [Monitor.run]. *)
+let check_resumed what hs ~want got =
+  Array.iteri
+    (fun i h ->
+      if got.(i) <> want.(i) then
+        Alcotest.failf "%s, history %d: resumed %S, fresh %S:@ %a" what i
+          got.(i) want.(i) History.pp h)
+    hs
+
+let test_monitor_resumption_invisible () =
+  let corpus =
+    Array.concat
+      (List.map
+         (fun entry ->
+           let hs = ref [] in
+           Tm_sim.Sweep.Exhaustive.run entry ~nprocs:2 ~ntvars:1
+             ~invocations:[ Event.Read 0; Event.Write (0, 1); Event.Try_commit ]
+             ~depth:7 ~on_history:(fun h _ -> hs := h :: !hs);
+           let hs = Array.of_list (List.rev !hs) in
+           check_resumed
+             (entry.Tm_impl.Registry.entry_name ^ " in DFS order")
+             hs
+             ~want:(Array.map fresh_verdict hs)
+             (Array.map run_verdict hs);
+           hs)
+         Tm_impl.Registry.all)
+  in
+  let g = Random.State.make [| 18 |] in
+  let raising h =
+    if History.length h < 2 then h
+    else ill_formed h (1 + Random.State.int g (History.length h - 1))
+  in
+  let big = 1_048_575 in
+  let extra =
+    Array.init 3000 (fun i ->
+        match i mod 4 with
+        | 0 -> Generator.well_formed ~steps:(20 + (i mod 7 * 10)) i
+        | 1 -> raising (Generator.well_formed ~steps:40 i)
+        | 2 -> raising corpus.(Random.State.int g (Array.length corpus))
+        | _ when i < 12 ->
+            History.steps
+              [ History.write big (i mod 3) 1; History.read big (i mod 3) 1 ]
+        | _ -> Generator.well_formed ~steps:80 i)
+  in
+  let shuffled = Array.append extra corpus in
+  for i = Array.length shuffled - 1 downto 1 do
+    let j = Random.State.int g (i + 1) in
+    let x = shuffled.(i) in
+    shuffled.(i) <- shuffled.(j);
+    shuffled.(j) <- x
+  done;
+  let lengths = Array.map History.length extra in
+  Alcotest.(check bool) "draws on both sides of 64 events" true
+    (Array.exists (fun n -> n > 64) lengths
+    && Array.exists (fun n -> n > 20 && n <= 64) lengths);
+  let want = Array.map fresh_verdict shuffled in
+  Alcotest.(check bool) "some histories raise mid-way" true
+    (Array.exists (String.starts_with ~prefix:"raises") want);
+  check_resumed "shuffled" shuffled ~want (Array.map run_verdict shuffled);
+  check_resumed "on a 2-job pool" shuffled ~want
+    (Tm_sim.Pool.with_pool ~jobs:2 (fun pool ->
+         Tm_sim.Pool.map_array pool run_verdict shuffled))
+
 let monitor_zoo_cases =
   (* Every zoo TM's (fault-free and faulty) runs are accepted by the
      monitor — stronger and much faster than the search-based stress. *)
@@ -718,6 +818,11 @@ let () =
             test_random_verdicts_pinned;
         ]
         @ monitor_zoo_cases );
+      ( "monitor resumption",
+        [
+          Alcotest.test_case "resumption is invisible" `Quick
+            test_monitor_resumption_invisible;
+        ] );
       ( "corner cases",
         [
           Alcotest.test_case "empty and trivial" `Quick test_empty_and_trivial;

@@ -499,6 +499,10 @@ let test_enumeration_words () =
   let w = words_of (fun () -> tl2_depth10 (fun _ _ -> incr n)) in
   check_at_most "words per enumerated node" 70. (w /. float_of_int !n)
 
+(* Each model-check history extends one checked just before, so the
+   monitor resumes from its saved prefix: it steps about one event per
+   history and saves or restores a frame without allocating.  What is
+   left is the versions its commits install (0.01 words per history). *)
 let test_monitor_words () =
   let n = ref 0 in
   let bare = words_of (fun () -> tl2_depth10 (fun _ _ -> ())) in
@@ -508,8 +512,51 @@ let test_monitor_words () =
             incr n;
             ignore (Sys.opaque_identity (Tm_safety.Monitor.run h))))
   in
-  check_at_most "Monitor.run words per history" 150.
+  check_at_most "Monitor.run words per history" 1.
     ((checked -. bare) /. float_of_int !n)
+
+(* The 256 histories of the paper pipeline's sweep (the zoo x four fault
+   patterns x four seeds, 4,000 steps each) are longer than any resumable
+   prefix: each is checked from scratch, walking its events in place.
+   What is left is the state's own: versions and log growth (1.0 words
+   per event). *)
+let test_monitor_event_words () =
+  let histories =
+    List.map
+      (fun c ->
+        (Tm_sim.Runner.run c.Tm_sim.Sweep.tm c.Tm_sim.Sweep.spec)
+          .Tm_sim.Runner.history)
+      (Tm_sim.Sweep.grid
+         ~patterns:(Tm_sim.Sweep.fault_patterns ~steps:4000 ())
+         ~seeds:[ 1; 2; 3; 4 ] ())
+  in
+  let events = List.fold_left (fun n h -> n + History.length h) 0 histories in
+  let w =
+    words_of (fun () ->
+        List.iter
+          (fun h -> ignore (Sys.opaque_identity (Tm_safety.Monitor.run h)))
+          histories)
+  in
+  Alcotest.(check int) "sweep histories" 256 (List.length histories);
+  check_at_most "Monitor.run words per event" 2. (w /. float_of_int events)
+
+(* The largest ids take tables proportional to them while the history is
+   checked; none of it stays with the domain afterwards. *)
+let test_monitor_retains_little () =
+  let p = 1_048_575 in
+  let h =
+    History.steps [ History.write p p 1; History.read p p 1; History.commit p ]
+  in
+  let live () =
+    Gc.compact ();
+    (Gc.stat ()).Gc.live_words
+  in
+  ignore (Sys.opaque_identity (Tm_safety.Monitor.run History.empty));
+  let before = live () in
+  ignore (Sys.opaque_identity (Tm_safety.Monitor.run h));
+  let after = live () in
+  if after - before > 65_536 then
+    Alcotest.failf "Monitor.run retained %d words" (after - before)
 
 (* One 4,000-step sweep row: per step, the runner's own work (choosing
    a process, recording the event) plus global-lock's poll. *)
@@ -550,7 +597,7 @@ let test_metrics_words () =
           (fun o -> ignore (Sys.opaque_identity (Tm_sim.Metrics.of_outcome o)))
           outcomes)
   in
-  check_at_most "Metrics.of_outcome words per history event" 15.
+  check_at_most "Metrics.of_outcome words per history event" 1.
     (w /. float_of_int events)
 
 let test_sweep_tl2 () = sweep_tm_opaque "tl2" 7
@@ -1105,6 +1152,10 @@ let () =
           Alcotest.test_case "metrics words per event" `Quick
             test_metrics_words;
           Alcotest.test_case "runner words per step" `Quick test_runner_words;
+          Alcotest.test_case "monitor words per event" `Quick
+            test_monitor_event_words;
+          Alcotest.test_case "monitor retains little" `Quick
+            test_monitor_retains_little;
         ] );
       ( "exhaustive sweep",
         [
