@@ -86,14 +86,15 @@ let rung ?on_sample ~quantum ~kind ~rung_index rate (cfg : Server.config) wl =
   let sojourn_h =
     hist "tm_loadcurve_sojourn_ns" "Arrival to completion (virtual)"
   in
+  let buf = Store.buffer () in
   let server_free = ref 0 in
   let admitted = ref 0 and shed = ref 0 and makespan = ref 0 in
   for g = 0 to n - 1 do
     let arr = Arrival.next cur in
     let client = g mod cfg.Server.c_clients
     and index = g / cfg.Server.c_clients in
-    let req = Workload.request wl ~client ~index in
-    let service = Workload.cost req * quantum in
+    Workload.fill wl buf ~client ~index;
+    let service = Store.cost buf * quantum in
     let backlog = max 0 (!server_free - arr) in
     if backlog > cap_ns then begin
       incr shed;

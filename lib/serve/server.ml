@@ -61,20 +61,41 @@ let total_requests cfg = cfg.c_clients * cfg.c_ops
 (* The admission model: a virtual bounded queue in cost units, drained
    at a fixed rate per arrival.  Pure per-domain function of the request
    stream, hence canonical. *)
-let iter_requests cfg wl ~domain ~f =
+let iter_buffer cfg wl ~domain buf ~f =
   let q = ref 0 in
   for index = 0 to cfg.c_ops - 1 do
     let client = ref domain in
     while !client < cfg.c_clients do
-      let req = Workload.request wl ~client:!client ~index in
+      Workload.fill wl buf ~client:!client ~index;
       q := max 0 (!q - drain_units);
-      let cost = Workload.cost req in
+      let cost = Store.cost buf in
       let admitted = !q + cost <= cfg.c_queue_cap in
       if admitted then q := !q + cost;
-      f ~client:!client ~index req ~admitted;
+      f ~client:!client ~index ~admitted;
       client := !client + cfg.c_domains
     done
   done
+
+let iter_requests cfg wl ~domain ~f =
+  let buf = Store.buffer () in
+  iter_buffer cfg wl ~domain buf ~f:(fun ~client ~index ~admitted ->
+      f ~client ~index (Workload.view buf) ~admitted)
+
+(* {2 The executor} *)
+
+(* The body closure is built once per executor, not once per request. *)
+type executor = { x_buf : Store.buffer; x_body : unit -> unit }
+
+let executor store =
+  let buf = Store.buffer () in
+  let body () =
+    Store.run store buf;
+    if Store.mutates buf then Store.journal_mark store 1
+  in
+  { x_buf = buf; x_body = body }
+
+let executor_buffer x = x.x_buf
+let execute x = Stm.atomically x.x_body
 
 (* {2 Flat combining} *)
 
@@ -153,6 +174,7 @@ type outcome = {
   s_per_domain : per_domain array;
   s_journal_ok : bool;
   s_conserved : bool;
+  s_store_hash : int;
   s_wall : float;
   s_commits : int;
   s_aborts : int;
@@ -162,11 +184,9 @@ type outcome = {
       (* open-loop latency: present iff the run had an arrival clock *)
 }
 
-let counter_plane_sum store =
+let counter_plane_sum dump =
   let acc = ref 0 in
-  for k = 0 to Store.keys store - 1 do
-    if k land 1 = 1 then acc := !acc + Store.value store k
-  done;
+  Array.iteri (fun k v -> if k land 1 = 1 then acc := !acc + v) dump;
   !acc
 
 let run ?on_sample cfg =
@@ -235,12 +255,14 @@ let run ?on_sample cfg =
        so every domain count derives the same arrival times). *)
     let cur = Option.map Arrival.cursor cfg.c_arrival in
     let g_prev = ref (-1) in
+    let x = executor store in
+    let buf = executor_buffer x in
     Atomic.incr ready;
     while Atomic.get go = 0 do
       Domain.cpu_relax ()
     done;
     let t0n = Atomic.get go in
-    iter_requests cfg wl ~domain:d ~f:(fun ~client ~index req ~admitted:adm ->
+    iter_buffer cfg wl ~domain:d buf ~f:(fun ~client ~index ~admitted:adm ->
         let sched =
           match cur with
           | None -> t0n
@@ -259,30 +281,19 @@ let run ?on_sample cfg =
         if not adm then Tel.Instrument.incr shed.(d)
         else begin
           Tel.Instrument.incr admitted.(d);
-          let kind = Workload.kind_index req in
+          let kind = Store.kind buf in
           Tel.Instrument.incr by_kind.(kind);
-          if Workload.mutates req then Tel.Instrument.incr mutators.(d);
+          if Store.mutates buf then Tel.Instrument.incr mutators.(d);
           (match recorder with
           | Some r -> Tel.Latency_recorder.mark r d ~sched
           | None -> ());
           let start = now_ns () in
-          (match req with
-          | Workload.Single (Store.O_put (k, v)) when cfg.c_batching ->
-              Tel.Instrument.incr batched.(d);
-              fc_put combs store ~flushes d k v
-          | Workload.Single op ->
-              ignore
-                (Stm.atomically (fun () ->
-                     let r = Store.exec_op store op in
-                     if Store.op_mutates op then Store.journal_mark store 1;
-                     r))
-          | Workload.Txn ops ->
-              ignore
-                (Stm.atomically (fun () ->
-                     let rs = List.map (Store.exec_op store) ops in
-                     if List.exists Store.op_mutates ops then
-                       Store.journal_mark store 1;
-                     rs)));
+          if cfg.c_batching && Workload.single_put buf then begin
+            Tel.Instrument.incr batched.(d);
+            fc_put combs store ~flushes d (Store.op_key buf 0)
+              (Store.op_arg buf 0)
+          end
+          else execute x;
           let finish = now_ns () in
           Tel.Instrument.observe lat.(kind) (finish - start);
           match recorder with
@@ -303,6 +314,7 @@ let run ?on_sample cfg =
   let v a d = Tel.Instrument.value a.(d) in
   let sum a = Array.fold_left (fun acc c -> acc + Tel.Instrument.value c) 0 a in
   let mut_total = sum mutators in
+  let dump = Store.dump store in
   {
     s_config = cfg;
     s_requests = sum requests;
@@ -324,7 +336,8 @@ let run ?on_sample cfg =
           });
     s_journal_ok =
       (not cfg.c_journal) || Store.journal_value store = mut_total;
-    s_conserved = counter_plane_sum store = 0;
+    s_conserved = counter_plane_sum dump = 0;
+    s_store_hash = Store.hash dump;
     s_wall = wall;
     s_commits = commits1 - commits0;
     s_aborts = aborts1 - aborts0;
@@ -493,6 +506,15 @@ let chaos_worker ~stop ~cfg ~wl ~store ~mine ~fault ~parasite_gate ~ops
           ~finish:(Tel.Latency_recorder.now_ns ()))
       lat
   in
+  let buf = Store.buffer () in
+  let body () =
+    if Atomic.get stop then raise Stop_worker;
+    Tel.Instrument.incr attempts;
+    Store.run store buf;
+    if in_body_takeover && parasitic_now () then parasite_spin ();
+    Store.journal_mark store 1;
+    Tel.Instrument.incr trycs
+  in
   let client = ref d and index = ref 0 in
   (try
      while not (Atomic.get stop) do
@@ -503,18 +525,9 @@ let chaos_worker ~stop ~cfg ~wl ~store ~mine ~fault ~parasite_gate ~ops
              parasite_spin ())
        end
        else begin
-         let req = Workload.request wl ~client:!client ~index:!index in
-         let body =
-           match req with Workload.Single op -> [ op ] | Workload.Txn l -> l
-         in
+         Workload.fill wl buf ~client:!client ~index:!index;
          let sched = mark () in
-         Stm.atomically (fun () ->
-             if Atomic.get stop then raise Stop_worker;
-             Tel.Instrument.incr attempts;
-             List.iter (fun op -> ignore (Store.exec_op store op)) body;
-             if in_body_takeover && parasitic_now () then parasite_spin ();
-             Store.journal_mark store 1;
-             Tel.Instrument.incr trycs);
+         Stm.atomically body;
          Tel.Instrument.incr commits;
          complete sched;
          client := !client + cfg.c_domains;

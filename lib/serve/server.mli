@@ -79,16 +79,45 @@ val workload : config -> Workload.t
 val total_requests : config -> int
 (** [clients * ops]. *)
 
+val iter_buffer :
+  config ->
+  Workload.t ->
+  domain:int ->
+  Store.buffer ->
+  f:(client:int -> index:int -> admitted:bool -> unit) ->
+  unit
+(** The full request stream of one executor domain (clients congruent
+    to [domain mod c_domains], round-major) with the admission model's
+    verdicts: each request is {!Workload.fill}ed into the buffer, then
+    [f] runs on it.  The one admission loop — the executors run it, and
+    {!iter_requests} and the sequential-spec conformance gates replay
+    it.  Allocates nothing of its own. *)
+
 val iter_requests :
   config ->
   Workload.t ->
   domain:int ->
   f:(client:int -> index:int -> Workload.request -> admitted:bool -> unit) ->
   unit
-(** The full request stream of one executor domain (clients congruent
-    to [domain mod c_domains], round-major) with the admission model's
-    verdicts — the single source both the executors and the
-    sequential-spec conformance gates replay. *)
+(** {!iter_buffer} with each request handed over as its
+    {!Workload.view}. *)
+
+(** {2 The executor}
+
+    What one executor domain serves requests with: an op buffer and one
+    transaction body that runs whatever the buffer holds ({!Store.run},
+    then a journal mark if the request mutates).  The body is built once
+    per domain, so serving a request allocates nothing of its own: all
+    it allocates is what the core does for it — under TL2, its
+    write-set entries, 3 words per first write. *)
+
+type executor
+
+val executor : Store.t -> executor
+val executor_buffer : executor -> Store.buffer
+
+val execute : executor -> unit
+(** Run the buffered request as one transaction. *)
 
 (** {2 Serving a profile} *)
 
@@ -113,7 +142,12 @@ type outcome = {
   s_by_kind : (string * int) list;  (** admitted, in {!Workload.kinds} order *)
   s_per_domain : per_domain array;
   s_journal_ok : bool;  (** journal value = mutators (or journal off) *)
-  s_conserved : bool;  (** counter plane sums to 0 *)
+  s_conserved : bool;  (** counter plane of the final store sums to 0 *)
+  s_store_hash : int;
+      (** {!Store.hash} of the final store ({!Store.dump} after the
+          join): a function of the plan at one domain, of the
+          interleaving at more.  A hash rather than the values, so an
+          outcome stays small when a harness keeps many. *)
   (* informational (measured) *)
   s_wall : float;
   s_commits : int;

@@ -55,5 +55,27 @@ val seed : t -> int
 val keys : t -> int
 val zipf : t -> Zipf.t
 
+val fill : t -> Store.buffer -> client:int -> index:int -> unit
+(** Write the [index]-th request of [client] into the buffer, with its
+    {!kind_index}, {!cost} and {!mutates}: the one request generator.
+    It reseeds the buffer's generator in place ({!Tm_sim.Prng.reseed})
+    and allocates nothing.
+
+    Draw order, fixed because the request streams are pinned: after
+    the profile draw, a get draws its key; a put draws its value, then
+    its key; a cas draws the desired value, then the expected value,
+    then its key; a transfer draws its two counter slots, then its
+    delta; a long transaction draws its four read keys, then eight
+    transfers, and holds the transfers after the reads in reverse draw
+    order (the last transfer drawn is ops 4 and 5). *)
+
+val single_put : Store.buffer -> bool
+(** Whether the buffered request is a single-key put (what the flat
+    combiner takes). *)
+
+val view : Store.buffer -> request
+(** The buffered request as a {!request} value. *)
+
 val request : t -> client:int -> index:int -> request
-(** The [index]-th request of [client] — deterministic, stateless. *)
+(** The [index]-th request of [client] — deterministic, stateless: the
+    {!view} of {!fill} into a per-domain scratch buffer. *)

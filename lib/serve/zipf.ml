@@ -29,7 +29,7 @@ let mass t r = cumulative_mass t r -. cumulative_mass t (r - 1)
 
 (* First rank whose cumulative mass exceeds [u].  [u < 1.0] and the last
    entry is exactly 1.0, so the search always lands in range. *)
-let sample_u t u =
+let[@inline] sample_u t u =
   let cum = t.z_cum in
   let lo = ref 0 and hi = ref (Array.length cum - 1) in
   while !lo < !hi do
@@ -39,6 +39,7 @@ let sample_u t u =
   !lo
 
 (* 53 uniform bits, the double-precision standard construction, drawn
-   as a native int: only the variate's own float box is allocated. *)
-let uniform01 g = float_of_int (Prng.bits g 53) *. 0x1p-53
+   as a native int.  Both steps inline into [sample], so the variate
+   stays in a register and a draw allocates nothing. *)
+let[@inline] uniform01 g = float_of_int (Prng.bits g 53) *. 0x1p-53
 let sample t g = sample_u t (uniform01 g)

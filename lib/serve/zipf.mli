@@ -3,8 +3,8 @@
 
     Rank [r] has unnormalized mass [1 / (r+1)^s]; {!sample} draws a
     uniform variate from a {!Tm_sim.Prng} generator and binary-searches
-    the cumulative table, so sampling is [O(log n)], allocates only the
-    variate's 2-word float box, and is a pure function of the generator
+    the cumulative table, so sampling is [O(log n)], allocates nothing
+    (the variate is never boxed), and is a pure function of the generator
     state — the backbone of the deterministic serve workload. *)
 
 type t

@@ -16,7 +16,9 @@ let[@inline] of_state s =
   Bytes.set_int64_ne g 0 s;
   g
 
-let create seed = of_state (mix (Int64.of_int ((seed * 2) + 1)))
+let[@inline] seed_state seed = mix (Int64.of_int ((seed * 2) + 1))
+let create seed = of_state (seed_state seed)
+let reseed g seed = Bytes.set_int64_ne g 0 (seed_state seed)
 let copy = Bytes.copy
 
 let[@inline] advance g =

@@ -10,6 +10,12 @@
 type t
 
 val create : int -> t
+
+val reseed : t -> int -> unit
+(** [reseed g seed] puts [g] in the state [create seed] starts in, in
+    place and without allocating: the draws that follow are [create
+    seed]'s. *)
+
 val copy : t -> t
 
 val next : t -> int64

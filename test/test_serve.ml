@@ -140,10 +140,9 @@ let test_workload_pinned () =
       (Workload.Mixed, "2a4439ee1309f32967ed44c25ba1f766");
     ]
 
-(* Minor-heap words per call, over 100,000 calls.  Allocation is
+(* Minor-heap words per call, over [n] (default 100,000) calls.  Allocation is
    deterministic, so these gates hold on any number of cores. *)
-let words_per f =
-  let n = 100_000 in
+let words_per ?(n = 100_000) f =
   let w0 = Gc.minor_words () in
   for i = 1 to n do
     ignore (Sys.opaque_identity (f i))
@@ -151,17 +150,79 @@ let words_per f =
   (Gc.minor_words () -. w0) /. float_of_int n
 
 let at_most what bound got =
-  if got > bound then Alcotest.failf "%s: %.2f words, bound %.0f" what got bound
+  if got > bound then Alcotest.failf "%s: %.2f words, bound %g" what got bound
 
-(* A draw is the variate's float box and nothing else; a read-mostly
-   request is its generator (3 words) and the request it builds. *)
+(* A draw allocates nothing; a read-mostly request allocates only the
+   blocks of its list view (a get's [Single] and [O_get], 4 words),
+   4.5 words on average. *)
 let test_generation_words () =
   let z = Zipf.create ~n:512 () and g = Prng.create 3 in
-  at_most "Zipf.sample" 5. (words_per (fun _ -> Zipf.sample z g));
+  at_most "Zipf.sample" 0. (words_per (fun _ -> Zipf.sample z g));
   let w = Workload.create ~profile:Workload.Read_mostly ~seed:1 ~keys:1024 () in
-  at_most "Workload.request, read-mostly" 16.
+  at_most "Workload.request, read-mostly" 6.5
     (words_per (fun i ->
          Workload.request w ~client:(i land 8191) ~index:(i lsr 13)))
+
+(* One executor's request path: fill the executor's buffer and run it
+   through the executor's body, under TL2.  What remains is the core's
+   own write-set entries, 3 words per first write: none for a get, 3
+   for a put, 6 for a transfer, 48 at most for a long transaction.
+   Long transactions run 20,000 requests, not 100,000: allocation is
+   deterministic, so the reading is the same to within 0.2 words, and
+   the longer loop would add 0.3 s to this suite. *)
+let served_words ~n profile =
+  Stm.with_algo Stm.Algo.Tl2 (fun () ->
+      let store = Store.create ~keys:1024 () in
+      let w = Workload.create ~profile ~seed:1 ~keys:1024 () in
+      let x = Server.executor store in
+      let buf = Server.executor_buffer x in
+      words_per ~n (fun i ->
+          Workload.fill w buf ~client:(i land 8191) ~index:(i lsr 13);
+          Server.execute x))
+
+let test_served_words () =
+  at_most "served read-mostly request" 1.
+    (served_words ~n:100_000 Workload.Read_mostly);
+  at_most "served long-txn request" 32.
+    (served_words ~n:20_000 Workload.Long_txn)
+
+(* The buffer and its list view describe the same request: every op,
+   the kind, the cost, whether it mutates and whether it is a single
+   put. *)
+let test_buffer_matches_view () =
+  let b = Store.buffer () in
+  List.iter
+    (fun keys ->
+      List.iter
+        (fun profile ->
+          let w = Workload.create ~profile ~seed:5 ~keys () in
+          for client = 0 to 1999 do
+            let index = client mod 3 in
+            let req = Workload.request w ~client ~index in
+            Workload.fill w b ~client ~index;
+            let ops =
+              match req with
+              | Workload.Single op -> [ op ]
+              | Workload.Txn ops -> ops
+            in
+            let agree =
+              List.length ops = Store.length b
+              && List.for_all2 ( = ) ops
+                   (List.init (Store.length b) (Store.op b))
+              && Workload.kind_index req = Store.kind b
+              && Workload.cost req = Store.cost b
+              && Workload.mutates req = Store.mutates b
+              && (match req with
+                 | Workload.Single (Store.O_put _) -> true
+                 | _ -> false)
+                 = Workload.single_put b
+            in
+            if not agree then
+              Alcotest.failf "%s keys %d client %d: buffer and view differ"
+                (Workload.profile_name profile) keys client
+          done)
+        Workload.profiles)
+    [ 4; 1024; 4096 ]
 
 let test_workload_planes_and_conservation () =
   let keys = 128 in
@@ -374,25 +435,44 @@ let test_server_admission_matches_iter () =
       o.Server.s_per_domain.(d).Server.d_shed !shed
   done
 
+(* domains=1: replay the admitted stream through the sequential-map
+   spec; the executor's final store must equal it (by hash), with
+   and without the combiner.  The keys are enough that cas requests
+   still find untouched (zero) keys and hit, so a cas that writes the
+   wrong value shows. *)
 let test_server_spec_conformance () =
-  (* domains=1, batching off: replay the admitted stream through the
-     sequential-map spec; the store must end byte-equal. *)
-  let cfg =
-    Server.config ~clients:300 ~ops:3 ~keys:64 ~stripes:8 ~batching:false
-      ~profile:Workload.Mixed ~seed:11 ~domains:1 ()
-  in
-  let o = Server.run cfg in
-  Alcotest.(check bool) "run conserved" true o.Server.s_conserved;
-  let wl = Server.workload cfg in
-  let model = Array.make cfg.Server.c_keys 0 in
-  Server.iter_requests cfg wl ~domain:0 ~f:(fun ~client:_ ~index:_ req ~admitted ->
-      if admitted then
-        match req with
-        | Workload.Single op -> ignore (Store.spec_op model op)
-        | Workload.Txn ops -> List.iter (fun op -> ignore (Store.spec_op model op)) ops);
-  let odd = ref 0 in
-  Array.iteri (fun k v -> if k mod 2 = 1 then odd := !odd + v) model;
-  Alcotest.(check int) "spec replay conserves too" 0 !odd
+  List.iter
+    (fun (profile, batching) ->
+      let cfg =
+        Server.config ~clients:500 ~ops:3 ~keys:1024 ~stripes:8 ~batching
+          ~profile ~seed:11 ~domains:1 ()
+      in
+      let what =
+        Fmt.str "%s, batching %b" (Workload.profile_name profile) batching
+      in
+      let o = Server.run cfg in
+      Alcotest.(check bool)
+        (what ^ ": run conserved") true o.Server.s_conserved;
+      let wl = Server.workload cfg in
+      let model = Array.make cfg.Server.c_keys 0 in
+      let cas_hits = ref 0 in
+      let apply op =
+        if Store.spec_op model op = Store.R_bool true then incr cas_hits
+      in
+      Server.iter_requests cfg wl ~domain:0
+        ~f:(fun ~client:_ ~index:_ req ~admitted ->
+          if admitted then
+            match req with
+            | Workload.Single op -> apply op
+            | Workload.Txn ops -> List.iter apply ops);
+      if profile = Workload.Write_heavy || profile = Workload.Mixed then
+        Alcotest.(check bool)
+          (what ^ ": some cas hits") true (!cas_hits > 0);
+      Alcotest.(check int) (what ^ ": store = spec") (Store.hash model)
+        o.Server.s_store_hash)
+    (List.concat_map
+       (fun p -> [ (p, true); (p, false) ])
+       Workload.profiles)
 
 (* ------------------------------------------------------------------ *)
 (* Op-clock telemetry: the serving-mode export regression. *)
@@ -636,6 +716,8 @@ let () =
             test_workload_pinned;
           Alcotest.test_case "generation allocation" `Quick
             test_generation_words;
+          Alcotest.test_case "buffer matches its view" `Quick
+            test_buffer_matches_view;
         ] );
       ( "store",
         [
@@ -661,6 +743,8 @@ let () =
             test_server_spec_conformance;
           Alcotest.test_case "telemetry rides the op clock" `Quick
             test_server_telemetry_op_clock;
+          Alcotest.test_case "served-request allocation" `Quick
+            test_served_words;
         ] );
       ( "arrival",
         [

@@ -124,6 +124,18 @@ let test_prng_golden () =
         expected
         (draws 16 (fun () -> P.next g)))
     golden_next;
+  (* Reseeding one generator in place, from a drawn-from state, replays
+     every golden stream. *)
+  let g = P.create 1234 in
+  ignore (P.next g);
+  List.iter
+    (fun (seed, expected) ->
+      P.reseed g seed;
+      Alcotest.(check (list int64))
+        (Fmt.str "seed %d: reseeded in place" seed)
+        expected
+        (draws 16 (fun () -> P.next g)))
+    golden_next;
   List.iter
     (fun (bound, expected) ->
       let g = P.create 42 in
