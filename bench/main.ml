@@ -1169,10 +1169,10 @@ let p6_analysis () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* P7: chaos-hook overhead — the Stm interception points must be free
-   when disarmed (one relaxed Atomic.get per potential event, same
-   contract as P5's tracing flag) and cheap when armed with a no-op
-   handler (< 100 ns per fired event, P5's null-sink bound).  See
+(* P7: fault-site overhead — the Stm.Obs sites must be free while
+   nothing is subscribed (one relaxed Atomic.get per site, same
+   contract as P5's tracing) and cheap when a no-op plan is subscribed
+   (< 100 ns per delivered site, P5's null-sink bound).  See
    EXPERIMENTS.md §P7. *)
 
 let p7_chaos_overhead () =
@@ -1193,27 +1193,34 @@ let p7_chaos_overhead () =
   let min3 f = List.fold_left min infinity (List.init 3 (fun _ -> time_once f)) in
   work () (* warm-up *);
   let t_off = min3 work in
-  (* Count the interception points one trial fires (a counting handler,
-     outside the timed runs). *)
-  let fired = Atomic.make 0 in
-  Tm_stm.Stm.Chaos.install (fun _ ->
-      Atomic.incr fired;
-      Tm_stm.Stm.Chaos.Proceed);
+  (* Count the sites one trial delivers, and the fault sites among them
+     (a counting subscriber, outside the timed runs). *)
+  let module Obs = Tm_stm.Stm.Obs in
+  let fired = Atomic.make 0 and faultable = Atomic.make 0 in
+  let counting =
+    Obs.subscribe (fun site _ _ ->
+        Atomic.incr fired;
+        (match site with
+        | Obs.Read | Obs.Lock | Obs.Validate | Obs.Publish | Obs.Commit ->
+            Atomic.incr faultable
+        | _ -> ());
+        Obs.Proceed)
+  in
   work ();
   let events_per_trial = Atomic.get fired in
-  Tm_stm.Stm.Chaos.uninstall ();
-  Tm_stm.Stm.Chaos.install (fun _ -> Tm_stm.Stm.Chaos.Proceed);
+  Obs.unsubscribe counting;
+  let noop = Obs.subscribe (fun _ _ _ -> Obs.Proceed) in
   let t_armed = min3 work in
-  Tm_stm.Stm.Chaos.uninstall ();
+  Obs.unsubscribe noop;
   let t_disarmed = min3 work in
   let per_txn t = 1e9 *. t /. float_of_int iters in
   let armed_ns_per_event =
     1e9 *. (t_armed -. t_off) /. float_of_int events_per_trial
   in
   Fmt.pr "  %d single-domain increments, min of 3 trials:@." iters;
-  Fmt.pr "    hooks disarmed  %.4fs (%5.1f ns/txn)@." t_off (per_txn t_off);
+  Fmt.pr "    sites disarmed  %.4fs (%5.1f ns/txn)@." t_off (per_txn t_off);
   Fmt.pr
-    "    no-op handler   %.4fs (%5.1f ns/txn, %.2fx, %d points/trial, %.1f \
+    "    no-op plan      %.4fs (%5.1f ns/txn, %.2fx, %d sites/trial, %.1f \
      ns/event)@."
     t_armed (per_txn t_armed) (t_armed /. t_off) events_per_trial
     armed_ns_per_event;
@@ -1221,7 +1228,7 @@ let p7_chaos_overhead () =
     (per_txn t_disarmed)
     (t_disarmed /. t_off);
   check "every commit fires lock/validate/pre/post points" ~paper:true
-    ~measured:(events_per_trial >= 4 * iters);
+    ~measured:(Atomic.get faultable >= 4 * iters);
   check "armed no-op dispatch cheap per event (< 100 ns/event)" ~paper:true
     ~measured:(armed_ns_per_event < 100.0);
   (* Uninstall must restore the baseline: the disarmed run after the
@@ -1230,12 +1237,12 @@ let p7_chaos_overhead () =
     ~measured:(t_disarmed /. t_off < 1.5)
 
 (* ------------------------------------------------------------------ *)
-(* P8: telemetry overhead — the Stm.Tel probe seam must cost nothing
-   measurable while disarmed (one relaxed Atomic.get per potential
-   event, the P5/P7 contract), stay under 100 ns/event when armed with
-   the real registry-backed probe, and a registry scrape must read
-   instruments, not events: its cost cannot grow with the event volume
-   the instruments absorbed.  See EXPERIMENTS.md §P8. *)
+(* P8: telemetry overhead — the Stm.Obs sites must cost nothing
+   measurable while nothing is subscribed (one relaxed Atomic.get per
+   site, the P5/P7 contract), stay under 100 ns per delivered site with
+   the real registry-backed probe subscribed, and a registry scrape
+   must read instruments, not events: its cost cannot grow with the
+   event volume the instruments absorbed.  See EXPERIMENTS.md §P8. *)
 
 let p8_telemetry_overhead () =
   section "P8" "telemetry: disarmed vs armed Stm probe, scrape cost";
@@ -1255,24 +1262,24 @@ let p8_telemetry_overhead () =
   let min3 f = List.fold_left min infinity (List.init 3 (fun _ -> time_once f)) in
   work () (* warm-up *);
   let t_off = min3 work in
-  (* Count the probe events one trial fires (a counting probe, outside
+  (* Count the sites one trial delivers (a counting subscriber, outside
      the timed runs). *)
+  let module Obs = Tm_stm.Stm.Obs in
   let fired = Atomic.make 0 in
-  Tm_stm.Stm.Tel.install
-    {
-      Tm_stm.Stm.Tel.now = (fun () -> 0);
-      count = (fun _ -> Atomic.incr fired);
-      observe = (fun _ _ -> Atomic.incr fired);
-    };
+  let counting =
+    Obs.subscribe (fun _ _ _ ->
+        Atomic.incr fired;
+        Obs.Proceed)
+  in
   work ();
   let events_per_trial = Atomic.get fired in
-  Tm_stm.Stm.Tel.uninstall ();
+  Obs.unsubscribe counting;
   (* The real thing: registry-backed counters and ns histograms, the
      monotonic clock included. *)
   let reg = Tm_telemetry.Registry.create () in
-  ignore (Tm_telemetry.Stm_probe.install reg);
+  let _, probe = Tm_telemetry.Stm_probe.install reg in
   let t_armed = min3 work in
-  Tm_telemetry.Stm_probe.uninstall ();
+  Obs.unsubscribe probe;
   let t_disarmed = min3 work in
   let per_txn t = 1e9 *. t /. float_of_int iters in
   let armed_ns_per_event =
@@ -1608,14 +1615,14 @@ let p9_zoo_separation () =
       cores
 
 (* ------------------------------------------------------------------ *)
-(* P10: blame-attribution overhead — the Stm.Blame seam must cost
-   nothing measurable while disarmed (decision sites check one atomic
-   flag and only on abort paths; the progress watermark adds one
-   disarmed load per commit), stay under 100 ns/event when armed with
-   a counting sink, and the armed attribution must be truthful: under
-   two-domain write-write contention the DSTM core produces Stolen
-   edges while TL2 produces none (TL2 has no stealing to attribute).
-   See EXPERIMENTS.md §P10. *)
+(* P10: blame-attribution overhead — the Stm.Obs sites must cost
+   nothing measurable while nothing is subscribed (conflict sites check
+   one atomic flag and only on abort paths; the commit site adds one
+   load per commit), stay under 100 ns per delivered site with a
+   counting subscriber, and the armed attribution must be truthful:
+   under two-domain write-write contention the DSTM core produces
+   Stolen edges while TL2 produces none (TL2 has no stealing to
+   attribute).  See EXPERIMENTS.md §P10. *)
 
 let p10_blame_overhead () =
   let module Stm = Tm_stm.Stm in
@@ -1635,19 +1642,21 @@ let p10_blame_overhead () =
   let min3 f = List.fold_left min infinity (List.init 3 (fun _ -> time_once f)) in
   work () (* warm-up *);
   let t_off = min3 work in
-  (* A counting sink: uncontended single-domain increments produce no
-     blame edges, so what fires per commit is the progress watermark —
-     the seam's hot-path component. *)
-  let fired = Atomic.make 0 in
-  Stm.Blame.install
-    {
-      Stm.Blame.on_event = (fun _ -> Atomic.incr fired);
-      on_progress = (fun _ -> Atomic.incr fired);
-    };
+  (* A counting subscriber: uncontended single-domain increments produce
+     no blame edges, so what the graph takes per commit is the progress
+     watermark; every other site is delivered and ignored. *)
+  let fired = Atomic.make 0 and commits = Atomic.make 0 in
+  let counting =
+    Stm.Obs.subscribe (fun site _ _ ->
+        Atomic.incr fired;
+        (match site with Stm.Obs.Commit -> Atomic.incr commits | _ -> ());
+        Stm.Obs.Proceed)
+  in
   work ();
   let events_per_trial = Atomic.get fired in
+  let commits_per_trial = Atomic.get commits in
   let t_armed = min3 work in
-  Stm.Blame.uninstall ();
+  Stm.Obs.unsubscribe counting;
   let t_disarmed = min3 work in
   let per_txn t = 1e9 *. t /. float_of_int iters in
   let armed_ns_per_event =
@@ -1659,7 +1668,7 @@ let p10_blame_overhead () =
   Fmt.pr "  %d single-domain increments, min of 3 trials:@." iters;
   Fmt.pr "    seam disarmed   %.4fs (%5.1f ns/txn)@." t_off (per_txn t_off);
   Fmt.pr
-    "    counting sink   %.4fs (%5.1f ns/txn, %.2fx, %d events/trial, %.1f \
+    "    counting sub    %.4fs (%5.1f ns/txn, %.2fx, %d events/trial, %.1f \
      ns/event)@."
     t_armed (per_txn t_armed) (t_armed /. t_off) events_per_trial
     armed_ns_per_event;
@@ -1668,7 +1677,7 @@ let p10_blame_overhead () =
     (t_disarmed /. t_off)
     disarmed_ns_per_event;
   check "every commit ticks the progress watermark" ~paper:true
-    ~measured:(events_per_trial >= iters);
+    ~measured:(commits_per_trial >= iters);
   check "disarmed blame seam costs nothing measurable (< 100 ns/event)"
     ~paper:true
     ~measured:(disarmed_ns_per_event < 100.0);
@@ -1684,11 +1693,12 @@ let p10_blame_overhead () =
   let contend algo =
     Stm.with_algo algo (fun () ->
         let reg = Tm_telemetry.Registry.create () in
-        let g = Tm_telemetry.Blame_graph.install reg ~domains:2 in
+        let g = Tm_telemetry.Blame_graph.create reg ~domains:2 in
+        let sub = Stm.Obs.subscribe (Tm_telemetry.Blame_graph.subscriber g) in
         let hot = Array.init 2 (fun _ -> Stm.tvar 0) in
         List.init 2 (fun d ->
             Domain.spawn (fun () ->
-                Stm.Blame.set_self d;
+                Stm.Obs.set_self d;
                 for _ = 1 to iters2 do
                   Stm.atomically (fun () ->
                       let a = Stm.read hot.(0) in
@@ -1696,10 +1706,10 @@ let p10_blame_overhead () =
                       Stm.write hot.(0) (a + 1);
                       Stm.write hot.(1) (b + 1))
                 done;
-                Stm.Blame.set_self (-1)))
+                Stm.Obs.set_self (-1)))
         |> List.iter Domain.join;
-        Tm_telemetry.Blame_graph.uninstall ();
-        ( List.assoc Stm.Blame.Stolen (Tm_telemetry.Blame_graph.cause_counts g),
+        Stm.Obs.unsubscribe sub;
+        ( List.assoc Stm.Obs.Stolen (Tm_telemetry.Blame_graph.cause_counts g),
           Tm_telemetry.Blame_graph.clock g ))
   in
   (* Steal windows are a few hundred ns wide, so one round can get

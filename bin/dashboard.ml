@@ -63,7 +63,7 @@ let render_blame g =
           String.concat ", "
             (List.map
                (fun (c, k) ->
-                 Fmt.str "%s=%d" (Tm_stm.Stm.Blame.cause_label c) k)
+                 Fmt.str "%s=%d" (Tm_stm.Stm.Obs.cause_label c) k)
                (Bg.edge_causes g ~victim:v ~aggressor:a))
         in
         Fmt.pr "  %-4s -> %-4s %8d  [%s]@." (slot v) (slot a) n causes)
@@ -201,9 +201,9 @@ let with_display ~plain ~telemetry ~telemetry_format f =
   let tty = Unix.isatty Unix.stdout in
   let plain = plain || not tty in
   let reg = Tel.Registry.create () in
-  ignore (Tel.Stm_probe.install reg);
+  let _, probe = Tel.Stm_probe.install reg in
   Fun.protect
-    ~finally:(fun () -> Tel.Stm_probe.uninstall ())
+    ~finally:(fun () -> Tm_stm.Stm.Obs.unsubscribe probe)
     (fun () -> f ~tel ~tty ~plain ~reg);
   match tel with Some (_, flush) -> flush () | None -> ()
 

@@ -1177,7 +1177,7 @@ let blame_table ppf (o : Tm_chaos.Runner.outcome) (g : Bg.t) shape evidence =
         String.concat ", "
           (List.map
              (fun (c, k) ->
-               Fmt.str "%s=%d" (Tm_stm.Stm.Blame.cause_label c) k)
+               Fmt.str "%s=%d" (Tm_stm.Stm.Obs.cause_label c) k)
              (Bg.edge_causes g ~victim:v ~aggressor:a))
       in
       Fmt.pf ppf "  d%s -> d%s  %6d  [%s]@."

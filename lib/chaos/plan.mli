@@ -5,7 +5,7 @@
     (scenario, seed, domains) triple always yields the same plan, the
     same rendered schedule and the same fault trace events, byte for
     byte.  Fault instants are expressed on each domain's {e operation
-    clock} — the count of [Stm.Chaos] interception-point firings on that
+    clock} — the count of [Stm.Obs] fault sites reached on that
     domain — which is the only deterministic clock a real multicore run
     has.
 
@@ -17,8 +17,8 @@
 type fault =
   | Healthy
   | Crash of { at_op : int; holding_locks : bool }
-      (** stop dead at the first eligible interception point past
-          [at_op]: at [Pre_commit] (write-set vlocks held) when
+      (** stop dead at the first eligible fault site past
+          [at_op]: at [Publish] (write-set vlocks held) when
           [holding_locks], at [Read] (nothing held) otherwise *)
   | Parasitic of { from_op : int }
       (** from [from_op] on, loop forever inside one transaction body

@@ -1,4 +1,5 @@
 module Stm = Tm_stm.Stm
+module Obs = Stm.Obs
 module Pc = Tm_liveness.Process_class
 module Emp = Tm_liveness.Empirical
 module Tev = Tm_trace.Trace_event
@@ -84,45 +85,36 @@ type dstate = {
 let dls : dstate option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-let handler point =
-  match !(Domain.DLS.get dls) with
-  | None -> Stm.Chaos.Proceed
-  | Some st ->
-      (* The domain's operation clock: one tick per interception-point
-         firing, the coordinate system of every planned fault instant.
-         The counter is single-writer (this domain), so read-then-incr
-         is the old fetch_and_add. *)
+(* The fault dispatch is reusable by any harness that drives real
+   domains against the [Stm.Obs] sites (tm_serve's chaos serving
+   sessions): bind the domain's fault and counters in DLS, then
+   subscribe [fault_handler]. *)
+let fault_handler site _ _ =
+  match (site, !(Domain.DLS.get dls)) with
+  | (Obs.Read | Obs.Lock | Obs.Validate | Obs.Publish | Obs.Commit), Some st ->
+      (* The domain's operation clock: one tick per fault site reached,
+         the coordinate system of every planned fault instant.  The
+         counter is single-writer (this domain), so read-then-incr is
+         the old fetch_and_add. *)
       let n = Tel.Instrument.value st.ds_ops in
       Tel.Instrument.incr st.ds_ops;
       let action =
-        match st.ds_fault with
-        | Plan.Healthy | Plan.Parasitic _ -> Stm.Chaos.Proceed
-        | Plan.Crash { at_op; holding_locks } ->
-            let trigger =
-              if holding_locks then point = Stm.Chaos.Pre_commit
-              else point = Stm.Chaos.Read
-            in
-            if trigger && n >= at_op then Stm.Chaos.Crash
-            else Stm.Chaos.Proceed
-        | Plan.Stall { period; spins } ->
-            if n mod period = 0 then Stm.Chaos.Stall spins
-            else Stm.Chaos.Proceed
-        | Plan.Abort_storm { from_op; until_op } ->
-            if point = Stm.Chaos.Read && n >= from_op && n < until_op then
-              Stm.Chaos.Abort
-            else Stm.Chaos.Proceed
+        match (st.ds_fault, site) with
+        | Plan.Crash { at_op; holding_locks = true }, Obs.Publish
+        | Plan.Crash { at_op; holding_locks = false }, Obs.Read ->
+            if n >= at_op then Obs.Crash else Obs.Proceed
+        | Plan.Stall { period; spins }, _ ->
+            if n mod period = 0 then Obs.Stall spins else Obs.Proceed
+        | Plan.Abort_storm { from_op; until_op }, Obs.Read ->
+            if n >= from_op && n < until_op then Obs.Abort else Obs.Proceed
+        | _ -> Obs.Proceed
       in
       (match action with
-      | Stm.Chaos.Proceed -> ()
-      | Stm.Chaos.Abort | Stm.Chaos.Stall _ | Stm.Chaos.Crash ->
+      | Obs.Proceed -> ()
+      | Obs.Abort | Obs.Stall _ | Obs.Crash ->
           Tel.Instrument.incr st.ds_injected);
       action
-
-(* The fault dispatch is reusable by any harness that drives real
-   domains against an [Stm.Chaos]-instrumented core (tm_serve's chaos
-   serving sessions): bind the domain's fault and counters in DLS, then
-   install [fault_handler]. *)
-let fault_handler = handler
+  | _ -> Obs.Proceed
 
 let bind_fault fault ~ops ~injected =
   Domain.DLS.get dls :=
@@ -157,7 +149,7 @@ let worker ~stop ~shared ~mine ~algo ~fault ~parasite_gate ~ops ~injected
     ~attempts ~trycs ~commits ~crashed ~lat d () =
   bind_fault fault ~ops ~injected;
   (* Open-loop latency: mark before the transaction, complete after.  A
-     body that dies on [Stm.Chaos.Crashed] leaves its mark in place on
+     body that dies on [Obs.Crashed] leaves its mark in place on
      purpose — the dead domain's in-flight age is the censored sample
      the recorder's open-loop quantiles keep folding in. *)
   let mark () =
@@ -174,7 +166,7 @@ let worker ~stop ~shared ~mine ~algo ~fault ~parasite_gate ~ops ~injected
   in
   (* Blame identity: plan slot, not raw Domain.self — unconditional
      (one DLS write per worker lifetime, nothing on the hot path). *)
-  Stm.Blame.set_self d;
+  Obs.set_self d;
   let st = ref (d + 1) in
   let n = Array.length shared in
   let parasitic_from =
@@ -223,8 +215,8 @@ let worker ~stop ~shared ~mine ~algo ~fault ~parasite_gate ~ops ~injected
      done
    with
   | Stop_worker -> ()
-  | Stm.Chaos.Crashed -> Tel.Instrument.set_gauge crashed 1);
-  Stm.Blame.set_self (-1);
+  | Obs.Crashed -> Tel.Instrument.set_gauge crashed 1);
+  Obs.set_self (-1);
   unbind_fault ()
 
 let counters_of (s : sample) =
@@ -244,7 +236,7 @@ let with_session ?(tvars = 4) ?(blame = false) ?(latency = false) ?registry
   in
   let ops =
     per "tm_chaos_ops_total"
-      "Interception-point firings (the domain's operation clock)"
+      "Fault sites reached (the domain's operation clock)"
   in
   let attempts = per "tm_chaos_attempts_total" "Transaction attempts started" in
   let trycs =
@@ -258,7 +250,7 @@ let with_session ?(tvars = 4) ?(blame = false) ?(latency = false) ?registry
     Array.init nd (fun d ->
         Tel.Registry.gauge reg
           ~labels:[ ("domain", string_of_int d) ]
-          ~help:"1 after the worker died on Stm.Chaos.Crashed"
+          ~help:"1 after the worker died on Stm.Obs.Crashed"
           "tm_chaos_crashed")
   in
   let sources =
@@ -325,14 +317,15 @@ let with_session ?(tvars = 4) ?(blame = false) ?(latency = false) ?registry
     | None -> fun () -> true
     | Some cd -> fun () -> Tel.Instrument.gauge_value crashed.(cd) = 1
   in
-  Stm.Chaos.install handler;
-  Option.iter
-    (fun g -> Stm.Blame.install (Tel.Blame_graph.sink_of g))
-    blame_graph;
+  let subs =
+    Obs.subscribe fault_handler
+    :: Option.fold ~none:[]
+         ~some:(fun g -> [ Obs.subscribe (Tel.Blame_graph.subscriber g) ])
+         blame_graph
+  in
   Fun.protect
     ~finally:(fun () ->
-      Stm.Chaos.uninstall ();
-      if blame then Stm.Blame.uninstall ();
+      List.iter Obs.unsubscribe subs;
       (* Workers are joined by now: release core-global locks stranded
          by crashed domains (the serializer, the sequence lock), so a
          crash run cannot starve every later run of the same core in
@@ -390,8 +383,8 @@ let await_onsets ses =
     Unix.sleepf 0.001
   done
 
-(* A starving domain's blame evidence is counted over the whole run and
-   is attributed only from [Blame_graph.min_events] witnessed events on
+(* A starving domain's blame evidence is counted from the first sample
+   and is attributed only from [Blame_graph.min_events] witnessed events on
    (below that it reads "quiet").  On an idle machine the window
    collects thousands; on a loaded one a victim that gets little CPU can
    still be short when the window closes.  Its starvation outlasts the
@@ -444,6 +437,10 @@ let run ?tvars ?blame ?latency ?(warmup = 0.05) ?(window = 0.15) ?registry
         Unix.sleepf warmup;
         await_onsets ses;
         let first = samples ses in
+        (* Attribute only what the window sees: contention from a long
+           warm-up (a crasher slow to reach its crash op) would dilute
+           the dominator's share. *)
+        Option.iter Tel.Blame_graph.mark ses.ses_blame;
         (* Baseline the liveness gauge on the exact watchdog samples so
            the exported classes equal the verdicts below. *)
         Tel.Liveness_gauge.rebase_with ses.ses_liveness

@@ -3,7 +3,7 @@
     [run] spawns one worker domain per plan slot on a shared hot set of
     t-variables (every transaction writes t-variable 0, so a crashed
     domain holding commit vlocks conflicts with every peer), installs the
-    plan as an [Stm.Chaos] handler, and lets a watchdog on the spawning
+    plan as an [Stm.Obs] subscriber, and lets a watchdog on the spawning
     domain take two samples of each worker's monotone counters.  The
     deltas go through {!Tm_liveness.Empirical.classify_counters},
     yielding one Figure-2 verdict per domain, which is compared against
@@ -19,7 +19,7 @@
 
 type sample = { ops : int; trycs : int; commits : int; aborts : int }
 (** A watchdog snapshot of one domain's monotone counters.  [ops] counts
-    interception-point firings, [trycs] transaction bodies that reached
+    fault sites reached, [trycs] transaction bodies that reached
     [tryC], [aborts] is attempts minus commits. *)
 
 type session
@@ -37,7 +37,7 @@ val session_registry : session -> Tm_telemetry.Registry.t
 val session_liveness : session -> Tm_telemetry.Liveness_gauge.t
 
 val session_blame : session -> Tm_telemetry.Blame_graph.t option
-(** The blame graph folding [Stm.Blame] events, when the session was
+(** The blame graph folding [Stm.Obs] conflicts, when the session was
     opened with [~blame:true]. *)
 
 val session_latency : session -> Tm_telemetry.Latency_recorder.t option
@@ -51,7 +51,7 @@ val samples : session -> sample array
 (** [sample] for every domain, ascending. *)
 
 val session_crashed : session -> int -> bool
-(** The domain's worker died on [Stm.Chaos.Crashed].  Only final after
+(** The domain's worker died on [Stm.Obs.Crashed].  Only final after
     {!with_session} returns (workers are joined on the way out); inside
     the callback it is a live, monotone flag. *)
 
@@ -66,13 +66,14 @@ val session_injected : session -> int -> int
     tm_serve chaos serving sessions) can reuse them: each worker calls
     {!bind_fault} with its fault and counters before its first
     transaction and {!unbind_fault} on the way out, while the harness
-    installs {!fault_handler} as the [Stm.Chaos] handler. *)
+    subscribes {!fault_handler}. *)
 
-val fault_handler : Tm_stm.Stm.Chaos.point -> Tm_stm.Stm.Chaos.action
-(** The plan-driven handler: on a domain with a bound fault it ticks
-    the domain's op clock, decides the action the fault prescribes at
-    that instant, and counts non-[Proceed] decisions into the injected
-    counter; on unbound domains it is a constant [Proceed]. *)
+val fault_handler : Tm_stm.Stm.Obs.subscriber
+(** The plan-driven subscriber: on a domain with a bound fault, at each
+    fault site ([Read], [Lock], [Validate], [Publish], [Commit]) it
+    ticks the domain's op clock, decides the action the fault
+    prescribes at that instant, and counts non-[Proceed] decisions into
+    the injected counter; elsewhere it is a constant [Proceed]. *)
 
 val bind_fault :
   Plan.fault ->
@@ -80,8 +81,8 @@ val bind_fault :
   injected:Tm_telemetry.Instrument.counter ->
   unit
 (** Bind the calling domain's fault identity.  [ops] becomes the
-    domain's operation clock ({!fault_handler} increments it on every
-    interception) and must be single-writer ([~shards:1]). *)
+    domain's operation clock ({!fault_handler} increments it at every
+    fault site) and must be single-writer ([~shards:1]). *)
 
 val unbind_fault : unit -> unit
 (** Clear the calling domain's fault identity. *)
@@ -95,10 +96,10 @@ val with_session :
   (session -> 'a) ->
   'a
 (** [with_session plan f] selects the plan's STM core ([plan.algo],
-    restored after the workers are joined), installs the plan's fault
+    restored after the workers are joined), subscribes the plan's fault
     handler, spawns one worker domain per plan slot and applies [f] to
     the live session; on return (or exception) it stops and joins the
-    workers and uninstalls the handler.  When the plan combines a
+    workers and unsubscribes the handler.  When the plan combines a
     crasher with a parasite (the mixed scenario) the parasite's onset
     additionally waits for the crasher to have died, so the faults land
     in the causal order the expectations describe.  [registry] is where the session registers its
@@ -107,8 +108,8 @@ val with_session :
     phase metrics in one scrape.
 
     [blame] (default false) additionally registers a
-    {!Tm_telemetry.Blame_graph} in the session registry and installs
-    its sink as the [Stm.Blame] handler for the session's duration, so
+    {!Tm_telemetry.Blame_graph} in the session registry and subscribes
+    it for the session's duration, so
     every abort/steal/wait decision is attributed (workers bind their
     plan slot as blame identity either way).
 
@@ -116,7 +117,7 @@ val with_session :
     {!Tm_telemetry.Latency_recorder} under [tm_chaos_lat] in the session
     registry; workers mark each transaction in flight before starting it
     and complete it after the commit — a worker that dies on
-    [Stm.Chaos.Crashed] leaves its last mark in place, so the dead
+    [Stm.Obs.Crashed] leaves its last mark in place, so the dead
     domain's starvation age and the open-loop (censored) quantiles keep
     growing while the closed-loop ones freeze. *)
 
@@ -127,7 +128,7 @@ type report = {
   rep_observed : Tm_liveness.Process_class.cls;
   rep_first : sample;  (** window-start snapshot *)
   rep_last : sample;  (** window-end snapshot *)
-  rep_crashed : bool;  (** the worker died on [Stm.Chaos.Crashed] *)
+  rep_crashed : bool;  (** the worker died on [Stm.Obs.Crashed] *)
 }
 
 val report_ok : report -> bool
@@ -164,12 +165,12 @@ val run :
     the steady faulty state; the warm-up is extended by up to 2 s until
     every crash and parasitic onset has landed), [window] the
     observation time between samples (default 0.15).  With [blame]
-    armed, the workers also run on after the window, by up to 2 s, until
+    armed, the graph counts from the first sample
+    ({!Tm_telemetry.Blame_graph.mark}), and the workers also run on after the window, by up to 2 s, until
     every domain the window classified starving has
     {!Tm_telemetry.Blame_graph.min_events} witnessed blame events, so a
     victim short of CPU is attributed rather than read as quiet.  The
-    [Stm.Chaos]
-    handler is uninstalled before returning, even on exceptions.
+    subscribers are removed before returning, even on exceptions.
 
     [registry] and [on_sample] expose the run's telemetry: the watchdog
     scrapes the session registry right after each of its two samples

@@ -472,7 +472,7 @@ exception Stop_worker
 let chaos_worker ~stop ~cfg ~wl ~store ~mine ~fault ~parasite_gate ~ops
     ~injected ~attempts ~trycs ~commits ~crashed ~lat d () =
   Runner.bind_fault fault ~ops ~injected;
-  Stm.Blame.set_self d;
+  Stm.Obs.set_self d;
   let parasitic_from =
     match fault with Plan.Parasitic { from_op } -> Some from_op | _ -> None
   in
@@ -491,7 +491,7 @@ let chaos_worker ~stop ~cfg ~wl ~store ~mine ~fault ~parasite_gate ~ops
   let in_body_takeover = cfg.c_algo = Stm.Algo.Global_lock in
   (* The chaos path is its own load generator, so "scheduled arrival" is
      the moment a request starts; the slot deliberately stays marked if
-     the body dies on [Stm.Chaos.Crashed] — a dead domain's in-flight
+     the body dies on [Stm.Obs.Crashed] — a dead domain's in-flight
      request is exactly the censored sample the open-loop quantiles must
      keep seeing grow. *)
   let mark () =
@@ -539,8 +539,8 @@ let chaos_worker ~stop ~cfg ~wl ~store ~mine ~fault ~parasite_gate ~ops
      done
    with
   | Stop_worker -> ()
-  | Stm.Chaos.Crashed -> Tel.Instrument.set_gauge crashed 1);
-  Stm.Blame.set_self (-1);
+  | Stm.Obs.Crashed -> Tel.Instrument.set_gauge crashed 1);
+  Stm.Obs.set_self (-1);
   Runner.unbind_fault ()
 
 let with_chaos_session ?(blame = false) ?(latency = false) ?registry
@@ -580,7 +580,7 @@ let with_chaos_session ?(blame = false) ?(latency = false) ?registry
     Array.init nd (fun d ->
         Tel.Registry.gauge reg
           ~labels:[ ("domain", string_of_int d) ]
-          ~help:"1 after the executor died on Stm.Chaos.Crashed"
+          ~help:"1 after the executor died on Stm.Obs.Crashed"
           "tm_serve_crashed")
   in
   let sources =
@@ -643,14 +643,15 @@ let with_chaos_session ?(blame = false) ?(latency = false) ?registry
     | None -> fun () -> true
     | Some cd -> fun () -> Tel.Instrument.gauge_value crashed.(cd) = 1
   in
-  Stm.Chaos.install Runner.fault_handler;
-  Option.iter
-    (fun g -> Stm.Blame.install (Tel.Blame_graph.sink_of g))
-    blame_graph;
+  let subs =
+    Stm.Obs.subscribe Runner.fault_handler
+    :: Option.fold ~none:[]
+         ~some:(fun g -> [ Stm.Obs.subscribe (Tel.Blame_graph.subscriber g) ])
+         blame_graph
+  in
   Fun.protect
     ~finally:(fun () ->
-      Stm.Chaos.uninstall ();
-      if blame then Stm.Blame.uninstall ();
+      List.iter Stm.Obs.unsubscribe subs;
       Stm.recover ();
       Stm.set_algo prev_algo)
     (fun () ->

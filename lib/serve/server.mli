@@ -233,7 +233,7 @@ val with_chaos_session :
     {!Tm_telemetry.Latency_recorder} registers under [tm_serve_lat] in
     the session registry; executors mark each request in flight before
     its transaction and complete it after — a request whose body dies
-    on [Stm.Chaos.Crashed] stays marked forever, so the open-loop p99
+    on [Stm.Obs.Crashed] stays marked forever, so the open-loop p99
     and the per-domain starvation age keep growing while the crashed
     domain's closed-loop quantiles freeze. *)
 

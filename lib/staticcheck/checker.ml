@@ -16,12 +16,12 @@ let rules =
       id = Rule_contract.rule;
       severity = Tm_analysis.Finding.Error;
       doc =
-        "a core's seam emissions disagree with the Algo announcement tables";
+        "a core's sites disagree with its Algo.sites announcement";
     };
     {
       id = Rule_guard.rule;
       severity = Tm_analysis.Finding.Error;
-      doc = "a seam emission is not dominated by its Atomic.get armed guard";
+      doc = "an Obs site is not dominated by the Atomic.get Obs.armed guard";
     };
     {
       id = Rule_purity.rule;
@@ -31,7 +31,7 @@ let rules =
     {
       id = Rule_leak.rule;
       severity = Tm_analysis.Finding.Error;
-      doc = "a seam armed by a test without a paired uninstall/recover";
+      doc = "a seam armed by a test without a paired unsubscribe/recover";
     };
     {
       id = parse_rule;
@@ -155,6 +155,7 @@ let run ?(rules = rule_ids) ~root () =
              (Seam.vocab_of_core core_src, Seam.contract_of_facade facade_src)
            with
            | Ok vocab, Ok contract ->
+               let facade = facade_src.Source.path in
                let cores =
                  List.filter_map
                    (fun (algo, m) ->
@@ -169,7 +170,7 @@ let run ?(rules = rule_ids) ~root () =
                            [
                              Tm_analysis.Finding.v ~rule:Rule_contract.rule
                                ~severity:Tm_analysis.Finding.Error
-                               ~subject:facade_src.Source.path
+                               ~subject:facade
                                (Fmt.str
                                   "core_of dispatches %s to %s, but %s does \
                                    not exist"
@@ -180,11 +181,14 @@ let run ?(rules = rule_ids) ~root () =
                    contract.Seam.c_core_files
                in
                if wants Rule_contract.rule then
-                 add (Rule_contract.check ~vocab ~contract ~facade_src cores);
-               if wants Rule_guard.rule then begin
-                 add (Rule_guard.check facade_src);
-                 List.iter (fun (_, src) -> add (Rule_guard.check src)) cores
-               end
+                 add
+                   (Rule_contract.check ~vocab ~contract
+                      ~helpers:(Seam.helper_sites vocab core_src)
+                      ~facade cores);
+               if wants Rule_guard.rule then
+                 List.iter
+                   (fun src -> add (Rule_guard.check src))
+                   (core_src :: facade_src :: List.map snd cores)
            | (Error msg, _ | _, Error msg) -> parse_failure "lib/stm" msg)
        | _ -> ());
     (* Purity: transaction call sites across the tree. *)

@@ -1,17 +1,15 @@
-(* seam-contract: cross-check each core's actual emission sites against
-   the announcements in [Stm.Algo], in both directions.
+(* seam-contract: cross-check each core's sites against its
+   [Algo.sites] announcement, in both directions.
 
-   - Unannounced emission: a core mentions a seam constructor the
-     matching [Algo] table does not list — telemetry labels, chaos
-     verdicts and blame attribution built on the announcement would
-     silently miss it.
-   - Missing emission: a table announces a constructor with no site in
-     the core (facade-universal Tel phases excepted) — dynamic tests
-     keyed on the announcement can never observe it.
-   - Duplicate announcement: a table lists a constructor twice.
+   - Unannounced site: a core reaches a site its table does not list —
+     telemetry labels, fault plans, blame attribution and traces built
+     on the announcement would silently miss it.
+   - Missing site: the table announces a site the core never reaches —
+     the runtime truthfulness test can never observe it.
+   - Duplicate announcement: the table lists a site twice.
 
-   The rule takes announcements at face value ([stm.ml] is the contract;
-   the cores are the implementation under test). *)
+   The rule takes announcements at face value ([stm.ml] is the
+   contract; the cores are the implementation under test). *)
 
 let rule = "seam-contract"
 
@@ -19,78 +17,50 @@ let finding ~subject ~line message =
   Tm_analysis.Finding.v ~rule ~severity:Tm_analysis.Finding.Error ~subject
     ~location:(Tm_analysis.Finding.At_line line) message
 
-(* Tel Begin/Commit/Abort are emitted by the facade's retry loop for
-   every core; which ones is read off the facade's own sites rather
-   than hard-coded. *)
-let facade_ctors vocab facade_src =
-  Seam.sites vocab ~skip_module:"Algo" facade_src
-  |> List.filter_map (fun (s : Seam.site) ->
-         if s.s_kind = Seam.facade_kind then Some s.s_ctor else None)
-  |> List.sort_uniq String.compare
-
 let rec dups = function
   | [] -> []
   | x :: rest -> if List.mem x rest then x :: dups rest else dups rest
 
-let check_core ~vocab ~contract ~facade ~facade_subject ~algo (core : Source.t)
-    =
-  let findings = ref [] in
-  let add f = findings := f :: !findings in
-  let core_sites = Seam.sites vocab core in
-  List.iter
-    (fun kind ->
-      match Seam.announced contract ~algo ~kind with
-      | None ->
-          add
-            (finding ~subject:facade_subject ~line:1
-               (Fmt.str "Algo.%s has no case covering %s" (Seam.kind_table kind)
-                  algo))
-      | Some an ->
-          List.iter
-            (fun c ->
-              add
-                (finding ~subject:facade_subject ~line:an.Seam.an_line
-                   (Fmt.str "Algo.%s announces %s.%s twice for %s"
-                      (Seam.kind_table kind) (Seam.kind_module kind) c algo)))
-            (dups an.Seam.an_ctors);
-          (* Direction 1: no unannounced emission. *)
-          List.iter
-            (fun (s : Seam.site) ->
-              if s.s_kind = kind && not (List.mem s.s_ctor an.Seam.an_ctors)
-              then
-                add
-                  (finding ~subject:core.path ~line:s.s_line
-                     (Fmt.str
-                        "emits %s.%s, which Algo.%s does not announce for %s"
-                        (Seam.kind_module kind) s.s_ctor (Seam.kind_table kind)
-                        algo)))
-            core_sites;
-          (* Direction 2: every announced constructor has >= 1 site
-             (in the core, or — for Tel — in the facade's retry loop). *)
-          let emitted c =
-            List.exists
-              (fun (s : Seam.site) -> s.s_kind = kind && s.s_ctor = c)
-              core_sites
-            || (kind = Seam.facade_kind && List.mem c facade)
-          in
-          List.iter
-            (fun c ->
-              if not (emitted c) then
-                add
-                  (finding ~subject:facade_subject ~line:an.Seam.an_line
-                     (Fmt.str
-                        "Algo.%s announces %s.%s for %s, but %s has no \
-                         emission site for it"
-                        (Seam.kind_table kind) (Seam.kind_module kind) c algo
-                        core.path)))
-            an.Seam.an_ctors)
-    [ Seam.Tel; Seam.Chaos; Seam.Blame ];
-  List.rev !findings
+let check_core ~vocab ~contract ~helpers ~facade ~algo (core : Source.t) =
+  match Seam.announced contract ~algo with
+  | None ->
+      [
+        finding ~subject:facade ~line:1
+          (Fmt.str "Algo.sites has no case covering %s" algo);
+      ]
+  | Some an ->
+      let reached = Seam.sites ~helpers vocab core in
+      List.map
+        (fun s ->
+          finding ~subject:facade ~line:an.Seam.an_line
+            (Fmt.str "Algo.sites announces Obs.%s twice for %s" s algo))
+        (dups an.Seam.an_sites)
+      @ List.filter_map
+          (fun (s : Seam.site) ->
+            if List.mem s.s_name an.Seam.an_sites then None
+            else
+              Some
+                (finding ~subject:core.path ~line:s.s_line
+                   (Fmt.str
+                      "reaches Obs.%s, which Algo.sites does not announce \
+                       for %s"
+                      s.s_name algo)))
+          reached
+      @ List.filter_map
+          (fun name ->
+            if List.exists (fun (s : Seam.site) -> s.s_name = name) reached
+            then None
+            else
+              Some
+                (finding ~subject:facade ~line:an.Seam.an_line
+                   (Fmt.str
+                      "Algo.sites announces Obs.%s for %s, but %s has no \
+                       emission site for it"
+                      name algo core.path)))
+          an.Seam.an_sites
 
-let check ~vocab ~contract ~facade_src cores =
-  let facade = facade_ctors vocab facade_src in
-  let facade_subject = facade_src.Source.path in
+let check ~vocab ~contract ~helpers ~facade cores =
   List.concat_map
     (fun (algo, core) ->
-      check_core ~vocab ~contract ~facade ~facade_subject ~algo core)
+      check_core ~vocab ~contract ~helpers ~facade ~algo core)
     cores

@@ -1,16 +1,18 @@
-(** seam-contract: both-direction cross-check of each core's seam
-    emission sites against the [Stm.Algo] announcement tables. *)
+(** seam-contract: both-direction cross-check of each core's sites
+    against its [Stm.Algo.sites] announcement. *)
 
 val rule : string
 
 val check :
-  vocab:Seam.vocab ->
+  vocab:string list ->
   contract:Seam.contract ->
-  facade_src:Source.t ->
+  helpers:(string * string list) list ->
+  facade:string ->
   (string * Source.t) list ->
   Tm_analysis.Finding.t list
-(** [check ~vocab ~contract ~facade_src cores] with [cores] a list of
-    (Algo constructor, parsed core source).  Error findings for:
-    unannounced emissions (located at the emitting core line), announced
-    constructors with no emission site and duplicate announcements
-    (located at the table case in the facade). *)
+(** [check ~vocab ~contract ~helpers ~facade cores] with [cores] a list
+    of (Algo constructor, parsed core source), [helpers] the substrate
+    functions' sites ({!Seam.helper_sites}) and [facade] the subject
+    naming [stm.ml].  Error findings for unannounced sites (located at
+    the core line), announced sites never reached and duplicate
+    announcements (located at the table case). *)

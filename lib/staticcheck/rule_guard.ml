@@ -1,164 +1,117 @@
-(* seam-guard: every seam emission must be dominated by its disarmed
-   check — the one [Atomic.get X.armed] (or [Atomic.get Trace.tracing])
-   load that keeps the hot path under 100 ns/event when nothing is
-   installed (bench §P7/P8/P10).  An emission that skips the guard
-   loads handler/probe/sink state unconditionally and silently breaks
-   that budget on every disarmed run.
+(* seam-guard: every site must be dominated by the disarmed check — the
+   one [Atomic.get Obs.armed] load that keeps the hot path under
+   100 ns/event when nothing is subscribed (bench §P5/P7/P8/P10).  A
+   site that skips the guard loads the subscriber list unconditionally
+   and silently breaks that budget on every disarmed run.
 
-   The domination analysis is lexical: a set of established guard
-   facts flows through let/sequence/if/match/closure structure.
-   Recognized guard facts:
-   - [Atomic.get Chaos.armed] / [Tel.armed] / [Blame.armed] /
-     [Trace.tracing] (any qualification depth);
-   - a variable let-bound to an expression carrying guard facts
-     ([let tel = Atomic.get Tel.armed in ... if tel then ...]);
-   - conjunctions contribute the union of both sides' facts
-     ([if stolen && Atomic.get Blame.armed then ...]).
-
-   Emissions checked:
-   - [Chaos.fire] / [Chaos.decide] applications        (needs Chaos)
-   - [Blame.emit] / [Blame.emit_event] applications    (needs Blame)
-   - [Trace.emit] applications                         (needs Trace)
-   - probe-field applications [_.Tel.count] / [_.Tel.observe] /
-     [_.Tel.now]                                       (needs Tel)
-
-   [Blame.progress] and [Blame.self] are not emissions: progress
-   checks [armed] internally, self is pure DLS. *)
+   The domination analysis is lexical: whether the guard holds flows
+   through let/sequence/if/match/closure structure.  The guard holds
+   under [if Atomic.get Obs.armed then] (any qualification depth),
+   under a variable let-bound to it ([let armed = Atomic.get Obs.armed
+   in ... if armed then ...]) and under a conjunction with it
+   ([if stolen && Atomic.get Obs.armed then ...]).  Sites are
+   applications of [Obs.decide], [Obs.note] and [Obs.fire]. *)
 
 open Parsetree
 
 let rule = "seam-guard"
 
-module Guards = Set.Make (String)
-
-type seam = G_chaos | G_tel | G_blame | G_trace
-
-let seam_fact = function
-  | G_chaos -> "Chaos"
-  | G_tel -> "Tel"
-  | G_blame -> "Blame"
-  | G_trace -> "Trace"
-
-let guard_expr_label = function
-  | G_trace -> "Atomic.get Trace.tracing"
-  | s -> Fmt.str "Atomic.get %s.armed" (seam_fact s)
-
-(* The guard facts an expression establishes when it evaluates to
-   [true]: used both for if-conditions and for let-bound guards.
-   [env] resolves variables already bound to guard facts. *)
-let rec facts_of env (e : expression) =
+(* Whether an expression that evaluates to [true] establishes the
+   guard; [env] holds the variables bound to it. *)
+let rec guards env (e : expression) =
   match e.pexp_desc with
-  | Pexp_ident { Location.txt = Longident.Lident v; _ } -> (
-      match List.assoc_opt v env with Some fs -> fs | None -> Guards.empty)
+  | Pexp_ident { Location.txt = Longident.Lident v; _ } -> List.mem v env
   | Pexp_apply
       ( { pexp_desc = Pexp_ident { Location.txt = get; _ }; _ },
-        [ (Asttypes.Nolabel, arg) ] )
-    when Source.lid_last get = "get" && Source.lid_parent get = Some "Atomic"
-    -> (
-      match arg.pexp_desc with
-      | Pexp_ident { Location.txt = lid; _ } -> (
-          match (Source.lid_parent lid, Source.lid_last lid) with
-          | Some "Chaos", "armed" -> Guards.singleton "Chaos"
-          | Some "Tel", "armed" -> Guards.singleton "Tel"
-          | Some "Blame", "armed" -> Guards.singleton "Blame"
-          | Some "Trace", "tracing" -> Guards.singleton "Trace"
-          | _ -> Guards.empty)
-      | _ -> Guards.empty)
+        [
+          ( Asttypes.Nolabel,
+            { pexp_desc = Pexp_ident { Location.txt = flag; _ }; _ } );
+        ] ) ->
+      Source.lid_parent get = Some "Atomic"
+      && Source.lid_last get = "get"
+      && Source.lid_parent flag = Some "Obs"
+      && Source.lid_last flag = "armed"
   | Pexp_apply
       ( { pexp_desc = Pexp_ident { Location.txt = Longident.Lident "&&"; _ }; _ },
         [ (_, a); (_, b) ] ) ->
-      Guards.union (facts_of env a) (facts_of env b)
-  | Pexp_constraint (e, _) | Pexp_open (_, e) -> facts_of env e
-  | _ -> Guards.empty
+      guards env a || guards env b
+  | Pexp_constraint (e, _) | Pexp_open (_, e) -> guards env e
+  | _ -> false
 
-(* Which seam, if any, an application emits on. *)
-let emission_of (fn : expression) =
+let is_site (fn : expression) =
   match fn.pexp_desc with
   | Pexp_ident { Location.txt = lid; _ } -> (
-      match (Source.lid_parent lid, Source.lid_last lid) with
-      | Some "Chaos", ("fire" | "decide") -> Some G_chaos
-      | Some "Blame", ("emit" | "emit_event") -> Some G_blame
-      | Some "Trace", "emit" -> Some G_trace
-      | _ -> None)
-  | Pexp_field (_, { Location.txt = lid; _ }) -> (
-      match (Source.lid_parent lid, Source.lid_last lid) with
-      | Some "Tel", ("count" | "observe" | "now") -> Some G_tel
-      | _ -> None)
-  | _ -> None
+      Source.lid_parent lid = Some "Obs"
+      &&
+      match Source.lid_last lid with
+      | "decide" | "note" | "fire" -> true
+      | _ -> false)
+  | _ -> false
 
 let check (src : Source.t) =
   let findings = ref [] in
-  let report seam (e : expression) =
+  let report (e : expression) =
     let line = Source.line_of e.pexp_loc in
     if not (Source.allows src ~rule ~line) then
       findings :=
         Tm_analysis.Finding.v ~rule ~severity:Tm_analysis.Finding.Error
           ~subject:src.path
           ~location:(Tm_analysis.Finding.At_line line)
-          (Fmt.str
-             "%s emission not dominated by its [if %s then] disarmed check"
-             (seam_fact seam) (guard_expr_label seam))
+          "Obs site not dominated by its [if Atomic.get Obs.armed then] \
+           disarmed check"
         :: !findings
   in
-  (* [env]: let-bound guard variables in scope; [guards]: facts
-     established on the current control path. *)
-  let rec walk env guards (e : expression) =
+  (* [env]: variables bound to the guard in scope; [guarded]: whether
+     the guard holds on the current control path. *)
+  let rec walk env guarded (e : expression) =
     match e.pexp_desc with
     | Pexp_ifthenelse (cond, then_, else_) ->
-        walk env guards cond;
-        walk env (Guards.union guards (facts_of env cond)) then_;
-        Option.iter (walk env guards) else_
+        walk env guarded cond;
+        walk env (guarded || guards env cond) then_;
+        Option.iter (walk env guarded) else_
     | Pexp_let (_, vbs, body) ->
-        List.iter (fun vb -> walk env guards vb.pvb_expr) vbs;
+        List.iter (fun vb -> walk env guarded vb.pvb_expr) vbs;
         let env =
           List.fold_left
             (fun env vb ->
               match vb.pvb_pat.ppat_desc with
-              | Ppat_var v ->
-                  let fs = facts_of env vb.pvb_expr in
-                  if Guards.is_empty fs then env
-                  else (v.Location.txt, fs) :: env
+              | Ppat_var v when guards env vb.pvb_expr -> v.Location.txt :: env
               | _ -> env)
             env vbs
         in
-        walk env guards body
+        walk env guarded body
     | Pexp_sequence (a, b) ->
-        walk env guards a;
-        walk env guards b
+        walk env guarded a;
+        walk env guarded b
     | Pexp_apply (fn, args) ->
-        (match emission_of fn with
-        | Some seam when not (Guards.mem (seam_fact seam) guards) ->
-            report seam e
-        | _ -> ());
-        walk env guards fn;
-        List.iter (fun (_, a) -> walk env guards a) args
+        if is_site fn && not guarded then report e;
+        walk env guarded fn;
+        List.iter (fun (_, a) -> walk env guarded a) args
     | Pexp_fun (_, default, _, body) ->
-        Option.iter (walk env guards) default;
-        walk env guards body
-    | Pexp_function cases -> List.iter (walk_case env guards) cases
+        Option.iter (walk env guarded) default;
+        walk env guarded body
+    | Pexp_function cases -> List.iter (walk_case env guarded) cases
     | Pexp_match (scrut, cases) | Pexp_try (scrut, cases) ->
-        walk env guards scrut;
-        List.iter (walk_case env guards) cases
-    | Pexp_constraint (e, _) | Pexp_open (_, e) | Pexp_lazy e -> walk env guards e
+        walk env guarded scrut;
+        List.iter (walk_case env guarded) cases
+    | Pexp_constraint (e, _) | Pexp_open (_, e) | Pexp_lazy e ->
+        walk env guarded e
     | _ ->
         (* Generic fallback: visit immediate sub-expressions under the
-           same facts (tuples, records, constructors, loops, ...). *)
+           same guard (tuples, records, constructors, loops, ...). *)
         let sub =
           {
             Ast_iterator.default_iterator with
-            expr = (fun _ e' -> walk env guards e');
+            expr = (fun _ e' -> walk env guarded e');
           }
         in
         Ast_iterator.default_iterator.expr sub e
-  and walk_case env guards (c : case) =
-    Option.iter (walk env guards) c.pc_guard;
-    walk env guards c.pc_rhs
+  and walk_case env guarded (c : case) =
+    Option.iter (walk env guarded) c.pc_guard;
+    walk env guarded c.pc_rhs
   in
   let iter =
-    {
-      Ast_iterator.default_iterator with
-      expr = (fun _ e -> walk [] Guards.empty e);
-    }
+    { Ast_iterator.default_iterator with expr = (fun _ e -> walk [] false e) }
   in
   iter.structure iter src.structure;
   List.rev !findings

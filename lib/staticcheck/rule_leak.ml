@@ -1,98 +1,73 @@
-(* armed-leak: arming a seam without a paired disarm.
+(* armed-leak: arming the seam without a paired disarm.
 
-   [Chaos.install] / [Tel.install] / [Blame.install] / [Blame_graph.install]
-   / [Trace.start] flip a process-global armed flag.  A test or bench
-   step that installs and then exits without [uninstall] (or
-   [Stm.recover], which disarms Chaos/Tel/Blame) leaves every
+   Subscribing to [Obs] ([Obs.subscribe], or a subscriber's own
+   [install]) and starting a trace session ([Trace.start],
+   [Trace.start_null]) flip the process-global armed flag.  A test or
+   bench step that arms and then exits without disarming leaves every
    subsequent test of the binary running armed: the <100 ns disarmed
-   bench gates measure the wrong thing and chaos plans fire in
+   bench gates measure the wrong thing and fault plans fire in
    unrelated tests.  The rule requires each top-level definition that
-   installs a seam to also mention the matching release — as an
-   application or as a bare ident ([Fun.protect
-   ~finally:Stm.Tel.uninstall] counts).
+   arms to also mention a disarm — [unsubscribe], [uninstall] or
+   [recover] (which drops every subscriber but a trace session), or
+   [Trace.stop] for a trace session — as an application or as a bare
+   ident ([Fun.protect ~finally:Stm.Trace.stop] counts).
 
    Scope deliberately per top-level structure item: the repo's
    discipline is that one test function owns the whole
-   install/observe/teardown lifecycle (helpers that split the pair
-   across definitions can carry a [tmstatic: allow armed-leak]). *)
+   arm/observe/disarm lifecycle (helpers that split the pair across
+   definitions can carry a [tmstatic: allow armed-leak]). *)
 
 open Parsetree
 
 let rule = "armed-leak"
 
-type seam = { sm_name : string; sm_installs : string list }
-
-let seams =
-  [
-    { sm_name = "Chaos"; sm_installs = [ "install" ] };
-    { sm_name = "Tel"; sm_installs = [ "install" ] };
-    { sm_name = "Blame"; sm_installs = [ "install" ] };
-    { sm_name = "Blame_graph"; sm_installs = [ "install" ] };
-    { sm_name = "Trace"; sm_installs = [ "start"; "start_null" ] };
-  ]
-
-(* [Stm.recover] disarms the three STM seams (and with them the blame
-   graph's sink); it does not stop tracing. *)
-let recover_releases = [ "Chaos"; "Tel"; "Blame"; "Blame_graph" ]
-
-type arming = { arm_seam : string; arm_line : int }
-
-(* Collect, for one top-level definition: every install site and the
-   set of seams for which a release is mentioned (application or bare
-   ident). *)
-let scan_item (si : structure_item) =
-  let installs = ref [] in
-  let released = ref [] in
-  let release s = if not (List.mem s !released) then released := s :: !released in
-  let on_ident lid line =
-    let parent = Source.lid_parent lid and last = Source.lid_last lid in
-    match parent with
-    | Some p -> (
-        (match List.find_opt (fun s -> s.sm_name = p) seams with
-        | Some s when List.mem last s.sm_installs ->
-            installs := { arm_seam = p; arm_line = line } :: !installs
-        | _ -> ());
-        match last with
-        | "uninstall" -> release p
-        | "stop" when p = "Trace" -> release "Trace"
-        | "recover" -> List.iter release recover_releases
-        | _ -> ())
-    | None -> if last = "recover" then List.iter release recover_releases
-  in
-  let iter =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun self e ->
-          (match e.pexp_desc with
-          | Pexp_ident { Location.txt = lid; loc } ->
-              on_ident lid (Source.line_of loc)
-          | _ -> ());
-          Ast_iterator.default_iterator.expr self e);
-    }
-  in
-  iter.structure_item iter si;
-  (List.rev !installs, !released)
+let is_trace_start p l = p = Some "Trace" && (l = "start" || l = "start_null")
+let is_subscribe p l = p <> None && (l = "subscribe" || l = "install")
 
 let check (src : Source.t) =
   List.concat_map
     (fun (si : structure_item) ->
-      let installs, released = scan_item si in
+      (* Every module-qualified ident in the definition, with its line. *)
+      let idents = ref [] in
+      let iter =
+        {
+          Ast_iterator.default_iterator with
+          expr =
+            (fun self e ->
+              (match e.pexp_desc with
+              | Pexp_ident { Location.txt = lid; loc } ->
+                  idents :=
+                    ( Source.lid_parent lid,
+                      Source.lid_last lid,
+                      Source.line_of loc )
+                    :: !idents
+              | _ -> ());
+              Ast_iterator.default_iterator.expr self e);
+        }
+      in
+      iter.structure_item iter si;
+      let mentions f = List.exists (fun (p, l, _) -> f p l) !idents in
+      let unsubscribed =
+        mentions (fun _ l ->
+            l = "unsubscribe" || l = "uninstall" || l = "recover")
+      and stopped = mentions (fun p l -> p = Some "Trace" && l = "stop") in
       List.filter_map
-        (fun a ->
-          if List.mem a.arm_seam released then None
-          else if Source.allows src ~rule ~line:a.arm_line then None
-          else
+        (fun (p, l, line) ->
+          let leak, disarm =
+            if is_trace_start p l then (not stopped, "Trace.stop")
+            else if is_subscribe p l then
+              (not unsubscribed, "unsubscribe / recover")
+            else (false, "")
+          in
+          if leak && not (Source.allows src ~rule ~line) then
             Some
-              (Tm_analysis.Finding.v ~rule
-                 ~severity:Tm_analysis.Finding.Error ~subject:src.Source.path
-                 ~location:(Tm_analysis.Finding.At_line a.arm_line)
+              (Tm_analysis.Finding.v ~rule ~severity:Tm_analysis.Finding.Error
+                 ~subject:src.Source.path
+                 ~location:(Tm_analysis.Finding.At_line line)
                  (Fmt.str
-                    "%s armed here with no %s in the same top-level \
+                    "%s.%s armed here with no %s in the same top-level \
                      definition: later tests in this binary run armed"
-                    a.arm_seam
-                    (if a.arm_seam = "Trace" then "Trace.stop"
-                     else
-                       Fmt.str "%s.uninstall / Stm.recover" a.arm_seam))))
-        installs)
+                    (Option.get p) l disarm))
+          else None)
+        (List.rev !idents))
     src.structure

@@ -1,53 +1,35 @@
 (* The machine-read seam contract.
 
-   Rather than hard-coding the Chaos/Tel/Blame vocabularies and the
-   per-algorithm announcement tables, the checker parses them out of
-   the same sources the compiler builds: the constructor lists of
-   [Chaos.point] / [Tel.phase] / [Blame.cause] in [stm_core.ml], and
-   the literal lists returned by [Algo.tel_phases] / [Algo.chaos_points]
-   / [Algo.blame_causes] plus the [core_of] dispatch in [stm.ml].  A
-   constructor added to a seam or a core added to the zoo is picked up
-   with no checker change — and a checker that fails to find the tables
-   reports that as an error instead of silently passing. *)
+   Rather than hard-coding the site vocabulary and the per-algorithm
+   announcement tables, the checker parses them out of the same sources
+   the compiler builds: the constructors of [Obs.site] and [Obs.cause]
+   in [stm_core.ml], and the literal lists returned by [Algo.sites] plus
+   the [core_of] dispatch in [stm.ml].  A site added to the seam or a
+   core added to the zoo is picked up with no checker change — and a
+   checker that fails to find the tables reports that as an error
+   instead of silently passing.
+
+   One vocabulary: a site is named by its constructor, and a conflict
+   by its cause ([Obs.Conflict Obs.Lock_busy] is the site
+   ["Lock_busy"]). *)
 
 open Parsetree
 
-type kind = Tel | Chaos | Blame
-
-let kind_module = function Tel -> "Tel" | Chaos -> "Chaos" | Blame -> "Blame"
-
-let kind_table = function
-  | Tel -> "tel_phases"
-  | Chaos -> "chaos_points"
-  | Blame -> "blame_causes"
-
-type vocab = { phases : string list; points : string list; causes : string list }
-
-let vocab_of kind v =
-  match kind with Tel -> v.phases | Chaos -> v.points | Blame -> v.causes
-
-(* [Tel] phases the facade's retry loop emits for every core; a core's
-   own required set is its announced set minus these. *)
-let facade_kind = Tel
-
 type announcement = {
-  an_algo : string;  (** [Algo.t] constructor, e.g. ["Global_lock"] *)
-  an_kind : kind;
-  an_ctors : string list;  (** in announcement order *)
-  an_line : int;  (** line of the matching table case in [stm.ml] *)
+  an_algo : string;
+  an_sites : string list;
+  an_line : int;
 }
 
 type contract = {
   c_algos : string list;
   c_core_files : (string * string) list;
-      (** algo constructor -> core module name, e.g. ["Stm_tl2"] *)
   c_announced : announcement list;
 }
 
-let announced c ~algo ~kind =
-  List.find_opt (fun a -> a.an_algo = algo && a.an_kind = kind) c.c_announced
+let announced c ~algo = List.find_opt (fun a -> a.an_algo = algo) c.c_announced
 
-(* --- vocabulary: the seam variant declarations in stm_core.ml --- *)
+(* --- vocabulary: the Obs variant declarations in stm_core.ml --- *)
 
 let ctor_names_of_type_decl (td : type_declaration) =
   match td.ptype_kind with
@@ -55,52 +37,43 @@ let ctor_names_of_type_decl (td : type_declaration) =
       Some (List.map (fun c -> c.pcd_name.Location.txt) ctors)
   | _ -> None
 
-let variant_in_module ~module_name ~type_name structure =
-  let found = ref None in
-  List.iter
+(* The constructors of each variant type declared in a structure. *)
+let variants items =
+  List.concat_map
     (fun (si : structure_item) ->
       match si.pstr_desc with
-      | Pstr_module mb
-        when mb.pmb_name.Location.txt = Some module_name ->
-          let rec in_mod (me : module_expr) =
-            match me.pmod_desc with
-            | Pmod_structure items ->
-                List.iter
-                  (fun (si : structure_item) ->
-                    match si.pstr_desc with
-                    | Pstr_type (_, tds) ->
-                        List.iter
-                          (fun td ->
-                            if td.ptype_name.Location.txt = type_name then
-                              match ctor_names_of_type_decl td with
-                              | Some cs -> found := Some cs
-                              | None -> ())
-                          tds
-                    | _ -> ())
-                  items
-            | Pmod_constraint (me, _) | Pmod_functor (_, me) -> in_mod me
-            | _ -> ()
-          in
-          in_mod mb.pmb_expr
-      | _ -> ())
-    structure;
-  !found
+      | Pstr_type (_, tds) ->
+          List.filter_map
+            (fun td ->
+              Option.map
+                (fun cs -> (td.ptype_name.Location.txt, cs))
+                (ctor_names_of_type_decl td))
+            tds
+      | _ -> [])
+    items
+
+let module_items name structure =
+  List.find_map
+    (fun (si : structure_item) ->
+      match si.pstr_desc with
+      | Pstr_module { pmb_name = { txt = Some m; _ }; pmb_expr; _ }
+        when m = name -> (
+          match pmb_expr.pmod_desc with
+          | Pmod_structure items -> Some items
+          | _ -> None)
+      | _ -> None)
+    structure
 
 let vocab_of_core (src : Source.t) =
-  let get m ty =
-    match variant_in_module ~module_name:m ~type_name:ty src.structure with
-    | Some cs -> Ok cs
-    | None -> Error (Fmt.str "%s: cannot find type %s.%s" src.path m ty)
+  let types =
+    variants (Option.value ~default:[] (module_items "Obs" src.structure))
   in
-  match (get "Tel" "phase", get "Chaos" "point", get "Blame" "cause") with
-  | Ok phases, Ok points, Ok causes -> Ok { phases; points; causes }
-  | (Error _ as e), _, _ | _, (Error _ as e), _ | _, _, (Error _ as e) -> e
+  match (List.assoc_opt "site" types, List.assoc_opt "cause" types) with
+  | Some sites, Some causes ->
+      Ok (List.filter (fun c -> c <> "Conflict") sites @ causes)
+  | _ -> Error (Fmt.str "%s: cannot find types Obs.site and Obs.cause" src.path)
 
-(* --- the Algo announcement tables and core_of dispatch in stm.ml --- *)
-
-(* A contract table is written as [let tel_phases = function ...] with
-   every case mapping (possibly or-patterns of) Algo constructors to a
-   literal list of seam constructors. *)
+(* --- the Algo announcement table and core_of dispatch in stm.ml --- *)
 
 let rec pattern_algos (p : pattern) =
   match p.ppat_desc with
@@ -109,171 +82,151 @@ let rec pattern_algos (p : pattern) =
   | Ppat_alias (p, _) | Ppat_constraint (p, _) -> pattern_algos p
   | _ -> []
 
-let rec list_literal_ctors (e : expression) =
+(* A table entry names a site: [Obs.Read], or [Obs.Conflict Obs.C] for
+   the conflict of cause [C]. *)
+let rec site_name (e : expression) =
+  match e.pexp_desc with
+  | Pexp_construct (lid, None) -> Some (Source.lid_last lid.Location.txt)
+  | Pexp_construct (_, Some arg) -> site_name arg
+  | _ -> None
+
+let rec list_literal (e : expression) =
   match e.pexp_desc with
   | Pexp_construct ({ Location.txt = Longident.Lident "[]"; _ }, None) ->
       Some []
   | Pexp_construct
-      ({ Location.txt = Longident.Lident "::"; _ }, Some { pexp_desc = Pexp_tuple [ hd; tl ]; _ }) -> (
-      match (hd.pexp_desc, list_literal_ctors tl) with
-      | Pexp_construct (lid, None), Some rest ->
-          Some (Source.lid_last lid.Location.txt :: rest)
+      ( { Location.txt = Longident.Lident "::"; _ },
+        Some { pexp_desc = Pexp_tuple [ hd; tl ]; _ } ) -> (
+      match (site_name hd, list_literal tl) with
+      | Some s, Some rest -> Some (s :: rest)
       | _ -> None)
   | _ -> None
 
 let table_cases (e : expression) =
   match e.pexp_desc with
-  | Pexp_function cases -> Some cases
-  | Pexp_fun (_, _, _, { pexp_desc = Pexp_match (_, cases); _ }) -> Some cases
-  | _ -> None
+  | Pexp_function cases -> cases
+  | Pexp_constraint ({ pexp_desc = Pexp_function cases; _ }, _) -> cases
+  | _ -> []
 
-let announcements_of_binding kind (vb : value_binding) =
-  match table_cases vb.pvb_expr with
-  | None -> []
-  | Some cases ->
-      List.concat_map
-        (fun (c : case) ->
-          match list_literal_ctors c.pc_rhs with
-          | None -> []
-          | Some ctors ->
-              List.map
-                (fun algo ->
-                  {
-                    an_algo = algo;
-                    an_kind = kind;
-                    an_ctors = ctors;
-                    an_line = Source.line_of c.pc_rhs.pexp_loc;
-                  })
-                (pattern_algos c.pc_lhs))
-        cases
+let announcements_of_binding (vb : value_binding) =
+  List.concat_map
+    (fun (c : case) ->
+      match list_literal c.pc_rhs with
+      | None -> []
+      | Some sites ->
+          List.map
+            (fun algo ->
+              {
+                an_algo = algo;
+                an_sites = sites;
+                an_line = Source.line_of c.pc_rhs.pexp_loc;
+              })
+            (pattern_algos c.pc_lhs))
+    (table_cases vb.pvb_expr)
 
 (* [core_of] maps each Algo constructor to a first-class core module:
    [| Algo.Tl2 -> (module Stm_tl2)]. *)
-let rec core_module_of_expr (e : expression) =
-  match e.pexp_desc with
-  | Pexp_pack { pmod_desc = Pmod_ident lid; _ } ->
-      Some (Source.lid_last lid.Location.txt)
-  | Pexp_pack { pmod_desc = Pmod_constraint ({ pmod_desc = Pmod_ident lid; _ }, _); _ }
-    ->
-      Some (Source.lid_last lid.Location.txt)
-  | Pexp_constraint (e, _) -> core_module_of_expr e
-  | _ -> None
-
 let core_files_of_binding (vb : value_binding) =
-  let expr =
-    match vb.pvb_expr.pexp_desc with
-    | Pexp_constraint (e, _) -> e
-    | _ -> vb.pvb_expr
-  in
-  match table_cases expr with
-  | None -> []
-  | Some cases ->
-      List.concat_map
-        (fun (c : case) ->
-          match core_module_of_expr c.pc_rhs with
-          | None -> []
-          | Some m -> List.map (fun a -> (a, m)) (pattern_algos c.pc_lhs))
-        cases
+  List.concat_map
+    (fun (c : case) ->
+      match c.pc_rhs.pexp_desc with
+      | Pexp_pack { pmod_desc = Pmod_ident lid; _ } ->
+          let m = Source.lid_last lid.Location.txt in
+          List.map (fun a -> (a, m)) (pattern_algos c.pc_lhs)
+      | _ -> [])
+    (table_cases vb.pvb_expr)
 
-let binding_name (vb : value_binding) =
-  match vb.pvb_pat.ppat_desc with
-  | Ppat_var v -> Some v.Location.txt
-  | Ppat_constraint ({ ppat_desc = Ppat_var v; _ }, _) -> Some v.Location.txt
-  | _ -> None
-
-let contract_of_facade (src : Source.t) =
-  let announced = ref [] in
-  let core_files = ref [] in
-  let algos = ref [] in
-  let scan_bindings vbs =
-    List.iter
-      (fun vb ->
-        match binding_name vb with
-        | Some "tel_phases" ->
-            announced := !announced @ announcements_of_binding Tel vb
-        | Some "chaos_points" ->
-            announced := !announced @ announcements_of_binding Chaos vb
-        | Some "blame_causes" ->
-            announced := !announced @ announcements_of_binding Blame vb
-        | Some "core_of" -> core_files := !core_files @ core_files_of_binding vb
-        | _ -> ())
-      vbs
-  in
-  List.iter
+let bindings items =
+  List.concat_map
     (fun (si : structure_item) ->
       match si.pstr_desc with
-      | Pstr_value (_, vbs) -> scan_bindings vbs
-      | Pstr_module mb when mb.pmb_name.Location.txt = Some "Algo" -> (
-          match mb.pmb_expr.pmod_desc with
-          | Pmod_structure items ->
-              List.iter
-                (fun (si : structure_item) ->
-                  match si.pstr_desc with
-                  | Pstr_value (_, vbs) -> scan_bindings vbs
-                  | Pstr_type (_, tds) ->
-                      List.iter
-                        (fun td ->
-                          if td.ptype_name.Location.txt = "t" then
-                            match ctor_names_of_type_decl td with
-                            | Some cs -> algos := cs
-                            | None -> ())
-                        tds
-                  | _ -> ())
-                items
-          | _ -> ())
-      | _ -> ())
-    src.structure;
-  if !algos = [] then Error (Fmt.str "%s: cannot find module Algo's type t" src.path)
-  else if !core_files = [] then
+      | Pstr_value (_, vbs) ->
+          List.filter_map
+            (fun vb ->
+              match vb.pvb_pat.ppat_desc with
+              | Ppat_var v
+              | Ppat_constraint ({ ppat_desc = Ppat_var v; _ }, _) ->
+                  Some (v.Location.txt, vb)
+              | _ -> None)
+            vbs
+      | _ -> [])
+    items
+
+let contract_of_facade (src : Source.t) =
+  let algo_items =
+    Option.value ~default:[] (module_items "Algo" src.structure)
+  in
+  let algos =
+    Option.value ~default:[] (List.assoc_opt "t" (variants algo_items))
+  in
+  let core_files =
+    List.concat_map core_files_of_binding
+      (List.filter_map
+         (fun (n, vb) -> if n = "core_of" then Some vb else None)
+         (bindings src.structure))
+  in
+  let announced =
+    List.concat_map announcements_of_binding
+      (List.filter_map
+         (fun (n, vb) -> if n = "sites" then Some vb else None)
+         (bindings algo_items))
+  in
+  if algos = [] then
+    Error (Fmt.str "%s: cannot find module Algo's type t" src.path)
+  else if core_files = [] then
     Error (Fmt.str "%s: cannot find the core_of dispatch table" src.path)
-  else if !announced = [] then
-    Error
-      (Fmt.str "%s: cannot find the Algo announcement tables (%s)" src.path
-         (String.concat ", " (List.map kind_table [ Tel; Chaos; Blame ])))
+  else if announced = [] then
+    Error (Fmt.str "%s: cannot find the Algo.sites announcement table" src.path)
   else
-    Ok { c_algos = !algos; c_core_files = !core_files; c_announced = !announced }
+    Ok { c_algos = algos; c_core_files = core_files; c_announced = announced }
 
 (* --- emission sites --- *)
 
-type site = { s_kind : kind; s_ctor : string; s_line : int }
+type site = { s_name : string; s_line : int }
 
-(* Every qualified seam constructor in expression position is an
-   emission site: the cores only ever mention [Tel.X]/[Chaos.X]/
-   [Blame.X] payload constructors when handing them to the seam
-   ([Chaos.fire Chaos.Read], [tp.Tel.count Tel.Read],
-   [Blame.emit ... Blame.Validation], or through a local helper).
-   Pattern positions (the [match Chaos.decide p with] arms) are not
-   expressions and never match. *)
-let sites (vocab : vocab) ?skip_module (src : Source.t) =
+(* Every [Obs.X] constructor of the vocabulary in expression position
+   is a site reached: the cores only mention a site constructor when
+   handing it to the seam.  Pattern positions (the [match Obs.decide
+   ... with] arms) are not expressions and never match.  A call of a
+   [helpers] function (a substrate function the core shares, such as
+   [write_back]) reaches that function's sites at the call line. *)
+let collect ?(helpers = []) vocab walk =
   let acc = ref [] in
-  let classify lid =
-    match (Source.lid_parent lid, Source.lid_last lid) with
-    | Some "Tel", c when List.mem c vocab.phases -> Some (Tel, c)
-    | Some "Chaos", c when List.mem c vocab.points -> Some (Chaos, c)
-    | Some "Blame", c when List.mem c vocab.causes -> Some (Blame, c)
-    | _ -> None
+  let add line names =
+    List.iter (fun s_name -> acc := { s_name; s_line = line } :: !acc) names
   in
   let iter =
     {
       Ast_iterator.default_iterator with
       expr =
         (fun self e ->
+          let line = Source.line_of e.pexp_loc in
           (match e.pexp_desc with
-          | Pexp_construct (lid, _) -> (
-              match classify lid.Location.txt with
-              | Some (k, c) ->
-                  acc :=
-                    { s_kind = k; s_ctor = c; s_line = Source.line_of e.pexp_loc }
-                    :: !acc
-              | None -> ())
+          | Pexp_construct ({ txt; _ }, _)
+            when Source.lid_parent txt = Some "Obs"
+                 && List.mem (Source.lid_last txt) vocab ->
+              add line [ Source.lid_last txt ]
+          | Pexp_ident { txt; _ } when Source.lid_parent txt = None ->
+              add line
+                (Option.value ~default:[]
+                   (List.assoc_opt (Source.lid_last txt) helpers))
           | _ -> ());
           Ast_iterator.default_iterator.expr self e);
-      module_binding =
-        (fun self mb ->
-          match skip_module with
-          | Some m when mb.pmb_name.Location.txt = Some m -> ()
-          | _ -> Ast_iterator.default_iterator.module_binding self mb);
     }
   in
-  iter.structure iter src.structure;
+  walk iter;
   List.rev !acc
+
+let sites ?helpers vocab (src : Source.t) =
+  collect ?helpers vocab (fun it -> it.structure it src.structure)
+
+(* The sites each top-level function of the substrate reaches. *)
+let helper_sites vocab (src : Source.t) =
+  List.filter_map
+    (fun (name, vb) ->
+      let names =
+        collect vocab (fun it -> it.value_binding it vb)
+        |> List.map (fun s -> s.s_name)
+      in
+      if names = [] then None else Some (name, List.sort_uniq compare names))
+    (bindings src.structure)

@@ -1,29 +1,12 @@
-(** The machine-read seam contract: the Chaos/Tel/Blame constructor
-    vocabularies parsed from [stm_core.ml], the per-algorithm
-    announcement tables and core dispatch parsed from [stm.ml], and the
-    emission-site scan the contract rule cross-checks them against. *)
-
-type kind = Tel | Chaos | Blame
-
-val kind_module : kind -> string
-(** ["Tel"], ["Chaos"], ["Blame"]. *)
-
-val kind_table : kind -> string
-(** The announcement table name: ["tel_phases"], ["chaos_points"],
-    ["blame_causes"]. *)
-
-type vocab = { phases : string list; points : string list; causes : string list }
-
-val vocab_of : kind -> vocab -> string list
-
-val facade_kind : kind
-(** The seam whose universal constructors (Begin/Commit/Abort) are
-    emitted by the [Stm] facade's retry loop rather than the cores. *)
+(** The machine-read seam contract: the [Obs] site vocabulary parsed
+    from [stm_core.ml], the per-algorithm announcement table and core
+    dispatch parsed from [stm.ml], and the site scan the contract rule
+    cross-checks them against.  A site is named by its constructor, a
+    conflict by its cause. *)
 
 type announcement = {
   an_algo : string;  (** [Algo.t] constructor, e.g. ["Global_lock"] *)
-  an_kind : kind;
-  an_ctors : string list;  (** in announcement order *)
+  an_sites : string list;  (** in announcement order *)
   an_line : int;  (** line of the matching table case in [stm.ml] *)
 }
 
@@ -34,19 +17,24 @@ type contract = {
   c_announced : announcement list;
 }
 
-val announced : contract -> algo:string -> kind:kind -> announcement option
+val announced : contract -> algo:string -> announcement option
 
-val vocab_of_core : Source.t -> (vocab, string) result
-(** Parse the [Tel.phase] / [Chaos.point] / [Blame.cause] variant
-    declarations out of [stm_core.ml]. *)
+val vocab_of_core : Source.t -> (string list, string) result
+(** The site names: the [Obs.site] constructors but [Conflict], then
+    the [Obs.cause] constructors. *)
 
 val contract_of_facade : Source.t -> (contract, string) result
-(** Parse [Algo.t], the three announcement tables and [core_of] out of
+(** Parse [Algo.t], the [Algo.sites] table and [core_of] out of
     [stm.ml].  Or-patterns announce for every named algorithm. *)
 
-type site = { s_kind : kind; s_ctor : string; s_line : int }
+type site = { s_name : string; s_line : int }
 
-val sites : vocab -> ?skip_module:string -> Source.t -> site list
-(** Every qualified seam constructor in expression position, in source
-    order.  [skip_module] skips one named top-level module (the [Algo]
-    announcement tables themselves when scanning [stm.ml]). *)
+val sites :
+  ?helpers:(string * string list) list -> string list -> Source.t -> site list
+(** Every vocabulary constructor qualified by [Obs] in expression
+    position, in source order, plus the sites of each [helpers]
+    function called. *)
+
+val helper_sites : string list -> Source.t -> (string * string list) list
+(** The sites each top-level function of a file reaches (the
+    substrate's shared helpers, e.g. [write_back]). *)

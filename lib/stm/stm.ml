@@ -1,24 +1,140 @@
 (* The public STM facade over the pluggable algorithm zoo.
 
    Algorithm-independent machinery lives in [Stm_core] (t-variables,
-   the Trace/Chaos/Tel seams); the four cores live in [Stm_tl2],
-   [Stm_glock], [Stm_dstm] and [Stm_norec].  This module owns what the
-   cores share behaviourally: the per-domain slot, the retry loop with
-   randomized exponential backoff, trace attempt spans, Tel
-   Begin/Commit/Abort accounting and the per-domain commit/abort
-   counts — so every algorithm gets identical observability for free. *)
+   the [Obs] seam); the four cores live in [Stm_tl2], [Stm_glock],
+   [Stm_dstm] and [Stm_norec].  This module owns what the cores share
+   behaviourally: the per-domain slot, the retry loop with randomized
+   exponential backoff and its [Begin]/[Commit]/[Abort]/[Backoff]
+   sites, the per-domain commit/abort counts, and the trace ring — the
+   [Obs] subscriber that renders sites as trace events — so every
+   algorithm gets identical observability for free. *)
 
 module Tev = Tm_trace.Trace_event
-module Trace = Stm_core.Trace
-module Chaos = Stm_core.Chaos
-module Tel = Stm_core.Tel
-module Blame = Stm_core.Blame
+module Obs = Stm_core.Obs
 
 type 'a tvar = 'a Stm_core.tvar
 
 exception Retry = Stm_core.Retry
 
 let tvar = Stm_core.tvar
+
+(* Runtime tracing: an [Obs] subscriber writing into per-domain rings.
+   Each domain writes its own fixed-size ring (single-writer, no lock
+   on the record path), registered in a global list so [events] can
+   collect them afterwards.  A session records an attempt only if it
+   saw the attempt begin, so a commit traces all of its lock events or
+   none.  Timestamps come from a global emission sequence — a total
+   order of emissions, not wall time. *)
+module Trace = struct
+  let generation = Atomic.make 0
+  let seq = Atomic.make 0
+  let emitted_count = Atomic.make 0
+  let registry_mu = Mutex.create ()
+  let registry : Tm_trace.Ring.t list ref = ref []
+  let session : Obs.handle option Atomic.t = Atomic.make None
+
+  (* A domain's view of the session: its ring ([None] under the null
+     sink) and the generation whose attempt it is in. *)
+  type lane = { mutable gen : int; mutable ring : Tm_trace.Ring.t option }
+
+  let lane_key = Domain.DLS.new_key (fun () -> { gen = -1; ring = None })
+
+  let record lane cat name phase args =
+    let ts = Atomic.fetch_and_add seq 1 in
+    let e =
+      { Tev.ts; pid = 0; tid = (Domain.self () :> int); cat; name; phase; args }
+    in
+    Atomic.incr emitted_count;
+    Option.iter (fun r -> Tm_trace.Ring.add r e) lane.ring
+
+  (* Enter a new attempt.  The ring is created on the domain's first
+     attempt of the session, and registered only if the session is
+     still the current one. *)
+  let enter lane gen capacity =
+    if lane.gen <> gen then begin
+      lane.gen <- gen;
+      lane.ring <-
+        Option.bind capacity (fun cap ->
+            let ring = Tm_trace.Ring.create ~capacity:cap in
+            Mutex.protect registry_mu (fun () ->
+                if Atomic.get generation <> gen then None
+                else begin
+                  registry := ring :: !registry;
+                  Some ring
+                end))
+    end
+
+  let tvar_arg id = [ ("tvar", Tev.Int id) ]
+
+  let subscriber gen capacity : Obs.subscriber =
+   fun site a b ->
+    let lane = Domain.DLS.get lane_key in
+    (match site with
+    | Obs.Begin ->
+        enter lane gen capacity;
+        record lane Tev.Txn "attempt" Tev.Span_begin [ ("attempt", Tev.Int a) ]
+    | _ when lane.gen <> gen -> ()
+    | Obs.Commit ->
+        record lane Tev.Txn "attempt" Tev.Span_end
+          [ ("outcome", Tev.Str "commit") ]
+    | Obs.Abort o ->
+        record lane Tev.Txn "attempt" Tev.Span_end
+          [ ("outcome", Tev.Str (Obs.outcome_label o)) ]
+    | Obs.Backoff ->
+        record lane Tev.Backoff "wait" Tev.Instant
+          [ ("attempt", Tev.Int a); ("spins", Tev.Int b) ]
+    | Obs.Acquired ->
+        record lane Tev.Lock "acquire" Tev.Instant
+          [ ("tvar", Tev.Int a); ("order", Tev.Int b) ]
+    | Obs.Released -> record lane Tev.Lock "release" Tev.Instant (tvar_arg a)
+    | Obs.Published ->
+        record lane Tev.Txn "publish" Tev.Instant (tvar_arg a);
+        record lane Tev.Lock "release" Tev.Instant (tvar_arg a)
+    | Obs.Steal -> record lane Tev.Txn "steal" Tev.Instant (tvar_arg a)
+    | Obs.Conflict Obs.Lock_busy ->
+        record lane Tev.Lock "busy" Tev.Instant (tvar_arg b)
+    | Obs.Conflict Obs.Validation ->
+        record lane Tev.Validation "read-invalid" Tev.Instant (tvar_arg b)
+    | Obs.Read | Obs.Lock | Obs.Validate | Obs.Publish | Obs.Conflict _ -> ());
+    Obs.Proceed
+
+  let stop_locked () =
+    Option.iter Obs.unsubscribe (Atomic.get session);
+    Atomic.set session None
+
+  let start_with capacity =
+    Mutex.protect registry_mu (fun () ->
+        stop_locked ();
+        registry := [];
+        let gen = Atomic.fetch_and_add generation 1 + 1 in
+        Atomic.set seq 0;
+        Atomic.set emitted_count 0;
+        Atomic.set session (Some (Obs.subscribe (subscriber gen capacity))))
+
+  let start ?(capacity = 4096) () =
+    if capacity < 1 then
+      invalid_arg "Stm.Trace.start: capacity must be positive";
+    start_with (Some capacity)
+
+  let start_null () = start_with None
+  let stop () = Mutex.protect registry_mu stop_locked
+  let is_on () = Option.is_some (Atomic.get session)
+  let owns h =
+    match Atomic.get session with Some t -> t == h | None -> false
+
+  let events () =
+    let evs =
+      Mutex.protect registry_mu (fun () ->
+          List.concat_map Tm_trace.Ring.to_list !registry)
+    in
+    List.sort (fun (a : Tev.t) b -> Int.compare a.ts b.ts) evs
+
+  let dropped () =
+    Mutex.protect registry_mu (fun () ->
+        List.fold_left (fun acc r -> acc + Tm_trace.Ring.dropped r) 0 !registry)
+
+  let emitted () = Atomic.get emitted_count
+end
 
 module Algo = struct
   type t = Tl2 | Global_lock | Dstm | Norec
@@ -62,60 +178,58 @@ module Algo = struct
         "NOrec: value-based validation under a single sequence lock \
          (commit-serialized)"
 
-  (* Which Tel phases each core can emit — the per-algorithm phase
-     mapping that keeps telemetry histogram labels truthful.  Begin /
-     Read / Commit / Abort are universal (Begin, Commit and Abort come
-     from the facade's retry loop); the commit-internal phases differ:
-     the global-lock serializer validates nothing, NOrec and DSTM
-     acquire no per-location locks. *)
-  let tel_phases = function
+  (* The sites each core reaches itself — its one announcement table.
+     The facade adds [Begin], [Commit], [Abort] and [Backoff] for every
+     core.  The absences are structural: the global-lock serializer
+     validates nothing, NOrec acquires no per-location lock, only TL2
+     backs out per-location locks ([Released]) and has per-location
+     read/lock conflicts, only the stealing DSTM core steals, the
+     serialized cores convert waits behind their one lock into
+     [Wait_budget], and the write-back cores note their lock protocol
+     ([Acquired], [Published]). *)
+  let sites = function
     | Tl2 ->
         [
-          Tel.Begin;
-          Tel.Read;
-          Tel.Lock;
-          Tel.Validate;
-          Tel.Publish;
-          Tel.Commit;
-          Tel.Abort;
+          Obs.Read;
+          Obs.Lock;
+          Obs.Acquired;
+          Obs.Validate;
+          Obs.Publish;
+          Obs.Published;
+          Obs.Released;
+          Obs.Conflict Obs.Read_conflict;
+          Obs.Conflict Obs.Lock_busy;
+          Obs.Conflict Obs.Validation;
         ]
     | Global_lock ->
-        [ Tel.Begin; Tel.Read; Tel.Lock; Tel.Publish; Tel.Commit; Tel.Abort ]
-    | Dstm | Norec ->
         [
-          Tel.Begin; Tel.Read; Tel.Validate; Tel.Publish; Tel.Commit; Tel.Abort;
+          Obs.Read;
+          Obs.Lock;
+          Obs.Publish;
+          Obs.Acquired;
+          Obs.Published;
+          Obs.Conflict Obs.Wait_budget;
         ]
-
-  (* Which Chaos points each core fires (same truthfulness contract).
-     Notably: global-lock fires [Read] only after the serializer is
-     held (an in-transaction crash deterministically strands it) and
-     fires [Lock_acquire] while holding nothing (so a starving peer's
-     op clock keeps ticking); NOrec never fires [Lock_acquire]. *)
-  let chaos_points = function
-    | Tl2 | Dstm ->
+    | Dstm ->
         [
-          Chaos.Read;
-          Chaos.Validate;
-          Chaos.Lock_acquire;
-          Chaos.Pre_commit;
-          Chaos.Post_commit;
+          Obs.Read;
+          Obs.Lock;
+          Obs.Validate;
+          Obs.Publish;
+          Obs.Steal;
+          Obs.Conflict Obs.Validation;
+          Obs.Conflict Obs.Stolen;
         ]
-    | Global_lock ->
-        [ Chaos.Read; Chaos.Lock_acquire; Chaos.Pre_commit; Chaos.Post_commit ]
     | Norec ->
-        [ Chaos.Read; Chaos.Validate; Chaos.Pre_commit; Chaos.Post_commit ]
-
-  (* Which Blame causes each core can emit (same truthfulness
-     contract).  The absences are structural: only the stealing DSTM
-     core can emit [Stolen]; the serialized cores convert every
-     conflict into spin-budget exhaustion behind their single lock;
-     NOrec additionally revalidates by value ([Validation]); TL2 is
-     the only core with per-location read/lock conflicts. *)
-  let blame_causes = function
-    | Tl2 -> [ Blame.Read_conflict; Blame.Lock_busy; Blame.Validation ]
-    | Global_lock -> [ Blame.Wait_budget ]
-    | Dstm -> [ Blame.Validation; Blame.Stolen ]
-    | Norec -> [ Blame.Validation; Blame.Wait_budget ]
+        [
+          Obs.Read;
+          Obs.Validate;
+          Obs.Publish;
+          Obs.Acquired;
+          Obs.Published;
+          Obs.Conflict Obs.Validation;
+          Obs.Conflict Obs.Wait_budget;
+        ]
 end
 
 let core_of : Algo.t -> (module Stm_core.S) = function
@@ -227,9 +341,7 @@ let backoff s attempts =
   let spins = 1 + ((s.prng * 1103515245) + 12345) land 0x3FFFFFFF in
   s.prng <- spins;
   let n_spins = spins mod bound in
-  if Atomic.get Trace.tracing then
-    Trace.emit Tev.Backoff "wait" Tev.Instant
-      [ ("attempt", Tev.Int attempts); ("spins", Tev.Int n_spins) ];
+  if Atomic.get Obs.armed then Obs.note Obs.Backoff attempts n_spins;
   for _ = 1 to n_spins do
     Domain.cpu_relax ()
   done
@@ -251,9 +363,7 @@ let rec begin_attempt s a =
       s.cores.(i) <- Some (Stm_core.P ((module C), C.begin_ ()));
       begin_attempt s a
 
-let end_attempt outcome =
-  if Atomic.get Trace.tracing then
-    Trace.emit Tev.Txn "attempt" Tev.Span_end [ ("outcome", Tev.Str outcome) ]
+let end_attempt o = if Atomic.get Obs.armed then Obs.note (Obs.Abort o) 0 0
 
 (* Release what the live transaction holds and leave it. *)
 let abandon s =
@@ -262,11 +372,11 @@ let abandon s =
   | None -> ());
   s.cur <- None
 
-(* After an abandoned attempt: count the abort, close its span and back
-   off before the next one. *)
-let next_attempt s outcome backoff_n =
+(* After an abandoned attempt: count the abort, end it and back off
+   before the next one. *)
+let next_attempt s o backoff_n =
   s.counts.aborts <- s.counts.aborts + 1;
-  end_attempt outcome;
+  end_attempt o;
   backoff s backoff_n
 
 let commit_live s =
@@ -274,17 +384,20 @@ let commit_live s =
   | Some (Stm_core.P ((module C), t)) -> C.commit t
   | None -> ()
 
+(* The commit took effect: an injected [Abort] has nothing left to
+   abort, a [Crash] kills the domain after the fact. *)
+let committed () =
+  if Atomic.get Obs.armed then
+    match Obs.decide Obs.Commit 0 0 with
+    | Obs.Proceed | Obs.Abort -> ()
+    | Obs.Stall n -> Obs.stall n
+    | Obs.Crash -> raise Obs.Crashed
+
 (* One attempt, and the next ones until a commit.  Every argument is
-   explicit so that an attempt builds no closure; the Tel observations
-   stay inline under their guard. *)
+   explicit so that an attempt builds no closure. *)
 let rec attempt : type a. slot -> Algo.t -> (unit -> a) -> int -> a =
  fun s a f n ->
-  if Atomic.get Trace.tracing then
-    Trace.emit Tev.Txn "attempt" Tev.Span_begin [ ("attempt", Tev.Int n) ];
-  let tel = Atomic.get Tel.armed in
-  let tp = if tel then Atomic.get Tel.probe else Tel.null_probe in
-  if tel then tp.Tel.count Tel.Begin;
-  let t0 = if tel then tp.Tel.now () else 0 in
+  if Atomic.get Obs.armed then Obs.note Obs.Begin n 0;
   begin_attempt s a;
   match f () with
   | result -> (
@@ -292,38 +405,33 @@ let rec attempt : type a. slot -> Algo.t -> (unit -> a) -> int -> a =
       | () ->
           s.cur <- None;
           s.counts.commits <- s.counts.commits + 1;
-          Blame.progress ();
-          if tel then tp.Tel.observe Tel.Commit (tp.Tel.now () - t0);
-          end_attempt "commit";
+          committed ();
           result
       | exception Stm_core.Conflict ->
           abandon s;
-          if tel then tp.Tel.observe Tel.Abort (tp.Tel.now () - t0);
-          next_attempt s "conflict" n;
+          next_attempt s Obs.Conflicted n;
           attempt s a f (n + 1)
-      | exception (Chaos.Crashed as e) ->
+      | exception (Obs.Crashed as e) ->
           (* A crashed commit keeps everything it holds: no cleanup, and
-             the attempt span stays open — the domain is gone. *)
+             the attempt stays open — the domain is gone. *)
           s.cur <- None;
           raise e)
   | exception Stm_core.Conflict ->
       abandon s;
-      if tel then tp.Tel.observe Tel.Abort (tp.Tel.now () - t0);
-      next_attempt s "conflict" n;
+      next_attempt s Obs.Conflicted n;
       attempt s a f (n + 1)
   | exception Retry ->
       abandon s;
-      if tel then tp.Tel.observe Tel.Abort (tp.Tel.now () - t0);
-      next_attempt s "retry" (n + 2);
+      next_attempt s Obs.Retried (n + 2);
       attempt s a f (n + 1)
-  | exception (Chaos.Crashed as e) ->
+  | exception (Obs.Crashed as e) ->
       (* Crashed in the body: same no-cleanup contract. *)
       s.cur <- None;
-      end_attempt "exception";
+      end_attempt Obs.Raised;
       raise e
   | exception e ->
       abandon s;
-      end_attempt "exception";
+      end_attempt Obs.Raised;
       raise e
 
 let atomically f =
@@ -335,14 +443,11 @@ let atomically f =
       attempt s (Atomic.get selected_algo) f 0
 
 let recover () =
-  (* A recovery point is also where stranded observation handlers go:
-     a harness that died between [install] and [uninstall] must not
-     leave a chaos plan, telemetry probe or blame sink armed across
-     runs.  All three uninstalls are idempotent, so recovering twice
-     (or recovering after a clean teardown already disarmed them) is
+  (* A recovery point is also where stranded subscribers go: a harness
+     that died between subscribing and unsubscribing must not leave a
+     chaos plan, telemetry probe or blame graph armed across runs.  A
+     trace session is the caller's to stop.  Recovering twice is
      harmless. *)
-  Chaos.uninstall ();
-  Tel.uninstall ();
-  Blame.uninstall ();
+  Obs.retain Trace.owns;
   let (module C) = Atomic.get selected in
   C.recover ()

@@ -2,8 +2,8 @@
 
    Everything algorithm-independent lives here: the t-variable
    representation, the write set the write-back cores share, the
-   observation seams ([Trace], [Chaos], [Tel], [Blame]) and the core
-   interface [S] that each algorithm implements.  The [Stm] facade
+   observation seam [Obs] and the core interface [S] that each
+   algorithm implements.  The [Stm] facade
    dispatches the public API to the currently selected core; the cores
    themselves live in [Stm_tl2], [Stm_glock], [Stm_dstm] and
    [Stm_norec].
@@ -27,8 +27,8 @@ type locator = {
   l_old : univ;
   mutable l_new : univ;
   l_owner : int;
-      (* plan slot of the installing transaction's domain when the Blame
-         seam is armed, -1 otherwise — lets a stealer name its victim *)
+      (* plan slot of the installing transaction's domain when [Obs] is
+         armed, -1 otherwise — lets a stealer name its victim *)
 }
 
 type 'a tvar = {
@@ -39,7 +39,7 @@ type 'a tvar = {
   locator : locator Atomic.t;
   owner : int Atomic.t;
       (* plan slot of the last lock holder / committed writer, written
-         only while the Blame seam is armed (-1 = unknown) *)
+         only while [Obs] is armed (-1 = unknown) *)
 }
 
 let next_id = Atomic.make 0
@@ -48,104 +48,6 @@ let next_id = Atomic.make 0
    status cell: a steal (CAS 0 -> 2) on it can never succeed, and no
    transaction ever owns it. *)
 let root_status = Atomic.make 1
-
-module Tev = Tm_trace.Trace_event
-
-(* Runtime tracing.  The hot path pays one [Atomic.get] on a global flag
-   per potential event; when the flag is false no event is even
-   constructed.  When on, each domain writes into its own fixed-size ring
-   (single-writer, no lock on the emit path) registered in a global list
-   so [events] can collect them afterwards.  Timestamps come from a global
-   emission sequence — they give a total order of emissions, not wall
-   time. *)
-module Trace = struct
-  type mode = Off | Null | Rings of int
-
-  let tracing = Atomic.make false
-  let mode = Atomic.make Off
-  let generation = Atomic.make 0
-  let seq = Atomic.make 0
-  let emitted_count = Atomic.make 0
-  let registry_mu = Mutex.create ()
-  let registry : Tm_trace.Ring.t list ref = ref []
-
-  let slot : (int * Tm_trace.Ring.t) option ref Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> ref None)
-
-  let default_capacity = 4096
-
-  let reset_locked m =
-    registry := [];
-    Atomic.incr generation;
-    Atomic.set seq 0;
-    Atomic.set emitted_count 0;
-    Atomic.set mode m;
-    Atomic.set tracing (m <> Off)
-
-  let start ?(capacity = default_capacity) () =
-    if capacity < 1 then invalid_arg "Stm.Trace.start: capacity must be positive";
-    Mutex.protect registry_mu (fun () -> reset_locked (Rings capacity))
-
-  let start_null () = Mutex.protect registry_mu (fun () -> reset_locked Null)
-
-  let stop () =
-    Mutex.protect registry_mu (fun () ->
-        Atomic.set tracing false;
-        Atomic.set mode Off)
-
-  let is_on () = Atomic.get tracing
-
-  (* The per-domain ring is cached in DLS together with the generation it
-     belongs to, so a stale ring from a previous [start] is never written
-     into the current session. *)
-  let ring_for_domain gen =
-    let r = Domain.DLS.get slot in
-    match !r with
-    | Some (g, ring) when g = gen -> Some ring
-    | _ -> (
-        match Atomic.get mode with
-        | Rings cap ->
-            let ring = Tm_trace.Ring.create ~capacity:cap in
-            let registered =
-              Mutex.protect registry_mu (fun () ->
-                  if Atomic.get generation = gen then begin
-                    registry := ring :: !registry;
-                    true
-                  end
-                  else false)
-            in
-            if registered then begin
-              r := Some (gen, ring);
-              Some ring
-            end
-            else None
-        | Off | Null -> None)
-
-  let emit cat name phase args =
-    let ts = Atomic.fetch_and_add seq 1 in
-    let tid = (Domain.self () :> int) in
-    let e = { Tev.ts; pid = 0; tid; cat; name; phase; args } in
-    Atomic.incr emitted_count;
-    match Atomic.get mode with
-    | Off | Null -> ()
-    | Rings _ -> (
-        match ring_for_domain (Atomic.get generation) with
-        | Some ring -> Tm_trace.Ring.add ring e
-        | None -> ())
-
-  let events () =
-    let evs =
-      Mutex.protect registry_mu (fun () ->
-          List.concat_map Tm_trace.Ring.to_list !registry)
-    in
-    List.sort (fun (a : Tev.t) b -> Int.compare a.ts b.ts) evs
-
-  let dropped () =
-    Mutex.protect registry_mu (fun () ->
-        List.fold_left (fun acc r -> acc + Tm_trace.Ring.dropped r) 0 !registry)
-
-  let emitted () = Atomic.get emitted_count
-end
 
 let tvar (type a) (init : a) : a tvar =
   let wit = Type.Id.make () in
@@ -174,142 +76,105 @@ let of_univ (type a) (tv : a tvar) (U (w, x)) : a = cast w tv.wit x
 exception Retry
 exception Conflict
 
-(* Deterministic fault injection.  Same zero-cost discipline as [Trace]:
-   every interception point costs one [Atomic.get] on [armed] when no
-   plan is installed, and only consults the handler when armed.  The
-   handler decides per point: proceed, abort the attempt (a normal
-   conflict, counted and retried), stall (bounded spinning), or crash.
-   [Crashed] escapes [atomically] through its generic exception arm
-   without releasing any commit locks the domain holds — a crash at
-   [Pre_commit] is therefore the paper's crashed-lock-holder adversary,
-   observable on real domains.  Where each point fires is
-   algorithm-specific; see [Stm.Algo] for the per-core mapping. *)
-module Chaos = struct
-  type point = Read | Validate | Lock_acquire | Pre_commit | Post_commit
+(* Inside [Obs], [Conflict] names the conflict site. *)
+let abort_attempt () = raise Conflict
+
+(* The observation seam.  Every decision site of the cores and of the
+   facade's retry loop is one [site]; a site costs one [Atomic.get] on
+   [armed] while nothing is subscribed, and nothing else — no event is
+   built, no subscriber list is loaded.  Armed, each site goes to every
+   subscriber in subscription order, on the emitting domain, with two
+   int payloads whose meaning the site fixes (see the interface).
+
+   Subscribers are the trace ring ([Stm.Trace]), a chaos plan, the
+   telemetry probe and the blame graph.  Only a chaos plan answers with
+   anything but [Proceed]: at [Read], [Lock], [Validate], [Publish] and
+   [Commit] the answer is a fault to inject.  [Crashed] escapes
+   [atomically] without releasing the locks the domain holds — a crash
+   at [Publish] is the paper's crashed-lock-holder adversary, observable
+   on real domains.
+
+   Identity is the {e plan slot} (0..domains-1) a harness binds with
+   [set_self], not the raw [Domain.self ()]: one live transaction per
+   slot makes slot = transaction for blame, and slots are comparable
+   across runs.  Unbound domains report -1 ("unknown"). *)
+module Obs = struct
+  type cause = Read_conflict | Lock_busy | Validation | Stolen | Wait_budget
+  type outcome = Conflicted | Retried | Raised
   type action = Proceed | Abort | Stall of int | Crash
+
+  type site =
+    | Begin
+    | Read
+    | Lock
+    | Validate
+    | Publish
+    | Conflict of cause
+    | Commit
+    | Abort of outcome
+    | Acquired
+    | Released
+    | Published
+    | Steal
+    | Backoff
 
   exception Crashed
 
-  let null_handler : point -> action = fun _ -> Proceed
+  type subscriber = site -> int -> int -> action
+  type handle = { on : subscriber }
+
   let armed = Atomic.make false
-  let handler = Atomic.make null_handler
+  let subs : handle array Atomic.t = Atomic.make [||]
+  let registry_mu = Mutex.create ()
 
-  let install f =
-    Atomic.set handler f;
-    Atomic.set armed true
+  let update f =
+    Mutex.protect registry_mu (fun () ->
+        let s = f (Atomic.get subs) in
+        Atomic.set subs s;
+        Atomic.set armed (Array.length s > 0))
 
-  let uninstall () =
-    Atomic.set armed false;
-    Atomic.set handler null_handler
+  let subscribe on =
+    let h = { on } in
+    update (fun s -> Array.append s [| h |]);
+    h
 
-  let is_armed () = Atomic.get armed
+  let retain keep =
+    update (fun s -> Array.of_list (List.filter keep (Array.to_list s)))
 
-  let point_label = function
-    | Read -> "read"
-    | Validate -> "validate"
-    | Lock_acquire -> "lock-acquire"
-    | Pre_commit -> "pre-commit"
-    | Post_commit -> "post-commit"
+  let unsubscribe h = retain (fun h' -> h' != h)
+
+  (* The last non-[Proceed] answer wins; only a chaos plan gives one. *)
+  let decide site a b =
+    let s = Atomic.get subs in
+    let act = ref Proceed in
+    for i = 0 to Array.length s - 1 do
+      match s.(i).on site a b with Proceed -> () | x -> act := x
+    done;
+    !act
+
+  let note site a b = ignore (decide site a b)
 
   let stall n =
     for _ = 1 to n do
       Domain.cpu_relax ()
     done
 
-  let decide p = if Atomic.get armed then (Atomic.get handler) p else Proceed
-
-  (* Interpretation for points where the domain holds no commit locks;
-     commit paths interpret actions themselves so an [Abort] can back
-     out whatever the core already holds (and a [Crash] deliberately
-     does not). *)
-  let fire p =
-    match decide p with
+  (* Interpretation for sites where the domain holds no commit locks;
+     commit paths interpret [decide] themselves so an [Abort] can
+     back out whatever the core already holds (and a [Crash]
+     deliberately does not). *)
+  let fire site =
+    match decide site 0 0 with
     | Proceed -> ()
     | Stall n -> stall n
-    | Abort -> raise Conflict
+    | Abort -> abort_attempt ()
     | Crash -> raise Crashed
-end
 
-(* Always-on telemetry.  Third user of the zero-cost discipline of
-   [Trace] and [Chaos]: every instrumented event costs one [Atomic.get]
-   on [armed] while no probe is installed, and the probe record is only
-   loaded once armed.  The probe supplies its own clock so this module
-   stays clock-library-agnostic; [now] must be monotone and its unit is
-   whatever the installer counts in (tm_telemetry installs nanoseconds).
-   Durations handed to [observe] are [now] deltas in that unit. *)
-module Tel = struct
-  type phase = Begin | Read | Lock | Validate | Publish | Commit | Abort
+  let slot_key : int ref Domain.DLS.key =
+    Domain.DLS.new_key (fun () -> ref (-1))
 
-  type probe = {
-    now : unit -> int;
-    count : phase -> unit;
-    observe : phase -> int -> unit;
-  }
-
-  let null_probe =
-    { now = (fun () -> 0); count = (fun _ -> ()); observe = (fun _ _ -> ()) }
-
-  let armed = Atomic.make false
-  let probe = Atomic.make null_probe
-
-  let install p =
-    Atomic.set probe p;
-    Atomic.set armed true
-
-  let uninstall () =
-    Atomic.set armed false;
-    Atomic.set probe null_probe
-
-  let is_armed () = Atomic.get armed
-
-  let phase_label = function
-    | Begin -> "begin"
-    | Read -> "read"
-    | Lock -> "lock-acquire"
-    | Validate -> "validate"
-    | Publish -> "publish"
-    | Commit -> "commit"
-    | Abort -> "abort"
-end
-
-(* Blame attribution.  Fourth user of the zero-cost seam discipline:
-   every abort/steal/wait decision site in the cores costs one
-   [Atomic.get] on [armed] while no sink is installed.  When armed, the
-   cores additionally stamp ownership (tvar [owner], locator [l_owner])
-   with the emitter's plan slot so the aggressor of a conflict can be
-   named; disarmed they never touch those words, so the fast path is
-   byte-identical to the pre-blame one.
-
-   Identity is the {e plan slot} (0..domains-1) of the worker's domain,
-   not the raw [Domain.self ()]: the chaos runner assigns slots, one
-   live transaction per slot, so slot = transaction for attribution
-   purposes and the graph is comparable across runs.  Code running
-   outside a slotted worker reports -1 ("unknown"). *)
-module Blame = struct
-  type cause = Read_conflict | Lock_busy | Validation | Stolen | Wait_budget
-
-  type event = {
-    b_victim : int;  (** slot whose attempt is impeded (-1 unknown) *)
-    b_aggressor : int;  (** slot held responsible (-1 unknown) *)
-    b_tvar : int;  (** t-variable id the conflict was on (-1 none) *)
-    b_cause : cause;
-  }
-
-  type sink = { on_event : event -> unit; on_progress : int -> unit }
-
-  let null_sink = { on_event = (fun _ -> ()); on_progress = (fun _ -> ()) }
-  let armed = Atomic.make false
-  let sink = Atomic.make null_sink
-
-  let install s =
-    Atomic.set sink s;
-    Atomic.set armed true
-
-  let uninstall () =
-    Atomic.set armed false;
-    Atomic.set sink null_sink
-
-  let is_armed () = Atomic.get armed
+  let set_self s = Domain.DLS.get slot_key := s
+  let self () = !(Domain.DLS.get slot_key)
 
   let cause_label = function
     | Read_conflict -> "read-conflict"
@@ -318,26 +183,27 @@ module Blame = struct
     | Stolen -> "stolen"
     | Wait_budget -> "wait-budget"
 
-  let causes =
-    [ Read_conflict; Lock_busy; Validation; Stolen; Wait_budget ]
+  let causes = [ Read_conflict; Lock_busy; Validation; Stolen; Wait_budget ]
 
-  let slot_key : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref (-1))
-  let set_self s = Domain.DLS.get slot_key := s
-  let self () = !(Domain.DLS.get slot_key)
+  let outcome_label = function
+    | Conflicted -> "conflict"
+    | Retried -> "retry"
+    | Raised -> "exception"
 
-  (* Only called from armed-guarded sites; no second [armed] check.
-     [emit_event] is for the one site where the emitter is the
-     aggressor (the DSTM steal); everywhere else the victim reports
-     its own impediment via [emit]. *)
-  let emit_event ~victim ~aggressor ~tvar cause =
-    (Atomic.get sink).on_event
-      { b_victim = victim; b_aggressor = aggressor; b_tvar = tvar; b_cause = cause }
-
-  let emit ~aggressor ~tvar cause =
-    emit_event ~victim:(self ()) ~aggressor ~tvar cause
-
-  let progress () =
-    if Atomic.get armed then (Atomic.get sink).on_progress (self ())
+  let site_label = function
+    | Begin -> "begin"
+    | Read -> "read"
+    | Lock -> "lock-acquire"
+    | Validate -> "validate"
+    | Publish -> "publish"
+    | Conflict c -> "conflict:" ^ cause_label c
+    | Commit -> "commit"
+    | Abort o -> "abort:" ^ outcome_label o
+    | Acquired -> "acquired"
+    | Released -> "released"
+    | Published -> "published"
+    | Steal -> "steal"
+    | Backoff -> "backoff"
 end
 
 (* Versioned-lock helpers (TL2's vlock word: even = unlocked, value is
@@ -448,27 +314,20 @@ end
 
 (* Write-back for the serialized cores (global-lock, NOrec), which run
    it holding their one lock.  Holding it is holding every lock, so the
-   trace shows the write set acquired, published and released under it
-   in id order, and the lock-discipline lints see a coherent protocol.
-   [tr] is tracing as sampled when the commit began. *)
-let write_back tr ws =
+   write set is noted acquired, published and released under it in id
+   order, and the lock-discipline lints see a coherent protocol. *)
+let write_back ws =
   Wset.sort ws;
   let n = Wset.length ws in
-  let tr = tr && Atomic.get Trace.tracing in
-  if tr then
+  let armed = Atomic.get Obs.armed in
+  if armed then
     for k = 0 to n - 1 do
-      Trace.emit Tev.Lock "acquire" Tev.Instant
-        [ ("tvar", Tev.Int (Wset.id ws k)); ("order", Tev.Int k) ]
+      Obs.note Obs.Acquired (Wset.id ws k) k
     done;
   for k = 0 to n - 1 do
     match Wset.entry ws k with
     | W { tv; v } ->
-        if tr then begin
-          Trace.emit Tev.Txn "publish" Tev.Instant
-            [ ("tvar", Tev.Int tv.id) ];
-          Trace.emit Tev.Lock "release" Tev.Instant
-            [ ("tvar", Tev.Int tv.id) ]
-        end;
+        if armed then Obs.note Obs.Published tv.id 0;
         Atomic.set tv.content v
   done
 
@@ -497,9 +356,9 @@ let rec snapshot_read tv =
 let spin_budget = 1 lsl 14
 
 (* Per-algorithm core.  A core supplies the transaction engine; the
-   [Stm] facade owns the retry loop (backoff, trace attempt spans, Tel
-   Begin/Commit/Abort timing, global commit/abort counters) and the
-   per-domain current-transaction slot.
+   [Stm] facade owns the retry loop (backoff, the [Begin], [Commit],
+   [Abort] and [Backoff] sites, per-domain commit/abort count cells) and
+   the per-domain current-transaction slot.
 
    Contract:
    - At most one transaction per core is live on a domain at a time:
@@ -508,10 +367,10 @@ let spin_budget = 1 lsl 14
      [read]/[write]/[commit] where the re-run transaction body keeps
      external stop-flags observable.
    - [read]/[write]/[commit] raise [Conflict] to abort the attempt and
-     may raise [Chaos.Crashed]; before re-running (or on any other
+     may raise [Obs.Crashed]; before re-running (or on any other
      exception) the facade calls [abort_cleanup], which must be
      idempotent and release everything the attempt still holds.
-     [abort_cleanup] is never called after [Chaos.Crashed]: a crashed
+     [abort_cleanup] is never called after [Obs.Crashed]: a crashed
      transaction keeps whatever it holds, by design.
    - [commit] returning normally means the transaction took effect;
      the core has released everything. *)

@@ -2,11 +2,11 @@
 
     This module is the algorithm-independent half of [lib/stm]: the
     t-variable representation, the write set the write-back cores
-    share, the observation seams ([Trace], [Chaos], [Tel], [Blame]) and
-    the core interface {!S} each algorithm implements.  User code
+    share, the observation seam {!Obs} and the core interface {!S} each
+    algorithm implements.  User code
     should go through the {!Stm} facade; the types here are exposed so
     the cores ([Stm_tl2], [Stm_glock], [Stm_dstm], [Stm_norec]) can
-    share one t-variable type and so the facade can re-export the seams
+    share one t-variable type and so the facade can re-export the seam
     unchanged. *)
 
 type univ = U : 'a Type.Id.t * 'a -> univ
@@ -24,7 +24,7 @@ type locator = {
     cell, shared across all its locators: 0 = active, 1 = committed,
     2 = aborted; transitions are monotone and terminal.  Only the DSTM
     core reads or writes locators.  [l_owner] is the installing
-    domain's plan slot when the {!Blame} seam is armed (-1 otherwise):
+    domain's plan slot when {!Obs} is armed (-1 otherwise):
     it lets a stealer name the victim of its abort. *)
 
 type 'a tvar = {
@@ -37,7 +37,7 @@ type 'a tvar = {
   locator : locator Atomic.t;
   owner : int Atomic.t;
       (** plan slot of the last lock holder / committed writer, written
-          only while {!Blame} is armed (-1 = unknown) *)
+          only while {!Obs} is armed (-1 = unknown) *)
 }
 
 val tvar : 'a -> 'a tvar
@@ -64,120 +64,68 @@ exception Conflict
     loop.  Cores also convert bounded-spin exhaustion behind a stranded
     lock into [Conflict] so starving domains stay observable. *)
 
-(** Runtime tracing; see [Stm.Trace] for the user-facing contract. *)
-module Trace : sig
-  val tracing : bool Atomic.t
-  (** The armed flag, exposed so hot paths can do a single
-      [Atomic.get]. *)
-
-  val start : ?capacity:int -> unit -> unit
-  val start_null : unit -> unit
-  val stop : unit -> unit
-  val is_on : unit -> bool
-
-  val emit :
-    Tm_trace.Trace_event.category ->
-    string ->
-    Tm_trace.Trace_event.phase ->
-    (string * Tm_trace.Trace_event.arg) list ->
-    unit
-
-  val events : unit -> Tm_trace.Trace_event.t list
-  val dropped : unit -> int
-  val emitted : unit -> int
-end
-
-(** Deterministic fault-injection points; see [Stm.Chaos] for the
-    user-facing contract and [Stm.Algo] for where each core fires each
-    point. *)
-module Chaos : sig
-  type point = Read | Validate | Lock_acquire | Pre_commit | Post_commit
+(** The observation seam; see [Stm.Obs] for the user-facing contract
+    and [Stm.Algo.sites] for which core reaches which site.  Every site
+    is guarded by one [Atomic.get armed]: disarmed, a site costs that
+    load and nothing else. *)
+module Obs : sig
+  type cause = Read_conflict | Lock_busy | Validation | Stolen | Wait_budget
+  type outcome = Conflicted | Retried | Raised
   type action = Proceed | Abort | Stall of int | Crash
+
+  type site =
+    | Begin
+    | Read
+    | Lock
+    | Validate
+    | Publish
+    | Conflict of cause
+    | Commit
+    | Abort of outcome
+    | Acquired
+    | Released
+    | Published
+    | Steal
+    | Backoff
 
   exception Crashed
 
+  type subscriber = site -> int -> int -> action
+  type handle
+
   val armed : bool Atomic.t
-  val install : (point -> action) -> unit
-  val uninstall : unit -> unit
-  val is_armed : unit -> bool
-  val point_label : point -> string
+  (** True while anything is subscribed. *)
+
+  val subscribe : subscriber -> handle
+  val unsubscribe : handle -> unit
+
+  val retain : (handle -> bool) -> unit
+  (** Drop every subscriber the predicate rejects. *)
+
+  val decide : site -> int -> int -> action
+  (** Deliver a site with its payload to every subscriber; the last
+      non-[Proceed] answer wins.  Call only from an armed-guarded
+      site. *)
+
+  val note : site -> int -> int -> unit
+  (** [decide], answer ignored: for sites that inject no fault. *)
+
+  val fire : site -> unit
+  (** [decide] without payload, plus the no-locks-held interpretation:
+      [Abort] raises
+      {!Conflict}, [Stall n] spins, [Crash] raises {!Crashed}.  Commit
+      paths that hold locks interpret {!decide} themselves. *)
+
   val stall : int -> unit
 
-  val decide : point -> action
-  (** Consult the handler (or [Proceed] when disarmed). *)
-
-  val fire : point -> unit
-  (** [decide] plus the no-locks-held interpretation: [Abort] raises
-      {!Conflict}, [Crash] raises {!Crashed}.  Commit paths that hold
-      locks interpret {!decide} themselves. *)
-end
-
-(** Always-on telemetry probe; see [Stm.Tel] for the user-facing
-    contract. *)
-module Tel : sig
-  type phase = Begin | Read | Lock | Validate | Publish | Commit | Abort
-
-  type probe = {
-    now : unit -> int;
-    count : phase -> unit;
-    observe : phase -> int -> unit;
-  }
-
-  val null_probe : probe
-  val armed : bool Atomic.t
-  val probe : probe Atomic.t
-  val install : probe -> unit
-  val uninstall : unit -> unit
-  val is_armed : unit -> bool
-  val phase_label : phase -> string
-end
-
-(** Blame attribution seam; see [Stm.Blame] for the user-facing
-    contract.  Cores guard every emission site (and every ownership
-    stamp) with one [Atomic.get] on {!Blame.armed}, so the disarmed
-    fast path is byte-identical to the pre-blame one. *)
-module Blame : sig
-  type cause = Read_conflict | Lock_busy | Validation | Stolen | Wait_budget
-
-  type event = {
-    b_victim : int;  (** slot whose attempt is impeded (-1 unknown) *)
-    b_aggressor : int;  (** slot held responsible (-1 unknown) *)
-    b_tvar : int;  (** t-variable id the conflict was on (-1 none) *)
-    b_cause : cause;
-  }
-
-  type sink = { on_event : event -> unit; on_progress : int -> unit }
-
-  val null_sink : sink
-  val armed : bool Atomic.t
-  val install : sink -> unit
-  val uninstall : unit -> unit
-  val is_armed : unit -> bool
-  val cause_label : cause -> string
-
-  val causes : cause list
-  (** Every cause, in label order — the stable axis of exported
-      histograms. *)
-
   val set_self : int -> unit
-  (** Bind the calling domain's plan slot (its blame identity).  Set by
-      the chaos runner's workers; unset domains report -1. *)
+  (** Bind the calling domain's plan slot (its blame identity). *)
 
   val self : unit -> int
-
-  val emit : aggressor:int -> tvar:int -> cause -> unit
-  (** Deliver one event to the sink, victim = the calling domain's
-      slot.  Call only from an armed-guarded site: [emit] itself does
-      not re-check {!armed}. *)
-
-  val emit_event : victim:int -> aggressor:int -> tvar:int -> cause -> unit
-  (** [emit] with an explicit victim — for the one site where the
-      emitter is the aggressor (the DSTM steal names the locator's
-      installer as victim).  Same armed-guarded contract. *)
-
-  val progress : unit -> unit
-  (** Commit watermark tick for the calling domain's slot; checks
-      {!armed} itself (one atomic load when disarmed). *)
+  val cause_label : cause -> string
+  val causes : cause list
+  val outcome_label : outcome -> string
+  val site_label : site -> string
 end
 
 (** {1 Versioned-lock helpers (TL2's vlock word)} *)
@@ -232,11 +180,10 @@ module Wset : sig
       valid after {!sort}. *)
 end
 
-val write_back : bool -> Wset.t -> unit
-(** [write_back tr ws] sorts the write set and publishes every entry's
-    value, for a serialized core holding its one lock.  With [tr] (the
-    commit's tracing sample) it traces the set as acquired, published
-    and released under that lock. *)
+val write_back : Wset.t -> unit
+(** Sort the write set and publish every entry's value, for a
+    serialized core holding its one lock; armed, it notes the set as
+    [Acquired], [Published] and released under that lock. *)
 
 val snapshot_read : 'a tvar -> 'a
 (** Direct atomic snapshot read through the vlock seqlock. *)
@@ -249,8 +196,8 @@ val spin_budget : int
 (** {1 The per-algorithm core interface}
 
     A core supplies the transaction engine; the [Stm] facade owns the
-    retry loop (backoff, trace attempt spans, Tel Begin/Commit/Abort
-    timing, per-domain commit/abort counts) and the per-domain slot
+    retry loop (backoff; the [Begin], [Commit], [Abort] and [Backoff]
+    sites; per-domain commit/abort count cells) and the per-domain slot
     holding the live transaction.
 
     Contract:
@@ -264,10 +211,10 @@ val spin_budget : int
       [read]/[write]/[commit] where the re-run transaction body keeps
       external stop-flags observable.
     - [read]/[write]/[commit] raise {!Conflict} to abort the attempt
-      and may raise [Chaos.Crashed]; before re-running (or on any
+      and may raise [Obs.Crashed]; before re-running (or on any
       other exception) the facade calls [abort_cleanup], which must be
       idempotent and release everything the attempt still holds.
-      [abort_cleanup] is never called after [Chaos.Crashed]: a crashed
+      [abort_cleanup] is never called after [Obs.Crashed]: a crashed
       transaction keeps whatever it holds, by design.
     - [commit] returning normally means the transaction took effect
       and the core has released everything.

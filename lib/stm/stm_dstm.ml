@@ -30,19 +30,15 @@
    snapshots because every read revalidates the whole read set
    (opacity).
 
-   Chaos mapping: [Read] before each (non-own) read, [Lock_acquire]
-   before each ownership acquisition, [Validate]/[Pre_commit] around
-   commit-time validation with ownerships held, [Post_commit] after
-   the commit CAS.  A crash leaves the status cell active forever:
-   the crashed-owner adversary that lock-based cores cannot survive
-   and this one shrugs off.
-
-   Seam sites here are under static contract: every Tel/Chaos/Blame
-   emission must match [Stm.Algo]'s announcement for Dstm and sit
-   behind its armed guard (tmlive static: seam-contract/seam-guard). *)
+   Sites: [Read] before each (non-own) read, [Lock] before each
+   ownership acquisition, [Validate]/[Publish] around commit-time
+   validation with ownerships held.  A crash leaves the status cell
+   active forever: the crashed-owner adversary that lock-based cores
+   cannot survive and this one shrugs off.  Every site must match
+   [Stm.Algo.sites] for Dstm and sit behind the armed guard (tmlive
+   static: seam-contract/seam-guard). *)
 
 open Stm_core
-module Tev = Tm_trace.Trace_event
 
 let algo_name = "dstm"
 
@@ -74,15 +70,14 @@ let committed_univ tv =
   if Atomic.get loc.l_status = 1 then loc.l_new else loc.l_old
 
 let steal loc tv =
-  if Atomic.get Trace.tracing then
-    Trace.emit Tev.Txn "steal" Tev.Instant [ ("tvar", Tev.Int tv.id) ];
+  if Atomic.get Obs.armed then Obs.note Obs.Steal tv.id 0;
   let stolen = Atomic.compare_and_set loc.l_status 0 2 in
-  (* The one aggressor-side blame site: only a successful steal aborts
+  (* The one aggressor-side conflict: only a successful steal aborts
      someone, and only the stealer knows it happened (the victim's
-     commit CAS failure later is this same edge, so it stays silent). *)
-  if stolen && Atomic.get Blame.armed then
-    Blame.emit_event ~victim:loc.l_owner ~aggressor:(Blame.self ())
-      ~tvar:tv.id Blame.Stolen
+     commit CAS failure later is this same edge, so it stays silent).
+     The other party it names is therefore the victim. *)
+  if stolen && Atomic.get Obs.armed then
+    Obs.note (Obs.Conflict Obs.Stolen) loc.l_owner tv.id
 
 (* Resolve [tv] for this transaction: own tentative value, or the
    stable value of a terminal locator (stealing any foreign active
@@ -108,20 +103,15 @@ let validate t =
   match first_invalid t.d_reads with
   | None -> ()
   | Some bad ->
-      if Atomic.get Trace.tracing then
-        Trace.emit Tev.Validation "read-invalid" Tev.Instant
-          [ ("tvar", Tev.Int bad.dr_id) ];
-      if Atomic.get Blame.armed then
-        Blame.emit ~aggressor:(bad.dr_owner ()) ~tvar:bad.dr_id
-          Blame.Validation;
+      if Atomic.get Obs.armed then
+        Obs.note (Obs.Conflict Obs.Validation) (bad.dr_owner ()) bad.dr_id;
       raise Conflict
 
 let read (type a) t (tv : a tvar) : a =
   match List.find_opt (fun w -> w.dw_id = tv.id) t.d_writes with
   | Some w -> of_univ tv w.dw_val (* read-own-write, from the journal *)
   | None ->
-      if Atomic.get Chaos.armed then Chaos.fire Chaos.Read;
-      if Atomic.get Tel.armed then (Atomic.get Tel.probe).Tel.count Tel.Read;
+      if Atomic.get Obs.armed then Obs.fire Obs.Read;
       let u = resolve t tv in
       (* Incremental validation: the new value joined to the prior
          reads must still be one consistent snapshot (opacity for
@@ -142,7 +132,7 @@ let write (type a) t (tv : a tvar) (x : a) : unit =
     let loc = Atomic.get tv.locator in
     if loc.l_status == t.d_status then loc.l_new <- u
     else begin
-      if Atomic.get Chaos.armed then Chaos.fire Chaos.Lock_acquire;
+      if Atomic.get Obs.armed then Obs.fire Obs.Lock;
       let st = Atomic.get loc.l_status in
       if st = 0 then begin
         steal loc tv;
@@ -150,9 +140,7 @@ let write (type a) t (tv : a tvar) (x : a) : unit =
       end
       else
         let old = if st = 1 then loc.l_new else loc.l_old in
-        let l_owner =
-          if Atomic.get Blame.armed then Blame.self () else -1
-        in
+        let l_owner = if Atomic.get Obs.armed then Obs.self () else -1 in
         let loc' = { l_status = t.d_status; l_old = old; l_new = u; l_owner } in
         if not (Atomic.compare_and_set tv.locator loc loc') then acquire ()
     end
@@ -163,27 +151,14 @@ let write (type a) t (tv : a tvar) (x : a) : unit =
   | None -> t.d_writes <- { dw_id = tv.id; dw_val = u } :: t.d_writes
 
 let commit t =
-  let tel = Atomic.get Tel.armed in
-  let tp = if tel then Atomic.get Tel.probe else Tel.null_probe in
-  (* [Chaos.fire]'s interpretation is right even with ownerships held:
-     an [Abort] raises [Conflict] and the facade's [abort_cleanup]
-     revokes them (one status CAS); a [Crash] leaves them active. *)
-  if Atomic.get Chaos.armed then Chaos.fire Chaos.Validate;
-  let t0 = if tel then tp.Tel.now () else 0 in
+  (* [Obs.fire]'s interpretation is right even with ownerships held: an
+     [Abort] raises [Conflict] and the facade's [abort_cleanup] revokes
+     them (one status CAS); a [Crash] leaves them active. *)
+  if Atomic.get Obs.armed then Obs.fire Obs.Validate;
   validate t;
-  let t1 =
-    if tel then begin
-      let t' = tp.Tel.now () in
-      tp.Tel.observe Tel.Validate (t' - t0);
-      t'
-    end
-    else 0
-  in
-  if Atomic.get Chaos.armed then Chaos.fire Chaos.Pre_commit;
+  if Atomic.get Obs.armed then Obs.fire Obs.Publish;
   (* The whole commit: one CAS.  Failure means a rival stole us. *)
-  if not (Atomic.compare_and_set t.d_status 0 1) then raise Conflict;
-  if tel then tp.Tel.observe Tel.Publish (tp.Tel.now () - t1);
-  if Atomic.get Chaos.armed then Chaos.fire Chaos.Post_commit
+  if not (Atomic.compare_and_set t.d_status 0 1) then raise Conflict
 
 (* Revoke: one terminal status CAS abandons every owned locator at its
    old value.  Idempotent, and a no-op on a committed/stolen cell. *)

@@ -14,17 +14,14 @@
    starving domain keeps re-running its transaction body (where stop
    flags live) instead of deadlocking inside the runtime.
 
-   Chaos mapping: [Lock_acquire] fires before each serializer
-   acquisition attempt (holding nothing — this also keeps a starving
-   peer's op clock ticking); [Read] fires before each read, *after*
-   the serializer is held, so an in-transaction crash deterministically
-   strands it; [Pre_commit] fires before write-back (serializer held);
-   [Post_commit] after release.  [Validate] never fires: there is
-   nothing to validate.
-
-   Seam sites here are under static contract: every Tel/Chaos/Blame
-   emission must match [Stm.Algo]'s announcement for Global_lock and
-   sit behind its armed guard (tmlive static: seam-contract/guard). *)
+   Sites: [Lock] before each serializer acquisition attempt (holding
+   nothing — this also keeps a starving peer's op clock ticking);
+   [Read] before each read, *after* the serializer is held, so an
+   in-transaction crash deterministically strands it; [Publish] before
+   write-back (serializer held).  [Validate] never fires: there is
+   nothing to validate.  Every site must match [Stm.Algo.sites] for
+   Global_lock and sit behind the armed guard (tmlive static:
+   seam-contract/seam-guard). *)
 
 open Stm_core
 
@@ -49,7 +46,7 @@ let yield_spins = 512
 (* Blame identity of the current/last serializer holder: [last_holder]
    stores a raw [Domain.self] for the fairness yield and is useless
    for attribution, so the plan slot is tracked separately (written
-   only while the Blame seam is armed). *)
+   only while [Obs] is armed). *)
 let blame_holder = Atomic.make (-1)
 
 (* A transaction is its domain's reused buffer (one live global-lock
@@ -72,15 +69,12 @@ let release t =
     Atomic.set big_lock 0
   end
 
-(* Acquire the serializer, bounded.  [Chaos.fire] may raise [Conflict]
+(* Acquire the serializer, bounded.  [Obs.fire] may raise [Conflict]
    or [Crashed] while we hold nothing; spin exhaustion raises
    [Conflict] (the facade's cleanup finds nothing held). *)
 let ensure_locked t =
   if not t.held then begin
-    if Atomic.get Chaos.armed then Chaos.fire Chaos.Lock_acquire;
-    let tel = Atomic.get Tel.armed in
-    let tp = if tel then Atomic.get Tel.probe else Tel.null_probe in
-    let t0 = if tel then tp.Tel.now () else 0 in
+    if Atomic.get Obs.armed then Obs.fire Obs.Lock;
     let me = (Domain.self () :> int) in
     if Atomic.get last_holder = me && Atomic.get waiters > 0 then
       for _ = 1 to yield_spins do
@@ -94,9 +88,9 @@ let ensure_locked t =
           let rec spin budget =
             if Atomic.compare_and_set big_lock 0 1 then ()
             else if budget <= 0 then begin
-              if Atomic.get Blame.armed then
-                Blame.emit ~aggressor:(Atomic.get blame_holder) ~tvar:(-1)
-                  Blame.Wait_budget;
+              if Atomic.get Obs.armed then
+                Obs.note (Obs.Conflict Obs.Wait_budget)
+                  (Atomic.get blame_holder) (-1);
               raise Conflict
             end
             else begin
@@ -107,9 +101,8 @@ let ensure_locked t =
           spin spin_budget)
     end;
     Atomic.set last_holder me;
-    if Atomic.get Blame.armed then Atomic.set blame_holder (Blame.self ());
-    t.held <- true;
-    if tel then tp.Tel.observe Tel.Lock (tp.Tel.now () - t0)
+    if Atomic.get Obs.armed then Atomic.set blame_holder (Obs.self ());
+    t.held <- true
   end
 
 let read (type a) t (tv : a tvar) : a =
@@ -117,8 +110,7 @@ let read (type a) t (tv : a tvar) : a =
   if i >= 0 then Wset.value t.ws i tv (* read-own-write *)
   else begin
     ensure_locked t;
-    if Atomic.get Chaos.armed then Chaos.fire Chaos.Read;
-    if Atomic.get Tel.armed then (Atomic.get Tel.probe).Tel.count Tel.Read;
+    if Atomic.get Obs.armed then Obs.fire Obs.Read;
     Atomic.get tv.content
   end
 
@@ -127,26 +119,18 @@ let write t tv x =
   Wset.add t.ws tv x
 
 let commit t =
-  let tr = Atomic.get Trace.tracing in
-  let tel = Atomic.get Tel.armed in
-  let tp = if tel then Atomic.get Tel.probe else Tel.null_probe in
-  (* Chaos at [Pre_commit] holds the serializer: [Abort] releases it
-     (an ordinary conflict), [Crash] deliberately does not. *)
-  (if Atomic.get Chaos.armed then
-     match Chaos.decide Chaos.Pre_commit with
-     | Chaos.Proceed -> ()
-     | Chaos.Stall n -> Chaos.stall n
-     | Chaos.Abort ->
+  (* A fault at [Publish] holds the serializer: [Abort] releases it (an
+     ordinary conflict), [Crash] deliberately does not. *)
+  (if Atomic.get Obs.armed then
+     match Obs.decide Obs.Publish 0 0 with
+     | Obs.Proceed -> ()
+     | Obs.Stall n -> Obs.stall n
+     | Obs.Abort ->
          release t;
          raise Conflict
-     | Chaos.Crash -> raise Chaos.Crashed);
-  if Wset.length t.ws > 0 then begin
-    let t0 = if tel then tp.Tel.now () else 0 in
-    write_back tr t.ws;
-    if tel then tp.Tel.observe Tel.Publish (tp.Tel.now () - t0)
-  end;
-  release t;
-  if Atomic.get Chaos.armed then Chaos.fire Chaos.Post_commit
+     | Obs.Crash -> raise Obs.Crashed);
+  write_back t.ws;
+  release t
 
 let abort_cleanup t =
   Wset.clear t.ws;

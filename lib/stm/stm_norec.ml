@@ -14,24 +14,17 @@
    aborts spuriously), and safe on contents a polymorphic [=] would
    refuse (closures inside txn_map/txn_list nodes).
 
-   Phase truthfulness: NOrec has no per-location lock-acquire phase, so
-   this core never emits [Tel.Lock] — acquiring the sequence lock *is*
-   validation (the CAS argument is the validated snapshot) and is
-   observed under [Tel.Validate]; write-back is [Tel.Publish].
-
-   Chaos mapping: [Read] before each (non-own) read, [Validate] before
-   commit-time lock acquisition (holding nothing), [Pre_commit] once
-   the sequence lock is held — a [Crash] there strands it odd forever
-   and every peer starves (bounded spins keep them observable), an
-   [Abort] restores it — and [Post_commit] after release.
-   [Lock_acquire] never fires.
-
-   Seam sites here are under static contract: every Tel/Chaos/Blame
-   emission must match [Stm.Algo]'s announcement for Norec and sit
-   behind its armed guard (tmlive static: seam-contract/seam-guard). *)
+   Sites: NOrec has no per-location lock-acquire phase, so this core
+   never reaches [Lock] — acquiring the sequence lock *is* validation
+   (the CAS argument is the validated snapshot) and starts at
+   [Validate], holding nothing.  [Read] comes before each (non-own)
+   read and [Publish] once the sequence lock is held — a [Crash] there
+   strands it odd forever and every peer starves (bounded spins keep
+   them observable), an [Abort] restores it.  Every site must match
+   [Stm.Algo.sites] for Norec and sit behind the armed guard (tmlive
+   static: seam-contract/seam-guard). *)
 
 open Stm_core
-module Tev = Tm_trace.Trace_event
 
 let algo_name = "norec"
 
@@ -39,7 +32,7 @@ let algo_name = "norec"
 let seqlock = Atomic.make 0
 
 (* Blame identity of the last committer (the slot that last won the
-   sequence-lock CAS), written only while the Blame seam is armed: a
+   sequence-lock CAS), written only while [Obs] is armed: a
    peer whose value validation fails, or whose wait behind an odd lock
    exhausts its budget, blames this slot. *)
 let seq_owner = Atomic.make (-1)
@@ -85,9 +78,8 @@ let await_even () =
     let v = Atomic.get seqlock in
     if v land 1 = 0 then v
     else if budget <= 0 then begin
-      if Atomic.get Blame.armed then
-        Blame.emit ~aggressor:(Atomic.get seq_owner) ~tvar:(-1)
-          Blame.Wait_budget;
+      if Atomic.get Obs.armed then
+        Obs.note (Obs.Conflict Obs.Wait_budget) (Atomic.get seq_owner) (-1);
       raise Conflict
     end
     else begin
@@ -112,12 +104,9 @@ let rec revalidate t =
   let s = await_even () in
   let bad = invalid_below t (t.nr - 1) in
   if bad >= 0 then begin
-    let id = t.r_id.(bad) in
-    if Atomic.get Trace.tracing then
-      Trace.emit Tev.Validation "read-invalid" Tev.Instant
-        [ ("tvar", Tev.Int id) ];
-    if Atomic.get Blame.armed then
-      Blame.emit ~aggressor:(Atomic.get seq_owner) ~tvar:id Blame.Validation;
+    if Atomic.get Obs.armed then
+      Obs.note (Obs.Conflict Obs.Validation) (Atomic.get seq_owner)
+        t.r_id.(bad);
     raise Conflict
   end;
   if Atomic.get seqlock = s then t.snap <- s else revalidate t
@@ -146,8 +135,7 @@ let read (type a) t (tv : a tvar) : a =
   let i = Wset.index t.ws tv in
   if i >= 0 then Wset.value t.ws i tv (* read-own-write *)
   else begin
-    if Atomic.get Chaos.armed then Chaos.fire Chaos.Read;
-    if Atomic.get Tel.armed then (Atomic.get Tel.probe).Tel.count Tel.Read;
+    if Atomic.get Obs.armed then Obs.fire Obs.Read;
     let v = sample t tv in
     let r = R (tv.content, v) in
     let k = t.nr in
@@ -171,36 +159,22 @@ let rec acquire t =
 let commit t =
   (* Read-only: the read set was kept snapshot-consistent. *)
   if Wset.length t.ws > 0 then begin
-    let tr = Atomic.get Trace.tracing in
-    let tel = Atomic.get Tel.armed in
-    let tp = if tel then Atomic.get Tel.probe else Tel.null_probe in
-    if Atomic.get Chaos.armed then Chaos.fire Chaos.Validate;
-    let t0 = if tel then tp.Tel.now () else 0 in
+    if Atomic.get Obs.armed then Obs.fire Obs.Validate;
     acquire t;
-    if Atomic.get Blame.armed then Atomic.set seq_owner (Blame.self ());
-    let t1 =
-      if tel then begin
-        let t' = tp.Tel.now () in
-        tp.Tel.observe Tel.Validate (t' - t0);
-        t'
-      end
-      else 0
-    in
-    (* Sequence lock held (odd): a chaos [Abort] must restore it, a
+    if Atomic.get Obs.armed then Atomic.set seq_owner (Obs.self ());
+    (* Sequence lock held (odd): an injected [Abort] must restore it, a
        [Crash] deliberately leaves it odd — the stranded-seqlock
        adversary. *)
-    (if Atomic.get Chaos.armed then
-       match Chaos.decide Chaos.Pre_commit with
-       | Chaos.Proceed -> ()
-       | Chaos.Stall n -> Chaos.stall n
-       | Chaos.Abort ->
+    (if Atomic.get Obs.armed then
+       match Obs.decide Obs.Publish 0 0 with
+       | Obs.Proceed -> ()
+       | Obs.Stall n -> Obs.stall n
+       | Obs.Abort ->
            Atomic.set seqlock t.snap;
            raise Conflict
-       | Chaos.Crash -> raise Chaos.Crashed);
-    write_back tr t.ws;
-    Atomic.set seqlock (t.snap + 2);
-    if tel then tp.Tel.observe Tel.Publish (tp.Tel.now () - t1);
-    if Atomic.get Chaos.armed then Chaos.fire Chaos.Post_commit
+       | Obs.Crash -> raise Obs.Crashed);
+    write_back t.ws;
+    Atomic.set seqlock (t.snap + 2)
   end
 
 (* Conflict is only ever raised while the sequence lock is free (the

@@ -8,12 +8,11 @@
    Kuznetsov–Ravi sense: a transaction aborts only on a real data
    conflict (or a chaos fault).
 
-   Seam sites here are under static contract: every Tel/Chaos/Blame
-   emission must match [Stm.Algo]'s announcement for Tl2 and sit
-   behind its armed guard (tmlive static: seam-contract/seam-guard). *)
+   Observation sites here are under static contract: every [Obs] site
+   must match [Stm.Algo.sites] for Tl2 and sit behind the armed guard
+   (tmlive static: seam-contract/seam-guard). *)
 
 open Stm_core
-module Tev = Tm_trace.Trace_event
 
 let algo_name = "tl2"
 let clock = Atomic.make 0
@@ -71,16 +70,15 @@ let grow_reads t tv =
   t.r_owner <- extend t.r_owner tv.owner
 
 let read_conflict tv =
-  if Atomic.get Blame.armed then
-    Blame.emit ~aggressor:(Atomic.get tv.owner) ~tvar:tv.id Blame.Read_conflict;
+  if Atomic.get Obs.armed then
+    Obs.note (Obs.Conflict Obs.Read_conflict) (Atomic.get tv.owner) tv.id;
   raise Conflict
 
 let read (type a) t (tv : a tvar) : a =
   let i = Wset.index t.ws tv in
   if i >= 0 then Wset.value t.ws i tv (* read-own-write *)
   else begin
-    if Atomic.get Chaos.armed then Chaos.fire Chaos.Read;
-    if Atomic.get Tel.armed then (Atomic.get Tel.probe).Tel.count Tel.Read;
+    if Atomic.get Obs.armed then Obs.fire Obs.Read;
     let v1 = read_vlock tv in
     if locked v1 || version_of v1 > t.rv then read_conflict tv;
     let x = Atomic.get tv.content in
@@ -97,70 +95,61 @@ let read (type a) t (tv : a tvar) : a =
 
 let write t tv x = Wset.add t.ws tv x
 
-(* Release one held lock.  Emit release before the real unlock: once
-   the vlock is even another domain can acquire it, and its acquire
-   event must sequence after ours.
-
-   [tr] is tracing as sampled when the commit began, so a commit traces
-   all of its lock events or none; the helpers below re-load the flag
-   as well, which is the guard tmstatic's seam-guard recognizes. *)
-let release_at tr t k =
+(* Release one held lock.  Note the release before the real unlock:
+   once the vlock is even another domain can acquire it, and its
+   acquire must sequence after ours. *)
+let release_at t k =
   match Wset.entry t.ws k with
   | W { tv; _ } ->
-      if tr && Atomic.get Trace.tracing then
-        Trace.emit Tev.Lock "release" Tev.Instant [ ("tvar", Tev.Int tv.id) ];
+      if Atomic.get Obs.armed then Obs.note Obs.Released tv.id 0;
       unlock_tvar tv
 
-(* A busy lock or a chaos [Abort] backs out newest first; a failed
+(* A busy lock or an injected [Abort] backs out newest first; a failed
    validation releases in acquisition order. *)
-let release_newest_first tr t =
+let release_newest_first t =
   for k = t.held - 1 downto 0 do
-    release_at tr t k
+    release_at t k
   done
 
-let release_in_order tr t =
+let release_in_order t =
   for k = 0 to t.held - 1 do
-    release_at tr t k
+    release_at t k
   done
 
-(* Chaos interception inside commit: [Abort] backs out held locks like
+(* A fault injected inside commit: [Abort] backs out held locks like
    any conflict; [Crash] deliberately does not — a crashed lock holder
    is the experiment. *)
-let commit_chaos tr t p =
-  if Atomic.get Chaos.armed then
-    match Chaos.decide p with
-    | Chaos.Proceed -> ()
-    | Chaos.Stall n -> Chaos.stall n
-    | Chaos.Abort ->
-        release_newest_first tr t;
+let commit_fault t site =
+  if Atomic.get Obs.armed then
+    match Obs.decide site 0 0 with
+    | Obs.Proceed -> ()
+    | Obs.Stall n -> Obs.stall n
+    | Obs.Abort ->
+        release_newest_first t;
         raise Conflict
-    | Chaos.Crash -> raise Chaos.Crashed
+    | Obs.Crash -> raise Obs.Crashed
 
 (* Lock the sorted write set in canonical order from entry [k]; back
-   out on failure. *)
-let rec lock_from tr t k =
+   out on failure.  Armed, a lock also stamps ownership: the word then
+   names the last lock holder / committed writer of the t-variable,
+   which is who its next victim blames. *)
+let rec lock_from t k =
   if k < Wset.length t.ws then begin
-    commit_chaos tr t Chaos.Lock_acquire;
+    commit_fault t Obs.Lock;
     match Wset.entry t.ws k with
     | W { tv; _ } ->
         if try_lock_tvar tv then begin
-          if tr && Atomic.get Trace.tracing then
-            Trace.emit Tev.Lock "acquire" Tev.Instant
-              [ ("tvar", Tev.Int tv.id); ("order", Tev.Int k) ];
-          (* Stamp ownership only when blame is armed: the word then
-             names the last lock holder / committed writer of the
-             t-variable, which is who its next victim blames. *)
-          if Atomic.get Blame.armed then Atomic.set tv.owner (Blame.self ());
+          if Atomic.get Obs.armed then begin
+            Obs.note Obs.Acquired tv.id k;
+            Atomic.set tv.owner (Obs.self ())
+          end;
           t.held <- k + 1;
-          lock_from tr t (k + 1)
+          lock_from t (k + 1)
         end
         else begin
-          if tr && Atomic.get Trace.tracing then
-            Trace.emit Tev.Lock "busy" Tev.Instant [ ("tvar", Tev.Int tv.id) ];
-          if Atomic.get Blame.armed then
-            Blame.emit ~aggressor:(Atomic.get tv.owner) ~tvar:tv.id
-              Blame.Lock_busy;
-          release_newest_first tr t;
+          if Atomic.get Obs.armed then
+            Obs.note (Obs.Conflict Obs.Lock_busy) (Atomic.get tv.owner) tv.id;
+          release_newest_first t;
           raise Conflict
         end
   end
@@ -183,60 +172,31 @@ let commit t =
   let n = Wset.length t.ws in
   (* Read-only: reads were validated against rv as they happened. *)
   if n > 0 then begin
-    let tr = Atomic.get Trace.tracing in
-    let tel = Atomic.get Tel.armed in
-    let tp = if tel then Atomic.get Tel.probe else Tel.null_probe in
     Wset.sort t.ws;
-    let t0 = if tel then tp.Tel.now () else 0 in
-    lock_from tr t 0;
-    let t1 =
-      if tel then begin
-        let t = tp.Tel.now () in
-        tp.Tel.observe Tel.Lock (t - t0);
-        t
-      end
-      else 0
-    in
+    lock_from t 0;
     let wv = Atomic.fetch_and_add clock 1 + 1 in
-    commit_chaos tr t Chaos.Validate;
+    commit_fault t Obs.Validate;
     let bad = invalid_below t (t.nr - 1) in
     if bad >= 0 then begin
-      let id = t.r_id.(bad) in
-      if tr then
-        Trace.emit Tev.Validation "read-invalid" Tev.Instant
-          [ ("tvar", Tev.Int id) ];
-      if Atomic.get Blame.armed then
-        Blame.emit ~aggressor:(Atomic.get t.r_owner.(bad)) ~tvar:id
-          Blame.Validation;
-      release_in_order tr t;
+      if Atomic.get Obs.armed then
+        Obs.note (Obs.Conflict Obs.Validation)
+          (Atomic.get t.r_owner.(bad))
+          t.r_id.(bad);
+      release_in_order t;
       raise Conflict
     end;
-    let t2 =
-      if tel then begin
-        let t = tp.Tel.now () in
-        tp.Tel.observe Tel.Validate (t - t1);
-        t
-      end
-      else 0
-    in
-    commit_chaos tr t Chaos.Pre_commit;
+    commit_fault t Obs.Publish;
     (* Publishing a t-variable also releases its lock (the vlock is set
-       to the new even version), hence the paired release event.  Both
-       events are emitted while the lock is still really held so that a
-       competing domain's acquire event can only sequence after them. *)
+       to the new even version), so it is noted while the lock is still
+       really held: a competing domain's acquire can only sequence
+       after it. *)
+    let armed = Atomic.get Obs.armed in
     for k = 0 to n - 1 do
       match Wset.entry t.ws k with
       | W { tv; v } ->
-          if tr then begin
-            Trace.emit Tev.Txn "publish" Tev.Instant
-              [ ("tvar", Tev.Int tv.id) ];
-            Trace.emit Tev.Lock "release" Tev.Instant
-              [ ("tvar", Tev.Int tv.id) ]
-          end;
+          if armed then Obs.note Obs.Published tv.id 0;
           publish_tvar tv v wv
-    done;
-    if tel then tp.Tel.observe Tel.Publish (tp.Tel.now () - t2);
-    commit_chaos tr t Chaos.Post_commit
+    done
   end
 
 (* TL2 holds commit vlocks only inside [commit], and [commit] releases

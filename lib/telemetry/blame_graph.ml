@@ -1,4 +1,4 @@
-(* The bridge from [Stm.Blame] to the registry: a weighted
+(* The bridge from [Stm.Obs] to the registry: a weighted
    who-aborted-whom digraph with per-edge cause histograms, plus
    per-domain progress watermarks.
 
@@ -15,13 +15,19 @@
    most recent commit; its wait age is the distance from the current
    clock, i.e. how many blame-worthy things happened since it last got
    through.  Ages are materialized into gauges by {!refresh} (scrape
-   paths are cold; the emit path never touches gauges). *)
+   paths are cold; the emit path never touches gauges).
 
-module Stm = Tm_stm.Stm
+   The graph accessors count from the last {!mark}: [base] holds every
+   cell's value at that point, so a run can attribute only what
+   happened inside its observation window while the registry keeps
+   exporting cumulative counters. *)
+
+module Obs = Tm_stm.Stm.Obs
 
 type t = {
   domains : int;
   cells : Instrument.counter array array array;
+  mutable base : int array array array;
   commits : Instrument.counter array;  (* per slot, unknown excluded *)
   last_commit : int Atomic.t array;
   clock : int Atomic.t;
@@ -30,15 +36,16 @@ type t = {
   wait_age_gauge : Instrument.gauge array;
 }
 
-let ncauses = List.length Stm.Blame.causes
-let cause_index c = Stm.Blame.(match c with
-  | Read_conflict -> 0
-  | Lock_busy -> 1
-  | Validation -> 2
-  | Stolen -> 3
-  | Wait_budget -> 4)
+let ncauses = List.length Obs.causes
 
-let cause_of_index i = List.nth Stm.Blame.causes i
+let cause_index = function
+  | Obs.Read_conflict -> 0
+  | Obs.Lock_busy -> 1
+  | Obs.Validation -> 2
+  | Obs.Stolen -> 3
+  | Obs.Wait_budget -> 4
+
+let cause_of_index i = List.nth Obs.causes i
 let slot_label = function -1 -> "unknown" | n -> string_of_int n
 
 let create reg ~domains =
@@ -52,7 +59,7 @@ let create reg ~domains =
                     [
                       ("victim", slot_label (vi - 1));
                       ("aggressor", slot_label (ai - 1));
-                      ("cause", Stm.Blame.cause_label (cause_of_index ci));
+                      ("cause", Obs.cause_label (cause_of_index ci));
                     ]
                   ~help:"Blame events by victim, aggressor and cause"
                   "tm_blame_events_total")))
@@ -73,6 +80,7 @@ let create reg ~domains =
   {
     domains;
     cells;
+    base = Array.map (Array.map (Array.map (fun _ -> 0))) cells;
     commits;
     last_commit = Array.init domains (fun _ -> Atomic.make 0);
     clock = Atomic.make 0;
@@ -89,38 +97,46 @@ let create reg ~domains =
 
 let idx d = d + 1
 
-let sink_of t =
-  {
-    Stm.Blame.on_event =
-      (fun e ->
-        ignore (Atomic.fetch_and_add t.clock 1);
-        let vi = if e.Stm.Blame.b_victim >= 0 && e.b_victim < t.domains then idx e.b_victim else 0 in
-        let ai = if e.b_aggressor >= 0 && e.b_aggressor < t.domains then idx e.b_aggressor else 0 in
-        Instrument.incr t.cells.(vi).(ai).(cause_index e.b_cause));
-    on_progress =
-      (fun slot ->
-        let now = Atomic.fetch_and_add t.clock 1 + 1 in
-        if slot >= 0 && slot < t.domains then begin
-          Atomic.set t.last_commit.(slot) now;
-          Instrument.incr t.commits.(slot)
-        end);
-  }
+(* A conflict names the other party: the aggressor, except for a steal,
+   which the aggressor reports and which names the victim. *)
+let subscriber t : Obs.subscriber =
+ fun site a _ ->
+  (match site with
+  | Obs.Conflict c ->
+      ignore (Atomic.fetch_and_add t.clock 1);
+      let victim, aggressor =
+        match c with Obs.Stolen -> (a, Obs.self ()) | _ -> (Obs.self (), a)
+      in
+      let slot d = if d >= 0 && d < t.domains then idx d else 0 in
+      Instrument.incr t.cells.(slot victim).(slot aggressor).(cause_index c)
+  | Obs.Commit ->
+      let slot = Obs.self () in
+      let now = Atomic.fetch_and_add t.clock 1 + 1 in
+      if slot >= 0 && slot < t.domains then begin
+        Atomic.set t.last_commit.(slot) now;
+        Instrument.incr t.commits.(slot)
+      end
+  | _ -> ());
+  Obs.Proceed
 
-let install reg ~domains =
-  let t = create reg ~domains in
-  Stm.Blame.install (sink_of t);
-  t
+let mark t =
+  t.base <- Array.map (Array.map (Array.map Instrument.value)) t.cells
 
-let uninstall = Stm.Blame.uninstall
 let domains t = t.domains
 let clock t = Atomic.get t.clock
 
+let cell t vi ai ci =
+  Instrument.value t.cells.(vi).(ai).(ci) - t.base.(vi).(ai).(ci)
+
 let edge t ~victim ~aggressor cause =
-  Instrument.value t.cells.(idx victim).(idx aggressor).(cause_index cause)
+  cell t (idx victim) (idx aggressor) (cause_index cause)
 
 let edge_total t ~victim ~aggressor =
-  let row = t.cells.(idx victim).(idx aggressor) in
-  Array.fold_left (fun acc c -> acc + Instrument.value c) 0 row
+  let acc = ref 0 in
+  for ci = 0 to ncauses - 1 do
+    acc := !acc + cell t (idx victim) (idx aggressor) ci
+  done;
+  !acc
 
 let victim_total t victim =
   let acc = ref 0 in
@@ -144,7 +160,7 @@ let edge_causes t ~victim ~aggressor =
     (fun c ->
       let n = edge t ~victim ~aggressor c in
       if n > 0 then Some (c, n) else None)
-    Stm.Blame.causes
+    Obs.causes
 
 let cause_counts t =
   List.map
@@ -156,7 +172,7 @@ let cause_counts t =
         done
       done;
       (c, !acc))
-    Stm.Blame.causes
+    Obs.causes
 
 let commits t d = Instrument.value t.commits.(d)
 let last_commit t d = Atomic.get t.last_commit.(d)

@@ -1,4 +1,4 @@
-(** The bridge from [Stm.Blame] to the registry: a weighted
+(** The bridge from [Stm.Obs] to the registry: a weighted
     who-aborted-whom digraph with per-edge cause breakdown and
     per-domain progress watermarks.
 
@@ -16,9 +16,12 @@
     on every commit.  {!refresh} materializes clock, last-commit and
     wait-age into gauges ([tm_blame_clock], [tm_blame_last_commit],
     [tm_blame_wait_age]) so scrapes see them; call it before each
-    scrape (the emit path never touches gauges). *)
+    scrape (the emit path never touches gauges).
 
-module Stm = Tm_stm.Stm
+    The graph accessors below count from the last {!mark}; the
+    registered counters stay cumulative. *)
+
+module Obs = Tm_stm.Stm.Obs
 
 type t
 
@@ -27,13 +30,14 @@ val create : Registry.t -> domains:int -> t
     per-slot commit counters and watermark gauges in the registry.
     @raise Invalid_argument if [domains < 1]. *)
 
-val sink_of : t -> Stm.Blame.sink
+val subscriber : t -> Obs.subscriber
+(** Feeds [Conflict] sites into the cells and [Commit] sites into the
+    watermarks; subscribe it with [Obs.subscribe]. *)
 
-val install : Registry.t -> domains:int -> t
-(** [create] + [Stm.Blame.install] of its sink. *)
-
-val uninstall : unit -> unit
-(** [Stm.Blame.uninstall] (idempotent). *)
+val mark : t -> unit
+(** Count the graph from now on: edges, victim totals and
+    {!classify} see only events after the mark (a run marks at the
+    start of its observation window). *)
 
 val domains : t -> int
 
@@ -45,7 +49,7 @@ val clock : t -> int
     Identities are plan slots; [-1] is the unknown slot and is a valid
     argument everywhere a victim/aggressor is taken. *)
 
-val edge : t -> victim:int -> aggressor:int -> Stm.Blame.cause -> int
+val edge : t -> victim:int -> aggressor:int -> Obs.cause -> int
 
 val edge_total : t -> victim:int -> aggressor:int -> int
 (** Sum over causes. *)
@@ -57,13 +61,13 @@ val edges : t -> (int * int * int) list
 (** Non-zero edges as [(victim, aggressor, total)], ordered by
     (victim, aggressor) ascending with the unknown slot first. *)
 
-val edge_causes : t -> victim:int -> aggressor:int -> (Stm.Blame.cause * int) list
-(** Non-zero per-cause weights of one edge, in {!Stm.Blame.causes}
+val edge_causes : t -> victim:int -> aggressor:int -> (Obs.cause * int) list
+(** Non-zero per-cause weights of one edge, in {!Obs.causes}
     order. *)
 
-val cause_counts : t -> (Stm.Blame.cause * int) list
+val cause_counts : t -> (Obs.cause * int) list
 (** Global per-cause totals (zero counts included), in
-    {!Stm.Blame.causes} order. *)
+    {!Obs.causes} order. *)
 
 (** {2 Watermarks} *)
 

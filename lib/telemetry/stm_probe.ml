@@ -1,10 +1,10 @@
-(* The bridge from [Stm.Tel] to the registry: event counters for the
-   begin/read/commit/abort seams and nanosecond phase-latency
-   histograms for the commit protocol.  The clock is bechamel's
-   monotonic_clock stubs (CLOCK_MONOTONIC in nanoseconds) — tm_stm
-   itself stays clock-agnostic; the unit enters here. *)
+(* The bridge from [Stm.Obs] to the registry: event counters for the
+   begin/read/commit/abort sites and nanosecond phase-latency
+   histograms for the commit protocol.  The subscriber takes its own
+   timestamps — bechamel's monotonic_clock stubs (CLOCK_MONOTONIC in
+   nanoseconds) — so tm_stm itself stays clock-agnostic. *)
 
-module Stm = Tm_stm.Stm
+module Obs = Tm_stm.Stm.Obs
 
 let ns_clock () = Int64.to_int (Monotonic_clock.now ())
 
@@ -31,7 +31,7 @@ let register reg =
     aborts = c "tm_stm_aborts_total" "Transaction attempts that aborted";
     lock_ns =
       h "tm_stm_lock_acquire_ns"
-        "Commit-time write-set vlock acquisition latency (write commits)";
+        "Lock and ownership acquisition latency (lock site to next site)";
     validate_ns =
       h "tm_stm_validate_ns"
         "Commit-time read-set validation latency (write commits)";
@@ -43,35 +43,64 @@ let register reg =
     abort_ns = h "tm_stm_abort_ns" "Whole-attempt latency of aborted attempts";
   }
 
-let probe_of ?(clock = ns_clock) t =
-  {
-    Stm.Tel.now = clock;
-    count =
-      (fun ph ->
-        match ph with
-        | Stm.Tel.Begin -> Instrument.incr t.begins
-        | Stm.Tel.Read -> Instrument.incr t.reads
-        | Stm.Tel.Lock | Stm.Tel.Validate | Stm.Tel.Publish | Stm.Tel.Commit
-        | Stm.Tel.Abort ->
-            ());
-    observe =
-      (fun ph d ->
-        match ph with
-        | Stm.Tel.Lock -> Instrument.observe t.lock_ns d
-        | Stm.Tel.Validate -> Instrument.observe t.validate_ns d
-        | Stm.Tel.Publish -> Instrument.observe t.publish_ns d
-        | Stm.Tel.Commit ->
-            Instrument.incr t.commits;
-            Instrument.observe t.commit_ns d
-        | Stm.Tel.Abort ->
-            Instrument.incr t.aborts;
-            Instrument.observe t.abort_ns d
-        | Stm.Tel.Begin | Stm.Tel.Read -> ());
-  }
+(* A domain's open attempt: when it began, and the timed phase
+   ([Lock], [Validate] or [Publish]; [Begin] for none) it is in since
+   [t_phase].  A phase runs from its site to the attempt's next site of
+   another kind; an abort discards it. *)
+type lane = {
+  mutable t_begin : int;
+  mutable phase : Obs.site;
+  mutable t_phase : int;
+}
+
+let subscriber ?(clock = ns_clock) t : Obs.subscriber =
+  let key =
+    Domain.DLS.new_key (fun () ->
+        { t_begin = 0; phase = Obs.Begin; t_phase = 0 })
+  in
+  let close l now =
+    (match l.phase with
+    | Obs.Lock -> Instrument.observe t.lock_ns (now - l.t_phase)
+    | Obs.Validate -> Instrument.observe t.validate_ns (now - l.t_phase)
+    | Obs.Publish -> Instrument.observe t.publish_ns (now - l.t_phase)
+    | _ -> ());
+    l.phase <- Obs.Begin
+  in
+  let enter l site =
+    let now = clock () in
+    close l now;
+    l.phase <- site;
+    l.t_phase <- now
+  in
+  let lane () = Domain.DLS.get key in
+  fun site _ _ ->
+    (match site with
+    | Obs.Begin ->
+        let l = lane () in
+        Instrument.incr t.begins;
+        l.phase <- Obs.Begin;
+        l.t_begin <- clock ()
+    | Obs.Read -> (
+        Instrument.incr t.reads;
+        let l = lane () in
+        match l.phase with Obs.Begin -> () | _ -> close l (clock ()))
+    | Obs.Lock -> (
+        let l = lane () in
+        match l.phase with Obs.Lock -> () | _ -> enter l site)
+    | Obs.Validate | Obs.Publish -> enter (lane ()) site
+    | Obs.Commit ->
+        let l = lane () and now = clock () in
+        close l now;
+        Instrument.incr t.commits;
+        Instrument.observe t.commit_ns (now - l.t_begin)
+    | Obs.Abort (Obs.Conflicted | Obs.Retried) ->
+        let l = lane () in
+        l.phase <- Obs.Begin;
+        Instrument.incr t.aborts;
+        Instrument.observe t.abort_ns (clock () - l.t_begin)
+    | _ -> ());
+    Obs.Proceed
 
 let install ?clock reg =
   let t = register reg in
-  Stm.Tel.install (probe_of ?clock t);
-  t
-
-let uninstall = Stm.Tel.uninstall
+  (t, Obs.subscribe (subscriber ?clock t))

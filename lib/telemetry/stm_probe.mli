@@ -1,14 +1,16 @@
-(** Instrumenting the real STM: an {!Tm_stm.Stm.Tel} probe feeding the
-    registry.
+(** Instrumenting the real STM: an {!Tm_stm.Stm.Obs} subscriber feeding
+    the registry.
 
     Registers [tm_stm_begins_total] / [tm_stm_reads_total] /
     [tm_stm_commits_total] / [tm_stm_aborts_total] counters and
     nanosecond phase-latency histograms [tm_stm_lock_acquire_ns] /
     [tm_stm_validate_ns] / [tm_stm_publish_ns] / [tm_stm_commit_ns] /
-    [tm_stm_abort_ns], then arms the probe.  While disarmed the STM hot
-    path pays one atomic flag read per event; armed, each event is a
-    few sharded atomic RMWs plus two monotonic clock reads per timed
-    phase. *)
+    [tm_stm_abort_ns].  A timed phase runs from its site ([Lock],
+    [Validate], [Publish]) to the attempt's next site of another kind;
+    commit and abort latencies run from [Begin].  While nothing is
+    subscribed the STM hot path pays one atomic flag read per site;
+    subscribed, each site is a few sharded atomic RMWs plus at most one
+    monotonic clock read. *)
 
 type t = {
   begins : Instrument.counter;
@@ -28,11 +30,9 @@ val ns_clock : unit -> int
 val register : Registry.t -> t
 (** Register the instruments without arming the probe. *)
 
-val probe_of : ?clock:(unit -> int) -> t -> Tm_stm.Stm.Tel.probe
-(** The probe feeding [t]; [clock] defaults to {!ns_clock}. *)
+val subscriber : ?clock:(unit -> int) -> t -> Tm_stm.Stm.Obs.subscriber
+(** The subscriber feeding [t]; [clock] defaults to {!ns_clock}. *)
 
-val install : ?clock:(unit -> int) -> Registry.t -> t
-(** {!register} + {!Tm_stm.Stm.Tel.install}. *)
-
-val uninstall : unit -> unit
-(** Disarm the global probe ({!Tm_stm.Stm.Tel.uninstall}). *)
+val install : ?clock:(unit -> int) -> Registry.t -> t * Tm_stm.Stm.Obs.handle
+(** {!register} + {!Tm_stm.Stm.Obs.subscribe}; unsubscribe the handle
+    to disarm. *)

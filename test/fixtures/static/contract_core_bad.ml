@@ -1,7 +1,7 @@
 (* Fixture: a core that violates the Mini announcement both ways —
-   it emits Chaos.Validate (unannounced) and never emits Tel.Read,
-   Chaos.Read or Blame.Validation (all announced). *)
+   it reaches Validate (unannounced) and never reaches Read, Lock or
+   the Validation conflict (all announced). *)
 
 let read tv =
-  if Atomic.get Chaos.armed then Chaos.fire Chaos.Validate;
+  if Atomic.get Obs.armed then Obs.fire Obs.Validate;
   Atomic.get tv

@@ -1,10 +1,11 @@
-(* Fixture: a core whose emission sites match the facade announcement
-   for Mini exactly (Tel Begin/Commit/Abort come from the facade). *)
+(* Fixture: a core whose sites match the Mini announcement exactly
+   (its Lock comes through the shared helper). *)
 
 let read tv =
-  if Atomic.get Chaos.armed then Chaos.fire Chaos.Read;
-  if Atomic.get Tel.armed then (Atomic.get Tel.probe).Tel.count Tel.Read;
+  if Atomic.get Obs.armed then Obs.fire Obs.Read;
   Atomic.get tv
 
-let commit ~aggressor ~tvar =
-  if Atomic.get Blame.armed then Blame.emit ~aggressor ~tvar Blame.Validation
+let commit ~aggressor ~tvar ids =
+  publish_all ids;
+  if Atomic.get Obs.armed then
+    Obs.note (Obs.Conflict Obs.Validation) aggressor tvar

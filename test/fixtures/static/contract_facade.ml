@@ -1,23 +1,17 @@
 (* Fixture: a miniature Stm facade with one announced algorithm and a
-   retry loop emitting the facade-universal Tel phases. *)
+   retry loop reaching the facade's own sites. *)
 
 module Algo = struct
   type t = Mini
 
-  let tel_phases = function
-    | Mini -> [ Tel.Begin; Tel.Read; Tel.Commit; Tel.Abort ]
-
-  let chaos_points = function Mini -> [ Chaos.Read ]
-  let blame_causes = function Mini -> [ Blame.Validation ]
+  let sites = function
+    | Mini -> [ Obs.Read; Obs.Lock; Obs.Conflict Obs.Validation ]
 end
 
 let core_of = function Algo.Mini -> (module Stm_mini)
 
 let atomically f =
-  let tel = Atomic.get Tel.armed in
-  let tp = if tel then Atomic.get Tel.probe else null_probe in
-  if tel then tp.Tel.count Tel.Begin;
-  let finish committed =
-    if tel then tp.Tel.count (if committed then Tel.Commit else Tel.Abort)
-  in
-  finish (f ())
+  if Atomic.get Obs.armed then Obs.note Obs.Begin 0 0;
+  let r = f () in
+  if Atomic.get Obs.armed then Obs.note Obs.Commit 0 0;
+  r

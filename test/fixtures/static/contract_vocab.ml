@@ -1,20 +1,13 @@
-(* Fixture: a miniature stm_core declaring the three seam
-   vocabularies seam-contract reads its constructor sets from. *)
+(* Fixture: a miniature stm_core declaring the site vocabulary
+   seam-contract reads its constructor set from. *)
 
-module Chaos = struct
-  type point = Read | Validate | Lock_acquire | Pre_commit | Post_commit
-
-  let armed = Atomic.make false
-end
-
-module Tel = struct
-  type phase = Begin | Read | Lock | Validate | Publish | Commit | Abort
+module Obs = struct
+  type cause = Read_conflict | Validation | Stolen
+  type site = Begin | Read | Lock | Validate | Conflict of cause | Commit
 
   let armed = Atomic.make false
 end
 
-module Blame = struct
-  type cause = Read_conflict | Lock_busy | Validation | Stolen | Wait_budget
-
-  let armed = Atomic.make false
-end
+(* A shared helper: a core calling it reaches its sites. *)
+let publish_all ids =
+  if Atomic.get Obs.armed then List.iter (fun id -> Obs.note Obs.Lock id 0) ids

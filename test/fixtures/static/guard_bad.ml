@@ -1,15 +1,15 @@
-(* Fixture: unguarded seam emissions, one per emission family, plus
-   one suppressed by the allow escape. *)
+(* Fixture: unguarded sites, one per seam entry point, plus one
+   suppressed by the allow escape. *)
 
-let bad_chaos p = Chaos.fire p
+let bad_fire () = Obs.fire Obs.Read
 
-let bad_tel tp = tp.Tel.count Tel.Read
+let bad_note id = Obs.note Obs.Released id 0
 
-let bad_blame ~aggressor ~tvar =
-  Blame.emit ~aggressor ~tvar Blame.Read_conflict
+let bad_decide () =
+  match Obs.decide Obs.Publish 0 0 with _ -> ()
 
-let bad_trace () = Trace.emit cat name phase []
+let bad_conflict a id = Obs.decide (Obs.Conflict Obs.Stolen) a id
 
-let suppressed p =
+let suppressed () =
   (* tmstatic: allow seam-guard *)
-  Chaos.fire p
+  Obs.fire Obs.Read

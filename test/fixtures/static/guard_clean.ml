@@ -1,21 +1,19 @@
-(* Fixture: every seam emission idiom the repo uses, each dominated by
-   its disarmed check — direct guard, let-bound guard, conjunction,
-   guard flowing into a closure, and a Tel probe-field application. *)
+(* Fixture: every site idiom the repo uses, each dominated by the
+   disarmed check — direct guard, let-bound guard, conjunction, guard
+   flowing into a closure, and a guarded match on the answer. *)
 
-let direct p =
-  if Atomic.get Chaos.armed then Chaos.fire p;
-  if Atomic.get Trace.tracing then Trace.emit cat name phase []
+let direct () =
+  if Atomic.get Obs.armed then Obs.fire Obs.Read;
+  if Atomic.get Stm_core.Obs.armed then Obs.note Obs.Backoff 1 2
 
-let let_bound () =
-  let tel = Atomic.get Tel.armed in
-  let tp = if tel then Atomic.get Tel.probe else null_probe in
-  if tel then tp.Tel.count Tel.Read;
-  if tel then tp.Tel.observe Tel.Lock (tp.Tel.now ())
+let let_bound ws =
+  let armed = Atomic.get Obs.armed in
+  if armed then Array.iteri (fun k id -> Obs.note Obs.Acquired id k) ws
 
 let conjunction stolen =
-  if stolen && Atomic.get Blame.armed then
-    Blame.emit_event ~victim:0 ~aggressor:1 ~tvar:2 Blame.Stolen
+  if stolen && Atomic.get Obs.armed then
+    Obs.note (Obs.Conflict Obs.Stolen) 0 2
 
-let closure entries =
-  let tr = Atomic.get Trace.tracing in
-  if tr then List.iter (fun e -> Trace.emit e.cat e.name e.phase []) entries
+let decided () =
+  if Atomic.get Obs.armed then
+    match Obs.decide Obs.Publish 0 0 with Obs.Proceed -> () | _ -> ()

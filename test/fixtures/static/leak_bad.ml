@@ -3,7 +3,7 @@
    stands even with a recover call. *)
 
 let chaos_leak () =
-  Stm.Chaos.install (fun _ -> Stm.Chaos.Proceed);
+  ignore (Stm.Obs.subscribe (fun _ _ _ -> Stm.Obs.Proceed));
   run_workload ()
 
 let trace_leak_despite_recover () =
@@ -11,7 +11,7 @@ let trace_leak_despite_recover () =
   run_workload ();
   Stm.recover ()
 
-let suppressed_leak probe =
+let suppressed_leak reg =
   (* tmstatic: allow armed-leak *)
-  Stm.Tel.install probe;
+  Stm_probe.install reg;
   run_workload ()

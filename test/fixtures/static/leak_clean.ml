@@ -1,17 +1,18 @@
 (* Fixture: every arm/disarm pairing the leak rule accepts — direct
-   uninstall, ~finally-bound uninstall, Stm.recover, and Trace.stop. *)
+   unsubscribe, ~finally-bound unsubscribe, Stm.recover, and
+   Trace.stop. *)
 
 let chaos_paired () =
-  Stm.Chaos.install (fun _ -> Stm.Chaos.Proceed);
+  let h = Stm.Obs.subscribe (fun _ _ _ -> Stm.Obs.Proceed) in
   run_workload ();
-  Stm.Chaos.uninstall ()
+  Stm.Obs.unsubscribe h
 
-let tel_finally probe =
-  Stm.Tel.install probe;
-  Fun.protect ~finally:Stm.Tel.uninstall run_workload
+let tel_finally reg =
+  let _, h = Stm_probe.install reg in
+  Fun.protect ~finally:(fun () -> Stm.Obs.unsubscribe h) run_workload
 
-let blame_recover sink =
-  Stm.Blame.install sink;
+let blame_recover g =
+  ignore (Stm.Obs.subscribe (Blame_graph.subscriber g));
   run_workload ();
   Stm.recover ()
 

@@ -244,7 +244,7 @@ let test_run_crash_holding_locks () =
   let o = run_scenario "crash-holding-locks" 7 in
   Alcotest.(check bool) "verdicts match the expectation" true o.Runner.o_ok;
   let r0 = List.nth o.Runner.o_reports 0 in
-  Alcotest.(check bool) "domain 0 died on Chaos.Crashed" true
+  Alcotest.(check bool) "domain 0 died on Obs.Crashed" true
     r0.Runner.rep_crashed;
   List.iteri
     (fun d (r : Runner.report) ->
@@ -297,7 +297,7 @@ let check_peers name o want =
 let test_run_crash_holding_locks_dstm () =
   let o = run_scenario_algo Stm.Algo.Dstm "crash-holding-locks" 7 in
   let r0 = List.nth o.Runner.o_reports 0 in
-  Alcotest.(check bool) "domain 0 died on Chaos.Crashed" true
+  Alcotest.(check bool) "domain 0 died on Obs.Crashed" true
     r0.Runner.rep_crashed;
   check_peers "dstm crash-holding-locks" o Pc.Progressing
 

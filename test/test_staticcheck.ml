@@ -54,45 +54,48 @@ let mini_contract () =
   match
     (Seam.vocab_of_core vocab_src, Seam.contract_of_facade facade_src)
   with
-  | Ok vocab, Ok contract -> (vocab, contract, facade_src)
+  | Ok vocab, Ok contract ->
+      (vocab, contract, Seam.helper_sites vocab vocab_src)
   | Error msg, _ | _, Error msg -> Alcotest.failf "mini contract: %s" msg
 
 let test_contract_parses () =
-  let vocab, contract, _ = mini_contract () in
+  let vocab, contract, helpers = mini_contract () in
   Alcotest.(check (list string))
-    "chaos vocabulary"
-    [ "Read"; "Validate"; "Lock_acquire"; "Pre_commit"; "Post_commit" ]
-    vocab.Seam.points;
+    "one vocabulary: sites, then causes"
+    [
+      "Begin"; "Read"; "Lock"; "Validate"; "Commit"; "Read_conflict";
+      "Validation"; "Stolen";
+    ]
+    vocab;
   Alcotest.(check (list string)) "algos" [ "Mini" ] contract.Seam.c_algos;
   Alcotest.(check (list (pair string string)))
     "core dispatch"
     [ ("Mini", "Stm_mini") ]
     contract.Seam.c_core_files;
-  match Seam.announced contract ~algo:"Mini" ~kind:Seam.Tel with
-  | None -> Alcotest.fail "no tel_phases announcement for Mini"
+  Alcotest.(check (list (pair string (list string))))
+    "helper sites"
+    [ ("publish_all", [ "Lock" ]) ]
+    helpers;
+  match Seam.announced contract ~algo:"Mini" with
+  | None -> Alcotest.fail "no Algo.sites announcement for Mini"
   | Some an ->
       Alcotest.(check (list string))
-        "announced phases"
-        [ "Begin"; "Read"; "Commit"; "Abort" ]
-        an.Seam.an_ctors
+        "announced sites" [ "Read"; "Lock"; "Validation" ] an.Seam.an_sites
+
+let contract_findings core =
+  let vocab, contract, helpers = mini_contract () in
+  Tm_staticcheck.Rule_contract.check ~vocab ~contract ~helpers
+    ~facade:"contract_facade.ml"
+    [ ("Mini", fixture core) ]
 
 let test_contract_clean () =
-  let vocab, contract, facade_src = mini_contract () in
-  let findings =
-    Tm_staticcheck.Rule_contract.check ~vocab ~contract ~facade_src
-      [ ("Mini", fixture "contract_core_clean.ml") ]
-  in
-  check_counts "clean core" ~errors:0 ~warnings:0 findings
+  check_counts "clean core" ~errors:0 ~warnings:0
+    (contract_findings "contract_core_clean.ml")
 
 let test_contract_bad () =
-  let vocab, contract, facade_src = mini_contract () in
-  let findings =
-    Tm_staticcheck.Rule_contract.check ~vocab ~contract ~facade_src
-      [ ("Mini", fixture "contract_core_bad.ml") ]
-  in
-  (* One unannounced emission (Chaos.Validate) and three announced
-     constructors with no site (Tel.Read, Chaos.Read, Blame.Validation);
-     the facade's retry loop covers Begin/Commit/Abort. *)
+  let findings = contract_findings "contract_core_bad.ml" in
+  (* One unannounced site (Validate) and three announced sites never
+     reached (Read, Lock, Validation). *)
   check_counts "bad core" ~errors:4 ~warnings:0 findings;
   let unannounced =
     List.filter
@@ -111,8 +114,8 @@ let test_guard_clean () =
 
 let test_guard_bad () =
   let findings = Tm_staticcheck.Rule_guard.check (fixture "guard_bad.ml") in
-  (* Chaos.fire, tp.Tel.count, Blame.emit, Trace.emit — the allow-
-     commented emission is suppressed. *)
+  (* Obs.fire, Obs.note, Obs.decide twice — the allow-
+     commented site is suppressed. *)
   check_counts "guard_bad" ~errors:4 ~warnings:0 findings;
   Alcotest.(check (list int)) "at each emission" [ 4; 6; 9; 11 ]
     (lines_of findings)
@@ -137,8 +140,9 @@ let test_leak_clean () =
 
 let test_leak_bad () =
   let findings = Tm_staticcheck.Rule_leak.check (fixture "leak_bad.ml") in
-  (* A Chaos.install with no disarm and a Trace.start that recover()
-     does not stop; the allow-commented Tel.install is suppressed. *)
+  (* An Obs.subscribe with no disarm and a Trace.start that recover()
+     does not stop; the allow-commented Stm_probe.install is
+     suppressed. *)
   check_counts "leak_bad" ~errors:2 ~warnings:0 findings;
   Alcotest.(check (list int)) "at each install" [ 6; 10 ] (lines_of findings)
 

@@ -482,95 +482,6 @@ let test_zoo_semantics () =
             (Stm.read l)))
     Stm.Algo.all
 
-(* The per-algorithm phase mapping (Algo.tel_phases) is a promise that
-   telemetry labels stay truthful: a histogram named "lock-acquire"
-   under NOrec would measure a phase the algorithm does not have.
-   Record every phase each core actually emits on a write commit and a
-   conflict-free read, and check it against the declared mapping —
-   including the load-bearing negatives. *)
-let test_zoo_phase_mapping () =
-  List.iter
-    (fun a ->
-      let name = Stm.Algo.name a in
-      let seen : (Stm.Tel.phase, unit) Hashtbl.t = Hashtbl.create 8 in
-      let probe =
-        {
-          Stm.Tel.now = (fun () -> 0);
-          count = (fun p -> Hashtbl.replace seen p ());
-          observe = (fun p _ -> Hashtbl.replace seen p ());
-        }
-      in
-      Stm.with_algo a (fun () ->
-          Stm.Tel.install probe;
-          Fun.protect ~finally:Stm.Tel.uninstall (fun () ->
-              let v = Stm.tvar 0 in
-              Stm.atomically (fun () -> Stm.write v (Stm.read v + 1))));
-      let allowed = Stm.Algo.tel_phases a in
-      Hashtbl.iter
-        (fun p () ->
-          if not (List.mem p allowed) then
-            Alcotest.failf "%s emitted phase %S outside its declared mapping"
-              name (Stm.Tel.phase_label p))
-        seen;
-      let has p = Hashtbl.mem seen p in
-      Alcotest.(check bool) (name ^ ": counts Begin") true (has Stm.Tel.Begin);
-      Alcotest.(check bool) (name ^ ": counts Read") true (has Stm.Tel.Read);
-      Alcotest.(check bool) (name ^ ": observes Publish") true
-        (has Stm.Tel.Publish);
-      Alcotest.(check bool) (name ^ ": observes Commit") true
-        (has Stm.Tel.Commit);
-      match a with
-      | Stm.Algo.Tl2 ->
-          Alcotest.(check bool) "tl2: observes Lock" true (has Stm.Tel.Lock);
-          Alcotest.(check bool) "tl2: observes Validate" true
-            (has Stm.Tel.Validate)
-      | Stm.Algo.Global_lock ->
-          Alcotest.(check bool) "global-lock: observes Lock" true
-            (has Stm.Tel.Lock);
-          Alcotest.(check bool) "global-lock: never Validate" false
-            (has Stm.Tel.Validate)
-      | Stm.Algo.Dstm | Stm.Algo.Norec ->
-          Alcotest.(check bool) (name ^ ": observes Validate") true
-            (has Stm.Tel.Validate);
-          Alcotest.(check bool) (name ^ ": never per-location Lock") false
-            (has Stm.Tel.Lock))
-    Stm.Algo.all
-
-(* Same truthfulness contract for the chaos interception points. *)
-let test_zoo_chaos_points () =
-  List.iter
-    (fun a ->
-      let name = Stm.Algo.name a in
-      let seen : (Stm.Chaos.point, unit) Hashtbl.t = Hashtbl.create 8 in
-      Stm.Chaos.install (fun p ->
-          Hashtbl.replace seen p ();
-          Stm.Chaos.Proceed);
-      Fun.protect ~finally:Stm.Chaos.uninstall (fun () ->
-          Stm.with_algo a (fun () ->
-              let v = Stm.tvar 0 in
-              Stm.atomically (fun () -> Stm.write v (Stm.read v + 1))));
-      let allowed = Stm.Algo.chaos_points a in
-      Hashtbl.iter
-        (fun p () ->
-          if not (List.mem p allowed) then
-            Alcotest.failf "%s fired point %S outside its declared mapping"
-              name
-              (Stm.Chaos.point_label p))
-        seen;
-      let has p = Hashtbl.mem seen p in
-      Alcotest.(check bool) (name ^ ": fires Read") true (has Stm.Chaos.Read);
-      Alcotest.(check bool) (name ^ ": fires Pre_commit") true
-        (has Stm.Chaos.Pre_commit);
-      Alcotest.(check bool) (name ^ ": fires Post_commit") true
-        (has Stm.Chaos.Post_commit);
-      if a = Stm.Algo.Norec then
-        Alcotest.(check bool) "norec: never Lock_acquire" false
-          (has Stm.Chaos.Lock_acquire);
-      if a = Stm.Algo.Global_lock then
-        Alcotest.(check bool) "global-lock: never Validate" false
-          (has Stm.Chaos.Validate))
-    Stm.Algo.all
-
 let zoo_parallel_counter a () =
   Stm.with_algo a (fun () ->
       let v = Stm.tvar 0 in
@@ -711,119 +622,276 @@ let test_norec_value_validation_aba () =
         (Stm.read a + Stm.read b))
 
 (* ------------------------------------------------------------------ *)
-(* Blame seam. *)
+(* The observation seam: one vocabulary, one table per core. *)
 
-(* Named regression: [Stm.recover] must disarm every installed seam
-   (Chaos, Tel, Blame) before releasing core-global lock state, and it
-   must be idempotent — recover twice, then a clean commit.  A chaos
-   handler that crashes every transaction is the sharpest probe: if
-   recover left it armed, the commit below would die. *)
-let test_recover_resets_seams () =
+module Obs = Stm.Obs
+
+(* Spin until [cond] holds or the budget (about a second) runs out. *)
+let spin_until cond =
+  let n = ref 50_000_000 in
+  while (not (cond ())) && !n > 0 do
+    Domain.cpu_relax ();
+    decr n
+  done
+
+(* The set of sites reached, from any domain. *)
+let rec add_site seen site =
+  let old = Atomic.get seen in
+  if
+    (not (List.mem site old))
+    && not (Atomic.compare_and_set seen old (site :: old))
+  then add_site seen site
+
+(* The sites the facade reaches for every core. *)
+let facade_sites =
+  [
+    Obs.Begin;
+    Obs.Commit;
+    Obs.Abort Obs.Conflicted;
+    Obs.Abort Obs.Retried;
+    Obs.Abort Obs.Raised;
+    Obs.Backoff;
+  ]
+
+(* Drive one core through every site it has: an uncontended
+   read-modify-write, a retry, an exception, slot 0 holding its commit
+   at [Publish] while slot 1 writes (then reads) what it holds, slot 1
+   validating a read slot 0 has since overwritten, and two-domain
+   contention.  Returns the sites reached. *)
+let reach_sites algo =
+  let seen = Atomic.make [] in
+  let holding = Atomic.make false and held = Atomic.make false in
+  let peer_conflicts = Atomic.make 0 in
+  let sub =
+    Obs.subscribe (fun site _ _ ->
+        add_site seen site;
+        (match site with
+        | Obs.Conflict _ when Obs.self () = 1 -> Atomic.incr peer_conflicts
+        | Obs.Publish
+          when Obs.self () = 0 && Atomic.compare_and_set holding true false ->
+            Atomic.set held true;
+            spin_until (fun () -> Atomic.get peer_conflicts > 0)
+        | _ -> ());
+        Obs.Proceed)
+  in
+  let as_slot d f () =
+    Obs.set_self d;
+    f ();
+    Obs.set_self (-1)
+  in
+  (* Slot 0 commits a write to [x] and holds at [Publish] until slot 1,
+     running [peer] on [x], has conflicted. *)
+  let held_by_0 peer =
+    let x = Stm.tvar 0 in
+    Atomic.set peer_conflicts 0;
+    Atomic.set held false;
+    Atomic.set holding true;
+    let a =
+      Domain.spawn
+        (as_slot 0 (fun () -> Stm.atomically (fun () -> Stm.write x 1)))
+    in
+    spin_until (fun () -> Atomic.get held);
+    as_slot 1 (fun () -> peer x) ();
+    Domain.join a
+  in
+  (* Slot 1 reads [x], slot 0 commits [x], slot 1 reads on and writes. *)
+  let stale_read () =
+    let x = Stm.tvar 0 and y = Stm.tvar 0 and z = Stm.tvar 0 in
+    let read_x = Atomic.make false and wrote_x = Atomic.make false in
+    let a =
+      Domain.spawn
+        (as_slot 0 (fun () ->
+             spin_until (fun () -> Atomic.get read_x);
+             Stm.atomically (fun () -> Stm.write x 1);
+             Atomic.set wrote_x true))
+    in
+    as_slot 1
+      (fun () ->
+        Stm.atomically (fun () ->
+            let v = Stm.read x in
+            (* tmstatic: allow txn-purity *)
+            Atomic.set read_x true;
+            spin_until (fun () -> Atomic.get wrote_x);
+            Stm.write z (v + Stm.read y)))
+      ();
+    Domain.join a
+  in
+  Fun.protect
+    ~finally:(fun () -> Obs.unsubscribe sub)
+    (fun () ->
+      Stm.with_algo algo (fun () ->
+          let v = Stm.tvar 0 in
+          Stm.atomically (fun () -> Stm.write v (Stm.read v + 1));
+          Stm.atomically (fun () ->
+              if not (List.mem (Obs.Abort Obs.Retried) (Atomic.get seen)) then
+                Stm.retry ());
+          (try Stm.atomically (fun () -> raise Exit) with Exit -> ());
+          held_by_0 (fun x -> Stm.atomically (fun () -> Stm.write x 2));
+          held_by_0 (fun x -> Stm.atomically (fun () -> ignore (Stm.read x)));
+          (* Under the serializer slot 1's open transaction would keep
+             slot 0 from committing at all. *)
+          if algo <> Stm.Algo.Global_lock then stale_read ();
+          let hot = Array.init 2 (fun _ -> Stm.tvar 0) in
+          spawn_all
+            (List.init 2 (fun d ->
+                 as_slot d (fun () ->
+                     for _ = 1 to 5_000 do
+                       Stm.atomically (fun () ->
+                           let a = Stm.read hot.(0) in
+                           let b = Stm.read hot.(1) in
+                           Stm.write hot.(0) (a + 1);
+                           Stm.write hot.(1) (b + 1))
+                     done)))));
+  Atomic.get seen
+
+(* Every site a core reaches is in its one [Algo.sites] table, and every
+   site the table announces is reached — the labels telemetry, chaos
+   plans, blame graphs and traces build on never lie about the
+   mechanism.  The facade adds its own sites for every core, and the
+   load-bearing absences are pinned by name. *)
+let sites_truthful algo () =
+  let name = Stm.Algo.name algo in
+  let seen = reach_sites algo in
+  let core = List.filter (fun s -> not (List.mem s facade_sites)) seen in
+  let labels l = List.sort compare (List.map Obs.site_label l) in
+  Alcotest.(check (list string))
+    (name ^ ": reached sites = Algo.sites")
+    (labels (Stm.Algo.sites algo))
+    (labels core);
+  Alcotest.(check (list string))
+    (name ^ ": the facade's sites")
+    (labels facade_sites)
+    (labels (List.filter (fun s -> List.mem s facade_sites) seen));
+  let reaches s = List.mem s seen in
+  let expect label b = Alcotest.(check bool) (name ^ ": " ^ label) b in
+  expect "reaches Read" true (reaches Obs.Read);
+  expect "reaches Publish" true (reaches Obs.Publish);
+  expect "reaches Lock" (algo <> Stm.Algo.Norec) (reaches Obs.Lock);
+  expect "reaches Validate" (algo <> Stm.Algo.Global_lock)
+    (reaches Obs.Validate);
+  expect "steals" (algo = Stm.Algo.Dstm)
+    (reaches (Obs.Conflict Obs.Stolen));
+  expect "per-location lock conflicts" (algo = Stm.Algo.Tl2)
+    (reaches (Obs.Conflict Obs.Lock_busy)
+    || reaches (Obs.Conflict Obs.Read_conflict));
+  expect "waits out a serialized lock"
+    (algo = Stm.Algo.Global_lock || algo = Stm.Algo.Norec)
+    (reaches (Obs.Conflict Obs.Wait_budget))
+
+(* A contended run for the isolation tests below: conflicts, aborts and
+   commits on two domains. *)
+let contend () =
+  let hot = Stm.tvar 0 in
+  spawn_all
+    (List.init 2 (fun _ () ->
+         for _ = 1 to 2_000 do
+           Stm.atomically (fun () -> Stm.write hot (Stm.read hot + 1))
+         done))
+
+(* A subscriber counting the sites it sees; its caller unsubscribes. *)
+let counting hits =
+  (* tmstatic: allow armed-leak *)
+  Obs.subscribe (fun _ _ _ ->
+      Atomic.incr hits;
+      Obs.Proceed)
+
+(* With only the trace subscribed, a chaos plan subscribed and removed
+   again is never consulted and a removed blame graph sees nothing. *)
+let test_trace_alone () =
+  let chaos_hits = Atomic.make 0 in
+  let crash_all =
+    Obs.subscribe (fun _ _ _ ->
+        Atomic.incr chaos_hits;
+        Obs.Crash)
+  in
+  let g =
+    Tm_telemetry.Blame_graph.create (Tm_telemetry.Registry.create ())
+      ~domains:2
+  in
+  let blame = Obs.subscribe (Tm_telemetry.Blame_graph.subscriber g) in
+  Obs.unsubscribe crash_all;
+  Obs.unsubscribe blame;
+  Stm.Trace.start ();
+  Fun.protect ~finally:Stm.Trace.stop contend;
+  Alcotest.(check bool) "the trace recorded" true (Stm.Trace.events () <> []);
+  Alcotest.(check int) "removed plan never consulted" 0
+    (Atomic.get chaos_hits);
+  Alcotest.(check int) "removed blame graph sees nothing" 0
+    (Tm_telemetry.Blame_graph.clock g)
+
+(* With only a chaos plan subscribed, the trace records nothing. *)
+let test_chaos_alone () =
+  let consulted = Atomic.make 0 in
+  Stm.Trace.start ();
+  Stm.Trace.stop ();
+  let plan =
+    Obs.subscribe (fun _ _ _ ->
+        Atomic.incr consulted;
+        Obs.Stall 1)
+  in
+  Fun.protect ~finally:(fun () -> Obs.unsubscribe plan) contend;
+  Alcotest.(check bool) "the plan was consulted" true
+    (Atomic.get consulted > 0);
+  Alcotest.(check int) "the trace ring stays empty" 0
+    (List.length (Stm.Trace.events ()));
+  Alcotest.(check int) "nothing emitted" 0 (Stm.Trace.emitted ())
+
+(* Named regression: [Stm.recover] must drop every subscriber but a
+   running trace session before releasing core-global lock state, and
+   it must be idempotent — recover twice, then a clean commit.  A plan
+   that crashes every transaction is the sharpest probe: if recover
+   left it subscribed, the commit below would die. *)
+let test_recover_keeps_only_trace () =
   let v = Stm.tvar 0 in
-  let blame_hits = Atomic.make 0 in
-  let tel_hits = Atomic.make 0 in
-  Stm.Blame.install
-    {
-      Stm.Blame.on_event = (fun _ -> Atomic.incr blame_hits);
-      on_progress = (fun _ -> Atomic.incr blame_hits);
-    };
-  Stm.Tel.install
-    {
-      Stm.Tel.now = (fun () -> 0);
-      count = (fun _ -> Atomic.incr tel_hits);
-      observe = (fun _ _ -> Atomic.incr tel_hits);
-    };
-  Stm.Chaos.install (fun _ -> Stm.Chaos.Crash);
+  let blame_hits = Atomic.make 0 and tel_hits = Atomic.make 0 in
+  let _blame = counting blame_hits and _tel = counting tel_hits in
+  let _plan = Obs.subscribe (fun _ _ _ -> Obs.Crash) in
+  Stm.Trace.start ();
   Stm.recover ();
   Stm.recover ();
   Stm.atomically (fun () -> Stm.write v (Stm.read v + 1));
   Alcotest.(check int) "clean commit after double recover" 1 (Stm.read v);
-  Alcotest.(check bool) "blame disarmed" false (Stm.Blame.is_armed ());
-  Alcotest.(check int) "blame sink silent" 0 (Atomic.get blame_hits);
-  Alcotest.(check int) "tel probe silent" 0 (Atomic.get tel_hits)
+  Alcotest.(check int) "blame subscriber dropped" 0 (Atomic.get blame_hits);
+  Alcotest.(check int) "tel subscriber dropped" 0 (Atomic.get tel_hits);
+  Alcotest.(check bool) "a trace session survives recover" true
+    (Stm.Trace.is_on ());
+  Stm.Trace.stop ();
+  Alcotest.(check bool) "the surviving session traced the commit" true
+    (List.exists
+       (fun (e : Tm_trace.Trace_event.t) ->
+         e.Tm_trace.Trace_event.args
+         = [ ("outcome", Tm_trace.Trace_event.Str "commit") ])
+       (Stm.Trace.events ()));
+  Alcotest.(check bool) "disarmed once the trace stops" false
+    (Atomic.get Tm_stm.Stm_core.Obs.armed)
 
-(* While disarmed, the seam must be inert: no sink calls, no identity
-   reads, [self] at its default. *)
-let test_blame_disarmed_inert () =
+(* Armed, single domain, no contention: the commit site carries the
+   slot bound by [set_self]. *)
+let test_commit_carries_slot () =
   let v = Stm.tvar 0 in
-  Alcotest.(check bool) "starts disarmed" false (Stm.Blame.is_armed ());
-  Alcotest.(check int) "self defaults to unknown" (-1) (Stm.Blame.self ());
-  let hits = Atomic.make 0 in
-  let sink =
-    {
-      Stm.Blame.on_event = (fun _ -> Atomic.incr hits);
-      on_progress = (fun _ -> Atomic.incr hits);
-    }
-  in
-  Stm.Blame.install sink;
-  Stm.Blame.uninstall ();
-  for _ = 1 to 100 do
-    Stm.atomically (fun () -> Stm.write v (Stm.read v + 1))
-  done;
-  Alcotest.(check int) "no events while disarmed" 0 (Atomic.get hits)
-
-(* Armed, single domain, no contention: the only signal is the progress
-   watermark, tagged with the slot bound by [set_self]. *)
-let test_blame_progress_watermark () =
-  let v = Stm.tvar 0 in
-  let progresses = Atomic.make 0 and events = Atomic.make 0 in
+  let commits = Atomic.make 0 and conflicts = Atomic.make 0 in
   let slot_seen = Atomic.make (-2) in
-  Stm.Blame.install
-    {
-      Stm.Blame.on_event = (fun _ -> Atomic.incr events);
-      on_progress =
-        (fun s ->
-          Atomic.set slot_seen s;
-          Atomic.incr progresses);
-    };
-  Stm.Blame.set_self 7;
+  Alcotest.(check int) "self defaults to unknown" (-1) (Obs.self ());
+  let sub =
+    Obs.subscribe (fun site _ _ ->
+        (match site with
+        | Obs.Commit ->
+            Atomic.set slot_seen (Obs.self ());
+            Atomic.incr commits
+        | Obs.Conflict _ -> Atomic.incr conflicts
+        | _ -> ());
+        Obs.Proceed)
+  in
+  Obs.set_self 7;
   for _ = 1 to 50 do
     Stm.atomically (fun () -> Stm.write v (Stm.read v + 1))
   done;
-  Stm.Blame.set_self (-1);
-  Stm.Blame.uninstall ();
-  Alcotest.(check int) "one progress per commit" 50 (Atomic.get progresses);
-  Alcotest.(check int) "no conflict events uncontended" 0 (Atomic.get events);
-  Alcotest.(check int) "progress carries the bound slot" 7
+  Obs.set_self (-1);
+  Obs.unsubscribe sub;
+  Alcotest.(check int) "one commit site per commit" 50 (Atomic.get commits);
+  Alcotest.(check int) "no conflicts uncontended" 0 (Atomic.get conflicts);
+  Alcotest.(check int) "commit carries the bound slot" 7
     (Atomic.get slot_seen)
-
-(* Every cause a core emits under real contention must be in its
-   declared [Algo.blame_causes] — the attribution never lies about the
-   mechanism.  (The converse — every declared cause eventually seen —
-   is load-dependent and belongs to the bench.) *)
-let blame_causes_truthful algo () =
-  Stm.with_algo algo (fun () ->
-      let seen = Atomic.make [] in
-      let rec push c =
-        let old = Atomic.get seen in
-        if not (Atomic.compare_and_set seen old (c :: old)) then push c
-      in
-      Stm.Blame.install
-        {
-          Stm.Blame.on_event = (fun e -> push e.Stm.Blame.b_cause);
-          on_progress = (fun _ -> ());
-        };
-      let hot = Array.init 2 (fun _ -> Stm.tvar 0) in
-      spawn_all
-        (List.init 2 (fun d () ->
-             Stm.Blame.set_self d;
-             for _ = 1 to 20_000 do
-               Stm.atomically (fun () ->
-                   let a = Stm.read hot.(0) in
-                   let b = Stm.read hot.(1) in
-                   Stm.write hot.(0) (a + 1);
-                   Stm.write hot.(1) (b + 1))
-             done;
-             Stm.Blame.set_self (-1)));
-      Stm.Blame.uninstall ();
-      let allowed = Stm.Algo.blame_causes algo in
-      List.iter
-        (fun c ->
-          Alcotest.(check bool)
-            (Fmt.str "%s: emitted cause %s is declared" (Stm.Algo.name algo)
-               (Stm.Blame.cause_label c))
-            true (List.mem c allowed))
-        (Atomic.get seen))
 
 (* ------------------------------------------------------------------ *)
 (* Read and write sets as data: the write-back cores keep their sets in
@@ -983,7 +1051,7 @@ let big_transaction algo () =
 (* Named regression: a NOrec transaction that begins while a writer
    holds the sequence lock (odd) must not take a snapshot the lock
    reaches when the writer releases.  The writer is held at
-   [Pre_commit], lock odd, before its write-back.  The reader's
+   [Publish], lock odd, before its write-back.  The reader's
    [read] samples a content cell, then accepts the sample if the lock
    still equals its snapshot; this replays those two halves around the
    writer's release.  With a snapshot of the odd value plus one, the
@@ -993,15 +1061,18 @@ let test_norec_begin_under_held_seqlock () =
   let module N = Tm_stm.Stm_norec in
   let x = C.tvar 0 in
   let held = Atomic.make false and go = Atomic.make false in
-  Stm.Chaos.install (function
-    | Stm.Chaos.Pre_commit ->
-        Atomic.set held true;
-        while not (Atomic.get go) do
-          Domain.cpu_relax ()
-        done;
-        Stm.Chaos.Proceed
-    | _ -> Stm.Chaos.Proceed);
-  Fun.protect ~finally:Stm.Chaos.uninstall (fun () ->
+  let hold =
+    Obs.subscribe (fun site _ _ ->
+        (match site with
+        | Obs.Publish ->
+            Atomic.set held true;
+            while not (Atomic.get go) do
+              Domain.cpu_relax ()
+            done
+        | _ -> ());
+        Obs.Proceed)
+  in
+  Fun.protect ~finally:(fun () -> Obs.unsubscribe hold) (fun () ->
       let writer =
         Domain.spawn (fun () ->
             let t = N.begin_ () in
@@ -1121,12 +1192,7 @@ let test_algo_tables_hygienic =
         List.length (List.sort_uniq compare l) = List.length l
       in
       let stable f = f a = f a in
-      dup_free (Stm.Algo.tel_phases a)
-      && dup_free (Stm.Algo.chaos_points a)
-      && dup_free (Stm.Algo.blame_causes a)
-      && stable Stm.Algo.tel_phases
-      && stable Stm.Algo.chaos_points
-      && stable Stm.Algo.blame_causes)
+      dup_free (Stm.Algo.sites a) && stable Stm.Algo.sites)
 
 let () =
   Alcotest.run "tm_stm"
@@ -1167,10 +1233,6 @@ let () =
       ( "algorithm zoo",
         [
           Alcotest.test_case "semantics, every core" `Quick test_zoo_semantics;
-          Alcotest.test_case "telemetry phase mapping truthful" `Quick
-            test_zoo_phase_mapping;
-          Alcotest.test_case "chaos point mapping truthful" `Quick
-            test_zoo_chaos_points;
           QCheck_alcotest.to_alcotest test_algo_tables_hygienic;
           Alcotest.test_case "global-lock parallel counter" `Slow
             (zoo_parallel_counter Stm.Algo.Global_lock);
@@ -1189,22 +1251,22 @@ let () =
           Alcotest.test_case "norec value-validation ABA" `Slow
             test_norec_value_validation_aba;
         ] );
-      ( "blame seam",
+      ( "observation seam",
         [
-          Alcotest.test_case "recover resets every seam" `Quick
-            test_recover_resets_seams;
-          Alcotest.test_case "disarmed seam inert" `Quick
-            test_blame_disarmed_inert;
-          Alcotest.test_case "progress watermark" `Quick
-            test_blame_progress_watermark;
-          Alcotest.test_case "tl2 causes truthful" `Slow
-            (blame_causes_truthful Stm.Algo.Tl2);
-          Alcotest.test_case "global-lock causes truthful" `Slow
-            (blame_causes_truthful Stm.Algo.Global_lock);
-          Alcotest.test_case "dstm causes truthful" `Slow
-            (blame_causes_truthful Stm.Algo.Dstm);
-          Alcotest.test_case "norec causes truthful" `Slow
-            (blame_causes_truthful Stm.Algo.Norec);
+          Alcotest.test_case "recover keeps only the trace" `Quick
+            test_recover_keeps_only_trace;
+          Alcotest.test_case "trace alone" `Quick test_trace_alone;
+          Alcotest.test_case "chaos alone" `Quick test_chaos_alone;
+          Alcotest.test_case "commit carries the slot" `Quick
+            test_commit_carries_slot;
+          Alcotest.test_case "tl2 sites truthful" `Slow
+            (sites_truthful Stm.Algo.Tl2);
+          Alcotest.test_case "global-lock sites truthful" `Slow
+            (sites_truthful Stm.Algo.Global_lock);
+          Alcotest.test_case "dstm sites truthful" `Slow
+            (sites_truthful Stm.Algo.Dstm);
+          Alcotest.test_case "norec sites truthful" `Slow
+            (sites_truthful Stm.Algo.Norec);
         ] );
       ( "sets as data",
         [

@@ -467,45 +467,63 @@ module Bg = Tm_telemetry.Blame_graph
 module Pc = Tm_liveness.Process_class
 module Stm = Tm_stm.Stm
 
-let ev ?(cause = Stm.Blame.Read_conflict) ?(tvar = 0) v a =
-  { Stm.Blame.b_victim = v; b_aggressor = a; b_tvar = tvar; b_cause = cause }
+(* Deliver one site to the graph as if reached on slot [self]. *)
+let deliver g ~self site a b =
+  Stm.Obs.set_self self;
+  ignore (Bg.subscriber g site a b);
+  Stm.Obs.set_self (-1)
+
+let ev ?(cause = Stm.Obs.Read_conflict) ?(tvar = 0) g v a =
+  deliver g ~self:v (Stm.Obs.Conflict cause) a tvar
+
+let progress g slot = deliver g ~self:slot Stm.Obs.Commit 0 0
 
 let test_blame_graph_folding () =
   let reg = R.create () in
   let g = Bg.create reg ~domains:3 in
-  let sink = Bg.sink_of g in
-  sink.Stm.Blame.on_event (ev 1 0);
-  sink.Stm.Blame.on_event (ev 1 0 ~cause:Stm.Blame.Lock_busy);
-  sink.Stm.Blame.on_event (ev 2 0);
-  sink.Stm.Blame.on_event (ev (-1) 0);
-  sink.Stm.Blame.on_event (ev 1 99 (* out of range -> unknown *));
+  ev g 1 0;
+  ev g 1 0 ~cause:Stm.Obs.Lock_busy;
+  ev g 2 0;
+  ev g (-1) 0;
+  ev g 1 99 (* out of range -> unknown *);
+  (* A steal is reported by the aggressor and names the victim. *)
+  deliver g ~self:2 (Stm.Obs.Conflict Stm.Obs.Stolen) 1 0;
   Alcotest.(check int) "edge 1->0 read-conflict" 1
-    (Bg.edge g ~victim:1 ~aggressor:0 Stm.Blame.Read_conflict);
+    (Bg.edge g ~victim:1 ~aggressor:0 Stm.Obs.Read_conflict);
+  Alcotest.(check int) "stolen edge 1->2" 1
+    (Bg.edge g ~victim:1 ~aggressor:2 Stm.Obs.Stolen);
   Alcotest.(check int) "edge 1->0 total over causes" 2
     (Bg.edge_total g ~victim:1 ~aggressor:0);
   Alcotest.(check int) "unknown victim folded" 1
     (Bg.edge_total g ~victim:(-1) ~aggressor:0);
   Alcotest.(check int) "out-of-range aggressor clamped to unknown" 1
     (Bg.edge_total g ~victim:1 ~aggressor:(-1));
-  Alcotest.(check int) "victim total" 3 (Bg.victim_total g 1);
-  Alcotest.(check int) "clock ticks per event" 5 (Bg.clock g);
+  Alcotest.(check int) "victim total" 4 (Bg.victim_total g 1);
+  Alcotest.(check int) "clock ticks per event" 6 (Bg.clock g);
   Alcotest.(check (list (triple int int int)))
     "edges in canonical order"
-    [ (-1, 0, 1); (1, -1, 1); (1, 0, 2); (2, 0, 1) ]
-    (Bg.edges g)
+    [ (-1, 0, 1); (1, -1, 1); (1, 0, 2); (1, 2, 1); (2, 0, 1) ]
+    (Bg.edges g);
+  (* After a mark the graph counts afresh; the clock does not. *)
+  Bg.mark g;
+  ev g 1 0;
+  Alcotest.(check int) "edge counts from the mark" 1
+    (Bg.edge_total g ~victim:1 ~aggressor:0);
+  Alcotest.(check (list (triple int int int))) "edges since the mark"
+    [ (1, 0, 1) ] (Bg.edges g);
+  Alcotest.(check int) "clock keeps counting" 7 (Bg.clock g)
 
 let test_blame_graph_watermarks () =
   let reg = R.create () in
   let g = Bg.create reg ~domains:2 in
-  let sink = Bg.sink_of g in
-  sink.Stm.Blame.on_event (ev 1 0);
-  sink.Stm.Blame.on_event (ev 1 0);
-  sink.Stm.Blame.on_progress 0;
+  ev g 1 0;
+  ev g 1 0;
+  progress g 0;
   Alcotest.(check int) "commit counted" 1 (Bg.commits g 0);
   Alcotest.(check int) "last commit at clock 3" 3 (Bg.last_commit g 0);
   Alcotest.(check int) "committer age 0" 0 (Bg.wait_age g 0);
-  sink.Stm.Blame.on_event (ev 1 0);
-  sink.Stm.Blame.on_event (ev 1 0);
+  ev g 1 0;
+  ev g 1 0;
   Alcotest.(check int) "age grows with peer events" 2 (Bg.wait_age g 0);
   Alcotest.(check int) "never-committed slot ages from 0" 5 (Bg.wait_age g 1);
   Bg.refresh g;
@@ -520,9 +538,8 @@ let test_blame_graph_watermarks () =
        ~labels:[ ("domain", "0") ])
 
 let feed g n v a =
-  let sink = Bg.sink_of g in
   for _ = 1 to n do
-    sink.Stm.Blame.on_event (ev v a)
+    ev g v a
   done
 
 let test_blame_classify_star () =
@@ -669,10 +686,10 @@ let test_jsonl_deterministic () =
    in one of the two. *)
 let tel_matches_stats algo () =
   Stm.with_algo algo (fun () ->
-      let p = Tm_telemetry.Stm_probe.install (R.create ()) in
+      let p, probe = Tm_telemetry.Stm_probe.install (R.create ()) in
       let hot = Stm.tvar 0 and n = 5_000 in
       let c0, a0 = Stm.stats () in
-      Fun.protect ~finally:Tm_telemetry.Stm_probe.uninstall (fun () ->
+      Fun.protect ~finally:(fun () -> Stm.Obs.unsubscribe probe) (fun () ->
           List.init 2 (fun _ ->
               Domain.spawn (fun () ->
                   for _ = 1 to n do
