@@ -865,6 +865,23 @@ let test_recover_keeps_only_trace () =
   Alcotest.(check bool) "disarmed once the trace stops" false
     (Atomic.get Tm_stm.Stm_core.Obs.armed)
 
+(* While nothing is subscribed, the seam must be inert: the flag down,
+   no subscriber calls, [self] at its default. *)
+let test_disarmed_inert () =
+  let v = Stm.tvar 0 in
+  let armed () = Atomic.get Tm_stm.Stm_core.Obs.armed in
+  Alcotest.(check bool) "starts disarmed" false (armed ());
+  Alcotest.(check int) "self defaults to unknown" (-1) (Obs.self ());
+  let hits = Atomic.make 0 in
+  let sub = counting hits in
+  Alcotest.(check bool) "a subscriber arms" true (armed ());
+  Obs.unsubscribe sub;
+  Alcotest.(check bool) "the last unsubscribe disarms" false (armed ());
+  for _ = 1 to 100 do
+    Stm.atomically (fun () -> Stm.write v (Stm.read v + 1))
+  done;
+  Alcotest.(check int) "no sites while disarmed" 0 (Atomic.get hits)
+
 (* Armed, single domain, no contention: the commit site carries the
    slot bound by [set_self]. *)
 let test_commit_carries_slot () =
@@ -892,6 +909,29 @@ let test_commit_carries_slot () =
   Alcotest.(check int) "no conflicts uncontended" 0 (Atomic.get conflicts);
   Alcotest.(check int) "commit carries the bound slot" 7
     (Atomic.get slot_seen)
+
+(* The same run through the blame graph's subscriber: every commit
+   moves the bound slot's progress watermark and nothing else. *)
+let test_progress_watermark () =
+  let module Bg = Tm_telemetry.Blame_graph in
+  let v = Stm.tvar 0 in
+  let g = Bg.create (Tm_telemetry.Registry.create ()) ~domains:2 in
+  let sub = Obs.subscribe (Bg.subscriber g) in
+  Obs.set_self 1;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_self (-1);
+      Obs.unsubscribe sub)
+    (fun () ->
+      for _ = 1 to 50 do
+        Stm.atomically (fun () -> Stm.write v (Stm.read v + 1))
+      done);
+  Alcotest.(check int) "one watermark tick per commit" 50 (Bg.commits g 1);
+  Alcotest.(check int) "other slots untouched" 0 (Bg.commits g 0);
+  Alcotest.(check int) "last commit at the clock" (Bg.clock g)
+    (Bg.last_commit g 1);
+  Alcotest.(check (list (triple int int int)))
+    "no blame edges uncontended" [] (Bg.edges g)
 
 (* ------------------------------------------------------------------ *)
 (* Read and write sets as data: the write-back cores keep their sets in
@@ -1257,8 +1297,10 @@ let () =
             test_recover_keeps_only_trace;
           Alcotest.test_case "trace alone" `Quick test_trace_alone;
           Alcotest.test_case "chaos alone" `Quick test_chaos_alone;
+          Alcotest.test_case "disarmed seam inert" `Quick test_disarmed_inert;
           Alcotest.test_case "commit carries the slot" `Quick
             test_commit_carries_slot;
+          Alcotest.test_case "progress watermark" `Quick test_progress_watermark;
           Alcotest.test_case "tl2 sites truthful" `Slow
             (sites_truthful Stm.Algo.Tl2);
           Alcotest.test_case "global-lock sites truthful" `Slow
