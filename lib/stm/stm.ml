@@ -95,7 +95,9 @@ module Trace = struct
         record lane Tev.Lock "busy" Tev.Instant (tvar_arg b)
     | Obs.Conflict Obs.Validation ->
         record lane Tev.Validation "read-invalid" Tev.Instant (tvar_arg b)
-    | Obs.Read | Obs.Lock | Obs.Validate | Obs.Publish | Obs.Conflict _ -> ());
+    | Obs.Read | Obs.Lock | Obs.Owned | Obs.Validate | Obs.Publish
+    | Obs.Conflict _ ->
+        ());
     Obs.Proceed
 
   let stop_locked () =
@@ -185,8 +187,9 @@ module Algo = struct
      backs out per-location locks ([Released]) and has per-location
      read/lock conflicts, only the stealing DSTM core steals, the
      serialized cores convert waits behind their one lock into
-     [Wait_budget], and the write-back cores note their lock protocol
-     ([Acquired], [Published]). *)
+     [Wait_budget], the write-back cores note their lock protocol
+     ([Acquired], [Published]), and the cores that lock in the body
+     (global-lock, DSTM) note each acquisition they win ([Owned]). *)
   let sites = function
     | Tl2 ->
         [
@@ -205,6 +208,7 @@ module Algo = struct
         [
           Obs.Read;
           Obs.Lock;
+          Obs.Owned;
           Obs.Publish;
           Obs.Acquired;
           Obs.Published;
@@ -214,6 +218,7 @@ module Algo = struct
         [
           Obs.Read;
           Obs.Lock;
+          Obs.Owned;
           Obs.Validate;
           Obs.Publish;
           Obs.Steal;

@@ -118,7 +118,8 @@ module Algo : sig
       table per core, enforced at run time by the truthfulness test and
       statically by [tmlive static]'s seam-contract.  The facade adds
       [Begin], [Commit], [Abort] and [Backoff] for every core.  Notable
-      truths: the global-lock serializer never reaches [Validate],
+      truths: only global-lock and DSTM lock in the body ([Owned]),
+      the global-lock serializer never reaches [Validate],
       NOrec never reaches [Lock], only DSTM steals ([Steal],
       [Conflict Stolen]), only TL2 backs locks out ([Released]) or
       conflicts per location ([Read_conflict], [Lock_busy]), and the
@@ -163,6 +164,9 @@ val with_algo : Algo.t -> (unit -> 'a) -> 'a
       [Published] ([a] t-variable, noted while the lock is still held),
       [Steal] ([a] t-variable, before the steal CAS) — the lock
       protocol the trace renders;
+    - [Owned] — the serializer or ownership a global-lock or DSTM
+      [Lock] site asked for is held ([a] the t-variable, -1 for the
+      serializer); the trace does not render it;
     - [Backoff] — [a] the attempt count the bound grows with, [b] the
       spins.
 
@@ -216,6 +220,7 @@ module Obs : sig
     | Commit
     | Abort of outcome
     | Acquired
+    | Owned
     | Released
     | Published
     | Steal

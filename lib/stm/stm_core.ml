@@ -113,6 +113,7 @@ module Obs = struct
     | Commit
     | Abort of outcome
     | Acquired
+    | Owned
     | Released
     | Published
     | Steal
@@ -123,14 +124,28 @@ module Obs = struct
   type subscriber = site -> int -> int -> action
   type handle = { on : subscriber }
 
+  (* The last non-[Proceed] answer wins; only a chaos plan gives one. *)
+  let deliver_all s site a b =
+    let act = ref Proceed in
+    for i = 0 to Array.length s - 1 do
+      match s.(i).on site a b with Proceed -> () | x -> act := x
+    done;
+    !act
+
+  (* The subscribers, and what a site calls: the one subscriber itself
+     when there is one (the usual case: a site then costs one closure
+     call), else a loop over all of them. *)
   let armed = Atomic.make false
-  let subs : handle array Atomic.t = Atomic.make [||]
+  let subs : handle array ref = ref [||]
+  let dispatch : subscriber Atomic.t = Atomic.make (deliver_all [||])
   let registry_mu = Mutex.create ()
 
   let update f =
     Mutex.protect registry_mu (fun () ->
-        let s = f (Atomic.get subs) in
-        Atomic.set subs s;
+        let s = f !subs in
+        subs := s;
+        Atomic.set dispatch
+          (if Array.length s = 1 then s.(0).on else deliver_all s);
         Atomic.set armed (Array.length s > 0))
 
   let subscribe on =
@@ -143,14 +158,7 @@ module Obs = struct
 
   let unsubscribe h = retain (fun h' -> h' != h)
 
-  (* The last non-[Proceed] answer wins; only a chaos plan gives one. *)
-  let decide site a b =
-    let s = Atomic.get subs in
-    let act = ref Proceed in
-    for i = 0 to Array.length s - 1 do
-      match s.(i).on site a b with Proceed -> () | x -> act := x
-    done;
-    !act
+  let decide site a b = (Atomic.get dispatch) site a b
 
   let note site a b = ignore (decide site a b)
 
@@ -200,6 +208,7 @@ module Obs = struct
     | Commit -> "commit"
     | Abort o -> "abort:" ^ outcome_label o
     | Acquired -> "acquired"
+    | Owned -> "owned"
     | Released -> "released"
     | Published -> "published"
     | Steal -> "steal"

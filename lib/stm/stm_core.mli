@@ -83,6 +83,7 @@ module Obs : sig
     | Commit
     | Abort of outcome
     | Acquired
+    | Owned
     | Released
     | Published
     | Steal

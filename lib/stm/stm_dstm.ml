@@ -31,10 +31,11 @@
    (opacity).
 
    Sites: [Read] before each (non-own) read, [Lock] before each
-   ownership acquisition, [Validate]/[Publish] around commit-time
-   validation with ownerships held.  A crash leaves the status cell
-   active forever: the crashed-owner adversary that lock-based cores
-   cannot survive and this one shrugs off.  Every site must match
+   ownership acquisition and [Owned] once its CAS wins,
+   [Validate]/[Publish] around commit-time validation with ownerships
+   held.  A crash leaves the status cell active forever: the
+   crashed-owner adversary that lock-based cores cannot survive and
+   this one shrugs off.  Every site must match
    [Stm.Algo.sites] for Dstm and sit behind the armed guard (tmlive
    static: seam-contract/seam-guard). *)
 
@@ -143,6 +144,7 @@ let write (type a) t (tv : a tvar) (x : a) : unit =
         let l_owner = if Atomic.get Obs.armed then Obs.self () else -1 in
         let loc' = { l_status = t.d_status; l_old = old; l_new = u; l_owner } in
         if not (Atomic.compare_and_set tv.locator loc loc') then acquire ()
+        else if Atomic.get Obs.armed then Obs.note Obs.Owned tv.id 0
     end
   in
   acquire ();

@@ -15,13 +15,13 @@
    flags live) instead of deadlocking inside the runtime.
 
    Sites: [Lock] before each serializer acquisition attempt (holding
-   nothing — this also keeps a starving peer's op clock ticking);
-   [Read] before each read, *after* the serializer is held, so an
-   in-transaction crash deterministically strands it; [Publish] before
-   write-back (serializer held).  [Validate] never fires: there is
-   nothing to validate.  Every site must match [Stm.Algo.sites] for
-   Global_lock and sit behind the armed guard (tmlive static:
-   seam-contract/seam-guard). *)
+   nothing — this also keeps a starving peer's op clock ticking) and
+   [Owned] once it is held; [Read] before each read, *after* the
+   serializer is held, so an in-transaction crash deterministically
+   strands it; [Publish] before write-back (serializer held).
+   [Validate] never fires: there is nothing to validate.  Every site
+   must match [Stm.Algo.sites] for Global_lock and sit behind the armed
+   guard (tmlive static: seam-contract/seam-guard). *)
 
 open Stm_core
 
@@ -101,7 +101,10 @@ let ensure_locked t =
           spin spin_budget)
     end;
     Atomic.set last_holder me;
-    if Atomic.get Obs.armed then Atomic.set blame_holder (Obs.self ());
+    if Atomic.get Obs.armed then begin
+      Atomic.set blame_holder (Obs.self ());
+      Obs.note Obs.Owned (-1) 0
+    end;
     t.held <- true
   end
 

@@ -132,7 +132,9 @@ let commit_fault t site =
 (* Lock the sorted write set in canonical order from entry [k]; back
    out on failure.  Armed, a lock also stamps ownership: the word then
    names the last lock holder / committed writer of the t-variable,
-   which is who its next victim blames. *)
+   which is who its next victim blames.  The stamp is stored only when
+   it changes: a domain re-locking its own t-variable skips the
+   atomic exchange. *)
 let rec lock_from t k =
   if k < Wset.length t.ws then begin
     commit_fault t Obs.Lock;
@@ -141,7 +143,8 @@ let rec lock_from t k =
         if try_lock_tvar tv then begin
           if Atomic.get Obs.armed then begin
             Obs.note Obs.Acquired tv.id k;
-            Atomic.set tv.owner (Obs.self ())
+            let me = Obs.self () in
+            if Atomic.get tv.owner <> me then Atomic.set tv.owner me
           end;
           t.held <- k + 1;
           lock_from t (k + 1)

@@ -31,7 +31,8 @@ let register reg =
     aborts = c "tm_stm_aborts_total" "Transaction attempts that aborted";
     lock_ns =
       h "tm_stm_lock_acquire_ns"
-        "Lock and ownership acquisition latency (lock site to next site)";
+        "Lock acquisition latency: TL2's commit-time write-set locking, \
+         the global-lock serializer, each DSTM ownership";
     validate_ns =
       h "tm_stm_validate_ns"
         "Commit-time read-set validation latency (write commits)";
@@ -43,33 +44,36 @@ let register reg =
     abort_ns = h "tm_stm_abort_ns" "Whole-attempt latency of aborted attempts";
   }
 
-(* A domain's open attempt: when it began, and the timed phase
-   ([Lock], [Validate] or [Publish]; [Begin] for none) it is in since
-   [t_phase].  A phase runs from its site to the attempt's next site of
-   another kind; an abort discards it. *)
+(* A domain's open attempt: when it began, and the timed phase it is in
+   since [t_phase] — [lock], [validate] or [publish], an index into the
+   phase histograms, or -1 for none (an int, so that a site's stores
+   need no write barrier).  A phase runs from its site to the attempt's
+   next commit site of another kind — a body-time [Lock] (global-lock,
+   DSTM) to its [Owned] — and an abort discards it. *)
 type lane = {
   mutable t_begin : int;
-  mutable phase : Obs.site;
+  mutable phase : int;
   mutable t_phase : int;
 }
 
+let lock = 0
+let validate = 1
+let publish = 2
+
 let subscriber ?(clock = ns_clock) t : Obs.subscriber =
+  let phase_ns = [| t.lock_ns; t.validate_ns; t.publish_ns |] in
   let key =
-    Domain.DLS.new_key (fun () ->
-        { t_begin = 0; phase = Obs.Begin; t_phase = 0 })
+    Domain.DLS.new_key (fun () -> { t_begin = 0; phase = -1; t_phase = 0 })
   in
   let close l now =
-    (match l.phase with
-    | Obs.Lock -> Instrument.observe t.lock_ns (now - l.t_phase)
-    | Obs.Validate -> Instrument.observe t.validate_ns (now - l.t_phase)
-    | Obs.Publish -> Instrument.observe t.publish_ns (now - l.t_phase)
-    | _ -> ());
-    l.phase <- Obs.Begin
+    if l.phase >= 0 then
+      Instrument.observe phase_ns.(l.phase) (now - l.t_phase);
+    l.phase <- -1
   in
-  let enter l site =
+  let enter l phase =
     let now = clock () in
     close l now;
-    l.phase <- site;
+    l.phase <- phase;
     l.t_phase <- now
   in
   let lane () = Domain.DLS.get key in
@@ -78,16 +82,15 @@ let subscriber ?(clock = ns_clock) t : Obs.subscriber =
     | Obs.Begin ->
         let l = lane () in
         Instrument.incr t.begins;
-        l.phase <- Obs.Begin;
+        l.phase <- -1;
         l.t_begin <- clock ()
-    | Obs.Read -> (
-        Instrument.incr t.reads;
+    | Obs.Read -> Instrument.incr t.reads
+    | Obs.Lock ->
         let l = lane () in
-        match l.phase with Obs.Begin -> () | _ -> close l (clock ()))
-    | Obs.Lock -> (
-        let l = lane () in
-        match l.phase with Obs.Lock -> () | _ -> enter l site)
-    | Obs.Validate | Obs.Publish -> enter (lane ()) site
+        if l.phase <> lock then enter l lock
+    | Obs.Owned -> close (lane ()) (clock ())
+    | Obs.Validate -> enter (lane ()) validate
+    | Obs.Publish -> enter (lane ()) publish
     | Obs.Commit ->
         let l = lane () and now = clock () in
         close l now;
@@ -95,7 +98,7 @@ let subscriber ?(clock = ns_clock) t : Obs.subscriber =
         Instrument.observe t.commit_ns (now - l.t_begin)
     | Obs.Abort (Obs.Conflicted | Obs.Retried) ->
         let l = lane () in
-        l.phase <- Obs.Begin;
+        l.phase <- -1;
         Instrument.incr t.aborts;
         Instrument.observe t.abort_ns (clock () - l.t_begin)
     | _ -> ());

@@ -6,8 +6,9 @@
     nanosecond phase-latency histograms [tm_stm_lock_acquire_ns] /
     [tm_stm_validate_ns] / [tm_stm_publish_ns] / [tm_stm_commit_ns] /
     [tm_stm_abort_ns].  A timed phase runs from its site ([Lock],
-    [Validate], [Publish]) to the attempt's next site of another kind;
-    commit and abort latencies run from [Begin].  While nothing is
+    [Validate], [Publish]) to the attempt's next commit site of another
+    kind; a [Lock] reached in the body (global-lock, DSTM) runs to its
+    [Owned].  Commit and abort latencies run from [Begin].  While nothing is
     subscribed the STM hot path pays one atomic flag read per site;
     subscribed, each site is a few sharded atomic RMWs plus at most one
     monotonic clock read. *)

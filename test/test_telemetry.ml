@@ -709,6 +709,37 @@ let tel_matches_stats algo () =
         (v p.begins)
         (v p.commits + v p.aborts))
 
+(* The lock histogram times acquisition, not the body: a clock that
+   only the body advances leaves every lock sample at zero, while the
+   whole-attempt sample carries the body's time.  Global-lock and DSTM
+   lock from the body's first write; TL2 locks at commit; NOrec takes
+   no lock. *)
+let lock_phase_excludes_body algo () =
+  Stm.with_algo algo (fun () ->
+      let now = ref 0 in
+      let p = Tm_telemetry.Stm_probe.register (R.create ()) in
+      let probe =
+        Stm.Obs.subscribe
+          (Tm_telemetry.Stm_probe.subscriber ~clock:(fun () -> !now) p)
+      in
+      let a = Stm.tvar 0 and b = Stm.tvar 0 in
+      Fun.protect ~finally:(fun () -> Stm.Obs.unsubscribe probe) (fun () ->
+          Stm.atomically (fun () ->
+              Stm.write a 1;
+              (* tmstatic: allow txn-purity — the body's simulated time *)
+              now := !now + 1_000;
+              ignore (Stm.read b)));
+      let lock = I.hist_snapshot p.lock_ns
+      and commit = I.hist_snapshot p.commit_ns in
+      let name = Stm.Algo.name algo in
+      Alcotest.(check int)
+        (name ^ ": lock samples")
+        (if algo = Stm.Algo.Norec then 0 else 1)
+        lock.count;
+      Alcotest.(check int) (name ^ ": no body time in lock samples") 0 lock.sum;
+      Alcotest.(check int) (name ^ ": body time in the attempt") 1_000
+        commit.sum)
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -786,5 +817,11 @@ let () =
             Alcotest.test_case
               (Stm.Algo.name a ^ " Tel counts = Stm.stats")
               `Quick (tel_matches_stats a))
-          Stm.Algo.all );
+          Stm.Algo.all
+        @ List.map
+            (fun a ->
+              Alcotest.test_case
+                (Stm.Algo.name a ^ " lock phase excludes the body")
+                `Quick (lock_phase_excludes_body a))
+            Stm.Algo.all );
     ]
