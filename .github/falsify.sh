@@ -5,7 +5,7 @@
 #
 # usage: falsify.sh [--status N] [--expect PATTERN FILE]... SOURCE EDIT -- CHECK...
 #   SOURCE    the file to seed
-#   EDIT      a sed script applied in place, or +TEXT to append a line
+#   EDIT      a sed script applied in place
 #   CHECK     the command that must fail: non-zero exit, exactly N with
 #             --status
 #   --expect  PATTERN must occur in FILE once the check has failed
@@ -29,10 +29,7 @@ backup=$(mktemp)
 cp "$source_file" "$backup"
 trap 'cp "$backup" "$source_file"; rm -f "$backup"' EXIT
 
-case "$edit" in
-  +*) printf '\n%s\n' "${edit#+}" >> "$source_file" ;;
-  *) sed -i "$edit" "$source_file" ;;
-esac
+sed -i "$edit" "$source_file"
 if cmp -s "$source_file" "$backup"; then
   echo "falsification failed: the seeded edit did not apply to $source_file" >&2
   exit 1
