@@ -909,7 +909,8 @@ let p3_scaling () =
     "footnote 1: disjoint-access scaling, TL2 runtime vs global-lock \
      runtime (ops/ms)";
   let iters = 200_000 in
-  let measure_tl2 domains =
+  let measure algo domains =
+    Tm_stm.Stm.with_algo algo @@ fun () ->
     let tvars = Array.init domains (fun _ -> Tm_stm.Stm.tvar 0) in
     let t0 = Unix.gettimeofday () in
     List.init domains (fun d ->
@@ -922,20 +923,8 @@ let p3_scaling () =
     let dt = Unix.gettimeofday () -. t0 in
     float_of_int (domains * iters) /. (dt *. 1000.)
   in
-  let measure_lock domains =
-    let tvars = Array.init domains (fun _ -> Tm_stm.Stm_lock.tvar 0) in
-    let t0 = Unix.gettimeofday () in
-    List.init domains (fun d ->
-        Domain.spawn (fun () ->
-            for _ = 1 to iters do
-              Tm_stm.Stm_lock.atomically (fun () ->
-                  Tm_stm.Stm_lock.write tvars.(d)
-                    (Tm_stm.Stm_lock.read tvars.(d) + 1))
-            done))
-    |> List.iter Domain.join;
-    let dt = Unix.gettimeofday () -. t0 in
-    float_of_int (domains * iters) /. (dt *. 1000.)
-  in
+  let measure_tl2 = measure Tm_stm.Stm.Algo.Tl2
+  and measure_lock = measure Tm_stm.Stm.Algo.Global_lock in
   Fmt.pr "    %-10s %12s %12s@." "domains" "tl2-stm" "lock-stm";
   let tl2_1 = ref 0. and tl2_4 = ref 0. in
   let lock_1 = ref 0. and lock_4 = ref 0. in

@@ -253,7 +253,7 @@ let check (src : Source.t) =
     walk_body locals c.pc_rhs
   in
   (* Find [.. atomically (fun () -> body) ..] applications anywhere in
-     the file (qualified or not: [Stm.atomically], [Stm_lock.atomically]
+     the file (qualified or not: [Stm.atomically], [Tm_stm.Stm.atomically]
      and a locally-opened [atomically] all count). *)
   let iter =
     {

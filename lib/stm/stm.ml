@@ -14,7 +14,7 @@ module Obs = Stm_core.Obs
 
 type 'a tvar = 'a Stm_core.tvar
 
-exception Retry = Stm_core.Retry
+exception Retry
 
 let tvar = Stm_core.tvar
 
@@ -296,14 +296,16 @@ let stats () =
    Everything the attempt loop keeps between attempts, in one record per
    domain reused by every transaction: the live transaction ([cur],
    [None] outside one), the pairing of each core with its transaction,
-   the backoff generator and the counts.  An attempt allocates nothing
-   here for the cores that reuse a per-domain buffer (TL2, global-lock,
-   NOrec): their pair is built once and [begin_] hands back the same
-   buffer.  DSTM allocates a fresh transaction per attempt (its locators
-   need a fresh status cell), so its pair is packed anew each attempt. *)
+   the backoff generator and the counts.  Every core's [begin_] hands
+   back its domain's one buffer, so each pair is built once per domain
+   and an attempt allocates nothing here. *)
+
+(* A core paired with its transaction buffer on this domain. *)
+type packed = P : (module Stm_core.S with type txn = 't) * 't -> packed
+
 type slot = {
-  mutable cur : Stm_core.packed option;
-  cores : Stm_core.packed option array;  (* by [algo_index] *)
+  mutable cur : packed option;
+  cores : packed option array;  (* by [algo_index] *)
   self : int;
   mutable prng : int;
   counts : counts;
@@ -329,14 +331,14 @@ let in_transaction () = Option.is_some (Domain.DLS.get slot).cur
 
 let read (type a) (tv : a tvar) : a =
   match (Domain.DLS.get slot).cur with
-  | Some (Stm_core.P ((module C), t)) -> C.read t tv
+  | Some (P ((module C), t)) -> C.read t tv
   | None ->
       let (module C) = Atomic.get selected in
       C.direct_read tv
 
 let write (type a) (tv : a tvar) (x : a) : unit =
   match (Domain.DLS.get slot).cur with
-  | Some (Stm_core.P ((module C), t)) -> C.write t tv x
+  | Some (P ((module C), t)) -> C.write t tv x
   | None -> invalid_arg "Stm.write outside a transaction"
 
 let retry () = raise Retry
@@ -351,29 +353,27 @@ let backoff s attempts =
     Domain.cpu_relax ()
   done
 
-(* Begin an attempt under algorithm [a]: make its core's transaction the
-   slot's live one.  On the core's first use on this domain the pair is
-   built around a transaction that never runs: a buffer-reusing core
-   hands the same buffer to the next [begin_], so the pair is reused
-   from then on; a core that allocates per attempt is packed anew and
-   the unused transaction stays empty. *)
-let rec begin_attempt s a =
+(* Begin an attempt under algorithm [a]: reset its core's buffer and
+   make it the slot's live transaction, pairing the two on the core's
+   first use on this domain. *)
+let begin_attempt s a =
   let i = algo_index a in
   match s.cores.(i) with
-  | Some (Stm_core.P ((module C), t)) as pair ->
-      let t' = C.begin_ () in
-      s.cur <- (if t' == t then pair else Some (Stm_core.P ((module C), t')))
+  | Some (P ((module C), _)) as pair ->
+      ignore (C.begin_ ());
+      s.cur <- pair
   | None ->
       let (module C) = core_of a in
-      s.cores.(i) <- Some (Stm_core.P ((module C), C.begin_ ()));
-      begin_attempt s a
+      let pair = Some (P ((module C), C.begin_ ())) in
+      s.cores.(i) <- pair;
+      s.cur <- pair
 
 let end_attempt o = if Atomic.get Obs.armed then Obs.note (Obs.Abort o) 0 0
 
 (* Release what the live transaction holds and leave it. *)
 let abandon s =
   (match s.cur with
-  | Some (Stm_core.P ((module C), t)) -> C.abort_cleanup t
+  | Some (P ((module C), t)) -> C.abort_cleanup t
   | None -> ());
   s.cur <- None
 
@@ -386,7 +386,7 @@ let next_attempt s o backoff_n =
 
 let commit_live s =
   match s.cur with
-  | Some (Stm_core.P ((module C), t)) -> C.commit t
+  | Some (P ((module C), t)) -> C.commit t
   | None -> ()
 
 (* The commit took effect: an injected [Abort] has nothing left to

@@ -240,7 +240,9 @@ module Obs : sig
       path. *)
 
   val set_self : int -> unit
-  (** Bind the calling domain's plan slot. *)
+  (** Bind the calling domain's plan slot: -1 (unknown) or 0 to 254,
+      the slots TL2's vlock word can name.
+      @raise Invalid_argument on any other slot. *)
 
   val self : unit -> int
 

@@ -1,7 +1,7 @@
 (* Shared substrate of the real-domains STM algorithm zoo.
 
    Everything algorithm-independent lives here: the t-variable
-   representation, the write set the write-back cores share, the
+   representation, the write set every core keeps, the
    observation seam [Obs] and the core interface [S] that each
    algorithm implements.  The [Stm] facade
    dispatches the public API to the currently selected core; the cores
@@ -31,35 +31,35 @@ type locator = {
          armed, -1 otherwise — lets a stealer name its victim *)
 }
 
+(* The t-variable keeps only what more than one core reads: the
+   identity and type witness every set entry needs, the committed
+   content, TL2's vlock word (which also carries its blame owner) and
+   DSTM's locator cell.  17 words when fresh: the record (6), the three
+   atomics (2 each) and the witness (5). *)
 type 'a tvar = {
   id : int;
   wit : 'a Type.Id.t;
   content : 'a Atomic.t;
   vlock : int Atomic.t;
   locator : locator Atomic.t;
-  owner : int Atomic.t;
-      (* plan slot of the last lock holder / committed writer, written
-         only while [Obs] is armed (-1 = unknown) *)
 }
 
 let next_id = Atomic.make 0
 
-(* All freshly created t-variables share one permanently-committed
-   status cell: a steal (CAS 0 -> 2) on it can never succeed, and no
-   transaction ever owns it. *)
-let root_status = Atomic.make 1
+(* The one locator every fresh t-variable points at: "committed, the
+   value is in [content]".  DSTM replaces it on first touch and never
+   installs it again; its fields are never read. *)
+let untouched =
+  let u = U (Type.Id.make (), ()) in
+  { l_status = Atomic.make 1; l_old = u; l_new = u; l_owner = -1 }
 
-let tvar (type a) (init : a) : a tvar =
-  let wit = Type.Id.make () in
-  let u0 = U (wit, init) in
+let tvar init =
   {
     id = Atomic.fetch_and_add next_id 1;
-    wit;
+    wit = Type.Id.make ();
     content = Atomic.make init;
     vlock = Atomic.make 0;
-    locator =
-      Atomic.make { l_status = root_status; l_old = u0; l_new = u0; l_owner = -1 };
-    owner = Atomic.make (-1);
+    locator = Atomic.make untouched;
   }
 
 (* The witness cast: [x], typed at [dst], given that [src] and [dst]
@@ -70,10 +70,6 @@ let cast (type a b) (src : a Type.Id.t) (dst : b Type.Id.t) (x : a) : b =
   | Some Type.Equal -> x
   | None -> assert false
 
-let univ tv x = U (tv.wit, x)
-let of_univ (type a) (tv : a tvar) (U (w, x)) : a = cast w tv.wit x
-
-exception Retry
 exception Conflict
 
 (* Inside [Obs], [Conflict] names the conflict site. *)
@@ -181,7 +177,17 @@ module Obs = struct
   let slot_key : int ref Domain.DLS.key =
     Domain.DLS.new_key (fun () -> ref (-1))
 
-  let set_self s = Domain.DLS.get slot_key := s
+  (* A slot must fit TL2's vlock word beside the lock bit and the
+     version: [slot_bits] bits hold slot + 1, 0 meaning unknown. *)
+  let slot_bits = 8
+  let max_slot = (1 lsl slot_bits) - 2
+
+  let set_self s =
+    if s < -1 || s > max_slot then
+      invalid_arg
+        (Fmt.str "Stm.Obs.set_self: slot %d outside -1..%d" s max_slot);
+    Domain.DLS.get slot_key := s
+
   let self () = !(Domain.DLS.get slot_key)
 
   let cause_label = function
@@ -215,34 +221,25 @@ module Obs = struct
     | Backoff -> "backoff"
 end
 
-(* Versioned-lock helpers (TL2's vlock word: even = unlocked, value is
-   version << 1; odd = locked by a committing transaction). *)
-let locked v = v land 1 = 1
-let version_of v = v lsr 1
-let read_vlock tv = Atomic.get tv.vlock
-
-let try_lock_tvar tv =
-  let v = read_vlock tv in
-  (not (locked v)) && Atomic.compare_and_set tv.vlock v (v lor 1)
-
-let unlock_tvar tv =
-  let v = read_vlock tv in
-  if locked v then Atomic.set tv.vlock (v land lnot 1)
-
-let publish_tvar tv x wv =
-  Atomic.set tv.content x;
-  Atomic.set tv.vlock (wv lsl 1)
-
 (* The write set shared by the write-back cores (TL2, global-lock,
-   NOrec): the pending value of each written t-variable, as data.  An
-   entry is the t-variable plus its buffered value, so the commit
-   protocols can lock, publish and stamp ownership without closures.
+   NOrec) and DSTM's own-write journal: the pending value of each
+   written t-variable, as data.  An entry is the t-variable plus its
+   buffered value, so the commit protocols can lock and publish without
+   closures.
    Entries live in a pair of parallel arrays — the ids, scanned by
    lookups and the commit-time sort, and the entries themselves — that
    each core keeps per domain and reuses for every transaction: they
    grow by doubling and are never freed (nor cleared, so they keep the
    last values written alive until overwritten). *)
 type wentry = W : { tv : 'a tvar; mutable v : 'a } -> wentry
+
+(* How every per-domain set grows: [a]'s first [n] elements in a fresh
+   array with room to double, filled past them with [fill] (the entry
+   being added, so no placeholder entry is needed). *)
+let extend a n fill =
+  let b = Array.make (max 64 (2 * n)) fill in
+  Array.blit a 0 b 0 n;
+  b
 
 module Wset = struct
   type t = {
@@ -251,8 +248,7 @@ module Wset = struct
     mutable n : int;
   }
 
-  (* Empty until the first write: [grow] fills fresh slots with the
-     entry being added, so no placeholder entry is needed. *)
+  (* Empty until the first write. *)
   let create () = { ids = [||]; entries = [||]; n = 0 }
 
   let clear s = s.n <- 0
@@ -273,12 +269,8 @@ module Wset = struct
     match s.entries.(i) with W w -> cast w.tv.wit tv.wit w.v
 
   let grow s fill =
-    let cap = max 32 (2 * s.n) in
-    let ids = Array.make cap 0 and entries = Array.make cap fill in
-    Array.blit s.ids 0 ids 0 s.n;
-    Array.blit s.entries 0 entries 0 s.n;
-    s.ids <- ids;
-    s.entries <- entries
+    s.ids <- extend s.ids s.n 0;
+    s.entries <- extend s.entries s.n fill
 
   (* Buffer [x] for [tv]: a first write costs the one entry block, a
      rewrite allocates nothing. *)
@@ -340,22 +332,6 @@ let write_back ws =
         Atomic.set tv.content v
   done
 
-(* Direct (non-transactional) atomic snapshot read through the vlock
-   seqlock — the write-back cores' [direct_read]. *)
-let rec snapshot_read tv =
-  let v1 = read_vlock tv in
-  if locked v1 then begin
-    Domain.cpu_relax ();
-    snapshot_read tv
-  end
-  else
-    let x = Atomic.get tv.content in
-    if read_vlock tv = v1 then x
-    else begin
-      Domain.cpu_relax ();
-      snapshot_read tv
-    end
-
 (* Bounded spinning for the serialized cores.  A peer stuck behind a
    stranded lock (a crashed holder) must not hang: after [spin_budget]
    relax iterations the wait is converted into an ordinary [Conflict],
@@ -371,7 +347,8 @@ let spin_budget = 1 lsl 14
 
    Contract:
    - At most one transaction per core is live on a domain at a time:
-     [begin_] hands out the domain's reused buffer.
+     [begin_] resets and hands out the domain's reused buffer, the same
+     value on every call.
    - [begin_] never blocks and never raises: any waiting happens in
      [read]/[write]/[commit] where the re-run transaction body keeps
      external stop-flags observable.
@@ -396,4 +373,3 @@ module type S = sig
   val direct_read : 'a tvar -> 'a
 end
 
-type packed = P : (module S with type txn = 't) * 't -> packed

@@ -1,13 +1,12 @@
 (** Shared substrate of the real-domains STM algorithm zoo (internal).
 
     This module is the algorithm-independent half of [lib/stm]: the
-    t-variable representation, the write set the write-back cores
-    share, the observation seam {!Obs} and the core interface {!S} each
-    algorithm implements.  User code
-    should go through the {!Stm} facade; the types here are exposed so
-    the cores ([Stm_tl2], [Stm_glock], [Stm_dstm], [Stm_norec]) can
-    share one t-variable type and so the facade can re-export the seam
-    unchanged. *)
+    t-variable representation, the write set every core keeps, the
+    observation seam {!Obs} and the core interface {!S} each algorithm
+    implements.  User code should go through the {!Stm} facade; the
+    types here are exposed so the cores ([Stm_tl2], [Stm_glock],
+    [Stm_dstm], [Stm_norec]) can share one t-variable type and so the
+    facade can re-export the seam unchanged. *)
 
 type univ = U : 'a Type.Id.t * 'a -> univ
 (** The universal type: a value packed with the type witness of the
@@ -33,31 +32,29 @@ type 'a tvar = {
       (** the t-variable's type witness: casts a value found in a
           heterogeneous set back to ['a] *)
   content : 'a Atomic.t;
+      (** the committed value, for every core but DSTM once DSTM has
+          touched the t-variable *)
   vlock : int Atomic.t;
+      (** TL2's versioned lock word; its layout is TL2's own *)
   locator : locator Atomic.t;
-  owner : int Atomic.t;
-      (** plan slot of the last lock holder / committed writer, written
-          only while {!Obs} is armed (-1 = unknown) *)
+      (** DSTM's locator; {!untouched} until DSTM's first access *)
 }
+(** A t-variable: 17 words when fresh.  Blame owners are derived, not
+    stored per t-variable: TL2 decodes one from its vlock word, DSTM
+    reads its locator's [l_owner], and the serialized cores keep one
+    core-global holder. *)
 
 val tvar : 'a -> 'a tvar
-(** A fresh t-variable, coherent under every core: [content] and the
-    initial (committed) locator both hold the initial value.  A
-    t-variable must not be shared across algorithm switches: each core
-    maintains its own side of the representation. *)
+(** A fresh t-variable, coherent under every core: [content] holds the
+    initial value and [locator] is {!untouched}.  A t-variable must not
+    be shared across algorithm switches: each core maintains its own
+    side of the representation. *)
 
-val univ : 'a tvar -> 'a -> univ
-(** Pack a value of the t-variable (a fresh block each call). *)
-
-val of_univ : 'a tvar -> univ -> 'a
-(** Unpack a value packed for the same t-variable. *)
-
-val root_status : int Atomic.t
-(** The permanently-committed status cell shared by all initial
-    locators. *)
-
-exception Retry
-(** User-requested retry; see [Stm.retry]. *)
+val untouched : locator
+(** The shared sentinel of a fresh t-variable's [locator]: committed,
+    the value is in [content].  DSTM replaces it with a real locator on
+    its first read or write of the t-variable; its fields mean
+    nothing. *)
 
 exception Conflict
 (** Internal: aborts the current attempt; caught by the facade's retry
@@ -119,8 +116,14 @@ module Obs : sig
 
   val stall : int -> unit
 
+  val slot_bits : int
+  (** Bits a plan slot takes in TL2's vlock word. *)
+
   val set_self : int -> unit
-  (** Bind the calling domain's plan slot (its blame identity). *)
+  (** Bind the calling domain's plan slot (its blame identity): -1
+      (unknown) or [0 .. 2{^slot_bits} - 2], so that slot + 1 fits the
+      vlock's slot bits.
+      @raise Invalid_argument on any other slot. *)
 
   val self : unit -> int
   val cause_label : cause -> string
@@ -129,26 +132,21 @@ module Obs : sig
   val site_label : site -> string
 end
 
-(** {1 Versioned-lock helpers (TL2's vlock word)} *)
-
-val locked : int -> bool
-val version_of : int -> int
-val read_vlock : 'a tvar -> int
-val try_lock_tvar : 'a tvar -> bool
-val unlock_tvar : 'a tvar -> unit
-
-val publish_tvar : 'a tvar -> 'a -> int -> unit
-(** Set the content and release the vlock at the given version. *)
-
 (** {1 The shared write set}
 
-    The write set of the write-back cores (TL2, global-lock, NOrec),
-    held as data: one entry per written t-variable, in arrays each core
-    keeps per domain and reuses for every transaction.  The arrays grow
-    by doubling and are never freed. *)
+    The write set of the write-back cores (TL2, global-lock, NOrec)
+    and DSTM's own-write journal, held as data: one entry per written
+    t-variable, in arrays each core keeps per domain and reuses for
+    every transaction.  The arrays grow by doubling and are never
+    freed. *)
 
 type wentry = W : { tv : 'a tvar; mutable v : 'a } -> wentry
 (** A written t-variable and its buffered value. *)
+
+val extend : 'a array -> int -> 'a -> 'a array
+(** [extend a n fill] is how every per-domain set grows: [a]'s first
+    [n] elements in a fresh array with room to double (at least 64),
+    filled past them with [fill]. *)
 
 module Wset : sig
   type t
@@ -186,9 +184,6 @@ val write_back : Wset.t -> unit
     serialized core holding its one lock; armed, it notes the set as
     [Acquired], [Published] and released under that lock. *)
 
-val snapshot_read : 'a tvar -> 'a
-(** Direct atomic snapshot read through the vlock seqlock. *)
-
 val spin_budget : int
 (** Relax iterations a serialized core spins behind a busy lock before
     converting the wait into {!Conflict} (keeps peers of a crashed lock
@@ -203,10 +198,11 @@ val spin_budget : int
 
     Contract:
     - At most one transaction per core is live on a domain at a time.
-      [begin_] hands out the domain's reused buffer (the write-back
-      cores keep their read and write sets in per-domain arrays), so
-      beginning a second transaction of the same core on the same
-      domain resets the first.  The facade's flat nesting keeps to
+      [begin_] resets and hands out the domain's reused buffer, the same
+      value on every call on a domain (every core keeps its read and
+      write sets in per-domain arrays; DSTM also hands it a fresh status
+      cell), so beginning a second transaction of the same core on the
+      same domain resets the first.  The facade's flat nesting keeps to
       this; direct users of a core must too.
     - [begin_] never blocks and never raises: any waiting happens in
       [read]/[write]/[commit] where the re-run transaction body keeps
@@ -237,8 +233,3 @@ module type S = sig
   val recover : unit -> unit
   val direct_read : 'a tvar -> 'a
 end
-
-type packed = P : (module S with type txn = 't) * 't -> packed
-(** A core paired with one of its transactions — the facade's live
-    transaction.  For a core whose [begin_] hands out its domain's
-    reused buffer the facade builds the pair once per domain. *)

@@ -1,9 +1,12 @@
 (* DSTM-style obstruction-free TM: revocable ownership records with
    abort-others stealing (aggressive contention management).
 
-   Every t-variable points to a locator [{l_status; l_old; l_new}]
-   whose [l_status] is the owning transaction's status cell — 0 active,
-   1 committed, 2 aborted, transitions monotone and terminal.  The
+   Every t-variable DSTM has touched points to a locator
+   [{l_status; l_old; l_new}] whose [l_status] is the owning
+   transaction's status cell — 0 active, 1 committed, 2 aborted,
+   transitions monotone and terminal.  An untouched one points to the
+   shared [Stm_core.untouched] sentinel, its value in [content]; the
+   first read or write CASes a real locator in.  The
    committed value is derived: [l_new] if the owner committed, [l_old]
    otherwise.  Writers acquire by installing a fresh locator with CAS;
    commit is a single CAS of the own status cell from active to
@@ -43,32 +46,63 @@ open Stm_core
 
 let algo_name = "dstm"
 
-type rentry = {
-  dr_id : int;
-  dr_check : unit -> bool;
-  dr_owner : unit -> int;  (** blame: installer slot of the current locator *)
-}
+(* Pack a value of [tv] (a fresh block each call: the block is the
+   version validation compares), and unpack one packed for the same
+   t-variable, so the [None] arm is unreachable. *)
+let univ tv x = U (tv.wit, x)
 
-(* Own-write journal: read-own-write must keep answering with the
+let of_univ (type a) (tv : a tvar) (U (w, x)) : a =
+  match Type.Id.provably_equal w tv.wit with
+  | Some Type.Equal -> x
+  | None -> assert false
+
+(* The permanently-committed status cell of the locators a first read
+   installs: a steal (CAS 0 -> 2) on it can never succeed, and no
+   transaction ever owns it. *)
+let root_status = Atomic.make 1
+
+(* A transaction is its domain's reused buffer (one live DSTM
+   transaction per domain) around a status cell that is fresh each
+   attempt: the locators an attempt installs keep its cell after the
+   buffer moves on.  The read set is three parallel arrays, filled in
+   read order up to [nr]: the locator cell read, the [univ] block seen
+   there — validation compares it by identity with the cell's current
+   committed value — and the t-variable's id.  The own-write journal is
+   the shared [Wset]: read-own-write must keep answering with the
    written value even after a rival steals the locator out from under
    us (the doomed transaction still deserves a self-consistent view
    until its commit CAS fails). *)
-type dwentry = { dw_id : int; mutable dw_val : univ }
-
 type txn = {
-  d_status : int Atomic.t;
-  mutable d_reads : rentry list;
-  mutable d_writes : dwentry list;
+  mutable d_status : int Atomic.t;
+  mutable nr : int;
+  mutable r_cell : locator Atomic.t array;
+  mutable r_seen : univ array;
+  mutable r_id : int array;
+  ws : Wset.t;
 }
 
-let begin_ () = { d_status = Atomic.make 0; d_reads = []; d_writes = [] }
+let buffer =
+  Domain.DLS.new_key (fun () ->
+      {
+        d_status = Atomic.make 2;
+        nr = 0;
+        r_cell = [||];
+        r_seen = [||];
+        r_id = [||];
+        ws = Wset.create ();
+      })
 
-(* The committed value of [tv], treating a still-active foreign owner
-   as not-yet-committed.  Used only inside validation closures; the
-   access paths resolve conflicts by stealing instead. *)
-let committed_univ tv =
-  let loc = Atomic.get tv.locator in
-  if Atomic.get loc.l_status = 1 then loc.l_new else loc.l_old
+let begin_ () =
+  let t = Domain.DLS.get buffer in
+  t.d_status <- Atomic.make 0;
+  t.nr <- 0;
+  Wset.clear t.ws;
+  t
+
+(* The committed value of a locator, treating a still-active foreign
+   owner as not-yet-committed.  The access paths steal an active owner
+   first, so to them it is the stable value of a terminal locator. *)
+let committed loc = if Atomic.get loc.l_status = 1 then loc.l_new else loc.l_old
 
 let steal loc tv =
   if Atomic.get Obs.armed then Obs.note Obs.Steal tv.id 0;
@@ -83,74 +117,91 @@ let steal loc tv =
 (* Resolve [tv] for this transaction: own tentative value, or the
    stable value of a terminal locator (stealing any foreign active
    owner first — statuses are terminal, so one steal attempt leaves
-   the status stably decided). *)
+   the status stably decided).  A first touch installs a committed
+   locator around [content], so every value a read returns is a [univ]
+   block validation can compare. *)
 let rec resolve t tv =
   let loc = Atomic.get tv.locator in
-  if loc.l_status == t.d_status then loc.l_new
-  else
-    let st = Atomic.get loc.l_status in
-    if st = 0 then begin
-      steal loc tv;
-      resolve t tv
-    end
-    else if st = 1 then loc.l_new
-    else loc.l_old
+  if loc == untouched then begin
+    let u = univ tv (Atomic.get tv.content) in
+    let loc' = { l_status = root_status; l_old = u; l_new = u; l_owner = -1 } in
+    if Atomic.compare_and_set tv.locator loc loc' then u else resolve t tv
+  end
+  else if loc.l_status == t.d_status then loc.l_new
+  else if Atomic.get loc.l_status = 0 then begin
+    steal loc tv;
+    resolve t tv
+  end
+  else committed loc
+
+(* The newest read at or below [k] whose cell no longer holds the value
+   seen as its committed value, or -1. *)
+let rec invalid_below t k =
+  if k < 0 then -1
+  else if committed (Atomic.get t.r_cell.(k)) == t.r_seen.(k) then
+    invalid_below t (k - 1)
+  else k
 
 let validate t =
-  let rec first_invalid = function
-    | [] -> None
-    | r :: rest -> if r.dr_check () then first_invalid rest else Some r
-  in
-  match first_invalid t.d_reads with
-  | None -> ()
-  | Some bad ->
-      if Atomic.get Obs.armed then
-        Obs.note (Obs.Conflict Obs.Validation) (bad.dr_owner ()) bad.dr_id;
-      raise Conflict
+  let bad = invalid_below t (t.nr - 1) in
+  if bad >= 0 then begin
+    if Atomic.get Obs.armed then
+      Obs.note (Obs.Conflict Obs.Validation)
+        (Atomic.get t.r_cell.(bad)).l_owner t.r_id.(bad);
+    raise Conflict
+  end
+
+(* The read set starts empty and doubles; fresh slots are filled with
+   the read being added. *)
+let grow_reads t tv u =
+  t.r_cell <- extend t.r_cell t.nr tv.locator;
+  t.r_seen <- extend t.r_seen t.nr u;
+  t.r_id <- extend t.r_id t.nr 0
 
 let read (type a) t (tv : a tvar) : a =
-  match List.find_opt (fun w -> w.dw_id = tv.id) t.d_writes with
-  | Some w -> of_univ tv w.dw_val (* read-own-write, from the journal *)
-  | None ->
-      if Atomic.get Obs.armed then Obs.fire Obs.Read;
-      let u = resolve t tv in
-      (* Incremental validation: the new value joined to the prior
-         reads must still be one consistent snapshot (opacity for
-         doomed transactions included). *)
-      validate t;
-      t.d_reads <-
-        {
-          dr_id = tv.id;
-          dr_check = (fun () -> committed_univ tv == u);
-          dr_owner = (fun () -> (Atomic.get tv.locator).l_owner);
-        }
-        :: t.d_reads;
-      of_univ tv u
+  let i = Wset.index t.ws tv in
+  if i >= 0 then Wset.value t.ws i tv (* read-own-write, from the journal *)
+  else begin
+    if Atomic.get Obs.armed then Obs.fire Obs.Read;
+    let u = resolve t tv in
+    (* Incremental validation: the new value joined to the prior reads
+       must still be one consistent snapshot (opacity for doomed
+       transactions included). *)
+    validate t;
+    let k = t.nr in
+    if k = Array.length t.r_id then grow_reads t tv u;
+    t.r_cell.(k) <- tv.locator;
+    t.r_seen.(k) <- u;
+    t.r_id.(k) <- tv.id;
+    t.nr <- k + 1;
+    of_univ tv u
+  end
 
-let write (type a) t (tv : a tvar) (x : a) : unit =
-  let u = univ tv x in
-  let rec acquire () =
-    let loc = Atomic.get tv.locator in
-    if loc.l_status == t.d_status then loc.l_new <- u
-    else begin
-      if Atomic.get Obs.armed then Obs.fire Obs.Lock;
-      let st = Atomic.get loc.l_status in
-      if st = 0 then begin
-        steal loc tv;
-        acquire ()
-      end
-      else
-        let old = if st = 1 then loc.l_new else loc.l_old in
-        let l_owner = if Atomic.get Obs.armed then Obs.self () else -1 in
-        let loc' = { l_status = t.d_status; l_old = old; l_new = u; l_owner } in
-        if not (Atomic.compare_and_set tv.locator loc loc') then acquire ()
-        else if Atomic.get Obs.armed then Obs.note Obs.Owned tv.id 0
+(* Own [tv] with tentative value [u]: install a locator of this
+   transaction's status cell, stealing a foreign active owner first. *)
+let rec acquire t tv u =
+  let loc = Atomic.get tv.locator in
+  if loc.l_status == t.d_status then loc.l_new <- u
+  else begin
+    if Atomic.get Obs.armed then Obs.fire Obs.Lock;
+    if Atomic.get loc.l_status = 0 then begin
+      steal loc tv;
+      acquire t tv u
     end
-  in
-  acquire ();
-  match List.find_opt (fun w -> w.dw_id = tv.id) t.d_writes with
-  | Some w -> w.dw_val <- u
-  | None -> t.d_writes <- { dw_id = tv.id; dw_val = u } :: t.d_writes
+    else
+      let old =
+        if loc == untouched then univ tv (Atomic.get tv.content)
+        else committed loc
+      in
+      let l_owner = if Atomic.get Obs.armed then Obs.self () else -1 in
+      let loc' = { l_status = t.d_status; l_old = old; l_new = u; l_owner } in
+      if not (Atomic.compare_and_set tv.locator loc loc') then acquire t tv u
+      else if Atomic.get Obs.armed then Obs.note Obs.Owned tv.id 0
+  end
+
+let write t tv x =
+  acquire t tv (univ tv x);
+  Wset.add t.ws tv x
 
 let commit t =
   (* [Obs.fire]'s interpretation is right even with ownerships held: an
@@ -166,11 +217,14 @@ let commit t =
    old value.  Idempotent, and a no-op on a committed/stolen cell. *)
 let abort_cleanup t =
   ignore (Atomic.compare_and_set t.d_status 0 2);
-  t.d_reads <- [];
-  t.d_writes <- []
+  t.nr <- 0;
+  Wset.clear t.ws
 
 (* No core-global state at all — abandoned ownerships are stolen by the
    next rival, which is the whole point of the algorithm. *)
 let recover () = ()
 
-let direct_read tv = of_univ tv (committed_univ tv)
+(* An untouched t-variable's value is its [content]. *)
+let direct_read tv =
+  let loc = Atomic.get tv.locator in
+  if loc == untouched then Atomic.get tv.content else of_univ tv (committed loc)

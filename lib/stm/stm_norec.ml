@@ -122,14 +122,8 @@ let rec sample t tv =
 (* The read set starts empty and doubles; fresh slots are filled with
    the read being added. *)
 let grow_reads t r =
-  let cap = max 64 (2 * t.nr) in
-  let extend a fill =
-    let b = Array.make cap fill in
-    Array.blit a 0 b 0 t.nr;
-    b
-  in
-  t.r_id <- extend t.r_id 0;
-  t.r_seen <- extend t.r_seen r
+  t.r_id <- extend t.r_id t.nr 0;
+  t.r_seen <- extend t.r_seen t.nr r
 
 let read (type a) t (tv : a tvar) : a =
   let i = Wset.index t.ws tv in

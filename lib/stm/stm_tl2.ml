@@ -17,10 +17,57 @@ open Stm_core
 let algo_name = "tl2"
 let clock = Atomic.make 0
 
+(* The vlock word: bit 0 is the lock, the next [Obs.slot_bits] bits
+   the blame owner (plan slot + 1, 0 = unknown) and the version sits
+   above them.  A commit locks with its own owner bits, so while the
+   lock is held they name the holder, and after a publish or a back-out
+   they name the last lock holder — who the t-variable's next victim
+   blames.  Disarmed, a commit's owner bits are 0: the word then costs
+   the disarmed path nothing the plain version word did not. *)
+let version_shift = Obs.slot_bits + 1
+let owner_mask = ((1 lsl Obs.slot_bits) - 1) lsl 1
+let locked v = v land 1 = 1
+let version_of v = v lsr version_shift
+let owner_of v = ((v land owner_mask) lsr 1) - 1
+let read_vlock tv = Atomic.get tv.vlock
+
+(* This commit's owner bits: the domain's slot while armed, else 0. *)
+let owner_bits () = if Atomic.get Obs.armed then (Obs.self () + 1) lsl 1 else 0
+
+let try_lock_tvar tv stamp =
+  let v = read_vlock tv in
+  (not (locked v))
+  && Atomic.compare_and_set tv.vlock v (v land lnot owner_mask lor stamp lor 1)
+
+let unlock_tvar tv =
+  let v = read_vlock tv in
+  if locked v then Atomic.set tv.vlock (v land lnot 1)
+
+(* Set the content and release the vlock at version [wv]. *)
+let publish_tvar tv x wv stamp =
+  Atomic.set tv.content x;
+  Atomic.set tv.vlock ((wv lsl version_shift) lor stamp)
+
+(* Direct (non-transactional) atomic snapshot read through the vlock
+   seqlock. *)
+let rec snapshot_read tv =
+  let v1 = read_vlock tv in
+  if locked v1 then begin
+    Domain.cpu_relax ();
+    snapshot_read tv
+  end
+  else
+    let x = Atomic.get tv.content in
+    if read_vlock tv = v1 then x
+    else begin
+      Domain.cpu_relax ();
+      snapshot_read tv
+    end
+
 (* A transaction is its domain's reused buffer (one live TL2
-   transaction per domain).  The read set is four parallel arrays,
+   transaction per domain).  The read set is three parallel arrays,
    filled in read order up to [nr]: the t-variable's vlock, the version
-   seen, its id and its blame owner word — a read allocates nothing.
+   seen and its id — a read allocates nothing, and stores one pointer.
    The write set is the shared [Wset]; at commit it is sorted in place
    and the locks held are its prefix up to [held]. *)
 type txn = {
@@ -29,7 +76,6 @@ type txn = {
   mutable r_vlock : int Atomic.t array;
   mutable r_seen : int array;
   mutable r_id : int array;
-  mutable r_owner : int Atomic.t array;
   ws : Wset.t;
   mutable held : int;
 }
@@ -42,7 +88,6 @@ let buffer =
         r_vlock = [||];
         r_seen = [||];
         r_id = [||];
-        r_owner = [||];
         ws = Wset.create ();
         held = 0;
       })
@@ -58,20 +103,15 @@ let begin_ () =
 (* The read set starts empty and doubles; fresh slots are filled with
    the read being added. *)
 let grow_reads t tv =
-  let cap = max 64 (2 * t.nr) in
-  let extend a fill =
-    let b = Array.make cap fill in
-    Array.blit a 0 b 0 t.nr;
-    b
-  in
-  t.r_vlock <- extend t.r_vlock tv.vlock;
-  t.r_seen <- extend t.r_seen 0;
-  t.r_id <- extend t.r_id 0;
-  t.r_owner <- extend t.r_owner tv.owner
+  t.r_vlock <- extend t.r_vlock t.nr tv.vlock;
+  t.r_seen <- extend t.r_seen t.nr 0;
+  t.r_id <- extend t.r_id t.nr 0
 
-let read_conflict tv =
+(* [v] is the vlock word that failed the read: its owner is the
+   aggressor. *)
+let read_conflict v tv =
   if Atomic.get Obs.armed then
-    Obs.note (Obs.Conflict Obs.Read_conflict) (Atomic.get tv.owner) tv.id;
+    Obs.note (Obs.Conflict Obs.Read_conflict) (owner_of v) tv.id;
   raise Conflict
 
 let read (type a) t (tv : a tvar) : a =
@@ -80,15 +120,15 @@ let read (type a) t (tv : a tvar) : a =
   else begin
     if Atomic.get Obs.armed then Obs.fire Obs.Read;
     let v1 = read_vlock tv in
-    if locked v1 || version_of v1 > t.rv then read_conflict tv;
+    if locked v1 || version_of v1 > t.rv then read_conflict v1 tv;
     let x = Atomic.get tv.content in
-    if read_vlock tv <> v1 then read_conflict tv;
+    let v2 = read_vlock tv in
+    if v2 <> v1 then read_conflict v2 tv;
     let k = t.nr in
     if k = Array.length t.r_id then grow_reads t tv;
     t.r_vlock.(k) <- tv.vlock;
     t.r_seen.(k) <- version_of v1;
     t.r_id.(k) <- tv.id;
-    t.r_owner.(k) <- tv.owner;
     t.nr <- k + 1;
     x
   end
@@ -129,29 +169,24 @@ let commit_fault t site =
         raise Conflict
     | Obs.Crash -> raise Obs.Crashed
 
-(* Lock the sorted write set in canonical order from entry [k]; back
-   out on failure.  Armed, a lock also stamps ownership: the word then
-   names the last lock holder / committed writer of the t-variable,
-   which is who its next victim blames.  The stamp is stored only when
-   it changes: a domain re-locking its own t-variable skips the
-   atomic exchange. *)
-let rec lock_from t k =
+(* Lock the sorted write set in canonical order from entry [k], with
+   this commit's owner bits; back out on failure.  A busy lock's word
+   names its holder. *)
+let rec lock_from t stamp k =
   if k < Wset.length t.ws then begin
     commit_fault t Obs.Lock;
     match Wset.entry t.ws k with
     | W { tv; _ } ->
-        if try_lock_tvar tv then begin
-          if Atomic.get Obs.armed then begin
-            Obs.note Obs.Acquired tv.id k;
-            let me = Obs.self () in
-            if Atomic.get tv.owner <> me then Atomic.set tv.owner me
-          end;
+        if try_lock_tvar tv stamp then begin
+          if Atomic.get Obs.armed then Obs.note Obs.Acquired tv.id k;
           t.held <- k + 1;
-          lock_from t (k + 1)
+          lock_from t stamp (k + 1)
         end
         else begin
           if Atomic.get Obs.armed then
-            Obs.note (Obs.Conflict Obs.Lock_busy) (Atomic.get tv.owner) tv.id;
+            Obs.note (Obs.Conflict Obs.Lock_busy)
+              (owner_of (read_vlock tv))
+              tv.id;
           release_newest_first t;
           raise Conflict
         end
@@ -175,15 +210,16 @@ let commit t =
   let n = Wset.length t.ws in
   (* Read-only: reads were validated against rv as they happened. *)
   if n > 0 then begin
+    let stamp = owner_bits () in
     Wset.sort t.ws;
-    lock_from t 0;
+    lock_from t stamp 0;
     let wv = Atomic.fetch_and_add clock 1 + 1 in
     commit_fault t Obs.Validate;
     let bad = invalid_below t (t.nr - 1) in
     if bad >= 0 then begin
       if Atomic.get Obs.armed then
         Obs.note (Obs.Conflict Obs.Validation)
-          (Atomic.get t.r_owner.(bad))
+          (owner_of (Atomic.get t.r_vlock.(bad)))
           t.r_id.(bad);
       release_in_order t;
       raise Conflict
@@ -198,7 +234,7 @@ let commit t =
       match Wset.entry t.ws k with
       | W { tv; v } ->
           if armed then Obs.note Obs.Published tv.id 0;
-          publish_tvar tv v wv
+          publish_tvar tv v wv stamp
     done
   end
 

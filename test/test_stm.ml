@@ -402,42 +402,46 @@ let test_stm_model =
       Array.for_all2 ( = ) model (Array.map Stm.read tvars))
 
 (* ------------------------------------------------------------------ *)
-(* The global-lock runtime (Stm_lock): same API, no aborts ever. *)
+(* The global-lock core behind the facade: same API, no aborts ever. *)
 
-module L = Tm_stm.Stm_lock
+let under_lock f () = Stm.with_algo Stm.Algo.Global_lock f
 
-let test_lock_stm_basic () =
-  let v = L.tvar 1 in
-  let r =
-    L.atomically (fun () ->
-        L.write v (L.read v + 10);
-        L.read v)
-  in
-  Alcotest.(check int) "reads own write" 11 r;
-  Alcotest.(check int) "committed" 11 (L.read v);
-  Alcotest.check_raises "write outside transaction"
-    (Invalid_argument "Stm_lock.write outside a transaction") (fun () ->
-      L.write v 0)
+let test_lock_stm_basic =
+  under_lock (fun () ->
+      let v = Stm.tvar 1 in
+      let r =
+        Stm.atomically (fun () ->
+            Stm.write v (Stm.read v + 10);
+            Stm.read v)
+      in
+      Alcotest.(check int) "reads own write" 11 r;
+      Alcotest.(check int) "committed" 11 (Stm.read v);
+      Alcotest.check_raises "write outside transaction"
+        (Invalid_argument "Stm.write outside a transaction") (fun () ->
+          Stm.write v 0))
 
-let test_lock_stm_every_txn_commits () =
-  let before = L.commits () in
-  let v = L.tvar 0 in
-  for _ = 1 to 50 do
-    L.atomically (fun () -> L.write v (L.read v + 1))
-  done;
-  Alcotest.(check int) "fifty increments" 50 (L.read v);
-  Alcotest.(check bool) "every transaction commits (no aborts exist)" true
-    (L.commits () - before >= 50)
+let test_lock_stm_every_txn_commits =
+  under_lock (fun () ->
+      let c0, a0 = Stm.stats () in
+      let v = Stm.tvar 0 in
+      for _ = 1 to 50 do
+        Stm.atomically (fun () -> Stm.write v (Stm.read v + 1))
+      done;
+      let c1, a1 = Stm.stats () in
+      Alcotest.(check int) "fifty increments" 50 (Stm.read v);
+      Alcotest.(check bool) "every transaction commits" true (c1 - c0 >= 50);
+      Alcotest.(check int) "no aborts exist" 0 (a1 - a0))
 
-let test_lock_stm_parallel_counter () =
-  let v = L.tvar 0 in
-  let iters = 3000 in
-  spawn_all
-    (List.init ndomains (fun _ () ->
-         for _ = 1 to iters do
-           L.atomically (fun () -> L.write v (L.read v + 1))
-         done));
-  Alcotest.(check int) "no lost updates" (ndomains * iters) (L.read v)
+let test_lock_stm_parallel_counter =
+  under_lock (fun () ->
+      let v = Stm.tvar 0 in
+      let iters = 3000 in
+      spawn_all
+        (List.init ndomains (fun _ () ->
+             for _ = 1 to iters do
+               Stm.atomically (fun () -> Stm.write v (Stm.read v + 1))
+             done));
+      Alcotest.(check int) "no lost updates" (ndomains * iters) (Stm.read v))
 
 let test_stats_move () =
   let before_c, _ = Stm.stats () in
@@ -494,6 +498,30 @@ let zoo_parallel_counter a () =
       Alcotest.(check int)
         (Stm.Algo.name a ^ ": no lost updates")
         (ndomains * iters) (Stm.read v))
+
+(* DSTM installs a t-variable's locator on its first touch.  Two
+   domains race every first touch — each increments the same fresh
+   t-variables in the same order, released together — and no increment
+   may be lost to the install. *)
+let test_dstm_first_touch_race () =
+  Stm.with_algo Stm.Algo.Dstm (fun () ->
+      let n = 2_000 in
+      for _ = 1 to 5 do
+        let tvs = Array.init n (fun _ -> Stm.tvar 0) in
+        let ready = Atomic.make 0 in
+        spawn_all
+          (List.init 2 (fun _ () ->
+               Atomic.incr ready;
+               while Atomic.get ready < 2 do
+                 Domain.cpu_relax ()
+               done;
+               Array.iter
+                 (fun tv ->
+                   Stm.atomically (fun () -> Stm.write tv (Stm.read tv + 1)))
+                 tvs));
+        Alcotest.(check int) "every increment counted" (2 * n)
+          (Array.fold_left (fun acc tv -> acc + Stm.read tv) 0 tvs)
+      done)
 
 (* The opacity stress of [test_bank_snapshot_consistency], generalized
    over the zoo: workers fire transfers while an observer sums every
@@ -933,6 +961,89 @@ let test_progress_watermark () =
   Alcotest.(check (list (triple int int int)))
     "no blame edges uncontended" [] (Bg.edges g)
 
+(* A plan slot must fit the vlock word's slot bits. *)
+let test_set_self_bound () =
+  let max_slot = (1 lsl Tm_stm.Stm_core.Obs.slot_bits) - 2 in
+  List.iter
+    (fun s ->
+      match Obs.set_self s with
+      | () -> Alcotest.failf "set_self %d accepted" s
+      | exception Invalid_argument _ -> ())
+    [ -2; max_slot + 1; max_int ];
+  Obs.set_self max_slot;
+  Alcotest.(check int) "the largest slot binds" max_slot (Obs.self ());
+  Obs.set_self (-1);
+  Alcotest.(check int) "unknown binds" (-1) (Obs.self ())
+
+(* TL2 keeps no owner word: a conflict's other party is decoded from the
+   vlock word.  Slot 3 holds its commit of [x] at [Publish], so its
+   lock is held: a peer's commit of [x] and a peer's read of [x] must
+   both name slot 3.  Then slot 5 commits [x] under a reader of [x]:
+   the reader's validation must name slot 5, the last committer.  A
+   disarmed commit leaves the word naming nobody. *)
+let test_tl2_owner_from_vlock () =
+  let module C = Tm_stm.Stm_core in
+  let module T = Tm_stm.Stm_tl2 in
+  let x = C.tvar 0 and z = C.tvar 0 in
+  let commit_x v () =
+    let t = T.begin_ () in
+    T.write t x v;
+    T.commit t
+  in
+  let conflicts = ref [] in
+  let holding = Atomic.make true and held = Atomic.make false in
+  let go = Atomic.make false in
+  let sub =
+    Obs.subscribe (fun site a b ->
+        (match site with
+        | Obs.Conflict c when Obs.self () = 1 ->
+            conflicts := (Obs.cause_label c, a, b) :: !conflicts
+        | Obs.Publish
+          when Obs.self () = 3 && Atomic.compare_and_set holding true false ->
+            Atomic.set held true;
+            spin_until (fun () -> Atomic.get go)
+        | _ -> ());
+        Obs.Proceed)
+  in
+  let as_slot d f () =
+    Obs.set_self d;
+    Fun.protect ~finally:(fun () -> Obs.set_self (-1)) f
+  in
+  let conflicted f =
+    match f () with () -> false | exception C.Conflict -> true
+  in
+  Fun.protect
+    ~finally:(fun () -> Obs.unsubscribe sub)
+    (as_slot 1 (fun () ->
+         let holder = Domain.spawn (as_slot 3 (commit_x 1)) in
+         spin_until (fun () -> Atomic.get held);
+         Alcotest.(check bool) "the peer's commit finds the lock busy" true
+           (conflicted (commit_x 2));
+         Alcotest.(check bool) "the peer's read finds it locked" true
+           (conflicted (fun () -> ignore (T.read (T.begin_ ()) x)));
+         Atomic.set go true;
+         Domain.join holder;
+         Alcotest.(check bool) "the reader fails validation" true
+           (conflicted (fun () ->
+                let t = T.begin_ () in
+                ignore (T.read t x);
+                Domain.join (Domain.spawn (as_slot 5 (commit_x 3)));
+                T.write t z 1;
+                T.commit t));
+         Alcotest.(check int) "published by slot 5" 5
+           (T.owner_of (Atomic.get x.C.vlock))));
+  Alcotest.(check (list (triple string int int)))
+    "each conflict names the vlock's owner"
+    [
+      ("lock-busy", 3, x.C.id);
+      ("read-conflict", 3, x.C.id);
+      ("validation", 5, x.C.id);
+    ]
+    (List.rev !conflicts);
+  commit_x 4 ();
+  Alcotest.(check int) "a disarmed commit carries no slot" (-1)
+    (T.owner_of (Atomic.get x.C.vlock))
+
 (* ------------------------------------------------------------------ *)
 (* Read and write sets as data: the write-back cores keep their sets in
    per-domain arrays reused by every transaction. *)
@@ -968,6 +1079,17 @@ let test_tl2_read_allocates_nothing () =
       let r1 = words_per (reads 1) and r64 = words_per (reads 64) in
       check_words "64 reads cost what 1 read costs" r1 r64;
       check_words "words per extra read" 0. ((r64 -. r1) /. 63.))
+
+(* A fresh t-variable is 17 words: the record, three atomics and the
+   type witness.  The locator sentinel all of them share is counted
+   out, as is the array holding them. *)
+let test_tvar_words () =
+  let n = 1000 in
+  let reach x = Obj.reachable_words (Obj.repr x) in
+  let tvs = Array.init n (fun i -> Stm.tvar i) in
+  let shared = reach Tm_stm.Stm_core.untouched + reach (Array.make n ()) in
+  let per = float_of_int (reach tvs - shared) /. float_of_int n in
+  if per > 17. then Alcotest.failf "%.2f words per t-variable, more than 17" per
 
 (* A first write costs one entry block; rewriting a t-variable already
    in the write set allocates nothing. *)
@@ -1157,15 +1279,15 @@ let facade_allocation algo () =
     Alcotest.failf "%s: a one-read transaction allocates %.2f words" name
       one_read
 
-(* DSTM allocates per attempt: its transaction (a record and a fresh
-   status cell, 6 words) and the slot's pair around it (5 words).  Its
-   reads allocate in the core (a closure read-set entry, 20 words), not
-   in the facade. *)
+(* DSTM allocates one thing per attempt: the fresh status cell its
+   locators point at (2 words).  A read of a t-variable DSTM has
+   touched before fills the reused read-set arrays and allocates
+   nothing. *)
 let test_dstm_facade_allocation () =
   let empty, one_read = facade_words Stm.Algo.Dstm in
-  if empty > 11. then
+  if empty > 3. then
     Alcotest.failf "dstm: an empty transaction allocates %.2f words" empty;
-  if one_read -. empty > 20. then
+  if one_read -. empty > 1. then
     Alcotest.failf "dstm: a read allocates %.2f words" (one_read -. empty)
 
 let stats_delta f =
@@ -1290,6 +1412,8 @@ let () =
             test_dstm_steal_livelock;
           Alcotest.test_case "norec value-validation ABA" `Slow
             test_norec_value_validation_aba;
+          Alcotest.test_case "dstm first-touch race" `Slow
+            test_dstm_first_touch_race;
         ] );
       ( "observation seam",
         [
@@ -1301,6 +1425,10 @@ let () =
           Alcotest.test_case "commit carries the slot" `Quick
             test_commit_carries_slot;
           Alcotest.test_case "progress watermark" `Quick test_progress_watermark;
+          Alcotest.test_case "set_self rejects a slot past the vlock bits"
+            `Quick test_set_self_bound;
+          Alcotest.test_case "owner comes from the vlock" `Quick
+            test_tl2_owner_from_vlock;
           Alcotest.test_case "tl2 sites truthful" `Slow
             (sites_truthful Stm.Algo.Tl2);
           Alcotest.test_case "global-lock sites truthful" `Slow
@@ -1326,6 +1454,9 @@ let () =
             (reuse_after_abort Stm.Algo.Global_lock);
           Alcotest.test_case "norec reuse after abort" `Quick
             (reuse_after_abort Stm.Algo.Norec);
+          Alcotest.test_case "dstm reuse after abort" `Quick
+            (reuse_after_abort Stm.Algo.Dstm);
+          Alcotest.test_case "t-variable words" `Quick test_tvar_words;
           Alcotest.test_case "tl2 1,000-entry sets" `Quick
             (big_transaction Stm.Algo.Tl2);
           Alcotest.test_case "global-lock 1,000-entry sets" `Quick
