@@ -134,47 +134,70 @@ let pp_table ppf results =
 module Exhaustive = struct
   type action = Invoke of Event.proc * Event.invocation | Poll of Event.proc
 
-  (* Depth-first, preorder.  A child node is a copy of its parent's TM
-     advanced by one action, and the parent's history extended by the
-     event that action produced (if any): O(1) TM steps per node.  The
-     parent is never mutated, so its pending invocations — and hence its
-     enabled actions — are read off it while the children are expanded.
-     The per-process actions and invocation events are built once, and a
-     node's action list only on demand. *)
+  (* Depth-first, preorder.  A child node is its parent's TM advanced by
+     one action, and the parent's history extended by the event that
+     action produced (if any): O(1) TM steps per node.  A child takes a
+     copy of the parent's TM only where a later sibling still needs the
+     parent:
+     - an invocation at the last level takes none: its TM would never be
+       polled, so only its history is built (the menu is range-checked up
+       front, so an invalid invocation raises without [M.invoke]);
+     - the last child (the last enabled action of process [nprocs]) takes
+       the parent's instance itself: every [pending] read of the parent
+       happened before it, and nothing reads the parent after it.
+     The path is one array with the current length in [len]; [actions]
+     reads it, so it is valid only during the callback. *)
   let run (entry : Tm_impl.Registry.entry) ~nprocs ~ntvars ~invocations
       ~depth ~on_history =
     let (module M) = entry.Tm_impl.Registry.impl in
+    let cfg = Tm_impl.Tm_intf.config ~nprocs ~ntvars () in
+    if depth > 0 && nprocs > 0 then
+      List.iter (Tm_impl.Tm_intf.Mailbox.check_range cfg 1) invocations;
     let polls = Array.init (nprocs + 1) (fun p -> Poll p) in
     let menus =
       Array.init (nprocs + 1) (fun p ->
-          List.map (fun inv -> (inv, Invoke (p, inv), Event.Inv (p, inv)))
-            invocations)
+          Array.of_list
+            (List.map
+               (fun inv -> (inv, Invoke (p, inv), Event.Inv (p, inv)))
+               invocations))
     in
-    let rec visit tm h rev_actions d =
-      on_history h (fun () -> List.rev rev_actions);
-      if d > 0 then
+    let path = Array.make (max depth 0) polls.(0) and len = ref 0 in
+    let actions () = List.init !len (Array.get path) in
+    let rec visit tm h d =
+      on_history h actions;
+      if d > 0 then begin
+        let i = depth - d in
         for p = 1 to nprocs do
           match M.pending tm p with
           | Some _ ->
-              let tm' = M.copy tm in
+              let tm' = if p = nprocs then tm else M.copy tm in
               let h' =
                 match M.poll tm' p with
                 | Some r -> History.append h (Event.Res (p, r))
                 | None -> h
               in
-              visit tm' h' (polls.(p) :: rev_actions) (d - 1)
+              path.(i) <- polls.(p);
+              len := i + 1;
+              visit tm' h' (d - 1)
           | None ->
-              List.iter
-                (fun (inv, a, e) ->
-                  let tm' = M.copy tm in
+              let menu = menus.(p) in
+              let last = Array.length menu - 1 in
+              for k = 0 to last do
+                let inv, a, e = menu.(k) in
+                let h' = History.append h e in
+                path.(i) <- a;
+                len := i + 1;
+                if d = 1 then on_history h' actions
+                else begin
+                  let tm' = if p = nprocs && k = last then tm else M.copy tm in
                   M.invoke tm' p inv;
-                  visit tm' (History.append h e) (a :: rev_actions) (d - 1))
-                menus.(p)
+                  visit tm' h' (d - 1)
+                end
+              done
         done
+      end
     in
-    visit
-      (M.create (Tm_impl.Tm_intf.config ~nprocs ~ntvars ()))
-      History.empty [] depth
+    visit (M.create cfg) History.empty depth
 
   let count_nodes entry ~nprocs ~ntvars ~invocations ~depth =
     let n = ref 0 in

@@ -83,11 +83,18 @@ val pp_table : Format.formatter -> result list -> unit
     the callback.  A poll can advance a TM's internal state without
     emitting an event (multi-poll commits), so a node is its TM state, not
     its history.  The enumeration is {e copy-and-extend}: each child node
-    is a {!Tm_impl.Tm_intf.S.copy} of its parent's TM advanced by one
-    action, and its history is the parent's extended by the event that
-    action produced.  A node therefore costs one copy and one TM step —
-    O(1) in the depth — and the tree has ~[(nprocs * |invocations|)^depth]
-    nodes.
+    is its parent's TM advanced by one action, and its history is the
+    parent's extended by the event that action produced.  A child takes a
+    {!Tm_impl.Tm_intf.S.copy} of its parent's TM only where a later
+    sibling still needs the parent:
+    - an invocation at the last level takes no copy and no TM step: its
+      TM is never polled, so only its history is built;
+    - the last child (the last enabled action of process [nprocs]) takes
+      the parent's instance itself;
+    - every other child takes one copy and one TM step.
+
+    A node therefore costs at most one copy and one TM step — O(1) in the
+    depth — and the tree has ~[(nprocs * |invocations|)^depth] nodes.
 
     Combined with the linear-time {!Tm_safety.Monitor} this gives a small
     bounded model checker: [Exhaustive.run] over all schedules, monitor
@@ -107,9 +114,14 @@ module Exhaustive : sig
   (** [on_history] is called on every node (including internal ones), in
       depth-first preorder, with the recorded history and a function that
       builds the action sequence that produced it (O(depth) words per
-      call; most callers never need it).  Children are visited in process
-      order, and a process without a pending invocation in the order of
-      [invocations]. *)
+      call; most callers never need it).  That function reads the
+      enumeration's current path, so it is valid only during the callback
+      it was passed to.  Children are visited in process order, and a
+      process without a pending invocation in the order of
+      [invocations].
+
+      @raise Invalid_argument if [depth > 0], [nprocs > 0] and an
+      invocation names a t-variable outside [0 .. ntvars - 1]. *)
 
   val count_nodes :
     Tm_impl.Registry.entry ->

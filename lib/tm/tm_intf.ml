@@ -59,7 +59,10 @@ module type S = sig
       in their transaction), the copy's two fields reference one copied
       block.  Immutable values (lists, the config, a contention-manager
       policy) may be shared.  The exhaustive model checker relies on this
-      to expand each schedule node with one [copy] and one action. *)
+      to expand a schedule node with at most one [copy] and one action.
+      It copies the parent's TM for each child except two kinds: the
+      last child takes the parent's instance, and an invocation at the
+      last level needs no TM. *)
 end
 
 (** A TM instance packed with its state, convenient for heterogeneous

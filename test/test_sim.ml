@@ -385,29 +385,45 @@ let diff_invocations =
   [ Event.Read 0; Event.Read 1; Event.Write (0, 1); Event.Write (1, 2);
     Event.Try_commit ]
 
+(* With 3 processes the last child (of process 3) reuses its parent's
+   instance on nodes where processes 1 and 2 expanded first. *)
 let test_copy_matches_replay_preorder () =
   List.iter
-    (fun entry ->
-      let name = entry.Reg.entry_name in
-      let got = ref [] in
-      Exh.run entry ~nprocs:2 ~ntvars:2 ~invocations:diff_invocations
-        ~depth:6 ~on_history:(fun h actions -> got := (h, actions ()) :: !got);
-      let got = List.rev !got in
-      let want =
-        replay_preorder entry ~nprocs:2 ~ntvars:2
-          ~invocations:diff_invocations ~depth:6
-      in
-      Alcotest.(check int) (name ^ ": node count") (List.length want)
-        (List.length got);
-      List.iteri
-        (fun i ((h, a), (h', a')) ->
-          if a <> a' then
-            Alcotest.failf "%s: node %d: action lists differ" name i;
-          if not (History.equal h h') then
-            Alcotest.failf "%s: node %d: histories differ:@ %a@ vs@ %a" name i
-              History.pp h History.pp h')
-        (List.combine got want))
-    Reg.all
+    (fun (nprocs, depth) ->
+      List.iter
+        (fun entry ->
+          let name = Fmt.str "%s, %d processes" entry.Reg.entry_name nprocs in
+          let got = ref [] in
+          Exh.run entry ~nprocs ~ntvars:2 ~invocations:diff_invocations ~depth
+            ~on_history:(fun h actions -> got := (h, actions ()) :: !got);
+          let got = List.rev !got in
+          let want =
+            replay_preorder entry ~nprocs ~ntvars:2
+              ~invocations:diff_invocations ~depth
+          in
+          Alcotest.(check int) (name ^ ": node count") (List.length want)
+            (List.length got);
+          List.iteri
+            (fun i ((h, a), (h', a')) ->
+              if a <> a' then
+                Alcotest.failf "%s: node %d: action lists differ" name i;
+              if not (History.equal h h') then
+                Alcotest.failf "%s: node %d: histories differ:@ %a@ vs@ %a"
+                  name i History.pp h History.pp h')
+            (List.combine got want))
+        Reg.all)
+    [ (2, 6); (3, 5) ]
+
+(* Invocations at the last level are never handed to the TM, so the menu
+   is range-checked up front: an out-of-range t-variable still raises at
+   depth 1. *)
+let test_invalid_invocation_raises () =
+  match
+    Exh.run tl2 ~nprocs:2 ~ntvars:1 ~invocations:[ Event.Read 5 ] ~depth:1
+      ~on_history:(fun _ _ -> ())
+  with
+  | () -> Alcotest.fail "Read 5 with 1 t-variable was enumerated"
+  | exception Invalid_argument _ -> ()
 
 (* An instance and its copy driven apart, in alternation: each must
    answer as a fresh instance replaying its own actions, so neither may
@@ -509,7 +525,7 @@ let test_prng_words () =
 let test_enumeration_words () =
   let n = ref 0 in
   let w = words_of (fun () -> tl2_depth10 (fun _ _ -> incr n)) in
-  check_at_most "words per enumerated node" 70. (w /. float_of_int !n)
+  check_at_most "words per enumerated node" 32. (w /. float_of_int !n)
 
 (* Each model-check history extends one checked just before, so the
    monitor resumes from its saved prefix: it steps about one event per
@@ -1187,5 +1203,7 @@ let () =
           Alcotest.test_case "dstm opaque at depth 7" `Slow test_sweep_dstm;
           Alcotest.test_case "quiescent opaque at depth 7" `Slow
             test_sweep_quiescent;
+          Alcotest.test_case "invalid invocation raises" `Quick
+            test_invalid_invocation_raises;
         ] );
     ]
