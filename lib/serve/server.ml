@@ -81,22 +81,6 @@ let iter_requests cfg wl ~domain ~f =
   iter_buffer cfg wl ~domain buf ~f:(fun ~client ~index ~admitted ->
       f ~client ~index (Workload.view buf) ~admitted)
 
-(* {2 The executor} *)
-
-(* The body closure is built once per executor, not once per request. *)
-type executor = { x_buf : Store.buffer; x_body : unit -> unit }
-
-let executor store =
-  let buf = Store.buffer () in
-  let body () =
-    Store.run store buf;
-    if Store.mutates buf then Store.journal_mark store 1
-  in
-  { x_buf = buf; x_body = body }
-
-let executor_buffer x = x.x_buf
-let execute x = Stm.atomically x.x_body
-
 (* {2 Flat combining} *)
 
 type fc_slot = {
@@ -105,51 +89,138 @@ type fc_slot = {
   fc_state : int Atomic.t;  (* 0 empty, 1 pending, 2 applied *)
 }
 
-type fc = { fc_lock : bool Atomic.t; fc_slots : fc_slot array }
+(* One stripe's combiner.  The lock holder drains the pending slots'
+   indices into [fc_batch] (highest slot first, [fc_n] of them) and
+   runs [fc_body], the stripe's one flush transaction, built here once:
+   it writes the batch and journal-marks its size.  The batch changes
+   only under [fc_lock], so a re-run of the body after a [Conflict]
+   reads the same batch. *)
+type fc = {
+  fc_lock : bool Atomic.t;
+  fc_slots : fc_slot array;
+  fc_batch : int array;
+  mutable fc_n : int;
+  fc_body : unit -> unit;
+}
 
-let fc_create ~stripes ~domains =
-  Array.init stripes (fun _ ->
-      {
-        fc_lock = Atomic.make false;
-        fc_slots =
-          Array.init domains (fun _ ->
-              { fc_key = 0; fc_value = 0; fc_state = Atomic.make 0 });
-      })
+let flush_body store c () =
+  for i = 0 to c.fc_n - 1 do
+    let s = c.fc_slots.(c.fc_batch.(i)) in
+    Store.write_key store s.fc_key s.fc_value
+  done;
+  Store.journal_mark store c.fc_n
 
-(* Publish the put in this domain's slot, then either observe a
-   combiner apply it or become the combiner: win the stripe lock, drain
-   every pending slot into one transaction (journal-marked with the
-   batch size, so journal accounting is per-request), release.  A
-   waiting owner that finds the lock free takes it itself, so nobody
-   waits on a sleeping combiner. *)
-let fc_put combs store ~flushes d k v =
-  let comb = combs.(Store.stripe_of store k) in
-  let slot = comb.fc_slots.(d) in
+let fc_create store domains =
+  let fc_lock = Atomic.make false
+  and fc_slots =
+    Array.init domains (fun _ ->
+        { fc_key = 0; fc_value = 0; fc_state = Atomic.make 0 })
+  and fc_batch = Array.make domains 0 in
+  let rec c =
+    {
+      fc_lock;
+      fc_slots;
+      fc_batch;
+      fc_n = 0;
+      fc_body = (fun () -> flush_body store c ());
+    }
+  in
+  c
+
+type combiner = {
+  cb_store : Store.t;
+  cb_domains : int;
+  cb_stripes : fc array;
+  cb_flushes : Tel.Instrument.counter;
+}
+
+let combiner store ~domains =
+  if domains < 1 then invalid_arg "Server.combiner: domains < 1";
+  {
+    cb_store = store;
+    cb_domains = domains;
+    cb_stripes =
+      Array.init (Store.stripes store) (fun _ -> fc_create store domains);
+    cb_flushes = Tel.Instrument.counter ();
+  }
+
+(* Drain every pending slot into the batch, commit it as one
+   transaction, mark it applied. *)
+let fc_flush c =
+  c.fc_n <- 0;
+  for d = Array.length c.fc_slots - 1 downto 0 do
+    if Atomic.get c.fc_slots.(d).fc_state = 1 then begin
+      c.fc_batch.(c.fc_n) <- d;
+      c.fc_n <- c.fc_n + 1
+    end
+  done;
+  Stm.atomically c.fc_body;
+  for i = 0 to c.fc_n - 1 do
+    Atomic.set c.fc_slots.(c.fc_batch.(i)).fc_state 2
+  done
+
+(* Wait for a combiner to apply [slot], or become the combiner: win the
+   stripe lock, flush, release.  A waiting owner that finds the lock
+   free takes it itself, so nobody waits on a sleeping combiner.  A
+   flush that raises releases the lock and leaves its batch pending for
+   the next combiner, so its peers do not spin forever. *)
+let rec fc_wait cb c slot =
+  if Atomic.get slot.fc_state = 2 then Atomic.set slot.fc_state 0
+  else if Atomic.compare_and_set c.fc_lock false true then begin
+    (try fc_flush c
+     with e ->
+       Atomic.set c.fc_lock false;
+       raise e);
+    Atomic.set c.fc_lock false;
+    Tel.Instrument.incr cb.cb_flushes;
+    Atomic.set slot.fc_state 0
+  end
+  else begin
+    Domain.cpu_relax ();
+    fc_wait cb c slot
+  end
+
+let fc_put cb d k v =
+  let c = cb.cb_stripes.(Store.stripe_of cb.cb_store k) in
+  let slot = c.fc_slots.(d) in
   slot.fc_key <- k;
   slot.fc_value <- v;
   Atomic.set slot.fc_state 1;
-  let rec wait () =
-    if Atomic.get slot.fc_state = 2 then Atomic.set slot.fc_state 0
-    else if Atomic.compare_and_set comb.fc_lock false true then begin
-      let pending =
-        Array.fold_left
-          (fun acc s -> if Atomic.get s.fc_state = 1 then s :: acc else acc)
-          [] comb.fc_slots
-      in
-      Stm.atomically (fun () ->
-          List.iter (fun s -> Store.write_key store s.fc_key s.fc_value) pending;
-          Store.journal_mark store (List.length pending));
-      List.iter (fun s -> Atomic.set s.fc_state 2) pending;
-      Atomic.set comb.fc_lock false;
-      Tel.Instrument.incr flushes;
-      Atomic.set slot.fc_state 0
-    end
-    else begin
-      Domain.cpu_relax ();
-      wait ()
-    end
+  fc_wait cb c slot
+
+(* {2 The executor} *)
+
+(* The body closure is built once per executor, not once per request. *)
+type executor = {
+  x_buf : Store.buffer;
+  x_body : unit -> unit;
+  x_combiner : combiner option;
+  x_slot : int;
+}
+
+let executor ?combiner ?(slot = 0) store =
+  (match combiner with
+  | Some cb when slot < 0 || slot >= cb.cb_domains ->
+      invalid_arg "Server.executor: slot out of range"
+  | _ -> ());
+  let buf = Store.buffer () in
+  let body () =
+    Store.run store buf;
+    if Store.mutates buf then Store.journal_mark store 1
   in
-  wait ()
+  { x_buf = buf; x_body = body; x_combiner = combiner; x_slot = slot }
+
+let executor_buffer x = x.x_buf
+let execute x = Stm.atomically x.x_body
+
+let serve x =
+  match x.x_combiner with
+  | Some cb when Workload.single_put x.x_buf ->
+      fc_put cb x.x_slot (Store.op_key x.x_buf 0) (Store.op_arg x.x_buf 0);
+      true
+  | _ ->
+      execute x;
+      false
 
 (* {2 Serving a profile} *)
 
@@ -225,7 +296,6 @@ let run ?on_sample cfg =
   in
   (* Measured, non-canonical: bare instruments, never scraped. *)
   let lat = Array.map (fun _ -> Tel.Instrument.histogram ()) kinds in
-  let flushes = Tel.Instrument.counter () in
   (* The open-loop recorder is registry-free on purpose: its samples are
      wall-clock measurements, and the canonical scrape must not see
      them. *)
@@ -236,7 +306,9 @@ let run ?on_sample cfg =
           ~domains:nd ())
       cfg.c_arrival
   in
-  let combs = fc_create ~stripes:(Store.stripes store) ~domains:nd in
+  let combiner =
+    if cfg.c_batching then Some (combiner store ~domains:nd) else None
+  in
   let scrape ts =
     match on_sample with
     | Some f -> f (Tel.Registry.scrape reg ~ts)
@@ -255,7 +327,7 @@ let run ?on_sample cfg =
        so every domain count derives the same arrival times). *)
     let cur = Option.map Arrival.cursor cfg.c_arrival in
     let g_prev = ref (-1) in
-    let x = executor store in
+    let x = executor ?combiner ~slot:d store in
     let buf = executor_buffer x in
     Atomic.incr ready;
     while Atomic.get go = 0 do
@@ -288,12 +360,7 @@ let run ?on_sample cfg =
           | Some r -> Tel.Latency_recorder.mark r d ~sched
           | None -> ());
           let start = now_ns () in
-          if cfg.c_batching && Workload.single_put buf then begin
-            Tel.Instrument.incr batched.(d);
-            fc_put combs store ~flushes d (Store.op_key buf 0)
-              (Store.op_arg buf 0)
-          end
-          else execute x;
+          if serve x then Tel.Instrument.incr batched.(d);
           let finish = now_ns () in
           Tel.Instrument.observe lat.(kind) (finish - start);
           match recorder with
@@ -341,7 +408,10 @@ let run ?on_sample cfg =
     s_wall = wall;
     s_commits = commits1 - commits0;
     s_aborts = aborts1 - aborts0;
-    s_flushes = Tel.Instrument.value flushes;
+    s_flushes =
+      Option.fold ~none:0
+        ~some:(fun cb -> Tel.Instrument.value cb.cb_flushes)
+        combiner;
     s_latency =
       Array.to_list
         (Array.map2

@@ -31,9 +31,12 @@
     With batching on, admitted single-key puts go through a per-stripe
     flat combiner: the executor publishes (key, value) in its slot and
     either waits for a combiner to apply it or acquires the stripe's
-    combiner lock itself and drains {e all} pending slots into one
-    transaction.  Under a hot Zipfian stripe this turns k conflicting
-    one-put transactions into one k-put transaction. *)
+    combiner lock itself and drains {e all} pending slots into the
+    stripe's reused batch, which the stripe's one prebuilt body commits
+    as one transaction.  Under a hot Zipfian stripe this turns k
+    conflicting one-put transactions into one k-put transaction.
+    Neither publishing, waiting nor flushing allocates: a combined put
+    costs what an uncombined one does. *)
 
 val drain_units : int
 (** Queue units drained per arriving request (12). *)
@@ -104,20 +107,47 @@ val iter_requests :
 
 (** {2 The executor}
 
-    What one executor domain serves requests with: an op buffer and one
+    What one executor domain serves requests with: an op buffer, one
     transaction body that runs whatever the buffer holds ({!Store.run},
-    then a journal mark if the request mutates).  The body is built once
-    per domain, so serving a request allocates nothing of its own: all
-    it allocates is what the core does for it — under TL2, its
-    write-set entries, 3 words per first write. *)
+    then a journal mark if the request mutates), and optionally a slot
+    in the store's {!combiner}.  The body is built once per domain and
+    the combiner's state once per stripe, so serving a request
+    allocates nothing of its own, combined or not: all it allocates is
+    what the core does for it — under TL2, its write-set entries, 3
+    words per first write. *)
+
+type combiner
+(** The store's flat combiners, one per stripe, each with one slot per
+    executor domain (see Batching above).  A stripe keeps a reused
+    array of the slots its lock holder drained, highest slot first,
+    and one flush transaction body, built with the combiner, that
+    writes that batch and journal-marks its size.  The batch changes
+    only under the stripe's combiner lock, so a body re-run after a
+    conflict writes the same batch: each put is applied exactly once.
+    A combined put allocates only its write-set entry. *)
+
+val combiner : Store.t -> domains:int -> combiner
+(** @raise Invalid_argument on [domains < 1]. *)
 
 type executor
 
-val executor : Store.t -> executor
+val executor : ?combiner:combiner -> ?slot:int -> Store.t -> executor
+(** An executor over the store; with [~combiner], its single puts go
+    through that combiner in slot [slot] (default 0), which no other
+    executor may share.
+    @raise Invalid_argument if [slot] is not below the combiner's
+    [domains]. *)
+
 val executor_buffer : executor -> Store.buffer
 
 val execute : executor -> unit
 (** Run the buffered request as one transaction. *)
+
+val serve : executor -> bool
+(** Serve the buffered request: a single put through the executor's
+    combiner, if it has one, anything else by {!execute}.  Returns
+    whether the put was combined.  The one dispatch, shared by {!run}'s
+    executors and the allocation gates. *)
 
 (** {2 Serving a profile} *)
 

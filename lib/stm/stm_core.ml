@@ -242,19 +242,24 @@ let extend a n fill =
   b
 
 module Wset = struct
+  (* [ids] and [entries] stay in insertion order; [order] is a
+     permutation of [0, n) that [sort] puts in ascending-id order.
+     Sorting moves only ints, so it never writes a young entry block
+     into the long-lived [entries] array. *)
   type t = {
     mutable ids : int array;
     mutable entries : wentry array;
+    mutable order : int array;
     mutable n : int;
   }
 
   (* Empty until the first write. *)
-  let create () = { ids = [||]; entries = [||]; n = 0 }
+  let create () = { ids = [||]; entries = [||]; order = [||]; n = 0 }
 
   let clear s = s.n <- 0
   let length s = s.n
-  let entry s i = s.entries.(i)
-  let id s i = s.ids.(i)
+  let entry s k = s.entries.(s.order.(k))
+  let id s k = s.ids.(s.order.(k))
 
   (* Index of [tv]'s entry, or -1.  Newest first: a transaction that
      re-reads what it just wrote finds it at once. *)
@@ -270,7 +275,8 @@ module Wset = struct
 
   let grow s fill =
     s.ids <- extend s.ids s.n 0;
-    s.entries <- extend s.entries s.n fill
+    s.entries <- extend s.entries s.n fill;
+    s.order <- extend s.order s.n 0
 
   (* Buffer [x] for [tv]: a first write costs the one entry block, a
      rewrite allocates nothing. *)
@@ -283,34 +289,34 @@ module Wset = struct
       if s.n = Array.length s.ids then grow s e;
       s.ids.(s.n) <- tv.id;
       s.entries.(s.n) <- e;
+      s.order.(s.n) <- s.n;
       s.n <- s.n + 1
     end
 
-  (* Ascending ids, in place: the canonical commit order.  Insertion
-     sort — write sets are short and often nearly sorted. *)
+  (* Ascending ids through [order]: the canonical commit order.
+     Insertion sort — write sets are short and often nearly sorted. *)
   let sort s =
+    let ids = s.ids and order = s.order in
     for i = 1 to s.n - 1 do
-      let id = s.ids.(i) and e = s.entries.(i) in
+      let o = order.(i) in
+      let id = ids.(o) in
       let j = ref (i - 1) in
-      while !j >= 0 && s.ids.(!j) > id do
-        s.ids.(!j + 1) <- s.ids.(!j);
-        s.entries.(!j + 1) <- s.entries.(!j);
+      while !j >= 0 && ids.(order.(!j)) > id do
+        order.(!j + 1) <- order.(!j);
         decr j
       done;
-      s.ids.(!j + 1) <- id;
-      s.entries.(!j + 1) <- e
+      order.(!j + 1) <- o
     done
 
   (* Membership by binary search; only valid after [sort]. *)
-  let rec search (ids : int array) id lo hi =
+  let rec search s id lo hi =
     lo < hi
     &&
     let mid = (lo + hi) lsr 1 in
-    let m = ids.(mid) in
-    m = id
-    || if m < id then search ids id (mid + 1) hi else search ids id lo mid
+    let m = s.ids.(s.order.(mid)) in
+    m = id || if m < id then search s id (mid + 1) hi else search s id lo mid
 
-  let mem_sorted s id = search s.ids id 0 s.n
+  let mem_sorted s id = search s id 0 s.n
 end
 
 (* Write-back for the serialized cores (global-lock, NOrec), which run

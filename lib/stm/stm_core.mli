@@ -156,11 +156,17 @@ module Wset : sig
   val length : t -> int
 
   val entry : t -> int -> wentry
-  (** The [i]-th entry, [0 <= i < length]. *)
+  (** The [k]-th entry in sorted order, [0 <= k < length]: after
+      {!sort}, [entry 0 .. entry (length - 1)] ascend by id (before it,
+      insertion order). *)
+
+  val id : t -> int -> int
+  (** The t-variable id of [entry s k]. *)
 
   val index : t -> 'a tvar -> int
-  (** The index of the t-variable's entry, or -1 (read-own-write
-      lookup; allocates nothing). *)
+  (** The insertion index of the t-variable's entry, or -1
+      (read-own-write lookup; allocates nothing).  {!sort} does not
+      move it. *)
 
   val value : t -> int -> 'a tvar -> 'a
   (** The buffered value at an index {!index} returned for the same
@@ -171,12 +177,14 @@ module Wset : sig
       entry block, a rewrite allocates nothing. *)
 
   val sort : t -> unit
-  (** Order the entries by ascending id, in place — the canonical
-      commit order. *)
+  (** Put {!entry}/{!id} in ascending-id order — the canonical commit
+      order.  It sorts an int permutation of the insertion indices; the
+      entries themselves never move, so sorting allocates nothing and
+      writes no pointer. *)
 
   val mem_sorted : t -> int -> bool
-  (** Whether a t-variable id has an entry, by binary search; only
-      valid after {!sort}. *)
+  (** Whether a t-variable id has an entry, by binary search through
+      the sorted order; only valid after {!sort}. *)
 end
 
 val write_back : Wset.t -> unit

@@ -68,8 +68,9 @@ let rec snapshot_read tv =
    transaction per domain).  The read set is three parallel arrays,
    filled in read order up to [nr]: the t-variable's vlock, the version
    seen and its id — a read allocates nothing, and stores one pointer.
-   The write set is the shared [Wset]; at commit it is sorted in place
-   and the locks held are its prefix up to [held]. *)
+   The write set is the shared [Wset]; at commit it is sorted (through
+   its index permutation) and the locks held are its sorted prefix up
+   to [held]. *)
 type txn = {
   mutable rv : int;
   mutable nr : int;

@@ -163,28 +163,37 @@ let test_generation_words () =
     (words_per (fun i ->
          Workload.request w ~client:(i land 8191) ~index:(i lsr 13)))
 
-(* One executor's request path: fill the executor's buffer and run it
-   through the executor's body, under TL2.  What remains is the core's
-   own write-set entries, 3 words per first write: none for a get, 3
-   for a put, 6 for a transfer, 48 at most for a long transaction.
+(* One executor's request path: fill the executor's buffer and serve
+   it through [Server.serve], the dispatch [Server.run]'s executors
+   use, under TL2.  What remains is the core's own write-set entries, 3
+   words per first write: none for a get, 3 for a put, 6 for a
+   transfer, 48 at most for a long transaction.  With [~combined], the
+   executor holds a one-slot combiner, so every single put goes through
+   the flat combiner: publish, lock, drain, the stripe's flush body and
+   release must add nothing to the put's own entry.
    Long transactions run 20,000 requests, not 100,000: allocation is
    deterministic, so the reading is the same to within 0.2 words, and
    the longer loop would add 0.3 s to this suite. *)
-let served_words ~n profile =
+let served_words ?(combined = false) ~n profile =
   Stm.with_algo Stm.Algo.Tl2 (fun () ->
       let store = Store.create ~keys:1024 () in
       let w = Workload.create ~profile ~seed:1 ~keys:1024 () in
-      let x = Server.executor store in
+      let combiner =
+        if combined then Some (Server.combiner store ~domains:1) else None
+      in
+      let x = Server.executor ?combiner store in
       let buf = Server.executor_buffer x in
       words_per ~n (fun i ->
           Workload.fill w buf ~client:(i land 8191) ~index:(i lsr 13);
-          Server.execute x))
+          Server.serve x))
 
 let test_served_words () =
   at_most "served read-mostly request" 1.
     (served_words ~n:100_000 Workload.Read_mostly);
   at_most "served long-txn request" 32.
-    (served_words ~n:20_000 Workload.Long_txn)
+    (served_words ~n:20_000 Workload.Long_txn);
+  at_most "served write-heavy request, combined" 3.
+    (served_words ~combined:true ~n:100_000 Workload.Write_heavy)
 
 (* The buffer and its list view describe the same request: every op,
    the kind, the cost, whether it mutates and whether it is a single
@@ -412,6 +421,29 @@ let test_server_batching_invariant () =
     off.Server.s_batched;
   Alcotest.(check bool) "hot write-heavy load does combine" true
     (on.Server.s_batched > 0)
+
+(* Exactly once under re-runs: every core, write-heavy, batching and
+   the journal on, at 4 domains.  DSTM and NOrec abort here, so flush
+   bodies re-run; a re-run must write and journal-mark the same batch,
+   and every put must land in exactly one committed flush. *)
+let test_server_combiner_exactly_once () =
+  List.iter
+    (fun algo ->
+      let o =
+        Server.run
+          (small_cfg ~profile:Workload.Write_heavy ~algo ~journal:true ())
+      in
+      let name = Stm.Algo.name algo in
+      Alcotest.(check bool) (name ^ " journal matches mutators") true
+        o.Server.s_journal_ok;
+      Alcotest.(check bool) (name ^ " counter plane conserved") true
+        o.Server.s_conserved;
+      Alcotest.(check bool)
+        (Fmt.str "%s 0 < flushes %d <= batched %d" name o.Server.s_flushes
+           o.Server.s_batched)
+        true
+        (0 < o.Server.s_flushes && o.Server.s_flushes <= o.Server.s_batched))
+    Stm.Algo.all
 
 let test_server_long_txn_sheds () =
   let o = Server.run (small_cfg ~profile:Workload.Long_txn ()) in
@@ -745,6 +777,8 @@ let () =
             test_server_telemetry_op_clock;
           Alcotest.test_case "served-request allocation" `Quick
             test_served_words;
+          Alcotest.test_case "combined puts apply exactly once" `Quick
+            test_server_combiner_exactly_once;
         ] );
       ( "arrival",
         [

@@ -1188,6 +1188,44 @@ let reuse_after_abort algo () =
         [ 0; 0; 4 ]
         [ Stm.read a; Stm.read b; Stm.read c ])
 
+(* The write set keeps its entries in insertion order and sorts an
+   index permutation.  Over random first writes and rewrites, after
+   [sort]: [entry]/[id] ascend by id and agree with each other,
+   [mem_sorted] is membership, and [index]/[value] still find each
+   t-variable's last buffered value. *)
+let prop_wset_sorted_view =
+  let module C = Tm_stm.Stm_core in
+  let pool = Array.init 48 (fun i -> C.tvar i) in
+  QCheck2.Test.make ~count:300
+    ~name:"Wset sorts a permutation: ascending view, same buffered values"
+    QCheck2.Gen.(list_size (int_range 0 40) (pair (int_bound 47) int))
+    (fun writes ->
+      let s = C.Wset.create () in
+      List.iter (fun (k, v) -> C.Wset.add s pool.(k) v) writes;
+      C.Wset.sort s;
+      let last = Hashtbl.create 16 in
+      List.iter (fun (k, v) -> Hashtbl.replace last k v) writes;
+      let n = C.Wset.length s in
+      let entry_id k = match C.Wset.entry s k with C.W w -> w.tv.C.id in
+      let rec ascending k =
+        k >= n
+        || entry_id k = C.Wset.id s k
+           && (k = 0 || C.Wset.id s (k - 1) < C.Wset.id s k)
+           && ascending (k + 1)
+      in
+      n = Hashtbl.length last
+      && ascending 0
+      && List.for_all
+           (fun k -> C.Wset.mem_sorted s pool.(k).C.id = Hashtbl.mem last k)
+           (List.init (Array.length pool) Fun.id)
+      && Hashtbl.fold
+           (fun k v ok ->
+             ok
+             &&
+             let i = C.Wset.index s pool.(k) in
+             i >= 0 && C.Wset.value s i pool.(k) = v)
+           last true)
+
 (* On a fresh domain the sets start empty; a thousand reads and a
    thousand writes take both through several doublings. *)
 let big_transaction algo () =
@@ -1465,6 +1503,7 @@ let () =
             (big_transaction Stm.Algo.Norec);
           Alcotest.test_case "norec begin under a held seqlock" `Quick
             test_norec_begin_under_held_seqlock;
+          QCheck_alcotest.to_alcotest prop_wset_sorted_view;
         ] );
       ( "facade",
         [
