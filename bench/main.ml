@@ -1941,7 +1941,7 @@ let p12_serve () =
           Server.config ~algo ~clients:64 ~ops:4 ~keys:64 ~stripes:4
             ~profile:Workload.Write_heavy ~seed:42 ~domains:4 ()
         in
-        (Server.chaos_run plan cfg).Server.k_ok
+        (Server.chaos_run plan cfg).Tm_chaos.Runner.o_ok
   in
   let chaos = List.map (fun a -> (a, chaos_ok a)) Stm.Algo.all in
   List.iter
@@ -2064,8 +2064,9 @@ let p13_loadcurve () =
             ~keys:64 ~stripes:4 ~profile:Workload.Write_heavy ~seed:42
             ~domains:4 ()
         in
-        Server.with_chaos_session ~latency:true plan ccfg (fun ses ->
-            let r = Option.get (Server.session_latency ses) in
+        Tm_chaos.Runner.with_session ~latency:true
+          ~workload:(Server.chaos_workload ccfg) plan (fun ses ->
+            let r = Option.get (Tm_chaos.Runner.session_latency ses) in
             (* Crash onset is a few hundred ops in (microseconds); after
                the warmup the whole peer set is stranded. *)
             Unix.sleepf 0.08;

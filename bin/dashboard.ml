@@ -17,12 +17,10 @@ let dom d = [ ("domain", string_of_int d) ]
 let num snap name d =
   Option.value ~default:0 (Tel.Registry.sample_num snap ~name ~labels:(dom d))
 
-(* Both session flavours register the same counter suffixes under their
-   own prefix: "tm_chaos" for `top`, "tm_serve" for `top --serve`. *)
-let aborts_of ~prefix snap d =
+let aborts_of snap d =
   max 0
-    (num snap (prefix ^ "_attempts_total") d
-    - num snap (prefix ^ "_commits_total") d)
+    (num snap "tm_chaos_attempts_total" d
+    - num snap "tm_chaos_commits_total" d)
 
 (* Latencies are nanoseconds; pick the unit that keeps 3 digits. *)
 let pp_ns ppf ns =
@@ -80,8 +78,8 @@ let render_blame g =
    [observe] refreshes via [Latency_recorder.publish] each frame.
    Sessions opened without the recorder simply have no such series and
    the panel stays hidden. *)
-let render_latency ~prefix ~nd snap =
-  let m = prefix ^ "_lat" in
+let render_latency ~nd snap =
+  let m = "tm_chaos_lat" in
   match
     Tel.Registry.sample_hist snap ~name:(m ^ "_sojourn_ns") ~labels:[]
   with
@@ -108,8 +106,7 @@ let render_latency ~prefix ~nd snap =
       done;
       Fmt.pr "@."
 
-let render ~plain ~prefix ~title ~plan ~frame ~frames ~period ~prev ~blame
-    snap =
+let render ~plain ~title ~plan ~frame ~frames ~period ~prev ~blame snap =
   if not plain then print_string "\027[2J\027[H";
   let nd = plan.Plan.domains in
   let rate cur pre = float (max 0 (cur - pre)) /. period in
@@ -123,24 +120,23 @@ let render ~plain ~prefix ~title ~plan ~frame ~frames ~period ~prev ~blame
   Fmt.pr "@.%-7s %-22s %10s %10s %8s %8s %-12s@." "domain" "fault" "commit/s"
     "abort/s" "commits" "faults" "class";
   for d = 0 to nd - 1 do
-    let commits = dsnap (prefix ^ "_commits_total") d in
+    let commits = dsnap "tm_chaos_commits_total" d in
     let cls =
       Option.value ~default:"?"
         (Tel.Registry.sample_state snap ~name:"tm_liveness_class"
            ~labels:(dom d))
     in
     let crashed =
-      Tel.Registry.sample_num snap ~name:(prefix ^ "_crashed") ~labels:(dom d)
+      Tel.Registry.sample_num snap ~name:"tm_chaos_crashed" ~labels:(dom d)
       = Some 1
     in
     Fmt.pr "%-7d %-22s %10.0f %10.0f %8d %8d %-12s@." d
       (Plan.fault_label plan.Plan.faults.(d))
-      (rate commits (dprev (prefix ^ "_commits_total") d))
-      (rate
-         (aborts_of ~prefix snap d)
-         (match prev with Some p -> aborts_of ~prefix p d | None -> 0))
+      (rate commits (dprev "tm_chaos_commits_total" d))
+      (rate (aborts_of snap d)
+         (match prev with Some p -> aborts_of p d | None -> 0))
       commits
-      (dsnap (prefix ^ "_injected_total") d)
+      (dsnap "tm_chaos_injected_total" d)
       (cls ^ if crashed then " [dead]" else "")
   done;
   Fmt.pr "@.STM phase latencies (since start):@.";
@@ -159,16 +155,16 @@ let render ~plain ~prefix ~title ~plan ~frame ~frames ~period ~prev ~blame
               h.Tel.Instrument.count (q 0.50) (q 0.90) (q 0.99)
               (Fmt.str "%a" pp_ns h.Tel.Instrument.max_sample))
     phase_rows;
-  render_latency ~prefix ~nd snap;
+  render_latency ~nd snap;
   (match blame with Some g -> render_blame g | None -> ());
   Fmt.pr "%!"
 
-(* The shared observation loop: sleep, advance the liveness gauge,
-   scrape on the wall-ms clock, export, render.  Both session flavours
-   differ only in how the session is opened and which metric prefix
-   their counters carry. *)
-let observe ~prefix ~title ~plan ~period ~frames ~plain ~tel ~tty ~reg
-    ~liveness ~blame ~latency =
+(* The observation loop: sleep, advance the liveness gauge, scrape on
+   the wall-ms clock, export, render. *)
+let observe ~title ~plan ~period ~frames ~plain ~tel ~tty ~reg ses =
+  let liveness = Runner.session_liveness ses
+  and blame = Runner.session_blame ses
+  and latency = Runner.session_latency ses in
   let t0 = Unix.gettimeofday () in
   let prev = ref None in
   for frame = 1 to frames do
@@ -183,66 +179,37 @@ let observe ~prefix ~title ~plan ~period ~frames ~plain ~tel ~tty ~reg
     let snap = Tel.Registry.scrape reg ~ts in
     (match tel with Some (add, _) -> add snap | None -> ());
     if tty || frame = frames then
-      render ~plain ~prefix ~title ~plan ~frame ~frames ~period ~prev:!prev
-        ~blame snap;
+      render ~plain ~title ~plan ~frame ~frames ~period ~prev:!prev ~blame
+        snap;
     prev := Some snap
   done
 
-let with_display ~plain ~telemetry ~telemetry_format f =
-  let tel =
-    Option.map
-      (fun file -> Cli_common.telemetry_writer file telemetry_format)
-      telemetry
-  in
-  (* Redrawing in place needs a terminal; piped output falls back to
-     plain mode, and plain mode without a terminal renders only the
-     final frame — a log or CI capture gets one coherent summary
-     instead of interleaved partial frames. *)
-  let tty = Unix.isatty Unix.stdout in
-  let plain = plain || not tty in
-  let reg = Tel.Registry.create () in
-  let _, probe = Tel.Stm_probe.install reg in
-  Fun.protect
-    ~finally:(fun () -> Tm_stm.Stm.Obs.unsubscribe probe)
-    (fun () -> f ~tel ~tty ~plain ~reg);
-  match tel with Some (_, flush) -> flush () | None -> ()
-
-let run ~algo ~scenario ~seed ~domains ~tvars ~period ~frames ~plain
-    ~telemetry ~telemetry_format =
+(* [title] names the workload in the header: "chaos" for the hot set,
+   "serve[PROFILE]" for the serving path. *)
+let run ~title ~workload ~algo ~scenario ~seed ~domains ~period ~frames
+    ~plain ~telemetry ~telemetry_format =
   match Plan.make ~algo ~scenario ~seed ~domains () with
   | Error m ->
       Fmt.epr "error: %s@." m;
       exit 2
   | Ok plan ->
-      with_display ~plain ~telemetry ~telemetry_format
-        (fun ~tel ~tty ~plain ~reg ->
-          Runner.with_session ~tvars ~blame:true ~latency:true ~registry:reg
-            plan (fun ses ->
-              observe ~prefix:"tm_chaos" ~title:"chaos" ~plan ~period ~frames
-                ~plain ~tel ~tty ~reg
-                ~liveness:(Runner.session_liveness ses)
-                ~blame:(Runner.session_blame ses)
-                ~latency:(Runner.session_latency ses)))
-
-let run_serve ~algo ~profile ~scenario ~seed ~domains ~period ~frames ~plain
-    ~telemetry ~telemetry_format =
-  match Plan.make ~algo ~scenario ~seed ~domains () with
-  | Error m ->
-      Fmt.epr "error: %s@." m;
-      exit 2
-  | Ok plan ->
-      let cfg =
-        Tm_serve.Server.config ~algo ~profile ~seed ~domains ()
+      let tel =
+        Option.map
+          (fun file -> Cli_common.telemetry_writer file telemetry_format)
+          telemetry
       in
-      let title =
-        Fmt.str "serve[%s]" (Tm_serve.Workload.profile_name profile)
-      in
-      with_display ~plain ~telemetry ~telemetry_format
-        (fun ~tel ~tty ~plain ~reg ->
-          Tm_serve.Server.with_chaos_session ~blame:true ~latency:true
-            ~registry:reg plan cfg (fun ses ->
-              observe ~prefix:"tm_serve" ~title ~plan ~period ~frames ~plain
-                ~tel ~tty ~reg
-                ~liveness:(Tm_serve.Server.session_liveness ses)
-                ~blame:(Tm_serve.Server.session_blame ses)
-                ~latency:(Tm_serve.Server.session_latency ses)))
+      (* Redrawing in place needs a terminal; piped output falls back to
+         plain mode, and plain mode without a terminal renders only the
+         final frame — a log or CI capture gets one coherent summary
+         instead of interleaved partial frames. *)
+      let tty = Unix.isatty Unix.stdout in
+      let plain = plain || not tty in
+      let reg = Tel.Registry.create () in
+      let _, probe = Tel.Stm_probe.install reg in
+      Fun.protect
+        ~finally:(fun () -> Tm_stm.Stm.Obs.unsubscribe probe)
+        (fun () ->
+          Runner.with_session ~blame:true ~latency:true ~registry:reg
+            ~workload plan
+            (observe ~title ~plan ~period ~frames ~plain ~tel ~tty ~reg));
+      Option.iter (fun (_, flush) -> flush ()) tel

@@ -1015,7 +1015,10 @@ let chaos_cmd =
           let on_sample, tel_flush =
             telemetry_setup telemetry telemetry_format
           in
-          let o = Tm_chaos.Runner.run ~tvars ~warmup ~window ?on_sample plan in
+          let o =
+            Tm_chaos.Runner.run ~warmup ~window ?on_sample
+              ~workload:(Tm_chaos.Runner.hot_set ~tvars) plan
+          in
           (match format with
           | `Table -> Fmt.pr "%a" Tm_chaos.Runner.pp_table o
           | `Json -> Fmt.pr "%s@." (Tm_chaos.Runner.to_json o));
@@ -1202,8 +1205,8 @@ let blame_cmd =
     | Ok plan -> (
         let on_sample, tel_flush = telemetry_setup telemetry telemetry_format in
         let o =
-          Tm_chaos.Runner.run ~blame:true ~tvars ~warmup ~window ?on_sample
-            plan
+          Tm_chaos.Runner.run ~blame:true ~warmup ~window ?on_sample
+            ~workload:(Tm_chaos.Runner.hot_set ~tvars) plan
         in
         match o.Tm_chaos.Runner.o_blame with
         | None -> Fmt.epr "error: blame graph missing@."; exit 2
@@ -1313,12 +1316,20 @@ let blame_cmd =
 let top_cmd =
   let run algo scenario seed domains tvars period frames plain serve profile
       telemetry telemetry_format =
-    if serve then
-      Dashboard.run_serve ~algo ~profile ~scenario ~seed ~domains ~period
-        ~frames ~plain ~telemetry ~telemetry_format
-    else
-      Dashboard.run ~algo ~scenario ~seed ~domains ~tvars ~period ~frames
-        ~plain ~telemetry ~telemetry_format
+    let title, workload =
+      if serve then
+        let cfg =
+          try Tm_serve.Server.config ~algo ~profile ~seed ~domains ()
+          with Invalid_argument m ->
+            Fmt.epr "error: %s@." m;
+            exit 2
+        in
+        ( Fmt.str "serve[%s]" (Tm_serve.Workload.profile_name profile),
+          Tm_serve.Server.chaos_workload cfg )
+      else ("chaos", Tm_chaos.Runner.hot_set ~tvars)
+    in
+    Dashboard.run ~title ~workload ~algo ~scenario ~seed ~domains ~period
+      ~frames ~plain ~telemetry ~telemetry_format
   in
   let scenario = scenario_arg () in
   let seed = seed_arg () in
@@ -1428,18 +1439,18 @@ let serve_cmd =
           | Ok plan ->
               let o = Serve.chaos_run ~warmup ~window ?on_sample plan cfg in
               (match format with
-              | `Table -> Fmt.pr "%a@." Serve.pp_chaos_table o
-              | `Json -> Fmt.pr "%s@." (Serve.chaos_to_json o));
+              | `Table -> Fmt.pr "%a@." (Serve.pp_chaos_table profile) o
+              | `Json -> Fmt.pr "%s@." (Serve.chaos_to_json profile o));
               tel_flush ();
               (match out with
               | None -> ()
               | Some file ->
                   let oc = open_output file in
-                  output_string oc (Serve.chaos_to_json o);
+                  output_string oc (Serve.chaos_to_json profile o);
                   output_char oc '\n';
                   close_out oc;
                   Fmt.epr "verdicts written to %s@." file);
-              exit (if o.Serve.k_ok then 0 else 1))
+              exit (if o.Tm_chaos.Runner.o_ok then 0 else 1))
       | None ->
           let o = Serve.run ?on_sample cfg in
           (* Canonical JSON on stdout (byte-deterministic), the measured

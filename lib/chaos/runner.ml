@@ -22,21 +22,16 @@ type session = {
   ses_attempts : Tel.Instrument.counter array;
   ses_trycs : Tel.Instrument.counter array;
   ses_commits : Tel.Instrument.counter array;
-  ses_injected : Tel.Instrument.counter array;
   ses_crashed : Tel.Instrument.gauge array;
   ses_latency : Tel.Latency_recorder.t option;
 }
 
-let session_plan ses = ses.ses_plan
-let session_registry ses = ses.ses_registry
 let session_liveness ses = ses.ses_liveness
 let session_blame ses = ses.ses_blame
 let session_latency ses = ses.ses_latency
 
 let session_crashed ses d =
   Tel.Instrument.gauge_value ses.ses_crashed.(d) = 1
-
-let session_injected ses d = Tel.Instrument.value ses.ses_injected.(d)
 
 let sample ses d =
   let v a = Tel.Instrument.value a.(d) in
@@ -50,6 +45,32 @@ let sample ses d =
   }
 
 let samples ses = Array.init ses.ses_plan.Plan.domains (sample ses)
+
+type worker = { next : unit -> unit; body : (unit -> unit) -> unit }
+type workload = Plan.t -> int -> worker
+
+(* Every transaction writes t-variable 0 (plus one other), so every pair
+   of domains conflicts: a crashed lock holder necessarily strands the
+   whole peer set. *)
+let hot_set ~tvars (_ : Plan.t) =
+  let shared = Array.init (max 2 tvars) (fun _ -> Stm.tvar 0) in
+  let n = Array.length shared in
+  fun d ->
+    let st = ref (d + 1) and other = ref 1 in
+    {
+      next =
+        (fun () ->
+          let r = !st * 48271 mod 0x7FFFFFFF in
+          st := r;
+          other := 1 + (r mod (n - 1)));
+      body =
+        (fun takeover ->
+          let v0 = Stm.read shared.(0) in
+          let vo = Stm.read shared.(!other) in
+          takeover ();
+          Stm.write shared.(0) (v0 + 1);
+          Stm.write shared.(!other) (vo + 1));
+    }
 
 type report = {
   rep_domain : int;
@@ -85,10 +106,6 @@ type dstate = {
 let dls : dstate option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-(* The fault dispatch is reusable by any harness that drives real
-   domains against the [Stm.Obs] sites (tm_serve's chaos serving
-   sessions): bind the domain's fault and counters in DLS, then
-   subscribe [fault_handler]. *)
 let fault_handler site _ _ =
   match (site, !(Domain.DLS.get dls)) with
   | (Obs.Read | Obs.Lock | Obs.Validate | Obs.Publish | Obs.Commit), Some st ->
@@ -116,19 +133,12 @@ let fault_handler site _ _ =
       action
   | _ -> Obs.Proceed
 
-let bind_fault fault ~ops ~injected =
-  Domain.DLS.get dls :=
-    Some { ds_fault = fault; ds_ops = ops; ds_injected = injected }
-
-let unbind_fault () = Domain.DLS.get dls := None
-
 exception Stop_worker
 
-(* Worker transactions all write t-variable 0 (plus one other), so every
-   pair of domains conflicts: a crashed lock holder necessarily strands
-   the whole peer set.  A parasitic turn spins forever on [mine], a
-   t-variable nobody writes — active forever, never conflicting, never
-   reaching tryC.
+(* The workload's worker picks each transaction ([next]) and runs its
+   body; everything else is the same for every workload.  A parasitic
+   turn spins forever on [mine], a t-variable nobody writes — active
+   forever, never conflicting, never reaching tryC.
 
    Where the parasitic takeover happens is core-dependent.  Under the
    non-blocking cores it is a fresh transaction whose read set is only
@@ -140,14 +150,15 @@ exception Stop_worker
    would instead have to win an unfair spinlock from a cold start
    against hot committers, with the facade's backoff growing on every
    failure — a race it can lose for whole observation windows.  There
-   the takeover happens *inside* a winning transaction: the worker runs
-   its normal body and, once past the onset, simply never reaches tryC
-   — it already holds the serializer, stranding every peer
-   deterministically (prior reads in the set are harmless: the
-   serializer validates nothing). *)
-let worker ~stop ~shared ~mine ~algo ~fault ~parasite_gate ~ops ~injected
+   the takeover happens *inside* a winning transaction: the body calls
+   its takeover point after its reads and, once past the onset, simply
+   never reaches tryC — it already holds the serializer, stranding
+   every peer deterministically (prior reads in the set are harmless:
+   the serializer validates nothing). *)
+let worker ~stop ~job ~mine ~algo ~fault ~parasite_gate ~ops ~injected
     ~attempts ~trycs ~commits ~crashed ~lat d () =
-  bind_fault fault ~ops ~injected;
+  Domain.DLS.get dls :=
+    Some { ds_fault = fault; ds_ops = ops; ds_injected = injected };
   (* Open-loop latency: mark before the transaction, complete after.  A
      body that dies on [Obs.Crashed] leaves its mark in place on
      purpose — the dead domain's in-flight age is the censored sample
@@ -167,8 +178,6 @@ let worker ~stop ~shared ~mine ~algo ~fault ~parasite_gate ~ops ~injected
   (* Blame identity: plan slot, not raw Domain.self — unconditional
      (one DLS write per worker lifetime, nothing on the hot path). *)
   Obs.set_self d;
-  let st = ref (d + 1) in
-  let n = Array.length shared in
   let parasitic_from =
     match fault with Plan.Parasitic { from_op } -> Some from_op | _ -> None
   in
@@ -185,6 +194,17 @@ let worker ~stop ~shared ~mine ~algo ~fault ~parasite_gate ~ops ~injected
     done
   in
   let in_body_takeover = algo = Stm.Algo.Global_lock in
+  let takeover () =
+    if in_body_takeover && parasitic_now () then parasite_spin ()
+  in
+  let body () =
+    (* Re-run on every attempt: a permanently starving domain still
+       gets to observe the stop flag. *)
+    if Atomic.get stop then raise Stop_worker;
+    Tel.Instrument.incr attempts;
+    job.body takeover;
+    Tel.Instrument.incr trycs
+  in
   (try
      while not (Atomic.get stop) do
        if (not in_body_takeover) && parasitic_now () then begin
@@ -194,21 +214,9 @@ let worker ~stop ~shared ~mine ~algo ~fault ~parasite_gate ~ops ~injected
              parasite_spin ())
        end
        else begin
-         let r = !st * 48271 mod 0x7FFFFFFF in
-         st := r;
-         let other = 1 + (r mod (n - 1)) in
+         job.next ();
          let sched = mark () in
-         Stm.atomically (fun () ->
-             (* Re-run on every attempt: a permanently starving domain
-                still gets to observe the stop flag. *)
-             if Atomic.get stop then raise Stop_worker;
-             Tel.Instrument.incr attempts;
-             let v0 = Stm.read shared.(0) in
-             let vo = Stm.read shared.(other) in
-             if in_body_takeover && parasitic_now () then parasite_spin ();
-             Stm.write shared.(0) (v0 + 1);
-             Stm.write shared.(other) (vo + 1);
-             Tel.Instrument.incr trycs);
+         Stm.atomically body;
          Tel.Instrument.incr commits;
          complete sched
        end
@@ -217,12 +225,12 @@ let worker ~stop ~shared ~mine ~algo ~fault ~parasite_gate ~ops ~injected
   | Stop_worker -> ()
   | Obs.Crashed -> Tel.Instrument.set_gauge crashed 1);
   Obs.set_self (-1);
-  unbind_fault ()
+  Domain.DLS.get dls := None
 
 let counters_of (s : sample) =
   Emp.counters ~ops:s.ops ~trycs:s.trycs ~commits:s.commits ~aborts:s.aborts
 
-let with_session ?(tvars = 4) ?(blame = false) ?(latency = false) ?registry
+let with_session ?(blame = false) ?(latency = false) ?registry ~workload
     (plan : Plan.t) f =
   let nd = plan.Plan.domains in
   let reg =
@@ -287,19 +295,10 @@ let with_session ?(tvars = 4) ?(blame = false) ?(latency = false) ?registry
       ses_attempts = attempts;
       ses_trycs = trycs;
       ses_commits = commits;
-      ses_injected = injected;
       ses_crashed = crashed;
       ses_latency = lat;
     }
   in
-  (* Select the plan's core before creating the t-variables (a
-     t-variable belongs to the algorithm that uses it) and restore the
-     previous selection only after the workers are joined. *)
-  let prev_algo = Stm.algo () in
-  Stm.set_algo plan.Plan.algo;
-  let shared = Array.init (max 2 tvars) (fun _ -> Stm.tvar 0) in
-  let priv = Array.init nd (fun _ -> Stm.tvar 0) in
-  let stop = Atomic.make false in
   (* In scenarios that combine a crasher with a parasite, the parasite's
      onset waits for the crash to have landed: the expectations read the
      faults as a causal sequence (crash first, then a parasite appears
@@ -317,15 +316,15 @@ let with_session ?(tvars = 4) ?(blame = false) ?(latency = false) ?registry
     | None -> fun () -> true
     | Some cd -> fun () -> Tel.Instrument.gauge_value crashed.(cd) = 1
   in
-  let subs =
-    Obs.subscribe fault_handler
-    :: Option.fold ~none:[]
-         ~some:(fun g -> [ Obs.subscribe (Tel.Blame_graph.subscriber g) ])
-         blame_graph
-  in
+  (* Select the plan's core before the workload creates its t-variables
+     (a t-variable belongs to the algorithm that uses it) and restore
+     the previous selection only after the workers are joined. *)
+  let prev_algo = Stm.algo () in
+  Stm.set_algo plan.Plan.algo;
+  let subs = ref [] in
   Fun.protect
     ~finally:(fun () ->
-      List.iter Obs.unsubscribe subs;
+      List.iter Obs.unsubscribe !subs;
       (* Workers are joined by now: release core-global locks stranded
          by crashed domains (the serializer, the sequence lock), so a
          crash run cannot starve every later run of the same core in
@@ -334,10 +333,18 @@ let with_session ?(tvars = 4) ?(blame = false) ?(latency = false) ?registry
       Stm.recover ();
       Stm.set_algo prev_algo)
     (fun () ->
+      let job = workload plan in
+      let mine = Array.init nd (fun _ -> Stm.tvar 0) in
+      let stop = Atomic.make false in
+      subs :=
+        Obs.subscribe fault_handler
+        :: Option.fold ~none:[]
+             ~some:(fun g -> [ Obs.subscribe (Tel.Blame_graph.subscriber g) ])
+             blame_graph;
       let ds =
         List.init nd (fun d ->
             Domain.spawn
-              (worker ~stop ~shared ~mine:priv.(d) ~algo:plan.Plan.algo
+              (worker ~stop ~job:(job d) ~mine:mine.(d) ~algo:plan.Plan.algo
                  ~fault:plan.Plan.faults.(d) ~parasite_gate ~ops:ops.(d)
                  ~injected:injected.(d) ~attempts:attempts.(d)
                  ~trycs:trycs.(d) ~commits:commits.(d) ~crashed:crashed.(d)
@@ -417,8 +424,8 @@ let await_witnesses ses ~first ~last =
         Unix.sleepf 0.001
       done
 
-let run ?tvars ?blame ?latency ?(warmup = 0.05) ?(window = 0.15) ?registry
-    ?on_sample (plan : Plan.t) =
+let run ?blame ?latency ?(warmup = 0.05) ?(window = 0.15) ?registry
+    ?on_sample ~workload (plan : Plan.t) =
   let nd = plan.Plan.domains in
   let scrape ses ts =
     match on_sample with
@@ -433,7 +440,7 @@ let run ?tvars ?blame ?latency ?(warmup = 0.05) ?(window = 0.15) ?registry
     | None -> ()
   in
   let first, last, ses =
-    with_session ?tvars ?blame ?latency ?registry plan (fun ses ->
+    with_session ?blame ?latency ?registry ~workload plan (fun ses ->
         Unix.sleepf warmup;
         await_onsets ses;
         let first = samples ses in
@@ -468,7 +475,7 @@ let run ?tvars ?blame ?latency ?(warmup = 0.05) ?(window = 0.15) ?registry
               ~last:(counters_of last.(d));
           rep_first = first.(d);
           rep_last = last.(d);
-          rep_crashed = Tel.Instrument.gauge_value ses.ses_crashed.(d) = 1;
+          rep_crashed = session_crashed ses d;
         })
   in
   let h = Plan.horizon plan in

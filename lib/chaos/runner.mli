@@ -1,13 +1,17 @@
 (** Execute a fault plan on real domains and classify what happened.
 
-    [run] spawns one worker domain per plan slot on a shared hot set of
-    t-variables (every transaction writes t-variable 0, so a crashed
-    domain holding commit vlocks conflicts with every peer), installs the
-    plan as an [Stm.Obs] subscriber, and lets a watchdog on the spawning
-    domain take two samples of each worker's monotone counters.  The
-    deltas go through {!Tm_liveness.Empirical.classify_counters},
-    yielding one Figure-2 verdict per domain, which is compared against
-    the plan's expectation.
+    [run] spawns one worker domain per plan slot, each running a
+    {!workload}: the shared hot set of t-variables ({!hot_set}), or the
+    serving path's request stream ([Tm_serve.Server.chaos_workload]).
+    It installs the plan as an [Stm.Obs] subscriber and lets a watchdog
+    on the spawning domain take two samples of each worker's monotone
+    counters.  The deltas go through
+    {!Tm_liveness.Empirical.classify_counters}, yielding one Figure-2
+    verdict per domain, which is compared against the plan's
+    expectation.  The worker loop, the parasite takeover, the crash
+    gate, the instruments and the watchdog window exist once, here, so
+    every fix to the window (the onset and witness waits below) holds
+    for every workload.
 
     The run's trace ({!outcome.events}) is the {e planned} fault
     schedule ({!Plan.trace_events}) followed by one verdict instant per
@@ -32,8 +36,6 @@ type session
     a {!Tm_telemetry.Liveness_gauge} classifying each domain between
     scrapes. *)
 
-val session_plan : session -> Plan.t
-val session_registry : session -> Tm_telemetry.Registry.t
 val session_liveness : session -> Tm_telemetry.Liveness_gauge.t
 
 val session_blame : session -> Tm_telemetry.Blame_graph.t option
@@ -44,67 +46,51 @@ val session_latency : session -> Tm_telemetry.Latency_recorder.t option
 (** The open-loop latency recorder, when the session was opened with
     [~latency:true]. *)
 
-val sample : session -> int -> sample
-(** Current counter snapshot of one domain. *)
+(** {2 Workloads} *)
 
-val samples : session -> sample array
-(** [sample] for every domain, ascending. *)
+type worker = {
+  next : unit -> unit;
+      (** Choose the next transaction, outside any transaction. *)
+  body : (unit -> unit) -> unit;
+      (** Run the chosen transaction's body; it is the body of an
+          [Stm.atomically] and re-runs on every attempt.  It calls its
+          argument, the parasitic takeover point, once after its reads
+          and before its writes: under the global-lock serializer a
+          parasite past its onset never returns from it. *)
+}
 
-val session_crashed : session -> int -> bool
-(** The domain's worker died on [Stm.Obs.Crashed].  Only final after
-    {!with_session} returns (workers are joined on the way out); inside
-    the callback it is a live, monotone flag. *)
+type workload = Plan.t -> int -> worker
+(** What each worker domain runs.  [with_session] applies it to the
+    plan once, after it has selected the plan's core (so the workload's
+    t-variables belong to that core), then to each domain index.  Every
+    transaction of every domain should conflict with every other
+    domain's, so that a crashed lock holder strands the whole peer set
+    as the plan's expectations describe. *)
 
-val session_injected : session -> int -> int
-(** Faults injected into the domain so far (non-[Proceed] handler
-    actions). *)
-
-(** {2 Reusable fault dispatch}
-
-    The plan's fault decisions run on a per-domain operation clock in
-    domain-local state; any harness driving its own worker domains (the
-    tm_serve chaos serving sessions) can reuse them: each worker calls
-    {!bind_fault} with its fault and counters before its first
-    transaction and {!unbind_fault} on the way out, while the harness
-    subscribes {!fault_handler}. *)
-
-val fault_handler : Tm_stm.Stm.Obs.subscriber
-(** The plan-driven subscriber: on a domain with a bound fault, at each
-    fault site ([Read], [Lock], [Validate], [Publish], [Commit]) it
-    ticks the domain's op clock, decides the action the fault
-    prescribes at that instant, and counts non-[Proceed] decisions into
-    the injected counter; elsewhere it is a constant [Proceed]. *)
-
-val bind_fault :
-  Plan.fault ->
-  ops:Tm_telemetry.Instrument.counter ->
-  injected:Tm_telemetry.Instrument.counter ->
-  unit
-(** Bind the calling domain's fault identity.  [ops] becomes the
-    domain's operation clock ({!fault_handler} increments it at every
-    fault site) and must be single-writer ([~shards:1]). *)
-
-val unbind_fault : unit -> unit
-(** Clear the calling domain's fault identity. *)
+val hot_set : tvars:int -> workload
+(** [tvars] shared t-variables (at least 2); every transaction
+    increments t-variable 0 and one other drawn per domain. *)
 
 val with_session :
-  ?tvars:int ->
   ?blame:bool ->
   ?latency:bool ->
   ?registry:Tm_telemetry.Registry.t ->
+  workload:workload ->
   Plan.t ->
   (session -> 'a) ->
   'a
-(** [with_session plan f] selects the plan's STM core ([plan.algo],
-    restored after the workers are joined), subscribes the plan's fault
-    handler, spawns one worker domain per plan slot and applies [f] to
-    the live session; on return (or exception) it stops and joins the
-    workers and unsubscribes the handler.  When the plan combines a
-    crasher with a parasite (the mixed scenario) the parasite's onset
-    additionally waits for the crasher to have died, so the faults land
-    in the causal order the expectations describe.  [registry] is where the session registers its
-    instruments (default: a fresh private one) — pass a shared registry
-    to co-locate chaos counters with e.g. {!Tm_telemetry.Stm_probe}
+(** [with_session ~workload plan f] selects the plan's STM core
+    ([plan.algo], restored after the workers are joined), subscribes the
+    plan's fault handler, spawns one worker domain per plan slot running
+    [workload] and applies [f] to the live session; on return (or
+    exception) it stops and joins the workers and unsubscribes the
+    handler.  When the plan combines a crasher with a parasite (the
+    mixed scenario) the parasite's onset additionally waits for the
+    crasher to have died, so the faults land in the causal order the
+    expectations describe.  [registry] is where the session registers
+    its instruments (default: a fresh private one) — pass a shared
+    registry to co-locate chaos counters with e.g.
+    {!Tm_telemetry.Stm_probe}
     phase metrics in one scrape.
 
     [blame] (default false) additionally registers a
@@ -149,28 +135,30 @@ type outcome = {
 }
 
 val run :
-  ?tvars:int ->
   ?blame:bool ->
   ?latency:bool ->
   ?warmup:float ->
   ?window:float ->
   ?registry:Tm_telemetry.Registry.t ->
   ?on_sample:(Tm_telemetry.Registry.snapshot -> unit) ->
+  workload:workload ->
   Plan.t ->
   outcome
-(** [run plan] executes the plan and classifies every domain.  [tvars]
-    sizes the shared hot set (default 4), [warmup] is the settle time in
-    seconds before the first sample (default 0.05 — fault onsets are a
-    few hundred operations in, i.e. microseconds, so the window observes
-    the steady faulty state; the warm-up is extended by up to 2 s until
-    every crash and parasitic onset has landed), [window] the
-    observation time between samples (default 0.15).  With [blame]
-    armed, the graph counts from the first sample
-    ({!Tm_telemetry.Blame_graph.mark}), and the workers also run on after the window, by up to 2 s, until
-    every domain the window classified starving has
-    {!Tm_telemetry.Blame_graph.min_events} witnessed blame events, so a
-    victim short of CPU is attributed rather than read as quiet.  The
-    subscribers are removed before returning, even on exceptions.
+(** [run ~workload plan] executes the plan and classifies every domain.
+    [warmup] is the settle time in seconds before the first sample
+    (default 0.05 — fault onsets are a few hundred operations in, i.e.
+    microseconds, so the window observes the steady faulty state; the
+    warm-up is extended by up to 2 s until every crash and parasitic
+    onset has landed), [window] the observation time between samples
+    (default 0.15).  With [blame] armed, the graph counts from the first
+    sample ({!Tm_telemetry.Blame_graph.mark}), and the workers also run
+    on after the window, by up to 2 s, until every domain the window
+    classified starving has {!Tm_telemetry.Blame_graph.min_events}
+    witnessed blame events, so a victim short of CPU is attributed
+    rather than read as quiet.  The window and both waits are the same
+    for every workload: the hot set and the serving path are classified
+    by this one window.  The subscribers are removed before returning,
+    even on exceptions.
 
     [registry] and [on_sample] expose the run's telemetry: the watchdog
     scrapes the session registry right after each of its two samples
@@ -180,9 +168,9 @@ val run :
     stateset in the final scrape byte-agrees with the verdicts in the
     returned reports.
 
-    Note: after a crash-holding-locks run the hot t-variables stay
-    locked forever by the dead domain — they are private to the run and
-    simply dropped.  Core-global lock state stranded by a crash (the
+    Note: after a crash-holding-locks run the workload's t-variables
+    stay locked forever by the dead domain — they are private to the
+    run and simply dropped.  Core-global lock state stranded by a crash (the
     global-lock serializer, NOrec's sequence lock) is instead released
     via [Stm.recover] once the workers are joined, so one crashed run
     cannot starve later runs of the same core in this process. *)

@@ -2,7 +2,6 @@ module Stm = Tm_stm.Stm
 module Tel = Tm_telemetry
 module Plan = Tm_chaos.Plan
 module Runner = Tm_chaos.Runner
-module Emp = Tm_liveness.Empirical
 
 let now_ns () = Int64.to_int (Monotonic_clock.now ())
 let drain_units = 12
@@ -495,126 +494,13 @@ let pp_summary ppf o =
 
 (* {2 Chaos against the serving path} *)
 
-type session = {
-  k_plan : Plan.t;
-  k_config : config;
-  k_registry : Tel.Registry.t;
-  k_liveness : Tel.Liveness_gauge.t;
-  k_blame : Tel.Blame_graph.t option;
-  k_ops : Tel.Instrument.counter array;
-  k_attempts : Tel.Instrument.counter array;
-  k_trycs : Tel.Instrument.counter array;
-  k_commits : Tel.Instrument.counter array;
-  k_crashed : Tel.Instrument.gauge array;
-  k_latency : Tel.Latency_recorder.t option;
-}
-
-let session_plan s = s.k_plan
-let session_config s = s.k_config
-let session_registry s = s.k_registry
-let session_liveness s = s.k_liveness
-let session_blame s = s.k_blame
-let session_latency s = s.k_latency
-
-let session_sample s d =
-  let v a = Tel.Instrument.value a.(d) in
-  let attempts = v s.k_attempts in
-  let commits = v s.k_commits in
-  {
-    Runner.ops = v s.k_ops;
-    trycs = v s.k_trycs;
-    commits;
-    aborts = max 0 (attempts - commits);
-  }
-
-let session_samples s = Array.init s.k_plan.Plan.domains (session_sample s)
-
-exception Stop_worker
-
-(* The chaos executor serves the same request stream, but cycling its
-   client rotation forever (a starving domain never finishes a fixed
-   quota) with admission and batching off and the journal marked on
-   {e every} request — even a pure get conflicts on the journal, so the
-   per-algorithm expectations of the shared-hot-t-variable chaos runner
-   carry over verbatim to the serving path.  Parasite takeover mirrors
-   {!Tm_chaos.Runner}: a private-read spin under the non-blocking
-   cores, an in-body takeover under the global-lock serializer. *)
-let chaos_worker ~stop ~cfg ~wl ~store ~mine ~fault ~parasite_gate ~ops
-    ~injected ~attempts ~trycs ~commits ~crashed ~lat d () =
-  Runner.bind_fault fault ~ops ~injected;
-  Stm.Obs.set_self d;
-  let parasitic_from =
-    match fault with Plan.Parasitic { from_op } -> Some from_op | _ -> None
-  in
-  let parasitic_now () =
-    match parasitic_from with
-    | Some from -> parasite_gate () && Tel.Instrument.value ops >= from
-    | None -> false
-  in
-  let parasite_spin () =
-    while true do
-      ignore (Stm.read mine);
-      if Atomic.get stop then raise Stop_worker;
-      Domain.cpu_relax ()
-    done
-  in
-  let in_body_takeover = cfg.c_algo = Stm.Algo.Global_lock in
-  (* The chaos path is its own load generator, so "scheduled arrival" is
-     the moment a request starts; the slot deliberately stays marked if
-     the body dies on [Stm.Obs.Crashed] — a dead domain's in-flight
-     request is exactly the censored sample the open-loop quantiles must
-     keep seeing grow. *)
-  let mark () =
-    let sched = Tel.Latency_recorder.now_ns () in
-    Option.iter (fun r -> Tel.Latency_recorder.mark r d ~sched) lat;
-    sched
-  in
-  let complete sched =
-    Option.iter
-      (fun r ->
-        Tel.Latency_recorder.complete r d ~start:sched
-          ~finish:(Tel.Latency_recorder.now_ns ()))
-      lat
-  in
-  let buf = Store.buffer () in
-  let body () =
-    if Atomic.get stop then raise Stop_worker;
-    Tel.Instrument.incr attempts;
-    Store.run store buf;
-    if in_body_takeover && parasitic_now () then parasite_spin ();
-    Store.journal_mark store 1;
-    Tel.Instrument.incr trycs
-  in
-  let client = ref d and index = ref 0 in
-  (try
-     while not (Atomic.get stop) do
-       if (not in_body_takeover) && parasitic_now () then begin
-         ignore (mark ());
-         Stm.atomically (fun () ->
-             Tel.Instrument.incr attempts;
-             parasite_spin ())
-       end
-       else begin
-         Workload.fill wl buf ~client:!client ~index:!index;
-         let sched = mark () in
-         Stm.atomically body;
-         Tel.Instrument.incr commits;
-         complete sched;
-         client := !client + cfg.c_domains;
-         if !client >= cfg.c_clients then begin
-           client := d;
-           index := (!index + 1) mod cfg.c_ops
-         end
-       end
-     done
-   with
-  | Stop_worker -> ()
-  | Stm.Obs.Crashed -> Tel.Instrument.set_gauge crashed 1);
-  Stm.Obs.set_self (-1);
-  Runner.unbind_fault ()
-
-let with_chaos_session ?(blame = false) ?(latency = false) ?registry
-    (plan : Plan.t) cfg f =
+(* Each worker serves the same request stream, but cycling its client
+   rotation forever (a starving domain never finishes a fixed quota)
+   with admission and batching off and the journal marked on {e every}
+   request — even a pure get conflicts on the journal, so the
+   per-algorithm expectations of the hot-set workload carry over
+   verbatim to the serving path. *)
+let chaos_workload cfg (plan : Plan.t) =
   let cfg =
     {
       cfg with
@@ -626,220 +512,64 @@ let with_chaos_session ?(blame = false) ?(latency = false) ?registry
     }
   in
   validate cfg;
-  let nd = cfg.c_domains in
-  let reg =
-    match registry with Some r -> r | None -> Tel.Registry.create ()
-  in
-  let per name help =
-    Array.init nd (fun d ->
-        Tel.Registry.counter reg ~shards:1
-          ~labels:[ ("domain", string_of_int d) ]
-          ~help name)
-  in
-  let ops =
-    per "tm_serve_ops_total"
-      "Interception-point firings (the executor's operation clock)"
-  in
-  let attempts = per "tm_serve_attempts_total" "Request attempts started" in
-  let trycs = per "tm_serve_trycs_total" "Request bodies that reached tryC" in
-  let commits = per "tm_serve_commits_total" "Requests committed" in
-  let injected =
-    per "tm_serve_injected_total" "Faults injected (non-Proceed actions)"
-  in
-  let crashed =
-    Array.init nd (fun d ->
-        Tel.Registry.gauge reg
-          ~labels:[ ("domain", string_of_int d) ]
-          ~help:"1 after the executor died on Stm.Obs.Crashed"
-          "tm_serve_crashed")
-  in
-  let sources =
-    Array.init nd (fun d ->
-        Tel.Liveness_gauge.source
-          ~ops:(fun () -> Tel.Instrument.value ops.(d))
-          ~trycs:(fun () -> Tel.Instrument.value trycs.(d))
-          ~commits:(fun () -> Tel.Instrument.value commits.(d))
-          ~aborts:(fun () ->
-            max 0
-              (Tel.Instrument.value attempts.(d)
-              - Tel.Instrument.value commits.(d))))
-  in
-  let liveness = Tel.Liveness_gauge.create reg ~sources in
-  let blame_graph =
-    if blame then Some (Tel.Blame_graph.create reg ~domains:nd) else None
-  in
-  (* The chaos executor is an unthrottled generator, so the expected
-     inter-arrival for the coordinated-omission correction is the
-     request service time scale (~50us), not a wall-clock rate. *)
-  let lat =
-    if latency then
-      Some
-        (Tel.Latency_recorder.create ~registry:reg ~metric:"tm_serve_lat"
-           ~interval_ns:50_000 ~domains:nd ())
-    else None
-  in
-  let ses =
-    {
-      k_plan = plan;
-      k_config = cfg;
-      k_registry = reg;
-      k_liveness = liveness;
-      k_blame = blame_graph;
-      k_ops = ops;
-      k_attempts = attempts;
-      k_trycs = trycs;
-      k_commits = commits;
-      k_crashed = crashed;
-      k_latency = lat;
-    }
-  in
-  let prev_algo = Stm.algo () in
-  Stm.set_algo plan.Plan.algo;
   let store =
     Store.create ~stripes:cfg.c_stripes ~journal:true ~keys:cfg.c_keys ()
   in
   let wl = workload cfg in
-  let priv = Array.init nd (fun _ -> Stm.tvar 0) in
-  let stop = Atomic.make false in
-  (* Mixed crash+parasite plans are causal: the parasite waits for the
-     crasher to have died (see Tm_chaos.Runner). *)
-  let parasite_gate =
-    match
-      Array.to_list plan.Plan.faults
-      |> List.mapi (fun d fl -> (d, fl))
-      |> List.find_map (fun (d, fl) ->
-             match fl with Plan.Crash _ -> Some d | _ -> None)
-    with
-    | None -> fun () -> true
-    | Some cd -> fun () -> Tel.Instrument.gauge_value crashed.(cd) = 1
-  in
-  let subs =
-    Stm.Obs.subscribe Runner.fault_handler
-    :: Option.fold ~none:[]
-         ~some:(fun g -> [ Stm.Obs.subscribe (Tel.Blame_graph.subscriber g) ])
-         blame_graph
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter Stm.Obs.unsubscribe subs;
-      Stm.recover ();
-      Stm.set_algo prev_algo)
-    (fun () ->
-      let ds =
-        List.init nd (fun d ->
-            Domain.spawn
-              (chaos_worker ~stop ~cfg ~wl ~store ~mine:priv.(d)
-                 ~fault:plan.Plan.faults.(d) ~parasite_gate ~ops:ops.(d)
-                 ~injected:injected.(d) ~attempts:attempts.(d)
-                 ~trycs:trycs.(d) ~commits:commits.(d) ~crashed:crashed.(d)
-                 ~lat d))
-      in
-      let finish () =
-        Atomic.set stop true;
-        List.iter Domain.join ds
-      in
-      match f ses with
-      | v ->
-          finish ();
-          v
-      | exception e ->
-          finish ();
-          raise e)
+  fun d ->
+    let buf = Store.buffer () in
+    let client = ref d and index = ref 0 in
+    {
+      Runner.next =
+        (fun () ->
+          Workload.fill wl buf ~client:!client ~index:!index;
+          client := !client + cfg.c_domains;
+          if !client >= cfg.c_clients then begin
+            client := d;
+            index := (!index + 1) mod cfg.c_ops
+          end);
+      body =
+        (fun takeover ->
+          Store.run store buf;
+          takeover ();
+          Store.journal_mark store 1);
+    }
 
-type chaos_outcome = {
-  k_plan : Plan.t;
-  k_profile : Workload.profile;
-  k_reports : Runner.report list;
-  k_ok : bool;
-}
+let chaos_run ?warmup ?window ?on_sample plan cfg =
+  Runner.run ?warmup ?window ?on_sample ~workload:(chaos_workload cfg) plan
 
-let counters_of (s : Runner.sample) =
-  Emp.counters ~ops:s.Runner.ops ~trycs:s.Runner.trycs
-    ~commits:s.Runner.commits ~aborts:s.Runner.aborts
-
-let chaos_run ?blame ?latency ?(warmup = 0.05) ?(window = 0.15) ?registry
-    ?on_sample (plan : Plan.t) cfg =
-  let nd = plan.Plan.domains in
-  let scrape ses ts =
-    match on_sample with
-    | Some f ->
-        Option.iter Tel.Blame_graph.refresh ses.k_blame;
-        Option.iter
-          (fun r ->
-            Tel.Latency_recorder.publish r
-              ~now:(Tel.Latency_recorder.now_ns ()))
-          ses.k_latency;
-        f (Tel.Registry.scrape ses.k_registry ~ts)
-    | None -> ()
-  in
-  let first, last, ses =
-    with_chaos_session ?blame ?latency ?registry plan cfg (fun ses ->
-        Unix.sleepf warmup;
-        let first = session_samples ses in
-        Tel.Liveness_gauge.rebase_with ses.k_liveness
-          (Array.map counters_of first);
-        scrape ses 0;
-        Unix.sleepf window;
-        let last = session_samples ses in
-        ignore
-          (Tel.Liveness_gauge.update_with ses.k_liveness
-             (Array.map counters_of last));
-        scrape ses 1;
-        (first, last, ses))
-  in
-  let reports =
-    List.init nd (fun d ->
-        {
-          Runner.rep_domain = d;
-          rep_fault = plan.Plan.faults.(d);
-          rep_expected = plan.Plan.expected.(d);
-          rep_observed =
-            Emp.classify_counters ~first:(counters_of first.(d))
-              ~last:(counters_of last.(d));
-          rep_first = first.(d);
-          rep_last = last.(d);
-          rep_crashed = Tel.Instrument.gauge_value ses.k_crashed.(d) = 1;
-        })
-  in
-  {
-    k_plan = plan;
-    k_profile = cfg.c_profile;
-    k_reports = reports;
-    k_ok = List.for_all Runner.report_ok reports;
-  }
-
-let pp_chaos_table ppf o =
+let pp_chaos_table profile ppf (o : Runner.outcome) =
   Fmt.pf ppf "@[<v>tmserve chaos %s profile=%s algo=%s seed=%d domains=%d@,"
-    o.k_plan.Plan.scenario
-    (Workload.profile_name o.k_profile)
-    (Stm.Algo.name o.k_plan.Plan.algo)
-    o.k_plan.Plan.seed o.k_plan.Plan.domains;
-  List.iter (fun r -> Fmt.pf ppf "%a@," Runner.pp_report r) o.k_reports;
+    o.o_plan.Plan.scenario
+    (Workload.profile_name profile)
+    (Stm.Algo.name o.o_plan.Plan.algo)
+    o.o_plan.Plan.seed o.o_plan.Plan.domains;
+  List.iter (fun r -> Fmt.pf ppf "%a@," Runner.pp_report r) o.o_reports;
   Fmt.pf ppf "verdict: %s@]"
-    (if o.k_ok then "ok (serving path matches the scenario)"
+    (if o.o_ok then "ok (serving path matches the scenario)"
      else "MISMATCH (serving path contradicts the scenario)")
 
-let chaos_to_json o =
+let chaos_to_json profile (o : Runner.outcome) =
   let module Pc = Tm_liveness.Process_class in
   let b = Buffer.create 512 in
   Buffer.add_string b
     (Fmt.str
        "{\"subsystem\":\"tmserve\",\"scenario\":%S,\"profile\":%S,\"algo\":%S,\"seed\":%d,\"domains\":%d,\"ok\":%b,\"verdicts\":["
-       o.k_plan.Plan.scenario
-       (Workload.profile_name o.k_profile)
-       (Stm.Algo.name o.k_plan.Plan.algo)
-       o.k_plan.Plan.seed o.k_plan.Plan.domains o.k_ok);
+       o.o_plan.Plan.scenario
+       (Workload.profile_name profile)
+       (Stm.Algo.name o.o_plan.Plan.algo)
+       o.o_plan.Plan.seed o.o_plan.Plan.domains o.o_ok);
   List.iteri
     (fun i (r : Runner.report) ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b
         (Fmt.str
            "{\"domain\":%d,\"fault\":%S,\"expected\":%S,\"observed\":%S,\"ok\":%b,\"crashed\":%b}"
-           r.Runner.rep_domain
-           (Plan.fault_label r.Runner.rep_fault)
-           (Pc.cls_label r.Runner.rep_expected)
-           (Pc.cls_label r.Runner.rep_observed)
-           (Runner.report_ok r) r.Runner.rep_crashed))
-    o.k_reports;
+           r.rep_domain
+           (Plan.fault_label r.rep_fault)
+           (Pc.cls_label r.rep_expected)
+           (Pc.cls_label r.rep_observed)
+           (Runner.report_ok r) r.rep_crashed))
+    o.o_reports;
   Buffer.add_string b "]}";
   Buffer.contents b

@@ -221,79 +221,40 @@ val pp_summary : Format.formatter -> outcome -> unit
 
 (** {2 Chaos against the serving path}
 
-    A chaos serve session forces [journal] on and [batching] off: the
-    journal makes every request transaction conflict on one t-variable
-    (the serving analogue of the chaos runner's hot [shared.(0)]), so a
-    crash holding commit locks strands the whole peer set exactly as
-    the per-algorithm Figure-2 expectations in {!Tm_chaos.Plan}
-    describe.  Fault dispatch reuses {!Tm_chaos.Runner.fault_handler}
-    on the per-domain op clock. *)
+    Chaos on the serving path is a {!Tm_chaos.Runner.workload}: the
+    runner's worker loop, fault dispatch, instruments ([tm_chaos_*]),
+    watchdog window and reports, with each worker serving KV requests
+    instead of touching the hot set. *)
 
-type session
-
-val session_plan : session -> Tm_chaos.Plan.t
-val session_config : session -> config
-val session_registry : session -> Tm_telemetry.Registry.t
-val session_liveness : session -> Tm_telemetry.Liveness_gauge.t
-val session_blame : session -> Tm_telemetry.Blame_graph.t option
-
-val session_latency : session -> Tm_telemetry.Latency_recorder.t option
-(** The session's open-loop latency recorder (with [~latency:true]). *)
-
-val session_sample : session -> int -> Tm_chaos.Runner.sample
-val session_samples : session -> Tm_chaos.Runner.sample array
-
-val with_chaos_session :
-  ?blame:bool ->
-  ?latency:bool ->
-  ?registry:Tm_telemetry.Registry.t ->
-  Tm_chaos.Plan.t ->
-  config ->
-  (session -> 'a) ->
-  'a
-(** Spawn one serving executor per plan slot with the plan's faults
-    armed (the plan's algo and domain count override the config's;
-    batching off, journal on), apply the callback, then stop, join,
-    recover and restore — the serving twin of
-    {!Tm_chaos.Runner.with_session}.  Executors cycle their client
-    rotation indefinitely; per-domain counters register as
-    [tm_serve_{ops,attempts,trycs,commits,injected}_total] and a
-    [tm_serve_crashed] gauge, plus the standard liveness gauge (and a
-    blame graph with [~blame:true]).  With [~latency:true] a
-    {!Tm_telemetry.Latency_recorder} registers under [tm_serve_lat] in
-    the session registry; executors mark each request in flight before
-    its transaction and complete it after — a request whose body dies
-    on [Stm.Obs.Crashed] stays marked forever, so the open-loop p99
-    and the per-domain starvation age keep growing while the crashed
-    domain's closed-loop quantiles freeze. *)
-
-type chaos_outcome = {
-  k_plan : Tm_chaos.Plan.t;
-  k_profile : Workload.profile;
-  k_reports : Tm_chaos.Runner.report list;
-  k_ok : bool;
-}
+val chaos_workload : config -> Tm_chaos.Runner.workload
+(** One serving executor per plan slot.  The plan's algo and domain
+    count override the config's, batching is off, the journal is on and
+    [clients] is raised to at least the domain count.  Each executor
+    cycles its client rotation forever (a starving domain never
+    finishes a fixed quota) and marks the journal on {e every} request:
+    the journal makes every request transaction conflict on one
+    t-variable (the serving analogue of {!Tm_chaos.Runner.hot_set}'s
+    t-variable 0), so a crash holding commit locks strands the whole
+    peer set exactly as the per-algorithm Figure-2 expectations in
+    {!Tm_chaos.Plan} describe.
+    @raise Invalid_argument if the overridden config is invalid. *)
 
 val chaos_run :
-  ?blame:bool ->
-  ?latency:bool ->
   ?warmup:float ->
   ?window:float ->
-  ?registry:Tm_telemetry.Registry.t ->
   ?on_sample:(Tm_telemetry.Registry.snapshot -> unit) ->
   Tm_chaos.Plan.t ->
   config ->
-  chaos_outcome
-(** Watchdog two-sample classification of a chaos serve session, the
-    serving twin of {!Tm_chaos.Runner.run}: warmup (default 0.05 s),
-    first sample (liveness gauge rebased, scrape at ts 0), window
-    (default 0.15 s), second sample (gauge updated, scrape at ts 1),
-    then {!Tm_liveness.Empirical.classify_counters} verdicts against
-    the plan's expectations. *)
+  Tm_chaos.Runner.outcome
+(** {!Tm_chaos.Runner.run} with {!chaos_workload}: the same window,
+    onset and witness waits as [tmlive chaos]. *)
 
-val pp_chaos_table : Format.formatter -> chaos_outcome -> unit
+val pp_chaos_table :
+  Workload.profile -> Format.formatter -> Tm_chaos.Runner.outcome -> unit
+(** The runner's per-domain reports under a [tmserve chaos] header that
+    names the serving profile. *)
 
-val chaos_to_json : chaos_outcome -> string
+val chaos_to_json : Workload.profile -> Tm_chaos.Runner.outcome -> string
 (** Canonical verdict document, keyed like the chaos runner's but with
-    the serving profile:
+    the serving profile and classification fields only:
     [{"subsystem":"tmserve","scenario":...,"profile":...,...,"verdicts":[...]}]. *)

@@ -238,7 +238,10 @@ let test_chaos_rule_ignores_faultless_traces () =
 let run_scenario scenario seed =
   match Plan.make ~scenario ~seed ~domains:3 () with
   | Error m -> Alcotest.fail m
-  | Ok p -> Runner.run ~tvars:2 ~warmup:0.02 ~window:0.05 p
+  | Ok p ->
+      Runner.run ~warmup:0.02 ~window:0.05
+        ~workload:(Runner.hot_set ~tvars:2)
+        p
 
 let test_run_crash_holding_locks () =
   let o = run_scenario "crash-holding-locks" 7 in
@@ -275,7 +278,10 @@ let test_run_parasitic_only () =
 let run_scenario_algo algo scenario seed =
   match Plan.make ~algo ~scenario ~seed ~domains:3 () with
   | Error m -> Alcotest.fail m
-  | Ok p -> Runner.run ~tvars:2 ~warmup:0.02 ~window:0.05 p
+  | Ok p ->
+      Runner.run ~warmup:0.02 ~window:0.05
+        ~workload:(Runner.hot_set ~tvars:2)
+        p
 
 let check_peers name o want =
   if not o.Runner.o_ok then
@@ -368,7 +374,10 @@ module Bg = Tm_telemetry.Blame_graph
 let run_blame ?(warmup = 0.02) ?(window = 0.05) algo scenario seed =
   match Plan.make ~algo ~scenario ~seed ~domains:3 () with
   | Error m -> Alcotest.fail m
-  | Ok p -> Runner.run ~blame:true ~tvars:2 ~warmup ~window p
+  | Ok p ->
+      Runner.run ~blame:true ~warmup ~window
+        ~workload:(Runner.hot_set ~tvars:2)
+        p
 
 let classify_outcome o =
   match o.Runner.o_blame with
