@@ -68,3 +68,30 @@ let pp ppf = function
   | Res (p, r) -> Fmt.pf ppf "%a_%d" pp_response r p
 
 let to_string e = Fmt.str "%a" pp e
+
+type responses = {
+  r_ok : t array;
+  r_committed : t array;
+  r_aborted : t array;
+  r_values : t array array;
+}
+
+let responses ~nprocs ~values =
+  let per f = Array.init (nprocs + 1) f in
+  {
+    r_ok = per (fun p -> Res (p, Ok_written));
+    r_committed = per (fun p -> Res (p, Committed));
+    r_aborted = per (fun p -> Res (p, Aborted));
+    r_values = per (fun p -> Array.init values (fun v -> Res (p, Value v)));
+  }
+
+let response t p r =
+  if p < 0 || p >= Array.length t.r_ok then Res (p, r)
+  else
+    match r with
+    | Ok_written -> t.r_ok.(p)
+    | Committed -> t.r_committed.(p)
+    | Aborted -> t.r_aborted.(p)
+    | Value v ->
+        let vs = t.r_values.(p) in
+        if v >= 0 && v < Array.length vs then vs.(v) else Res (p, r)

@@ -72,3 +72,17 @@ val pp : Format.formatter -> t -> unit
 (** Prints in the paper's notation, e.g. [x0.read_1], [1_2], [C_1], [A_2]. *)
 
 val to_string : t -> string
+
+(** {2 Shared response events} *)
+
+type responses
+(** The response events of a run, built once: [ok], [C] and [A] for
+    every process in [\[0, nprocs\]], and reads of every value in
+    [\[0, values)].  A run that answers many polls takes its events
+    from here instead of allocating one per answer. *)
+
+val responses : nprocs:int -> values:int -> responses
+
+val response : responses -> proc -> response -> t
+(** [response t p r] is [Res (p, r)]: the table's shared event when [p]
+    and [r] are in its range, a fresh one otherwise. *)

@@ -259,6 +259,43 @@ let counter_plane_sum dump =
   Array.iteri (fun k v -> if k land 1 = 1 then acc := !acc + v) dump;
   !acc
 
+(* One executor domain's bookkeeping: plain fields that only the owning
+   domain writes while it serves, and that [run] reads only after
+   joining it (see Bookkeeping and publication in the .mli). *)
+type tally = {
+  mutable t_requests : int;
+  mutable t_admitted : int;
+  mutable t_shed : int;
+  mutable t_batched : int;
+  mutable t_mutators : int;
+  t_by_kind : int array;  (* admitted, by [Workload.kind_index] *)
+  t_lat : int array array;  (* per kind, log2 buckets as [Tel.Instrument] *)
+  t_lat_sum : int array;
+  t_lat_max : int array;
+}
+
+let tally nkinds =
+  {
+    t_requests = 0;
+    t_admitted = 0;
+    t_shed = 0;
+    t_batched = 0;
+    t_mutators = 0;
+    t_by_kind = Array.make nkinds 0;
+    t_lat =
+      Array.init nkinds (fun _ -> Array.make Tel.Instrument.hist_buckets 0);
+    t_lat_sum = Array.make nkinds 0;
+    t_lat_max = Array.make nkinds 0;
+  }
+
+(* [Tel.Instrument.observe]'s bucket, sum and max rules, without its
+   atomics. *)
+let tally_latency t kind ns =
+  let b = t.t_lat.(kind) and i = Tel.Instrument.bucket_of ns in
+  b.(i) <- b.(i) + 1;
+  t.t_lat_sum.(kind) <- t.t_lat_sum.(kind) + max 0 ns;
+  if ns > t.t_lat_max.(kind) then t.t_lat_max.(kind) <- ns
+
 let run ?on_sample cfg =
   validate cfg;
   Stm.with_algo cfg.c_algo @@ fun () ->
@@ -288,13 +325,11 @@ let run ?on_sample cfg =
   let by_kind =
     Array.map
       (fun k ->
-        Tel.Registry.counter reg
+        Tel.Registry.counter reg ~shards:1
           ~labels:[ ("kind", k) ]
           ~help:"Admitted requests by kind" "tm_serve_admitted_kind_total")
       kinds
   in
-  (* Measured, non-canonical: bare instruments, never scraped. *)
-  let lat = Array.map (fun _ -> Tel.Instrument.histogram ()) kinds in
   (* The open-loop recorder is registry-free on purpose: its samples are
      wall-clock measurements, and the canonical scrape must not see
      them. *)
@@ -328,6 +363,7 @@ let run ?on_sample cfg =
     let g_prev = ref (-1) in
     let x = executor ?combiner ~slot:d store in
     let buf = executor_buffer x in
+    let t = tally (Array.length kinds) in
     Atomic.incr ready;
     while Atomic.get go = 0 do
       Domain.cpu_relax ()
@@ -348,24 +384,25 @@ let run ?on_sample cfg =
               done;
               at
         in
-        Tel.Instrument.incr requests.(d);
-        if not adm then Tel.Instrument.incr shed.(d)
+        t.t_requests <- t.t_requests + 1;
+        if not adm then t.t_shed <- t.t_shed + 1
         else begin
-          Tel.Instrument.incr admitted.(d);
+          t.t_admitted <- t.t_admitted + 1;
           let kind = Store.kind buf in
-          Tel.Instrument.incr by_kind.(kind);
-          if Store.mutates buf then Tel.Instrument.incr mutators.(d);
+          t.t_by_kind.(kind) <- t.t_by_kind.(kind) + 1;
+          if Store.mutates buf then t.t_mutators <- t.t_mutators + 1;
           (match recorder with
           | Some r -> Tel.Latency_recorder.mark r d ~sched
           | None -> ());
           let start = now_ns () in
-          if serve x then Tel.Instrument.incr batched.(d);
+          if serve x then t.t_batched <- t.t_batched + 1;
           let finish = now_ns () in
-          Tel.Instrument.observe lat.(kind) (finish - start);
+          tally_latency t kind (finish - start);
           match recorder with
           | Some r -> Tel.Latency_recorder.complete r d ~start ~finish
           | None -> ()
-        end)
+        end);
+    t
   in
   let ds = List.init nd (fun d -> Domain.spawn (worker d)) in
   while Atomic.get ready < nd do
@@ -373,33 +410,60 @@ let run ?on_sample cfg =
   done;
   let t0 = Unix.gettimeofday () in
   Atomic.set go (now_ns ());
-  List.iter Domain.join ds;
+  (* Publication: the join orders each executor's writes before these
+     plain reads. *)
+  let tallies = Array.of_list (List.map Domain.join ds) in
   let wall = Unix.gettimeofday () -. t0 in
+  let sum f = Array.fold_left (fun acc t -> acc + f t) 0 tallies in
+  Array.iteri
+    (fun d t ->
+      Tel.Instrument.add requests.(d) t.t_requests;
+      Tel.Instrument.add admitted.(d) t.t_admitted;
+      Tel.Instrument.add shed.(d) t.t_shed;
+      Tel.Instrument.add batched.(d) t.t_batched;
+      Tel.Instrument.add mutators.(d) t.t_mutators)
+    tallies;
+  let s_by_kind =
+    List.mapi
+      (fun k name ->
+        let n = sum (fun t -> t.t_by_kind.(k)) in
+        Tel.Instrument.add by_kind.(k) n;
+        (name, n))
+      Workload.kinds
+  in
   scrape (total_requests cfg);
   let commits1, aborts1 = Stm.stats () in
-  let v a d = Tel.Instrument.value a.(d) in
-  let sum a = Array.fold_left (fun acc c -> acc + Tel.Instrument.value c) 0 a in
-  let mut_total = sum mutators in
+  (* Measured, non-canonical: bare histograms, never scraped. *)
+  let latency k name =
+    let h = Tel.Instrument.histogram ~shards:1 () in
+    Array.iter
+      (fun t ->
+        Tel.Instrument.absorb h ~buckets:t.t_lat.(k) ~sum:t.t_lat_sum.(k)
+          ~max_sample:t.t_lat_max.(k))
+      tallies;
+    { l_kind = name; l_snap = Tel.Instrument.hist_snapshot h }
+  in
+  let mut_total = sum (fun t -> t.t_mutators) in
   let dump = Store.dump store in
   {
     s_config = cfg;
-    s_requests = sum requests;
-    s_admitted = sum admitted;
-    s_shed = sum shed;
-    s_batched = sum batched;
+    s_requests = sum (fun t -> t.t_requests);
+    s_admitted = sum (fun t -> t.t_admitted);
+    s_shed = sum (fun t -> t.t_shed);
+    s_batched = sum (fun t -> t.t_batched);
     s_mutators = mut_total;
-    s_by_kind =
-      Array.to_list
-        (Array.map2 (fun k c -> (k, Tel.Instrument.value c)) kinds by_kind);
+    s_by_kind;
     s_per_domain =
-      Array.init nd (fun d ->
+      Array.map
+        (fun t ->
           {
-            d_requests = v requests d;
-            d_admitted = v admitted d;
-            d_shed = v shed d;
-            d_batched = v batched d;
-            d_mutators = v mutators d;
-          });
+            d_requests = t.t_requests;
+            d_admitted = t.t_admitted;
+            d_shed = t.t_shed;
+            d_batched = t.t_batched;
+            d_mutators = t.t_mutators;
+          })
+        tallies;
     s_journal_ok =
       (not cfg.c_journal) || Store.journal_value store = mut_total;
     s_conserved = counter_plane_sum dump = 0;
@@ -411,11 +475,7 @@ let run ?on_sample cfg =
       Option.fold ~none:0
         ~some:(fun cb -> Tel.Instrument.value cb.cb_flushes)
         combiner;
-    s_latency =
-      Array.to_list
-        (Array.map2
-           (fun k h -> { l_kind = k; l_snap = Tel.Instrument.hist_snapshot h })
-           kinds lat);
+    s_latency = List.mapi latency Workload.kinds;
     s_open =
       Option.map
         (fun r -> Tel.Latency_recorder.summary r ~now:(now_ns ()))

@@ -36,7 +36,26 @@
     as one transaction.  Under a hot Zipfian stripe this turns k
     conflicting one-put transactions into one k-put transaction.
     Neither publishing, waiting nor flushing allocates: a combined put
-    costs what an uncombined one does. *)
+    costs what an uncombined one does.
+
+    {2 Bookkeeping and publication}
+
+    Each executor domain counts into its own tally of plain fields:
+    requests, admitted, shed, batched and mutators, admitted requests by
+    kind, and per-kind log2 latency buckets with their sum and maximum.
+    No atomic is touched per request.  The worker returns its tally
+    through [Domain.join], which orders every write the domain made
+    before [run]'s reads of it, so those plain reads are exact.  After
+    the join, {!run} builds {!outcome} from the tallies, adds them into
+    its registered [tm_serve_*] counters once per instrument and folds
+    the latency buckets into histograms with
+    {!Tm_telemetry.Instrument.absorb}, all before the final scrape.
+    The rule this relies on: {!run}'s instruments have no live reader.
+    A scrape sees them only at [ts = 0] (all zero) and at
+    [ts = total_requests] (after publication).  [tmlive top --serve]
+    reads the chaos runner's instruments, not these.  The combiner's
+    flush counter and the open-loop {!Tm_telemetry.Latency_recorder},
+    whose in-flight gauges are read live, stay atomic. *)
 
 val drain_units : int
 (** Queue units drained per arriving request (12). *)
@@ -208,7 +227,10 @@ val run :
     [tm_serve_batched_total], [tm_serve_mutators_total] per domain and
     [tm_serve_admitted_kind_total] per kind), so for a fixed
     (profile, seed, domains, algo) the export is byte-deterministic —
-    latency histograms are measured and deliberately kept out. *)
+    latency histograms are measured and deliberately kept out.  The
+    final scrape and the outcome hold the same counts: both come from
+    the executors' tallies, published after the join (see Bookkeeping
+    and publication above). *)
 
 val to_json : outcome -> string
 (** The canonical serve document — configuration and plan-determined

@@ -141,9 +141,7 @@ let run ?trace ?on_event (entry : Tm_impl.Registry.entry) s =
     per_proc (fun p -> Array.map (fun r -> Event.Inv (p, r)) reads)
   in
   let inv_tryc = per_proc (fun p -> Event.Inv (p, Event.Try_commit)) in
-  let res_ok = per_proc (fun p -> Event.Res (p, Event.Ok_written)) in
-  let res_commit = per_proc (fun p -> Event.Res (p, Event.Committed)) in
-  let res_abort = per_proc (fun p -> Event.Res (p, Event.Aborted)) in
+  let responses = Event.responses ~nprocs:n ~values:0 in
   let in_range x = x >= 0 && x < s.ntvars in
   let read_inv x = if in_range x then reads.(x) else Event.Read x in
   let inv_event p (inv : Event.invocation) =
@@ -151,13 +149,6 @@ let run ?trace ?on_event (entry : Tm_impl.Registry.entry) s =
     | Event.Read x when in_range x -> inv_read.(p).(x)
     | Event.Try_commit -> inv_tryc.(p)
     | Event.Read _ | Event.Write _ -> Event.Inv (p, inv)
-  in
-  let res_event p (resp : Event.response) =
-    match resp with
-    | Event.Ok_written -> res_ok.(p)
-    | Event.Committed -> res_commit.(p)
-    | Event.Aborted -> res_abort.(p)
-    | Event.Value _ -> Event.Res (p, resp)
   in
   let commits = Array.make (n + 1) 0 in
   let aborts = Array.make (n + 1) 0 in
@@ -229,7 +220,7 @@ let run ?trace ?on_event (entry : Tm_impl.Registry.entry) s =
                   [ ("outcome", Tev.Str outcome) ])
            end
        | Event.Value _ | Event.Ok_written -> ());
-    record (res_event p resp);
+    record (Event.response responses p resp);
     match (resp : Event.response) with
     | Event.Value v -> (
         match inv with

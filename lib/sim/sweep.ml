@@ -134,6 +134,9 @@ let pp_table ppf results =
 module Exhaustive = struct
   type action = Invoke of Event.proc * Event.invocation | Poll of Event.proc
 
+  (* The largest read value whose response event is shared. *)
+  let max_shared_value = 63
+
   (* Depth-first, preorder.  A child node is its parent's TM advanced by
      one action, and the parent's history extended by the event that
      action produced (if any): O(1) TM steps per node.  A child takes a
@@ -146,7 +149,9 @@ module Exhaustive = struct
        the parent's instance itself: every [pending] read of the parent
        happened before it, and nothing reads the parent after it.
      The path is one array with the current length in [len]; [actions]
-     reads it, so it is valid only during the callback. *)
+     reads it, so it is valid only during the callback.  Answered polls
+     append shared events: [ok], [C], [A] and reads of the values the
+     menu writes (up to [max_shared_value]) come from one table. *)
   let run (entry : Tm_impl.Registry.entry) ~nprocs ~ntvars ~invocations
       ~depth ~on_history =
     let (module M) = entry.Tm_impl.Registry.impl in
@@ -154,6 +159,14 @@ module Exhaustive = struct
     if depth > 0 && nprocs > 0 then
       List.iter (Tm_impl.Tm_intf.Mailbox.check_range cfg 1) invocations;
     let polls = Array.init (nprocs + 1) (fun p -> Poll p) in
+    let written =
+      List.fold_left
+        (fun m -> function Event.Write (_, v) -> max m v | _ -> m)
+        0 invocations
+    in
+    let responses =
+      Event.responses ~nprocs ~values:(1 + min max_shared_value written)
+    in
     let menus =
       Array.init (nprocs + 1) (fun p ->
           Array.of_list
@@ -173,7 +186,7 @@ module Exhaustive = struct
               let tm' = if p = nprocs then tm else M.copy tm in
               let h' =
                 match M.poll tm' p with
-                | Some r -> History.append h (Event.Res (p, r))
+                | Some r -> History.append h (Event.response responses p r)
                 | None -> h
               in
               path.(i) <- polls.(p);

@@ -260,10 +260,19 @@ let test_run_crash_holding_locks () =
 
 let test_run_parasitic_only () =
   let o = run_scenario "parasitic-only" 5 in
+  let want d = if d = 0 then Pc.Parasitic else Pc.Progressing in
+  if
+    (not o.Runner.o_ok)
+    || List.exists
+         (fun (r : Runner.report) ->
+           Pc.cls_label r.Runner.rep_observed
+           <> Pc.cls_label (want r.Runner.rep_domain))
+         o.Runner.o_reports
+  then Fmt.epr "parasitic-only mismatch:@.%a@." Runner.pp_table o;
   Alcotest.(check bool) "verdicts match the expectation" true o.Runner.o_ok;
   List.iteri
     (fun d (r : Runner.report) ->
-      let want = if d = 0 then Pc.Parasitic else Pc.Progressing in
+      let want = want d in
       Alcotest.(check string)
         (Fmt.str "domain %d" d)
         (Pc.cls_label want)

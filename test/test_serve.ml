@@ -531,6 +531,68 @@ let test_server_telemetry_op_clock () =
     [ 0; Server.total_requests cfg ]
     ts
 
+(* The final scrape agrees with the outcome.  Executors count into
+   plain per-domain tallies that [Server.run] publishes into the
+   registry after joining them, and builds the outcome from; both views
+   must hold the same numbers, and each admitted request is observed
+   once in the per-kind latency histograms. *)
+let test_server_telemetry_agrees () =
+  List.iter
+    (fun (domains, batching) ->
+      let cfg = small_cfg ~profile:Workload.Mixed ~domains ~batching () in
+      let last = ref None in
+      let o = Server.run ~on_sample:(fun s -> last := Some s) cfg in
+      let snap = Option.get !last in
+      let what = Fmt.str "%d domains, batching %b" domains batching in
+      let num name labels =
+        Option.get (Tel.Registry.sample_num snap ~name ~labels)
+      in
+      let per_domain name total field =
+        let scraped = ref 0 and summed = ref 0 in
+        Array.iteri
+          (fun d pd ->
+            let v = num name [ ("domain", string_of_int d) ] in
+            Alcotest.(check int)
+              (Fmt.str "%s: %s domain %d" what name d)
+              (field pd) v;
+            scraped := !scraped + v;
+            summed := !summed + field pd)
+          o.Server.s_per_domain;
+        Alcotest.(check int) (Fmt.str "%s: %s total" what name) total !scraped;
+        Alcotest.(check int)
+          (Fmt.str "%s: %s per-domain sum" what name)
+          total !summed
+      in
+      per_domain "tm_serve_requests_total" o.Server.s_requests (fun d ->
+          d.Server.d_requests);
+      per_domain "tm_serve_admitted_total" o.Server.s_admitted (fun d ->
+          d.Server.d_admitted);
+      per_domain "tm_serve_shed_total" o.Server.s_shed (fun d ->
+          d.Server.d_shed);
+      per_domain "tm_serve_batched_total" o.Server.s_batched (fun d ->
+          d.Server.d_batched);
+      per_domain "tm_serve_mutators_total" o.Server.s_mutators (fun d ->
+          d.Server.d_mutators);
+      List.iter
+        (fun (k, n) ->
+          Alcotest.(check int)
+            (Fmt.str "%s: admitted %s" what k)
+            n
+            (num "tm_serve_admitted_kind_total" [ ("kind", k) ]))
+        o.Server.s_by_kind;
+      Alcotest.(check int)
+        (what ^ ": latency samples = admitted")
+        o.Server.s_admitted
+        (List.fold_left
+           (fun a l -> a + l.Server.l_snap.Tel.Instrument.count)
+           0 o.Server.s_latency);
+      Alcotest.(check bool)
+        (what ^ ": every count is exercised")
+        true
+        (o.Server.s_shed > 0 && o.Server.s_mutators > 0
+        && o.Server.s_batched > 0 = batching))
+    [ (1, true); (1, false); (2, true); (2, false) ]
+
 (* ------------------------------------------------------------------ *)
 (* Arrival schedules and the load curve. *)
 
@@ -787,6 +849,8 @@ let () =
             test_served_words;
           Alcotest.test_case "combined puts apply exactly once" `Quick
             test_server_combiner_exactly_once;
+          Alcotest.test_case "final scrape agrees with the outcome" `Quick
+            test_server_telemetry_agrees;
         ] );
       ( "arrival",
         [
