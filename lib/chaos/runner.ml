@@ -23,6 +23,8 @@ type session = {
   ses_trycs : Tel.Instrument.counter array;
   ses_commits : Tel.Instrument.counter array;
   ses_crashed : Tel.Instrument.gauge array;
+  ses_taken_over : bool Atomic.t array;
+      (* set by a parasite as it enters its spin: its takeover *)
   ses_latency : Tel.Latency_recorder.t option;
 }
 
@@ -155,8 +157,8 @@ exception Stop_worker
    never reaches tryC — it already holds the serializer, stranding
    every peer deterministically (prior reads in the set are harmless:
    the serializer validates nothing). *)
-let worker ~stop ~job ~mine ~algo ~fault ~parasite_gate ~ops ~injected
-    ~attempts ~trycs ~commits ~crashed ~lat d () =
+let worker ~stop ~job ~mine ~algo ~fault ~parasite_gate ~taken_over ~ops
+    ~injected ~attempts ~trycs ~commits ~crashed ~lat d () =
   Domain.DLS.get dls :=
     Some { ds_fault = fault; ds_ops = ops; ds_injected = injected };
   (* Open-loop latency: mark before the transaction, complete after.  A
@@ -187,6 +189,7 @@ let worker ~stop ~job ~mine ~algo ~fault ~parasite_gate ~ops ~injected
     | None -> false
   in
   let parasite_spin () =
+    Atomic.set taken_over true;
     while true do
       ignore (Stm.read mine);
       if Atomic.get stop then raise Stop_worker;
@@ -261,6 +264,7 @@ let with_session ?(blame = false) ?(latency = false) ?registry ~workload
           ~help:"1 after the worker died on Stm.Obs.Crashed"
           "tm_chaos_crashed")
   in
+  let taken_over = Array.init nd (fun _ -> Atomic.make false) in
   let sources =
     Array.init nd (fun d ->
         Tel.Liveness_gauge.source
@@ -296,6 +300,7 @@ let with_session ?(blame = false) ?(latency = false) ?registry ~workload
       ses_trycs = trycs;
       ses_commits = commits;
       ses_crashed = crashed;
+      ses_taken_over = taken_over;
       ses_latency = lat;
     }
   in
@@ -345,7 +350,8 @@ let with_session ?(blame = false) ?(latency = false) ?registry ~workload
         List.init nd (fun d ->
             Domain.spawn
               (worker ~stop ~job:(job d) ~mine:mine.(d) ~algo:plan.Plan.algo
-                 ~fault:plan.Plan.faults.(d) ~parasite_gate ~ops:ops.(d)
+                 ~fault:plan.Plan.faults.(d) ~parasite_gate
+                 ~taken_over:taken_over.(d) ~ops:ops.(d)
                  ~injected:injected.(d) ~attempts:attempts.(d)
                  ~trycs:trycs.(d) ~commits:commits.(d) ~crashed:crashed.(d)
                  ~lat d))
@@ -363,13 +369,14 @@ let with_session ?(blame = false) ?(latency = false) ?registry ~workload
           raise e)
 
 (* Whether domain [d]'s fault has taken effect: a crasher has died, a
-   parasite has reached its onset.  Other faults are active throughout
-   the run. *)
+   parasite has taken over.  A parasite's op clock passing its onset is
+   not enough: the transaction in flight at that point can still
+   commit, so only the entry into its spin counts.  Other faults are
+   active throughout the run. *)
 let onset_landed ses d =
   match ses.ses_plan.Plan.faults.(d) with
   | Plan.Crash _ -> session_crashed ses d
-  | Plan.Parasitic { from_op } ->
-      Tel.Instrument.value ses.ses_ops.(d) >= from_op
+  | Plan.Parasitic _ -> Atomic.get ses.ses_taken_over.(d)
   | _ -> true
 
 (* Onsets are a few hundred operations in, well inside the warm-up on
@@ -388,7 +395,8 @@ let await_onsets ses =
   in
   while (not (landed ())) && Unix.gettimeofday () < deadline do
     Unix.sleepf 0.001
-  done
+  done;
+  landed ()
 
 (* A starving domain's blame evidence is counted from the first sample
    and is attributed only from [Blame_graph.min_events] witnessed events on
@@ -442,7 +450,7 @@ let run ?blame ?latency ?(warmup = 0.05) ?(window = 0.15) ?registry
   let first, last, ses =
     with_session ?blame ?latency ?registry ~workload plan (fun ses ->
         Unix.sleepf warmup;
-        await_onsets ses;
+        ignore (await_onsets ses : bool);
         let first = samples ses in
         (* Attribute only what the window sees: contention from a long
            warm-up (a crasher slow to reach its crash op) would dilute

@@ -107,6 +107,14 @@ val with_session :
     domain's starvation age and the open-loop (censored) quantiles keep
     growing while the closed-loop ones freeze. *)
 
+val await_onsets : session -> bool
+(** Wait, for at most 2 s, until every fault's onset has landed: each
+    crasher has died and each parasite has taken over, that is, entered
+    its spin.  A parasite whose op clock passes its onset inside a
+    transaction takes over only once that transaction is done, so its
+    onset lands then, not at the op count.  [run]'s warm-up ends with
+    this wait.  Returns whether every onset landed. *)
+
 type report = {
   rep_domain : int;
   rep_fault : Plan.fault;

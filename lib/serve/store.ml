@@ -2,36 +2,33 @@ module Stm = Tm_stm.Stm
 module Prng = Tm_sim.Prng
 
 type t = {
-  st_keys : int;
   st_stripes : int;
-  (* st_dirs.(s).(i) holds key [i * stripes + s]: per-stripe key
-     directories, so everything a combiner drains into one transaction
-     lives in one directory. *)
-  st_dirs : int Stm.tvar array array;
+  st_tvars : int Stm.tvar array;  (* indexed by key *)
   st_journal : int Stm.tvar option;
 }
 
 let create ?(stripes = 64) ?(journal = false) ~keys () =
   if keys < 1 then invalid_arg "Store.create: keys < 1";
   let stripes = max 1 (min stripes keys) in
-  let dir s =
-    let sz = (keys - s + stripes - 1) / stripes in
-    Array.init sz (fun _ -> Stm.tvar 0)
+  (* Stripe by stripe, so the ids are the old directories'; joined by
+     [Array.concat], which forces no minor GC as a large [Array.init] does. *)
+  let dirs =
+    Array.init stripes (fun s ->
+        Array.init ((keys - s + stripes - 1) / stripes) (fun _ -> Stm.tvar 0))
+  in
+  let row i =
+    Array.init (min stripes (keys - (i * stripes))) (fun s -> dirs.(s).(i))
   in
   {
-    st_keys = keys;
     st_stripes = stripes;
-    st_dirs = Array.init stripes dir;
+    st_tvars = Array.concat (List.init ((keys + stripes - 1) / stripes) row);
     st_journal = (if journal then Some (Stm.tvar 0) else None);
   }
 
-let keys t = t.st_keys
+let keys t = Array.length t.st_tvars
 let stripes t = t.st_stripes
 let stripe_of t k = k mod t.st_stripes
-
-let slot t k =
-  if k < 0 || k >= t.st_keys then invalid_arg "Store: key out of range";
-  t.st_dirs.(k mod t.st_stripes).(k / t.st_stripes)
+let[@inline] slot t k = t.st_tvars.(k)
 
 type op = O_get of int | O_put of int * int | O_add of int * int | O_cas of int * int * int
 type result = R_value of int | R_unit | R_bool of bool
@@ -192,12 +189,14 @@ let multi t ops =
    read: no transaction per key. *)
 let value t k = Stm.read (slot t k)
 
+(* In creation order, mostly the order in memory: key order strides. *)
 let dump t =
-  let a = Array.make t.st_keys 0 in
-  Array.iteri
-    (fun s dir ->
-      Array.iteri (fun i tv -> a.((i * t.st_stripes) + s) <- Stm.read tv) dir)
-    t.st_dirs;
+  let st = t.st_stripes and a = Array.make (keys t) 0 in
+  for s = 0 to st - 1 do
+    for i = 0 to (Array.length a - s - 1) / st do
+      a.((i * st) + s) <- Stm.read t.st_tvars.((i * st) + s)
+    done
+  done;
   a
 
 let sum t = Array.fold_left ( + ) 0 (dump t)

@@ -1,10 +1,12 @@
 (** A sharded transactional key-value table over [Stm] t-variables.
 
-    Keys are dense ints in [0 .. keys-1], striped round-robin over a
-    fixed stripe count: stripe [s] owns the directory of every key [k]
-    with [k mod stripes = s].  Each key is one [int Stm.tvar]; all
-    operations run inside [Stm.atomically] under whichever core is
-    selected, so a multi-key request is one transaction.
+    Keys are dense ints in [0 .. keys-1], each one [int Stm.tvar] in a
+    flat key-indexed table.  Stripe [s] owns every key [k] with
+    [k mod stripes = s], only as the flat combiner's unit; t-variables
+    are created stripe by stripe, so their ids (TL2's lock order) are
+    those of the old per-stripe directories.  All operations run inside
+    [Stm.atomically] under the selected core, so a multi-key request is
+    one transaction.
 
     An optional {e journal} t-variable turns every mutating transaction
     into a conflict on one shared location: the serving path marks the
@@ -26,7 +28,7 @@ val create : ?stripes:int -> ?journal:bool -> keys:int -> unit -> t
 val keys : t -> int
 val stripes : t -> int
 val stripe_of : t -> int -> int
-(** The stripe owning a key. *)
+(** The stripe owning a key: the combiner it batches through. *)
 
 (** {2 Transactional operations}
 

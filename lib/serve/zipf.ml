@@ -1,6 +1,6 @@
 module Prng = Tm_sim.Prng
 
-type t = { z_s : float; z_cum : float array }
+type t = { z_s : float; z_cum : float array; z_guide : int array }
 
 let create ?(s = 1.07) ~n () =
   if n < 1 then invalid_arg "Zipf.create: n < 1";
@@ -15,7 +15,16 @@ let create ?(s = 1.07) ~n () =
   for r = 0 to n - 1 do
     cum.(r) <- cum.(r) /. total
   done;
-  { z_s = s; z_cum = cum }
+  let rec pow2 m = if m < n then pow2 (2 * m) else m in
+  let m = pow2 1 and r = ref 0 in
+  let guide =
+    Array.init m (fun i ->
+        while !r < n - 1 && cum.(!r) <= float_of_int i /. float_of_int m do
+          incr r
+        done;
+        !r)
+  in
+  { z_s = s; z_cum = cum; z_guide = guide }
 
 let n t = Array.length t.z_cum
 let s t = t.z_s
@@ -27,16 +36,15 @@ let cumulative_mass t r =
 
 let mass t r = cumulative_mass t r -. cumulative_mass t (r - 1)
 
-(* First rank whose cumulative mass exceeds [u].  [u < 1.0] and the last
-   entry is exactly 1.0, so the search always lands in range. *)
+(* First rank whose cumulative mass exceeds [u].  Ranks before the entry of
+   bucket [floor (u * m)] have mass <= u; the last mass is 1.0 > u. *)
 let[@inline] sample_u t u =
-  let cum = t.z_cum in
-  let lo = ref 0 and hi = ref (Array.length cum - 1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if cum.(mid) > u then hi := mid else lo := mid + 1
+  let cum = t.z_cum and guide = t.z_guide in
+  let r = ref guide.(int_of_float (u *. float_of_int (Array.length guide))) in
+  while cum.(!r) <= u do
+    incr r
   done;
-  !lo
+  !r
 
 (* 53 uniform bits, the double-precision standard construction, drawn
    as a native int.  Both steps inline into [sample], so the variate

@@ -2,10 +2,15 @@
     inversion.
 
     Rank [r] has unnormalized mass [1 / (r+1)^s]; {!sample} draws a
-    uniform variate from a {!Tm_sim.Prng} generator and binary-searches
-    the cumulative table, so sampling is [O(log n)], allocates nothing
-    (the variate is never boxed), and is a pure function of the generator
-    state — the backbone of the deterministic serve workload. *)
+    uniform variate [u] from a {!Tm_sim.Prng} generator and inverts the
+    cumulative table by Chen and Asau's indexed search: a guide table
+    of [m] buckets ([m] the least power of two [>= n]) gives, for
+    bucket [floor (u * m)], the rank to scan up from.  A draw reads on
+    average at most [1 + n / m <= 2] masses (a binary search reads
+    [log2 n]) and returns exactly the binary search's rank, since [m]
+    is a power of two and the bucket is exact.  It allocates nothing
+    and is a pure function of the generator state — the backbone of
+    the deterministic serve workload. *)
 
 type t
 
@@ -26,7 +31,8 @@ val cumulative_mass : t -> int -> float
     the top [r+1] ranks. *)
 
 val sample_u : t -> float -> int
-(** Invert the cumulative table at a uniform variate in [[0, 1)]. *)
+(** Invert the cumulative table at a uniform variate [u] in [[0, 1)]:
+    the first rank whose cumulative mass exceeds [u]. *)
 
 val sample : t -> Tm_sim.Prng.t -> int
 (** Draw a rank, advancing the generator by exactly one [next]. *)

@@ -27,9 +27,10 @@ let[@inline] advance g =
   mix s
 
 let next g = advance g
-let bits g n = Int64.to_int (Int64.shift_right_logical (advance g) (64 - n))
+let[@inline] bits g n =
+  Int64.to_int (Int64.shift_right_logical (advance g) (64 - n))
 
-let int g bound =
+let[@inline] int g bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
   (* Keep 62 bits so the value fits OCaml's 63-bit native int. *)
   bits g 62 mod bound

@@ -5,7 +5,14 @@
 
     The state is one unboxed 64-bit word, updated in place: a generator
     is a 3-word block, and every draw except {!next} allocates nothing
-    (no [int64] is boxed on the way to an [int], a [bool] or {!bits}). *)
+    (no [int64] is boxed on the way to an [int], a [bool] or {!bits}).
+
+    {!bits} and {!int} are marked [[@inline]]: where the build inlines
+    across modules, a draw with a literal bound such as [int g 100]
+    compiles to a multiply and shift instead of a hardware divide, with
+    the same result.  Dune's dev profile compiles with [-opaque], which
+    turns cross-module inlining off, so there the attribute changes
+    nothing; the release profile inlines. *)
 
 type t
 

@@ -370,8 +370,73 @@ let test_run_trace_byte_identical () =
 
 let test_run_trace_lints_clean () =
   let o = run_scenario "parasitic-only" 13 in
+  let findings =
+    Tm_analysis.Engine.run_trace ~subject:"chaos" o.Runner.o_events
+  in
+  if findings <> [] then
+    Fmt.epr "parasitic-only findings:@.%a@.%a@." Tm_analysis.Finding.pp_report
+      findings Runner.pp_table o;
   Alcotest.(check int) "chaos trace passes the analyzer" 0
-    (List.length (Tm_analysis.Engine.run_trace ~subject:"chaos" o.Runner.o_events))
+    (List.length findings)
+
+(* A parasite whose op clock passes its onset inside a transaction
+   takes over only after that transaction: the onset wait must not
+   return while it is still in flight.  Domain 0's first transaction
+   reads past [from_op] (each read is one tick of its op clock) and then
+   holds until released; every later transaction of either domain is a
+   private read-increment. *)
+let test_onset_waits_for_takeover () =
+  let plan =
+    match
+      Plan.make ~algo:Stm.Algo.Tl2 ~scenario:"parasitic-only" ~seed:5
+        ~domains:2 ()
+    with
+    | Ok p -> p
+    | Error m -> Alcotest.fail m
+  in
+  let from_op =
+    match plan.Plan.faults.(0) with
+    | Plan.Parasitic { from_op } -> from_op
+    | _ -> Alcotest.fail "domain 0 is not the parasite"
+  in
+  let held = Atomic.make false and release = Atomic.make false in
+  let workload (_ : Plan.t) =
+    let tvs = Array.init 2 (fun _ -> Stm.tvar 0) in
+    fun d ->
+      {
+        Runner.next = ignore;
+        body =
+          (fun takeover ->
+            let v = Stm.read tvs.(d) in
+            if d = 0 && not (Atomic.get release) then begin
+              for _ = 1 to from_op do
+                ignore (Stm.read tvs.(d))
+              done;
+              Atomic.set held true;
+              while not (Atomic.get release) do
+                Domain.cpu_relax ()
+              done
+            end;
+            takeover ();
+            Stm.write tvs.(d) (v + 1));
+      }
+  in
+  Runner.with_session ~workload plan (fun ses ->
+      Fun.protect
+        ~finally:(fun () -> Atomic.set release true)
+        (fun () ->
+          let deadline = Unix.gettimeofday () +. 10.0 in
+          while (not (Atomic.get held)) && Unix.gettimeofday () < deadline do
+            Unix.sleepf 0.001
+          done;
+          Alcotest.(check bool) "the parasite holds past its onset" true
+            (Atomic.get held);
+          Alcotest.(check bool)
+            "no onset while the transaction is in flight" false
+            (Runner.await_onsets ses);
+          Atomic.set release true;
+          Alcotest.(check bool) "the onset lands at the takeover" true
+            (Runner.await_onsets ses)))
 
 (* ------------------------------------------------------------------ *)
 (* Blame-armed runs: the graph arrives in the outcome, classifies to
@@ -558,6 +623,8 @@ let () =
             test_run_trace_byte_identical;
           Alcotest.test_case "trace passes the analyzer" `Quick
             test_run_trace_lints_clean;
+          Alcotest.test_case "onset waits for the takeover" `Quick
+            test_onset_waits_for_takeover;
         ] );
       ( "blame",
         [

@@ -69,7 +69,54 @@ let test_zipf_hot_set_mass () =
   Alcotest.(check int) "u->1 inverts to the last rank" 999
     (Zipf.sample_u z 0.999999999)
 
+(* The first rank whose cumulative mass exceeds [u], by binary search
+   over [Zipf.cumulative_mass]: the rank [Zipf.sample_u] must return
+   for every [u] in [0, 1). *)
+let reference_rank z u =
+  let lo = ref 0 and hi = ref (Zipf.n z - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if Zipf.cumulative_mass z mid > u then hi := mid else lo := mid + 1
+  done;
+  !lo
+
+(* Exact, not approximate: every bucket edge [i / m] of the guide table
+   ([m] the least power of two >= n) and the float just below it, every
+   cumulative mass and its neighbours, and 100,000 uniform draws, over
+   sizes on both sides of a power of two and flat to very steep skews. *)
 let test_zipf_sample_matches_inversion () =
+  List.iter
+    (fun n ->
+      List.iter
+        (fun s ->
+          let z = Zipf.create ~s ~n () in
+          let check u =
+            if u >= 0.0 && u < 1.0 then begin
+              let got = Zipf.sample_u z u and want = reference_rank z u in
+              if got <> want then
+                Alcotest.failf "n=%d s=%g u=%h: sample_u %d, binary search %d"
+                  n s u got want
+            end
+          in
+          let rec pow2 m = if m < n then pow2 (2 * m) else m in
+          let m = pow2 1 in
+          for i = 0 to m - 1 do
+            let edge = float_of_int i /. float_of_int m in
+            check (Float.pred edge);
+            check edge
+          done;
+          for r = 0 to n - 1 do
+            let c = Zipf.cumulative_mass z r in
+            check (Float.pred c);
+            check c;
+            check (Float.succ c)
+          done;
+          let g = Prng.create n in
+          for _ = 1 to 100_000 do
+            check (Zipf.uniform01 g)
+          done)
+        [ 0.0; 0.5; 1.07; 2.0; 8.0 ])
+    [ 1; 2; 3; 97; 512; 513; 1000; 1024 ];
   let z = Zipf.create ~n:97 () in
   for seed = 0 to 20 do
     let g1 = Prng.create seed and g2 = Prng.create seed in
