@@ -989,8 +989,9 @@ let static_cmd =
          "Statically analyze the repo's own OCaml sources: cross-check \
           each core's seam emission sites against the Stm.Algo contract \
           tables, require every emission to sit behind its disarmed-check \
-          guard, flag non-rollbackable effects inside atomically bodies \
-          and seams armed without a paired teardown.  Exits 1 if any \
+          guard, flag non-rollbackable effects inside atomically bodies, \
+          seams armed without a paired teardown, and interface values \
+          nothing outside their module names.  Exits 1 if any \
           finding at or above $(b,--fail-on) is reported, so CI can gate \
           on it.")
     Term.(const run $ root $ rules $ format $ out $ fail_on_arg () $ list_rules)

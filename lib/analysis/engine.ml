@@ -53,18 +53,6 @@ let rules =
       severity = Finding.Error;
       doc = "the recomputed Figure-2 taxonomy is internally inconsistent";
     };
-    {
-      id = "live-class-mismatch";
-      family = Lasso_rule;
-      severity = Finding.Error;
-      doc = "a claimed process class disagrees with the recomputed one";
-    };
-    {
-      id = "live-verdict-mismatch";
-      family = Lasso_rule;
-      severity = Finding.Error;
-      doc = "a claimed TM-liveness verdict disagrees with the recomputed one";
-    };
     (* Trace lints. *)
     {
       id = "lock-overlap";
@@ -171,25 +159,13 @@ let filter_rules rules findings =
 let run_history ?rules ~subject h =
   filter_rules rules (History_lint.lint_history ~subject h)
 
-let run_lasso ?rules ?claimed_classes ?claimed_verdict ~subject l =
-  filter_rules rules
-    (History_lint.lint_lasso ?claimed_classes ?claimed_verdict ~subject l)
+let run_lasso ?rules ~subject l =
+  filter_rules rules (History_lint.lint_lasso ~subject l)
 
 let run_trace ?rules ~subject events =
   filter_rules rules (Trace_lint.lint_trace ~subject events)
 
 type fail_level = [ `Error | `Warning | `Never ]
-
-let fail_level_of_string = function
-  | "error" -> Some `Error
-  | "warning" -> Some `Warning
-  | "never" -> Some `Never
-  | _ -> None
-
-let fail_level_label = function
-  | `Error -> "error"
-  | `Warning -> "warning"
-  | `Never -> "never"
 
 let exit_code_at level findings =
   match level with

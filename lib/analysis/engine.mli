@@ -42,8 +42,6 @@ val run_history :
 
 val run_lasso :
   ?rules:string list ->
-  ?claimed_classes:(Event.proc * Tm_liveness.Process_class.cls) list ->
-  ?claimed_verdict:Tm_liveness.Property.verdict ->
   subject:string ->
   Lasso.t ->
   Finding.t list
@@ -58,11 +56,6 @@ type fail_level = [ `Error | `Warning | `Never ]
 (** The [--fail-on] threshold: which severities make a report a gating
     failure. [`Error] is the historical exit-1-on-errors behaviour;
     [`Warning] also fails on warnings; [`Never] always exits 0. *)
-
-val fail_level_of_string : string -> fail_level option
-(** ["error"], ["warning"], ["never"]. *)
-
-val fail_level_label : fail_level -> string
 
 val exit_code_at : fail_level -> Finding.t list -> int
 (** CI gating at a chosen threshold: [1] if any finding at or above

@@ -23,25 +23,9 @@ let severity_label = function
   | Warning -> "warning"
   | Error -> "error"
 
-let severity_of_label = function
-  | "info" -> Some Info
-  | "warning" -> Some Warning
-  | "error" -> Some Error
-  | _ -> None
-
 let is_error f = f.severity = Error
 
 let severity_rank = function Error -> 0 | Warning -> 1 | Info -> 2
-
-let max_severity = function
-  | [] -> None
-  | fs ->
-      Some
-        (List.fold_left
-           (fun acc f ->
-             if severity_rank f.severity < severity_rank acc then f.severity
-             else acc)
-           Info fs)
 
 let location_rank = function
   | Whole -> (0, 0, 0)

@@ -31,22 +31,13 @@ val v :
 val severity_label : severity -> string
 (** ["info"], ["warning"], ["error"]. *)
 
-val severity_of_label : string -> severity option
-
 val is_error : t -> bool
-
-val max_severity : t list -> severity option
-(** The worst severity present, [None] on an empty list. *)
 
 val compare : t -> t -> int
 (** Sort key: severity (errors first), then subject, then rule, then
     location, then message — a deterministic report order. *)
 
 val equal : t -> t -> bool
-
-val to_json : Buffer.t -> t -> unit
-(** One finding as a JSON object with fixed key order:
-    [{"rule":...,"severity":...,"subject":...,"location":...,"message":...}]. *)
 
 val list_to_json : t list -> string
 (** The findings document:

@@ -155,53 +155,10 @@ let class_invariant ~subject l =
     (PC.classify l);
   List.rev !findings
 
-let class_mismatch ~subject l claimed =
-  List.filter_map
-    (fun (p, claimed_cls) ->
-      let actual = PC.cls l p in
-      if PC.equal_cls actual claimed_cls then None
-      else
-        Some
-          (err ~subject ~rule:"live-class-mismatch"
-             ~location:(Finding.At_proc p)
-             (Fmt.str "process %d claimed %s but recomputes as %s" p
-                (PC.cls_label claimed_cls) (PC.cls_label actual))))
-    claimed
-
-let verdict_mismatch ~subject l (claimed : Tm_liveness.Property.verdict) =
-  let actual = Tm_liveness.Property.verdict l in
-  let check name c a =
-    if c = a then None
-    else
-      Some
-        (err ~subject ~rule:"live-verdict-mismatch"
-           (Fmt.str "%s claimed %b but recomputes as %b" name c a))
-  in
-  List.filter_map Fun.id
-    [
-      check "local progress" claimed.Tm_liveness.Property.local
-        actual.Tm_liveness.Property.local;
-      check "global progress" claimed.Tm_liveness.Property.global
-        actual.Tm_liveness.Property.global;
-      check "solo progress" claimed.Tm_liveness.Property.solo
-        actual.Tm_liveness.Property.solo;
-      check "nonblocking respect" claimed.Tm_liveness.Property.nonblocking_ok
-        actual.Tm_liveness.Property.nonblocking_ok;
-      check "biprogressing respect"
-        claimed.Tm_liveness.Property.biprogressing_ok
-        actual.Tm_liveness.Property.biprogressing_ok;
-    ]
-
-let lint_lasso ?(claimed_classes = []) ?claimed_verdict ~subject l =
+let lint_lasso ~subject l =
   let wf =
     List.map
       (fun (f : Finding.t) -> { f with Finding.rule = "lasso-wf" })
       (wf_findings ~subject (History.events (Lasso.unroll l 2)))
   in
-  wf
-  @ class_invariant ~subject l
-  @ class_mismatch ~subject l claimed_classes
-  @
-  match claimed_verdict with
-  | None -> []
-  | Some v -> verdict_mismatch ~subject l v
+  wf @ class_invariant ~subject l

@@ -23,11 +23,7 @@ open Tm_history
       (defense in depth — {!Lasso.v} already enforces this);
     - [live-class-invariant]: the recomputed Figure-2 taxonomy is
       internally inconsistent (e.g. a process both crashed and correct) —
-      a sanitizer over {!Tm_liveness.Process_class} itself;
-    - [live-class-mismatch]: a claimed per-process class disagrees with
-      the recomputed {!Tm_liveness.Process_class.cls};
-    - [live-verdict-mismatch]: a claimed TM-liveness verdict disagrees
-      with the recomputed {!Tm_liveness.Property.verdict}. *)
+      a sanitizer over {!Tm_liveness.Process_class} itself. *)
 
 val lint_history : subject:string -> History.t -> Finding.t list
 (** All [wf-*] and [txn-*] findings of a finite history, in event order. *)
@@ -37,13 +33,5 @@ val check_transactions :
 (** The [txn-*] rules on an explicit transaction list (exposed so seeded
     violations can be tested without forging an ill-formed history). *)
 
-val lint_lasso :
-  ?claimed_classes:(Event.proc * Tm_liveness.Process_class.cls) list ->
-  ?claimed_verdict:Tm_liveness.Property.verdict ->
-  subject:string ->
-  Lasso.t ->
-  Finding.t list
-(** Taxonomy diagnostics of a lasso.  [claimed_classes] and
-    [claimed_verdict] are what some external artifact (a paper figure's
-    caption, a cached experiment result) asserts; each disagreement with
-    the recomputed classification yields a finding. *)
+val lint_lasso : subject:string -> Lasso.t -> Finding.t list
+(** Taxonomy diagnostics of a lasso. *)

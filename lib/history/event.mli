@@ -62,7 +62,6 @@ val tvar_of_invocation : invocation -> tvar option
 
 val equal : t -> t -> bool
 val equal_invocation : invocation -> invocation -> bool
-val equal_response : response -> response -> bool
 val compare : t -> t -> int
 
 val pp_invocation : Format.formatter -> invocation -> unit

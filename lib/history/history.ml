@@ -45,10 +45,6 @@ let length h = h.len
 let append h e = { rev = e :: h.rev; len = h.len + 1 }
 let concat h es = List.fold_left append h es
 
-let nth h i =
-  if i < 0 || i >= h.len then invalid_arg "History.nth"
-  else List.nth h.rev (h.len - 1 - i)
-
 let project h p = List.filter (fun e -> Event.proc e = p) (events h)
 
 let sorted_uniq xs = List.sort_uniq Int.compare xs

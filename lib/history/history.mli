@@ -46,10 +46,6 @@ val append : t -> Event.t -> t
 val concat : t -> Event.t list -> t
 (** [concat h es] appends all events of [es] to [h], in order. *)
 
-val nth : t -> int -> Event.t
-(** [nth h i] is the [i]-th event (0-based).  @raise Invalid_argument if out
-    of bounds. *)
-
 val project : t -> Event.proc -> Event.t list
 (** [project h p] is the projection [H|p]: the longest subsequence of [h]
     consisting of events of process [p]. *)

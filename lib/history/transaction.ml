@@ -89,7 +89,6 @@ let of_history h =
 
 let is_committed t = t.status = Committed
 let is_aborted t = t.status = Aborted
-let is_live t = t.status = Live
 
 let commit_pending t =
   t.status = Live

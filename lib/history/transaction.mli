@@ -44,7 +44,6 @@ val concurrent : t -> t -> bool
 
 val is_committed : t -> bool
 val is_aborted : t -> bool
-val is_live : t -> bool
 
 val commit_pending : t -> bool
 (** [commit_pending t] holds iff [t] is live and its last event is a

@@ -1,6 +1,9 @@
 open Tm_history
 
-let find_lasso ?(max_period = 200) ?(min_repeats = 3) h =
+let max_period = 200
+let min_repeats = 3
+
+let find_lasso h =
   let es = Array.of_list (History.events h) in
   let n = Array.length es in
   let rec try_period q =

@@ -18,10 +18,9 @@ open Tm_history
       ("committed in the last [window] events?"), the honest empirical
       reading of pending/parasitic/crashed on arbitrary finite runs. *)
 
-val find_lasso : ?max_period:int -> ?min_repeats:int -> History.t -> Lasso.t option
-(** The smallest period [q <= max_period] (default 200) such that the
-    history's suffix repeats with period [q] at least [min_repeats]
-    (default 3) times and the pending-invocation state repeats across the
+val find_lasso : History.t -> Lasso.t option
+(** The smallest period [q <= 200] such that the history's suffix
+    repeats with period [q] at least 3 times and the pending-invocation state repeats across the
     cycle; the lasso's stem is the non-periodic prefix.  [None] when no
     such suffix exists. *)
 

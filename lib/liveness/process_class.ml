@@ -40,13 +40,6 @@ let cls_label = function
   | Starving -> "starving"
   | Progressing -> "progressing"
 
-let cls_of_label = function
-  | "crashed" -> Some Crashed
-  | "parasitic" -> Some Parasitic
-  | "starving" -> Some Starving
-  | "progressing" -> Some Progressing
-  | _ -> None
-
 let equal_cls (a : cls) b = a = b
 
 type summary = {

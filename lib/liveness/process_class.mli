@@ -45,7 +45,6 @@ val cls : Lasso.t -> Event.proc -> cls
 val cls_label : cls -> string
 (** ["crashed"], ["parasitic"], ["starving"], ["progressing"]. *)
 
-val cls_of_label : string -> cls option
 val equal_cls : cls -> cls -> bool
 
 type summary = {
@@ -61,5 +60,4 @@ type summary = {
 val classify : Lasso.t -> summary list
 (** One summary per process appearing in the lasso, ascending. *)
 
-val pp_summary : Format.formatter -> summary -> unit
 val pp_table : Format.formatter -> summary list -> unit

@@ -14,8 +14,12 @@ let solo_progress l =
       (not (Process_class.runs_alone l p)) || Process_class.makes_progress l p)
     (Lasso.procs l)
 
+(* A history violating this belongs to no nonblocking TM-liveness
+   property (Definition 4). *)
 let respects_nonblocking = solo_progress
 
+(* If at least two processes are correct then at least two make
+   progress (Definition 5). *)
 let respects_biprogressing l =
   let correct = Process_class.correct_processes l in
   List.length correct < 2

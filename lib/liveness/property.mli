@@ -19,8 +19,8 @@ open Tm_history
 
     {e Nonblocking} and {e biprogressing} (Definitions 4 and 5) are
     second-order: they classify property {e sets}, not single histories.
-    For a single history we expose the respect-checks ({!respects_nonblocking},
-    {!respects_biprogressing}): a history that fails the check cannot belong
+    For a single history, {!verdict} carries the respect-checks
+    ([nonblocking_ok], [biprogressing_ok]): a history that fails the check cannot belong
     to any nonblocking (biprogressing) property, which is exactly how the
     paper uses Figures 6 and 14.  For first-class properties (predicates) we
     expose {!nonblocking_on} and {!biprogressing_on}, which verify the
@@ -29,15 +29,6 @@ open Tm_history
 val local_progress : Lasso.t -> bool
 val global_progress : Lasso.t -> bool
 val solo_progress : Lasso.t -> bool
-
-val respects_nonblocking : Lasso.t -> bool
-(** [respects_nonblocking l] holds iff: if some process runs alone in [l]
-    then it makes progress.  A history violating this belongs to no
-    nonblocking TM-liveness property (Definition 4). *)
-
-val respects_biprogressing : Lasso.t -> bool
-(** [respects_biprogressing l] holds iff: if at least two processes are
-    correct then at least two make progress (Definition 5). *)
 
 type t = { name : string; holds : Lasso.t -> bool }
 (** A TM-liveness property as a first-class predicate. *)

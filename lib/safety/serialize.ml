@@ -62,5 +62,3 @@ let search ts =
       end
   in
   go (Mask.create n) Store.initial [] 0
-
-let exists ts = Option.is_some (search ts)

@@ -25,5 +25,3 @@ open Tm_history
 
 val search : Transaction.t list -> Transaction.t list option
 (** [search ts] is a witness order, or [None] if none exists. *)
-
-val exists : Transaction.t list -> bool

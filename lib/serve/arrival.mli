@@ -27,12 +27,6 @@ val period_ns : t -> int
 (** [round (1e9 / rate)], at least 1: the constant-kind gap and the
     Poisson mean inter-arrival. *)
 
-val gap : t -> int -> int
-(** [gap t i] is the inter-arrival gap preceding arrival [i], a pure
-    function of [(seed t, rate t, i)].  Constant: 0 for [i = 0],
-    {!period_ns} after.  Poisson: an exponential draw with mean
-    {!period_ns} keyed by [i]. *)
-
 type cursor
 (** A prefix-sum walk over the gaps: arrival [i] is at
     [gap 0 + ... + gap i]. *)

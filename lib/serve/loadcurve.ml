@@ -162,10 +162,10 @@ let shed_fraction p =
 
 (* {2 The knee} *)
 
-let knee ?(threshold = 0.85) xy =
+let knee xy =
   List.fold_left
     (fun acc (rate, achieved) ->
-      if achieved >= threshold *. rate && rate > acc then rate else acc)
+      if achieved >= 0.85 *. rate && rate > acc then rate else acc)
     0.0 xy
 
 let curve_xy c = List.map (fun p -> (p.p_rate, p.p_achieved)) c.v_points

@@ -66,9 +66,9 @@ val run :
 
 val shed_fraction : point -> float
 
-val knee : ?threshold:float -> (float * float) list -> float
+val knee : (float * float) list -> float
 (** [knee xy] over [(offered, achieved)] pairs: the highest offered rate
-    still achieving at least [threshold] (default 0.85) of itself, [0.0]
+    still achieving at least 0.85 of itself, [0.0]
     if none does. *)
 
 val curve_xy : curve -> (float * float) list

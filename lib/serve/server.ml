@@ -58,8 +58,11 @@ let workload cfg =
 let total_requests cfg = cfg.c_clients * cfg.c_ops
 
 (* The admission model: a virtual bounded queue in cost units, drained
-   at a fixed rate per arrival.  Pure per-domain function of the request
-   stream, hence canonical. *)
+   by [drain_units] per arrival.  Pure per-domain function of the
+   request stream, hence canonical.  Each request of [domain]'s stream
+   is [Workload.fill]ed into [buf], then [f] runs on it: the one
+   admission loop, which the executors run and [iter_requests]
+   replays.  Allocates nothing of its own. *)
 let iter_buffer cfg wl ~domain buf ~f =
   let q = ref 0 in
   for index = 0 to cfg.c_ops - 1 do

@@ -19,7 +19,7 @@
     {2 Admission}
 
     Each executor runs a virtual bounded queue in abstract cost units:
-    before each request it drains {!drain_units}, then admits the
+    before each request it drains 12 units, then admits the
     request iff the queued cost stays within [queue_cap], else sheds
     it.  Costs come from {!Workload.cost}.  The model is deterministic
     per domain, so shed counts are part of the canonical output — a
@@ -56,9 +56,6 @@
     reads the chaos runner's instruments, not these.  The combiner's
     flush counter and the open-loop {!Tm_telemetry.Latency_recorder},
     whose in-flight gauges are read live, stay atomic. *)
-
-val drain_units : int
-(** Queue units drained per arriving request (12). *)
 
 type config = {
   c_profile : Workload.profile;
@@ -101,28 +98,16 @@ val workload : config -> Workload.t
 val total_requests : config -> int
 (** [clients * ops]. *)
 
-val iter_buffer :
-  config ->
-  Workload.t ->
-  domain:int ->
-  Store.buffer ->
-  f:(client:int -> index:int -> admitted:bool -> unit) ->
-  unit
-(** The full request stream of one executor domain (clients congruent
-    to [domain mod c_domains], round-major) with the admission model's
-    verdicts: each request is {!Workload.fill}ed into the buffer, then
-    [f] runs on it.  The one admission loop — the executors run it, and
-    {!iter_requests} and the sequential-spec conformance gates replay
-    it.  Allocates nothing of its own. *)
-
 val iter_requests :
   config ->
   Workload.t ->
   domain:int ->
   f:(client:int -> index:int -> Workload.request -> admitted:bool -> unit) ->
   unit
-(** {!iter_buffer} with each request handed over as its
-    {!Workload.view}. *)
+(** The full request stream of one executor domain (clients congruent
+    to [domain mod c_domains], round-major) with the admission model's
+    verdicts, each request handed over as its {!Workload.view}.  It
+    replays the executors' own admission loop. *)
 
 (** {2 The executor}
 
@@ -159,12 +144,9 @@ val executor : ?combiner:combiner -> ?slot:int -> Store.t -> executor
 
 val executor_buffer : executor -> Store.buffer
 
-val execute : executor -> unit
-(** Run the buffered request as one transaction. *)
-
 val serve : executor -> bool
 (** Serve the buffered request: a single put through the executor's
-    combiner, if it has one, anything else by {!execute}.  Returns
+    combiner, if it has one, anything else as one transaction.  Returns
     whether the put was combined.  The one dispatch, shared by {!run}'s
     executors and the allocation gates. *)
 

@@ -67,7 +67,7 @@ type t = {
   w_zipf : Zipf.t;
 }
 
-let create ?(hot_s = 1.07) ~profile ~seed ~keys () =
+let create ~profile ~seed ~keys () =
   if keys < 4 then invalid_arg "Workload.create: keys < 4";
   let kv_n = (keys + 1) / 2 in
   {
@@ -76,7 +76,7 @@ let create ?(hot_s = 1.07) ~profile ~seed ~keys () =
     w_keys = keys;
     w_kv_n = kv_n;
     w_cnt_n = keys / 2;
-    w_zipf = Zipf.create ~s:hot_s ~n:kv_n ();
+    w_zipf = Zipf.create ~s:1.07 ~n:kv_n ();
   }
 
 let profile t = t.w_profile

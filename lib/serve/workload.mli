@@ -46,8 +46,8 @@ val cost : request -> int
 
 type t
 
-val create : ?hot_s:float -> profile:profile -> seed:int -> keys:int -> unit -> t
-(** [hot_s] is the Zipf exponent over the kv plane (default 1.07).
+val create : profile:profile -> seed:int -> keys:int -> unit -> t
+(** The Zipf exponent over the kv plane is 1.07.
     @raise Invalid_argument if [keys < 4] (each plane needs >= 2 keys). *)
 
 val profile : t -> profile

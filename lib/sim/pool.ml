@@ -54,7 +54,6 @@ type t = {
 }
 
 let jobs t = t.jobs
-let default_jobs () = Domain.recommended_domain_count ()
 
 let rec worker_loop t =
   Mutex.lock t.mutex;

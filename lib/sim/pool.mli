@@ -20,9 +20,6 @@ val create : jobs:int -> t
 
 val jobs : t -> int
 
-val default_jobs : unit -> int
-(** [Domain.recommended_domain_count ()]. *)
-
 val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 (** [map_array pool f xs] computes [f] on every element, sharded across
     the pool's domains, and returns the results in input order.  [f] must

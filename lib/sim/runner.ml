@@ -22,16 +22,12 @@ type spec = {
 }
 
 let spec ?(ntvars = 4) ?(steps = 1000) ?(seed = 0) ?(sched = Round_robin)
-    ?workload ?(workload_overrides = []) ?parasite_workload ?(fates = [])
+    ?workload ?(workload_overrides = []) ?(fates = [])
     ~nprocs () =
   let workload =
     match workload with Some w -> w | None -> Workload.counter ~ntvars
   in
-  let parasite_workload =
-    match parasite_workload with
-    | Some w -> w
-    | None -> Workload.write_only ~ntvars ~writes:2
-  in
+  let parasite_workload = Workload.write_only ~ntvars ~writes:2 in
   {
     nprocs;
     ntvars;
@@ -411,11 +407,11 @@ let throughput o =
   if o.steps_taken = 0 then 0.0
   else float_of_int (commit_total o) /. float_of_int o.steps_taken
 
-let blocked_procs ?(threshold = 50) o =
+let blocked_procs o =
   List.filteri (fun i _ -> i > 0) (Array.to_list o.final_defer_streak)
   |> List.mapi (fun i streak -> (i + 1, streak))
   |> List.filter_map (fun (p, streak) ->
-         if streak > threshold then Some p else None)
+         if streak > 50 then Some p else None)
 
 let pp_summary ppf o =
   let per name a =

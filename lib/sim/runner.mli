@@ -62,7 +62,8 @@ type spec = {
   workload : Workload.t;  (** default transaction bodies *)
   workload_overrides : (Event.proc * Workload.t) list;
       (** per-process overrides of [workload] *)
-  parasite_workload : Workload.t;  (** ops issued once parasitic *)
+  parasite_workload : Workload.t;
+      (** ops issued once parasitic: two random writes per transaction *)
   fates : (Event.proc * fate) list;  (** unlisted processes are healthy *)
 }
 
@@ -73,13 +74,12 @@ val spec :
   ?sched:sched ->
   ?workload:Workload.t ->
   ?workload_overrides:(Event.proc * Workload.t) list ->
-  ?parasite_workload:Workload.t ->
   ?fates:(Event.proc * fate) list ->
   nprocs:int ->
   unit ->
   spec
 (** Defaults: 4 t-variables, 1000 steps, seed 0, round-robin, counter
-    workload, write-only parasite workload, all processes healthy. *)
+    workload, all processes healthy. *)
 
 type outcome = {
   history : History.t;
@@ -119,8 +119,7 @@ val abort_total : outcome -> int
 val throughput : outcome -> float
 (** Committed transactions per simulation step. *)
 
-val blocked_procs : ?threshold:int -> outcome -> Event.proc list
-(** Alive processes whose final defer streak exceeds [threshold]
-    (default 50). *)
+val blocked_procs : outcome -> Event.proc list
+(** Alive processes whose final defer streak exceeds 50. *)
 
 val pp_summary : Format.formatter -> outcome -> unit

@@ -63,17 +63,6 @@ let transfer ~ntvars =
         ]);
   }
 
-let hotspot ~ntvars ~hot ~bias_pct =
-  {
-    w_name = Fmt.str "hotspot-%d%%" bias_pct;
-    body =
-      (fun g _ ->
-        let x =
-          if Prng.int g 100 < bias_pct then hot else Prng.int g ntvars
-        in
-        [ W_read x; increment x ]);
-  }
-
 let fixed name bodies =
   {
     w_name = name;

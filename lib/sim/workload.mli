@@ -39,8 +39,5 @@ val transfer : ntvars:int -> t
 (** Move one unit between two distinct random t-variables (a bank
     transfer); total balance is invariant under committed transactions. *)
 
-val hotspot : ntvars:int -> hot:Event.tvar -> bias_pct:int -> t
-(** Like {!counter} but hitting [hot] with probability [bias_pct]%. *)
-
 val fixed : string -> body list -> t
 (** A fixed cyclic sequence of transaction bodies (index modulo length). *)

@@ -34,6 +34,11 @@ let rules =
       doc = "a seam armed by a test without a paired unsubscribe/recover";
     };
     {
+      id = Rule_unused.rule;
+      severity = Tm_analysis.Finding.Warning;
+      doc = "an interface val that no other file names (info: tests only)";
+    };
+    {
       id = parse_rule;
       severity = Tm_analysis.Finding.Error;
       doc = "a file in the rule's scope does not parse";
@@ -66,7 +71,7 @@ let parse_selection s =
 let pp_catalogue ppf () =
   List.iter
     (fun r ->
-      Fmt.pf ppf "%-14s %-8s %s@." r.id
+      Fmt.pf ppf "%-16s %-8s %s@." r.id
         (Tm_analysis.Finding.severity_label r.severity)
         r.doc)
     rules
@@ -77,11 +82,10 @@ let looks_like_root dir =
   Sys.file_exists (Filename.concat dir (Filename.concat "lib" "stm"))
   && Sys.file_exists (Filename.concat dir "dune-project")
 
-(* Walk upward from [from] (default: the working directory) to the
-   first directory containing dune-project and lib/stm — works from
-   the repo root, from a subdirectory, and from dune's _build/default
-   mirror. *)
-let find_root ?from () =
+(* Walk upward from the working directory to the first directory
+   containing dune-project and lib/stm — works from the repo root, from
+   a subdirectory, and from dune's _build/default mirror. *)
+let find_root () =
   let rec up dir n =
     if n > 12 then None
     else if looks_like_root dir then Some dir
@@ -89,23 +93,25 @@ let find_root ?from () =
       let parent = Filename.dirname dir in
       if parent = dir then None else up parent (n + 1)
   in
-  let from =
-    match from with
-    | Some d -> d
-    | None -> ( try Sys.getcwd () with Sys_error _ -> ".")
-  in
-  up from 0
+  up (try Sys.getcwd () with Sys_error _ -> ".") 0
 
 (* --- file selection --- *)
 
-let ml_files root rel =
+let files suffix root rel =
   let dir = Filename.concat root rel in
   if not (Sys.file_exists dir && Sys.is_directory dir) then []
   else
     Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".ml")
+    |> List.filter (fun f -> Filename.check_suffix f suffix)
     |> List.sort String.compare
     |> List.map (fun f -> Filename.concat rel f)
+
+let ml_files = files ".ml"
+
+let lib_dirs root =
+  List.filter
+    (fun d -> Sys.is_directory (Filename.concat root d))
+    (files "" root "lib")
 
 let core_file_of_module m = String.lowercase_ascii m ^ ".ml"
 
@@ -215,6 +221,26 @@ let run ?(rules = rule_ids) ~root () =
           | Some src -> add (Rule_leak.check src)
           | None -> ())
         user_files;
+    (* Dead surface: lib's interfaces against every implementation. *)
+    if wants Rule_unused.rule then begin
+      let dirs = lib_dirs root in
+      let interfaces =
+        List.concat_map (files ".mli" root) dirs
+        |> List.filter_map (fun rel ->
+               incr scanned;
+               match Source.interface ~subject:rel (Filename.concat root rel) with
+               | Ok intf -> Some intf
+               | Error msg ->
+                   parse_failure rel msg;
+                   None)
+      in
+      let users =
+        List.concat_map (ml_files root) (dirs @ [ "bin"; "perfbench" ])
+        @ user_files
+        |> List.filter_map load
+      in
+      add (Rule_unused.check ~interfaces ~users)
+    end;
     let findings =
       List.sort_uniq Tm_analysis.Finding.compare !findings
       |> List.filter (fun (f : Tm_analysis.Finding.t) ->

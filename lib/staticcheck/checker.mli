@@ -6,12 +6,10 @@
 type rule = { id : string; severity : Tm_analysis.Finding.severity; doc : string }
 
 val rules : rule list
-(** seam-contract, seam-guard, txn-purity, armed-leak, static-parse. *)
+(** seam-contract, seam-guard, txn-purity, armed-leak, exported-unused,
+    static-parse. *)
 
 val rule_ids : string list
-
-val parse_rule : string
-(** ["static-parse"]: a file in scope failed to parse. *)
 
 val find_rule : string -> rule option
 
@@ -21,9 +19,9 @@ val parse_selection : string -> (string list, string) result
 
 val pp_catalogue : Format.formatter -> unit -> unit
 
-val find_root : ?from:string -> unit -> string option
-(** Walk upward from [from] (default: the working directory) to the
-    first directory holding [dune-project] and [lib/stm]. *)
+val find_root : unit -> string option
+(** Walk upward from the working directory to the first directory
+    holding [dune-project] and [lib/stm]. *)
 
 type report = { findings : Tm_analysis.Finding.t list; files_scanned : int }
 

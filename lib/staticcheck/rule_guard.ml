@@ -113,5 +113,5 @@ let check (src : Source.t) =
   let iter =
     { Ast_iterator.default_iterator with expr = (fun _ e -> walk [] false e) }
   in
-  iter.structure iter src.structure;
+  iter.structure iter src.ast;
   List.rev !findings

@@ -70,4 +70,4 @@ let check (src : Source.t) =
                     (Option.get p) l disarm))
           else None)
         (List.rev !idents))
-    src.structure
+    src.ast

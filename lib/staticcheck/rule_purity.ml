@@ -275,5 +275,5 @@ let check (src : Source.t) =
           Ast_iterator.default_iterator.expr self e);
     }
   in
-  iter.structure iter src.structure;
+  iter.structure iter src.ast;
   List.sort_uniq Tm_analysis.Finding.compare !findings

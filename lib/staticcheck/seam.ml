@@ -66,7 +66,7 @@ let module_items name structure =
 
 let vocab_of_core (src : Source.t) =
   let types =
-    variants (Option.value ~default:[] (module_items "Obs" src.structure))
+    variants (Option.value ~default:[] (module_items "Obs" src.ast))
   in
   match (List.assoc_opt "site" types, List.assoc_opt "cause" types) with
   | Some sites, Some causes ->
@@ -154,7 +154,7 @@ let bindings items =
 
 let contract_of_facade (src : Source.t) =
   let algo_items =
-    Option.value ~default:[] (module_items "Algo" src.structure)
+    Option.value ~default:[] (module_items "Algo" src.ast)
   in
   let algos =
     Option.value ~default:[] (List.assoc_opt "t" (variants algo_items))
@@ -163,7 +163,7 @@ let contract_of_facade (src : Source.t) =
     List.concat_map core_files_of_binding
       (List.filter_map
          (fun (n, vb) -> if n = "core_of" then Some vb else None)
-         (bindings src.structure))
+         (bindings src.ast))
   in
   let announced =
     List.concat_map announcements_of_binding
@@ -218,7 +218,7 @@ let collect ?(helpers = []) vocab walk =
   List.rev !acc
 
 let sites ?helpers vocab (src : Source.t) =
-  collect ?helpers vocab (fun it -> it.structure it src.structure)
+  collect ?helpers vocab (fun it -> it.structure it src.ast)
 
 (* The sites each top-level function of the substrate reaches. *)
 let helper_sites vocab (src : Source.t) =
@@ -229,4 +229,4 @@ let helper_sites vocab (src : Source.t) =
         |> List.map (fun s -> s.s_name)
       in
       if names = [] then None else Some (name, List.sort_uniq compare names))
-    (bindings src.structure)
+    (bindings src.ast)

@@ -7,12 +7,15 @@
 
 type allow = { a_line : int; a_rules : string list (* [] = every rule *) }
 
-type t = {
+type 'ast file = {
   path : string;  (** the subject string used in findings *)
   text : string;
-  structure : Parsetree.structure;
+  ast : 'ast;
   allows : allow list;
 }
+
+type t = Parsetree.structure file
+type intf = Parsetree.signature file
 
 (* "(* tmstatic: allow txn-purity *)" anywhere on a line suppresses the
    named rules (comma/space separated; none named = all rules) for
@@ -69,19 +72,19 @@ let allows t ~rule ~line =
       && (a.a_rules = [] || List.mem rule a.a_rules))
     t.allows
 
-let of_string ~path text =
-  let lexbuf = Lexing.from_string text in
-  Lexing.set_filename lexbuf path;
-  match Parse.implementation lexbuf with
-  | structure -> Ok { path; text; structure; allows = scan_allows text }
-  | exception exn ->
-      Error (Fmt.str "%s: parse error: %s" path (Printexc.to_string exn))
-
-let load ?subject file =
-  let subject = Option.value subject ~default:file in
+let read parser ~subject:path file =
   match In_channel.with_open_bin file In_channel.input_all with
-  | text -> of_string ~path:subject text
-  | exception Sys_error msg -> Error (Fmt.str "%s: %s" subject msg)
+  | exception Sys_error msg -> Error (Fmt.str "%s: %s" path msg)
+  | text -> (
+      let lexbuf = Lexing.from_string text in
+      Lexing.set_filename lexbuf path;
+      match parser lexbuf with
+      | ast -> Ok { path; text; ast; allows = scan_allows text }
+      | exception exn ->
+          Error (Fmt.str "%s: parse error: %s" path (Printexc.to_string exn)))
+
+let load = read Parse.implementation
+let interface = read Parse.interface
 
 let line_of (loc : Location.t) = loc.loc_start.pos_lnum
 

@@ -2,26 +2,29 @@
     parsetree plus line-anchored [tmstatic: allow] escape comments and
     longident helpers shared by every rule. *)
 
-type t = {
+type 'ast file = {
   path : string;  (** the subject string used in findings *)
   text : string;
-  structure : Parsetree.structure;
+  ast : 'ast;
   allows : allow list;
 }
 
 and allow = { a_line : int; a_rules : string list (* [] = every rule *) }
 
-val allow_marker : string
-(** ["tmstatic: allow"] — the escape-comment marker. *)
+type t = Parsetree.structure file
+(** An implementation ([.ml]). *)
 
-val of_string : path:string -> string -> (t, string) result
-(** Parse an implementation from a string; [path] labels findings and
-    parse errors. *)
+type intf = Parsetree.signature file
+(** An interface ([.mli]). *)
 
-val load : ?subject:string -> string -> (t, string) result
-(** Read and parse [file]; [subject] (default [file]) labels findings. *)
+val load : subject:string -> string -> (t, string) result
+(** Read and parse the implementation [file]; [subject] labels findings
+    and parse errors. *)
 
-val allows : t -> rule:string -> line:int -> bool
+val interface : subject:string -> string -> (intf, string) result
+(** {!load} for an interface ([Parse.interface]). *)
+
+val allows : _ file -> rule:string -> line:int -> bool
 (** Is there a [tmstatic: allow] comment for [rule] on [line] or the
     line above it? An allow comment naming no rules allows every rule. *)
 

@@ -168,12 +168,16 @@ let read (type a) t (tv : a tvar) : a =
        must still be one consistent snapshot (opacity for doomed
        transactions included). *)
     validate t;
+    (* A re-read of the last entry, which [validate] just held, adds
+       nothing. *)
     let k = t.nr in
-    if k = Array.length t.r_id then grow_reads t tv u;
-    t.r_cell.(k) <- tv.locator;
-    t.r_seen.(k) <- u;
-    t.r_id.(k) <- tv.id;
-    t.nr <- k + 1;
+    if k = 0 || t.r_id.(k - 1) <> tv.id || t.r_seen.(k - 1) != u then begin
+      if k = Array.length t.r_id then grow_reads t tv u;
+      t.r_cell.(k) <- tv.locator;
+      t.r_seen.(k) <- u;
+      t.r_id.(k) <- tv.id;
+      t.nr <- k + 1
+    end;
     of_univ tv u
   end
 

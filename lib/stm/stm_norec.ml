@@ -131,12 +131,17 @@ let read (type a) t (tv : a tvar) : a =
   else begin
     if Atomic.get Obs.armed then Obs.fire Obs.Read;
     let v = sample t tv in
-    let r = R (tv.content, v) in
+    (* A re-read of the last entry adds nothing and boxes nothing: the
+       read set holds at the snapshot [v] was sampled at, so [v] is the
+       value that entry saw. *)
     let k = t.nr in
-    if k = Array.length t.r_id then grow_reads t r;
-    t.r_id.(k) <- tv.id;
-    t.r_seen.(k) <- r;
-    t.nr <- k + 1;
+    if k = 0 || t.r_id.(k - 1) <> tv.id then begin
+      let r = R (tv.content, v) in
+      if k = Array.length t.r_id then grow_reads t r;
+      t.r_id.(k) <- tv.id;
+      t.r_seen.(k) <- r;
+      t.nr <- k + 1
+    end;
     v
   end
 

@@ -125,12 +125,16 @@ let read (type a) t (tv : a tvar) : a =
     let x = Atomic.get tv.content in
     let v2 = read_vlock tv in
     if v2 <> v1 then read_conflict v2 tv;
+    (* A re-read of the last entry's t-variable adds nothing: any newer
+       version than the one recorded would have failed the rv check. *)
     let k = t.nr in
-    if k = Array.length t.r_id then grow_reads t tv;
-    t.r_vlock.(k) <- tv.vlock;
-    t.r_seen.(k) <- version_of v1;
-    t.r_id.(k) <- tv.id;
-    t.nr <- k + 1;
+    if k = 0 || t.r_id.(k - 1) <> tv.id then begin
+      if k = Array.length t.r_id then grow_reads t tv;
+      t.r_vlock.(k) <- tv.vlock;
+      t.r_seen.(k) <- version_of v1;
+      t.r_id.(k) <- tv.id;
+      t.nr <- k + 1
+    end;
     x
   end
 

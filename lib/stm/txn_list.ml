@@ -44,5 +44,3 @@ let to_list t =
         | Node (k, next) -> go (k :: acc) next
       in
       go [] t)
-
-let cardinal t = List.length (to_list t)

@@ -17,5 +17,3 @@ val mem : t -> int -> bool
 
 val to_list : t -> int list
 (** A consistent snapshot, ascending. *)
-
-val cardinal : t -> int

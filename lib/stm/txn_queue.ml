@@ -18,20 +18,6 @@ let pop q =
               Stm.write q.front rest;
               Some x))
 
-let pop_blocking q =
-  Stm.atomically (fun () ->
-      match Stm.read q.front with
-      | x :: rest ->
-          Stm.write q.front rest;
-          x
-      | [] -> (
-          match List.rev (Stm.read q.back) with
-          | [] -> Stm.retry ()
-          | x :: rest ->
-              Stm.write q.back [];
-              Stm.write q.front rest;
-              x))
-
 let length q =
   Stm.atomically (fun () ->
       List.length (Stm.read q.front) + List.length (Stm.read q.back))

@@ -8,9 +8,5 @@ val push : 'a t -> 'a -> unit
 val pop : 'a t -> 'a option
 (** [None] when empty. *)
 
-val pop_blocking : 'a t -> 'a
-(** Retries the transaction until an element is available (busy-wait
-    retry; see {!Stm.retry}). *)
-
 val length : 'a t -> int
 val to_list : 'a t -> 'a list

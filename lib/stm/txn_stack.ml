@@ -16,13 +16,5 @@ let peek s =
   Stm.atomically (fun () ->
       match Stm.read s with [] -> None | x :: _ -> Some x)
 
-let pop_blocking s =
-  Stm.atomically (fun () ->
-      match Stm.read s with
-      | [] -> Stm.retry ()
-      | x :: rest ->
-          Stm.write s rest;
-          x)
-
 let length s = List.length (Stm.read s)
 let to_list s = Stm.read s

@@ -8,8 +8,5 @@ val push : 'a t -> 'a -> unit
 val pop : 'a t -> 'a option
 val peek : 'a t -> 'a option
 
-val pop_blocking : 'a t -> 'a
-(** Retries until an element is available (busy-wait, see {!Stm.retry}). *)
-
 val length : 'a t -> int
 val to_list : 'a t -> 'a list

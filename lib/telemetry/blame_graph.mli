@@ -108,8 +108,6 @@ val refresh : t -> unit
       under crash-holding-locks: everybody steals past the corpse). *)
 
 val min_events : int
-val dominator_share : float
-val significant_share : float
 
 type evidence =
   | E_crashed  (** verdict says crashed; blame not computed *)

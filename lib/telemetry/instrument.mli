@@ -12,9 +12,6 @@
     domain alone increments) should use [~shards:1]: one cell, and
     reading it is one atomic load. *)
 
-val default_shards : int
-(** 8. Shard counts are rounded up to a power of two. *)
-
 (** {2 Counters} *)
 
 type counter
@@ -84,8 +81,6 @@ val quantile : hsnap -> float -> int
     [max_sample] (so quantiles are monotone in [q] and never exceed the
     maximum).  0 for an empty snapshot. *)
 
-val hsnap_mean : hsnap -> float
-
 val pp_hsnap : Format.formatter -> hsnap -> unit
 (** One line: p50/p90/p99/max, count and mean; ["(empty)"] when the
     snapshot holds no samples. *)
@@ -97,15 +92,12 @@ val pp_hsnap : Format.formatter -> hsnap -> unit
     open-loop latency recorder gates on.  A hires histogram splits
     every log2 decade into {!hires_sub} linear sub-buckets (relative
     error at most [1/hires_sub] = 12.5%): values below {!hires_sub}
-    are exact, values at or above [2^hires_log_max] (~18 minutes in
-    nanoseconds) overflow.  Same wait-free sharded write path as the
+    are exact, values at or above [2^40] (~18 minutes in nanoseconds)
+    overflow.  Same wait-free sharded write path as the
     log2 histograms. *)
 
 val hires_sub : int
 (** 8 linear sub-buckets per log2 decade. *)
-
-val hires_log_max : int
-(** 40: the first overflowing power of two. *)
 
 val hires_buckets : int
 (** 305. *)

@@ -90,7 +90,6 @@ let create ?registry ?(metric = "tm_latency") ?(interval_ns = 1_000_000)
   }
 
 let domains t = t.domains
-let interval_ns t = t.interval
 
 let mark t d ~sched = Atomic.set t.inflight.(d) sched
 let abandon t d = Atomic.set t.inflight.(d) idle
@@ -164,13 +163,13 @@ let publish t ~now =
     (fun g -> Instrument.set_gauge g (closed_quantile t 0.99))
     t.closed_p99_gauge
 
-let corroborate ?(floor_ns = 0) t ~now ~progressing =
+let corroborate t ~now ~progressing =
   if Array.length progressing <> t.domains then
     invalid_arg "Latency_recorder.corroborate: progressing length";
   let ok = ref true in
   Array.iteri
     (fun d prog ->
-      if not prog then ok := !ok && inflight_age t ~now d > floor_ns)
+      if not prog then ok := !ok && inflight_age t ~now d > 0)
     progressing;
   !ok
 

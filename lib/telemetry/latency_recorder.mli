@@ -38,7 +38,6 @@ val create :
     @raise Invalid_argument if [domains < 1] or [interval_ns < 1]. *)
 
 val domains : t -> int
-val interval_ns : t -> int
 
 (** {2 Hot path} *)
 
@@ -84,11 +83,11 @@ val publish : t -> now:int -> unit
     p99) from the current state.  No-op on the histogram samples, which
     scrape live.  Without a registry, a no-op. *)
 
-val corroborate : ?floor_ns:int -> t -> now:int -> progressing:bool array -> bool
+val corroborate : t -> now:int -> progressing:bool array -> bool
 (** [corroborate t ~now ~progressing] cross-checks the recorder against
     an external progress verdict (e.g. {!Tm_liveness.Liveness_gauge}):
     every domain reported non-progressing must have an in-flight request
-    older than [floor_ns] (default 0).  A domain the gauge calls stalled
+    of positive age.  A domain the gauge calls stalled
     with an empty or fresh slot means the two monitors disagree.
     @raise Invalid_argument if [progressing] length differs from
     [domains]. *)

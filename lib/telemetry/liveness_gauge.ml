@@ -96,6 +96,5 @@ let update_with t now =
   t.current
 
 let update t = update_with t (read_sources t)
-let rebase t = t.last <- read_sources t
 let rebase_with t counters = t.last <- counters
 let current t = t.current

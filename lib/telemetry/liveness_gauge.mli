@@ -41,9 +41,6 @@ val of_counters :
 val states : string array
 (** [[| "crashed"; "parasitic"; "starving"; "progressing" |]]. *)
 
-val state_of_cls : Tm_liveness.Process_class.cls -> string
-val correct_of_cls : Tm_liveness.Process_class.cls -> int
-
 type t
 
 val create :
@@ -62,17 +59,13 @@ val create :
 
 val update : t -> Tm_liveness.Process_class.cls array
 (** Read the sources, classify the deltas since the previous
-    update/rebase, set the gauges; returns the classes (aliased, do not
+    update or {!rebase_with}, set the gauges; returns the classes (aliased, do not
     mutate). *)
 
 val update_with : t -> Tm_liveness.Empirical.counters array -> Tm_liveness.Process_class.cls array
 (** Like {!update} but with counters the caller already sampled — used
     when the exported classes must agree exactly with a verdict computed
     from the same samples. *)
-
-val rebase : t -> unit
-(** Reset the delta baseline to the sources' current values without
-    classifying (e.g. after a warmup). *)
 
 val rebase_with : t -> Tm_liveness.Empirical.counters array -> unit
 

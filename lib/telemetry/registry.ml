@@ -18,8 +18,6 @@ let set_state st label =
   in
   Atomic.set st.st_current (find 0)
 
-let state_current st = st.st_states.(Atomic.get st.st_current)
-
 type instrument =
   | I_counter of Instrument.counter
   | I_gauge of Instrument.gauge

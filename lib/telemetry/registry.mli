@@ -70,8 +70,6 @@ val state :
 val set_state : state -> string -> unit
 (** @raise Invalid_argument on an unknown state name. *)
 
-val state_current : state -> string
-
 (** {2 Scraping} *)
 
 type value =

@@ -1,7 +1,6 @@
 (* The scrape loop: update the liveness gauge, freeze the registry,
    feed every consumer.  Deterministic callers (the simulator, the
-   sweep) drive [tick ~ts] themselves on the step clock; [run_live]
-   is the wall-clock loop for live workloads. *)
+   sweep) drive [tick ~ts] themselves on the step clock. *)
 
 type consumer = Registry.snapshot -> unit
 
@@ -33,11 +32,3 @@ let tick ?ts t =
   snap
 
 let last t = t.last
-
-let run_live ?(stop = fun () -> false) t ~period ~frames ~on_frame =
-  let frame = ref 1 in
-  while !frame <= frames && not (stop ()) do
-    Unix.sleepf period;
-    on_frame !frame (tick t);
-    incr frame
-  done

@@ -1,7 +1,6 @@
 (** The scrape loop: liveness update, registry freeze, consumers.
 
-    A sampler owns no thread; {!tick} is one scrape, {!run_live} a
-    wall-clock loop around it.  Deterministic pipelines (simulator,
+    A sampler owns no thread; {!tick} is one scrape.  Deterministic pipelines (simulator,
     sweep) call [tick ~ts] on the step clock — no wall time enters the
     snapshot — while live mode lets the default clock stamp frames with
     milliseconds since sampler creation. *)
@@ -25,13 +24,3 @@ val tick : ?ts:int -> t -> Registry.snapshot
 
 val last : t -> Registry.snapshot option
 (** The most recent {!tick} snapshot. *)
-
-val run_live :
-  ?stop:(unit -> bool) ->
-  t ->
-  period:float ->
-  frames:int ->
-  on_frame:(int -> Registry.snapshot -> unit) ->
-  unit
-(** Sleep [period] seconds, {!tick}, call [on_frame frame snapshot];
-    [frames] times or until [stop ()]. *)

@@ -25,14 +25,12 @@ type t = {
   abort_ns : Instrument.histogram;
 }
 
-val ns_clock : unit -> int
-(** CLOCK_MONOTONIC in nanoseconds (bechamel's stubs). *)
-
 val register : Registry.t -> t
 (** Register the instruments without arming the probe. *)
 
 val subscriber : ?clock:(unit -> int) -> t -> Tm_stm.Stm.Obs.subscriber
-(** The subscriber feeding [t]; [clock] defaults to {!ns_clock}. *)
+(** The subscriber feeding [t]; [clock] defaults to CLOCK_MONOTONIC in
+    nanoseconds. *)
 
 val install : ?clock:(unit -> int) -> Registry.t -> t * Tm_stm.Stm.Obs.handle
 (** {!register} + {!Tm_stm.Stm.Obs.subscribe}; unsubscribe the handle

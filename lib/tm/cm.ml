@@ -42,6 +42,8 @@ let greedy =
         if attacker.timestamp < victim.timestamp then Steal else Abort_self);
   }
 
+(* Older transactions steal; younger ones wait up to the bound, then
+   abort themselves. *)
 let timestamp bound =
   {
     cm_name = Fmt.str "timestamp-%d" bound;

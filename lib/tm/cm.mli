@@ -48,9 +48,5 @@ val greedy : t
 (** Older transaction wins: steal iff the attacker started earlier,
     otherwise abort self. *)
 
-val timestamp : int -> t
-(** Older transactions steal; younger ones wait up to the bound, then
-    abort themselves. *)
-
 val all : t list
 val by_name : string -> t option

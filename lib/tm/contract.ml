@@ -59,13 +59,6 @@ let all =
 
 let find name = List.find_opt (fun c -> c.tm_name = name) all
 
-let solo_under c ~crash_free ~parasitic_free =
-  List.for_all
-    (function
-      | Crash_free -> crash_free
-      | Parasitic_free -> parasitic_free)
-    c.solo_requires
-
 let pp ppf c =
   let assumption = function
     | Crash_free -> "crash-free"

@@ -26,9 +26,4 @@ type t = {
 val all : t list
 val find : string -> t option
 
-val solo_under :
-  t -> crash_free:bool -> parasitic_free:bool -> bool
-(** Whether the contract promises solo progress in the given system
-    model. *)
-
 val pp : Format.formatter -> t -> unit

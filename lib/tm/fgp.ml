@@ -102,8 +102,6 @@ let state t =
           (k + 1, Tm_intf.Mailbox.get t.mail (k + 1)));
   }
 
-let compare_state = Stdlib.compare
-
 let pp_state ppf s =
   let pp_status ppf = function `C -> Fmt.string ppf "c" | `A -> Fmt.string ppf "a" in
   let pp_pending ppf = function
@@ -119,10 +117,5 @@ let pp_state ppf s =
     s.s_vals
     Fmt.(list ~sep:(any ",") pp_pending)
     s.s_pending
-
-let status_of t p = t.status.(p)
-
-let concurrent_group t =
-  List.filter (fun k -> t.cp.(k)) (List.init t.cfg.nprocs (fun k -> k + 1))
 
 let view t p x = t.vals.(p).(x)

@@ -42,8 +42,4 @@ val state : t -> state
 
 val pp_state : Format.formatter -> state -> unit
 
-val compare_state : state -> state -> int
-
-val status_of : t -> Event.proc -> [ `C | `A ]
-val concurrent_group : t -> Event.proc list
 val view : t -> Event.proc -> Event.tvar -> Event.value

@@ -16,6 +16,7 @@ let describe =
    higher-priority process is in the concurrent group (local progress for \
    the top-priority process; fault-prone only below the faulty rank)"
 
+(* Smaller value = higher priority: the process identifier itself. *)
 let priority_of (p : Event.proc) = p
 
 let create cfg =

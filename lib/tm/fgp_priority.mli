@@ -1,5 +1,3 @@
-open Tm_history
-
 (** A priority variant of [Fgp], answering the paper's concluding-remarks
     question about liveness properties that "guarantee progress for
     processes with higher priority".
@@ -22,7 +20,3 @@ open Tm_history
     commit rule is strictly more restrictive than [Fgp]'s). *)
 
 include Tm_intf.S
-
-val priority_of : Event.proc -> int
-(** Smaller value = higher priority; this implementation uses the process
-    identifier itself. *)

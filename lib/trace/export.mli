@@ -16,5 +16,3 @@ val of_chrome_string : string -> (Trace_event.t list, string) result
 
 val text_string : Trace_event.t list -> string
 (** Compact human-readable dump, one event per line. *)
-
-val pp_text : Format.formatter -> Trace_event.t list -> unit

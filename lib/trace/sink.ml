@@ -1,19 +1,10 @@
 type t = { emit : Trace_event.t -> unit }
 
-let null = { emit = ignore }
 let of_fn f = { emit = f }
 
-type collector = { mutable rev_events : Trace_event.t list; mutable n : int }
+type collector = { mutable rev_events : Trace_event.t list }
 
-let collector () = { rev_events = []; n = 0 }
-
-let collector_sink c =
-  {
-    emit =
-      (fun e ->
-        c.rev_events <- e :: c.rev_events;
-        c.n <- c.n + 1);
-  }
+let collector () = { rev_events = [] }
+let collector_sink c = { emit = (fun e -> c.rev_events <- e :: c.rev_events) }
 
 let collected c = List.rev c.rev_events
-let collected_count c = c.n

@@ -1,16 +1,12 @@
 (** Pluggable trace sinks.
 
     Instrumented code never formats or stores events itself; it hands each
-    event to a sink.  {!null} discards (for measuring pure emission cost);
-    a {!collector} accumulates everything in order (the simulator's
+    event to a sink.  A {!collector} accumulates everything in order (the simulator's
     recorder — unbounded, use on bounded runs); {!Ring.sink} keeps the most
     recent events in a fixed-size buffer (the multicore runtime's
     per-domain sink). *)
 
 type t = { emit : Trace_event.t -> unit }
-
-val null : t
-(** Discards every event. *)
 
 val of_fn : (Trace_event.t -> unit) -> t
 
@@ -24,5 +20,3 @@ val collector_sink : collector -> t
 
 val collected : collector -> Trace_event.t list
 (** Events in emission order. *)
-
-val collected_count : collector -> int

@@ -76,11 +76,5 @@ let arg_str e k =
 let tvar e = arg_int e "tvar"
 let outcome e = arg_str e "outcome"
 
-let is_span_begin e = e.phase = Span_begin
-let is_span_end e = e.phase = Span_end
-let is_instant e = e.phase = Instant
-
-let is_named e cat name = e.cat = cat && e.name = name
-
 let by_ts es =
   List.stable_sort (fun (a : t) b -> Int.compare a.ts b.ts) es

@@ -74,9 +74,6 @@ val pp : Format.formatter -> t -> unit
     (see [Tm_analysis]), so rule code reads as protocol logic rather than
     association-list plumbing. *)
 
-val arg_int : t -> string -> int option
-(** [arg_int e k] is the integer argument named [k], if any. *)
-
 val arg_str : t -> string -> string option
 
 val tvar : t -> int option
@@ -84,14 +81,6 @@ val tvar : t -> int option
 
 val outcome : t -> string option
 (** The conventional ["outcome"] string argument (attempt span ends). *)
-
-val is_span_begin : t -> bool
-val is_span_end : t -> bool
-val is_instant : t -> bool
-
-val is_named : t -> category -> string -> bool
-(** [is_named e cat name] holds iff [e] belongs to [cat] and is called
-    [name]. *)
 
 val by_ts : t list -> t list
 (** Stable sort by logical timestamp — the canonical analysis order. *)

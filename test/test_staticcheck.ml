@@ -146,6 +146,75 @@ let test_leak_bad () =
   check_counts "leak_bad" ~errors:2 ~warnings:0 findings;
   Alcotest.(check (list int)) "at each install" [ 6; 10 ] (lines_of findings)
 
+(* --- exported-unused: an interface, its own file, a user, a test --- *)
+
+let unused_findings () =
+  let path name = Filename.concat (Lazy.force fixture_dir) name in
+  let load subject name =
+    match Source.load ~subject (path name) with
+    | Ok src -> src
+    | Error msg -> Alcotest.failf "fixture %s: %s" name msg
+  in
+  let intf =
+    match
+      Source.interface ~subject:"lib/fx/unused_lib.mli" (path "unused_lib.mli")
+    with
+    | Ok intf -> intf
+    | Error msg -> Alcotest.failf "fixture unused_lib.mli: %s" msg
+  in
+  Tm_staticcheck.Rule_unused.check ~interfaces:[ intf ]
+    ~users:
+      [
+        load "lib/fx/unused_lib.ml" "unused_lib.ml";
+        load "bin/unused_user.ml" "unused_user.ml";
+        load "test/unused_test.ml" "unused_test.ml";
+      ]
+  |> List.sort F.compare
+
+let unused_about name =
+  List.filter
+    (fun (f : F.t) ->
+      String.starts_with ~prefix:(name ^ " ") f.F.message
+      || String.starts_with ~prefix:("Unused_lib." ^ name ^ " ") f.F.message)
+    (unused_findings ())
+
+let test_unused_no_user () =
+  let check name line =
+    let fs = unused_about name in
+    check_counts name ~errors:0 ~warnings:1 fs;
+    Alcotest.(check (list int)) (name ^ " at its val") [ line ] (lines_of fs)
+  in
+  (* Its own file's uses do not count, nor does an allow without a
+     reason; a nested module's val is qualified by that module. *)
+  check "dead" 3;
+  check "excused_without_reason" 12;
+  check "Inner.inner_dead" 15
+
+let test_unused_used_elsewhere () =
+  List.iter
+    (fun name ->
+      Alcotest.(check int) (name ^ ": no finding") 0
+        (List.length (unused_about name)))
+    [ "used_qualified"; "used_aliased"; "used_bare"; "Inner.inner_used" ]
+
+let test_unused_test_only () =
+  match unused_about "test_only" with
+  | [ f ] ->
+      Alcotest.(check string) "info" "info" (F.severity_label f.F.severity);
+      Alcotest.(check (list int)) "at its val" [ 7 ] (lines_of [ f ])
+  | fs -> Alcotest.failf "test_only: %d findings" (List.length fs)
+
+let test_unused_allowed () =
+  Alcotest.(check int) "allow with a reason" 0
+    (List.length (unused_about "excused"))
+
+let test_unused_deterministic () =
+  let a = F.list_to_json (unused_findings ())
+  and b = F.list_to_json (unused_findings ()) in
+  Alcotest.(check string) "byte-identical findings" a b;
+  Alcotest.(check int) "three warnings and one info" 4
+    (List.length (unused_findings ()))
+
 (* --- rule selection and exit thresholds --- *)
 
 let test_parse_selection () =
@@ -195,9 +264,20 @@ let test_tree_is_clean () =
   match Sc.run ~root () with
   | Error msg -> Alcotest.fail msg
   | Ok report ->
-      List.iter (fun f -> Fmt.epr "unexpected: %a@." F.pp f) report.Sc.findings;
+      (* Info findings (exports only tests use) are listed but do not
+         count against a clean tree; only exported-unused emits them. *)
+      let counted, info =
+        List.partition (fun (f : F.t) -> f.F.severity <> F.Info)
+          report.Sc.findings
+      in
+      List.iter (fun f -> Fmt.epr "unexpected: %a@." F.pp f) counted;
       Alcotest.(check int) "no findings on a clean tree" 0
-        (List.length report.Sc.findings);
+        (List.length counted);
+      Alcotest.(check (list string)) "info comes only from exported-unused" []
+        (List.filter_map
+           (fun (f : F.t) ->
+             if f.F.rule = "exported-unused" then None else Some f.F.rule)
+           info);
       Alcotest.(check bool)
         (Fmt.str "scanned a real tree (%d files)" report.Sc.files_scanned)
         true
@@ -212,8 +292,11 @@ let test_tree_json_deterministic () =
   in
   let a = once () and b = once () in
   Alcotest.(check string) "byte-identical JSON across runs" a b;
-  Alcotest.(check string) "clean-tree document"
-    "{\"findings\":[],\"counts\":{\"error\":0,\"warning\":0,\"info\":0}}\n" a
+  let counts = "\"counts\":{\"error\":0,\"warning\":0,\"info\":" in
+  let n = String.length counts and la = String.length a in
+  let rec has i = i + n <= la && (String.sub a i n = counts || has (i + 1)) in
+  Alcotest.(check bool) "clean-tree document: no errors, no warnings" true
+    (has 0)
 
 let test_rule_filter () =
   let root = repo_root () in
@@ -246,6 +329,15 @@ let () =
         [
           Alcotest.test_case "clean" `Quick test_leak_clean;
           Alcotest.test_case "violating" `Quick test_leak_bad;
+        ] );
+      ( "exported-unused",
+        [
+          Alcotest.test_case "no user warns at the val" `Quick
+            test_unused_no_user;
+          Alcotest.test_case "user elsewhere" `Quick test_unused_used_elsewhere;
+          Alcotest.test_case "tests only is info" `Quick test_unused_test_only;
+          Alcotest.test_case "allow with a reason" `Quick test_unused_allowed;
+          Alcotest.test_case "deterministic" `Quick test_unused_deterministic;
         ] );
       ( "driver",
         [

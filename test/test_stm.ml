@@ -83,6 +83,8 @@ let test_list_model =
       let model = ref [] in
       List.iter
         (fun (is_add, k) ->
+          if Tm_stm.Txn_list.mem l k <> List.mem k !model then
+            failwith "mem mismatch";
           if is_add then begin
             let added = Tm_stm.Txn_list.add l k in
             let expected = not (List.mem k !model) in
@@ -1080,6 +1082,31 @@ let test_tl2_read_allocates_nothing () =
       check_words "64 reads cost what 1 read costs" r1 r64;
       check_words "words per extra read" 0. ((r64 -. r1) /. 63.))
 
+(* A parasite re-reads one t-variable forever inside one transaction.
+   Re-reading the read set's last entry must add nothing to it: in a
+   fresh domain (empty per-domain sets), 100,000 re-reads allocate
+   under 1,000 words, counting the major heap that large arrays go to. *)
+let rereads_allocate_nothing algo () =
+  Stm.with_algo algo (fun () ->
+      let words =
+        Domain.join
+          (Domain.spawn (fun () ->
+               let tv = Stm.tvar 0 in
+               let allocated () =
+                 let minor, promoted, major = Gc.counters () in
+                 minor +. major -. promoted
+               in
+               let w0 = allocated () in
+               Stm.atomically (fun () ->
+                   for _ = 1 to 100_000 do
+                     ignore (Sys.opaque_identity (Stm.read tv))
+                   done);
+               allocated () -. w0))
+      in
+      if words >= 1000. then
+        Alcotest.failf "%s: 100,000 re-reads allocate %.0f words"
+          (Stm.Algo.name algo) words)
+
 (* A fresh t-variable is 17 words: the record, three atomics and the
    type witness.  The locator sentinel all of them share is counted
    out, as is the array holding them. *)
@@ -1480,6 +1507,12 @@ let () =
         [
           Alcotest.test_case "tl2 read allocates nothing" `Quick
             test_tl2_read_allocates_nothing;
+          Alcotest.test_case "tl2 re-reads allocate nothing" `Quick
+            (rereads_allocate_nothing Stm.Algo.Tl2);
+          Alcotest.test_case "dstm re-reads allocate nothing" `Quick
+            (rereads_allocate_nothing Stm.Algo.Dstm);
+          Alcotest.test_case "norec re-reads allocate nothing" `Quick
+            (rereads_allocate_nothing Stm.Algo.Norec);
           Alcotest.test_case "tl2 write allocation" `Quick
             (write_allocation Stm.Algo.Tl2);
           Alcotest.test_case "global-lock write allocation" `Quick
