@@ -808,6 +808,53 @@ let sites_truthful algo () =
     (algo = Stm.Algo.Global_lock || algo = Stm.Algo.Norec)
     (reaches (Obs.Conflict Obs.Wait_budget))
 
+(* The sites one solo transaction delivers, per core: all of them, then
+   those a chaos plan can act on (the bench's P7 divisor), those the
+   telemetry probe times (P8) and those the blame graph takes (P10).
+   These counts are the hardware-independent half of the seam costs. *)
+let fault_site = function
+  | Obs.Read | Obs.Lock | Obs.Validate | Obs.Publish | Obs.Commit -> true
+  | _ -> false
+
+let probe_site = function
+  | Obs.Begin | Obs.Abort _ -> true
+  | site -> fault_site site
+
+let blame_site = function Obs.Conflict _ | Obs.Commit -> true | _ -> false
+
+let deliveries algo body =
+  Stm.with_algo algo (fun () ->
+      let v = Stm.tvar 0 in
+      let seen = Atomic.make [] in
+      let sub =
+        Obs.subscribe (fun site _ _ ->
+            Atomic.set seen (site :: Atomic.get seen);
+            Obs.Proceed)
+      in
+      Fun.protect
+        ~finally:(fun () -> Obs.unsubscribe sub)
+        (fun () -> Stm.atomically (fun () -> body v));
+      let count p = List.length (List.filter p (Atomic.get seen)) in
+      [ count (Fun.const true); count fault_site; count probe_site;
+        count blame_site ])
+
+let test_counted_deliveries () =
+  List.iter
+    (fun (algo, rmw, read_only) ->
+      let name = Stm.Algo.name algo in
+      Alcotest.(check (list int))
+        (name ^ ": increment all/fault/probe/blame")
+        rmw
+        (deliveries algo (fun v -> Stm.write v (Stm.read v + 1)));
+      Alcotest.(check int) (name ^ ": read-only all") read_only
+        (List.hd (deliveries algo (fun v -> ignore (Stm.read v)))))
+    [
+      (Stm.Algo.Tl2, [ 8; 5; 6; 1 ], 3);
+      (Stm.Algo.Global_lock, [ 8; 4; 5; 1 ], 6);
+      (Stm.Algo.Dstm, [ 7; 5; 6; 1 ], 5);
+      (Stm.Algo.Norec, [ 7; 4; 5; 1 ], 3);
+    ]
+
 (* A contended run for the isolation tests below: conflicts, aborts and
    commits on two domains. *)
 let contend () =
@@ -1502,6 +1549,8 @@ let () =
             (sites_truthful Stm.Algo.Dstm);
           Alcotest.test_case "norec sites truthful" `Slow
             (sites_truthful Stm.Algo.Norec);
+          Alcotest.test_case "counted seam deliveries per core" `Quick
+            test_counted_deliveries;
         ] );
       ( "sets as data",
         [
