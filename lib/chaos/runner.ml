@@ -5,7 +5,13 @@ module Emp = Tm_liveness.Empirical
 module Tev = Tm_trace.Trace_event
 module Tel = Tm_telemetry
 
-type sample = { ops : int; trycs : int; commits : int; aborts : int }
+type sample = {
+  ops : int;
+  trycs : int;
+  commits : int;
+  aborts : int;
+  causes : (Obs.cause * int) list;
+}
 
 (* Per-domain monotone counters live in a telemetry registry
    ([tm_chaos_*_total{domain=...}], single-writer so one shard each):
@@ -22,6 +28,9 @@ type session = {
   ses_attempts : Tel.Instrument.counter array;
   ses_trycs : Tel.Instrument.counter array;
   ses_commits : Tel.Instrument.counter array;
+  ses_causes : (Obs.cause * Tel.Instrument.counter) list array;
+      (* per domain, the conflicts it reported by cause; private to the
+         report, not in the registry *)
   ses_crashed : Tel.Instrument.gauge array;
   ses_taken_over : bool Atomic.t array;
       (* set by a parasite as it enters its spin: its takeover *)
@@ -44,6 +53,8 @@ let sample ses d =
     trycs = v ses.ses_trycs;
     commits;
     aborts = max 0 (attempts - commits);
+    causes =
+      List.map (fun (c, n) -> (c, Tel.Instrument.value n)) ses.ses_causes.(d);
   }
 
 let samples ses = Array.init ses.ses_plan.Plan.domains (sample ses)
@@ -103,6 +114,7 @@ type dstate = {
   ds_fault : Plan.fault;
   ds_ops : Tel.Instrument.counter;
   ds_injected : Tel.Instrument.counter;
+  ds_causes : (Obs.cause * Tel.Instrument.counter) list;
 }
 
 let dls : dstate option ref Domain.DLS.key =
@@ -133,6 +145,9 @@ let fault_handler site _ _ =
       | Obs.Abort | Obs.Stall _ | Obs.Crash ->
           Tel.Instrument.incr st.ds_injected);
       action
+  | Obs.Conflict c, Some st ->
+      Tel.Instrument.incr (List.assoc c st.ds_causes);
+      Obs.Proceed
   | _ -> Obs.Proceed
 
 exception Stop_worker
@@ -158,9 +173,15 @@ exception Stop_worker
    every peer deterministically (prior reads in the set are harmless:
    the serializer validates nothing). *)
 let worker ~stop ~job ~mine ~algo ~fault ~parasite_gate ~taken_over ~ops
-    ~injected ~attempts ~trycs ~commits ~crashed ~lat d () =
+    ~injected ~causes ~attempts ~trycs ~commits ~crashed ~lat d () =
   Domain.DLS.get dls :=
-    Some { ds_fault = fault; ds_ops = ops; ds_injected = injected };
+    Some
+      {
+        ds_fault = fault;
+        ds_ops = ops;
+        ds_injected = injected;
+        ds_causes = causes;
+      };
   (* Open-loop latency: mark before the transaction, complete after.  A
      body that dies on [Obs.Crashed] leaves its mark in place on
      purpose — the dead domain's in-flight age is the censored sample
@@ -264,6 +285,10 @@ let with_session ?(blame = false) ?(latency = false) ?registry ~workload
           ~help:"1 after the worker died on Stm.Obs.Crashed"
           "tm_chaos_crashed")
   in
+  let causes =
+    Array.init nd (fun _ ->
+        List.map (fun c -> (c, Tel.Instrument.counter ~shards:1 ())) Obs.causes)
+  in
   let taken_over = Array.init nd (fun _ -> Atomic.make false) in
   let sources =
     Array.init nd (fun d ->
@@ -299,6 +324,7 @@ let with_session ?(blame = false) ?(latency = false) ?registry ~workload
       ses_attempts = attempts;
       ses_trycs = trycs;
       ses_commits = commits;
+      ses_causes = causes;
       ses_crashed = crashed;
       ses_taken_over = taken_over;
       ses_latency = lat;
@@ -352,7 +378,8 @@ let with_session ?(blame = false) ?(latency = false) ?registry ~workload
               (worker ~stop ~job:(job d) ~mine:mine.(d) ~algo:plan.Plan.algo
                  ~fault:plan.Plan.faults.(d) ~parasite_gate
                  ~taken_over:taken_over.(d) ~ops:ops.(d)
-                 ~injected:injected.(d) ~attempts:attempts.(d)
+                 ~injected:injected.(d) ~causes:causes.(d)
+                 ~attempts:attempts.(d)
                  ~trycs:trycs.(d) ~commits:commits.(d) ~crashed:crashed.(d)
                  ~lat d))
       in
@@ -535,7 +562,7 @@ let delta r f = f r.rep_last - f r.rep_first
 let pp_report ppf r =
   Fmt.pf ppf
     "domain %d: %-22s expect %-11s observed %-11s %-8s d_ops %d, d_tryC %d, \
-     d_commits %d, d_aborts %d%s"
+     d_commits %d, d_aborts %d (%a)%s"
     r.rep_domain
     (Plan.fault_label r.rep_fault)
     (Pc.cls_label r.rep_expected)
@@ -545,6 +572,10 @@ let pp_report ppf r =
     (delta r (fun s -> s.trycs))
     (delta r (fun s -> s.commits))
     (delta r (fun s -> s.aborts))
+    Fmt.(list ~sep:(any " ") (pair ~sep:(any " ") string int))
+    (List.map2
+       (fun (c, last) (_, first) -> (Obs.cause_label c, last - first))
+       r.rep_last.causes r.rep_first.causes)
     (if r.rep_crashed then " [crashed]" else "")
 
 let pp_table ppf o =

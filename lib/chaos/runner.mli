@@ -21,10 +21,19 @@
     empirically stable classification the scenario gates on, so equal
     runs export equal traces. *)
 
-type sample = { ops : int; trycs : int; commits : int; aborts : int }
+type sample = {
+  ops : int;
+  trycs : int;
+  commits : int;
+  aborts : int;
+  causes : (Tm_stm.Stm.Obs.cause * int) list;
+}
 (** A watchdog snapshot of one domain's monotone counters.  [ops] counts
     fault sites reached, [trycs] transaction bodies that reached
-    [tryC], [aborts] is attempts minus commits. *)
+    [tryC], [aborts] is attempts minus commits, [causes] the
+    [Stm.Obs.Conflict] sites the domain reported, by cause in
+    [Stm.Obs.causes] order.  The cause counts are kept out of the
+    session registry. *)
 
 type session
 (** A live chaos run: worker domains spawned, faults armed, counters
@@ -184,7 +193,8 @@ val run :
     cannot starve later runs of the same core in this process. *)
 
 val pp_report : Format.formatter -> report -> unit
-(** One line: domain, fault, expected/observed classes, counter deltas. *)
+(** One line: domain, fault, expected/observed classes, counter deltas,
+    the conflict deltas by cause. *)
 
 val pp_table : Format.formatter -> outcome -> unit
 

@@ -258,6 +258,43 @@ let test_run_crash_holding_locks () =
           (Pc.cls_label r.Runner.rep_observed))
     o.Runner.o_reports
 
+(* The table's abort causes: every domain's line carries its window
+   deltas of conflict sites by cause.  A healthy tl2 peer reports one
+   conflict per aborted attempt, and an attempt that began before the
+   window can abort inside it, so its cause sum is at most its window
+   aborts + 1; a peer starving behind the held locks reports some. *)
+let test_run_abort_causes () =
+  let o = run_scenario "crash-holding-locks" 7 in
+  let prints line sub =
+    let n = String.length sub in
+    let rec at i =
+      i + n <= String.length line && (String.sub line i n = sub || at (i + 1))
+    in
+    at 0
+  in
+  List.iter
+    (fun (r : Runner.report) ->
+      let line = Fmt.str "%a" Runner.pp_report r in
+      List.iter
+        (fun cause ->
+          let column = Stm.Obs.cause_label cause ^ " " in
+          if not (prints line column) then
+            Alcotest.failf "domain %d prints no %S column:@.%s"
+              r.Runner.rep_domain column line)
+        Stm.Obs.causes;
+      if r.Runner.rep_fault = Plan.Healthy then begin
+        let first = r.Runner.rep_first and last = r.Runner.rep_last in
+        let count (s : Runner.sample) =
+          List.fold_left (fun acc (_, n) -> acc + n) 0 s.Runner.causes
+        in
+        let causes = count last - count first in
+        let aborts = last.Runner.aborts - first.Runner.aborts in
+        if causes > aborts + 1 || (aborts > 1 && causes = 0) then
+          Alcotest.failf "domain %d: %d conflicts over %d aborts:@.%a"
+            r.Runner.rep_domain causes aborts Runner.pp_table o
+      end)
+    o.Runner.o_reports
+
 let test_run_parasitic_only () =
   let o = run_scenario "parasitic-only" 5 in
   let want d = if d = 0 then Pc.Parasitic else Pc.Progressing in
@@ -625,6 +662,8 @@ let () =
             test_run_trace_lints_clean;
           Alcotest.test_case "onset waits for the takeover" `Quick
             test_onset_waits_for_takeover;
+          Alcotest.test_case "the table counts aborts by cause" `Quick
+            test_run_abort_causes;
         ] );
       ( "blame",
         [
