@@ -27,8 +27,8 @@ let cores = Domain.recommended_domain_count ()
 
 (* A verdict that needs at least 4 cores (parallel speedup, real
    contention): on fewer, print why it is skipped instead. *)
-let on_four_cores ~id ~what ?why verdict =
-  if cores >= 4 then verdict ()
+let on_four_cores ~id ~what ?why f =
+  if cores >= 4 then f ()
   else begin
     Fmt.pr "    only %d core(s) available: " cores;
     Option.iter (Fmt.pr "%s;@.    ") why;
@@ -122,9 +122,9 @@ let row s label t extra =
    print "<what> written to <path>". *)
 let write_result ~what file json =
   let name =
-    String.uppercase_ascii
-      (Filename.remove_extension
-         (String.sub file 6 (String.length file - 6)))
+    let stem = Filename.remove_extension file in
+    let skip = String.length "BENCH_" in
+    String.uppercase_ascii (String.sub stem skip (String.length stem - skip))
   in
   let out =
     Option.value ~default:file (Sys.getenv_opt ("TM_BENCH_" ^ name ^ "_OUT"))
