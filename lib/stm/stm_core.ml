@@ -278,20 +278,23 @@ module Wset = struct
     s.entries <- extend s.entries s.n fill;
     s.order <- extend s.order s.n 0
 
+  (* Append an entry for [tv], which the caller knows is not in the
+     set, without searching: the one entry block. *)
+  let push (type a) s (tv : a tvar) (x : a) =
+    let e = W { tv; v = x } in
+    if s.n = Array.length s.ids then grow s e;
+    s.ids.(s.n) <- tv.id;
+    s.entries.(s.n) <- e;
+    s.order.(s.n) <- s.n;
+    s.n <- s.n + 1
+
   (* Buffer [x] for [tv]: a first write costs the one entry block, a
      rewrite allocates nothing. *)
   let add (type a) s (tv : a tvar) (x : a) =
     let i = index s tv in
     if i >= 0 then (
       match s.entries.(i) with W w -> w.v <- cast tv.wit w.tv.wit x)
-    else begin
-      let e = W { tv; v = x } in
-      if s.n = Array.length s.ids then grow s e;
-      s.ids.(s.n) <- tv.id;
-      s.entries.(s.n) <- e;
-      s.order.(s.n) <- s.n;
-      s.n <- s.n + 1
-    end
+    else push s tv x
 
   (* Ascending ids through [order]: the canonical commit order.
      Insertion sort — write sets are short and often nearly sorted. *)
@@ -308,15 +311,21 @@ module Wset = struct
       order.(!j + 1) <- o
     done
 
-  (* Membership by binary search; only valid after [sort]. *)
-  let rec search s id lo hi =
-    lo < hi
-    &&
-    let mid = (lo + hi) lsr 1 in
-    let m = s.ids.(s.order.(mid)) in
-    m = id || if m < id then search s id (mid + 1) hi else search s id lo mid
+  let slot s k = s.order.(k)
 
-  let mem_sorted s id = search s id 0 s.n
+  (* The insertion index of [id]'s entry by binary search, or -1; only
+     valid after [sort]. *)
+  let rec search s id lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) lsr 1 in
+      let o = s.order.(mid) in
+      let m = s.ids.(o) in
+      if m = id then o
+      else if m < id then search s id (mid + 1) hi
+      else search s id lo mid
+
+  let find_sorted s id = search s id 0 s.n
 end
 
 (* Write-back for the serialized cores (global-lock, NOrec), which run

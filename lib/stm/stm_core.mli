@@ -176,15 +176,24 @@ module Wset : sig
   (** Buffer a write: the first write of a t-variable allocates one
       entry block, a rewrite allocates nothing. *)
 
+  val push : t -> 'a tvar -> 'a -> unit
+  (** Append an entry for a t-variable the caller knows has none, with
+      no search: the one entry block.  A second entry for the same
+      t-variable breaks every lookup. *)
+
   val sort : t -> unit
   (** Put {!entry}/{!id} in ascending-id order — the canonical commit
       order.  It sorts an int permutation of the insertion indices; the
       entries themselves never move, so sorting allocates nothing and
       writes no pointer. *)
 
-  val mem_sorted : t -> int -> bool
-  (** Whether a t-variable id has an entry, by binary search through
-      the sorted order; only valid after {!sort}. *)
+  val slot : t -> int -> int
+  (** The insertion index of [entry s k]: where a core's own per-entry
+      arrays, filled as entries are added, keep what it knows of it. *)
+
+  val find_sorted : t -> int -> int
+  (** The insertion index of a t-variable id's entry, or -1, by binary
+      search through the sorted order; only valid after {!sort}. *)
 end
 
 val write_back : Wset.t -> unit

@@ -34,8 +34,9 @@ let read_vlock tv = Atomic.get tv.vlock
 (* This commit's owner bits: the domain's slot while armed, else 0. *)
 let owner_bits () = if Atomic.get Obs.armed then (Obs.self () + 1) lsl 1 else 0
 
-let try_lock_tvar tv stamp =
-  let v = read_vlock tv in
+(* Lock [tv], whose vlock word was read as [v], with this commit's
+   owner bits; fails if the word is locked or has moved since. *)
+let try_lock_tvar tv v stamp =
   (not (locked v))
   && Atomic.compare_and_set tv.vlock v (v land lnot owner_mask lor stamp lor 1)
 
@@ -68,17 +69,26 @@ let rec snapshot_read tv =
    transaction per domain).  The read set is three parallel arrays,
    filled in read order up to [nr]: the t-variable's vlock, the version
    seen and its id — a read allocates nothing, and stores one pointer.
-   The write set is the shared [Wset]; at commit it is sorted (through
-   its index permutation) and the locks held are its sorted prefix up
-   to [held]. *)
+   [fresh] is the id of the last read that missed the write set (the
+   read set's last entry) until the next write, else -1.
+   The write set is the shared [Wset], with an int per entry by
+   insertion index in [w_word]: the version seen by the read the entry
+   took over (-1 if none) until the commit locks it, then the word the
+   lock replaced.  At commit the set is sorted (through its index
+   permutation), the locks held are its sorted prefix up to [held],
+   and [stale] is the sorted index of the last one whose replaced word
+   is not at the version seen, or -1. *)
 type txn = {
   mutable rv : int;
   mutable nr : int;
   mutable r_vlock : int Atomic.t array;
   mutable r_seen : int array;
   mutable r_id : int array;
+  mutable fresh : int;
   ws : Wset.t;
+  mutable w_word : int array;
   mutable held : int;
+  mutable stale : int;
 }
 
 let buffer =
@@ -89,14 +99,18 @@ let buffer =
         r_vlock = [||];
         r_seen = [||];
         r_id = [||];
+        fresh = -1;
         ws = Wset.create ();
+        w_word = [||];
         held = 0;
+        stale = -1;
       })
 
 let begin_ () =
   let t = Domain.DLS.get buffer in
   t.rv <- Atomic.get clock;
   t.nr <- 0;
+  t.fresh <- -1;
   t.held <- 0;
   Wset.clear t.ws;
   t
@@ -135,10 +149,28 @@ let read (type a) t (tv : a tvar) : a =
       t.r_id.(k) <- tv.id;
       t.nr <- k + 1
     end;
+    t.fresh <- tv.id;
     x
   end
 
-let write t tv x = Wset.add t.ws tv x
+(* A write of the t-variable whose read was the last to miss the write
+   set appends without a search: that read leaves the read set, and its
+   version moves into the entry, to be checked against the word the
+   entry's lock replaces.  Any other write searches. *)
+let write t tv x =
+  let n = Wset.length t.ws in
+  if n = Array.length t.w_word then t.w_word <- extend t.w_word n 0;
+  if tv.id = t.fresh then begin
+    Wset.push t.ws tv x;
+    t.nr <- t.nr - 1;
+    t.w_word.(n) <- t.r_seen.(t.nr)
+  end
+  else begin
+    Wset.add t.ws tv x;
+    (* Past the end unless [add] appended. *)
+    t.w_word.(n) <- -1
+  end;
+  t.fresh <- -1
 
 (* Release one held lock.  Note the release before the real unlock:
    once the vlock is even another domain can acquire it, and its
@@ -176,15 +208,22 @@ let commit_fault t site =
 
 (* Lock the sorted write set in canonical order from entry [k], with
    this commit's owner bits; back out on failure.  A busy lock's word
-   names its holder. *)
+   names its holder.  An entry that took over a read is validated by
+   its lock: a replaced word not at the version seen is recorded in
+   [stale] and reported after the [Validate] site. *)
 let rec lock_from t stamp k =
   if k < Wset.length t.ws then begin
     commit_fault t Obs.Lock;
     match Wset.entry t.ws k with
     | W { tv; _ } ->
-        if try_lock_tvar tv stamp then begin
+        let v = read_vlock tv in
+        if try_lock_tvar tv v stamp then begin
           if Atomic.get Obs.armed then Obs.note Obs.Acquired tv.id k;
           t.held <- k + 1;
+          let i = Wset.slot t.ws k in
+          let seen = t.w_word.(i) in
+          t.w_word.(i) <- v;
+          if seen >= 0 && version_of v <> seen then t.stale <- k;
           lock_from t stamp (k + 1)
         end
         else begin
@@ -197,19 +236,33 @@ let rec lock_from t stamp k =
         end
   end
 
+(* The word read [k] is validated against: its vlock, or for a
+   t-variable this commit holds, the word its lock replaced. *)
+let word_at t k =
+  let v = Atomic.get t.r_vlock.(k) in
+  if locked v then
+    let i = Wset.find_sorted t.ws t.r_id.(k) in
+    if i >= 0 then t.w_word.(i) else v
+  else v
+
 (* The newest read at or below [k] that no longer holds, or -1.  A read
-   holds while its vlock is free (or held by this commit) at the
-   version seen, and that version is not past [rv]. *)
+   holds while its word is free at the version seen (which [read]
+   checked is not past [rv]). *)
 let rec invalid_below t k =
   if k < 0 then -1
   else
-    let v = Atomic.get t.r_vlock.(k) in
-    if
-      ((not (locked v)) || Wset.mem_sorted t.ws t.r_id.(k))
-      && version_of v <= t.rv
-      && version_of v = t.r_seen.(k)
-    then invalid_below t (k - 1)
+    let v = word_at t k in
+    if (not (locked v)) && version_of v = t.r_seen.(k) then
+      invalid_below t (k - 1)
     else k
+
+(* [v] is the word that failed validation: its owner is the aggressor,
+   never this commit, which holds no lock on it when it is read. *)
+let validation_conflict t v id =
+  if Atomic.get Obs.armed then
+    Obs.note (Obs.Conflict Obs.Validation) (owner_of v) id;
+  release_in_order t;
+  raise Conflict
 
 let commit t =
   let n = Wset.length t.ws in
@@ -217,18 +270,16 @@ let commit t =
   if n > 0 then begin
     let stamp = owner_bits () in
     Wset.sort t.ws;
+    t.stale <- -1;
     lock_from t stamp 0;
     let wv = Atomic.fetch_and_add clock 1 + 1 in
     commit_fault t Obs.Validate;
-    let bad = invalid_below t (t.nr - 1) in
-    if bad >= 0 then begin
-      if Atomic.get Obs.armed then
-        Obs.note (Obs.Conflict Obs.Validation)
-          (owner_of (Atomic.get t.r_vlock.(bad)))
-          t.r_id.(bad);
-      release_in_order t;
-      raise Conflict
+    if t.stale >= 0 then begin
+      let i = Wset.slot t.ws t.stale in
+      validation_conflict t t.w_word.(i) (Wset.id t.ws t.stale)
     end;
+    let bad = invalid_below t (t.nr - 1) in
+    if bad >= 0 then validation_conflict t (word_at t bad) t.r_id.(bad);
     commit_fault t Obs.Publish;
     (* Publishing a t-variable also releases its lock (the vlock is set
        to the new even version), so it is noted while the lock is still

@@ -1093,6 +1093,54 @@ let test_tl2_owner_from_vlock () =
   Alcotest.(check int) "a disarmed commit carries no slot" (-1)
     (T.owner_of (Atomic.get x.C.vlock))
 
+(* A failed validation names the peer whose commit it missed, never the
+   committer, though the committer holds the lock on what it read and
+   then wrote.  Slot 0 reads a t-variable, slot 1 commits it, and slot 0
+   writes it and commits: once at once after the read (checked by the
+   lock slot 0 takes) and once with a read of [y] in between (checked
+   against the word that lock replaced).  Both must name slot 1. *)
+let test_tl2_validation_names_rival () =
+  let module C = Tm_stm.Stm_core in
+  let module T = Tm_stm.Stm_tl2 in
+  let conflicts = ref [] in
+  let sub =
+    Obs.subscribe (fun site a b ->
+        (match site with
+        | Obs.Conflict c when Obs.self () = 0 ->
+            conflicts := (Obs.cause_label c, a, b) :: !conflicts
+        | _ -> ());
+        Obs.Proceed)
+  in
+  let as_slot d f () =
+    Obs.set_self d;
+    Fun.protect ~finally:(fun () -> Obs.set_self (-1)) f
+  in
+  let commit_1 x () =
+    let t = T.begin_ () in
+    T.write t x 5;
+    T.commit t
+  in
+  let stale_write x between =
+    let t = T.begin_ () in
+    let v = T.read t x in
+    Domain.join (Domain.spawn (as_slot 1 (commit_1 x)));
+    between t;
+    T.write t x (v + 1);
+    match T.commit t with () -> false | exception C.Conflict -> true
+  in
+  let x = C.tvar 0 and x' = C.tvar 0 and y = C.tvar 0 in
+  Fun.protect
+    ~finally:(fun () -> Obs.unsubscribe sub)
+    (as_slot 0 (fun () ->
+         Alcotest.(check bool) "read, then written at once: conflict" true
+           (stale_write x ignore);
+         Alcotest.(check bool) "read, read y, then written: conflict" true
+           (stale_write x' (fun t -> ignore (T.read t y)))));
+  Alcotest.(check (list (triple string int int)))
+    "each validation conflict names slot 1"
+    [ ("validation", 1, x.C.id); ("validation", 1, x'.C.id) ]
+    (List.rev !conflicts)
+
 (* ------------------------------------------------------------------ *)
 (* Read and write sets as data: the write-back cores keep their sets in
    per-domain arrays reused by every transaction. *)
@@ -1165,31 +1213,42 @@ let test_tvar_words () =
   let per = float_of_int (reach tvs - shared) /. float_of_int n in
   if per > 17. then Alcotest.failf "%.2f words per t-variable, more than 17" per
 
-(* A first write costs one entry block; rewriting a t-variable already
-   in the write set allocates nothing. *)
+(* Words per extra t-variable, at most, when a transaction writes it,
+   reads it and then writes it at once, and rewrites one t-variable.
+   A first write costs one entry block (3 words) and a rewrite nothing;
+   TL2 moves a read-then-written t-variable out of its read set into
+   that entry, and the global lock keeps no read set, so there a read
+   adds nothing to the write.  NOrec's read-set entry is a block of its
+   own (3 words).  DSTM's write also installs a locator around a boxed
+   value (5 + 3 words), and its rewrite boxes the new value. *)
+let write_bounds = function
+  | Stm.Algo.Tl2 | Stm.Algo.Global_lock -> (3., 3., 0.)
+  | Stm.Algo.Norec -> (3., 6., 0.)
+  | Stm.Algo.Dstm -> (11., 11., 3.)
+
 let write_allocation algo () =
   Stm.with_algo algo (fun () ->
       let name = Stm.Algo.name algo in
       let tvs = Array.init 64 (fun i -> Stm.tvar i) in
-      let writes k () =
+      let run k f () =
         Stm.atomically (fun () ->
             for i = 0 to k - 1 do
-              Stm.write tvs.(i) i
+              f i
             done)
       in
-      let rewrites k () =
-        Stm.atomically (fun () ->
-            for i = 1 to k do
-              Stm.write tvs.(0) i
-            done)
+      let write i = Stm.write tvs.(i) i in
+      let read_write i = Stm.write tvs.(i) (Stm.read tvs.(i) + 1) in
+      let rewrite i = Stm.write tvs.(0) i in
+      let check what f bound =
+        let per = (words_per (run 64 f) -. words_per (run 1 f)) /. 63. in
+        if per > bound then
+          Alcotest.failf "%s: %.2f words per extra %s, more than %.0f" name
+            per what bound
       in
-      let w1 = words_per (writes 1) in
-      let per_write = (words_per (writes 64) -. w1) /. 63. in
-      if per_write > 3. then
-        Alcotest.failf "%s: %.2f words per extra write, more than 3" name
-          per_write;
-      check_words (name ^ ": rewrites allocate nothing") w1
-        (words_per (rewrites 64)))
+      let w, rw, re = write_bounds algo in
+      check "write" write w;
+      check "read-then-write" read_write rw;
+      check "rewrite" rewrite re)
 
 (* Increment [tv] in a transaction on a second domain, so the
    transaction under test sees it as a foreign commit. *)
@@ -1197,6 +1256,45 @@ let bump tv =
   Domain.join
     (Domain.spawn (fun () ->
          Stm.atomically (fun () -> Stm.write tv (Stm.read tv + 1))))
+
+(* A transaction reads [x], a peer on another domain commits [x + 1],
+   and the transaction writes [x + 1]: its commit must abort, and the
+   peer's value must survive.  TL2 checks a read written at once only
+   when its commit locks the t-variable.  Under the global lock the
+   peer would wait for the transaction instead. *)
+let test_stale_read_then_write () =
+  let module C = Tm_stm.Stm_core in
+  List.iter
+    (fun (algo, (module Core : C.S)) ->
+      let name = Stm.Algo.name algo in
+      let x = C.tvar 0 in
+      let t = Core.begin_ () in
+      let v = Core.read t x in
+      Domain.join
+        (Domain.spawn (fun () ->
+             let p = Core.begin_ () in
+             Core.write p x (Core.read p x + 1);
+             Core.commit p));
+      let write_and_commit () =
+        Core.write t x (v + 1);
+        Core.commit t
+      in
+      let aborted =
+        match write_and_commit () with
+        | () -> false
+        | exception C.Conflict ->
+            Core.abort_cleanup t;
+            true
+      in
+      Alcotest.(check bool) (name ^ ": the commit aborts") true aborted;
+      Alcotest.(check int)
+        (name ^ ": the peer's value survives")
+        1 (Core.direct_read x))
+    [
+      (Stm.Algo.Tl2, (module Tm_stm.Stm_tl2 : C.S));
+      (Stm.Algo.Norec, (module Tm_stm.Stm_norec));
+      (Stm.Algo.Dstm, (module Tm_stm.Stm_dstm));
+    ]
 
 (* Nothing an abandoned attempt buffered may leak into the next attempt
    or the next transaction on the domain: not its writes (they would be
@@ -1264,9 +1362,9 @@ let reuse_after_abort algo () =
 
 (* The write set keeps its entries in insertion order and sorts an
    index permutation.  Over random first writes and rewrites, after
-   [sort]: [entry]/[id] ascend by id and agree with each other,
-   [mem_sorted] is membership, and [index]/[value] still find each
-   t-variable's last buffered value. *)
+   [sort]: [entry]/[id] ascend by id and agree with each other and
+   with [slot], [find_sorted] finds each entry's insertion index, and
+   [index]/[value] still find each t-variable's last buffered value. *)
 let prop_wset_sorted_view =
   let module C = Tm_stm.Stm_core in
   let pool = Array.init 48 (fun i -> C.tvar i) in
@@ -1281,16 +1379,22 @@ let prop_wset_sorted_view =
       List.iter (fun (k, v) -> Hashtbl.replace last k v) writes;
       let n = C.Wset.length s in
       let entry_id k = match C.Wset.entry s k with C.W w -> w.tv.C.id in
+      let entry_index k =
+        match C.Wset.entry s k with C.W w -> C.Wset.index s w.tv
+      in
       let rec ascending k =
         k >= n
         || entry_id k = C.Wset.id s k
+           && entry_index k = C.Wset.slot s k
            && (k = 0 || C.Wset.id s (k - 1) < C.Wset.id s k)
            && ascending (k + 1)
       in
       n = Hashtbl.length last
       && ascending 0
       && List.for_all
-           (fun k -> C.Wset.mem_sorted s pool.(k).C.id = Hashtbl.mem last k)
+           (fun k ->
+             let i = C.Wset.find_sorted s pool.(k).C.id in
+             if Hashtbl.mem last k then i = C.Wset.index s pool.(k) else i = -1)
            (List.init (Array.length pool) Fun.id)
       && Hashtbl.fold
            (fun k v ok ->
@@ -1299,6 +1403,40 @@ let prop_wset_sorted_view =
              let i = C.Wset.index s pool.(k) in
              i >= 0 && C.Wset.value s i pool.(k) = v)
            last true)
+
+(* Reads and writes of a few t-variables in any order, in one TL2
+   transaction: a read returns the last value written, else the
+   committed one; the write set keeps one entry per written t-variable
+   (a write appended without a search must never add a second); the
+   commit publishes the last values. *)
+let prop_tl2_one_entry_per_write =
+  let module C = Tm_stm.Stm_core in
+  let module T = Tm_stm.Stm_tl2 in
+  let pool = Array.init 4 (fun i -> C.tvar i) in
+  QCheck2.Test.make ~count:300
+    ~name:"tl2 keeps one write entry per t-variable, in any order"
+    QCheck2.Gen.(list_size (int_range 0 30) (pair bool (int_bound 3)))
+    (fun ops ->
+      let local = Array.map T.direct_read pool in
+      let written = Hashtbl.create 4 in
+      let t = T.begin_ () in
+      let reads_ok =
+        List.for_all
+          (fun (write, k) ->
+            if write then begin
+              local.(k) <- local.(k) + 1;
+              T.write t pool.(k) local.(k);
+              Hashtbl.replace written k ();
+              true
+            end
+            else T.read t pool.(k) = local.(k))
+          ops
+      in
+      let entries = C.Wset.length t.T.ws in
+      T.commit t;
+      reads_ok
+      && entries = Hashtbl.length written
+      && Array.for_all2 (fun tv v -> T.direct_read tv = v) pool local)
 
 (* On a fresh domain the sets start empty; a thousand reads and a
    thousand writes take both through several doublings. *)
@@ -1551,6 +1689,8 @@ let () =
             (sites_truthful Stm.Algo.Norec);
           Alcotest.test_case "counted seam deliveries per core" `Quick
             test_counted_deliveries;
+          Alcotest.test_case "validation names the rival, not the committer"
+            `Quick test_tl2_validation_names_rival;
         ] );
       ( "sets as data",
         [
@@ -1586,6 +1726,11 @@ let () =
           Alcotest.test_case "norec begin under a held seqlock" `Quick
             test_norec_begin_under_held_seqlock;
           QCheck_alcotest.to_alcotest prop_wset_sorted_view;
+          Alcotest.test_case "dstm write allocation" `Quick
+            (write_allocation Stm.Algo.Dstm);
+          Alcotest.test_case "a stale read-then-write aborts" `Quick
+            test_stale_read_then_write;
+          QCheck_alcotest.to_alcotest prop_tl2_one_entry_per_write;
         ] );
       ( "facade",
         [
