@@ -29,7 +29,8 @@ type session = {
   ses_trycs : Tel.Instrument.counter array;
   ses_commits : Tel.Instrument.counter array;
   ses_causes : (Obs.cause * Tel.Instrument.counter) list array;
-      (* per domain, the conflicts it reported by cause; private to the
+      (* per domain, the conflicts charged to it by cause — those it
+         reported, and the steals that aborted it; private to the
          report, not in the registry *)
   ses_crashed : Tel.Instrument.gauge array;
   ses_taken_over : bool Atomic.t array;
@@ -114,13 +115,14 @@ type dstate = {
   ds_fault : Plan.fault;
   ds_ops : Tel.Instrument.counter;
   ds_injected : Tel.Instrument.counter;
-  ds_causes : (Obs.cause * Tel.Instrument.counter) list;
+  ds_domain : int;
+  ds_causes : (Obs.cause * Tel.Instrument.counter) list array;
 }
 
 let dls : dstate option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-let fault_handler site _ _ =
+let fault_handler site a _ =
   match (site, !(Domain.DLS.get dls)) with
   | (Obs.Read | Obs.Lock | Obs.Validate | Obs.Publish | Obs.Commit), Some st ->
       (* The domain's operation clock: one tick per fault site reached,
@@ -146,7 +148,12 @@ let fault_handler site _ _ =
           Tel.Instrument.incr st.ds_injected);
       action
   | Obs.Conflict c, Some st ->
-      Tel.Instrument.incr (List.assoc c st.ds_causes);
+      (* A steal is reported by the stealer, but the abort is its
+         victim's, the slot it names; every other conflict aborts the
+         domain that reports it. *)
+      let d = match c with Obs.Stolen -> a | _ -> st.ds_domain in
+      if d >= 0 && d < Array.length st.ds_causes then
+        Tel.Instrument.incr (List.assoc c st.ds_causes.(d));
       Obs.Proceed
   | _ -> Obs.Proceed
 
@@ -180,6 +187,7 @@ let worker ~stop ~job ~mine ~algo ~fault ~parasite_gate ~taken_over ~ops
         ds_fault = fault;
         ds_ops = ops;
         ds_injected = injected;
+        ds_domain = d;
         ds_causes = causes;
       };
   (* Open-loop latency: mark before the transaction, complete after.  A
@@ -378,7 +386,7 @@ let with_session ?(blame = false) ?(latency = false) ?registry ~workload
               (worker ~stop ~job:(job d) ~mine:mine.(d) ~algo:plan.Plan.algo
                  ~fault:plan.Plan.faults.(d) ~parasite_gate
                  ~taken_over:taken_over.(d) ~ops:ops.(d)
-                 ~injected:injected.(d) ~causes:causes.(d)
+                 ~injected:injected.(d) ~causes
                  ~attempts:attempts.(d)
                  ~trycs:trycs.(d) ~commits:commits.(d) ~crashed:crashed.(d)
                  ~lat d))

@@ -31,9 +31,10 @@ type sample = {
 (** A watchdog snapshot of one domain's monotone counters.  [ops] counts
     fault sites reached, [trycs] transaction bodies that reached
     [tryC], [aborts] is attempts minus commits, [causes] the
-    [Stm.Obs.Conflict] sites the domain reported, by cause in
-    [Stm.Obs.causes] order.  The cause counts are kept out of the
-    session registry. *)
+    [Stm.Obs.Conflict] sites charged to the domain, by cause in
+    [Stm.Obs.causes] order: those it reported, except that a steal is
+    charged to the victim it names, not to the stealer.  The cause
+    counts are kept out of the session registry. *)
 
 type session
 (** A live chaos run: worker domains spawned, faults armed, counters

@@ -142,10 +142,15 @@ let rec invalid_below t k =
     invalid_below t (k - 1)
   else k
 
+(* A failed validation ends the attempt on the spot: its status CAS
+   makes it terminal, so no later steal can claim the same abort.  If
+   the CAS fails, a rival has already stolen the attempt, and that
+   steal, which the stealer reported, is the abort's one conflict. *)
 let validate t =
   let bad = invalid_below t (t.nr - 1) in
   if bad >= 0 then begin
-    if Atomic.get Obs.armed then
+    let own = Atomic.compare_and_set t.d_status 0 2 in
+    if own && Atomic.get Obs.armed then
       Obs.note (Obs.Conflict Obs.Validation)
         (Atomic.get t.r_cell.(bad)).l_owner t.r_id.(bad);
     raise Conflict

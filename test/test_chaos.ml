@@ -258,13 +258,22 @@ let test_run_crash_holding_locks () =
           (Pc.cls_label r.Runner.rep_observed))
     o.Runner.o_reports
 
+let run_scenario_algo algo scenario seed =
+  match Plan.make ~algo ~scenario ~seed ~domains:3 () with
+  | Error m -> Alcotest.fail m
+  | Ok p ->
+      Runner.run ~warmup:0.02 ~window:0.05
+        ~workload:(Runner.hot_set ~tvars:2)
+        p
+
 (* The table's abort causes: every domain's line carries its window
-   deltas of conflict sites by cause.  A healthy tl2 peer reports one
-   conflict per aborted attempt, and an attempt that began before the
-   window can abort inside it, so its cause sum is at most its window
-   aborts + 1; a peer starving behind the held locks reports some. *)
+   deltas of conflict sites by cause.  A healthy peer is charged one
+   conflict per aborted attempt — under dstm a steal is charged to the
+   victim it names, not to the stealer that reports it — and an attempt
+   that began before the window can abort inside it, so its cause sum
+   is at most its window aborts + 1; a peer that aborted is charged
+   some. *)
 let test_run_abort_causes () =
-  let o = run_scenario "crash-holding-locks" 7 in
   let prints line sub =
     let n = String.length sub in
     let rec at i =
@@ -273,27 +282,32 @@ let test_run_abort_causes () =
     at 0
   in
   List.iter
-    (fun (r : Runner.report) ->
-      let line = Fmt.str "%a" Runner.pp_report r in
+    (fun algo ->
+      let name = Stm.Algo.name algo in
+      let o = run_scenario_algo algo "crash-holding-locks" 7 in
       List.iter
-        (fun cause ->
-          let column = Stm.Obs.cause_label cause ^ " " in
-          if not (prints line column) then
-            Alcotest.failf "domain %d prints no %S column:@.%s"
-              r.Runner.rep_domain column line)
-        Stm.Obs.causes;
-      if r.Runner.rep_fault = Plan.Healthy then begin
-        let first = r.Runner.rep_first and last = r.Runner.rep_last in
-        let count (s : Runner.sample) =
-          List.fold_left (fun acc (_, n) -> acc + n) 0 s.Runner.causes
-        in
-        let causes = count last - count first in
-        let aborts = last.Runner.aborts - first.Runner.aborts in
-        if causes > aborts + 1 || (aborts > 1 && causes = 0) then
-          Alcotest.failf "domain %d: %d conflicts over %d aborts:@.%a"
-            r.Runner.rep_domain causes aborts Runner.pp_table o
-      end)
-    o.Runner.o_reports
+        (fun (r : Runner.report) ->
+          let line = Fmt.str "%a" Runner.pp_report r in
+          List.iter
+            (fun cause ->
+              let column = Stm.Obs.cause_label cause ^ " " in
+              if not (prints line column) then
+                Alcotest.failf "%s: domain %d prints no %S column:@.%s" name
+                  r.Runner.rep_domain column line)
+            Stm.Obs.causes;
+          if r.Runner.rep_fault = Plan.Healthy then begin
+            let first = r.Runner.rep_first and last = r.Runner.rep_last in
+            let count (s : Runner.sample) =
+              List.fold_left (fun acc (_, n) -> acc + n) 0 s.Runner.causes
+            in
+            let causes = count last - count first in
+            let aborts = last.Runner.aborts - first.Runner.aborts in
+            if causes > aborts + 1 || (aborts > 1 && causes = 0) then
+              Alcotest.failf "%s: domain %d: %d conflicts over %d aborts:@.%a"
+                name r.Runner.rep_domain causes aborts Runner.pp_table o
+          end)
+        o.Runner.o_reports)
+    [ Stm.Algo.Tl2; Stm.Algo.Dstm ]
 
 let test_run_parasitic_only () =
   let o = run_scenario "parasitic-only" 5 in
@@ -320,14 +334,6 @@ let test_run_parasitic_only () =
 (* Per-algorithm runs: the Kuznetsov–Ravi separation as an executable
    claim.  The same seeded fault plan drives different cores and must
    produce the per-algorithm Figure-2 verdicts. *)
-
-let run_scenario_algo algo scenario seed =
-  match Plan.make ~algo ~scenario ~seed ~domains:3 () with
-  | Error m -> Alcotest.fail m
-  | Ok p ->
-      Runner.run ~warmup:0.02 ~window:0.05
-        ~workload:(Runner.hot_set ~tvars:2)
-        p
 
 let check_peers name o want =
   if not o.Runner.o_ok then
