@@ -179,13 +179,27 @@ let p4_parallel_sweep () =
   in
   check "parallel sweep equals sequential sweep byte-for-byte" ~paper:true
     ~measured:(Tm_sim.Sweep.to_json seq = Tm_sim.Sweep.to_json par);
+  (* Untraced results keep no history; trace both sides to compare
+     them, and count a missing history as a mismatch. *)
+  let histories ?pool () =
+    List.map
+      (fun r ->
+        Option.map
+          (fun t -> t.Tm_sim.Sweep.t_history)
+          r.Tm_sim.Sweep.r_traced)
+      (Tm_sim.Sweep.run ?pool ~trace:true configs)
+  in
+  let par_histories =
+    Tm_sim.Pool.with_pool ~jobs:4 (fun pool -> histories ~pool ())
+  in
   check "every run's history equals its sequential twin" ~paper:true
     ~measured:
       (List.for_all2
          (fun a b ->
-           History.equal a.Tm_sim.Sweep.r_outcome.Runner.history
-             b.Tm_sim.Sweep.r_outcome.Runner.history)
-         seq par);
+           match (a, b) with
+           | Some a, Some b -> History.equal a b
+           | _ -> false)
+         (histories ()) par_histories);
   Fmt.pr "  %d runs: sequential %.3fs, 4 jobs %.3fs (%.2fx)@."
     (List.length configs) t_seq t_par (t_seq /. t_par);
   (* Hardware gate, like P3; determinism, which does not need cores, is

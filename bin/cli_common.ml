@@ -353,6 +353,13 @@ let run_sweep ~jobs ~trace configs =
 
 module Tev = Tm_trace.Trace_event
 
+(* A run's history and trace; only a sweep run with [~trace:true] keeps
+   them, and every caller here runs it so. *)
+let traced (r : Tm_sim.Sweep.result) =
+  match r.Tm_sim.Sweep.r_traced with
+  | Some t -> t
+  | None -> invalid_arg "traced: the sweep ran without ~trace:true"
+
 let metadata_event ~pid label =
   {
     Tev.ts = 0;
@@ -371,13 +378,14 @@ let metadata_event ~pid label =
    trace independent of how the sweep was sharded across jobs. *)
 let run_trace_events i (r : Tm_sim.Sweep.result) =
   let retag (e : Tev.t) = { e with Tev.pid = i } in
+  let t = traced r in
   let col = Tm_trace.Sink.collector () in
   ignore
     (Tm_safety.Monitor.run_traced
        ~trace:(Tm_trace.Sink.collector_sink col)
-       r.Tm_sim.Sweep.r_outcome.Tm_sim.Runner.history);
+       t.Tm_sim.Sweep.t_history);
   (metadata_event ~pid:i (Tm_sim.Sweep.label r.Tm_sim.Sweep.r_config)
-  :: List.map retag r.Tm_sim.Sweep.r_trace)
+  :: List.map retag t.Tm_sim.Sweep.t_trace)
   @ List.map retag (Tm_trace.Sink.collected col)
 
 let combined_trace results = List.concat (List.mapi run_trace_events results)

@@ -775,10 +775,10 @@ let analyze_cmd =
         List.iter
           (fun (r : Tm_sim.Sweep.result) ->
             let subject = Tm_sim.Sweep.label r.Tm_sim.Sweep.r_config in
-            analyze_history ~subject
-              r.Tm_sim.Sweep.r_outcome.Tm_sim.Runner.history;
+            let t = traced r in
+            analyze_history ~subject t.Tm_sim.Sweep.t_history;
             record
-              (An.Engine.run_trace ~rules ~subject r.Tm_sim.Sweep.r_trace))
+              (An.Engine.run_trace ~rules ~subject t.Tm_sim.Sweep.t_trace))
           results
       end;
       if stm_demo then begin

@@ -44,48 +44,52 @@ type window_summary = {
   looks_progressing : bool;
 }
 
-(* One pass over the events: per-process counts over the whole history
-   and over its last [window] events, in arrays indexed from the lowest
-   process seen. *)
-let classify_window ~window h =
-  let n = History.length h in
-  let lo = ref max_int and hi = ref min_int in
-  List.iter
-    (fun e ->
-      lo := Int.min !lo (Event.proc e);
-      hi := Int.max !hi (Event.proc e))
-    (History.rev_events h);
-  let lo = !lo in
-  let size = if n = 0 then 0 else !hi - lo + 1 in
-  let total = Array.make size 0
-  and in_window = Array.make size 0
-  and commits = Array.make size 0
-  and aborts = Array.make size 0
-  and trycs = Array.make size 0 in
-  let next = ref 0 in
-  History.iter
-    (fun e ->
-      let k = Event.proc e - lo in
-      total.(k) <- total.(k) + 1;
-      if !next >= n - window then begin
-        in_window.(k) <- in_window.(k) + 1;
-        if Event.is_commit e then commits.(k) <- commits.(k) + 1;
-        if Event.is_abort e then aborts.(k) <- aborts.(k) + 1;
-        if Event.is_try_commit e then trycs.(k) <- trycs.(k) + 1
-      end;
-      incr next)
-    h;
+(* Per-process counts over the whole history and over its last [window]
+   events, in arrays indexed from the lowest process counted. *)
+type tally = {
+  lo : Event.proc;
+  from : int;  (** the index of the window's first event *)
+  total : int array;
+  in_window : int array;
+  commits : int array;
+  aborts : int array;
+  trycs : int array;
+}
+
+let tally ~lo ~hi ~length ~window =
+  let size = Int.max 0 (hi - lo + 1) in
+  {
+    lo;
+    from = length - window;
+    total = Array.make size 0;
+    in_window = Array.make size 0;
+    commits = Array.make size 0;
+    aborts = Array.make size 0;
+    trycs = Array.make size 0;
+  }
+
+let tally_event t i e =
+  let k = Event.proc e - t.lo in
+  t.total.(k) <- t.total.(k) + 1;
+  if i >= t.from then begin
+    t.in_window.(k) <- t.in_window.(k) + 1;
+    if Event.is_commit e then t.commits.(k) <- t.commits.(k) + 1;
+    if Event.is_abort e then t.aborts.(k) <- t.aborts.(k) + 1;
+    if Event.is_try_commit e then t.trycs.(k) <- t.trycs.(k) + 1
+  end
+
+let tally_summaries t =
   let summary k =
-    let events_total = total.(k) and events_in_window = in_window.(k) in
-    let commits_in_window = commits.(k) and aborts_in_window = aborts.(k) in
-    let trycs_in_window = trycs.(k) in
+    let events_total = t.total.(k) and events_in_window = t.in_window.(k) in
+    let commits_in_window = t.commits.(k) and aborts_in_window = t.aborts.(k) in
+    let trycs_in_window = t.trycs.(k) in
     let looks_pending = commits_in_window = 0 in
     let looks_crashed = events_total > 0 && events_in_window = 0 in
     let looks_parasitic =
       events_in_window > 0 && trycs_in_window = 0 && aborts_in_window = 0
     in
     {
-      proc = lo + k;
+      proc = t.lo + k;
       events_total;
       events_in_window;
       commits_in_window;
@@ -100,9 +104,30 @@ let classify_window ~window h =
   in
   let rec collect k acc =
     if k < 0 then acc
-    else collect (k - 1) (if total.(k) > 0 then summary k :: acc else acc)
+    else collect (k - 1) (if t.total.(k) > 0 then summary k :: acc else acc)
   in
-  collect (size - 1) []
+  collect (Array.length t.total - 1) []
+
+(* One pass over the events after one over the process range. *)
+let classify_window ~window h =
+  let n = History.length h in
+  if n = 0 then []
+  else begin
+    let lo = ref max_int and hi = ref min_int in
+    List.iter
+      (fun e ->
+        lo := Int.min !lo (Event.proc e);
+        hi := Int.max !hi (Event.proc e))
+      (History.rev_events h);
+    let t = tally ~lo:!lo ~hi:!hi ~length:n ~window in
+    let next = ref 0 in
+    History.iter
+      (fun e ->
+        tally_event t !next e;
+        incr next)
+      h;
+    tally_summaries t
+  end
 
 (* Counter-sample classification: the watchdog's view of a real domain.
    Two samples of monotone per-domain counters bracket an observation

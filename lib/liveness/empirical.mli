@@ -41,7 +41,29 @@ type window_summary = {
 val classify_window : window:int -> History.t -> window_summary list
 (** One summary per process, ascending; the window is the last [window]
     events of the history.  One pass over the events, with per-process
-    counters spanning the lowest to the highest process id. *)
+    counters (a {!tally}) spanning the lowest to the highest process id. *)
+
+(** {2 Window tallies}
+
+    The counts behind {!classify_window}, taken one event at a time, so
+    that a caller already walking a history (the simulator's metrics) can
+    take the window reading in the same pass.  The heuristics that turn
+    counts into a {!window_summary} live only here. *)
+
+type tally
+
+val tally : lo:Event.proc -> hi:Event.proc -> length:int -> window:int -> tally
+(** Zeroed counters for processes [lo .. hi] of a history of [length]
+    events whose window is its last [window] events. *)
+
+val tally_event : tally -> int -> Event.t -> unit
+(** [tally_event t i e] counts [e], the event at index [i] (0-based) of
+    the history.  Allocates nothing.
+    @raise Invalid_argument if [e]'s process is outside [lo .. hi]. *)
+
+val tally_summaries : tally -> window_summary list
+(** One summary per counted process with at least one event, ascending —
+    what {!classify_window} returns for the same events and window. *)
 
 val pp_window_summary : Format.formatter -> window_summary -> unit
 

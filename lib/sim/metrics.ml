@@ -103,38 +103,27 @@ type t = {
   abort_latency : histogram;
 }
 
-(* Empirical fault/starvation reading of a finished run: a process that
-   looks crashed or parasitic over the last quarter of the history is a
-   fault; an active process with no commit in that window (and no
-   injected fault) is starving.  Same bounded-window heuristics as the
-   chaos watchdog, applied post hoc to the deterministic history. *)
-let fault_counters h =
-  let n = History.length h in
-  if n = 0 then (0, 0)
-  else
-    List.fold_left
-      (fun (faults, starved)
-           (s : Tm_liveness.Empirical.window_summary) ->
-        if s.looks_crashed || s.looks_parasitic then (faults + 1, starved)
-        else if s.events_in_window > 0 && s.commits_in_window = 0 then
-          (faults, starved + 1)
-        else (faults, starved))
-      (0, 0)
-      (Tm_liveness.Empirical.classify_window ~window:(max 1 (n / 4)) h)
-
 (* The cause an abort is charged to: the kind of the pending invocation,
    with no pending invocation counting as a commit-time abort. *)
 type cause = On_read | On_write | On_commit
 
-(* Walk the history once, tracking per process the index of its current
+(* Walk the history once.  Per process, track the index of its current
    transaction's first invocation, the cause its pending invocation would
    be charged and its streak of consecutive aborts (the retry depth
-   recorded at the next commit). *)
-let of_history h =
-  let nprocs =
-    List.fold_left
-      (fun acc e -> Int.max acc (Event.proc e))
-      0 (History.rev_events h)
+   recorded at the next commit); and tally the events of the last quarter
+   of the history for the empirical fault/starvation reading: a process
+   that looks crashed or parasitic in that window is a fault, an active
+   process with no commit in it (and no injected-looking fault) is
+   starving.  These are the chaos watchdog's bounded-window heuristics
+   ({!Tm_liveness.Empirical}), applied post hoc to the deterministic
+   history.  The processes are the outcome's, [0 .. nprocs]. *)
+let of_outcome (o : Runner.outcome) =
+  let h = o.Runner.history in
+  let nprocs = Array.length o.Runner.commits - 1 in
+  let n = History.length h in
+  let window =
+    Tm_liveness.Empirical.tally ~lo:0 ~hi:nprocs ~length:n
+      ~window:(max 1 (n / 4))
   in
   let txn_start = Array.make (nprocs + 1) (-1) in
   let pending = Array.make (nprocs + 1) On_commit in
@@ -148,6 +137,7 @@ let of_history h =
     (fun (e : Event.t) ->
       let i = !next in
       next := i + 1;
+      Tm_liveness.Empirical.tally_event window i e;
       match e with
       | Event.Inv (p, inv) ->
           if txn_start.(p) < 0 then txn_start.(p) <- i;
@@ -176,16 +166,16 @@ let of_history h =
               txn_start.(p) <- -1;
               pending.(p) <- On_commit))
     h;
-  ( { on_read = !on_read; on_write = !on_write; on_commit = !on_commit },
-    freeze retry_depth,
-    freeze commit_latency,
-    freeze abort_latency )
-
-let of_outcome (o : Runner.outcome) =
-  let abort_causes, retry_depth, commit_latency, abort_latency =
-    of_history o.Runner.history
+  let faults, starvations =
+    List.fold_left
+      (fun (faults, starved) (s : Tm_liveness.Empirical.window_summary) ->
+        if s.looks_crashed || s.looks_parasitic then (faults + 1, starved)
+        else if s.events_in_window > 0 && s.commits_in_window = 0 then
+          (faults, starved + 1)
+        else (faults, starved))
+      (0, 0)
+      (Tm_liveness.Empirical.tally_summaries window)
   in
-  let faults, starvations = fault_counters o.Runner.history in
   {
     commits = Runner.commit_total o;
     aborts = Runner.abort_total o;
@@ -194,12 +184,13 @@ let of_outcome (o : Runner.outcome) =
     faults;
     starvations;
     steps = o.Runner.steps_taken;
-    events = History.length o.Runner.history;
+    events = n;
     throughput = Runner.throughput o;
-    abort_causes;
-    retry_depth;
-    commit_latency;
-    abort_latency;
+    abort_causes =
+      { on_read = !on_read; on_write = !on_write; on_commit = !on_commit };
+    retry_depth = freeze retry_depth;
+    commit_latency = freeze commit_latency;
+    abort_latency = freeze abort_latency;
   }
 
 let merge a b =

@@ -73,6 +73,14 @@ type t = {
 }
 
 val of_outcome : Runner.outcome -> t
+(** One pass over the outcome's history: the abort causes, retry depths
+    and latencies, and the window counts behind [faults] and
+    [starvations] ({!Tm_liveness.Empirical.tally}) are all gathered in
+    the same walk, which allocates only the histograms and O([nprocs])
+    counters.  The processes are taken from the outcome's per-process
+    arrays, [0 .. Array.length commits - 1]; every event of the history
+    must name one of them, as every {!Runner.run} outcome does. *)
+
 val merge : t -> t -> t
 
 val to_json : Buffer.t -> t -> unit

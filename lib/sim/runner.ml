@@ -17,7 +17,6 @@ type spec = {
   sched : sched;
   workload : Workload.t;
   workload_overrides : (Event.proc * Workload.t) list;
-  parasite_workload : Workload.t;
   fates : (Event.proc * fate) list;
 }
 
@@ -27,18 +26,7 @@ let spec ?(ntvars = 4) ?(steps = 1000) ?(seed = 0) ?(sched = Round_robin)
   let workload =
     match workload with Some w -> w | None -> Workload.counter ~ntvars
   in
-  let parasite_workload = Workload.write_only ~ntvars ~writes:2 in
-  {
-    nprocs;
-    ntvars;
-    steps;
-    seed;
-    sched;
-    workload;
-    workload_overrides;
-    parasite_workload;
-    fates;
-  }
+  { nprocs; ntvars; steps; seed; sched; workload; workload_overrides; fates }
 
 type outcome = {
   history : History.t;
@@ -132,6 +120,7 @@ let run ?trace ?on_event (entry : Tm_impl.Registry.entry) s =
      They are built here, not in [spec]: a sweep builds its specs by the
      hundred, up front. *)
   let per_proc f = Array.init (n + 1) f in
+  let parasite_workload = Workload.write_only ~ntvars:s.ntvars ~writes:2 in
   let reads = Array.init s.ntvars (fun x -> Event.Read x) in
   let inv_read =
     per_proc (fun p -> Array.map (fun r -> Event.Inv (p, r)) reads)
@@ -189,7 +178,7 @@ let run ?trace ?on_event (entry : Tm_impl.Registry.entry) s =
     | Parasite ->
         st.parasite_counter <- st.parasite_counter + 1;
         st.body <-
-          s.parasite_workload.Workload.body st.prng st.parasite_counter
+          parasite_workload.Workload.body st.prng st.parasite_counter
     | Normal -> st.body <- st.workload.Workload.body st.prng st.txn_index);
     st.reads_acc <- []
   in

@@ -10,8 +10,9 @@ open Tm_history
     [t] on (the paper's crash: its projection becomes finite, and whatever
     its in-flight operation holds stays held).  A process with
     [Parasitic_from t] switches at step [t] to issuing operations from the
-    parasite workload forever, never invoking [tryC] (the paper's parasitic
-    process — as long as the TM never aborts it).
+    parasite workload (two random writes per transaction,
+    {!Workload.write_only}) forever, never invoking [tryC] (the paper's
+    parasitic process — as long as the TM never aborts it).
 
     {b Cost model.}  A tick does O(1) work in the runner, and allocates
     only the event it records:
@@ -62,8 +63,6 @@ type spec = {
   workload : Workload.t;  (** default transaction bodies *)
   workload_overrides : (Event.proc * Workload.t) list;
       (** per-process overrides of [workload] *)
-  parasite_workload : Workload.t;
-      (** ops issued once parasitic: two random writes per transaction *)
   fates : (Event.proc * fate) list;  (** unlisted processes are healthy *)
 }
 

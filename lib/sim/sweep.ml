@@ -44,32 +44,39 @@ let grid ?tms ?patterns ~seeds () =
         patterns)
     tms
 
-type result = {
-  r_config : config;
-  r_outcome : Runner.outcome;
-  r_metrics : Metrics.t;
-  r_trace : Tm_trace.Trace_event.t list;
+type traced = {
+  t_history : History.t;
+  t_trace : Tm_trace.Trace_event.t list;
 }
 
+type result = {
+  r_config : config;
+  r_metrics : Metrics.t;
+  r_traced : traced option;
+}
+
+(* An untraced run's history is garbage as soon as its metrics are
+   taken: a sweep holds one history per job at a time. *)
 let run_one ~trace c =
   if trace then begin
     let col = Tm_trace.Sink.collector () in
-    let outcome = Runner.run ~trace:(Tm_trace.Sink.collector_sink col) c.tm c.spec in
+    let outcome =
+      Runner.run ~trace:(Tm_trace.Sink.collector_sink col) c.tm c.spec
+    in
     {
       r_config = c;
-      r_outcome = outcome;
       r_metrics = Metrics.of_outcome outcome;
-      r_trace = Tm_trace.Sink.collected col;
+      r_traced =
+        Some
+          {
+            t_history = outcome.Runner.history;
+            t_trace = Tm_trace.Sink.collected col;
+          };
     }
   end
   else
     let outcome = Runner.run c.tm c.spec in
-    {
-      r_config = c;
-      r_outcome = outcome;
-      r_metrics = Metrics.of_outcome outcome;
-      r_trace = [];
-    }
+    { r_config = c; r_metrics = Metrics.of_outcome outcome; r_traced = None }
 
 let run ?pool ?(trace = false) configs =
   let configs = Array.of_list configs in

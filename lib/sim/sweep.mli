@@ -45,21 +45,32 @@ val grid :
 (** The cross product in canonical order (TM-major, then pattern, then
     seed).  Defaults: every registered TM, {!fault_patterns} defaults. *)
 
+type traced = {
+  t_history : History.t;
+  t_trace : Tm_trace.Trace_event.t list;
+      (** the run's deterministic step-clock trace *)
+}
+(** What a traced run keeps besides its metrics. *)
+
 type result = {
   r_config : config;
-  r_outcome : Runner.outcome;
   r_metrics : Metrics.t;
-  r_trace : Tm_trace.Trace_event.t list;
-      (** per-run trace events (empty unless [run ~trace:true]) *)
+  r_traced : traced option;
+      (** [Some] exactly when the sweep ran with [~trace:true] *)
 }
 
 val run : ?pool:Pool.t -> ?trace:bool -> config list -> result list
 (** Execute every configuration and return results in the input order.
     Without a pool (or with a 1-job pool) the sweep runs sequentially in
-    the caller; either way the results are identical.  With [~trace:true]
-    each run also records its deterministic step-clock trace into
-    [r_trace]; traces, like metrics, are identical whether or not a pool
-    is used. *)
+    the caller; either way the results are identical.
+
+    An untraced result holds only its configuration and metrics: each
+    run's history is dropped as soon as {!Metrics.of_outcome} has read
+    it, so the sweep keeps one history per job alive at a time, not one
+    per grid cell.  With [~trace:true] each result also keeps its run's
+    history and deterministic step-clock trace in [r_traced]; those, like
+    the metrics, are identical whether or not a pool is used, and they
+    take memory in proportion to the whole grid. *)
 
 val by_tm : result list -> (string * Metrics.t) list
 (** Metrics aggregated per TM (merged over patterns and seeds), in order

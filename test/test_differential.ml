@@ -79,11 +79,14 @@ let parity_grid () =
     ~seeds:[ 1; 2; 3; 4 ]
     ()
 
+(* Only a traced sweep keeps its runs' histories: both sides are traced,
+   and a missing history on either side fails the comparison. *)
 let test_sweep_parallel_equals_sequential () =
   let configs = parity_grid () in
-  let seq = Tm_sim.Sweep.run configs in
+  let seq = Tm_sim.Sweep.run ~trace:true configs in
   let par =
-    Tm_sim.Pool.with_pool ~jobs:4 (fun pool -> Tm_sim.Sweep.run ~pool configs)
+    Tm_sim.Pool.with_pool ~jobs:4 (fun pool ->
+        Tm_sim.Sweep.run ~pool ~trace:true configs)
   in
   Alcotest.(check int) "same cardinality" (List.length seq) (List.length par);
   List.iter2
@@ -91,8 +94,10 @@ let test_sweep_parallel_equals_sequential () =
       Alcotest.(check bool)
         (Tm_sim.Sweep.label a.Tm_sim.Sweep.r_config ^ " history identical")
         true
-        (History.equal a.Tm_sim.Sweep.r_outcome.Tm_sim.Runner.history
-           b.Tm_sim.Sweep.r_outcome.Tm_sim.Runner.history))
+        (match (a.Tm_sim.Sweep.r_traced, b.Tm_sim.Sweep.r_traced) with
+        | Some a, Some b ->
+            History.equal a.Tm_sim.Sweep.t_history b.Tm_sim.Sweep.t_history
+        | _ -> false))
     seq par;
   Alcotest.(check string) "metrics JSON byte-for-byte identical"
     (Tm_sim.Sweep.to_json seq) (Tm_sim.Sweep.to_json par);

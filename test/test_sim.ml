@@ -628,6 +628,30 @@ let test_metrics_words () =
   check_at_most "Metrics.of_outcome words per history event" 1.
     (w /. float_of_int events)
 
+(* An untraced sweep's results hold configurations and metrics only:
+   each run's history is garbage once its metrics are taken.  Held
+   results of the zoo's healthy 2,000-step sweep keep 1,392 words
+   live (135,597 while every result kept its history). *)
+let test_sweep_retains_little () =
+  let configs =
+    Tm_sim.Sweep.grid
+      ~patterns:
+        (List.filter
+           (fun (name, _) -> name = "healthy")
+           (Tm_sim.Sweep.fault_patterns ~steps:2000 ()))
+      ~seeds:[ 1 ] ()
+  in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let before = live () in
+  let results = Tm_sim.Sweep.run configs in
+  let after = live () in
+  Alcotest.(check int) "zoo rows" 16 (List.length results);
+  check_at_most "words live in untraced sweep results" 4_000.
+    (float_of_int (after - before))
+
 let test_sweep_tl2 () = sweep_tm_opaque "tl2" 7
 let test_sweep_tinystm () = sweep_tm_opaque "tinystm" 7
 let test_sweep_tinystm_ext () = sweep_tm_opaque "tinystm-ext" 7
@@ -858,6 +882,181 @@ let test_metrics_fault_counters () =
   Alcotest.(check bool) "json exports the fault counters" true
     (contains "\"faults\":1,\"starvations\":1")
 
+(* [Metrics.of_outcome] as it was before it became one pass, the
+   reference for the property below: a fold for the process count, a
+   walk for the abort causes, retry depths and latencies, and the fault
+   counters read off [Empirical.classify_window] as it was then (a fold
+   for the process range, then a count pass). *)
+module Four_pass = struct
+  module M = Tm_sim.Metrics
+
+  let fault_counters h =
+    let n = History.length h in
+    if n = 0 then (0, 0)
+    else begin
+      let window = max 1 (n / 4) in
+      let lo = ref max_int and hi = ref min_int in
+      List.iter
+        (fun e ->
+          lo := Int.min !lo (Event.proc e);
+          hi := Int.max !hi (Event.proc e))
+        (History.rev_events h);
+      let lo = !lo in
+      let size = !hi - lo + 1 in
+      let total = Array.make size 0
+      and in_window = Array.make size 0
+      and commits = Array.make size 0
+      and aborts = Array.make size 0
+      and trycs = Array.make size 0 in
+      let next = ref 0 in
+      History.iter
+        (fun e ->
+          let k = Event.proc e - lo in
+          total.(k) <- total.(k) + 1;
+          if !next >= n - window then begin
+            in_window.(k) <- in_window.(k) + 1;
+            if Event.is_commit e then commits.(k) <- commits.(k) + 1;
+            if Event.is_abort e then aborts.(k) <- aborts.(k) + 1;
+            if Event.is_try_commit e then trycs.(k) <- trycs.(k) + 1
+          end;
+          incr next)
+        h;
+      let faults = ref 0 and starved = ref 0 in
+      for k = 0 to size - 1 do
+        if total.(k) > 0 then begin
+          let looks_crashed = in_window.(k) = 0 in
+          let looks_parasitic =
+            in_window.(k) > 0 && trycs.(k) = 0 && aborts.(k) = 0
+          in
+          if looks_crashed || looks_parasitic then incr faults
+          else if in_window.(k) > 0 && commits.(k) = 0 then incr starved
+        end
+      done;
+      (!faults, !starved)
+    end
+
+  type cause = On_read | On_write | On_commit
+
+  let of_history h =
+    let nprocs =
+      List.fold_left
+        (fun acc e -> Int.max acc (Event.proc e))
+        0 (History.rev_events h)
+    in
+    let txn_start = Array.make (nprocs + 1) (-1) in
+    let pending = Array.make (nprocs + 1) On_commit in
+    let retries = Array.make (nprocs + 1) 0 in
+    let on_read = ref 0 and on_write = ref 0 and on_commit = ref 0 in
+    let retry_depth = ref [] and commit_latency = ref [] in
+    let abort_latency = ref [] in
+    List.iteri
+      (fun i (e : Event.t) ->
+        match e with
+        | Event.Inv (p, inv) ->
+            if txn_start.(p) < 0 then txn_start.(p) <- i;
+            pending.(p) <-
+              (match inv with
+              | Event.Read _ -> On_read
+              | Event.Write _ -> On_write
+              | Event.Try_commit -> On_commit)
+        | Event.Res (p, resp) -> (
+            let latency = i - Int.max 0 txn_start.(p) in
+            match resp with
+            | Event.Value _ | Event.Ok_written -> pending.(p) <- On_commit
+            | Event.Committed ->
+                commit_latency := latency :: !commit_latency;
+                retry_depth := retries.(p) :: !retry_depth;
+                retries.(p) <- 0;
+                txn_start.(p) <- -1;
+                pending.(p) <- On_commit
+            | Event.Aborted ->
+                (match pending.(p) with
+                | On_read -> incr on_read
+                | On_write -> incr on_write
+                | On_commit -> incr on_commit);
+                abort_latency := latency :: !abort_latency;
+                retries.(p) <- retries.(p) + 1;
+                txn_start.(p) <- -1;
+                pending.(p) <- On_commit))
+      (History.events h);
+    ( { M.on_read = !on_read; on_write = !on_write; on_commit = !on_commit },
+      M.hist_of_list !retry_depth,
+      M.hist_of_list !commit_latency,
+      M.hist_of_list !abort_latency )
+
+  let of_outcome (o : Tm_sim.Runner.outcome) =
+    let h = o.Tm_sim.Runner.history in
+    let abort_causes, retry_depth, commit_latency, abort_latency =
+      of_history h
+    in
+    let faults, starvations = fault_counters h in
+    {
+      M.commits = Tm_sim.Runner.commit_total o;
+      aborts = Tm_sim.Runner.abort_total o;
+      invocations = Tm_sim.Runner.total o.Tm_sim.Runner.invocations;
+      defers = Tm_sim.Runner.total o.Tm_sim.Runner.defers;
+      faults;
+      starvations;
+      steps = o.Tm_sim.Runner.steps_taken;
+      events = History.length h;
+      throughput = Tm_sim.Runner.throughput o;
+      abort_causes;
+      retry_depth;
+      commit_latency;
+      abort_latency;
+    }
+end
+
+let qcheck_count =
+  match Sys.getenv_opt "TM_QCHECK_COUNT" with
+  | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> 200)
+  | None -> 200
+
+(* Any zoo TM under any scheduler, with every kind of fate. *)
+let gen_run =
+  QCheck2.Gen.(
+    let* tm = oneofl Reg.all in
+    let* nprocs = int_range 1 4 in
+    let* ntvars = int_range 1 4 in
+    let* steps = int_bound 800 in
+    let* seed = int_bound 1_000_000 in
+    let* sched =
+      oneof
+        [
+          return Tm_sim.Runner.Round_robin;
+          return Tm_sim.Runner.Uniform;
+          map (fun q -> Tm_sim.Runner.Quantum q) (int_range 1 5);
+        ]
+    in
+    let fate =
+      oneof
+        [
+          return Tm_sim.Runner.Healthy;
+          map (fun t -> Tm_sim.Runner.Crash_at t) (int_bound steps);
+          map (fun t -> Tm_sim.Runner.Parasitic_from t) (int_bound steps);
+          map (fun k -> Tm_sim.Runner.Crash_after_write k) (int_range 1 4);
+          map (fun k -> Tm_sim.Runner.Crash_mid_commit k) (int_bound 3);
+        ]
+    in
+    let* fates =
+      list_size (int_bound nprocs) (pair (int_range 1 nprocs) fate)
+    in
+    return
+      (tm, Tm_sim.Runner.spec ~nprocs ~ntvars ~steps ~seed ~sched ~fates ()))
+
+let print_run ((tm : Reg.entry), (s : Tm_sim.Runner.spec)) =
+  Fmt.str "%s nprocs=%d ntvars=%d steps=%d seed=%d, %d fates"
+    tm.Reg.entry_name s.Tm_sim.Runner.nprocs s.Tm_sim.Runner.ntvars s.Tm_sim.Runner.steps
+    s.Tm_sim.Runner.seed
+    (List.length s.Tm_sim.Runner.fates)
+
+let prop_metrics_one_pass =
+  QCheck2.Test.make ~count:qcheck_count ~print:print_run
+    ~name:"one-pass of_outcome = four-pass reference" gen_run
+    (fun (tm, spec) ->
+      let o = Tm_sim.Runner.run tm spec in
+      Tm_sim.Metrics.of_outcome o = Four_pass.of_outcome o)
+
 let test_sweep_grid_canonical_order () =
   let tms = List.filter_map Reg.find [ "tl2"; "fgp" ] in
   let configs =
@@ -951,7 +1150,11 @@ let test_trace_scheds_pinned () =
              ~patterns:(Tm_sim.Sweep.fault_patterns ~steps:600 ~sched ())
              ~seeds:[ 3 ] ())
       in
-      let events = List.concat_map (fun r -> r.Tm_sim.Sweep.r_trace) results in
+      let events =
+        List.concat_map
+          (fun r -> (Option.get r.Tm_sim.Sweep.r_traced).Tm_sim.Sweep.t_trace)
+          results
+      in
       Alcotest.(check string)
         (name ^ ": trace MD5")
         want
@@ -1155,6 +1358,7 @@ let () =
             test_trace_scheds_pinned;
           Alcotest.test_case "everyone crashes, pinned" `Quick
             test_all_crash_pinned;
+          QCheck_alcotest.to_alcotest prop_metrics_one_pass;
         ] );
       ( "stats",
         [ Alcotest.test_case "summaries and percentiles" `Quick test_stats ]
@@ -1184,6 +1388,8 @@ let () =
             test_monitor_event_words;
           Alcotest.test_case "monitor retains little" `Quick
             test_monitor_retains_little;
+          Alcotest.test_case "untraced sweep retains no histories" `Quick
+            test_sweep_retains_little;
         ] );
       ( "exhaustive sweep",
         [

@@ -233,17 +233,24 @@ let test_sweep_trace_pool_invariant () =
     Tm_sim.Pool.with_pool ~jobs:4 (fun pool ->
         Tm_sim.Sweep.run ~pool ~trace:true configs)
   in
+  let trace r =
+    match r.Tm_sim.Sweep.r_traced with
+    | Some t -> t.Tm_sim.Sweep.t_trace
+    | None ->
+        Alcotest.failf "%s: no trace"
+          (Tm_sim.Sweep.label r.Tm_sim.Sweep.r_config)
+  in
   List.iter2
     (fun a b ->
       Alcotest.(check (list event))
         (Tm_sim.Sweep.label a.Tm_sim.Sweep.r_config)
-        a.Tm_sim.Sweep.r_trace b.Tm_sim.Sweep.r_trace)
+        (trace a) (trace b))
     seq par;
   let untraced = Tm_sim.Sweep.run configs in
   List.iter
     (fun r ->
-      Alcotest.(check (list event)) "no trace unless asked" []
-        r.Tm_sim.Sweep.r_trace)
+      Alcotest.(check bool) "no trace unless asked" true
+        (Option.is_none r.Tm_sim.Sweep.r_traced))
     untraced
 
 (* ------------------------------------------------------------------ *)
