@@ -16,12 +16,7 @@ type rule = {
   doc : string;  (** one-line description for [--rules help] and docs *)
 }
 
-val rules : rule list
-(** The full catalogue, grouped by family. *)
-
 val rule_ids : string list
-
-val find_rule : string -> rule option
 
 val parse_selection : string -> (string list, string) result
 (** [parse_selection s] parses a [--rules] argument: ["all"] (every rule)

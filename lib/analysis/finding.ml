@@ -49,8 +49,6 @@ let compare a b =
         in
         if c <> 0 then c else String.compare a.message b.message
 
-let equal a b = compare a b = 0
-
 (* Deterministic JSON: fixed key order, the same escaping rules as
    [Tm_trace.Export]. *)
 let escape_string b s =

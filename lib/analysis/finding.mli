@@ -37,8 +37,6 @@ val compare : t -> t -> int
 (** Sort key: severity (errors first), then subject, then rule, then
     location, then message — a deterministic report order. *)
 
-val equal : t -> t -> bool
-
 val list_to_json : t list -> string
 (** The findings document:
     [{"findings":[...],"counts":{"error":e,"warning":w,"info":i}}] —

@@ -18,10 +18,3 @@ let leq a b = IMap.for_all (fun tid v -> v <= get b tid) a
 let concurrent a b = (not (leq a b)) && not (leq b a)
 
 let equal a b = leq a b && leq b a
-
-let pp ppf c =
-  let bindings = IMap.bindings c in
-  Fmt.pf ppf "{%a}"
-    (Fmt.list ~sep:(Fmt.any ", ") (fun ppf (tid, v) ->
-         Fmt.pf ppf "%d:%d" tid v))
-    bindings

@@ -30,6 +30,3 @@ val concurrent : t -> t -> bool
 (** Neither [leq a b] nor [leq b a]. *)
 
 val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit
-(** [{1:3, 2:7}]. *)

@@ -86,5 +86,3 @@ val render_schedule : t -> string
 (** The schedule as stable text, one line per domain
     ([domain d: <fault> expect <class>]) — the byte-comparison form the
     determinism tests use. *)
-
-val pp : Format.formatter -> t -> unit

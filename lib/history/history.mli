@@ -91,8 +91,6 @@ val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 (** One event per [;]-separated item, in the paper's linear notation. *)
 
-val pp_events : Format.formatter -> Event.t list -> unit
-
 (** {2 Builders}
 
     Convenience constructors for writing down histories in the style of the

@@ -54,7 +54,3 @@ let infinitely_many l pred p =
 
 let finite_count l pred p =
   List.length (List.filter (fun e -> Event.proc e = p && pred e) l.stem)
-
-let pp ppf l =
-  Fmt.pf ppf "@[<v>stem:  @[%a@]@,cycle: @[%a@]@]" History.pp_events l.stem
-    History.pp_events l.cycle

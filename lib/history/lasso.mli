@@ -46,5 +46,3 @@ val infinitely_many : t -> (Event.t -> bool) -> Event.proc -> bool
 val finite_count : t -> (Event.t -> bool) -> Event.proc -> int
 (** Number of matching stem events of [p] (meaningful when
     [infinitely_many] is false). *)
-
-val pp : Format.formatter -> t -> unit

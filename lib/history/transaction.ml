@@ -125,12 +125,3 @@ let last_write t x =
     None t.ops
 
 let label t = Fmt.str "T%d.%d" t.proc t.seq
-
-let pp_status ppf = function
-  | Committed -> Fmt.string ppf "committed"
-  | Aborted -> Fmt.string ppf "aborted"
-  | Live -> Fmt.string ppf "live"
-
-let pp ppf t =
-  Fmt.pf ppf "@[<h>%s[%a] %a@]" (label t) pp_status t.status
-    History.pp_events t.events

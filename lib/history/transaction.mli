@@ -71,6 +71,3 @@ val last_write : t -> Event.tvar -> Event.value option
 
 val label : t -> string
 (** A short label such as ["T1.0"] (process 1, first transaction). *)
-
-val pp : Format.formatter -> t -> unit
-val pp_status : Format.formatter -> status -> unit

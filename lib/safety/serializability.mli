@@ -14,6 +14,3 @@ val committed_projection : History.t -> History.t
     transactions. *)
 
 val is_strictly_serializable : History.t -> bool
-
-val serialization : History.t -> Transaction.t list option
-(** A witness order of the committed transactions, if one exists. *)

@@ -15,8 +15,3 @@ let apply_writes s ws = List.fold_left (fun s (x, v) -> set s x v) s ws
 let bindings = M.bindings
 
 let equal = M.equal Int.equal
-
-let pp ppf s =
-  Fmt.pf ppf "{%a}"
-    Fmt.(list ~sep:(any ", ") (pair ~sep:(any "=") int int))
-    (bindings s)

@@ -21,4 +21,3 @@ val bindings : t -> (Event.tvar * Event.value) list
 (** Non-default bindings, ascending by t-variable; usable as a hash key. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

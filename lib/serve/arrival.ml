@@ -36,7 +36,6 @@ let make ~kind ~rate ~seed =
 
 let kind t = t.a_kind
 let rate t = t.a_rate
-let seed t = t.a_seed
 let period_ns t = t.a_period
 
 (* The gap between arrival [index - 1] and arrival [index] (arrival 0 is

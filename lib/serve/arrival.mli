@@ -21,7 +21,6 @@ val make : kind:kind -> rate:float -> seed:int -> t
 
 val kind : t -> kind
 val rate : t -> float
-val seed : t -> int
 
 val period_ns : t -> int
 (** [round (1e9 / rate)], at least 1: the constant-kind gap and the

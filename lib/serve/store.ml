@@ -152,18 +152,6 @@ let journal_mark t n =
 
 let get t k = Stm.atomically (fun () -> Stm.read (slot t k))
 
-let put t k v =
-  Stm.atomically (fun () ->
-      Stm.write (slot t k) v;
-      journal_mark t 1)
-
-let cas t k ~expected ~desired =
-  Stm.atomically (fun () ->
-      journal_mark t 1;
-      match exec_op t (O_cas (k, expected, desired)) with
-      | R_bool b -> b
-      | _ -> assert false)
-
 let spec_op m = function
   | O_get k -> R_value m.(k)
   | O_put (k, v) ->
@@ -185,11 +173,9 @@ let multi t ops =
       if List.exists op_mutates ops then journal_mark t 1;
       rs)
 
-(* Outside a transaction [Stm.read] is the core's direct snapshot
-   read: no transaction per key. *)
-let value t k = Stm.read (slot t k)
-
-(* In creation order, mostly the order in memory: key order strides. *)
+(* In creation order, mostly the order in memory: key order strides.
+   Outside a transaction [Stm.read] is the core's direct snapshot read:
+   no transaction per key. *)
 let dump t =
   let st = t.st_stripes and a = Array.make (keys t) 0 in
   for s = 0 to st - 1 do
@@ -198,8 +184,6 @@ let dump t =
     done
   done;
   a
-
-let sum t = Array.fold_left ( + ) 0 (dump t)
 
 (* FNV-1a over native ints, one value per step (the offset basis cut
    to fit an OCaml int). *)

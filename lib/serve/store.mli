@@ -25,7 +25,6 @@ val create : ?stripes:int -> ?journal:bool -> keys:int -> unit -> t
     selected — the t-variables belong to the current algorithm.
     @raise Invalid_argument if [keys < 1]. *)
 
-val keys : t -> int
 val stripes : t -> int
 val stripe_of : t -> int -> int
 (** The stripe owning a key: the combiner it batches through. *)
@@ -126,8 +125,6 @@ val journal_mark : t -> int -> unit
 (** {2 Whole-transaction conveniences} *)
 
 val get : t -> int -> int
-val put : t -> int -> int -> unit
-val cas : t -> int -> expected:int -> desired:int -> bool
 
 val multi : t -> op list -> result list
 (** All ops as one transaction (journal-marked once if any mutates). *)
@@ -144,8 +141,6 @@ val spec_op : int array -> op -> result
     snapshot read of one key, outside any transaction, so a live dump
     is not a consistent cut. *)
 
-val value : t -> int -> int
-val sum : t -> int
 val dump : t -> int array
 
 val journal_value : t -> int

@@ -61,7 +61,6 @@ let cost = function
 type t = {
   w_profile : profile;
   w_seed : int;
-  w_keys : int;
   w_kv_n : int;  (** even keys: the Zipf-targeted kv plane *)
   w_cnt_n : int;  (** odd keys: the conserving counter plane *)
   w_zipf : Zipf.t;
@@ -73,15 +72,11 @@ let create ~profile ~seed ~keys () =
   {
     w_profile = profile;
     w_seed = seed;
-    w_keys = keys;
     w_kv_n = kv_n;
     w_cnt_n = keys / 2;
     w_zipf = Zipf.create ~s:1.07 ~n:kv_n ();
   }
 
-let profile t = t.w_profile
-let seed t = t.w_seed
-let keys t = t.w_keys
 let zipf t = t.w_zipf
 
 (* Zipf rank r on the kv plane is key 2r; counter slot u is key 2u+1. *)

@@ -50,9 +50,6 @@ val create : profile:profile -> seed:int -> keys:int -> unit -> t
 (** The Zipf exponent over the kv plane is 1.07.
     @raise Invalid_argument if [keys < 4] (each plane needs >= 2 keys). *)
 
-val profile : t -> profile
-val seed : t -> int
-val keys : t -> int
 val zipf : t -> Zipf.t
 
 val fill : t -> Store.buffer -> client:int -> index:int -> unit

@@ -1,6 +1,6 @@
 module Prng = Tm_sim.Prng
 
-type t = { z_s : float; z_cum : float array; z_guide : int array }
+type t = { z_cum : float array; z_guide : int array }
 
 let create ?(s = 1.07) ~n () =
   if n < 1 then invalid_arg "Zipf.create: n < 1";
@@ -24,10 +24,9 @@ let create ?(s = 1.07) ~n () =
         done;
         !r)
   in
-  { z_s = s; z_cum = cum; z_guide = guide }
+  { z_cum = cum; z_guide = guide }
 
 let n t = Array.length t.z_cum
-let s t = t.z_s
 
 let cumulative_mass t r =
   if r < 0 then 0.0

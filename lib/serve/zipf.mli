@@ -20,7 +20,6 @@ val create : ?s:float -> n:int -> unit -> t
     @raise Invalid_argument if [n < 1] or [s < 0.0]. *)
 
 val n : t -> int
-val s : t -> float
 
 val mass : t -> int -> float
 (** Normalized probability of rank [r] (ranks are 0-based, heaviest

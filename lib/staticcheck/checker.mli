@@ -5,13 +5,7 @@
 
 type rule = { id : string; severity : Tm_analysis.Finding.severity; doc : string }
 
-val rules : rule list
-(** seam-contract, seam-guard, txn-purity, armed-leak, exported-unused,
-    static-parse. *)
-
 val rule_ids : string list
-
-val find_rule : string -> rule option
 
 val parse_selection : string -> (string list, string) result
 (** Parse a [--rules] argument: ["all"] or a comma-separated id list;

@@ -4,10 +4,11 @@
    Each [val v] of [lib/d/m.mli] (and of a [module X : sig ... end]
    nested in it, qualified by [X]) counts as used when a user file
    other than [lib/d/m.ml] names [M.v], at any qualification depth, or
-   a bare [v], which an [open] may bring in.  Only expression
-   identifiers count, and a bare name counts whatever it binds, so the
-   rule is a lower bound on dead surface, never a false alarm about a
-   name someone uses.
+   names a bare [v] and opens [M] somewhere ([open], [open!], [let
+   open], [M.( ... )] or [include]).  Only expression identifiers
+   count, and a bare name in such a file counts whatever it binds, so
+   the rule is a lower bound on dead surface, never a false alarm about
+   a name someone uses.
 
    Users under [test/] are tests: an export only they name is info
    (listed, not counted against a clean tree), one nobody names is a
@@ -36,13 +37,20 @@ let rec exports m (items : signature) =
     items
 
 (* Every expression identifier of [src] as (qualifier, name), the
-   qualifier also under the module a [module X = A.M] alias names. *)
+   qualifier also under the module a [module X = A.M] alias names, and
+   a bare name also under every module the file opens. *)
 let idents (src : Source.t) =
   let acc = Hashtbl.create 256 and aliases = Hashtbl.create 8 in
+  let opens = ref [] in
   let alias x (me : module_expr) =
     match (x, me.pmod_desc) with
     | Some x, Pmod_ident { txt = lid; _ } ->
         Hashtbl.replace aliases x (Source.lid_last lid)
+    | _ -> ()
+  in
+  let opened (me : module_expr) =
+    match me.pmod_desc with
+    | Pmod_ident { txt = lid; _ } -> opens := Source.lid_last lid :: !opens
     | _ -> ()
   in
   let iter =
@@ -52,6 +60,14 @@ let idents (src : Source.t) =
         (fun self mb ->
           alias mb.pmb_name.txt mb.pmb_expr;
           Ast_iterator.default_iterator.module_binding self mb);
+      open_declaration =
+        (fun self od ->
+          opened od.popen_expr;
+          Ast_iterator.default_iterator.open_declaration self od);
+      include_declaration =
+        (fun self id ->
+          opened id.pincl_mod;
+          Ast_iterator.default_iterator.include_declaration self id);
       expr =
         (fun self e ->
           (match e.pexp_desc with
@@ -63,11 +79,13 @@ let idents (src : Source.t) =
     }
   in
   iter.structure iter src.ast;
+  let resolve m = Option.value (Hashtbl.find_opt aliases m) ~default:m in
+  let opens = List.sort_uniq compare (List.map resolve !opens) in
   Hashtbl.iter
     (fun (q, v) () ->
-      match Option.bind q (Hashtbl.find_opt aliases) with
-      | Some m -> Hashtbl.replace acc (Some m, v) ()
-      | None -> ())
+      match q with
+      | Some q -> Hashtbl.replace acc (Some (resolve q), v) ()
+      | None -> List.iter (fun m -> Hashtbl.replace acc (Some m, v) ()) opens)
     (Hashtbl.copy acc);
   acc
 
@@ -96,9 +114,7 @@ let check ~interfaces ~users =
       List.filter_map
         (fun e ->
           let names (src, ids) =
-            src.Source.path <> own
-            && (Hashtbl.mem ids (Some e.e_module, e.e_name)
-               || Hashtbl.mem ids (None, e.e_name))
+            src.Source.path <> own && Hashtbl.mem ids (Some e.e_module, e.e_name)
           in
           let named = List.filter names users in
           let qualified = e.e_module ^ "." ^ e.e_name in

@@ -1,8 +1,8 @@
 (** exported-unused: a [val] of a [lib/*/*.mli] that no file other than
-    its own [.ml] names, qualified by its module or bare.  No user at
-    all is a warning; users only under [test/] is info.  Suppressible
-    with [tmstatic: allow exported-unused REASON] on or above the
-    [val] line. *)
+    its own [.ml] names, qualified by its module, or bare in a file that
+    opens the module.  No user at all is a warning; users only under
+    [test/] is info.  Suppressible with [tmstatic: allow exported-unused
+    REASON] on or above the [val] line. *)
 
 val rule : string
 

@@ -166,20 +166,6 @@ module Algo = struct
     | Dstm -> "obstruction-free"
     | Norec -> "commit-serialized"
 
-  let describe = function
-    | Tl2 ->
-        "TL2: global version clock, per-tvar versioned locks, commit-time \
-         validation (progressive)"
-    | Global_lock ->
-        "global-lock: one serializer lock per transaction, no aborts, no \
-         parallelism (blocking)"
-    | Dstm ->
-        "DSTM: revocable ownership records with abort-others stealing \
-         (obstruction-free)"
-    | Norec ->
-        "NOrec: value-based validation under a single sequence lock \
-         (commit-serialized)"
-
   (* The sites each core reaches itself — its one announcement table.
      The facade adds [Begin], [Commit], [Abort] and [Backoff] for every
      core.  The absences are structural: the global-lock serializer

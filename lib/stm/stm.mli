@@ -107,7 +107,6 @@ module Algo : sig
       vocabulary. *)
 
   val of_string : string -> (t, string) result
-  val describe : t -> string
 
   val progress_label : t -> string
   (** The Kuznetsov–Ravi progress family: ["progressive"],
@@ -253,9 +252,6 @@ module Obs : sig
   val causes : cause list
   (** Every cause, in label order — the stable axis of exported
       histograms. *)
-
-  val outcome_label : outcome -> string
-  (** ["conflict"], ["retry"], ["exception"]. *)
 
   val site_label : site -> string
 end

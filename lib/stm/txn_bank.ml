@@ -2,8 +2,6 @@ type t = int Stm.tvar array
 
 let make ~accounts ~initial = Array.init accounts (fun _ -> Stm.tvar initial)
 
-let accounts t = Array.length t
-
 let balance t i = Stm.read t.(i)
 
 let transfer t ~from_ ~to_ ~amount =

@@ -6,7 +6,6 @@
 type t
 
 val make : accounts:int -> initial:int -> t
-val accounts : t -> int
 
 val balance : t -> int -> int
 (** Snapshot balance of one account. *)

@@ -89,8 +89,6 @@ let create ?registry ?(metric = "tm_latency") ?(interval_ns = 1_000_000)
       p99 "_closed_p99_ns" "Completed-sample sojourn p99 (closed-loop)";
   }
 
-let domains t = t.domains
-
 let mark t d ~sched = Atomic.set t.inflight.(d) sched
 let abandon t d = Atomic.set t.inflight.(d) idle
 

@@ -37,8 +37,6 @@ val create :
     by {!publish}, typically right before a scrape.
     @raise Invalid_argument if [domains < 1] or [interval_ns < 1]. *)
 
-val domains : t -> int
-
 (** {2 Hot path} *)
 
 val mark : t -> int -> sched:int -> unit

@@ -38,9 +38,6 @@ val of_counters :
   aborts:Instrument.counter ->
   source
 
-val states : string array
-(** [[| "crashed"; "parasitic"; "starving"; "progressing" |]]. *)
-
 type t
 
 val create :

@@ -1,6 +1,6 @@
 (* Publishing a simulator run into a registry, on the step clock.
 
-   The runner's [?on_event] hook calls [on_event] with the history-event
+   The runner's [?on_event] hook calls [hook] with the history-event
    index as timestamp; counters are updated per event and the sampler
    ticks every [period] events, so the resulting JSONL time series is a
    pure function of the history — byte-identical across equal runs.
@@ -71,7 +71,7 @@ let create ?(period = 200) ?(consumers = []) ~nprocs reg =
     last_tick = -1;
   }
 
-let on_event t ~ts ev =
+let hook t ~ts ev =
   Instrument.incr t.events;
   (match ev with
   | Ev.Inv (p, inv) ->
@@ -88,8 +88,6 @@ let on_event t ~ts ev =
     t.last_tick <- ts;
     ignore (Sampler.tick ~ts t.sampler)
   end
-
-let hook t = fun ~ts ev -> on_event t ~ts ev
 
 let finish t ~ts =
   t.last_tick <- ts;

@@ -20,11 +20,9 @@ val create :
   t
 (** [period] (default 200) is the scrape interval in history events. *)
 
-val on_event : t -> ts:int -> Tm_history.Event.t -> unit
-
 val hook : t -> ts:int -> Tm_history.Event.t -> unit
-(** [on_event] pre-applied, shaped for {!Tm_sim.Runner.run}'s
-    [?on_event]. *)
+(** Counts one history event and scrapes every [period] events; shaped
+    for {!Tm_sim.Runner.run}'s [?on_event]. *)
 
 val finish : t -> ts:int -> Registry.snapshot
 (** A final scrape at [ts] (normally the history length), regardless of

@@ -12,9 +12,6 @@ type t
 
 val create : ?consumers:Sampler.consumer list -> Registry.t -> t
 
-val publish : t -> index:int -> Tm_sim.Sweep.result -> Registry.snapshot
-(** Accumulate one run's metrics and scrape at [ts = index]. *)
-
 val publish_all : t -> Tm_sim.Sweep.result list -> Registry.snapshot option
-(** {!publish} each result at its list index; returns the last
-    snapshot (None for an empty sweep). *)
+(** Accumulates each result's metrics and scrapes at [ts] = its list
+    index; returns the last snapshot (None for an empty sweep). *)

@@ -48,5 +48,4 @@ val greedy : t
 (** Older transaction wins: steal iff the attacker started earlier,
     otherwise abort self. *)
 
-val all : t list
 val by_name : string -> t option

@@ -57,8 +57,6 @@ let all =
        starves you";
   ]
 
-let find name = List.find_opt (fun c -> c.tm_name = name) all
-
 let pp ppf c =
   let assumption = function
     | Crash_free -> "crash-free"

@@ -24,6 +24,5 @@ type t = {
 }
 
 val all : t list
-val find : string -> t option
 
 val pp : Format.formatter -> t -> unit

@@ -117,5 +117,3 @@ let pp_state ppf s =
     s.s_vals
     Fmt.(list ~sep:(any ",") pp_pending)
     s.s_pending
-
-let view t p x = t.vals.(p).(x)

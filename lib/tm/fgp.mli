@@ -1,5 +1,3 @@
-open Tm_history
-
 (** The paper's global-progress automaton [Fgp] (Section 6, Theorem 3).
 
     Each state is a tuple [(Status, CP, Val, f)]:
@@ -41,5 +39,3 @@ val state : t -> state
 (** A snapshot of the automaton state (for the explorer and tests). *)
 
 val pp_state : Format.formatter -> state -> unit
-
-val view : t -> Event.proc -> Event.tvar -> Event.value

@@ -20,7 +20,6 @@ let create ~capacity =
   if capacity < 1 then invalid_arg "Ring.create: capacity must be positive";
   { buf = Array.make capacity dummy; cap = capacity; next = 0; n = 0 }
 
-let capacity r = r.cap
 let length r = min r.n r.cap
 let total r = r.n
 let dropped r = max 0 (r.n - r.cap)
@@ -29,8 +28,6 @@ let add r e =
   r.buf.(r.next) <- e;
   r.next <- (r.next + 1) mod r.cap;
   r.n <- r.n + 1
-
-let sink r = Sink.of_fn (add r)
 
 let to_list r =
   let len = length r in

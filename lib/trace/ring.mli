@@ -9,8 +9,6 @@ type t
 val create : capacity:int -> t
 (** @raise Invalid_argument if [capacity < 1]. *)
 
-val capacity : t -> int
-
 val length : t -> int
 (** Events currently retained ([<= capacity]). *)
 
@@ -21,8 +19,6 @@ val dropped : t -> int
 (** [max 0 (total - capacity)]: events overwritten by newer ones. *)
 
 val add : t -> Trace_event.t -> unit
-
-val sink : t -> Sink.t
 
 val to_list : t -> Trace_event.t list
 (** Retained events, oldest first. *)

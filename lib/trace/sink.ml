@@ -1,7 +1,5 @@
 type t = { emit : Trace_event.t -> unit }
 
-let of_fn f = { emit = f }
-
 type collector = { mutable rev_events : Trace_event.t list }
 
 let collector () = { rev_events = [] }

@@ -1,14 +1,10 @@
 (** Pluggable trace sinks.
 
     Instrumented code never formats or stores events itself; it hands each
-    event to a sink.  A {!collector} accumulates everything in order (the simulator's
-    recorder — unbounded, use on bounded runs); {!Ring.sink} keeps the most
-    recent events in a fixed-size buffer (the multicore runtime's
-    per-domain sink). *)
+    event to a sink.  A {!collector} accumulates everything in order (the
+    simulator's recorder — unbounded, use on bounded runs). *)
 
 type t = { emit : Trace_event.t -> unit }
-
-val of_fn : (Trace_event.t -> unit) -> t
 
 (** {2 Collector} *)
 

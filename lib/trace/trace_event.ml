@@ -74,7 +74,6 @@ let arg_str e k =
   match List.assoc_opt k e.args with Some (Str s) -> Some s | _ -> None
 
 let tvar e = arg_int e "tvar"
-let outcome e = arg_str e "outcome"
 
 let by_ts es =
   List.stable_sort (fun (a : t) b -> Int.compare a.ts b.ts) es

@@ -79,8 +79,5 @@ val arg_str : t -> string -> string option
 val tvar : t -> int option
 (** The conventional ["tvar"] integer argument (lock and publish events). *)
 
-val outcome : t -> string option
-(** The conventional ["outcome"] string argument (attempt span ends). *)
-
 val by_ts : t list -> t list
 (** Stable sort by logical timestamp — the canonical analysis order. *)

@@ -13,3 +13,7 @@ module Inner = struct
   let inner_dead = dead
   let inner_used = inner_dead
 end
+
+let used_let_open = dead
+let used_local_open = dead
+let shadowed = dead

@@ -15,3 +15,7 @@ module Inner : sig
   val inner_dead : int
   val inner_used : int
 end
+
+val used_let_open : int
+val used_local_open : int
+val shadowed : int

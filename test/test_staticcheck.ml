@@ -167,6 +167,8 @@ let unused_findings () =
       [
         load "lib/fx/unused_lib.ml" "unused_lib.ml";
         load "bin/unused_user.ml" "unused_user.ml";
+        load "bin/unused_local.ml" "unused_local.ml";
+        load "bin/unused_shadow.ml" "unused_shadow.ml";
         load "test/unused_test.ml" "unused_test.ml";
       ]
   |> List.sort F.compare
@@ -185,17 +187,26 @@ let test_unused_no_user () =
     Alcotest.(check (list int)) (name ^ " at its val") [ line ] (lines_of fs)
   in
   (* Its own file's uses do not count, nor does an allow without a
-     reason; a nested module's val is qualified by that module. *)
+     reason, nor a bare name in a file that never opens the module; a
+     nested module's val is qualified by that module. *)
   check "dead" 3;
   check "excused_without_reason" 12;
-  check "Inner.inner_dead" 15
+  check "Inner.inner_dead" 15;
+  check "shadowed" 21
 
 let test_unused_used_elsewhere () =
   List.iter
     (fun name ->
       Alcotest.(check int) (name ^ ": no finding") 0
         (List.length (unused_about name)))
-    [ "used_qualified"; "used_aliased"; "used_bare"; "Inner.inner_used" ]
+    [
+      "used_qualified";
+      "used_aliased";
+      "used_bare";
+      "used_let_open";
+      "used_local_open";
+      "Inner.inner_used";
+    ]
 
 let test_unused_test_only () =
   match unused_about "test_only" with
@@ -212,7 +223,7 @@ let test_unused_deterministic () =
   let a = F.list_to_json (unused_findings ())
   and b = F.list_to_json (unused_findings ()) in
   Alcotest.(check string) "byte-identical findings" a b;
-  Alcotest.(check int) "three warnings and one info" 4
+  Alcotest.(check int) "four warnings and one info" 5
     (List.length (unused_findings ()))
 
 (* --- rule selection and exit thresholds --- *)
