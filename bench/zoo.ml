@@ -25,7 +25,7 @@ let mid_commit_depth = function
 (* The toggle workload of Figures 5/6: read the bit, write its
    complement. *)
 let toggle =
-  Tm_sim.Workload.fixed "toggle"
+  Tm_sim.Workload.fixed
     [
       [
         Tm_sim.Workload.W_read 0;
@@ -98,7 +98,7 @@ let z1 () =
         (match List.assoc_opt 0 reads with Some v -> v | None -> 0) + 1)
   in
   let hot_workload =
-    Tm_sim.Workload.fixed "w3x1" [ [ Tm_sim.Workload.W_read 0; inc; inc; inc ] ]
+    Tm_sim.Workload.fixed [ [ Tm_sim.Workload.W_read 0; inc; inc; inc ] ]
   in
   List.iter
     (fun name ->

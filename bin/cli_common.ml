@@ -1,8 +1,22 @@
 (* Shared plumbing for the tmlive subcommands: argument converters, the
-   common simulation flags, the pooled sweep dispatch, and traced-run
-   assembly (the pieces sweep/trace/analyze/chaos all need). *)
+   common simulation flags, classified errors, input and output files,
+   the pooled sweep dispatch, traced-run assembly and the chaos-session
+   skeleton (the pieces the command modules share). *)
 
 open Cmdliner
+
+(* A classified error: [error: …] on stderr and exit 2, never an
+   uncaught exception. *)
+let die fmt =
+  Fmt.kstr
+    (fun m ->
+      Fmt.epr "error: %s@." m;
+      exit 2)
+    fmt
+
+(* Runs [f], turning the [Invalid_argument] of a rejected configuration
+   into a classified error. *)
+let valid f = try f () with Invalid_argument m -> die "%s" m
 
 (* ---- converters ---- *)
 
@@ -191,6 +205,9 @@ let out_arg ~doc () =
   Arg.(
     value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc)
 
+let trace_arg ~doc () =
+  Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
+
 (* ---- output-format flags ---- *)
 
 (* One table/json converter for every subcommand that renders a document
@@ -237,13 +254,34 @@ let telemetry_format_arg () =
            per scrape — the whole time series).")
 
 (* Opens an output file.  A path that cannot be written is a classified
-   error (exit 2), not an uncaught [Sys_error]; a command with a long run
-   opens its outputs before the run, so the error comes first. *)
-let open_output file =
-  try open_out file
-  with Sys_error m ->
-    Fmt.epr "error: %s@." m;
-    exit 2
+   error (exit 2), not an uncaught [Sys_error]. *)
+let open_output file = try open_out file with Sys_error m -> die "%s" m
+
+(* Reads an input file whole; a path that cannot be read is a
+   classified error too. *)
+let read_input file =
+  try In_channel.with_open_bin file In_channel.input_all
+  with Sys_error m -> die "%s" m
+
+(* The output file an option names, opened now so that a path that
+   cannot be written fails before the run.  The returned function fills
+   it once the run is done ([write]), closes it and prints [note path];
+   without a file it does nothing. *)
+let output_to = function
+  | None -> fun _ _ -> ()
+  | Some path ->
+      let oc = open_output path in
+      fun write note ->
+        write oc;
+        close_out oc;
+        note path
+
+(* Writers for [output_to]: a document and its newline, a Chrome trace. *)
+let line s oc =
+  output_string oc s;
+  output_char oc '\n'
+
+let chrome events oc = Tm_trace.Export.to_chrome_channel oc events
 
 (* A telemetry sink for one command invocation: [add] collects scrape
    snapshots (plug it in as a sampler consumer / [on_sample]), [flush]
@@ -330,13 +368,19 @@ let tms_arg ~doc () =
 let faults_arg ~doc () =
   Arg.(value & opt (list fault_conv) [] & info [ "faults" ] ~docv:"PATTERNS" ~doc)
 
-let resolve_patterns ~nprocs ~ntvars ~steps ~sched faults =
+(* The (TM x fault pattern x seed) grid of sweep, trace and analyze
+   --sweep: no TM means the whole zoo, no pattern all four. *)
+let grid ~tms ~faults ~seeds ~nprocs ~ntvars ~steps ~sched =
+  let tms = match tms with [] -> Tm_impl.Registry.all | tms -> tms in
   let all = Tm_sim.Sweep.fault_patterns ~nprocs ~ntvars ~steps ~sched () in
-  match faults with
-  | [] -> all
-  | names ->
-      (* Names were validated by [fault_conv]; the assoc cannot fail. *)
-      List.map (fun n -> (n, List.assoc n all)) names
+  let patterns =
+    match faults with
+    | [] -> all
+    | names ->
+        (* Names were validated by [fault_conv]; the assoc cannot fail. *)
+        List.map (fun n -> (n, List.assoc n all)) names
+  in
+  (patterns, Tm_sim.Sweep.grid ~tms ~patterns ~seeds ())
 
 (* ---- sweep dispatch ---- *)
 
@@ -390,18 +434,6 @@ let run_trace_events i (r : Tm_sim.Sweep.result) =
 
 let combined_trace results = List.concat (List.mapi run_trace_events results)
 
-let write_trace oc events =
-  Tm_trace.Export.to_chrome_channel oc events;
-  close_out oc
-
-let write_trace_file file events = write_trace (open_output file) events
-
-let read_file file =
-  let ic = open_in_bin file in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* A real multicore workload on the [Stm] runtime, traced: [jobs] domains
    transfer between [ntvars] accounts.  Returns the recorded events (and
    checks conservation as a sanity net). *)
@@ -429,3 +461,33 @@ let stm_demo_events ~jobs ~ntvars ~steps =
   if total <> 1000 * n then
     Fmt.epr "stm demo: conservation broken (%d /= %d)!@." total (1000 * n);
   (Stm.Trace.events (), Stm.Trace.dropped ())
+
+(* ---- the chaos-session skeleton (chaos, blame, serve --scenario) ---- *)
+
+(* Makes the fault plan (exit 2 on a bad one), opens [out] and [trace]
+   before the run, runs the session with the telemetry consumer, renders
+   it on stdout, flushes the telemetry, writes [document] to [out] and
+   the run's events to [trace] (labelled [name/scenario/algo/seed=N]),
+   and exits 1 on any verdict mismatch. *)
+let chaos_session ~name ~algo ~scenario ~seed ~domains ~run ~render
+    ~document ~note ~out ?trace ~telemetry ~telemetry_format () : unit =
+  let plan =
+    match Tm_chaos.Plan.make ~algo ~scenario ~seed ~domains () with
+    | Ok plan -> plan
+    | Error m -> die "%s" m
+  in
+  let write_out = output_to out and write_trace = output_to trace in
+  let on_sample, tel_flush = telemetry_setup telemetry telemetry_format in
+  let o : Tm_chaos.Runner.outcome = run on_sample plan in
+  render o;
+  tel_flush ();
+  write_out (fun oc -> output_string oc (document o)) note;
+  if trace <> None then begin
+    let label =
+      Fmt.str "%s/%s/%s/seed=%d" name scenario (Tm_stm.Stm.Algo.name algo) seed
+    in
+    let events = metadata_event ~pid:0 label :: o.Tm_chaos.Runner.o_events in
+    write_trace (chrome events)
+      (Fmt.epr "trace: %d events written to %s@." (List.length events))
+  end;
+  exit (if o.Tm_chaos.Runner.o_ok then 0 else 1)

@@ -6,7 +6,7 @@ type op =
 
 type body = op list
 
-type t = { w_name : string; body : Prng.t -> int -> body }
+type t = { body : Prng.t -> int -> body }
 
 let latest reads x =
   match List.assoc_opt x reads with Some v -> v | None -> 0
@@ -15,7 +15,6 @@ let increment x = W_write (x, fun reads -> latest reads x + 1)
 
 let counter ~ntvars =
   {
-    w_name = "counter";
     body =
       (fun g _ ->
         let x = Prng.int g ntvars in
@@ -24,7 +23,6 @@ let counter ~ntvars =
 
 let read_heavy ~ntvars ~reads =
   {
-    w_name = Fmt.str "read-heavy-%d" reads;
     body =
       (fun g _ ->
         let rs = List.init reads (fun _ -> W_read (Prng.int g ntvars)) in
@@ -34,13 +32,11 @@ let read_heavy ~ntvars ~reads =
 
 let read_only ~ntvars ~reads =
   {
-    w_name = Fmt.str "read-only-%d" reads;
     body = (fun g _ -> List.init reads (fun _ -> W_read (Prng.int g ntvars)));
   }
 
 let write_only ~ntvars ~writes =
   {
-    w_name = Fmt.str "write-only-%d" writes;
     body =
       (fun g i ->
         List.init writes (fun _ ->
@@ -49,7 +45,6 @@ let write_only ~ntvars ~writes =
 
 let transfer ~ntvars =
   {
-    w_name = "transfer";
     body =
       (fun g _ ->
         if ntvars < 2 then invalid_arg "Workload.transfer: need >= 2 t-vars";
@@ -63,9 +58,8 @@ let transfer ~ntvars =
         ]);
   }
 
-let fixed name bodies =
+let fixed bodies =
   {
-    w_name = name;
     body =
       (fun _ i ->
         match bodies with

@@ -15,10 +15,7 @@ type op =
 
 type body = op list
 
-type t = {
-  w_name : string;
-  body : Prng.t -> int -> body;  (** PRNG, transaction index *)
-}
+type t = { body : Prng.t -> int -> body  (** PRNG, transaction index *) }
 
 val counter : ntvars:int -> t
 (** Read a random t-variable and write back its value plus one — the
@@ -39,5 +36,5 @@ val transfer : ntvars:int -> t
 (** Move one unit between two distinct random t-variables (a bank
     transfer); total balance is invariant under committed transactions. *)
 
-val fixed : string -> body list -> t
+val fixed : body list -> t
 (** A fixed cyclic sequence of transaction bodies (index modulo length). *)

@@ -240,7 +240,7 @@ let test_find_lasso_on_deterministic_run () =
      the lasso and the exact deciders must answer: global but not local
      progress — the run realizes Figure 6. *)
   let toggle =
-    Tm_sim.Workload.fixed "toggle"
+    Tm_sim.Workload.fixed
       [
         [
           Tm_sim.Workload.W_read 0;

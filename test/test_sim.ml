@@ -220,7 +220,7 @@ let test_workload_write_only () =
 
 let test_workload_fixed_cycles () =
   let w =
-    Tm_sim.Workload.fixed "ab"
+    Tm_sim.Workload.fixed
       [ [ Tm_sim.Workload.W_read 0 ]; [ Tm_sim.Workload.W_read 1 ] ]
   in
   let g = Tm_sim.Prng.create 0 in
