@@ -133,6 +133,18 @@ row blame falsified-evidence \
   -- dune exec bin/tmlive.exe -- analyze --trace blame-trace.json \
   --format json -o findings-blame-seeded.json
 
+# ---- telemetry ----
+
+# Drop the "- 1" from the shared upper-bound rule (Tm_sim.Hist), so each
+# sub-bucketed bucket's bound reaches the first value of the next one:
+# test_telemetry's property over the sim, log2 and hires layouts
+# ("bucket_of and bucket_upper agree") must FAIL.  The log names the
+# failing test, so a build failure is not taken for a catch.
+row telemetry upper-bound-off-by-one \
+  --expect 'FAIL.*histograms.*1' telemetry-hist-mutant.log lib/sim/hist.ml \
+  's/((sub + 1) lsl (m - l.sub_bits)) - 1/(sub + 1) lsl (m - l.sub_bits)/' \
+  -- sh -c 'dune exec test/test_telemetry.exe -- test histograms 1 --color=never > telemetry-hist-mutant.log 2>&1'
+
 # ---- serve: the leg is the algorithm; source mutants run on tl2 ----
 
 # Make the one per-op code path write a hitting cas's expected value

@@ -215,7 +215,7 @@ let p4_parallel_sweep () =
               mean %5.1f ev@."
         name m.commits m.aborts m.abort_causes.on_read m.abort_causes.on_write
         m.abort_causes.on_commit
-        (M.hist_mean m.commit_latency))
+        (Tm_sim.Hist.mean m.commit_latency))
     (Tm_sim.Sweep.by_tm seq)
 
 (* ------------------------------------------------------------------ *)

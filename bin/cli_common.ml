@@ -284,7 +284,7 @@ let line s oc =
 let chrome events oc = Tm_trace.Export.to_chrome_channel oc events
 
 (* A telemetry sink for one command invocation: [add] collects scrape
-   snapshots (plug it in as a sampler consumer / [on_sample]), [flush]
+   snapshots (plug it in as a publisher consumer / [on_sample]), [flush]
    writes them out.  OpenMetrics is a point-in-time exposition, so it
    gets the last snapshot; JSONL gets the whole series.  [file] "-"
    means stdout; any other file is opened here, up front. *)

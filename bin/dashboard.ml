@@ -88,7 +88,7 @@ let render_latency ~nd snap =
       Fmt.pr "@.open-loop latency (sojourn since scheduled arrival):@.";
       (if h.Tel.Instrument.count = 0 then Fmt.pr "  (no completions yet)@."
        else
-         let q p = Fmt.str "%a" pp_ns (Tel.Instrument.hires_quantile h p) in
+         let q p = Fmt.str "%a" pp_ns (Tm_sim.Hist.quantile h p) in
          Fmt.pr "  sojourn n=%d p50=%s p99=%s p99.9=%s max=%a@."
            h.Tel.Instrument.count (q 0.50) (q 0.99) (q 0.999) pp_ns
            h.Tel.Instrument.max_sample);
@@ -150,7 +150,7 @@ let render ~plain ~title ~plan ~frame ~frames ~period ~prev ~blame snap =
           if h.Tel.Instrument.count = 0 then
             Fmt.pr "%-14s %10d %8s %8s %8s %8s@." label 0 "-" "-" "-" "-"
           else
-            let q p = Fmt.str "%a" pp_ns (Tel.Instrument.quantile h p) in
+            let q p = Fmt.str "%a" pp_ns (Tm_sim.Hist.quantile h p) in
             Fmt.pr "%-14s %10d %8s %8s %8s %8s@." label
               h.Tel.Instrument.count (q 0.50) (q 0.90) (q 0.99)
               (Fmt.str "%a" pp_ns h.Tel.Instrument.max_sample))

@@ -25,7 +25,7 @@ module Tel = Tm_telemetry
 type pcts = { q50 : int; q90 : int; q99 : int; q999 : int; q9999 : int }
 
 let pcts_of_snap s =
-  let q p = Tel.Instrument.hires_quantile s p in
+  let q p = Tm_sim.Hist.quantile s p in
   {
     q50 = q 0.5;
     q90 = q 0.9;
@@ -76,7 +76,9 @@ let rung ?on_sample ~quantum ~kind ~rung_index rate (cfg : Server.config) wl =
     Tel.Registry.counter reg ~shards:1 ~help:"Requests shed (model)"
       "tm_loadcurve_shed_total"
   in
-  let hist name help = Tel.Registry.hires reg ~shards:1 ~help name in
+  let hist name help =
+    Tel.Registry.histogram reg ~shards:1 ~layout:Tm_sim.Hist.hires ~help name
+  in
   let queueing_h =
     hist "tm_loadcurve_queueing_ns" "Arrival to service start (virtual)"
   in
@@ -107,15 +109,15 @@ let rung ?on_sample ~quantum ~kind ~rung_index rate (cfg : Server.config) wl =
       makespan := finish;
       incr admitted;
       Tel.Instrument.incr admitted_c;
-      Tel.Instrument.hires_observe queueing_h (start - arr);
-      Tel.Instrument.hires_observe service_h service;
-      Tel.Instrument.hires_observe sojourn_h (finish - arr)
+      Tel.Instrument.observe queueing_h (start - arr);
+      Tel.Instrument.observe service_h service;
+      Tel.Instrument.observe sojourn_h (finish - arr)
     end
   done;
   (match on_sample with
   | Some f -> f (Tel.Registry.scrape reg ~ts:rung_index)
   | None -> ());
-  let snap h = Tel.Instrument.hires_snapshot h in
+  let snap h = Tel.Instrument.hist_snapshot h in
   {
     p_rate = rate;
     p_offered = n;

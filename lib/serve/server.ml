@@ -226,7 +226,7 @@ let serve x =
 
 (* {2 Serving a profile} *)
 
-type lat = { l_kind : string; l_snap : Tel.Instrument.hsnap }
+type lat = { l_kind : string; l_snap : Tm_sim.Hist.t }
 
 type per_domain = {
   d_requests : int;
@@ -272,9 +272,7 @@ type tally = {
   mutable t_batched : int;
   mutable t_mutators : int;
   t_by_kind : int array;  (* admitted, by [Workload.kind_index] *)
-  t_lat : int array array;  (* per kind, log2 buckets as [Tel.Instrument] *)
-  t_lat_sum : int array;
-  t_lat_max : int array;
+  t_lat : Tm_sim.Hist.t array;  (* per kind, log2 layout *)
 }
 
 let tally nkinds =
@@ -285,19 +283,8 @@ let tally nkinds =
     t_batched = 0;
     t_mutators = 0;
     t_by_kind = Array.make nkinds 0;
-    t_lat =
-      Array.init nkinds (fun _ -> Array.make Tel.Instrument.hist_buckets 0);
-    t_lat_sum = Array.make nkinds 0;
-    t_lat_max = Array.make nkinds 0;
+    t_lat = Array.init nkinds (fun _ -> Tm_sim.Hist.create Tm_sim.Hist.log2);
   }
-
-(* [Tel.Instrument.observe]'s bucket, sum and max rules, without its
-   atomics. *)
-let tally_latency t kind ns =
-  let b = t.t_lat.(kind) and i = Tel.Instrument.bucket_of ns in
-  b.(i) <- b.(i) + 1;
-  t.t_lat_sum.(kind) <- t.t_lat_sum.(kind) + max 0 ns;
-  if ns > t.t_lat_max.(kind) then t.t_lat_max.(kind) <- ns
 
 let run ?on_sample cfg =
   validate cfg;
@@ -400,7 +387,7 @@ let run ?on_sample cfg =
           let start = now_ns () in
           if serve x then t.t_batched <- t.t_batched + 1;
           let finish = now_ns () in
-          tally_latency t kind (finish - start);
+          Tm_sim.Hist.add t.t_lat.(kind) (finish - start);
           match recorder with
           | Some r -> Tel.Latency_recorder.complete r d ~start ~finish
           | None -> ()
@@ -436,15 +423,15 @@ let run ?on_sample cfg =
   in
   scrape (total_requests cfg);
   let commits1, aborts1 = Stm.stats () in
-  (* Measured, non-canonical: bare histograms, never scraped. *)
+  (* Measured, non-canonical, never scraped. *)
   let latency k name =
-    let h = Tel.Instrument.histogram ~shards:1 () in
-    Array.iter
-      (fun t ->
-        Tel.Instrument.absorb h ~buckets:t.t_lat.(k) ~sum:t.t_lat_sum.(k)
-          ~max_sample:t.t_lat_max.(k))
-      tallies;
-    { l_kind = name; l_snap = Tel.Instrument.hist_snapshot h }
+    let merged =
+      Array.fold_left
+        (fun h t -> Tm_sim.Hist.merge h t.t_lat.(k))
+        (Tm_sim.Hist.create Tm_sim.Hist.log2)
+        tallies
+    in
+    { l_kind = name; l_snap = merged }
   in
   let mut_total = sum (fun t -> t.t_mutators) in
   let dump = Store.dump store in
@@ -541,9 +528,8 @@ let pp_summary ppf o =
     o.s_commits o.s_aborts o.s_flushes;
   List.iter
     (fun l ->
-      if l.l_snap.Tel.Instrument.count > 0 then
-        Fmt.pf ppf "  latency %-4s %a@," l.l_kind Tel.Instrument.pp_hsnap
-          l.l_snap)
+      if l.l_snap.count > 0 then
+        Fmt.pf ppf "  latency %-4s %a@," l.l_kind Tm_sim.Hist.pp l.l_snap)
     o.s_latency;
   (match (o.s_config.c_arrival, o.s_open) with
   | Some a, Some y ->

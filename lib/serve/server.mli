@@ -42,14 +42,13 @@
 
     Each executor domain counts into its own tally of plain fields:
     requests, admitted, shed, batched and mutators, admitted requests by
-    kind, and per-kind log2 latency buckets with their sum and maximum.
+    kind, and a plain per-kind {!Tm_sim.Hist.log2} latency histogram.
     No atomic is touched per request.  The worker returns its tally
     through [Domain.join], which orders every write the domain made
     before [run]'s reads of it, so those plain reads are exact.  After
     the join, {!run} builds {!outcome} from the tallies, adds them into
-    its registered [tm_serve_*] counters once per instrument and folds
-    the latency buckets into histograms with
-    {!Tm_telemetry.Instrument.absorb}, all before the final scrape.
+    its registered [tm_serve_*] counters once per instrument and merges
+    the latency histograms, all before the final scrape.
     The rule this relies on: {!run}'s instruments have no live reader.
     A scrape sees them only at [ts = 0] (all zero) and at
     [ts = total_requests] (after publication).  [tmlive top --serve]
@@ -152,7 +151,7 @@ val serve : executor -> bool
 
 (** {2 Serving a profile} *)
 
-type lat = { l_kind : string; l_snap : Tm_telemetry.Instrument.hsnap }
+type lat = { l_kind : string; l_snap : Tm_sim.Hist.t }
 
 type per_domain = {
   d_requests : int;

@@ -1,77 +1,13 @@
 open Tm_history
 
-let nbuckets = 15
-
-type histogram = {
-  buckets : int array;
-  count : int;
-  sum : int;
-  max_sample : int;
-}
-
-let hist_empty =
-  { buckets = Array.make nbuckets 0; count = 0; sum = 0; max_sample = 0 }
-
-let bucket_of v =
-  if v <= 0 then 0
-  else begin
-    let rec log2 acc v = if v <= 1 then acc else log2 (acc + 1) (v lsr 1) in
-    min (nbuckets - 1) (log2 0 v + 1)
-  end
-
-(* A histogram under construction: samples go into mutable buckets, and
-   [freeze] hands the buckets over to an immutable [histogram] once. *)
-type acc = {
-  a_buckets : int array;
-  mutable a_count : int;
-  mutable a_sum : int;
-  mutable a_max : int;
-}
-
-let acc () =
-  { a_buckets = Array.make nbuckets 0; a_count = 0; a_sum = 0; a_max = 0 }
-
-let acc_add a v =
-  let b = bucket_of v in
-  a.a_buckets.(b) <- a.a_buckets.(b) + 1;
-  a.a_count <- a.a_count + 1;
-  a.a_sum <- a.a_sum + v;
-  a.a_max <- Int.max a.a_max v
-
-let freeze a =
-  {
-    buckets = a.a_buckets;
-    count = a.a_count;
-    sum = a.a_sum;
-    max_sample = a.a_max;
-  }
-
-let hist_of_list vs =
-  let a = acc () in
-  List.iter (acc_add a) vs;
-  freeze a
-
-let hist_merge a b =
-  {
-    buckets = Array.init nbuckets (fun i -> a.buckets.(i) + b.buckets.(i));
-    count = a.count + b.count;
-    sum = a.sum + b.sum;
-    max_sample = max a.max_sample b.max_sample;
-  }
-
-let hist_mean h =
-  if h.count = 0 then 0.0 else float_of_int h.sum /. float_of_int h.count
-
 let hist_bucket_label k =
-  if k = 0 then "0"
-  else if k = 1 then "1"
-  else begin
-    let lo = 1 lsl (k - 1) in
-    if k = nbuckets - 1 then Fmt.str "%d+" lo
-    else Fmt.str "%d-%d" lo ((1 lsl k) - 1)
-  end
+  let upper = Hist.bucket_upper Hist.sim in
+  let lo = if k = 0 then 0 else upper (k - 1) + 1 in
+  if k = Hist.nbuckets Hist.sim - 1 then Fmt.str "%d+" lo
+  else if lo = upper k then string_of_int lo
+  else Fmt.str "%d-%d" lo (upper k)
 
-let pp_histogram ppf h =
+let pp_histogram ppf (h : Hist.t) =
   if h.count = 0 then Fmt.pf ppf "(empty)"
   else begin
     Fmt.pf ppf "@[<v>";
@@ -81,7 +17,7 @@ let pp_histogram ppf h =
           Fmt.pf ppf "%10s %6d  %s@," (hist_bucket_label k) c
             (String.make (max 1 (c * 40 / h.count)) '#'))
       h.buckets;
-    Fmt.pf ppf "count %d, mean %.2f, max %d@]" h.count (hist_mean h)
+    Fmt.pf ppf "count %d, mean %.2f, max %d@]" h.count (Hist.mean h)
       h.max_sample
   end
 
@@ -98,9 +34,9 @@ type t = {
   events : int;
   throughput : float;
   abort_causes : abort_causes;
-  retry_depth : histogram;
-  commit_latency : histogram;
-  abort_latency : histogram;
+  retry_depth : Hist.t;
+  commit_latency : Hist.t;
+  abort_latency : Hist.t;
 }
 
 (* The cause an abort is charged to: the kind of the pending invocation,
@@ -129,9 +65,9 @@ let of_outcome (o : Runner.outcome) =
   let pending = Array.make (nprocs + 1) On_commit in
   let retries = Array.make (nprocs + 1) 0 in
   let on_read = ref 0 and on_write = ref 0 and on_commit = ref 0 in
-  let retry_depth = acc () in
-  let commit_latency = acc () in
-  let abort_latency = acc () in
+  let retry_depth = Hist.create Hist.sim in
+  let commit_latency = Hist.create Hist.sim in
+  let abort_latency = Hist.create Hist.sim in
   let next = ref 0 in
   History.iter
     (fun (e : Event.t) ->
@@ -151,8 +87,8 @@ let of_outcome (o : Runner.outcome) =
           match resp with
           | Event.Value _ | Event.Ok_written -> pending.(p) <- On_commit
           | Event.Committed ->
-              acc_add commit_latency latency;
-              acc_add retry_depth retries.(p);
+              Hist.add commit_latency latency;
+              Hist.add retry_depth retries.(p);
               retries.(p) <- 0;
               txn_start.(p) <- -1;
               pending.(p) <- On_commit
@@ -161,7 +97,7 @@ let of_outcome (o : Runner.outcome) =
               | On_read -> incr on_read
               | On_write -> incr on_write
               | On_commit -> incr on_commit);
-              acc_add abort_latency latency;
+              Hist.add abort_latency latency;
               retries.(p) <- retries.(p) + 1;
               txn_start.(p) <- -1;
               pending.(p) <- On_commit))
@@ -188,9 +124,9 @@ let of_outcome (o : Runner.outcome) =
     throughput = Runner.throughput o;
     abort_causes =
       { on_read = !on_read; on_write = !on_write; on_commit = !on_commit };
-    retry_depth = freeze retry_depth;
-    commit_latency = freeze commit_latency;
-    abort_latency = freeze abort_latency;
+    retry_depth;
+    commit_latency;
+    abort_latency;
   }
 
 let merge a b =
@@ -213,18 +149,18 @@ let merge a b =
         on_write = a.abort_causes.on_write + b.abort_causes.on_write;
         on_commit = a.abort_causes.on_commit + b.abort_causes.on_commit;
       };
-    retry_depth = hist_merge a.retry_depth b.retry_depth;
-    commit_latency = hist_merge a.commit_latency b.commit_latency;
-    abort_latency = hist_merge a.abort_latency b.abort_latency;
+    retry_depth = Hist.merge a.retry_depth b.retry_depth;
+    commit_latency = Hist.merge a.commit_latency b.commit_latency;
+    abort_latency = Hist.merge a.abort_latency b.abort_latency;
   }
 
 (* A hand-rolled JSON emitter: the only consumer requirements are a stable
    key order and byte-stable number formatting, so sequential and parallel
    sweeps serialize identically. *)
-let json_hist buf h =
+let json_hist buf (h : Hist.t) =
   Buffer.add_string buf
     (Fmt.str "{\"count\":%d,\"sum\":%d,\"max\":%d,\"mean\":%.6f,\"buckets\":["
-       h.count h.sum h.max_sample (hist_mean h));
+       h.count h.sum h.max_sample (Hist.mean h));
   Array.iteri
     (fun i c ->
       if i > 0 then Buffer.add_char buf ',';
@@ -258,6 +194,6 @@ let pp ppf m =
      retry depth mean %.2f (max %d)@]"
     m.commits m.aborts m.abort_causes.on_read m.abort_causes.on_write
     m.abort_causes.on_commit m.defers m.faults m.starvations m.throughput
-    (hist_mean m.commit_latency)
-    m.commit_latency.max_sample (hist_mean m.retry_depth)
+    (Hist.mean m.commit_latency)
+    m.commit_latency.max_sample (Hist.mean m.retry_depth)
     m.retry_depth.max_sample

@@ -14,30 +14,16 @@
     not part of a metrics value; the sweep engine reports it separately so
     parallel and sequential sweeps produce identical metrics. *)
 
-(** {2 Histograms} *)
+(** {2 Histograms}
 
-type histogram = {
-  buckets : int array;
-      (** [nbuckets] counters; bucket 0 counts value 0, bucket [k >= 1]
-          counts values in [\[2^(k-1), 2^k)], the last bucket overflows *)
-  count : int;
-  sum : int;
-  max_sample : int;
-}
-
-val nbuckets : int
-
-val hist_empty : histogram
-val hist_of_list : int list -> histogram
-(** The histogram of the given samples. *)
-
-val hist_merge : histogram -> histogram -> histogram
-val hist_mean : histogram -> float
+    A run's histograms are {!Hist.sim}-layout {!Hist.t}s: bucket 0
+    counts value 0, bucket [k >= 1] counts [\[2^(k-1), 2^k)], and the
+    last bucket overflows. *)
 
 val hist_bucket_label : int -> string
 (** ["0"], ["1"], ["2-3"], ["4-7"], ..., ["8192+"]. *)
 
-val pp_histogram : Format.formatter -> histogram -> unit
+val pp_histogram : Format.formatter -> Hist.t -> unit
 (** Text rendering: one line per non-empty bucket ([hist_bucket_label],
     count, a proportional bar), then a count/mean/max summary line.
     Prints ["(empty)"] for an empty histogram. *)
@@ -65,11 +51,11 @@ type t = {
   events : int;  (** history length *)
   throughput : float;  (** commits per simulation step *)
   abort_causes : abort_causes;
-  retry_depth : histogram;
+  retry_depth : Hist.t;
       (** consecutive aborts accumulated before each commit *)
-  commit_latency : histogram;
+  commit_latency : Hist.t;
       (** events from first invocation to the commit response *)
-  abort_latency : histogram;
+  abort_latency : Hist.t;
 }
 
 val of_outcome : Runner.outcome -> t

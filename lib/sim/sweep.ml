@@ -135,7 +135,7 @@ let pp_table ppf results =
         m.Metrics.abort_causes.Metrics.on_read
         m.Metrics.abort_causes.Metrics.on_write
         m.Metrics.abort_causes.Metrics.on_commit m.Metrics.defers
-        (Metrics.hist_mean m.Metrics.commit_latency))
+        (Hist.mean m.Metrics.commit_latency))
     results
 
 module Exhaustive = struct

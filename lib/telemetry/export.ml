@@ -38,22 +38,24 @@ let kind_label = function
 let state_labels labels st =
   List.map (fun (k, v) -> if v = "" then (k, st) else (k, v)) labels
 
-(* Cumulative [_bucket{le="..."}] lines plus [_sum]/[_count], shared by
-   the log2 and hires histograms — only the bucket count and the
-   upper-bound rule differ.  Empty hires buckets are skipped (their
-   cumulative value equals the previous line's), keeping a 305-bucket
-   exposition proportional to the populated decades; the log2 variant
-   emits every bucket, as it always has.  Both stay within the strict
-   parser's subset, so the round-trip and lax parsers need no change. *)
-let add_hist_sample b ~name ~labels ~nbuckets ~upper ~skip_empty
-    (h : Instrument.hsnap) =
+(* A sub-bucketed layout (the hires one has 305 slots) is mostly
+   empty buckets, so its exports skip them: the openmetrics lines stay
+   cumulative (an omitted line equals the one before it) and the JSON
+   encodes [index, count] pairs.  Plain log2 layouts emit every bucket,
+   as they always have. *)
+let sparse (h : Instrument.hsnap) = h.layout.Tm_sim.Hist.sub_bits > 0
+
+(* Cumulative [_bucket{le="..."}] lines plus [_sum]/[_count]. *)
+let add_hist_sample b ~name ~labels (h : Instrument.hsnap) =
+  let nbuckets = Array.length h.buckets and skip_empty = sparse h in
   let cum = ref 0 in
   for k = 0 to nbuckets - 1 do
-    let c = h.Instrument.buckets.(k) in
+    let c = h.buckets.(k) in
     cum := !cum + c;
     if (not skip_empty) || c > 0 || k = nbuckets - 1 then begin
       let le =
-        if k = nbuckets - 1 then "+Inf" else string_of_int (upper k)
+        if k = nbuckets - 1 then "+Inf"
+        else string_of_int (Tm_sim.Hist.bucket_upper h.layout k)
       in
       Buffer.add_string b name;
       Buffer.add_string b "_bucket";
@@ -66,13 +68,13 @@ let add_hist_sample b ~name ~labels ~nbuckets ~upper ~skip_empty
        (let lb = Buffer.create 16 in
         add_labels lb labels;
         Buffer.contents lb)
-       h.Instrument.sum);
+       h.sum);
   Buffer.add_string b
     (Fmt.str "%s_count%s %d\n" name
        (let lb = Buffer.create 16 in
         add_labels lb labels;
         Buffer.contents lb)
-       h.Instrument.count)
+       h.count)
 
 let add_sample b (s : Registry.sample) =
   match s.Registry.s_value with
@@ -88,13 +90,7 @@ let add_sample b (s : Registry.sample) =
           Buffer.add_string b (if i = current then " 1\n" else " 0\n"))
         states
   | Registry.Hist h ->
-      add_hist_sample b ~name:s.Registry.s_name ~labels:s.Registry.s_labels
-        ~nbuckets:Instrument.hist_buckets ~upper:Instrument.bucket_upper
-        ~skip_empty:false h
-  | Registry.Hires h ->
-      add_hist_sample b ~name:s.Registry.s_name ~labels:s.Registry.s_labels
-        ~nbuckets:Instrument.hires_buckets
-        ~upper:Instrument.hires_bucket_upper ~skip_empty:true h
+      add_hist_sample b ~name:s.Registry.s_name ~labels:s.Registry.s_labels h
 
 let to_openmetrics (snap : Registry.snapshot) =
   let b = Buffer.create 4096 in
@@ -190,24 +186,6 @@ let parse_openmetrics text =
          let line = String.trim line in
          if line = "" || line.[0] = '#' then None else Some (parse_line line))
 
-(* The forgiving variant for foreign expositions: every line the strict
-   subset does not cover becomes a diagnostic instead of an exception,
-   so one exotic sample (exemplars, timestamps, summary types) cannot
-   sink a whole scrape. *)
-let parse_openmetrics_lax text =
-  let series = ref [] and findings = ref [] in
-  List.iteri
-    (fun k line ->
-      let t = String.trim line in
-      if t = "" || t.[0] = '#' then ()
-      else
-        match parse_line t with
-        | s -> series := s :: !series
-        | exception (Failure m | Invalid_argument m) ->
-            findings := Fmt.str "line %d: %S: %s" (k + 1) t m :: !findings)
-    (String.split_on_char '\n' text);
-  (List.rev !series, List.rev !findings)
-
 (* ---- JSON lines ---- *)
 
 let add_json_string b s =
@@ -255,16 +233,12 @@ let to_jsonl (snap : Registry.snapshot) =
             (List.filter (fun (_, v) -> v <> "") s.Registry.s_labels);
           Buffer.add_string b ",\"state\":";
           add_json_string b states.(current)
-      | Registry.Hist h | Registry.Hires h ->
-          (* Hires buckets are sparse (305 slots); encode them as
-             [index, count] pairs so a quiet scrape line stays short.
-             The log2 variant keeps the dense array it always had. *)
+      | Registry.Hist h ->
           add_json_labels b s.Registry.s_labels;
           Buffer.add_string b
             (Fmt.str ",\"hist\":{\"count\":%d,\"sum\":%d,\"max\":%d,"
-               h.Instrument.count h.Instrument.sum h.Instrument.max_sample);
-          (match s.Registry.s_value with
-          | Registry.Hires _ ->
+               h.count h.sum h.max_sample);
+          (if sparse h then begin
               Buffer.add_string b "\"sparse\":[";
               let first = ref true in
               Array.iteri
@@ -274,14 +248,16 @@ let to_jsonl (snap : Registry.snapshot) =
                     first := false;
                     Buffer.add_string b (Fmt.str "[%d,%d]" k c)
                   end)
-                h.Instrument.buckets
-          | _ ->
+                h.buckets
+            end
+            else begin
               Buffer.add_string b "\"buckets\":[";
               Array.iteri
                 (fun k c ->
                   if k > 0 then Buffer.add_char b ',';
                   Buffer.add_string b (string_of_int c))
-                h.Instrument.buckets);
+                h.buckets
+            end);
           Buffer.add_string b "]}");
       Buffer.add_char b '}')
     snap.Registry.samples;

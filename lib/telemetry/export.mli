@@ -11,11 +11,10 @@ val to_openmetrics : Registry.snapshot -> string
     counters/gauges as single lines, statesets as one 0/1 line per
     state, histograms as cumulative [_bucket{le="..."}] lines (bucket
     upper bounds, then [+Inf]) plus [_sum]/[_count]; terminated by
-    [# EOF].  Hires histograms ({!Registry.Hires}) emit the same
-    cumulative [_bucket] shape under the hires bounds, skipping empty
-    buckets (the cumulative series is unchanged by the omission), so
-    both flavours round-trip through {!parse_openmetrics} and
-    {!parse_openmetrics_lax} identically. *)
+    [# EOF].  A histogram's bounds are its own layout's; a sub-bucketed
+    layout ({!Tm_sim.Hist.hires}) skips its empty buckets (the
+    cumulative series is unchanged by the omission), and both shapes
+    round-trip through {!parse_openmetrics}. *)
 
 type series = {
   se_name : string;
@@ -30,18 +29,11 @@ val parse_openmetrics : string -> series list
     parser.
     @raise Failure on lines the subset does not cover. *)
 
-val parse_openmetrics_lax : string -> series list * string list
-(** Like {!parse_openmetrics}, but never raises: every sample line the
-    subset does not cover (exemplars, timestamps, summary lines, plain
-    garbage) becomes a diagnostic string — ["line N: <line>: <reason>"]
-    — in the second component, in line order.  An exposition of only
-    comments (e.g. just [# EOF]) parses to [([], [])]. *)
-
 val to_jsonl : Registry.snapshot -> string
 (** One JSON object (no trailing newline):
     [{"ts":N,"samples":[{"name":...,"labels":{...},"value":N}
     | {...,"state":"starving"}
     | {...,"hist":{"count":..,"sum":..,"max":..,"buckets":[...]}}]}].
-    Hires histograms encode their (sparse, 305-slot) buckets as
+    A sub-bucketed layout encodes its (sparse, 305-slot) buckets as
     ["sparse":[[index,count],...]] pairs instead of a dense ["buckets"]
     array.  Under the step clock equal runs produce byte-equal lines. *)

@@ -54,42 +54,32 @@ let gauge_value g = Atomic.get g
 
 (* ---- histograms ----
 
-   Log2 buckets, same rule as [Tm_sim.Metrics]: bucket 0 counts value 0
-   (and negatives), bucket [k >= 1] counts [2^(k-1), 2^k), the last
-   bucket overflows.  32 buckets cover nanosecond latencies up to
-   ~2^30 ns (about a second) before overflowing. *)
+   The bucket rule is [Tm_sim.Hist]'s; a histogram keeps one atomic
+   per bucket per shard in its layout, and a snapshot sums the shards
+   into a plain [Tm_sim.Hist.t].  The count is the sum of the buckets,
+   so an observation pays no RMW for it. *)
 
-let hist_buckets = 32
+module Hist = Tm_sim.Hist
 
-(* The first bucket from [k] that holds [v].  Top-level, not a local
-   closure over [v], so an observation allocates nothing. *)
-let rec bucket_from v k =
-  if k >= hist_buckets - 1 || v < 1 lsl k then k else bucket_from v (k + 1)
+let hires_bucket_upper = Hist.bucket_upper Hist.hires
 
-let bucket_of v = if v <= 0 then 0 else bucket_from v 1
+type hshard = { hb : int Atomic.t array; hs : int Atomic.t; hm : int Atomic.t }
 
-let bucket_upper k =
-  if k <= 0 then 0
-  else if k >= hist_buckets - 1 then max_int
-  else (1 lsl k) - 1
-
-type hshard = {
-  hb : int Atomic.t array;
-  hc : int Atomic.t;
-  hs : int Atomic.t;
-  hm : int Atomic.t;
+type histogram = {
+  h_layout : Hist.layout;
+  h_shards : hshard array;
+  h_mask : int;
 }
 
-type histogram = { h_shards : hshard array; h_mask : int }
-
-let histogram ?(shards = default_shards) () =
+let histogram ?(shards = default_shards) ?(layout = Hist.log2) () =
   let shards = next_pow2 (max 1 shards) in
+  let n = Hist.nbuckets layout in
   {
+    h_layout = layout;
     h_shards =
       Array.init shards (fun _ ->
           {
-            hb = Array.init hist_buckets (fun _ -> Atomic.make 0);
-            hc = Atomic.make 0;
+            hb = Array.init n (fun _ -> Atomic.make 0);
             hs = Atomic.make 0;
             hm = Atomic.make 0;
           });
@@ -102,182 +92,40 @@ let rec bump_max a v =
 
 let observe h v =
   let s = h.h_shards.((Domain.self () :> int) land h.h_mask) in
-  ignore (Atomic.fetch_and_add s.hb.(bucket_of v) 1);
-  ignore (Atomic.fetch_and_add s.hc 1);
-  ignore (Atomic.fetch_and_add s.hs (max 0 v));
+  ignore (Atomic.fetch_and_add s.hb.(Hist.bucket_of h.h_layout v) 1);
+  if v > 0 then ignore (Atomic.fetch_and_add s.hs v);
   bump_max s.hm v
 
-let absorb h ~buckets ~sum ~max_sample =
+let absorb h (src : Hist.t) =
   let s = h.h_shards.((Domain.self () :> int) land h.h_mask) in
-  let n = Array.length buckets in
-  let total = ref 0 in
-  for k = 0 to n - 1 do
-    if buckets.(k) > 0 then begin
-      (* Source bucket [k] has the same [2^(k-1), 2^k) range as ours —
-         except the source's own last bucket, which is an overflow
-         bucket: its samples are only known to be >= 2^(n-2), so they
-         must land in our overflow bucket too, not in the same-index
-         range bucket (which would under-read them). *)
-      let kb =
-        if k = n - 1 && n < hist_buckets then hist_buckets - 1
-        else if k < hist_buckets then k
-        else hist_buckets - 1
-      in
-      ignore (Atomic.fetch_and_add s.hb.(kb) buckets.(k));
-      total := !total + buckets.(k)
-    end
-  done;
-  ignore (Atomic.fetch_and_add s.hc !total);
-  ignore (Atomic.fetch_and_add s.hs (max 0 sum));
-  bump_max s.hm max_sample
+  Array.iteri
+    (fun k c ->
+      if c > 0 then
+        let upper = Hist.bucket_upper src.layout k in
+        ignore (Atomic.fetch_and_add s.hb.(Hist.bucket_of h.h_layout upper) c))
+    src.buckets;
+  ignore (Atomic.fetch_and_add s.hs (max 0 src.sum));
+  bump_max s.hm src.max_sample
 
-type hsnap = {
+type hsnap = Hist.t = {
+  layout : Hist.layout;
   buckets : int array;
-  count : int;
-  sum : int;
-  max_sample : int;
+  mutable count : int;
+  mutable sum : int;
+  mutable max_sample : int;
 }
 
 let hist_snapshot h =
-  let buckets = Array.make hist_buckets 0 in
-  let count = ref 0 and sum = ref 0 and max_sample = ref 0 in
+  let snap = Hist.create h.h_layout in
   Array.iter
     (fun s ->
-      for k = 0 to hist_buckets - 1 do
-        buckets.(k) <- buckets.(k) + Atomic.get s.hb.(k)
-      done;
-      count := !count + Atomic.get s.hc;
-      sum := !sum + Atomic.get s.hs;
-      max_sample := max !max_sample (Atomic.get s.hm))
+      Array.iteri
+        (fun k a ->
+          let c = Atomic.get a in
+          snap.buckets.(k) <- snap.buckets.(k) + c;
+          snap.count <- snap.count + c)
+        s.hb;
+      snap.sum <- snap.sum + Atomic.get s.hs;
+      snap.max_sample <- max snap.max_sample (Atomic.get s.hm))
     h.h_shards;
-  { buckets; count = !count; sum = !sum; max_sample = !max_sample }
-
-let quantile snap q =
-  if snap.count = 0 then 0
-  else begin
-    let rank = int_of_float (ceil (q *. float_of_int snap.count)) in
-    let rank = if rank < 1 then 1 else rank in
-    let rec go k cum =
-      if k >= hist_buckets - 1 then snap.max_sample
-      else
-        let cum = cum + snap.buckets.(k) in
-        if cum >= rank then min (bucket_upper k) snap.max_sample
-        else go (k + 1) cum
-    in
-    go 0 0
-  end
-
-let hsnap_mean snap =
-  if snap.count = 0 then 0.0
-  else float_of_int snap.sum /. float_of_int snap.count
-
-let pp_hsnap ppf snap =
-  if snap.count = 0 then Fmt.pf ppf "(empty)"
-  else
-    Fmt.pf ppf "p50 %d  p90 %d  p99 %d  max %d  (n=%d, mean %.1f)"
-      (quantile snap 0.5) (quantile snap 0.9) (quantile snap 0.99)
-      snap.max_sample snap.count (hsnap_mean snap)
-
-(* ---- high-resolution histograms ----
-
-   The log2 buckets above cap the relative quantile error at a factor
-   of 2 — fine for p50/p99 dashboards, useless for the p99.9/p99.99
-   tail the open-loop latency recorder gates on.  The hires variant
-   splits every log2 decade into [hires_sub] linear sub-buckets, so the
-   relative error of any reported bound is at most 1/[hires_sub]
-   (12.5%), while keeping the same wait-free sharded write path. *)
-
-let hires_sub_bits = 3
-let hires_sub = 1 lsl hires_sub_bits
-
-(* Majors [hires_sub_bits .. hires_log_max - 1] carry [hires_sub]
-   sub-buckets each; values below [hires_sub] are exact; everything at
-   or above [2^hires_log_max] (~18 minutes in ns) overflows. *)
-let hires_log_max = 40
-
-let hires_buckets =
-  hires_sub + ((hires_log_max - hires_sub_bits) * hires_sub) + 1
-
-let rec log2_from v m = if v lsr (m + 1) = 0 then m else log2_from v (m + 1)
-let log2_floor v = log2_from v 0
-
-let hires_bucket_of v =
-  if v <= 0 then 0
-  else if v < hires_sub then v
-  else
-    let m = log2_floor v in
-    if m >= hires_log_max then hires_buckets - 1
-    else (hires_sub * (m - hires_sub_bits)) + (v lsr (m - hires_sub_bits))
-
-let hires_bucket_upper k =
-  if k <= 0 then 0
-  else if k < hires_sub then k
-  else if k >= hires_buckets - 1 then max_int
-  else
-    let m = (k lsr hires_sub_bits) + hires_sub_bits - 1 in
-    let s = k - (hires_sub * (m - hires_sub_bits)) in
-    ((s + 1) lsl (m - hires_sub_bits)) - 1
-
-type hires = { r_shards : hshard array; r_mask : int }
-
-let hires ?(shards = default_shards) () =
-  let shards = next_pow2 (max 1 shards) in
-  {
-    r_shards =
-      Array.init shards (fun _ ->
-          {
-            hb = Array.init hires_buckets (fun _ -> Atomic.make 0);
-            hc = Atomic.make 0;
-            hs = Atomic.make 0;
-            hm = Atomic.make 0;
-          });
-    r_mask = shards - 1;
-  }
-
-let hires_observe h v =
-  let s = h.r_shards.((Domain.self () :> int) land h.r_mask) in
-  ignore (Atomic.fetch_and_add s.hb.(hires_bucket_of v) 1);
-  ignore (Atomic.fetch_and_add s.hc 1);
-  ignore (Atomic.fetch_and_add s.hs (max 0 v));
-  bump_max s.hm v
-
-let hires_snapshot h =
-  let buckets = Array.make hires_buckets 0 in
-  let count = ref 0 and sum = ref 0 and max_sample = ref 0 in
-  Array.iter
-    (fun s ->
-      for k = 0 to hires_buckets - 1 do
-        buckets.(k) <- buckets.(k) + Atomic.get s.hb.(k)
-      done;
-      count := !count + Atomic.get s.hc;
-      sum := !sum + Atomic.get s.hs;
-      max_sample := max !max_sample (Atomic.get s.hm))
-    h.r_shards;
-  { buckets; count = !count; sum = !sum; max_sample = !max_sample }
-
-let hires_quantile snap q =
-  if snap.count = 0 then 0
-  else begin
-    let n = Array.length snap.buckets in
-    let rank = int_of_float (ceil (q *. float_of_int snap.count)) in
-    let rank = if rank < 1 then 1 else rank in
-    let rec go k cum =
-      if k >= n - 1 then snap.max_sample
-      else
-        let cum = cum + snap.buckets.(k) in
-        if cum >= rank then min (hires_bucket_upper k) snap.max_sample
-        else go (k + 1) cum
-    in
-    go 0 0
-  end
-
-let pp_hires_snap ppf snap =
-  if snap.count = 0 then Fmt.pf ppf "(empty)"
-  else
-    Fmt.pf ppf
-      "p50 %d  p90 %d  p99 %d  p99.9 %d  p99.99 %d  max %d  (n=%d, mean %.1f)"
-      (hires_quantile snap 0.5) (hires_quantile snap 0.9)
-      (hires_quantile snap 0.99)
-      (hires_quantile snap 0.999)
-      (hires_quantile snap 0.9999)
-      snap.max_sample snap.count (hsnap_mean snap)
+  snap

@@ -1,4 +1,4 @@
-(** Cheap, contention-free instruments.
+(** Cheap, contention-free instruments: the write side only.
 
     The write paths are wait-free per shard and allocate nothing:
     counters and histograms are sharded over domains (each writer RMWs
@@ -10,7 +10,11 @@
 
     A single-writer instrument (e.g. a per-domain counter the owning
     domain alone increments) should use [~shards:1]: one cell, and
-    reading it is one atomic load. *)
+    reading it is one atomic load.
+
+    Reading a histogram snapshots it into a plain {!Tm_sim.Hist.t};
+    its bucket rule, quantile and printer are {!Tm_sim.Hist}'s for
+    every layout. *)
 
 (** {2 Counters} *)
 
@@ -36,93 +40,34 @@ val gauge_value : gauge -> int
 
 (** {2 Histograms}
 
-    Log2-bucketed, same bucket rule as {!Tm_sim.Metrics}: bucket 0
-    counts value 0 (and negatives), bucket [k >= 1] counts
-    [\[2^(k-1), 2^k)], the last bucket overflows.  {!hist_buckets}
-    buckets cover nanosecond latencies up to about one second. *)
-
-val hist_buckets : int
-(** 32. *)
-
-val bucket_of : int -> int
-(** The bucket index a value lands in. *)
-
-val bucket_upper : int -> int
-(** Inclusive upper bound of a bucket: 0 for bucket 0, [2^k - 1] for
-    bucket [k], [max_int] for the overflow bucket. *)
+    Bucketed by {!Tm_sim.Hist}'s one log2 rule under a layout fixed at
+    creation, and read as a {!Tm_sim.Hist.t} snapshot: quantiles, merge
+    and printing are {!Tm_sim.Hist}'s, whatever the layout. *)
 
 type histogram
 
-val histogram : ?shards:int -> unit -> histogram
+val histogram :
+  ?shards:int -> ?layout:Tm_sim.Hist.layout -> unit -> histogram
+(** [layout] defaults to {!Tm_sim.Hist.log2}; the open-loop latency
+    recorder uses {!Tm_sim.Hist.hires} for its tail quantiles. *)
+
 val observe : histogram -> int -> unit
 
-val absorb :
-  histogram -> buckets:int array -> sum:int -> max_sample:int -> unit
-(** Add a pre-bucketed histogram (same log2 bucket rule, possibly fewer
-    buckets — e.g. a {!Tm_sim.Metrics.histogram}) into this one.  The
-    source's last bucket is an overflow bucket: its samples are only
-    known to exceed the source's range, so they are preserved into this
-    histogram's own overflow bucket (never folded into the same-index
-    range bucket, which would under-read them). *)
+val absorb : histogram -> Tm_sim.Hist.t -> unit
+(** Add a plain histogram's samples, bucket by bucket, as
+    {!Tm_sim.Hist.merge} does: a {!Tm_sim.Metrics} run's {!Tm_sim.Hist.sim}
+    overflow bucket lands in this histogram's overflow bucket. *)
 
-type hsnap = {
-  buckets : int array;  (** [hist_buckets] summed bucket counts *)
-  count : int;
-  sum : int;
-  max_sample : int;
+type hsnap = Tm_sim.Hist.t = {
+  layout : Tm_sim.Hist.layout;
+  buckets : int array;
+  mutable count : int;
+  mutable sum : int;
+  mutable max_sample : int;
 }
 (** A point-in-time summation of a histogram's shards. *)
 
 val hist_snapshot : histogram -> hsnap
 
-val quantile : hsnap -> float -> int
-(** [quantile snap q] for [q] in [0, 1]: the inclusive upper bound of
-    the bucket holding the rank-[ceil (q * count)] sample, clamped to
-    [max_sample] (so quantiles are monotone in [q] and never exceed the
-    maximum).  0 for an empty snapshot. *)
-
-val pp_hsnap : Format.formatter -> hsnap -> unit
-(** One line: p50/p90/p99/max, count and mean; ["(empty)"] when the
-    snapshot holds no samples. *)
-
-(** {2 High-resolution histograms}
-
-    Log2 buckets bound the relative error of a reported quantile by a
-    factor of 2 — too coarse for the p99.9/p99.99 tail quantiles the
-    open-loop latency recorder gates on.  A hires histogram splits
-    every log2 decade into {!hires_sub} linear sub-buckets (relative
-    error at most [1/hires_sub] = 12.5%): values below {!hires_sub}
-    are exact, values at or above [2^40] (~18 minutes in nanoseconds)
-    overflow.  Same wait-free sharded write path as the
-    log2 histograms. *)
-
-val hires_sub : int
-(** 8 linear sub-buckets per log2 decade. *)
-
-val hires_buckets : int
-(** 305. *)
-
-val hires_bucket_of : int -> int
-(** The hires bucket index a value lands in. *)
-
 val hires_bucket_upper : int -> int
-(** Inclusive upper bound of a hires bucket: 0 for bucket 0, [max_int]
-    for the overflow bucket; monotone in the index. *)
-
-type hires
-
-val hires : ?shards:int -> unit -> hires
-val hires_observe : hires -> int -> unit
-
-val hires_snapshot : hires -> hsnap
-(** Same snapshot record as the log2 histograms, with
-    [Array.length buckets = hires_buckets]; use {!hires_quantile}
-    (never {!quantile}) on it. *)
-
-val hires_quantile : hsnap -> float -> int
-(** Like {!quantile} under the hires bucket bounds: the inclusive upper
-    bound of the bucket holding the rank-[ceil (q * count)] sample,
-    clamped to [max_sample]. *)
-
-val pp_hires_snap : Format.formatter -> hsnap -> unit
-(** One line: p50/p90/p99/p99.9/p99.99/max, count and mean. *)
+(** [Tm_sim.Hist.bucket_upper Tm_sim.Hist.hires]. *)

@@ -30,9 +30,9 @@ let idle = min_int
 type t = {
   domains : int;
   interval : int;  (* expected inter-arrival, ns: the CO correction unit *)
-  queueing : Instrument.hires;
-  service : Instrument.hires;
-  sojourn : Instrument.hires;
+  queueing : Instrument.histogram;
+  service : Instrument.histogram;
+  sojourn : Instrument.histogram;
   inflight : int Atomic.t array;  (* sched ts of the current request *)
   age_gauges : Instrument.gauge array;  (* set by [publish] *)
   open_p99_gauge : Instrument.gauge option;
@@ -45,10 +45,11 @@ let create ?registry ?(metric = "tm_latency") ?(interval_ns = 1_000_000)
   if interval_ns < 1 then
     invalid_arg "Latency_recorder.create: interval_ns < 1";
   let shards = domains in
+  let layout = Tm_sim.Hist.hires in
   let hires name help =
     match registry with
-    | Some reg -> Registry.hires reg ~shards ~help (metric ^ name)
-    | None -> Instrument.hires ~shards ()
+    | Some reg -> Registry.histogram reg ~shards ~layout ~help (metric ^ name)
+    | None -> Instrument.histogram ~shards ~layout ()
   in
   let queueing =
     hires "_queueing_ns" "Scheduled arrival to dispatch (open-loop)"
@@ -95,9 +96,9 @@ let abandon t d = Atomic.set t.inflight.(d) idle
 let complete t d ~start ~finish =
   let sched = Atomic.get t.inflight.(d) in
   let sched = if sched = idle then start else sched in
-  Instrument.hires_observe t.queueing (max 0 (start - sched));
-  Instrument.hires_observe t.service (max 0 (finish - start));
-  Instrument.hires_observe t.sojourn (max 0 (finish - sched));
+  Instrument.observe t.queueing (max 0 (start - sched));
+  Instrument.observe t.service (max 0 (finish - start));
+  Instrument.observe t.sojourn (max 0 (finish - sched));
   Atomic.set t.inflight.(d) idle
 
 let inflight_age t ~now d =
@@ -107,48 +108,32 @@ let inflight_age t ~now d =
 let ages t ~now = Array.init t.domains (inflight_age t ~now)
 let oldest_age t ~now = Array.fold_left max 0 (ages t ~now)
 
-let queueing_snapshot t = Instrument.hires_snapshot t.queueing
-let service_snapshot t = Instrument.hires_snapshot t.service
-let sojourn_snapshot t = Instrument.hires_snapshot t.sojourn
-
-let closed_quantile t q =
-  Instrument.hires_quantile (Instrument.hires_snapshot t.sojourn) q
+let queueing_snapshot t = Instrument.hist_snapshot t.queueing
+let service_snapshot t = Instrument.hist_snapshot t.service
+let sojourn_snapshot t = Instrument.hist_snapshot t.sojourn
+let closed_quantile t q = Tm_sim.Hist.quantile (sojourn_snapshot t) q
 
 (* Cap the synthetic samples one in-flight request can contribute, so a
    pathological (tiny interval, huge age) fold stays O(cap). *)
 let co_cap = 1_000_000
 
+(* The snapshot is a fresh copy of the shards, so the synthetic
+   samples go straight into it. *)
 let open_quantile t ~now q =
-  let snap = Instrument.hires_snapshot t.sojourn in
-  let buckets = Array.copy snap.Instrument.buckets in
-  let count = ref snap.Instrument.count in
-  let max_sample = ref snap.Instrument.max_sample in
+  let snap = sojourn_snapshot t in
   Array.iter
     (fun slot ->
       let sched = Atomic.get slot in
       if sched <> idle then begin
-        let age = max 0 (now - sched) in
-        if age > 0 then begin
-          max_sample := max !max_sample age;
-          let v = ref age and steps = ref 0 in
-          while !v > 0 && !steps < co_cap do
-            let k = Instrument.hires_bucket_of !v in
-            buckets.(k) <- buckets.(k) + 1;
-            incr count;
-            incr steps;
-            v := !v - t.interval
-          done
-        end
+        let v = ref (max 0 (now - sched)) and steps = ref 0 in
+        while !v > 0 && !steps < co_cap do
+          Tm_sim.Hist.add snap !v;
+          incr steps;
+          v := !v - t.interval
+        done
       end)
     t.inflight;
-  Instrument.hires_quantile
-    {
-      Instrument.buckets;
-      count = !count;
-      sum = snap.Instrument.sum;
-      max_sample = !max_sample;
-    }
-    q
+  Tm_sim.Hist.quantile snap q
 
 let publish t ~now =
   Array.iteri
@@ -195,6 +180,6 @@ let pp_summary ppf y =
     "@[<v>open-loop: queueing %a@,open-loop: service  %a@,open-loop: \
      sojourn  %a@,open-loop: p99 %d ns censored vs %d ns closed-loop \
      (oldest in-flight %d ns)@]"
-    Instrument.pp_hires_snap y.y_queueing Instrument.pp_hires_snap
-    y.y_service Instrument.pp_hires_snap y.y_sojourn y.y_open_p99
+    Tm_sim.Hist.pp y.y_queueing Tm_sim.Hist.pp y.y_service Tm_sim.Hist.pp
+    y.y_sojourn y.y_open_p99
     y.y_closed_p99 y.y_oldest_age

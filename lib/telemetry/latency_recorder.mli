@@ -64,7 +64,7 @@ val oldest_age : t -> now:int -> int
 val queueing_snapshot : t -> Instrument.hsnap
 val service_snapshot : t -> Instrument.hsnap
 val sojourn_snapshot : t -> Instrument.hsnap
-(** Hires snapshots — read with {!Instrument.hires_quantile}. *)
+(** {!Tm_sim.Hist.hires}-layout snapshots. *)
 
 val closed_quantile : t -> float -> int
 (** Sojourn quantile over completed samples only (the closed-loop view a

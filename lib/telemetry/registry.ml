@@ -22,7 +22,6 @@ type instrument =
   | I_counter of Instrument.counter
   | I_gauge of Instrument.gauge
   | I_histogram of Instrument.histogram
-  | I_hires of Instrument.hires
   | I_state of state
 
 type metric = {
@@ -55,14 +54,9 @@ let gauge t ?(labels = []) ?init ~help name =
   register t ~name ~help ~labels (I_gauge g);
   g
 
-let histogram t ?shards ?(labels = []) ~help name =
-  let h = Instrument.histogram ?shards () in
+let histogram t ?shards ?layout ?(labels = []) ~help name =
+  let h = Instrument.histogram ?shards ?layout () in
   register t ~name ~help ~labels (I_histogram h);
-  h
-
-let hires t ?shards ?(labels = []) ~help name =
-  let h = Instrument.hires ?shards () in
-  register t ~name ~help ~labels (I_hires h);
   h
 
 let state t ?(labels = []) ?init ~key ~states ~help name =
@@ -82,7 +76,6 @@ let state t ?(labels = []) ?init ~key ~states ~help name =
 type value =
   | Num of int
   | Hist of Instrument.hsnap
-  | Hires of Instrument.hsnap
   | State_of of { states : string array; current : int }
 
 type kind = Counter | Gauge | Histogram | State
@@ -103,7 +96,6 @@ let sample_of_metric m =
     | I_counter c -> (Counter, Num (Instrument.value c))
     | I_gauge g -> (Gauge, Num (Instrument.gauge_value g))
     | I_histogram h -> (Histogram, Hist (Instrument.hist_snapshot h))
-    | I_hires h -> (Histogram, Hires (Instrument.hires_snapshot h))
     | I_state st ->
         ( State,
           State_of { states = st.st_states; current = Atomic.get st.st_current }
@@ -144,7 +136,7 @@ let find snap ~name ~labels =
                    (fun (k', v') -> k' = k || List.mem (k', v') s.s_labels)
                    labels
           | None -> s.s_labels = labels)
-      | Num _ | Hist _ | Hires _ -> s.s_labels = labels)
+      | Num _ | Hist _ -> s.s_labels = labels)
     snap.samples
 
 let sample_num snap ~name ~labels =
@@ -154,7 +146,7 @@ let sample_num snap ~name ~labels =
 
 let sample_hist snap ~name ~labels =
   match find snap ~name ~labels with
-  | Some { s_value = Hist h; _ } | Some { s_value = Hires h; _ } -> Some h
+  | Some { s_value = Hist h; _ } -> Some h
   | Some _ | None -> None
 
 let sample_state snap ~name ~labels =

@@ -33,21 +33,13 @@ val gauge :
 val histogram :
   t ->
   ?shards:int ->
+  ?layout:Tm_sim.Hist.layout ->
   ?labels:(string * string) list ->
   help:string ->
   string ->
   Instrument.histogram
-
-val hires :
-  t ->
-  ?shards:int ->
-  ?labels:(string * string) list ->
-  help:string ->
-  string ->
-  Instrument.hires
-(** A high-resolution histogram ({!Instrument.hires}): scraped as
-    {!Hires}, exported with the hires bucket bounds, kind
-    {!Histogram}. *)
+(** [layout] as {!Instrument.histogram}; the exporters render a
+    histogram under its own layout's bucket bounds. *)
 
 type state
 (** A stateset gauge: exactly one of a fixed set of labelled states is
@@ -74,8 +66,7 @@ val set_state : state -> string -> unit
 
 type value =
   | Num of int
-  | Hist of Instrument.hsnap
-  | Hires of Instrument.hsnap  (** hires bucket bounds *)
+  | Hist of Instrument.hsnap  (** under its own layout *)
   | State_of of { states : string array; current : int }
 
 type kind = Counter | Gauge | Histogram | State
@@ -110,8 +101,8 @@ val sample_hist :
   name:string ->
   labels:(string * string) list ->
   Instrument.hsnap option
-(** Matches both {!Hist} and {!Hires} samples; for a hires sample the
-    returned snapshot must be read with {!Instrument.hires_quantile}. *)
+(** A histogram sample's snapshot; {!Tm_sim.Hist.quantile} reads it
+    under its own layout. *)
 
 val sample_state :
   snapshot -> name:string -> labels:(string * string) list -> string option

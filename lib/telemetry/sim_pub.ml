@@ -1,8 +1,9 @@
 (* Publishing a simulator run into a registry, on the step clock.
 
    The runner's [?on_event] hook calls [hook] with the history-event
-   index as timestamp; counters are updated per event and the sampler
-   ticks every [period] events, so the resulting JSONL time series is a
+   index as timestamp; counters are updated per event, and every
+   [period] events the liveness gauge is updated and the registry
+   scraped into the consumers, so the resulting JSONL time series is a
    pure function of the history — byte-identical across equal runs.
    Everything is single-domain (the simulator is sequential), hence
    [~shards:1] instruments. *)
@@ -11,7 +12,9 @@ module Ev = Tm_history.Event
 
 type t = {
   period : int;
-  sampler : Sampler.t;
+  reg : Registry.t;
+  liveness : Liveness_gauge.t;
+  consumers : (Registry.snapshot -> unit) list;
   events : Instrument.counter;
   p_events : Instrument.counter array;  (* index = proc, slot 0 unused *)
   p_invs : Instrument.counter array;
@@ -56,12 +59,11 @@ let create ?(period = 200) ?(consumers = []) ~nprocs reg =
       ~ids:(Array.init nprocs (fun i -> i + 1))
       ~sources
   in
-  let sampler =
-    Sampler.create ~liveness ~consumers ~clock:(fun () -> 0) reg
-  in
   {
     period;
-    sampler;
+    reg;
+    liveness;
+    consumers;
     events;
     p_events;
     p_invs;
@@ -70,6 +72,12 @@ let create ?(period = 200) ?(consumers = []) ~nprocs reg =
     p_aborts;
     last_tick = -1;
   }
+
+let scrape t ~ts =
+  ignore (Liveness_gauge.update t.liveness);
+  let snap = Registry.scrape t.reg ~ts in
+  List.iter (fun f -> f snap) t.consumers;
+  snap
 
 let hook t ~ts ev =
   Instrument.incr t.events;
@@ -86,9 +94,9 @@ let hook t ~ts ev =
       | Ev.Value _ | Ev.Ok_written -> ()));
   if ts mod t.period = 0 && ts > t.last_tick then begin
     t.last_tick <- ts;
-    ignore (Sampler.tick ~ts t.sampler)
+    ignore (scrape t ~ts)
   end
 
 let finish t ~ts =
   t.last_tick <- ts;
-  Sampler.tick ~ts t.sampler
+  scrape t ~ts

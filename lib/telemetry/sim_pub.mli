@@ -5,16 +5,17 @@
     [tm_sim_trycs_total], [tm_sim_commits_total],
     [tm_sim_aborts_total], labelled [proc="p"]) plus a global
     [tm_sim_events_total] are driven by the recorded history events,
-    the liveness gauge classifies each process between scrapes, and the
-    sampler ticks every [period] events with the event index as the
-    snapshot timestamp — no wall clock anywhere, so consumer output
-    (e.g. a JSONL time series) is byte-identical across equal runs. *)
+    the liveness gauge classifies each process between scrapes, and
+    every [period] events the registry is scraped into the consumers
+    with the event index as the snapshot timestamp — no wall clock
+    anywhere, so consumer output (e.g. a JSONL time series) is
+    byte-identical across equal runs. *)
 
 type t
 
 val create :
   ?period:int ->
-  ?consumers:Sampler.consumer list ->
+  ?consumers:(Registry.snapshot -> unit) list ->
   nprocs:int ->
   Registry.t ->
   t

@@ -11,7 +11,8 @@ module Sweep = Tm_sim.Sweep
 module Metrics = Tm_sim.Metrics
 
 type t = {
-  sampler : Sampler.t;
+  reg : Registry.t;
+  consumers : (Registry.snapshot -> unit) list;
   runs : Instrument.counter;
   commits : Instrument.counter;
   aborts : Instrument.counter;
@@ -29,7 +30,8 @@ let create ?(consumers = []) reg =
   let c name help = Registry.counter reg ~shards:1 ~help name in
   let h name help = Registry.histogram reg ~shards:1 ~help name in
   {
-    sampler = Sampler.create ~consumers ~clock:(fun () -> 0) reg;
+    reg;
+    consumers;
     runs = c "tm_sweep_runs_total" "Sweep runs published";
     commits = c "tm_sweep_commits_total" "Committed transactions, all runs";
     aborts = c "tm_sweep_aborts_total" "Aborted transactions, all runs";
@@ -51,10 +53,6 @@ let create ?(consumers = []) reg =
         "Consecutive aborts before each commit (merged over runs)";
   }
 
-let absorb_hist h (mh : Metrics.histogram) =
-  Instrument.absorb h ~buckets:mh.Metrics.buckets ~sum:mh.Metrics.sum
-    ~max_sample:mh.Metrics.max_sample
-
 let publish t ~index (r : Sweep.result) =
   let m = r.Sweep.r_metrics in
   Instrument.incr t.runs;
@@ -66,10 +64,13 @@ let publish t ~index (r : Sweep.result) =
   Instrument.add t.starvations m.Metrics.starvations;
   Instrument.add t.events m.Metrics.events;
   Instrument.add t.steps m.Metrics.steps;
-  absorb_hist t.commit_latency m.Metrics.commit_latency;
-  absorb_hist t.retry_depth m.Metrics.retry_depth;
-  Sampler.tick ~ts:index t.sampler
+  Instrument.absorb t.commit_latency m.Metrics.commit_latency;
+  Instrument.absorb t.retry_depth m.Metrics.retry_depth;
+  let snap = Registry.scrape t.reg ~ts:index in
+  List.iter (fun f -> f snap) t.consumers;
+  snap
 
 let publish_all t results =
-  List.iteri (fun i r -> ignore (publish t ~index:i r)) results;
-  Sampler.last t.sampler
+  let last = ref None in
+  List.iteri (fun index r -> last := Some (publish t ~index r)) results;
+  !last

@@ -10,7 +10,7 @@
 
 type t
 
-val create : ?consumers:Sampler.consumer list -> Registry.t -> t
+val create : ?consumers:(Registry.snapshot -> unit) list -> Registry.t -> t
 
 val publish_all : t -> Tm_sim.Sweep.result list -> Registry.snapshot option
 (** Accumulates each result's metrics and scrapes at [ts] = its list

@@ -711,19 +711,25 @@ let test_pool_shutdown_rejects () =
 (* ------------------------------------------------------------------ *)
 (* Metrics. *)
 
+module H = Tm_sim.Hist
+
+let hist_of_list vs =
+  let h = H.create H.sim in
+  List.iter (H.add h) vs;
+  h
+
 let test_metrics_histogram () =
-  let h = Tm_sim.Metrics.hist_of_list [ 0; 1; 2; 3; 4; 1000000 ] in
-  Alcotest.(check int) "count" 6 h.Tm_sim.Metrics.count;
-  Alcotest.(check int) "max" 1000000 h.Tm_sim.Metrics.max_sample;
-  Alcotest.(check int) "bucket 0 (value 0)" 1 h.Tm_sim.Metrics.buckets.(0);
-  Alcotest.(check int) "bucket 1 (value 1)" 1 h.Tm_sim.Metrics.buckets.(1);
-  Alcotest.(check int) "bucket 2 (values 2-3)" 2 h.Tm_sim.Metrics.buckets.(2);
-  Alcotest.(check int) "bucket 3 (values 4-7)" 1 h.Tm_sim.Metrics.buckets.(3);
-  Alcotest.(check int) "overflow bucket" 1
-    h.Tm_sim.Metrics.buckets.(Tm_sim.Metrics.nbuckets - 1);
+  let h = hist_of_list [ 0; 1; 2; 3; 4; 1000000 ] in
+  Alcotest.(check int) "count" 6 h.H.count;
+  Alcotest.(check int) "max" 1000000 h.H.max_sample;
+  Alcotest.(check int) "bucket 0 (value 0)" 1 h.H.buckets.(0);
+  Alcotest.(check int) "bucket 1 (value 1)" 1 h.H.buckets.(1);
+  Alcotest.(check int) "bucket 2 (values 2-3)" 2 h.H.buckets.(2);
+  Alcotest.(check int) "bucket 3 (values 4-7)" 1 h.H.buckets.(3);
+  Alcotest.(check int) "overflow bucket" 1 h.H.buckets.(H.nbuckets H.sim - 1);
   Alcotest.(check string) "labels" "4-7" (Tm_sim.Metrics.hist_bucket_label 3);
-  let m = Tm_sim.Metrics.hist_merge h h in
-  Alcotest.(check int) "merge doubles" 12 m.Tm_sim.Metrics.count
+  let m = H.merge h h in
+  Alcotest.(check int) "merge doubles" 12 m.H.count
 
 let test_metrics_of_outcome () =
   (* A hand-written history: p1 aborts once on a read, retries and
@@ -757,13 +763,13 @@ let test_metrics_of_outcome () =
   Alcotest.(check int) "abort on commit" 1
     m.Tm_sim.Metrics.abort_causes.Tm_sim.Metrics.on_commit;
   Alcotest.(check int) "one commit at retry depth 1" 1
-    m.Tm_sim.Metrics.retry_depth.Tm_sim.Metrics.buckets.(1);
+    m.Tm_sim.Metrics.retry_depth.H.buckets.(1);
   Alcotest.(check int) "commit latency samples" 1
-    m.Tm_sim.Metrics.commit_latency.Tm_sim.Metrics.count;
+    m.Tm_sim.Metrics.commit_latency.H.count;
   (* p1's committing transaction: Inv Read at index 2, Committed at
      index 5, so latency 3. *)
   Alcotest.(check int) "commit latency value" 3
-    m.Tm_sim.Metrics.commit_latency.Tm_sim.Metrics.sum;
+    m.Tm_sim.Metrics.commit_latency.H.sum;
   let buf = Buffer.create 256 in
   Tm_sim.Metrics.to_json buf m;
   let json = Buffer.contents buf in
@@ -778,22 +784,22 @@ let test_metrics_of_outcome () =
 
 let test_metrics_histogram_edges () =
   let module M = Tm_sim.Metrics in
-  let last = M.nbuckets - 1 in
+  let last = H.nbuckets H.sim - 1 in
   (* Overflow boundary: 2^(nbuckets-2) is the first value of the last
      ordinary range's upper neighbour — both 2^(nbuckets-2) and anything
      larger land in the overflow bucket. *)
   let h =
-    M.hist_of_list
+    hist_of_list
       [ (1 lsl (last - 1)) - 1; 1 lsl (last - 1); 1 lsl last; max_int ]
   in
   Alcotest.(check int) "8191 is the last non-overflow value" 1
-    h.M.buckets.(last - 1);
+    h.H.buckets.(last - 1);
   Alcotest.(check int) "8192, 16384 and max_int all overflow" 3
-    h.M.buckets.(last);
+    h.H.buckets.(last);
   (* Negative samples count as 0. *)
-  let hneg = M.hist_of_list [ -5 ] in
+  let hneg = hist_of_list [ -5 ] in
   Alcotest.(check int) "negative sample lands in bucket 0" 1
-    hneg.M.buckets.(0);
+    hneg.H.buckets.(0);
   (* Labels at the boundaries. *)
   Alcotest.(check string) "label 0" "0" (M.hist_bucket_label 0);
   Alcotest.(check string) "label 1" "1" (M.hist_bucket_label 1);
@@ -807,25 +813,23 @@ let test_metrics_histogram_empty_pp () =
      or a division by zero. *)
   Alcotest.(check string)
     "empty histogram prints (empty)" "(empty)"
-    (Fmt.str "%a" Tm_sim.Metrics.pp_histogram Tm_sim.Metrics.hist_empty)
+    (Fmt.str "%a" Tm_sim.Metrics.pp_histogram (H.create H.sim))
 
 let test_metrics_hist_merge_laws () =
-  let module M = Tm_sim.Metrics in
-  let a = M.hist_of_list [ 0; 1; 7; 9000; 12 ]
-  and b = M.hist_of_list [ 3; 3; 3; 100000 ]
-  and c = M.hist_of_list [ 42 ] in
+  let a = hist_of_list [ 0; 1; 7; 9000; 12 ]
+  and b = hist_of_list [ 3; 3; 3; 100000 ]
+  and c = hist_of_list [ 42 ] in
   let eq name x y =
-    Alcotest.(check (array int)) (name ^ " buckets") x.M.buckets y.M.buckets;
-    Alcotest.(check int) (name ^ " count") x.M.count y.M.count;
-    Alcotest.(check int) (name ^ " sum") x.M.sum y.M.sum;
-    Alcotest.(check int) (name ^ " max") x.M.max_sample y.M.max_sample
+    Alcotest.(check (array int)) (name ^ " buckets") x.H.buckets y.H.buckets;
+    Alcotest.(check int) (name ^ " count") x.H.count y.H.count;
+    Alcotest.(check int) (name ^ " sum") x.H.sum y.H.sum;
+    Alcotest.(check int) (name ^ " max") x.H.max_sample y.H.max_sample
   in
-  eq "left identity" (M.hist_merge M.hist_empty a) a;
-  eq "right identity" (M.hist_merge a M.hist_empty) a;
-  eq "associativity"
-    (M.hist_merge (M.hist_merge a b) c)
-    (M.hist_merge a (M.hist_merge b c));
-  eq "commutativity" (M.hist_merge a b) (M.hist_merge b a)
+  let empty = H.create H.sim in
+  eq "left identity" (H.merge empty a) a;
+  eq "right identity" (H.merge a empty) a;
+  eq "associativity" (H.merge (H.merge a b) c) (H.merge a (H.merge b c));
+  eq "commutativity" (H.merge a b) (H.merge b a)
 
 let test_metrics_fault_counters () =
   let module M = Tm_sim.Metrics in
@@ -980,9 +984,9 @@ module Four_pass = struct
                 pending.(p) <- On_commit))
       (History.events h);
     ( { M.on_read = !on_read; on_write = !on_write; on_commit = !on_commit },
-      M.hist_of_list !retry_depth,
-      M.hist_of_list !commit_latency,
-      M.hist_of_list !abort_latency )
+      hist_of_list !retry_depth,
+      hist_of_list !commit_latency,
+      hist_of_list !abort_latency )
 
   let of_outcome (o : Tm_sim.Runner.outcome) =
     let h = o.Tm_sim.Runner.history in

@@ -7,6 +7,7 @@ module I = Tm_telemetry.Instrument
 module R = Tm_telemetry.Registry
 module E = Tm_telemetry.Export
 module L = Tm_telemetry.Liveness_gauge
+module H = Tm_sim.Hist
 
 (* ------------------------------------------------------------------ *)
 (* Instruments. *)
@@ -43,61 +44,112 @@ let test_histogram_sharded () =
     (Array.fold_left ( + ) 0 s.I.buckets);
   Alcotest.(check int) "max survives the merge" 1002 s.I.max_sample
 
-let test_buckets () =
-  Alcotest.(check int) "0 in bucket 0" 0 (I.bucket_of 0);
-  Alcotest.(check int) "negatives in bucket 0" 0 (I.bucket_of (-3));
-  Alcotest.(check int) "1 in bucket 1" 1 (I.bucket_of 1);
-  Alcotest.(check int) "2 in bucket 2" 2 (I.bucket_of 2);
-  Alcotest.(check int) "3 in bucket 2" 2 (I.bucket_of 3);
-  Alcotest.(check int) "4 in bucket 3" 3 (I.bucket_of 4);
-  Alcotest.(check int) "max_int overflows" (I.hist_buckets - 1)
-    (I.bucket_of max_int);
-  (* Every value is within its bucket's bounds. *)
+let hist_of_list layout vs =
+  let h = H.create layout in
+  List.iter (H.add h) vs;
+  h
+
+let layouts = [ ("sim", H.sim); ("log2", H.log2); ("hires", H.hires) ]
+
+let test_bucket_edges () =
   List.iter
-    (fun v ->
-      let k = I.bucket_of v in
-      Alcotest.(check bool)
-        (Fmt.str "%d <= upper(%d)" v k)
-        true
-        (v <= I.bucket_upper k);
-      if k > 0 then
-        Alcotest.(check bool)
-          (Fmt.str "%d > upper(%d)" v (k - 1))
-          true
-          (v > I.bucket_upper (k - 1)))
-    [ 0; 1; 2; 3; 7; 8; 100; 4095; 4096; 1_000_000_000 ]
+    (fun (name, l) ->
+      let n = H.nbuckets l and check = Alcotest.(check int) in
+      check (name ^ ": 0 in bucket 0") 0 (H.bucket_of l 0);
+      check (name ^ ": negatives in bucket 0") 0 (H.bucket_of l (-3));
+      check (name ^ ": 1 in bucket 1") 1 (H.bucket_of l 1);
+      check (name ^ ": max_int overflows") (n - 1) (H.bucket_of l max_int);
+      check (name ^ ": bucket 0 holds only 0") 0 (H.bucket_upper l 0);
+      check (name ^ ": overflow bucket is unbounded") max_int
+        (H.bucket_upper l (n - 1)))
+    layouts;
+  Alcotest.(check (list int)) "bucket counts" [ 15; 32; 305 ]
+    (List.map (fun (_, l) -> H.nbuckets l) layouts);
+  (* Plain log2: bucket k >= 1 holds [2^(k-1), 2^k). *)
+  Alcotest.(check (list int)) "log2 buckets of 2, 3, 4, 2^30 - 1, 2^30"
+    [ 2; 2; 3; 30; 31 ]
+    (List.map (H.bucket_of H.log2) [ 2; 3; 4; (1 lsl 30) - 1; 1 lsl 30 ]);
+  Alcotest.(check (pair int int))
+    "hires: values below 8 are exact" (7, 7)
+    (H.bucket_of H.hires 7, H.bucket_upper H.hires 7);
+  (* The sim layout's bounds are the ones Metrics prints. *)
+  for k = 0 to H.nbuckets H.sim - 1 do
+    let lo = if k = 0 then 0 else H.bucket_upper H.sim (k - 1) + 1 in
+    let hi = H.bucket_upper H.sim k in
+    let label =
+      if k = H.nbuckets H.sim - 1 then Fmt.str "%d+" lo
+      else if lo = hi then string_of_int lo
+      else Fmt.str "%d-%d" lo hi
+    in
+    Alcotest.(check string)
+      (Fmt.str "sim label %d" k) label
+      (Tm_sim.Metrics.hist_bucket_label k);
+    Alcotest.(check (pair int int))
+      (Fmt.str "sim bucket %d holds its label's ends" k)
+      (k, k)
+      (H.bucket_of H.sim lo, H.bucket_of H.sim hi)
+  done
 
-let test_pp_hsnap_empty () =
-  let h = I.histogram ~shards:1 () in
-  Alcotest.(check string)
-    "empty snapshot prints (empty)" "(empty)"
-    (Fmt.str "%a" I.pp_hsnap (I.hist_snapshot h))
+(* Samples around every power of two up to 2^45, and small values. *)
+let sample_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        int_range (-20) 40;
+        int_bound 2_000_000;
+        map2 (fun e d -> (1 lsl e) + d) (int_bound 45) (int_range (-1) 1);
+      ])
 
-let prop_quantiles =
+let prop_layouts =
   QCheck.Test.make ~count:300
-    ~name:"histogram quantiles: ordered, bounded by max, count conserved"
-    QCheck.(list_of_size Gen.(1 -- 200) (int_bound 2_000_000))
-    (fun samples ->
-      let h = I.histogram ~shards:1 () in
-      List.iter (I.observe h) samples;
-      let s = I.hist_snapshot h in
-      let q p = I.quantile s p in
-      s.I.count = List.length samples
-      && s.I.sum = List.fold_left ( + ) 0 samples
-      && s.I.max_sample = List.fold_left max 0 samples
-      && Array.fold_left ( + ) 0 s.I.buckets = s.I.count
+    ~name:
+      "every layout: bucket_of and bucket_upper agree and are monotone, \
+       quantiles ordered, bounded by max, count conserved"
+    QCheck.(
+      pair
+        (make ~print:(fun (name, _) -> name) (Gen.oneofl layouts))
+        (make ~print:Print.(list int) Gen.(list_size (1 -- 200) sample_gen)))
+    (fun ((_, l), samples) ->
+      let n = H.nbuckets l and sub = 1 lsl l.H.sub_bits in
+      let upper = H.bucket_upper l in
+      let rec monotone k =
+        k >= n - 1 || (upper k < upper (k + 1) && monotone (k + 1))
+      in
+      let placed v =
+        let k = H.bucket_of l v in
+        0 <= k && k < n
+        && max 0 v <= upper k
+        && (k = 0 || v > upper (k - 1))
+        (* A bucket over-reads its values by at most 1/sub: 12.5% for
+           hires, a factor of 2 for the plain layouts. *)
+        && (k = n - 1 || v < sub || sub * (upper k - v) <= v)
+      in
+      let h = hist_of_list l samples in
+      let q p = H.quantile h p in
+      monotone 0
+      && List.for_all placed samples
+      && h.count = List.length samples
+      && h.sum = List.fold_left (fun a v -> a + max 0 v) 0 samples
+      && h.max_sample = List.fold_left max 0 samples
+      && Array.length h.buckets = n
+      && Array.fold_left ( + ) 0 h.buckets = h.count
       && 0 <= q 0.5
       && q 0.5 <= q 0.9
       && q 0.9 <= q 0.99
-      && q 0.99 <= s.I.max_sample)
+      && q 0.99 <= q 0.999
+      && q 0.999 <= q 0.9999
+      && q 0.9999 <= h.max_sample)
+
+let test_pp_empty () =
+  Alcotest.(check string)
+    "empty snapshot prints (empty)" "(empty)"
+    (Fmt.str "%a" H.pp (I.hist_snapshot (I.histogram ~shards:1 ())))
 
 let test_absorb () =
   (* Folding a 15-bucket Tm_sim.Metrics histogram into a 32-bucket
      telemetry one preserves count, sum and max. *)
-  let src = Tm_sim.Metrics.hist_of_list [ 0; 1; 5; 100; 9000 ] in
   let h = I.histogram ~shards:1 () in
-  I.absorb h ~buckets:src.Tm_sim.Metrics.buckets ~sum:src.Tm_sim.Metrics.sum
-    ~max_sample:src.Tm_sim.Metrics.max_sample;
+  I.absorb h (hist_of_list H.sim [ 0; 1; 5; 100; 9000 ]);
   let s = I.hist_snapshot h in
   Alcotest.(check int) "count" 5 s.I.count;
   Alcotest.(check int) "sum" 9106 s.I.sum;
@@ -108,70 +160,19 @@ let test_absorb_overflow () =
      to be >= 2^(nbuckets - 2); folding it into the same-index
      destination bucket would under-read it by orders of magnitude.  It
      must land in the destination's own overflow bucket. *)
-  let src = Tm_sim.Metrics.hist_of_list [ 20_000; 3 ] in
+  let src = hist_of_list H.sim [ 20_000; 3 ] in
+  let last_sim = H.nbuckets H.sim - 1 in
   Alcotest.(check int) "sample sits in the source overflow bucket" 1
-    src.Tm_sim.Metrics.buckets.(Tm_sim.Metrics.nbuckets - 1);
+    src.H.buckets.(last_sim);
   let h = I.histogram ~shards:1 () in
-  I.absorb h ~buckets:src.Tm_sim.Metrics.buckets ~sum:src.Tm_sim.Metrics.sum
-    ~max_sample:src.Tm_sim.Metrics.max_sample;
+  I.absorb h src;
   let s = I.hist_snapshot h in
   Alcotest.(check int) "overflow sample lands in our overflow bucket" 1
-    s.I.buckets.(I.hist_buckets - 1);
+    s.I.buckets.(H.nbuckets H.log2 - 1);
   Alcotest.(check int) "not in the same-index range bucket" 0
-    s.I.buckets.(Tm_sim.Metrics.nbuckets - 1);
+    s.I.buckets.(last_sim);
   Alcotest.(check bool) "tail quantile reads the overflow sample" true
-    (I.quantile s 0.99 >= 20_000)
-
-(* ------------------------------------------------------------------ *)
-(* Hires histograms. *)
-
-let test_hires_bucket_edges () =
-  Alcotest.(check int) "0 in bucket 0" 0 (I.hires_bucket_of 0);
-  Alcotest.(check int) "negatives in bucket 0" 0 (I.hires_bucket_of (-3));
-  Alcotest.(check int) "small values are exact" (I.hires_sub - 1)
-    (I.hires_bucket_of (I.hires_sub - 1));
-  Alcotest.(check int) "upper of an exact bucket is itself"
-    (I.hires_sub - 1)
-    (I.hires_bucket_upper (I.hires_sub - 1));
-  Alcotest.(check int) "max_int lands in the overflow bucket"
-    (I.hires_buckets - 1)
-    (I.hires_bucket_of max_int);
-  Alcotest.(check int) "overflow bucket is unbounded" max_int
-    (I.hires_bucket_upper (I.hires_buckets - 1))
-
-let prop_hires_buckets =
-  QCheck.Test.make ~count:500
-    ~name:"hires buckets: within bounds, disjoint, 12.5%-wide"
-    QCheck.(int_bound 2_000_000_000)
-    (fun v ->
-      let k = I.hires_bucket_of v in
-      0 <= k
-      && k < I.hires_buckets
-      && v <= I.hires_bucket_upper k
-      && (k = 0 || v > I.hires_bucket_upper (k - 1))
-      (* Sub-bucketing bounds the relative error by 1/hires_sub. *)
-      && (v < I.hires_sub
-         || I.hires_sub * (I.hires_bucket_upper k - v) <= v))
-
-let prop_hires_quantiles =
-  QCheck.Test.make ~count:300
-    ~name:"hires quantiles: ordered, bounded by max, count conserved"
-    QCheck.(list_of_size Gen.(1 -- 200) (int_bound 2_000_000))
-    (fun samples ->
-      let h = I.hires ~shards:1 () in
-      List.iter (I.hires_observe h) samples;
-      let s = I.hires_snapshot h in
-      let q p = I.hires_quantile s p in
-      s.I.count = List.length samples
-      && s.I.sum = List.fold_left ( + ) 0 samples
-      && s.I.max_sample = List.fold_left max 0 samples
-      && Array.length s.I.buckets = I.hires_buckets
-      && Array.fold_left ( + ) 0 s.I.buckets = s.I.count
-      && 0 <= q 0.5
-      && q 0.5 <= q 0.9
-      && q 0.9 <= q 0.999
-      && q 0.999 <= q 0.9999
-      && q 0.9999 <= s.I.max_sample)
+    (H.quantile s 0.99 >= 20_000)
 
 let prop_merge_quantile_monotone =
   QCheck.Test.make ~count:200
@@ -187,17 +188,19 @@ let prop_merge_quantile_monotone =
         I.hist_snapshot h
       in
       let a = hist xs and b = hist ys and m = hist (xs @ ys) in
+      let bucket = H.bucket_of H.log2 in
       List.for_all
         (fun p ->
-          let qa = I.quantile a p and qb = I.quantile b p in
-          let qm = I.quantile m p in
+          let qa = H.quantile a p and qb = H.quantile b p in
+          let qm = H.quantile m p in
           (* Values are capped by each histogram's own max, so the
              upper bound is exact only at bucket granularity: merging
              never moves a quantile outside the parts' buckets, and
              never below the parts' smaller value. *)
           min qa qb <= qm
-          && min (I.bucket_of qa) (I.bucket_of qb) <= I.bucket_of qm
-          && I.bucket_of qm <= max (I.bucket_of qa) (I.bucket_of qb))
+          && min (bucket qa) (bucket qb) <= bucket qm
+          && bucket qm <= max (bucket qa) (bucket qb)
+          && qm = H.quantile (H.merge a b) p)
         [ 0.5; 0.9; 0.99; 0.999 ])
 
 (* ------------------------------------------------------------------ *)
@@ -216,13 +219,15 @@ let test_write_paths_allocate_nothing () =
     done;
     (Gc.minor_words () -. w0) /. float_of_int n
   in
-  let h = I.histogram () and r = I.hires () in
+  let h = I.histogram () and r = I.histogram ~layout:H.hires () in
+  let plain = H.create H.log2 in
   let lr = Lr.create ~domains:1 () in
   let check what w =
     if w > 0.01 then Alcotest.failf "%s: %.2f words per call" what w
   in
   check "observe" (per (fun v -> I.observe h v));
-  check "hires_observe" (per (fun v -> I.hires_observe r v));
+  check "observe, hires layout" (per (fun v -> I.observe r v));
+  check "plain add" (per (fun v -> H.add plain v));
   check "recorder mark + complete"
     (per (fun v ->
          Lr.mark lr 0 ~sched:v;
@@ -334,9 +339,12 @@ let test_openmetrics_roundtrip () =
 
 let test_hires_openmetrics_roundtrip () =
   let reg = R.create () in
-  let h = R.hires reg ~shards:1 ~help:"sojourn" "tm_test_sojourn_ns" in
+  let h =
+    R.histogram reg ~shards:1 ~layout:H.hires ~help:"sojourn"
+      "tm_test_sojourn_ns"
+  in
   let samples = [ 1; 9; 10; 1_000; 1_000_000 ] in
-  List.iter (I.hires_observe h) samples;
+  List.iter (I.observe h) samples;
   let text = E.to_openmetrics (R.scrape reg ~ts:0) in
   let check_series series =
     let value name labels =
@@ -358,7 +366,7 @@ let test_hires_openmetrics_roundtrip () =
       List.filter (fun s -> s.E.se_name = "tm_test_sojourn_ns_bucket") series
     in
     (* Empty hires buckets are skipped: five distinct samples plus the
-       +Inf line, not hires_buckets lines. *)
+       +Inf line, not 305 lines. *)
     Alcotest.(check int) "one bucket line per occupied bucket" 6
       (List.length buckets);
     let rec monotone = function
@@ -383,23 +391,143 @@ let test_hires_openmetrics_roundtrip () =
         Alcotest.(check bool) (Fmt.str "sample %d covered" v) true covered)
       samples
   in
-  check_series (E.parse_openmetrics text);
-  let series, findings = E.parse_openmetrics_lax text in
-  check_series series;
-  Alcotest.(check int) "lax agrees with strict on the hires exposition" 0
-    (List.length findings)
+  check_series (E.parse_openmetrics text)
+
+(* The exporters' bytes, pinned: one scrape holding a counter, a
+   stateset, a log2 and a hires histogram, and a run histogram absorbed
+   as [Sweep_pub] absorbs it, with a sample in the sim layout's
+   overflow bucket. *)
+let golden_openmetrics =
+  {|# HELP tm_golden_commits_total Commits
+# TYPE tm_golden_commits_total counter
+tm_golden_commits_total{tm="tl2"} 42
+# HELP tm_golden_class Liveness class
+# TYPE tm_golden_class gauge
+tm_golden_class{class="progressing",domain="0"} 0
+tm_golden_class{class="starving",domain="0"} 1
+tm_golden_class{class="crashed",domain="0"} 0
+# HELP tm_golden_lock_ns Lock phase
+# TYPE tm_golden_lock_ns histogram
+tm_golden_lock_ns_bucket{le="0"} 1
+tm_golden_lock_ns_bucket{le="1"} 2
+tm_golden_lock_ns_bucket{le="3"} 3
+tm_golden_lock_ns_bucket{le="7"} 3
+tm_golden_lock_ns_bucket{le="15"} 3
+tm_golden_lock_ns_bucket{le="31"} 3
+tm_golden_lock_ns_bucket{le="63"} 3
+tm_golden_lock_ns_bucket{le="127"} 3
+tm_golden_lock_ns_bucket{le="255"} 3
+tm_golden_lock_ns_bucket{le="511"} 3
+tm_golden_lock_ns_bucket{le="1023"} 4
+tm_golden_lock_ns_bucket{le="2047"} 4
+tm_golden_lock_ns_bucket{le="4095"} 4
+tm_golden_lock_ns_bucket{le="8191"} 4
+tm_golden_lock_ns_bucket{le="16383"} 4
+tm_golden_lock_ns_bucket{le="32767"} 4
+tm_golden_lock_ns_bucket{le="65535"} 4
+tm_golden_lock_ns_bucket{le="131071"} 5
+tm_golden_lock_ns_bucket{le="262143"} 5
+tm_golden_lock_ns_bucket{le="524287"} 5
+tm_golden_lock_ns_bucket{le="1048575"} 5
+tm_golden_lock_ns_bucket{le="2097151"} 5
+tm_golden_lock_ns_bucket{le="4194303"} 5
+tm_golden_lock_ns_bucket{le="8388607"} 5
+tm_golden_lock_ns_bucket{le="16777215"} 5
+tm_golden_lock_ns_bucket{le="33554431"} 5
+tm_golden_lock_ns_bucket{le="67108863"} 5
+tm_golden_lock_ns_bucket{le="134217727"} 5
+tm_golden_lock_ns_bucket{le="268435455"} 5
+tm_golden_lock_ns_bucket{le="536870911"} 5
+tm_golden_lock_ns_bucket{le="1073741823"} 5
+tm_golden_lock_ns_bucket{le="+Inf"} 6
+tm_golden_lock_ns_sum 2000070904
+tm_golden_lock_ns_count 6
+# HELP tm_golden_sojourn_ns Sojourn
+# TYPE tm_golden_sojourn_ns histogram
+tm_golden_sojourn_ns_bucket{le="5"} 1
+tm_golden_sojourn_ns_bucket{le="9"} 2
+tm_golden_sojourn_ns_bucket{le="1023"} 3
+tm_golden_sojourn_ns_bucket{le="1310719"} 4
+tm_golden_sojourn_ns_bucket{le="+Inf"} 4
+tm_golden_sojourn_ns_sum 1235581
+tm_golden_sojourn_ns_count 4
+# HELP tm_golden_retry_depth Retry depth
+# TYPE tm_golden_retry_depth histogram
+tm_golden_retry_depth_bucket{le="0"} 1
+tm_golden_retry_depth_bucket{le="1"} 1
+tm_golden_retry_depth_bucket{le="3"} 3
+tm_golden_retry_depth_bucket{le="7"} 3
+tm_golden_retry_depth_bucket{le="15"} 3
+tm_golden_retry_depth_bucket{le="31"} 3
+tm_golden_retry_depth_bucket{le="63"} 3
+tm_golden_retry_depth_bucket{le="127"} 3
+tm_golden_retry_depth_bucket{le="255"} 3
+tm_golden_retry_depth_bucket{le="511"} 3
+tm_golden_retry_depth_bucket{le="1023"} 3
+tm_golden_retry_depth_bucket{le="2047"} 3
+tm_golden_retry_depth_bucket{le="4095"} 3
+tm_golden_retry_depth_bucket{le="8191"} 3
+tm_golden_retry_depth_bucket{le="16383"} 3
+tm_golden_retry_depth_bucket{le="32767"} 3
+tm_golden_retry_depth_bucket{le="65535"} 3
+tm_golden_retry_depth_bucket{le="131071"} 3
+tm_golden_retry_depth_bucket{le="262143"} 3
+tm_golden_retry_depth_bucket{le="524287"} 3
+tm_golden_retry_depth_bucket{le="1048575"} 3
+tm_golden_retry_depth_bucket{le="2097151"} 3
+tm_golden_retry_depth_bucket{le="4194303"} 3
+tm_golden_retry_depth_bucket{le="8388607"} 3
+tm_golden_retry_depth_bucket{le="16777215"} 3
+tm_golden_retry_depth_bucket{le="33554431"} 3
+tm_golden_retry_depth_bucket{le="67108863"} 3
+tm_golden_retry_depth_bucket{le="134217727"} 3
+tm_golden_retry_depth_bucket{le="268435455"} 3
+tm_golden_retry_depth_bucket{le="536870911"} 3
+tm_golden_retry_depth_bucket{le="1073741823"} 3
+tm_golden_retry_depth_bucket{le="+Inf"} 4
+tm_golden_retry_depth_sum 20005
+tm_golden_retry_depth_count 4
+# EOF
+|}
+
+let golden_jsonl =
+  {|{"ts":3,"samples":[{"name":"tm_golden_commits_total","labels":{"tm":"tl2"},"value":42},{"name":"tm_golden_class","labels":{"domain":"0"},"state":"starving"},{"name":"tm_golden_lock_ns","labels":{},"hist":{"count":6,"sum":2000070904,"max":2000000000,"buckets":[1,1,1,0,0,0,0,0,0,0,1,0,0,0,0,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,1]}},{"name":"tm_golden_sojourn_ns","labels":{},"hist":{"count":4,"sum":1235581,"max":1234567,"sparse":[[5,1],[9,1],[63,1],[145,1]]}},{"name":"tm_golden_retry_depth","labels":{},"hist":{"count":4,"sum":20005,"max":20000,"buckets":[1,0,2,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1]}}]}|}
+
+let test_exporters_golden () =
+  let reg = R.create () in
+  let c =
+    R.counter reg ~shards:1 ~labels:[ ("tm", "tl2") ] ~help:"Commits"
+      "tm_golden_commits_total"
+  in
+  let st =
+    R.state reg ~key:"class"
+      ~states:[| "progressing"; "starving"; "crashed" |]
+      ~labels:[ ("domain", "0") ] ~help:"Liveness class" "tm_golden_class"
+  in
+  let h = R.histogram reg ~shards:1 ~help:"Lock phase" "tm_golden_lock_ns" in
+  let r =
+    R.histogram reg ~shards:1 ~layout:H.hires ~help:"Sojourn"
+      "tm_golden_sojourn_ns"
+  in
+  let a =
+    R.histogram reg ~shards:1 ~help:"Retry depth" "tm_golden_retry_depth"
+  in
+  I.add c 42;
+  R.set_state st "starving";
+  List.iter (I.observe h) [ 0; 1; 3; 900; 70_000; 2_000_000_000 ];
+  List.iter (I.observe r) [ 5; 9; 1_000; 1_234_567 ];
+  I.absorb a (hist_of_list H.sim [ 0; 2; 3; 20_000 ]);
+  let snap = R.scrape reg ~ts:3 in
+  Alcotest.(check string) "openmetrics bytes" golden_openmetrics
+    (E.to_openmetrics snap);
+  Alcotest.(check string) "jsonl bytes" golden_jsonl (E.to_jsonl snap)
 
 (* Edge cases of the exposition parser: an exposition of only framing,
-   the writer's label escaping round-tripped, and — for the lax
-   variant — exotic lines (timestamps, summaries, garbage) becoming
-   diagnostics instead of exceptions. *)
+   and the writer's label escaping round-tripped. *)
 
 let test_openmetrics_empty_exposition () =
-  Alcotest.(check int) "strict: only # EOF parses to no series" 0
-    (List.length (E.parse_openmetrics "# EOF\n"));
-  let series, findings = E.parse_openmetrics_lax "# EOF\n" in
-  Alcotest.(check int) "lax: no series" 0 (List.length series);
-  Alcotest.(check int) "lax: no findings" 0 (List.length findings)
+  Alcotest.(check int) "only # EOF parses to no series" 0
+    (List.length (E.parse_openmetrics "# EOF\n"))
 
 let test_openmetrics_escaped_labels () =
   let reg = R.create () in
@@ -422,43 +550,7 @@ let test_openmetrics_escaped_labels () =
           s.E.se_labels;
         Alcotest.(check (float 0.)) "value" 3. s.E.se_value
   in
-  check_series (E.parse_openmetrics text);
-  let series, findings = E.parse_openmetrics_lax text in
-  check_series series;
-  Alcotest.(check int) "lax agrees with strict on clean input" 0
-    (List.length findings)
-
-let test_openmetrics_lax_unknown_types () =
-  (* A foreign exposition: a summary with quantile labels (parses — it
-     is within the line subset), a timestamped sample, an unterminated
-     label set, and plain garbage.  The lax parser must keep the good
-     lines and report the bad ones; the strict parser raises. *)
-  let text =
-    "# TYPE rpc_duration summary\n\
-     rpc_duration{quantile=\"0.5\"} 0.25\n\
-     http_requests_total 1027 1395066363000\n\
-     bar{x=\"y\" 1\n\
-     not a metric line at all\n\
-     good_gauge 42\n\
-     # EOF\n"
-  in
-  Alcotest.check_raises "strict parser raises on the timestamped line"
-    (Failure "float_of_string") (fun () ->
-      ignore (E.parse_openmetrics text));
-  let series, findings = E.parse_openmetrics_lax text in
-  Alcotest.(check int) "two parsable samples survive" 2 (List.length series);
-  Alcotest.(check (float 0.)) "summary quantile line parses" 0.25
-    (List.hd series).E.se_value;
-  Alcotest.(check (float 0.)) "plain gauge parses" 42.
-    (List.nth series 1).E.se_value;
-  Alcotest.(check int) "three diagnostics" 3 (List.length findings);
-  List.iter
-    (fun f ->
-      Alcotest.(check bool)
-        (Fmt.str "diagnostic %S names its line" f)
-        true
-        (String.length f > 5 && String.sub f 0 5 = "line "))
-    findings
+  check_series (E.parse_openmetrics text)
 
 (* ------------------------------------------------------------------ *)
 (* The blame graph. *)
@@ -751,19 +843,17 @@ let () =
             test_counter_sharded;
           Alcotest.test_case "histogram sharded over 4 domains" `Quick
             test_histogram_sharded;
-          Alcotest.test_case "bucket bounds" `Quick test_buckets;
           Alcotest.test_case "empty snapshot pretty-prints" `Quick
-            test_pp_hsnap_empty;
+            test_pp_empty;
           Alcotest.test_case "absorb a Metrics histogram" `Quick test_absorb;
           Alcotest.test_case "absorb routes overflow to overflow" `Quick
             test_absorb_overflow;
-          QCheck_alcotest.to_alcotest prop_quantiles;
         ] );
-      ( "hires",
+      ( "histograms",
         [
-          Alcotest.test_case "bucket edges" `Quick test_hires_bucket_edges;
-          QCheck_alcotest.to_alcotest prop_hires_buckets;
-          QCheck_alcotest.to_alcotest prop_hires_quantiles;
+          Alcotest.test_case "bucket edges, every layout" `Quick
+            test_bucket_edges;
+          QCheck_alcotest.to_alcotest prop_layouts;
           QCheck_alcotest.to_alcotest prop_merge_quantile_monotone;
         ] );
       ( "latency recorder",
@@ -781,12 +871,12 @@ let () =
             test_openmetrics_roundtrip;
           Alcotest.test_case "hires cumulative buckets round-trip" `Quick
             test_hires_openmetrics_roundtrip;
+          Alcotest.test_case "golden openmetrics and jsonl bytes" `Quick
+            test_exporters_golden;
           Alcotest.test_case "EOF-only exposition" `Quick
             test_openmetrics_empty_exposition;
           Alcotest.test_case "escaped label values round-trip" `Quick
             test_openmetrics_escaped_labels;
-          Alcotest.test_case "lax parser turns exotic lines into findings"
-            `Quick test_openmetrics_lax_unknown_types;
         ] );
       ( "blame graph",
         [
