@@ -137,13 +137,17 @@ row blame falsified-evidence \
 
 # Drop the "- 1" from the shared upper-bound rule (Tm_sim.Hist), so each
 # sub-bucketed bucket's bound reaches the first value of the next one:
-# test_telemetry's property over the sim, log2 and hires layouts
-# ("bucket_of and bucket_upper agree") must FAIL.  The log names the
-# failing test, so a build failure is not taken for a catch.
+# test_telemetry's property, run once per layout ("histograms" 3-5:
+# sim, log2, hires; "bucket_of and bucket_upper agree"), must FAIL for
+# every layout.  The log names the failing tests, so a build failure is
+# not taken for a catch.
 row telemetry upper-bound-off-by-one \
-  --expect 'FAIL.*histograms.*1' telemetry-hist-mutant.log lib/sim/hist.ml \
+  --expect 'FAIL.*histograms *3 *sim layout' telemetry-hist-mutant.log \
+  --expect 'FAIL.*histograms *4 *log2 layout' telemetry-hist-mutant.log \
+  --expect 'FAIL.*histograms *5 *hires layout' telemetry-hist-mutant.log \
+  lib/sim/hist.ml \
   's/((sub + 1) lsl (m - l.sub_bits)) - 1/(sub + 1) lsl (m - l.sub_bits)/' \
-  -- sh -c 'dune exec test/test_telemetry.exe -- test histograms 1 --color=never > telemetry-hist-mutant.log 2>&1'
+  -- sh -c 'dune exec test/test_telemetry.exe -- test histograms 3-5 --color=never > telemetry-hist-mutant.log 2>&1'
 
 # ---- serve: the leg is the algorithm; source mutants run on tl2 ----
 

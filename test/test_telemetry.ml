@@ -51,28 +51,22 @@ let hist_of_list layout vs =
 
 let layouts = [ ("sim", H.sim); ("log2", H.log2); ("hires", H.hires) ]
 
-let test_bucket_edges () =
-  List.iter
-    (fun (name, l) ->
-      let n = H.nbuckets l and check = Alcotest.(check int) in
-      check (name ^ ": 0 in bucket 0") 0 (H.bucket_of l 0);
-      check (name ^ ": negatives in bucket 0") 0 (H.bucket_of l (-3));
-      check (name ^ ": 1 in bucket 1") 1 (H.bucket_of l 1);
-      check (name ^ ": max_int overflows") (n - 1) (H.bucket_of l max_int);
-      check (name ^ ": bucket 0 holds only 0") 0 (H.bucket_upper l 0);
-      check (name ^ ": overflow bucket is unbounded") max_int
-        (H.bucket_upper l (n - 1)))
-    layouts;
-  Alcotest.(check (list int)) "bucket counts" [ 15; 32; 305 ]
-    (List.map (fun (_, l) -> H.nbuckets l) layouts);
-  (* Plain log2: bucket k >= 1 holds [2^(k-1), 2^k). *)
-  Alcotest.(check (list int)) "log2 buckets of 2, 3, 4, 2^30 - 1, 2^30"
-    [ 2; 2; 3; 30; 31 ]
-    (List.map (H.bucket_of H.log2) [ 2; 3; 4; (1 lsl 30) - 1; 1 lsl 30 ]);
-  Alcotest.(check (pair int int))
-    "hires: values below 8 are exact" (7, 7)
-    (H.bucket_of H.hires 7, H.bucket_upper H.hires 7);
-  (* The sim layout's bounds are the ones Metrics prints. *)
+(* The edges every layout shares, then the ones that make it that
+   layout: its bucket count and, per layout, the rule's own shape. *)
+let test_bucket_edges (name, l) nbuckets own () =
+  let n = H.nbuckets l and check = Alcotest.(check int) in
+  check (name ^ ": bucket count") nbuckets n;
+  check (name ^ ": 0 in bucket 0") 0 (H.bucket_of l 0);
+  check (name ^ ": negatives in bucket 0") 0 (H.bucket_of l (-3));
+  check (name ^ ": 1 in bucket 1") 1 (H.bucket_of l 1);
+  check (name ^ ": max_int overflows") (n - 1) (H.bucket_of l max_int);
+  check (name ^ ": bucket 0 holds only 0") 0 (H.bucket_upper l 0);
+  check (name ^ ": overflow bucket is unbounded") max_int
+    (H.bucket_upper l (n - 1));
+  own ()
+
+(* The sim layout's bounds are the ones Metrics prints. *)
+let sim_edges () =
   for k = 0 to H.nbuckets H.sim - 1 do
     let lo = if k = 0 then 0 else H.bucket_upper H.sim (k - 1) + 1 in
     let hi = H.bucket_upper H.sim k in
@@ -90,6 +84,25 @@ let test_bucket_edges () =
       (H.bucket_of H.sim lo, H.bucket_of H.sim hi)
   done
 
+(* Plain log2: bucket k >= 1 holds [2^(k-1), 2^k). *)
+let log2_edges () =
+  Alcotest.(check (list int)) "log2 buckets of 2, 3, 4, 2^30 - 1, 2^30"
+    [ 2; 2; 3; 30; 31 ]
+    (List.map (H.bucket_of H.log2) [ 2; 3; 4; (1 lsl 30) - 1; 1 lsl 30 ])
+
+let hires_edges () =
+  Alcotest.(check (pair int int))
+    "hires: values below 8 are exact" (7, 7)
+    (H.bucket_of H.hires 7, H.bucket_upper H.hires 7)
+
+let edge_cases =
+  List.map2
+    (fun ((name, _) as layout) (nbuckets, own) ->
+      Alcotest.test_case ("bucket edges, " ^ name) `Quick
+        (test_bucket_edges layout nbuckets own))
+    layouts
+    [ (15, sim_edges); (32, log2_edges); (305, hires_edges) ]
+
 (* Samples around every power of two up to 2^45, and small values. *)
 let sample_gen =
   QCheck.Gen.(
@@ -100,16 +113,16 @@ let sample_gen =
         map2 (fun e d -> (1 lsl e) + d) (int_bound 45) (int_range (-1) 1);
       ])
 
-let prop_layouts =
+(* One property, run once per layout. *)
+let prop_layout (name, l) =
   QCheck.Test.make ~count:300
     ~name:
-      "every layout: bucket_of and bucket_upper agree and are monotone, \
-       quantiles ordered, bounded by max, count conserved"
+      (name
+     ^ " layout: bucket_of and bucket_upper agree and are monotone, \
+        quantiles ordered, bounded by max, count conserved")
     QCheck.(
-      pair
-        (make ~print:(fun (name, _) -> name) (Gen.oneofl layouts))
-        (make ~print:Print.(list int) Gen.(list_size (1 -- 200) sample_gen)))
-    (fun ((_, l), samples) ->
+      make ~print:Print.(list int) Gen.(list_size (1 -- 200) sample_gen))
+    (fun samples ->
       let n = H.nbuckets l and sub = 1 lsl l.H.sub_bits in
       let upper = H.bucket_upper l in
       let rec monotone k =
@@ -850,12 +863,11 @@ let () =
             test_absorb_overflow;
         ] );
       ( "histograms",
-        [
-          Alcotest.test_case "bucket edges, every layout" `Quick
-            test_bucket_edges;
-          QCheck_alcotest.to_alcotest prop_layouts;
-          QCheck_alcotest.to_alcotest prop_merge_quantile_monotone;
-        ] );
+        edge_cases
+        @ List.map
+            (fun l -> QCheck_alcotest.to_alcotest (prop_layout l))
+            layouts
+        @ [ QCheck_alcotest.to_alcotest prop_merge_quantile_monotone ] );
       ( "latency recorder",
         [
           Alcotest.test_case "queueing/service/sojourn split" `Quick
