@@ -53,6 +53,25 @@ row build-and-test lock-skips-version lib/stm/stm_tl2.ml \
   's/version_of v <> seen/false/' \
   -- dune exec test/test_stm.exe -- test "sets as data" 18
 
+# A mid-commit crash lands two polls into a multi-poll commit, past its
+# lock phase (Tm_sim.Solo).  Land mvstm's right after its tryC instead:
+# the crash then holds no lock and the runner sails on, so test_tm
+# "mvstm / crash-mid-commit" must FAIL, and so must the bench
+# paper-verdicts diff (Z1's mvstm crash-mid-commit reads true).
+row build-and-test mvstm-mid-commit-depth lib/sim/solo.ml \
+  's/ | "mvstm" -> 2/ -> 2/' \
+  -- dune exec test/test_tm.exe -- test "solo-progress matrix" 50
+row build-and-test mvstm-mid-commit-verdicts lib/sim/solo.ml \
+  's/ | "mvstm" -> 2/ -> 2/' \
+  -- dune build @bench/runtest
+
+# Figure 15's automaton has no abort transition.  Answer a lone
+# process's tryC with an abort: test_tm "figure 15 has no abort
+# transition", which replays every poll of the exploration, must FAIL.
+row build-and-test fgp-lone-abort lib/tm/fgp.ml \
+  's/| Event.Try_commit -> deliver_commit t p)/| Event.Try_commit ->\n                if t.cfg.nprocs = 1 then deliver_abort t p\n                else deliver_commit t p)/' \
+  -- dune exec test/test_tm.exe -- test "fgp figures" 2
+
 # ---- analyze ----
 
 # Drop the first response from a dumped history: the analyzer must flag

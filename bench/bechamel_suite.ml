@@ -49,21 +49,8 @@ let bechamel_benches () =
              let cfg = Tm_impl.Tm_intf.config ~nprocs:1 ~ntvars:1 () in
              Tm_automaton.Explorer.reachable
                ~make:(fun () -> Tm_impl.Fgp.create cfg)
-               ~snapshot:Tm_impl.Fgp.state
-               ~actions:(fun t ->
-                 match Tm_impl.Fgp.pending t 1 with
-                 | Some _ -> [ `Poll ]
-                 | None ->
-                     [
-                       `I (Event.Read 0);
-                       `I (Event.Write (0, 1));
-                       `I Event.Try_commit;
-                     ])
-               ~apply:(fun t a ->
-                 match a with
-                 | `I inv -> Tm_impl.Fgp.invoke t 1 inv
-                 | `Poll -> ignore (Tm_impl.Fgp.poll t 1))
-               ()));
+               ~snapshot:Tm_impl.Fgp.state ~actions:Tm_impl.Fgp.actions
+               ~apply:Tm_impl.Fgp.apply ()));
       Test.make ~name:"stm-atomically-increment"
         (let v = Stm.tvar 0 in
          Staged.stage (fun () ->

@@ -120,30 +120,14 @@ let liveness_figures () =
 (* ------------------------------------------------------------------ *)
 (* F15: the 10-state Fgp automaton. *)
 
-type fgp_action = A_invoke of Event.invocation | A_poll
-
 let f15 () =
   section "F15" "Figure 15: Fgp with one process, one binary t-variable";
   let cfg = Tm_impl.Tm_intf.config ~nprocs:1 ~ntvars:1 () in
   let exploration =
     Tm_automaton.Explorer.reachable
       ~make:(fun () -> Tm_impl.Fgp.create cfg)
-      ~snapshot:Tm_impl.Fgp.state
-      ~actions:(fun t ->
-        match Tm_impl.Fgp.pending t 1 with
-        | Some _ -> [ A_poll ]
-        | None ->
-            [
-              A_invoke (Event.Read 0);
-              A_invoke (Event.Write (0, 0));
-              A_invoke (Event.Write (0, 1));
-              A_invoke Event.Try_commit;
-            ])
-      ~apply:(fun t a ->
-        match a with
-        | A_invoke inv -> Tm_impl.Fgp.invoke t 1 inv
-        | A_poll -> ignore (Tm_impl.Fgp.poll t 1))
-      ()
+      ~snapshot:Tm_impl.Fgp.state ~actions:Tm_impl.Fgp.actions
+      ~apply:Tm_impl.Fgp.apply ()
   in
   check_int "reachable states" ~paper:10
     ~measured:(List.length exploration.Tm_automaton.Explorer.states);

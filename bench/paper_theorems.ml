@@ -1,7 +1,6 @@
 (* The paper's theorems: T1-T3 (EXPERIMENTS.md), deterministic like the
    figures. *)
 
-open Tm_history
 open Harness
 
 (* ------------------------------------------------------------------ *)
@@ -16,34 +15,32 @@ let t1 () =
       List.iter
         (fun entry ->
           let r = Adv.run ~rounds:30 entry alg in
-          if r.Adv.blocked then
-            (* Withholding responses is an escape open only to blocking
-               TMs. *)
-            check
-              (Fmt.str "%-16s blocks (allowed: blocking TM)"
-                 entry.Reg.entry_name)
-              ~paper:true
-              ~measured:(not entry.Reg.responsive)
-          else if r.Adv.winner_starved then
-            (* A TM without global progress starves even the winner — the
-               Figure 9/12 outcome, produced by the quiescent strawman and
-               by the priority Fgp (the suspended victim is its top
-               priority). *)
-            check
-              (Fmt.str "%-16s starves everyone (quiescent/priority)"
-                 entry.Reg.entry_name)
-              ~paper:true
-              ~measured:
-                (List.mem entry.Reg.entry_name
-                   [ "quiescent"; "fgp-priority" ])
-          else
-            check
-              (Fmt.str "%-16s p1 never commits" entry.Reg.entry_name)
-              ~paper:true
-              ~measured:
-                ((not r.Adv.terminated)
-                && r.Adv.victim_commits = 0
-                && r.Adv.winner_commits >= 30))
+          match Adv.verdict r with
+          | Blocked ->
+              (* Withholding responses is an escape open only to blocking
+                 TMs. *)
+              check
+                (Fmt.str "%-16s blocks (allowed: blocking TM)"
+                   entry.Reg.entry_name)
+                ~paper:true
+                ~measured:(not entry.Reg.responsive)
+          | Winner_starved ->
+              (* A TM without global progress starves even the winner —
+                 the Figure 9/12 outcome, produced by the quiescent
+                 strawman and by the priority Fgp (the suspended victim is
+                 its top priority). *)
+              check
+                (Fmt.str "%-16s starves everyone (quiescent/priority)"
+                   entry.Reg.entry_name)
+                ~paper:true
+                ~measured:
+                  (List.mem entry.Reg.entry_name
+                     [ "quiescent"; "fgp-priority" ])
+          | (Victim_committed | Victim_starves) as v ->
+              check
+                (Fmt.str "%-16s p1 never commits" entry.Reg.entry_name)
+                ~paper:true
+                ~measured:(v = Victim_starves && r.Adv.winner_commits >= 30))
         Reg.all)
     [ (Adv.Algorithm_1, "Algorithm 1"); (Adv.Algorithm_2, "Algorithm 2") ]
 
@@ -70,22 +67,6 @@ let t2 () =
 
 (* ------------------------------------------------------------------ *)
 (* T3: Theorem 3 — Fgp ensures opacity and global progress. *)
-
-(* Exhaustive bounded model check: every schedule of the given depth, each
-   history screened by the linear-time monitor with fallback to the exact
-   checker. *)
-let sweep_non_opaque entry ~depth =
-  let bad = ref 0 and checked = ref 0 in
-  Tm_sim.Sweep.Exhaustive.run entry ~nprocs:2 ~ntvars:1
-    ~invocations:[ Event.Read 0; Event.Write (0, 1); Event.Try_commit ]
-    ~depth
-    ~on_history:(fun h _ ->
-      incr checked;
-      match Tm_safety.Monitor.run h with
-      | Tm_safety.Monitor.Accepted -> ()
-      | Tm_safety.Monitor.No_witness _ ->
-          if not (Tm_safety.Opacity.is_opaque h) then incr bad);
-  (!checked, !bad)
 
 let t3 () =
   section "T3" "Theorem 3: Fgp ensures opacity and global progress";
@@ -115,11 +96,11 @@ let t3 () =
      responsive zoo. *)
   List.iter
     (fun (name, depth) ->
-      let checked, bad = sweep_non_opaque (tm name) ~depth in
+      let s = Tm_sim.Sweep.Exhaustive.screen (tm name) ~depth in
       Fmt.pr "  %-16s exhaustive depth-%d sweep: %6d histories@." name depth
-        checked;
+        s.checked;
       check_int (Fmt.str "%s non-opaque histories" name) ~paper:0
-        ~measured:bad)
+        ~measured:(List.length s.non_opaque))
     [
       ("fgp", 9); ("tl2", 8); ("tinystm", 8); ("tinystm-ext", 8);
       ("swisstm", 8); ("dstm-aggressive", 8); ("ostm", 8); ("norec", 8);

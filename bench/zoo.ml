@@ -7,21 +7,6 @@ open Tm_history
 open Harness
 module Property = Tm_liveness.Property
 
-(* Whether p2, running beside a p1 with [fate], keeps committing. *)
-let solo ?(sched = Runner.Round_robin) entry fate =
-  let spec =
-    Runner.spec ~nprocs:2 ~ntvars:1 ~steps:4000 ~seed:1 ~sched
-      ~fates:[ (1, fate) ]
-      ()
-  in
-  (Runner.run entry spec).Runner.commits.(2) >= 10
-
-(* The commit step a mid-commit crash lands on: past the lock phase for
-   the commit-time lockers. *)
-let mid_commit_depth = function
-  | "tl2" | "ostm" | "norec" | "mvstm" -> 2
-  | _ -> 0
-
 (* The toggle workload of Figures 5/6: read the bit, write its
    complement. *)
 let toggle =
@@ -50,76 +35,28 @@ let lockstep entry ~steps =
 
 let z1 () =
   section "Z1" "Section 3.2.3: solo progress under faults";
-  let expectations =
-    (* name, healthy, crash-after-write, crash-mid-commit, parasite *)
-    [
-      ("global-lock", true, false, false, false);
-      ("fgp", true, true, true, true);
-      ("tl2", true, true, false, true);
-      ("tinystm", true, false, false, false);
-      ("tinystm-ext", true, false, false, false);
-      ("swisstm", true, false, false, false);
-      ("dstm-aggressive", true, true, true, false);
-      ("dstm-polite-4", true, true, true, true);
-      ("dstm-karma", true, true, true, true);
-      ("dstm-greedy", true, false, false, false);
-      ("ostm", true, true, true, true);
-      ("norec", true, true, false, true);
-      ("mvstm", true, true, false, true);
-      ("quiescent", true, false, false, false);
-      ("twopl", true, false, false, false);
+  List.iter
+    (fun (c : Tm_impl.Contract.t) ->
       (* fgp-priority is assessed in the FW section: its guarantee is
          priority progress, so the solo-runner criterion does not apply *)
-    ]
-  in
-  List.iter
-    (fun (name, h, c, m, p) ->
-      let entry = tm name in
-      check (name ^ " healthy") ~paper:h
-        ~measured:(solo ~sched:Runner.Uniform entry Runner.Healthy);
-      check (name ^ " crash-after-write") ~paper:c
-        ~measured:(solo entry (Runner.Crash_after_write 1));
-      check (name ^ " crash-mid-commit") ~paper:m
-        ~measured:
-          (solo entry (Runner.Crash_mid_commit (mid_commit_depth name)));
-      check (name ^ " parasite") ~paper:p
-        ~measured:(solo entry (Runner.Parasitic_from 10)))
-    expectations;
-  (* Quantitative: random-crash vulnerability window.  One hot t-variable
-     and three writes per transaction, so a crash anywhere between the
-     first write and the commit response strands encounter-time locks
-     (tinystm) while commit-time locking (tl2, norec) is only vulnerable
-     inside the commit procedure itself, and revocable/helping designs
-     (dstm, ostm) and fgp are never vulnerable. *)
+      if c.tm_name <> "fgp-priority" then
+        List.iter2
+          (fun (cell, paper) (_, measured) ->
+            check (c.tm_name ^ " " ^ cell) ~paper ~measured)
+          (Tm_impl.Contract.cells c.expected)
+          (Tm_impl.Contract.cells (Tm_sim.Solo.measure (tm c.tm_name))))
+    Tm_impl.Contract.all;
+  (* Quantitative: random-crash vulnerability windows (Solo.crash_windows):
+     revocable/helping designs (dstm, ostm) and fgp are never
+     vulnerable. *)
   Fmt.pr "  random-crash stall windows (3-write transactions, one hot \
           t-variable, 40 crash points):@.";
-  let inc = Tm_sim.Workload.W_write
-      (0, fun reads ->
-        (match List.assoc_opt 0 reads with Some v -> v | None -> 0) + 1)
-  in
-  let hot_workload =
-    Tm_sim.Workload.fixed [ [ Tm_sim.Workload.W_read 0; inc; inc; inc ] ]
-  in
   List.iter
     (fun name ->
-      let entry = tm name in
-      let stalls = ref 0 in
-      let runner_commits = ref [] in
-      for seed = 1 to 40 do
-        let crash_step = 20 + (seed * 17 mod 300) in
-        let spec =
-          Runner.spec ~nprocs:2 ~ntvars:1 ~steps:4000 ~seed
-            ~sched:Runner.Round_robin ~workload:hot_workload
-            ~fates:[ (1, Runner.Crash_at crash_step) ]
-            ()
-        in
-        let o = Runner.run entry spec in
-        runner_commits := o.Runner.commits.(2) :: !runner_commits;
-        if o.Runner.commits.(2) < 10 then incr stalls
-      done;
-      Fmt.pr "    %-18s %2d/40   runner commits: %a@." name !stalls
+      let w = Tm_sim.Solo.crash_windows (tm name) in
+      Fmt.pr "    %-18s %2d/40   runner commits: %a@." name w.stalls
         Tm_sim.Stats.pp
-        (Tm_sim.Stats.of_ints !runner_commits))
+        (Tm_sim.Stats.of_ints w.runner_commits))
     [
       "global-lock"; "fgp"; "tl2"; "tinystm"; "dstm-aggressive"; "ostm";
       "norec";
@@ -347,11 +284,9 @@ let oq () =
          without progress: a blocked or winner-starved adversary run, or
          the solo matrix's runner starving while the faulty process is
          crashed (hence not correct). *)
-      let crash_ok =
-        solo entry (Runner.Crash_after_write 1)
-        && solo entry (Runner.Crash_mid_commit (mid_commit_depth name))
-      in
-      let para_ok = solo entry (Runner.Parasitic_from 10) in
+      let row = Tm_sim.Solo.measure entry in
+      let crash_ok = row.crash_after_write && row.mid_commit in
+      let para_ok = row.parasite in
       let global_falsified =
         (not survives) || not crash_ok
         (* a crashed p1 is faulty, so a starving p2 falsifies global *)

@@ -27,8 +27,10 @@ let list_rules_arg () =
     value & flag
     & info [ "list-rules" ] ~doc:"Print the rule catalogue and exit.")
 
-let selection parse rules_str =
-  match parse rules_str with Ok ids -> ids | Error m -> die "%s" m
+let selection valid rules_str =
+  match An.Engine.parse_selection valid rules_str with
+  | Ok ids -> ids
+  | Error m -> die "%s" m
 
 (* Prints the findings ([header] first in table form), writes their
    document with [write], and exits at the [fail_on] threshold. *)
@@ -49,7 +51,7 @@ let analyze_cmd =
       fail_on list_rules tms faults seeds nprocs ntvars steps sched jobs =
     if list_rules then Fmt.pr "%a" An.Engine.pp_catalogue ()
     else begin
-      let rules = selection An.Engine.parse_selection rules_str in
+      let rules = selection An.Engine.rule_ids rules_str in
       let write = output_to out in
       let findings = ref [] in
       let record fs = findings := fs @ !findings in
@@ -197,7 +199,7 @@ let static_cmd =
   let run root rules_str format out fail_on list_rules =
     if list_rules then Fmt.pr "%a" Sc.pp_catalogue ()
     else begin
-      let rules = selection Sc.parse_selection rules_str in
+      let rules = selection Sc.rule_ids rules_str in
       let root =
         match root with
         | Some dir -> dir

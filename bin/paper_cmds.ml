@@ -187,13 +187,17 @@ let game_cmd =
       r.Tm_adversary.Adversary.victim_commits
       r.Tm_adversary.Adversary.victim_aborts;
     Fmt.pr "p2 commits: %d@." r.Tm_adversary.Adversary.winner_commits;
-    if r.Tm_adversary.Adversary.blocked then
-      Fmt.pr "verdict: TM blocked (escapes by withholding responses)@."
-    else if r.Tm_adversary.Adversary.terminated then
-      Fmt.pr
-        "verdict: p1 committed! the history must be non-opaque: opaque=%b@."
-        (Tm_safety.Opacity.is_opaque r.Tm_adversary.Adversary.history)
-    else Fmt.pr "verdict: p1 starves - local progress violated@."
+    match Tm_adversary.Adversary.verdict r with
+    | Blocked ->
+        Fmt.pr "verdict: TM blocked (escapes by withholding responses)@."
+    | Winner_starved ->
+        Fmt.pr
+          "verdict: p2 starves too - no global progress (Figures 9/12)@."
+    | Victim_committed ->
+        Fmt.pr
+          "verdict: p1 committed! the history must be non-opaque: opaque=%b@."
+          (Tm_safety.Opacity.is_opaque r.Tm_adversary.Adversary.history)
+    | Victim_starves -> Fmt.pr "verdict: p1 starves - local progress violated@."
   in
   let alg =
     Arg.(
@@ -209,29 +213,15 @@ let game_cmd =
 
 let matrix_cmd =
   let run () =
-    let solo ?(sched = Tm_sim.Runner.Round_robin) entry fate =
-      let spec =
-        Tm_sim.Runner.spec ~nprocs:2 ~ntvars:1 ~steps:4000 ~seed:1 ~sched
-          ~fates:[ (1, fate) ]
-          ()
-      in
-      (Tm_sim.Runner.run entry spec).Tm_sim.Runner.commits.(2) >= 10
-    in
     let mark b = if b then "yes" else "NO " in
     Fmt.pr "%-18s %-8s %-8s %-11s %-8s@." "TM" "healthy" "crash" "mid-commit"
       "parasite";
     List.iter
       (fun entry ->
-        let depth =
-          match entry.Tm_impl.Registry.entry_name with
-          | "tl2" | "ostm" | "norec" -> 2
-          | _ -> 0
-        in
+        let r = Tm_sim.Solo.measure entry in
         Fmt.pr "%-18s %-8s %-8s %-11s %-8s@." entry.Tm_impl.Registry.entry_name
-          (mark (solo ~sched:Tm_sim.Runner.Uniform entry Tm_sim.Runner.Healthy))
-          (mark (solo entry (Tm_sim.Runner.Crash_after_write 1)))
-          (mark (solo entry (Tm_sim.Runner.Crash_mid_commit depth)))
-          (mark (solo entry (Tm_sim.Runner.Parasitic_from 10))))
+          (mark r.healthy) (mark r.crash_after_write) (mark r.mid_commit)
+          (mark r.parasite))
       Tm_impl.Registry.all
   in
   Cmd.v
@@ -265,30 +255,15 @@ let monitor_cmd =
 
 let model_check_cmd =
   let run entry depth =
-    let checked = ref 0 and bad = ref 0 and fallback = ref 0 in
-    Tm_sim.Sweep.Exhaustive.run entry ~nprocs:2 ~ntvars:1
-      ~invocations:
-        [
-          Tm_history.Event.Read 0;
-          Tm_history.Event.Write (0, 1);
-          Tm_history.Event.Try_commit;
-        ]
-      ~depth
-      ~on_history:(fun h _ ->
-        incr checked;
-        match Tm_safety.Monitor.run h with
-        | Tm_safety.Monitor.Accepted -> ()
-        | Tm_safety.Monitor.No_witness _ ->
-            incr fallback;
-            if not (Tm_safety.Opacity.is_opaque h) then begin
-              incr bad;
-              Fmt.pr "NON-OPAQUE:@.%a@." Tm_history.Pretty.pp_by_process h
-            end);
+    let s = Tm_sim.Sweep.Exhaustive.screen entry ~depth in
+    List.iter
+      (Fmt.pr "NON-OPAQUE:@.%a@." Tm_history.Pretty.pp_by_process)
+      s.non_opaque;
     Fmt.pr
       "checked %d histories (depth %d, 2 processes, 1 binary t-variable)@."
-      !checked depth;
-    Fmt.pr "monitor fallbacks to exact checker: %d@." !fallback;
-    Fmt.pr "non-opaque histories: %d@." !bad
+      s.checked depth;
+    Fmt.pr "monitor fallbacks to exact checker: %d@." s.fallbacks;
+    Fmt.pr "non-opaque histories: %d@." (List.length s.non_opaque)
   in
   let depth =
     Arg.(value & opt int 8 & info [ "d"; "depth" ] ~doc:"Schedule depth.")
@@ -486,39 +461,23 @@ let trace_cmd =
       $ out_arg ~doc:"Write the trace here (default: stdout)." ()
       $ format)
 
-type explore_action = E_invoke of Tm_history.Event.invocation | E_poll
-
 let explore_cmd =
   let run dot =
     let cfg = Tm_impl.Tm_intf.config ~nprocs:1 ~ntvars:1 () in
     let exploration =
       Tm_automaton.Explorer.reachable
         ~make:(fun () -> Tm_impl.Fgp.create cfg)
-        ~snapshot:Tm_impl.Fgp.state
-        ~actions:(fun t ->
-          match Tm_impl.Fgp.pending t 1 with
-          | Some _ -> [ E_poll ]
-          | None ->
-              [
-                E_invoke (Tm_history.Event.Read 0);
-                E_invoke (Tm_history.Event.Write (0, 0));
-                E_invoke (Tm_history.Event.Write (0, 1));
-                E_invoke Tm_history.Event.Try_commit;
-              ])
-        ~apply:(fun t a ->
-          match a with
-          | E_invoke inv -> Tm_impl.Fgp.invoke t 1 inv
-          | E_poll -> ignore (Tm_impl.Fgp.poll t 1))
-        ()
+        ~snapshot:Tm_impl.Fgp.state ~actions:Tm_impl.Fgp.actions
+        ~apply:Tm_impl.Fgp.apply ()
     in
     if dot then
       print_string
         (Tm_automaton.Explorer.to_dot
            ~state_label:(Fmt.str "%a" Tm_impl.Fgp.pp_state)
            ~action_label:(function
-             | E_invoke inv ->
+             | Tm_impl.Fgp.Invoke inv ->
                  Fmt.str "%a" Tm_history.Event.pp_invocation inv
-             | E_poll -> "poll")
+             | Tm_impl.Fgp.Poll -> "poll")
            exploration)
     else begin
       Fmt.pr "%d reachable states (the paper's Figure 15 lists 10):@."
@@ -544,30 +503,10 @@ let crash_windows_cmd =
     Fmt.pr
       "Fraction of %d random crash points that permanently stall a solo \
        runner@.(3-write transactions on one hot t-variable):@.@." samples;
-    let inc =
-      Tm_sim.Workload.W_write
-        ( 0,
-          fun reads ->
-            (match List.assoc_opt 0 reads with Some v -> v | None -> 0) + 1 )
-    in
-    let hot =
-      Tm_sim.Workload.fixed [ [ Tm_sim.Workload.W_read 0; inc; inc; inc ] ]
-    in
     List.iter
       (fun entry ->
-        let stalls = ref 0 in
-        for seed = 1 to samples do
-          let crash_step = 20 + (seed * 17 mod 300) in
-          let spec =
-            Tm_sim.Runner.spec ~nprocs:2 ~ntvars:1 ~steps:4000 ~seed
-              ~sched:Tm_sim.Runner.Round_robin ~workload:hot
-              ~fates:[ (1, Tm_sim.Runner.Crash_at crash_step) ]
-              ()
-          in
-          let o = Tm_sim.Runner.run entry spec in
-          if o.Tm_sim.Runner.commits.(2) < 10 then incr stalls
-        done;
-        Fmt.pr "%-18s %3d/%d@." entry.Tm_impl.Registry.entry_name !stalls
+        let w = Tm_sim.Solo.crash_windows ~samples entry in
+        Fmt.pr "%-18s %3d/%d@." entry.Tm_impl.Registry.entry_name w.stalls
           samples)
       Tm_impl.Registry.all
   in

@@ -132,24 +132,18 @@ let fixed =
       let name = "tutorial-fixed"
     end))
 
-(* The validation pipeline: exhaustive sweep + monitor, exact checker on
-   fallback; returns the first non-opaque history found. *)
+(* The validation pipeline: the exhaustive opacity screen (monitor,
+   exact checker on fallback) over two t-variables; returns the number
+   of schedules checked and the first non-opaque history found. *)
 let validate entry ~depth =
-  let counterexample = ref None in
-  let checked = ref 0 in
-  Tm_sim.Sweep.Exhaustive.run entry ~nprocs:2 ~ntvars:2
-    ~invocations:
-      [ Event.Read 0; Event.Read 1; Event.Write (0, 1); Event.Write (1, 1);
-        Event.Try_commit ]
-    ~depth
-    ~on_history:(fun h _ ->
-      incr checked;
-      if !counterexample = None then
-        match Tm_safety.Monitor.run h with
-        | Tm_safety.Monitor.Accepted -> ()
-        | Tm_safety.Monitor.No_witness _ ->
-            if not (Tm_safety.Opacity.is_opaque h) then counterexample := Some h);
-  (!checked, !counterexample)
+  let s =
+    Tm_sim.Sweep.Exhaustive.screen entry ~ntvars:2
+      ~invocations:
+        [ Event.Read 0; Event.Read 1; Event.Write (0, 1); Event.Write (1, 1);
+          Event.Try_commit ]
+      ~depth
+  in
+  (s.checked, List.nth_opt s.non_opaque 0)
 
 let () =
   Fmt.pr "== validating %s ==@." buggy.Tm_impl.Registry.entry_name;

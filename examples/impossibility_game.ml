@@ -1,6 +1,7 @@
 (* The Theorem-1 impossibility, played out: run the paper's adversary
    (Algorithms 1 and 2) against every TM in the zoo and watch process p1
-   starve — or the TM block — exactly as the proof predicts.
+   starve — or p2 starve with it, or the TM block — exactly as the proof
+   predicts (Tm_adversary.Adversary.verdict names the outcome).
 
    Run with: dune exec examples/impossibility_game.exe *)
 
@@ -12,11 +13,11 @@ let play alg alg_name =
     (fun entry ->
       let r = Tm_adversary.Adversary.run ~rounds:30 entry alg in
       let verdict =
-        if r.Tm_adversary.Adversary.terminated then
-          "TERMINATED (opacity violated!)"
-        else if r.Tm_adversary.Adversary.blocked then
-          "blocked (escapes by withholding responses)"
-        else "p1 starves: local progress violated"
+        match Tm_adversary.Adversary.verdict r with
+        | Blocked -> "blocked (escapes by withholding responses)"
+        | Winner_starved -> "p2 starves too: no global progress (Figs 9/12)"
+        | Victim_committed -> "TERMINATED (opacity violated!)"
+        | Victim_starves -> "p1 starves: local progress violated"
       in
       Fmt.pr "%-18s %-8d %-10d %-10d %-10d %s@."
         entry.Tm_impl.Registry.entry_name
@@ -31,7 +32,8 @@ let () =
   Fmt.pr
     "Theorem 1 (PODC 2012): no TM ensures both opacity and local progress@.\
      in a fault-prone system.  The adversary below wins against every TM:@.\
-     either p1 never commits while p2 commits forever, or the TM blocks.@.@.";
+     either p1 never commits while p2 commits forever, or p2 starves too@.\
+     (a TM without global progress), or the TM blocks.@.@.";
   play Tm_adversary.Adversary.Algorithm_1 "Algorithm 1 (parasitic-free case)";
   play Tm_adversary.Adversary.Algorithm_2 "Algorithm 2 (crash-free case)";
 

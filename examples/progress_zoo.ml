@@ -1,22 +1,12 @@
 (* The Section-3.2.3 progress taxonomy, measured: which TM lets a solo
    runner make progress under which fault?  Two processes share one
-   t-variable; p1 suffers the fault, p2 keeps retrying transactions.
+   t-variable; p1 suffers the fault, p2 keeps retrying transactions
+   (Tm_sim.Solo: uniform scheduling for the healthy baseline, because
+   round-robin lockstep on one hot t-variable is itself an adversarial
+   schedule — that is Theorem 1, not a fault; deterministic round-robin
+   for the fault columns).
 
    Run with: dune exec examples/progress_zoo.exe *)
-
-(* Deterministic round-robin for the fault columns (reproducible fault
-   timing); a uniformly random scheduler for the healthy baseline, because
-   round-robin lockstep on one hot t-variable is itself an adversarial
-   schedule under which a global-progress TM may legitimately starve one
-   process — that is Theorem 1, not a fault. *)
-let solo ?(sched = Tm_sim.Runner.Round_robin) entry fate =
-  let spec =
-    Tm_sim.Runner.spec ~nprocs:2 ~ntvars:1 ~steps:4000 ~seed:1 ~sched
-      ~fates:[ (1, fate) ]
-      ()
-  in
-  let o = Tm_sim.Runner.run entry spec in
-  o.Tm_sim.Runner.commits.(2) >= 10
 
 let mark b = if b then "  yes   " else "  NO    "
 
@@ -32,39 +22,18 @@ let () =
     "parasite";
   List.iter
     (fun entry ->
-      let healthy = solo ~sched:Tm_sim.Runner.Uniform entry Tm_sim.Runner.Healthy in
-      let crash = solo entry (Tm_sim.Runner.Crash_after_write 1) in
-      (* The in-commit crash point is TM-specific: multi-poll commit
-         procedures (tl2, ostm, norec) are interrupted two polls deep;
-         one-poll commits can only be interrupted right after the tryC
-         invocation. *)
-      let depth =
-        match entry.Tm_impl.Registry.entry_name with
-        | "tl2" | "ostm" | "norec" -> 2
-        | _ -> 0
-      in
-      let mid = solo entry (Tm_sim.Runner.Crash_mid_commit depth) in
-      let para = solo entry (Tm_sim.Runner.Parasitic_from 10) in
+      let r = Tm_sim.Solo.measure entry in
       Fmt.pr "%-18s %s %s %s %s@." entry.Tm_impl.Registry.entry_name
-        (mark healthy) (mark crash) (mark mid) (mark para))
+        (mark r.healthy) (mark r.crash_after_write) (mark r.mid_commit)
+        (mark r.parasite))
     Tm_impl.Registry.all;
   Fmt.pr
     "@.Random-crash vulnerability: fraction of 40 random crash points that@.\
-     leave the solo runner stuck.@.@.";
+     leave the solo runner stuck (3-write transactions, one hot \
+     t-variable).@.@.";
   List.iter
     (fun entry ->
-      let stalls = ref 0 in
-      for seed = 1 to 40 do
-        let crash_step = 20 + (seed * 13 mod 200) in
-        let spec =
-          Tm_sim.Runner.spec ~nprocs:2 ~ntvars:1 ~steps:3000 ~seed
-            ~sched:Tm_sim.Runner.Round_robin
-            ~fates:[ (1, Tm_sim.Runner.Crash_at crash_step) ]
-            ()
-        in
-        let o = Tm_sim.Runner.run entry spec in
-        if o.Tm_sim.Runner.commits.(2) < 10 then incr stalls
-      done;
       Fmt.pr "%-18s %2d/40 crash points stall the runner@."
-        entry.Tm_impl.Registry.entry_name !stalls)
+        entry.Tm_impl.Registry.entry_name
+        (Tm_sim.Solo.crash_windows entry).stalls)
     Tm_impl.Registry.all

@@ -237,3 +237,11 @@ module General = struct
       any_victim_committed = !any_victim_committed;
     }
 end
+
+type verdict = Blocked | Winner_starved | Victim_committed | Victim_starves
+
+let verdict r =
+  if r.blocked then Blocked
+  else if r.winner_starved then Winner_starved
+  else if r.terminated then Victim_committed
+  else Victim_starves

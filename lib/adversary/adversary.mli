@@ -55,6 +55,22 @@ val run :
   result
 (** Defaults: patience 200 polls, 50 rounds. *)
 
+(** How a game ended: Theorem 1's outcome, decided once for every
+    caller. *)
+type verdict =
+  | Blocked  (** a response was withheld: the escape of a blocking TM *)
+  | Winner_starved
+      (** p2 never committed either: the Figure 9 (Algorithm 1) or
+          Figure 12 (Algorithm 2) suffix of a TM without global progress *)
+  | Victim_committed
+      (** p1 committed: the history must end in Figure 8's non-opaque
+          suffix *)
+  | Victim_starves
+      (** p1 never committed while p2 did: local progress violated *)
+
+val verdict : result -> verdict
+(** [blocked] first, then [winner_starved], then [terminated]. *)
+
 (** The n-process generalization (Lemma 1): one winner process commits
     round after round; the other [n-1] victims read before the winner's
     commit and attempt their own conflicting write afterwards, so at least

@@ -116,11 +116,9 @@ let rules =
 
 let rule_ids = List.map (fun r -> r.id) rules
 
-let find_rule id = List.find_opt (fun r -> r.id = id) rules
-
-let parse_selection s =
+let parse_selection valid s =
   match String.trim s with
-  | "all" | "" -> Ok rule_ids
+  | "all" | "" -> Ok valid
   | s ->
       let ids =
         List.filter_map
@@ -129,13 +127,13 @@ let parse_selection s =
             if x = "" then None else Some x)
           (String.split_on_char ',' s)
       in
-      let unknown = List.filter (fun id -> find_rule id = None) ids in
+      let unknown = List.filter (fun id -> not (List.mem id valid)) ids in
       if unknown = [] then Ok ids
       else
         Error
           (Fmt.str "unknown rule(s) %s (valid: all, %s)"
              (String.concat ", " unknown)
-             (String.concat ", " rule_ids))
+             (String.concat ", " valid))
 
 let family_label = function
   | History_rule -> "history"

@@ -18,10 +18,11 @@ type rule = {
 
 val rule_ids : string list
 
-val parse_selection : string -> (string list, string) result
-(** [parse_selection s] parses a [--rules] argument: ["all"] (every rule)
-    or a comma-separated list of rule ids.  Unknown ids are an error
-    naming the offender and the valid ids. *)
+val parse_selection : string list -> string -> (string list, string) result
+(** [parse_selection valid s] parses a [--rules] argument against the
+    rule ids [valid] (this engine's {!rule_ids}, or tmstatic's):
+    ["all"] (every valid id) or a comma-separated list of ids.  Unknown
+    ids are an error naming the offender and the valid ids. *)
 
 val pp_catalogue : Format.formatter -> unit -> unit
 (** The rule table: id, family, severity, description. *)

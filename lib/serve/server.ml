@@ -69,7 +69,8 @@ let iter_buffer cfg wl ~domain buf ~f =
     let client = ref domain in
     while !client < cfg.c_clients do
       Workload.fill wl buf ~client:!client ~index;
-      q := max 0 (!q - drain_units);
+      let drained = !q - drain_units in
+      q := if drained > 0 then drained else 0;
       let cost = Store.cost buf in
       let admitted = !q + cost <= cfg.c_queue_cap in
       if admitted then q := !q + cost;

@@ -219,6 +219,21 @@ module Exhaustive = struct
     in
     visit (M.create cfg) History.empty depth
 
+  type screen = { checked : int; fallbacks : int; non_opaque : History.t list }
+
+  let screen ?(ntvars = 1)
+      ?(invocations = [ Event.Read 0; Event.Write (0, 1); Event.Try_commit ])
+      entry ~depth =
+    let checked = ref 0 and fallbacks = ref 0 and bad = ref [] in
+    run entry ~nprocs:2 ~ntvars ~invocations ~depth ~on_history:(fun h _ ->
+        incr checked;
+        match Tm_safety.Monitor.run h with
+        | Tm_safety.Monitor.Accepted -> ()
+        | Tm_safety.Monitor.No_witness _ ->
+            incr fallbacks;
+            if not (Tm_safety.Opacity.is_opaque h) then bad := h :: !bad);
+    { checked = !checked; fallbacks = !fallbacks; non_opaque = List.rev !bad }
+
   let count_nodes entry ~nprocs ~ntvars ~invocations ~depth =
     let n = ref 0 in
     run entry ~nprocs ~ntvars ~invocations ~depth ~on_history:(fun _ _ ->

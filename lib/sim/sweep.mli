@@ -108,7 +108,7 @@ val pp_table : Format.formatter -> result list -> unit
     depth — and the tree has ~[(nprocs * |invocations|)^depth] nodes.
 
     Combined with the linear-time {!Tm_safety.Monitor} this gives a small
-    bounded model checker: [Exhaustive.run] over all schedules, monitor
+    bounded model checker, {!screen}: [run] over all schedules, monitor
     each history, fall back to the exact checker on the rare
     [No_witness]. *)
 module Exhaustive : sig
@@ -133,6 +133,28 @@ module Exhaustive : sig
 
       @raise Invalid_argument if [depth > 0], [nprocs > 0] and an
       invocation names a t-variable outside [0 .. ntvars - 1]. *)
+
+  type screen = {
+    checked : int;  (** histories visited *)
+    fallbacks : int;
+        (** of those, the ones the monitor found no witness for *)
+    non_opaque : History.t list;
+        (** of those, the ones the exact checker rejects, in depth-first
+            preorder *)
+  }
+
+  val screen :
+    ?ntvars:int ->
+    ?invocations:Event.invocation list ->
+    Tm_impl.Registry.entry ->
+    depth:int ->
+    screen
+  (** Theorem 3's exhaustive opacity check: {!run} two processes over
+      every schedule of [depth] actions and screen each history with the
+      linear-time {!Tm_safety.Monitor}, falling back to the exact
+      {!Tm_safety.Opacity.is_opaque} where the monitor finds no witness.
+      Defaults: one binary t-variable, the menu [read x0], [write (x0,
+      1)], [tryC]. *)
 
   val count_nodes :
     Tm_impl.Registry.entry ->

@@ -47,27 +47,6 @@ let rules =
 
 let rule_ids = List.map (fun r -> r.id) rules
 
-let find_rule id = List.find_opt (fun r -> r.id = id) rules
-
-let parse_selection s =
-  match String.trim s with
-  | "all" | "" -> Ok rule_ids
-  | s ->
-      let ids =
-        List.filter_map
-          (fun x ->
-            let x = String.trim x in
-            if x = "" then None else Some x)
-          (String.split_on_char ',' s)
-      in
-      let unknown = List.filter (fun id -> find_rule id = None) ids in
-      if unknown = [] then Ok ids
-      else
-        Error
-          (Fmt.str "unknown rule(s) %s (valid: all, %s)"
-             (String.concat ", " unknown)
-             (String.concat ", " rule_ids))
-
 let pp_catalogue ppf () =
   List.iter
     (fun r ->

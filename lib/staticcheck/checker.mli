@@ -7,10 +7,6 @@ type rule = { id : string; severity : Tm_analysis.Finding.severity; doc : string
 
 val rule_ids : string list
 
-val parse_selection : string -> (string list, string) result
-(** Parse a [--rules] argument: ["all"] or a comma-separated id list;
-    unknown ids are an error naming the valid ones. *)
-
 val pp_catalogue : Format.formatter -> unit -> unit
 
 val find_root : unit -> string option

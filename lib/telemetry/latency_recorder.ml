@@ -93,17 +93,21 @@ let create ?registry ?(metric = "tm_latency") ?(interval_ns = 1_000_000)
 let mark t d ~sched = Atomic.set t.inflight.(d) sched
 let abandon t d = Atomic.set t.inflight.(d) idle
 
+(* An int [max 0 d]: the polymorphic [max] is a comparison call when
+   not inlined, and [complete] runs once per open-loop request. *)
+let nonneg d = if d > 0 then d else 0 [@@inline]
+
 let complete t d ~start ~finish =
   let sched = Atomic.get t.inflight.(d) in
   let sched = if sched = idle then start else sched in
-  Instrument.observe t.queueing (max 0 (start - sched));
-  Instrument.observe t.service (max 0 (finish - start));
-  Instrument.observe t.sojourn (max 0 (finish - sched));
+  Instrument.observe t.queueing (nonneg (start - sched));
+  Instrument.observe t.service (nonneg (finish - start));
+  Instrument.observe t.sojourn (nonneg (finish - sched));
   Atomic.set t.inflight.(d) idle
 
 let inflight_age t ~now d =
   let sched = Atomic.get t.inflight.(d) in
-  if sched = idle then 0 else max 0 (now - sched)
+  if sched = idle then 0 else nonneg (now - sched)
 
 let ages t ~now = Array.init t.domains (inflight_age t ~now)
 let oldest_age t ~now = Array.fold_left max 0 (ages t ~now)
@@ -125,7 +129,7 @@ let open_quantile t ~now q =
     (fun slot ->
       let sched = Atomic.get slot in
       if sched <> idle then begin
-        let v = ref (max 0 (now - sched)) and steps = ref 0 in
+        let v = ref (nonneg (now - sched)) and steps = ref 0 in
         while !v > 0 && !steps < co_cap do
           Tm_sim.Hist.add snap !v;
           incr steps;

@@ -1,22 +1,30 @@
 (** The progress contracts of the zoo, as data.
 
     This is the Section-3.2.3 classification — extended to the whole zoo —
-    in queryable form: for each TM, the system assumptions under which it
-    guarantees a solo runner's progress, whether it is responsive, and
-    whether it guarantees global progress in every fault-prone system.
-    The test suite checks each contract against the {e measured}
-    solo-progress matrix, so this table cannot silently drift from the
-    implementations. *)
+    in queryable form: for each TM, the expected row of the solo-progress
+    matrix, and whether it guarantees global progress in every
+    fault-prone system.  The system assumptions under which a TM
+    guarantees a solo runner's progress are derived from that row.
+    [Tm_sim.Solo.measure] measures the same row, and the test suite and
+    bench Z1 compare the two cell by cell, so this table cannot silently
+    drift from the implementations. *)
 
-type assumption =
-  | Crash_free  (** no process crashes (mid-transaction or mid-commit) *)
-  | Parasitic_free  (** no process runs forever without invoking [tryC] *)
+type row = {
+  healthy : bool;  (** the runner progresses beside a healthy process *)
+  crash_after_write : bool;  (** ... beside one crashed after a write *)
+  mid_commit : bool;  (** ... beside one crashed inside its commit *)
+  parasite : bool;  (** ... beside a parasitic one *)
+}
+(** One row of the solo-progress matrix: whether the solo runner makes
+    progress beside a process suffering each fault. *)
+
+val cells : row -> (string * bool) list
+(** The row's cells in column order, named ["healthy"],
+    ["crash-after-write"], ["crash-mid-commit"] and ["parasite"]. *)
 
 type t = {
   tm_name : string;
-  solo_requires : assumption list;
-      (** solo progress is guaranteed iff the system satisfies all of
-          these (the empty list = any fault-prone system) *)
+  expected : row;
   global_progress_fault_prone : bool;
       (** at least one correct process always progresses, whatever the
           faults *)
@@ -26,3 +34,6 @@ type t = {
 val all : t list
 
 val pp : Format.formatter -> t -> unit
+(** The TM's solo assumptions: crash-free unless both crash cells of
+    its row hold, parasitic-free unless its parasite cell holds ("any
+    fault-prone system" when it needs neither). *)

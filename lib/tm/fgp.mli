@@ -39,3 +39,14 @@ val state : t -> state
 (** A snapshot of the automaton state (for the explorer and tests). *)
 
 val pp_state : Format.formatter -> state -> unit
+
+(** Figure 15's menu: the actions of a lone process p1 on one binary
+    t-variable [x0], for exploring the automaton. *)
+type action = Invoke of Tm_history.Event.invocation | Poll
+
+val actions : t -> action list
+(** [Poll] while p1 has a pending invocation; otherwise [read x0],
+    [write (x0, 0)], [write (x0, 1)] and [tryC]. *)
+
+val apply : t -> action -> unit
+(** Invoke, or poll and drop the response. *)

@@ -77,38 +77,38 @@ let algorithms =
 
 let test_starves_or_blocks entry alg () =
   let r = Tm_adversary.Adversary.run ~rounds:40 entry alg in
-  Alcotest.(check bool)
-    (entry.Reg.entry_name ^ " never lets p1 commit")
-    false r.Tm_adversary.Adversary.terminated;
   Alcotest.(check int)
     (entry.Reg.entry_name ^ " p1 commits zero times")
     0 r.Tm_adversary.Adversary.victim_commits;
-  if r.Tm_adversary.Adversary.blocked then
-    (* Only the blocking TMs may escape this way. *)
-    Alcotest.(check bool)
-      (entry.Reg.entry_name ^ " may block")
-      false entry.Reg.responsive
-  else if r.Tm_adversary.Adversary.winner_starved then
-    (* Only TMs without global progress starve the winner: the quiescent
-       strawman (Figures 9 and 12), and the priority variant of Fgp when
-       the suspended victim happens to be the top-priority process —
-       exactly the cost of a priority property that Theorem 1 predicts. *)
-    Alcotest.(check bool)
-      (entry.Reg.entry_name ^ " may starve the winner")
-      true
-      (List.mem entry.Reg.entry_name [ "quiescent"; "fgp-priority" ])
-  else begin
-    Alcotest.(check bool)
-      (entry.Reg.entry_name ^ " p2 commits every round")
-      true
-      (r.Tm_adversary.Adversary.winner_commits >= 40);
-    (* The suffix shape of Figures 10/13: p1 is aborted over and over, so
-       it is correct and starving. *)
-    Alcotest.(check bool)
-      (entry.Reg.entry_name ^ " p1 aborted repeatedly")
-      true
-      (r.Tm_adversary.Adversary.victim_aborts >= 39)
-  end
+  match Tm_adversary.Adversary.verdict r with
+  | Blocked ->
+      (* Only the blocking TMs may escape this way. *)
+      Alcotest.(check bool)
+        (entry.Reg.entry_name ^ " may block")
+        false entry.Reg.responsive
+  | Winner_starved ->
+      (* Only TMs without global progress starve the winner: the
+         quiescent strawman (Figures 9 and 12), and the priority variant
+         of Fgp when the suspended victim happens to be the top-priority
+         process — exactly the cost of a priority property that Theorem 1
+         predicts. *)
+      Alcotest.(check bool)
+        (entry.Reg.entry_name ^ " may starve the winner")
+        true
+        (List.mem entry.Reg.entry_name [ "quiescent"; "fgp-priority" ])
+  | Victim_committed ->
+      Alcotest.failf "%s let p1 commit" entry.Reg.entry_name
+  | Victim_starves ->
+      Alcotest.(check bool)
+        (entry.Reg.entry_name ^ " p2 commits every round")
+        true
+        (r.Tm_adversary.Adversary.winner_commits >= 40);
+      (* The suffix shape of Figures 10/13: p1 is aborted over and over,
+         so it is correct and starving. *)
+      Alcotest.(check bool)
+        (entry.Reg.entry_name ^ " p1 aborted repeatedly")
+        true
+        (r.Tm_adversary.Adversary.victim_aborts >= 39)
 
 let zoo_adversary_tests =
   List.concat_map
@@ -151,7 +151,7 @@ let zoo_opacity_tests =
 let test_bogus_tm_defeated alg () =
   let r = Tm_adversary.Adversary.run ~rounds:40 bogus_entry alg in
   Alcotest.(check bool) "game terminates" true
-    r.Tm_adversary.Adversary.terminated;
+    (Tm_adversary.Adversary.verdict r = Victim_committed);
   Alcotest.(check bool) "history is NOT opaque" false
     (Tm_safety.Opacity.is_opaque r.Tm_adversary.Adversary.history);
   Alcotest.(check bool) "history is not strictly serializable either" false
@@ -174,7 +174,7 @@ let test_fig9_realized () =
   in
   let h = r.Tm_adversary.Adversary.history in
   Alcotest.(check bool) "winner starved" true
-    r.Tm_adversary.Adversary.winner_starved;
+    (Tm_adversary.Adversary.verdict r = Winner_starved);
   Alcotest.(check int) "p2 never commits" 0
     r.Tm_adversary.Adversary.winner_commits;
   (* p1 read once and was never heard from again. *)
@@ -191,7 +191,7 @@ let test_fig12_realized () =
   in
   let h = r.Tm_adversary.Adversary.history in
   Alcotest.(check bool) "winner starved" true
-    r.Tm_adversary.Adversary.winner_starved;
+    (Tm_adversary.Adversary.verdict r = Winner_starved);
   (* The parasitic shape: p1 keeps executing reads, is never aborted, and
      never invokes tryC. *)
   Alcotest.(check bool) "p1 executes many operations" true

@@ -528,15 +528,15 @@ let test_blame_rule_exempt_without_evidence () =
 (* Engine: selection, filtering, exit code. *)
 
 let test_rule_selection () =
-  (match An.Engine.parse_selection "all" with
+  (match An.Engine.parse_selection An.Engine.rule_ids "all" with
   | Ok ids ->
       Alcotest.(check (list string)) "all = catalogue" An.Engine.rule_ids ids
   | Error m -> Alcotest.fail m);
-  (match An.Engine.parse_selection "hb-race, lock-leak" with
+  (match An.Engine.parse_selection An.Engine.rule_ids "hb-race, lock-leak" with
   | Ok ids -> Alcotest.(check (list string)) "split+trim"
                 [ "hb-race"; "lock-leak" ] ids
   | Error m -> Alcotest.fail m);
-  (match An.Engine.parse_selection "no-such-rule" with
+  (match An.Engine.parse_selection An.Engine.rule_ids "no-such-rule" with
   | Ok _ -> Alcotest.fail "accepted an unknown rule"
   | Error _ -> ());
   (* Filtering: the overlap fixture reports nothing when only the cycle

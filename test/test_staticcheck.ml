@@ -229,17 +229,18 @@ let test_unused_deterministic () =
 (* --- rule selection and exit thresholds --- *)
 
 let test_parse_selection () =
-  (match Sc.parse_selection "all" with
+  let parse = Tm_analysis.Engine.parse_selection Sc.rule_ids in
+  (match parse "all" with
   | Ok ids -> Alcotest.(check (list string)) "all" Sc.rule_ids ids
   | Error msg -> Alcotest.fail msg);
-  (match Sc.parse_selection "seam-guard, txn-purity" with
+  (match parse "seam-guard, txn-purity" with
   | Ok ids ->
       Alcotest.(check (list string))
         "subset"
         [ "seam-guard"; "txn-purity" ]
         ids
   | Error msg -> Alcotest.fail msg);
-  match Sc.parse_selection "bogus" with
+  match parse "bogus" with
   | Ok _ -> Alcotest.fail "bogus accepted"
   | Error msg ->
       let contains hay needle =

@@ -139,46 +139,44 @@ let test_fig16_replay () =
 (* Figure 15: exhaustive enumeration of Fgp with one process and one
    binary t-variable yields exactly the paper's 10 states. *)
 
-type fgp_action = A_invoke of Event.invocation | A_poll
+let fig15_cfg = Intf.config ~nprocs:1 ~ntvars:1 ()
+
+let fig15 () =
+  Tm_automaton.Explorer.reachable
+    ~make:(fun () -> Tm_impl.Fgp.create fig15_cfg)
+    ~snapshot:Tm_impl.Fgp.state ~actions:Tm_impl.Fgp.actions
+    ~apply:Tm_impl.Fgp.apply ()
 
 let test_fig15_enumeration () =
-  let cfg = Intf.config ~nprocs:1 ~ntvars:1 () in
-  let exploration =
-    Tm_automaton.Explorer.reachable
-      ~make:(fun () -> Tm_impl.Fgp.create cfg)
-      ~snapshot:Tm_impl.Fgp.state
-      ~actions:(fun t ->
-        match Tm_impl.Fgp.pending t 1 with
-        | Some _ -> [ A_poll ]
-        | None ->
-            [
-              A_invoke (Event.Read 0);
-              A_invoke (Event.Write (0, 0));
-              A_invoke (Event.Write (0, 1));
-              A_invoke Event.Try_commit;
-            ])
-      ~apply:(fun t a ->
-        match a with
-        | A_invoke inv -> Tm_impl.Fgp.invoke t 1 inv
-        | A_poll -> ignore (Tm_impl.Fgp.poll t 1))
-      ()
-  in
+  let exploration = fig15 () in
   Alcotest.(check bool) "exploration complete" true
     exploration.Tm_automaton.Explorer.complete;
   Alcotest.(check int)
     "exactly the 10 states of Figure 15" 10
-    (List.length exploration.Tm_automaton.Explorer.states);
-  (* No abort event is ever delivered (the paper: the single-process
-     automaton has no abort transitions). *)
-  let has_abort =
-    List.exists
-      (fun (_, a, _) ->
-        match a with
-        | A_poll -> false
-        | A_invoke _ -> false)
-      exploration.Tm_automaton.Explorer.transitions
-  in
-  Alcotest.(check bool) "no abort transitions" false has_abort
+    (List.length exploration.Tm_automaton.Explorer.states)
+
+(* No abort event is ever delivered (the paper: the single-process
+   automaton has no abort transitions).  A transition records states,
+   not responses, so each poll transition is replayed: its source
+   state's witness on a fresh automaton, then the poll. *)
+let test_fig15_no_abort () =
+  let exploration = fig15 () in
+  let polls = ref 0 in
+  List.iter
+    (fun (s, a, _) ->
+      if a = Tm_impl.Fgp.Poll then begin
+        incr polls;
+        let t = Tm_impl.Fgp.create fig15_cfg in
+        List.iter (Tm_impl.Fgp.apply t)
+          (List.assoc s exploration.Tm_automaton.Explorer.states);
+        match Tm_impl.Fgp.poll t 1 with
+        | Some Event.Aborted ->
+            Alcotest.failf "abort transition from %a" Tm_impl.Fgp.pp_state s
+        | Some _ -> ()
+        | None -> Alcotest.fail "a poll transition without a response"
+      end)
+    exploration.Tm_automaton.Explorer.transitions;
+  Alcotest.(check bool) "poll transitions replayed" true (!polls > 0)
 
 let test_fgp_never_aborts_solo () =
   (* Stronger form of the Figure-15 claim: a single process never receives
@@ -564,114 +562,27 @@ let test_transfer_invariant () =
       Alcotest.(check int) "total balance preserved" 0 sum
 
 (* ------------------------------------------------------------------ *)
-(* The Section-3.2.3 solo-progress matrix (experiment Z1).
+(* The Section-3.2.3 solo-progress matrix (experiment Z1): each cell of
+   each TM's contract row against Tm_sim.Solo's measurement. *)
 
-   Two processes on one t-variable; p1 suffers the given fate; p2 is the
-   solo runner.  "Progress" = p2 commits at least [threshold] times within
-   the budget. *)
-
-let solo_run entry fate =
-  let spec =
-    Tm_sim.Runner.spec ~nprocs:2 ~ntvars:1 ~steps:4000 ~seed:1
-      ~sched:Tm_sim.Runner.Round_robin
-      ~fates:[ (1, fate) ]
-      ()
-  in
-  run_spec entry spec
-
-let check_solo name entry fate expected =
-  let o = solo_run entry fate in
-  let progressed = o.Tm_sim.Runner.commits.(2) >= 10 in
-  Alcotest.(check bool)
-    (Fmt.str "%s: runner progress under %s" entry.Reg.entry_name name)
-    expected progressed
-
-let matrix_case ~fate_name ~fate expectations =
-  List.map
-    (fun (tm_name, expected) ->
-      let entry = Option.get (Reg.find tm_name) in
-      Alcotest.test_case
-        (Fmt.str "%s / %s" tm_name fate_name)
-        `Quick
-        (fun () -> check_solo fate_name entry fate expected))
-    expectations
-
-let crash_after_write_cases =
-  matrix_case ~fate_name:"crash-after-write"
-    ~fate:(Tm_sim.Runner.Crash_after_write 1)
-    [
-      ("global-lock", false);
-      ("fgp", true);
-      ("tl2", true);
-      ("tinystm", false);
-      ("tinystm-ext", false);
-      ("swisstm", false);
-      ("dstm-aggressive", true);
-      ("dstm-polite-4", true);
-      ("dstm-karma", true);
-      ("dstm-greedy", false);
-      ("ostm", true);
-      ("norec", true);
-      ("mvstm", true);
-      ("quiescent", false) (* p1's live transaction freezes writers forever *);
-      ("twopl", false) (* the crashed process's exclusive lock is never freed *);
-      ("fgp-priority", false) (* the crashed p1 is the top priority *);
-    ]
-
-let parasite_cases =
-  matrix_case ~fate_name:"parasite"
-    ~fate:(Tm_sim.Runner.Parasitic_from 10)
-    [
-      ("global-lock", false);
-      ("fgp", true);
-      ("tl2", true);
-      ("tinystm", false);
-      ("tinystm-ext", false);
-      ("swisstm", false);
-      ("dstm-aggressive", false) (* mutual dooming livelock *);
-      ("dstm-polite-4", true);
-      ("dstm-karma", true)
-      (* stealing dooms the parasite and resets its karma, converting it
-         into an ever-aborted (hence correct) process *);
-      ("ostm", true);
-      ("norec", true);
-      ("mvstm", true) (* the parasite's buffered writes disturb nobody *);
-      ("quiescent", false);
-      ("twopl", false) (* a parasite holding locks never waits, so no cycle *);
-      ("fgp-priority", false);
-    ]
-
-(* The crash point inside the commit procedure is TM-specific: TMs whose
-   commit answers in a single poll (fgp, tinystm, dstm) can only crash
-   right after invoking tryC (depth 0); multi-poll commits (tl2, ostm,
-   norec) crash two polls deep, i.e. holding locks / mid-descriptor. *)
-let crash_mid_commit_cases =
-  List.map
-    (fun (tm_name, depth, expected) ->
-      let entry = Option.get (Reg.find tm_name) in
-      Alcotest.test_case
-        (Fmt.str "%s / crash-mid-commit-%d" tm_name depth)
-        `Quick
-        (fun () ->
-          check_solo
-            (Fmt.str "crash-mid-commit-%d" depth)
-            entry
-            (Tm_sim.Runner.Crash_mid_commit depth)
-            expected))
-    [
-      ("fgp", 0, true);
-      ("dstm-aggressive", 0, true);
-      ("tinystm", 0, false);
-      ("tinystm-ext", 0, false);
-      ("swisstm", 0, false);
-      ("tl2", 2, false);
-      ("ostm", 2, true) (* helping finishes the crashed commit *);
-      ("norec", 2, false);
-      ("mvstm", 2, false) (* commit-time locks strand like TL2's *);
-      ("quiescent", 0, false);
-      ("twopl", 0, false);
-      ("fgp-priority", 0, false);
-    ]
+let matrix_cases =
+  List.concat_map
+    (fun (c : Tm_impl.Contract.t) ->
+      List.map
+        (fun (cell, expected) ->
+          Alcotest.test_case
+            (Fmt.str "%s / %s" c.tm_name cell)
+            `Quick
+            (fun () ->
+              let measured =
+                Tm_sim.Solo.measure (Option.get (Reg.find c.tm_name))
+              in
+              Alcotest.(check bool)
+                (Fmt.str "%s: runner progress under %s" c.tm_name cell)
+                expected
+                (List.assoc cell (Tm_impl.Contract.cells measured))))
+        (Tm_impl.Contract.cells c.expected))
+    Tm_impl.Contract.all
 
 let test_mvstm_readers_never_abort () =
   (* The multiversion TM's distinctive property: a read-only process is
@@ -713,14 +624,14 @@ let test_ostm_helped_commit_opaque () =
      history has a commit-pending transaction whose effects are visible.
      The completion-aware opacity checker must accept it. *)
   let entry = Option.get (Reg.find "ostm") in
-  let o = solo_run entry (Tm_sim.Runner.Crash_mid_commit 2) in
+  let o = Tm_sim.Solo.run entry (Tm_sim.Runner.Crash_mid_commit 2) in
   Alcotest.(check bool)
     "helped-commit history is opaque" true
     (Tm_safety.Opacity.is_opaque o.Tm_sim.Runner.history)
 
 let test_global_lock_blocks () =
   let entry = Option.get (Reg.find "global-lock") in
-  let o = solo_run entry (Tm_sim.Runner.Crash_after_write 1) in
+  let o = Tm_sim.Solo.run entry (Tm_sim.Runner.Crash_after_write 1) in
   Alcotest.(check bool)
     "runner is blocked, not aborted" true
     (List.mem 2 (Tm_sim.Runner.blocked_procs o));
@@ -745,48 +656,17 @@ let test_global_lock_faultfree_local_progress () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* The contract table (Tm_impl.Contract) must agree with the measured
-   solo-progress matrix: the declarative Section-3.2.3 classification
-   cannot silently drift from the implementations. *)
+(* The contract table (Tm_impl.Contract) names every TM of the registry
+   once; the matrix cases above hold each row to its measurement. *)
 
-let test_contracts_match_measurements () =
+let test_contracts_cover_registry () =
   Alcotest.(check (list string))
     "contracts cover exactly the registry"
     (List.sort String.compare Reg.names)
     (List.sort String.compare
        (List.map (fun c -> c.Tm_impl.Contract.tm_name) Tm_impl.Contract.all));
-  List.iter
-    (fun c ->
-      let name = c.Tm_impl.Contract.tm_name in
-      let entry = Option.get (Reg.find name) in
-      let depth =
-        match name with "tl2" | "ostm" | "norec" | "mvstm" -> 2 | _ -> 0
-      in
-      let crash_ok =
-        (let o = solo_run entry (Tm_sim.Runner.Crash_after_write 1) in
-         o.Tm_sim.Runner.commits.(2) >= 10)
-        &&
-        let o = solo_run entry (Tm_sim.Runner.Crash_mid_commit depth) in
-        o.Tm_sim.Runner.commits.(2) >= 10
-      in
-      let para_ok =
-        let o = solo_run entry (Tm_sim.Runner.Parasitic_from 10) in
-        o.Tm_sim.Runner.commits.(2) >= 10
-      in
-      Alcotest.(check bool)
-        (name ^ ": crash tolerance matches the contract")
-        (not
-           (List.mem Tm_impl.Contract.Crash_free
-              c.Tm_impl.Contract.solo_requires))
-        crash_ok;
-      Alcotest.(check bool)
-        (name ^ ": parasite tolerance matches the contract")
-        (not
-           (List.mem Tm_impl.Contract.Parasitic_free
-              c.Tm_impl.Contract.solo_requires))
-        para_ok;
-      (* Render for coverage. *)
-      ignore (Fmt.str "%a" Tm_impl.Contract.pp c))
+  (* Render for coverage. *)
+  List.iter (fun c -> ignore (Fmt.str "%a" Tm_impl.Contract.pp c))
     Tm_impl.Contract.all
 
 (* ------------------------------------------------------------------ *)
@@ -908,6 +788,8 @@ let () =
           Alcotest.test_case "figure 16 replay" `Quick test_fig16_replay;
           Alcotest.test_case "figure 15 enumeration" `Quick
             test_fig15_enumeration;
+          Alcotest.test_case "figure 15 has no abort transition" `Quick
+            test_fig15_no_abort;
           Alcotest.test_case "solo process never aborted" `Quick
             test_fgp_never_aborts_solo;
           Alcotest.test_case "literal formal rules contradict figure 16"
@@ -933,7 +815,7 @@ let () =
               test_fgp_priority_fault_rank;
           ] );
       ( "solo-progress matrix",
-        crash_after_write_cases @ parasite_cases @ crash_mid_commit_cases
+        matrix_cases
         @ [
             Alcotest.test_case "mvstm readers never abort" `Quick
               test_mvstm_readers_never_abort;
@@ -946,8 +828,8 @@ let () =
           ] );
       ( "contracts",
         [
-          Alcotest.test_case "contracts match measurements" `Quick
-            test_contracts_match_measurements;
+          Alcotest.test_case "contracts cover the registry" `Quick
+            test_contracts_cover_registry;
         ] );
       ( "units",
         [
