@@ -54,15 +54,16 @@ row build-and-test lock-skips-version lib/stm/stm_tl2.ml \
   -- dune exec test/test_stm.exe -- test "sets as data" 18
 
 # A mid-commit crash lands two polls into a multi-poll commit, past its
-# lock phase (Tm_sim.Solo).  Land mvstm's right after its tryC instead:
-# the crash then holds no lock and the runner sails on, so test_tm
-# "mvstm / crash-mid-commit" must FAIL, and so must the bench
-# paper-verdicts diff (Z1's mvstm crash-mid-commit reads true).
-row build-and-test mvstm-mid-commit-depth lib/sim/solo.ml \
-  's/ | "mvstm" -> 2/ -> 2/' \
+# lock phase (the mid_commit_depth of the TM's Tm_impl.Contract row).
+# Land mvstm's right after its tryC instead: the crash then holds no
+# lock and the runner sails on, so test_tm "mvstm / crash-mid-commit"
+# must FAIL, and so must the bench paper-verdicts diff (Z1's mvstm
+# crash-mid-commit reads true).
+row build-and-test mvstm-mid-commit-depth lib/tm/contract.ml \
+  's/v ~mid_commit_depth:2 "mvstm"/v "mvstm"/' \
   -- dune exec test/test_tm.exe -- test "solo-progress matrix" 50
-row build-and-test mvstm-mid-commit-verdicts lib/sim/solo.ml \
-  's/ | "mvstm" -> 2/ -> 2/' \
+row build-and-test mvstm-mid-commit-verdicts lib/tm/contract.ml \
+  's/v ~mid_commit_depth:2 "mvstm"/v "mvstm"/' \
   -- dune build @bench/runtest
 
 # Figure 15's automaton has no abort transition.  Answer a lone

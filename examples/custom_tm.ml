@@ -136,13 +136,7 @@ let fixed =
    exact checker on fallback) over two t-variables; returns the number
    of schedules checked and the first non-opaque history found. *)
 let validate entry ~depth =
-  let s =
-    Tm_sim.Sweep.Exhaustive.screen entry ~ntvars:2
-      ~invocations:
-        [ Event.Read 0; Event.Read 1; Event.Write (0, 1); Event.Write (1, 1);
-          Event.Try_commit ]
-      ~depth
-  in
+  let s = Tm_sim.Sweep.Exhaustive.screen entry ~ntvars:2 ~depth in
   (s.checked, List.nth_opt s.non_opaque 0)
 
 let () =

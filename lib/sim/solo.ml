@@ -1,6 +1,11 @@
-(* The commit poll a mid-commit crash lands on. *)
+(* The commit poll a mid-commit crash lands on, from the TM's contract
+   row; right after the tryC invocation for a TM without one. *)
 let mid_commit_depth (entry : Tm_impl.Registry.entry) =
-  match entry.entry_name with "tl2" | "ostm" | "norec" | "mvstm" -> 2 | _ -> 0
+  List.find_map
+    (fun (c : Tm_impl.Contract.t) ->
+      if c.tm_name = entry.entry_name then Some c.mid_commit_depth else None)
+    Tm_impl.Contract.all
+  |> Option.value ~default:0
 
 let spec ?workload ~seed fate =
   let sched =

@@ -16,10 +16,9 @@ val run : Tm_impl.Registry.entry -> Runner.fate -> Runner.outcome
 val measure : Tm_impl.Registry.entry -> Tm_impl.Contract.row
 (** Whether the runner progresses beside a healthy p1, one crashed after
     its first write, one crashed inside its commit, and one parasitic
-    from step 10.  The mid-commit crash lands 2 polls into the commit,
-    past the lock phase, for the multi-poll commits of tl2, ostm, norec
-    and mvstm, and right after the [tryC] invocation for every other
-    TM. *)
+    from step 10.  The mid-commit crash lands on the commit poll the
+    TM's {!Tm_impl.Contract.t.mid_commit_depth} names (0, right after
+    the [tryC] invocation, for a TM without a contract row). *)
 
 type windows = {
   stalls : int;  (** crash points after which the runner never progresses *)

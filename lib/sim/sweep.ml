@@ -221,9 +221,12 @@ module Exhaustive = struct
 
   type screen = { checked : int; fallbacks : int; non_opaque : History.t list }
 
-  let screen ?(ntvars = 1)
-      ?(invocations = [ Event.Read 0; Event.Write (0, 1); Event.Try_commit ])
-      entry ~depth =
+  let screen ?(ntvars = 1) entry ~depth =
+    let invocations =
+      List.init ntvars (fun x -> Event.Read x)
+      @ List.init ntvars (fun x -> Event.Write (x, 1))
+      @ [ Event.Try_commit ]
+    in
     let checked = ref 0 and fallbacks = ref 0 and bad = ref [] in
     run entry ~nprocs:2 ~ntvars ~invocations ~depth ~on_history:(fun h _ ->
         incr checked;

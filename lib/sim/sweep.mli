@@ -145,7 +145,6 @@ module Exhaustive : sig
 
   val screen :
     ?ntvars:int ->
-    ?invocations:Event.invocation list ->
     Tm_impl.Registry.entry ->
     depth:int ->
     screen
@@ -153,8 +152,8 @@ module Exhaustive : sig
       every schedule of [depth] actions and screen each history with the
       linear-time {!Tm_safety.Monitor}, falling back to the exact
       {!Tm_safety.Opacity.is_opaque} where the monitor finds no witness.
-      Defaults: one binary t-variable, the menu [read x0], [write (x0,
-      1)], [tryC]. *)
+      Each process's menu reads every t-variable, writes 1 to every
+      t-variable, then [tryC]s, over [ntvars] t-variables (default 1). *)
 
   val count_nodes :
     Tm_impl.Registry.entry ->

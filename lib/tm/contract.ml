@@ -16,16 +16,19 @@ let cells r =
 type t = {
   tm_name : string;
   expected : row;
+  mid_commit_depth : int;
   global_progress_fault_prone : bool;
   notes : string;
 }
 
-(* [v name healthy crash-after-write mid-commit parasite global notes] *)
-let v tm_name healthy crash_after_write mid_commit parasite
-    global_progress_fault_prone notes =
+(* [v name healthy crash-after-write mid-commit parasite global notes];
+   a multi-poll commit names the poll its lock phase ends on. *)
+let v ?(mid_commit_depth = 0) tm_name healthy crash_after_write mid_commit
+    parasite global_progress_fault_prone notes =
   {
     tm_name;
     expected = { healthy; crash_after_write; mid_commit; parasite };
+    mid_commit_depth;
     global_progress_fault_prone;
     notes;
   }
@@ -35,7 +38,7 @@ let all =
     v "global-lock" true false false false false
       "blocking; local progress when nobody is faulty (§3.2.1)";
     v "fgp" true true true true true "the paper's Theorem-3 automaton";
-    v "tl2" true true false true false
+    v ~mid_commit_depth:2 "tl2" true true false true false
       "commit-time locks strand on a mid-commit crash (§3.2.3)";
     v "tinystm" true false false false false
       "encounter-time locks strand on any mid-transaction fault";
@@ -52,11 +55,11 @@ let all =
        process";
     v "dstm-greedy" true false false false false
       "timestamp priority waits forever for an older faulty victim";
-    v "ostm" true true true true true
+    v ~mid_commit_depth:2 "ostm" true true true true true
       "lock-free helping finishes crashed commits";
-    v "norec" true true false true false
+    v ~mid_commit_depth:2 "norec" true true false true false
       "the single commit lock strands on a mid-commit crash";
-    v "mvstm" true true false true false
+    v ~mid_commit_depth:2 "mvstm" true true false true false
       "commit-time locks like TL2; reads never abort";
     v "quiescent" true false false false false
       "one open transaction starves all writers (Figures 9/12)";

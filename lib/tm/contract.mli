@@ -25,6 +25,11 @@ val cells : row -> (string * bool) list
 type t = {
   tm_name : string;
   expected : row;
+  mid_commit_depth : int;
+      (** the commit poll a mid-commit crash lands on: 2, past the lock
+          phase, for the multi-poll commits of tl2, ostm, norec and
+          mvstm; 0, right after the [tryC] invocation, for every other
+          TM *)
   global_progress_fault_prone : bool;
       (** at least one correct process always progresses, whatever the
           faults *)
