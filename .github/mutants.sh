@@ -211,6 +211,15 @@ row serve tally-dropped --leg tl2 \
   's/Tel.Instrument.add batched.(d) t.t_batched/Tel.Instrument.add batched.(d) 0/' \
   -- sh -c 'dune exec test/test_serve.exe -- test server 10 --color=never > serve-tally-mutant.log 2>&1'
 
+# Time every closed-loop request, as before sampling: each kind then has
+# one latency sample per admitted request, so test_serve "final scrape
+# agrees with the outcome" (exactly (n + 15) / 16 samples per kind per
+# domain) must FAIL on the sample count.
+row serve unsampled-latency --leg tl2 \
+  --expect 'latency samples' serve-sampling-mutant.log lib/serve/server.ml \
+  's/t.t_by_kind.(kind) land 15 = 1/true/' \
+  -- sh -c 'dune exec test/test_serve.exe -- test server 10 --color=never > serve-sampling-mutant.log 2>&1'
+
 # Put each domain's op counter into the serving chaos verdict document:
 # test_serve "crash-holding-locks tl2" runs the plan twice and compares
 # the two documents byte for byte, so "chaos json stable" must FAIL.

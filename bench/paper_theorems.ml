@@ -28,14 +28,14 @@ let t1 () =
               (* A TM without global progress starves even the winner —
                  the Figure 9/12 outcome, produced by the quiescent
                  strawman and by the priority Fgp (the suspended victim is
-                 its top priority). *)
+                 its top priority); their contract rows say so. *)
               check
                 (Fmt.str "%-16s starves everyone (quiescent/priority)"
                    entry.Reg.entry_name)
                 ~paper:true
                 ~measured:
-                  (List.mem entry.Reg.entry_name
-                     [ "quiescent"; "fgp-priority" ])
+                  (Option.get (Tm_impl.Contract.find entry.Reg.entry_name))
+                    .winner_starves
           | (Victim_committed | Victim_starves) as v ->
               check
                 (Fmt.str "%-16s p1 never commits" entry.Reg.entry_name)

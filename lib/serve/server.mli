@@ -43,12 +43,18 @@
     Each executor domain counts into its own tally of plain fields:
     requests, admitted, shed, batched and mutators, admitted requests by
     kind, and a plain per-kind {!Tm_sim.Hist.log2} latency histogram.
-    No atomic is touched per request.  The worker returns its tally
-    through [Domain.join], which orders every write the domain made
-    before [run]'s reads of it, so those plain reads are exact.  After
-    the join, {!run} builds {!outcome} from the tallies, adds them into
-    its registered [tm_serve_*] counters once per instrument and merges
-    the latency histograms, all before the final scrape.
+    No atomic is touched per request.  The histogram holds the timed
+    requests' service times: every admitted request in the open loop,
+    whose recorder stamps each one anyway; in the closed loop, one in 16
+    per kind per executor (each kind's 1st, 17th, 33rd, ... admitted
+    request), so the other fifteen run with no clock read.  A kind with
+    [n] admitted requests on an executor has [(n + 15) / 16] samples
+    there.  The worker returns its tally through [Domain.join], which
+    orders every write the domain made before [run]'s reads of it, so
+    those plain reads are exact.  After the join, {!run} builds
+    {!outcome} from the tallies, adds them into its registered
+    [tm_serve_*] counters once per instrument and merges the latency
+    histograms, all before the final scrape.
     The rule this relies on: {!run}'s instruments have no live reader.
     A scrape sees them only at [ts = 0] (all zero) and at
     [ts = total_requests] (after publication).  [tmlive top --serve]
@@ -183,7 +189,11 @@ type outcome = {
   s_commits : int;
   s_aborts : int;
   s_flushes : int;  (** combiner flush transactions *)
-  s_latency : lat list;  (** per kind, {!Workload.kinds} order *)
+  s_latency : lat list;
+      (** service time per kind, {!Workload.kinds} order, of the timed
+          requests: every admitted request in the open loop, one in 16
+          per kind per executor in the closed loop (see Bookkeeping and
+          publication) *)
   s_open : Tm_telemetry.Latency_recorder.summary option;
       (** open-loop latency (queueing/service/sojourn from the scheduled
           arrival, censored p99): present iff [c_arrival] was set;
@@ -220,7 +230,9 @@ val to_json : outcome -> string
 
 val pp_summary : Format.formatter -> outcome -> unit
 (** The human summary: canonical counts {e plus} the measured
-    throughput/latency/abort/flush numbers. *)
+    throughput/latency/abort/flush numbers.  A closed-loop [latency]
+    line ends in [sampled 1 in 16]: its [n=] counts the timed requests,
+    not the admitted ones. *)
 
 (** {2 Chaos against the serving path}
 

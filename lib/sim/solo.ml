@@ -1,11 +1,9 @@
 (* The commit poll a mid-commit crash lands on, from the TM's contract
    row; right after the tryC invocation for a TM without one. *)
 let mid_commit_depth (entry : Tm_impl.Registry.entry) =
-  List.find_map
-    (fun (c : Tm_impl.Contract.t) ->
-      if c.tm_name = entry.entry_name then Some c.mid_commit_depth else None)
-    Tm_impl.Contract.all
-  |> Option.value ~default:0
+  Tm_impl.Contract.find entry.entry_name
+  |> Option.fold ~none:0 ~some:(fun (c : Tm_impl.Contract.t) ->
+         c.mid_commit_depth)
 
 let spec ?workload ~seed fate =
   let sched =

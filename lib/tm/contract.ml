@@ -18,18 +18,21 @@ type t = {
   expected : row;
   mid_commit_depth : int;
   global_progress_fault_prone : bool;
+  winner_starves : bool;
   notes : string;
 }
 
 (* [v name healthy crash-after-write mid-commit parasite global notes];
-   a multi-poll commit names the poll its lock phase ends on. *)
-let v ?(mid_commit_depth = 0) tm_name healthy crash_after_write mid_commit
-    parasite global_progress_fault_prone notes =
+   a multi-poll commit names the poll its lock phase ends on, and a TM
+   whose Theorem-1 winner starves too says so. *)
+let v ?(mid_commit_depth = 0) ?(winner_starves = false) tm_name healthy
+    crash_after_write mid_commit parasite global_progress_fault_prone notes =
   {
     tm_name;
     expected = { healthy; crash_after_write; mid_commit; parasite };
     mid_commit_depth;
     global_progress_fault_prone;
+    winner_starves;
     notes;
   }
 
@@ -61,17 +64,19 @@ let all =
       "the single commit lock strands on a mid-commit crash";
     v ~mid_commit_depth:2 "mvstm" true true false true false
       "commit-time locks like TL2; reads never abort";
-    v "quiescent" true false false false false
+    v ~winner_starves:true "quiescent" true false false false false
       "one open transaction starves all writers (Figures 9/12)";
     v "twopl" true false false false false
       "a faulty lock holder is not waiting, so deadlock detection cannot \
        free its locks";
     (* Priority progress only: even a healthy p1, the top priority,
        starves the runner under a uniform schedule. *)
-    v "fgp-priority" false false false false false
+    v ~winner_starves:true "fgp-priority" false false false false false
       "priority progress only: a fault above you in the priority order \
        starves you";
   ]
+
+let find name = List.find_opt (fun c -> c.tm_name = name) all
 
 let pp ppf c =
   let r = c.expected in

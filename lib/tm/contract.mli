@@ -2,9 +2,10 @@
 
     This is the Section-3.2.3 classification — extended to the whole zoo —
     in queryable form: for each TM, the expected row of the solo-progress
-    matrix, and whether it guarantees global progress in every
-    fault-prone system.  The system assumptions under which a TM
-    guarantees a solo runner's progress are derived from that row.
+    matrix, whether it guarantees global progress in every fault-prone
+    system, and whether Theorem 1's adversary starves its winner too.
+    The system assumptions under which a TM guarantees a solo runner's
+    progress are derived from that row.
     [Tm_sim.Solo.measure] measures the same row, and the test suite and
     bench Z1 compare the two cell by cell, so this table cannot silently
     drift from the implementations. *)
@@ -33,10 +34,17 @@ type t = {
   global_progress_fault_prone : bool;
       (** at least one correct process always progresses, whatever the
           faults *)
+  winner_starves : bool;
+      (** Theorem 1's adversary starves its winner p2 as well as p1
+          (the Figure 9/12 outcome): true for the quiescent strawman and
+          for fgp-priority, whose suspended victim is its top priority *)
   notes : string;
 }
 
 val all : t list
+
+val find : string -> t option
+(** The contract of the TM of that registry name. *)
 
 val pp : Format.formatter -> t -> unit
 (** The TM's solo assumptions: crash-free unless both crash cells of

@@ -581,8 +581,10 @@ let test_server_telemetry_op_clock () =
 (* The final scrape agrees with the outcome.  Executors count into
    plain per-domain tallies that [Server.run] publishes into the
    registry after joining them, and builds the outcome from; both views
-   must hold the same numbers, and each admitted request is observed
-   once in the per-kind latency histograms. *)
+   must hold the same numbers.  A closed-loop executor times each
+   kind's 1st, 17th, 33rd, ... admitted request, so a kind with [n]
+   admitted requests on a domain has exactly [(n + 15) / 16] latency
+   samples there; the replay of the admission model counts them. *)
 let test_server_telemetry_agrees () =
   List.iter
     (fun (domains, batching) ->
@@ -627,12 +629,24 @@ let test_server_telemetry_agrees () =
             n
             (num "tm_serve_admitted_kind_total" [ ("kind", k) ]))
         o.Server.s_by_kind;
-      Alcotest.(check int)
-        (what ^ ": latency samples = admitted")
-        o.Server.s_admitted
-        (List.fold_left
-           (fun a l -> a + l.Server.l_snap.Tel.Instrument.count)
-           0 o.Server.s_latency);
+      let wl = Server.workload cfg in
+      let sampled = Array.make (List.length Workload.kinds) 0 in
+      for d = 0 to domains - 1 do
+        let n = Array.make (List.length Workload.kinds) 0 in
+        Server.iter_requests cfg wl ~domain:d
+          ~f:(fun ~client:_ ~index:_ req ~admitted ->
+            if admitted then
+              let k = Workload.kind_index req in
+              n.(k) <- n.(k) + 1);
+        Array.iteri (fun k n -> sampled.(k) <- sampled.(k) + ((n + 15) / 16)) n
+      done;
+      List.iteri
+        (fun k l ->
+          Alcotest.(check int)
+            (Fmt.str "%s: %s latency samples = 1 in 16 admitted per domain"
+               what l.Server.l_kind)
+            sampled.(k) l.Server.l_snap.Tel.Instrument.count)
+        o.Server.s_latency;
       Alcotest.(check bool)
         (what ^ ": every count is exercised")
         true
@@ -712,6 +726,12 @@ let test_server_sojourn_reconciles () =
   and so = y.Tel.Latency_recorder.y_sojourn in
   Alcotest.(check int) "every admitted request completed" o.Server.s_admitted
     so.Tel.Instrument.count;
+  List.iter2
+    (fun l (k, n) ->
+      Alcotest.(check int)
+        (Fmt.str "open loop times every admitted %s" k)
+        n l.Server.l_snap.Tel.Instrument.count)
+    o.Server.s_latency o.Server.s_by_kind;
   Alcotest.(check int) "queueing + service = sojourn"
     so.Tel.Instrument.sum
     (q.Tel.Instrument.sum + sv.Tel.Instrument.sum)
