@@ -70,8 +70,23 @@ row build-and-test mvstm-mid-commit-verdicts lib/tm/contract.ml \
 # process's tryC with an abort: test_tm "figure 15 has no abort
 # transition", which replays every poll of the exploration, must FAIL.
 row build-and-test fgp-lone-abort lib/tm/fgp.ml \
-  's/| Event.Try_commit -> deliver_commit t p)/| Event.Try_commit ->\n                if t.cfg.nprocs = 1 then deliver_abort t p\n                else deliver_commit t p)/' \
+  's/^            else deliver_commit t p))$/            else if t.cfg.nprocs = 1 then deliver_abort ~priority t p\n            else deliver_commit t p))/' \
   -- dune exec test/test_tm.exe -- test "fgp figures" 2
+
+# fgp-priority's abort also drops the aborted process from CP, so the
+# next commit does not doom it.  Keep it in CP, as Fgp does: test_tm
+# "only fgp-priority's abort leaves CP" must FAIL (p2's next read
+# aborts under both variants).
+row build-and-test fgp-priority-cp-drop lib/tm/fgp.ml \
+  's/^  if priority then t.cp.(p) <- false;$/  if priority then ();/' \
+  -- dune exec test/test_tm.exe -- test "fgp variants" 0
+
+# Tm_intf.Make empties a process's mailbox exactly when its TM answers.
+# Leave it full: every zoo TM then keeps a phantom pending invocation,
+# and test_sim "whole zoo conforms" must FAIL.
+row build-and-test mailbox-kept lib/tm/tm_intf.ml \
+  's/^            Mailbox.clear m p;$//' \
+  -- dune exec test/test_sim.exe -- test conformance 0
 
 # ---- analyze ----
 

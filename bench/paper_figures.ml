@@ -142,29 +142,9 @@ let f15 () =
 let f16 () =
   section "F16" "Figure 16: the example history Hex of Fgp";
   let cfg = Tm_impl.Tm_intf.config ~nprocs:3 ~ntvars:2 () in
-  let t = Tm_impl.Fgp.create cfg in
-  let h = ref History.empty in
-  let invoke p inv =
-    Tm_impl.Fgp.invoke t p inv;
-    h := History.append !h (Event.Inv (p, inv))
-  in
-  let poll p =
-    match Tm_impl.Fgp.poll t p with
-    | Some r -> h := History.append !h (Event.Res (p, r))
-    | None -> ()
-  in
-  let x = 0 and y = 1 in
-  (* The figure, step by step: [`I] invokes, [`P] polls for a response. *)
-  List.iter
-    (function `I (p, inv) -> invoke p inv | `P p -> poll p)
-    [
-      `I (1, Event.Read x); `P 1; `I (2, Event.Write (y, 1));
-      `I (1, Event.Write (x, 1)); `P 1; `I (1, Event.Try_commit); `P 1; `P 2;
-      `I (3, Event.Read y); `P 3; `I (3, Event.Write (y, 1)); `P 3;
-      `I (1, Event.Read y); `P 1; `I (3, Event.Try_commit); `P 3;
-      `I (1, Event.Try_commit); `P 1; `I (2, Event.Read y); `P 2;
-      `I (2, Event.Read x); `P 2; `I (2, Event.Try_commit); `P 2;
-    ];
+  let fgp = Tm_impl.Tm_intf.pack (module Tm_impl.Fgp) cfg in
+  (* The figure, step by step: each response is Fgp's first poll's. *)
+  let h = Tm_impl.Tm_intf.replay fgp ~patience:0 Figures.fig16 in
   check "replayed history equals Figure 16" ~paper:true
-    ~measured:(History.equal !h Figures.fig16);
-  check "Hex is opaque" ~paper:true ~measured:(opaque !h)
+    ~measured:(History.equal h Figures.fig16);
+  check "Hex is opaque" ~paper:true ~measured:(opaque h)

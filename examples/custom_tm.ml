@@ -1,4 +1,4 @@
-(* Tutorial: implement your own TM against Tm_intf and validate it with
+(* Tutorial: implement your own TM with Tm_intf.Make and validate it with
    the library's pipeline — exhaustive schedule sweep + opacity monitor,
    the exact checker, and the Theorem-1 adversary.
 
@@ -13,9 +13,10 @@
 
 open Tm_history
 
-(* A deferred-update TM with commit-time value validation.  The [checked]
-   flag selects the buggy variant (no read-time consistency: a transaction
-   can observe two different snapshots before it ever reaches commit). *)
+(* A deferred-update TM with commit-time value validation.  The
+   [read_time_validation] flag selects the buggy variant (no read-time
+   consistency: a transaction can observe two different snapshots before
+   it ever reaches commit). *)
 module Make (Flag : sig
   val read_time_validation : bool
   val name : string
@@ -25,6 +26,8 @@ end) : Tm_impl.Tm_intf.S = struct
     mutable writes : (Event.tvar * Event.value) list;
   }
 
+  (* The TM's state keeps its own [cfg] and [mail] (the pending
+     invocation of each process). *)
   type t = {
     cfg : Tm_impl.Tm_intf.config;
     mail : Tm_impl.Tm_intf.Mailbox.t;
@@ -32,82 +35,81 @@ end) : Tm_impl.Tm_intf.S = struct
     txns : txn array;
   }
 
-  let name = Flag.name
-  let describe = "tutorial TM (examples/custom_tm.ml)"
-
-  let create cfg =
-    {
-      cfg;
-      mail = Tm_impl.Tm_intf.Mailbox.create cfg;
-      store = Array.make cfg.ntvars 0;
-      txns =
-        Array.init (cfg.nprocs + 1) (fun _ -> { reads = []; writes = [] });
-    }
-
-  let invoke t p inv =
-    Tm_impl.Tm_intf.Mailbox.check_range t.cfg p inv;
-    Tm_impl.Tm_intf.Mailbox.put t.mail p inv
-
   let reads_valid t txn =
     List.for_all (fun (x, v) -> t.store.(x) = v) txn.reads
 
-  let poll t p =
-    match Tm_impl.Tm_intf.Mailbox.get t.mail p with
-    | None -> None
-    | Some inv ->
-        let txn = t.txns.(p) in
-        let reset () = t.txns.(p) <- { reads = []; writes = [] } in
-        let resp =
-          match inv with
-          | Event.Read x -> (
-              match List.assoc_opt x txn.writes with
-              | Some v -> Event.Value v
-              | None ->
-                  (* THE BUG (when read_time_validation is false): return
-                     the current value without checking that the reads so
-                     far still hold, so two reads can come from two
-                     different committed states. *)
-                  if Flag.read_time_validation && not (reads_valid t txn)
-                  then begin
-                    reset ();
-                    Event.Aborted
-                  end
-                  else begin
-                    txn.reads <- (x, t.store.(x)) :: txn.reads;
-                    Event.Value t.store.(x)
-                  end)
-          | Event.Write (x, v) ->
-              txn.writes <- (x, v) :: txn.writes;
-              Event.Ok_written
-          | Event.Try_commit ->
-              if reads_valid t txn then begin
-                List.iter
-                  (fun (x, v) -> t.store.(x) <- v)
-                  (List.rev txn.writes);
-                reset ();
-                Event.Committed
-              end
-              else begin
-                reset ();
-                Event.Aborted
-              end
-        in
-        Tm_impl.Tm_intf.Mailbox.clear t.mail p;
-        Some resp
+  (* We write the state's life cycle and one bounded [step];
+     [Tm_intf.Make] supplies [invoke], [poll] and [pending] around it:
+     the range checks, the mailbox, one response per invocation. *)
+  include Tm_impl.Tm_intf.Make (struct
+    type nonrec t = t
 
-  let pending t p = Tm_impl.Tm_intf.Mailbox.get t.mail p
+    let name = Flag.name
+    let describe = "tutorial TM (examples/custom_tm.ml)"
 
-  (* The model checker expands each schedule node from a copy of its
-     parent, so a copy must share no mutable block with the original:
-     copy every array and every mutable record (the lists inside are
-     immutable and may be shared). *)
-  let copy t =
-    {
-      t with
-      mail = Tm_impl.Tm_intf.Mailbox.copy t.mail;
-      store = Array.copy t.store;
-      txns = Array.map (fun txn -> { txn with reads = txn.reads }) t.txns;
-    }
+    let create cfg =
+      {
+        cfg;
+        mail = Tm_impl.Tm_intf.Mailbox.create cfg;
+        store = Array.make cfg.ntvars 0;
+        txns =
+          Array.init (cfg.nprocs + 1) (fun _ -> { reads = []; writes = [] });
+      }
+
+    (* The model checker expands each schedule node from a copy of its
+       parent, so a copy must share no mutable block with the original:
+       copy every array and every mutable record (the lists inside are
+       immutable and may be shared). *)
+    let copy t =
+      {
+        t with
+        mail = Tm_impl.Tm_intf.Mailbox.copy t.mail;
+        store = Array.copy t.store;
+        txns = Array.map (fun txn -> { txn with reads = txn.reads }) t.txns;
+      }
+
+    let cfg t = t.cfg
+    let mail t = t.mail
+
+    (* One step on p's pending invocation [inv]: [Some] answers it; a TM
+       that must wait returns [None] and is polled again.  This one
+       always answers. *)
+    let step t p inv =
+      let txn = t.txns.(p) in
+      let reset () = t.txns.(p) <- { reads = []; writes = [] } in
+      Some
+        (match inv with
+        | Event.Read x -> (
+            match List.assoc_opt x txn.writes with
+            | Some v -> Event.Value v
+            | None ->
+                (* THE BUG (when read_time_validation is false): return
+                   the current value without checking that the reads so
+                   far still hold, so two reads can come from two
+                   different committed states. *)
+                if Flag.read_time_validation && not (reads_valid t txn)
+                then begin
+                  reset ();
+                  Event.Aborted
+                end
+                else begin
+                  txn.reads <- (x, t.store.(x)) :: txn.reads;
+                  Event.Value t.store.(x)
+                end)
+        | Event.Write (x, v) ->
+            txn.writes <- (x, v) :: txn.writes;
+            Event.Ok_written
+        | Event.Try_commit ->
+            if reads_valid t txn then begin
+              List.iter (fun (x, v) -> t.store.(x) <- v) (List.rev txn.writes);
+              reset ();
+              Event.Committed
+            end
+            else begin
+              reset ();
+              Event.Aborted
+            end)
+  end)
 end
 
 let entry_of (module M : Tm_impl.Tm_intf.S) =

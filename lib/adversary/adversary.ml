@@ -28,18 +28,13 @@ module Drive = struct
   let make tm patience = { tm; history = History.empty; patience }
 
   let op d p inv =
-    d.history <- History.append d.history (Event.Inv (p, inv));
-    d.tm.Tm_impl.Tm_intf.invoke p inv;
-    let rec wait n =
-      if n > d.patience then raise Blocked
-      else
-        match d.tm.Tm_impl.Tm_intf.poll p with
-        | Some resp ->
-            d.history <- History.append d.history (Event.Res (p, resp));
-            resp
-        | None -> wait (n + 1)
-    in
-    wait 0
+    match
+      Tm_impl.Tm_intf.call d.tm ~patience:d.patience
+        ~record:(fun e -> d.history <- History.append d.history e)
+        p inv
+    with
+    | Some resp -> resp
+    | None -> raise Blocked
 
   (* One read/write/commit attempt by the winner; [`Committed] or
      [`Aborted]. *)
@@ -75,45 +70,55 @@ end
 
 let x = 0
 
+(* The victims' moves, shared by both algorithms (p1) and by the
+   n-process generalization: a read of x whose value is remembered
+   ([None] after an abort), and, after an answered read, the conflicting
+   write and commit (Step 3 of Algorithm 1, Step 2 of Algorithm 2) that
+   an opaque TM must abort.  [commits] and [aborts] count per process. *)
+type victims = {
+  values : int option array;
+  commits : int array;
+  aborts : int array;
+}
+
+let victims nprocs =
+  {
+    values = Array.make (nprocs + 1) None;
+    commits = Array.make (nprocs + 1) 0;
+    aborts = Array.make (nprocs + 1) 0;
+  }
+
+let victim_read d v p =
+  match Drive.op d p (Event.Read x) with
+  | Event.Value value -> v.values.(p) <- Some value
+  | Event.Aborted ->
+      v.aborts.(p) <- v.aborts.(p) + 1;
+      v.values.(p) <- None
+  | Event.Ok_written | Event.Committed -> assert false
+
+let victim_attempt d v p =
+  match v.values.(p) with
+  | None -> ()
+  | Some value -> (
+      v.values.(p) <- None;
+      match Drive.op d p (Event.Write (x, value + 1)) with
+      | Event.Aborted -> v.aborts.(p) <- v.aborts.(p) + 1
+      | Event.Ok_written -> (
+          match Drive.op d p Event.Try_commit with
+          | Event.Committed -> v.commits.(p) <- v.commits.(p) + 1
+          | Event.Aborted -> v.aborts.(p) <- v.aborts.(p) + 1
+          | Event.Value _ | Event.Ok_written -> assert false)
+      | Event.Value _ | Event.Committed -> assert false)
+
 let run ?(patience = 200) ?(rounds = 50) entry algorithm =
   let cfg = Tm_impl.Tm_intf.config ~nprocs:2 ~ntvars:1 () in
   let tm = Tm_impl.Registry.instance entry cfg in
   let d = Drive.make tm patience in
-  let victim_commits = ref 0 in
-  let victim_aborts = ref 0 in
+  let v = victims 2 in
+  let terminated () = v.commits.(1) > 0 in
   let winner_commits = ref 0 in
-  let terminated = ref false in
   let blocked = ref false in
   let completed = ref 0 in
-  (* p1's last read response, [None] when the last response was an
-     abort. *)
-  let p1_value = ref None in
-  let p1_read () =
-    match Drive.op d 1 (Event.Read x) with
-    | Event.Value v -> p1_value := Some v
-    | Event.Aborted ->
-        incr victim_aborts;
-        p1_value := None
-    | Event.Ok_written | Event.Committed -> assert false
-  in
-  (* Step 3 of Algorithm 1 / Step 2 of Algorithm 2: p1 attempts the
-     conflicting write and commit; an opaque TM must abort it. *)
-  let p1_attempt () =
-    match !p1_value with
-    | None -> ()
-    | Some v -> (
-        p1_value := None;
-        match Drive.op d 1 (Event.Write (x, v + 1)) with
-        | Event.Aborted -> incr victim_aborts
-        | Event.Ok_written -> (
-            match Drive.op d 1 Event.Try_commit with
-            | Event.Committed ->
-                incr victim_commits;
-                terminated := true
-            | Event.Aborted -> incr victim_aborts
-            | Event.Value _ | Event.Ok_written -> assert false)
-        | Event.Value _ | Event.Committed -> assert false)
-  in
   let winner_starved = ref false in
   (try
      match algorithm with
@@ -121,12 +126,12 @@ let run ?(patience = 200) ?(rounds = 50) entry algorithm =
          (* p1 reads once (Step 1), then is suspended; each round: p2
             retries until it commits (Step 2), p1 attempts (Step 3) and,
             aborted, reads again. *)
-         p1_read ();
-         while (not !terminated) && !completed < rounds do
+         victim_read d v 1;
+         while (not (terminated ())) && !completed < rounds do
            let _aborted = Drive.commit_cycle d 2 x ~max_attempts:patience in
            incr winner_commits;
-           p1_attempt ();
-           if not !terminated then p1_read ();
+           victim_attempt d v 1;
+           if not (terminated ()) then victim_read d v 1;
            incr completed
          done
      | Algorithm_2 ->
@@ -137,15 +142,15 @@ let run ?(patience = 200) ?(rounds = 50) entry algorithm =
          let iterations = ref 0 in
          let iteration_cap = rounds * patience in
          while
-           (not !terminated) && !completed < rounds
+           (not (terminated ())) && !completed < rounds
            && !iterations < iteration_cap
          do
            incr iterations;
-           p1_read ();
+           victim_read d v 1;
            match Drive.one_attempt d 2 x with
            | `Committed ->
                incr winner_commits;
-               p1_attempt ();
+               victim_attempt d v 1;
                incr completed
            | `Aborted -> ()
          done;
@@ -157,12 +162,12 @@ let run ?(patience = 200) ?(rounds = 50) entry algorithm =
   {
     history = d.Drive.history;
     rounds_completed = !completed;
-    victim_commits = !victim_commits;
-    victim_aborts = !victim_aborts;
+    victim_commits = v.commits.(1);
+    victim_aborts = v.aborts.(1);
     winner_commits = !winner_commits;
     blocked = !blocked;
     winner_starved = !winner_starved;
-    terminated = !terminated;
+    terminated = terminated ();
   }
 
 module General = struct
@@ -180,45 +185,20 @@ module General = struct
     let cfg = Tm_impl.Tm_intf.config ~nprocs ~ntvars:1 () in
     let tm = Tm_impl.Registry.instance entry cfg in
     let d = Drive.make tm patience in
-    let commits = Array.make (nprocs + 1) 0 in
-    let aborts = Array.make (nprocs + 1) 0 in
+    let v = victims nprocs in
     let blocked = ref false in
-    let any_victim_committed = ref false in
     let completed = ref 0 in
     let winner = nprocs in
-    let victims = List.init (nprocs - 1) (fun i -> i + 1) in
-    (* Per-victim last read value ([None] after an abort). *)
-    let values = Array.make (nprocs + 1) None in
-    let victim_read p =
-      match Drive.op d p (Event.Read x) with
-      | Event.Value v -> values.(p) <- Some v
-      | Event.Aborted ->
-          aborts.(p) <- aborts.(p) + 1;
-          values.(p) <- None
-      | Event.Ok_written | Event.Committed -> assert false
-    in
-    let victim_attempt p =
-      match values.(p) with
-      | None -> ()
-      | Some v -> (
-          values.(p) <- None;
-          match Drive.op d p (Event.Write (x, v + 1)) with
-          | Event.Aborted -> aborts.(p) <- aborts.(p) + 1
-          | Event.Ok_written -> (
-              match Drive.op d p Event.Try_commit with
-              | Event.Committed ->
-                  commits.(p) <- commits.(p) + 1;
-                  any_victim_committed := true
-              | Event.Aborted -> aborts.(p) <- aborts.(p) + 1
-              | Event.Value _ | Event.Ok_written -> assert false)
-          | Event.Value _ | Event.Committed -> assert false)
+    let victim_procs = List.init (nprocs - 1) (fun i -> i + 1) in
+    let any_victim_committed () =
+      List.exists (fun p -> v.commits.(p) > 0) victim_procs
     in
     (try
-       while (not !any_victim_committed) && !completed < rounds do
-         List.iter victim_read victims;
+       while (not (any_victim_committed ())) && !completed < rounds do
+         List.iter (victim_read d v) victim_procs;
          let _ = Drive.commit_cycle d winner x ~max_attempts:patience in
-         commits.(winner) <- commits.(winner) + 1;
-         List.iter victim_attempt victims;
+         v.commits.(winner) <- v.commits.(winner) + 1;
+         List.iter (victim_attempt d v) victim_procs;
          incr completed
        done
      with
@@ -231,10 +211,10 @@ module General = struct
     {
       history = d.Drive.history;
       rounds_completed = !completed;
-      commits;
-      aborts;
+      commits = v.commits;
+      aborts = v.aborts;
       blocked = !blocked;
-      any_victim_committed = !any_victim_committed;
+      any_victim_committed = any_victim_committed ();
     }
 end
 

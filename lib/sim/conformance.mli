@@ -2,10 +2,11 @@ open Tm_history
 
 (** Interface-conformance checking for TM implementations.
 
-    The zoo's implementations satisfy these obligations by construction
-    (their shared [Mailbox] enforces most of them), but a TM written by a
-    downstream user against {!Tm_impl.Tm_intf.S} (see
-    [examples/custom_tm.ml]) should be checked:
+    The zoo's implementations satisfy most of these obligations by
+    construction ({!Tm_impl.Tm_intf.Make} owns their mailboxes and
+    empties one exactly when its TM answers), but a TM written by a
+    downstream user — on [Make] (see [examples/custom_tm.ml]) or directly
+    against {!Tm_impl.Tm_intf.S} — should be checked:
 
     - a poll with no pending invocation returns [None];
     - every response matches the kind of the pending invocation

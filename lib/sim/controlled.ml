@@ -7,20 +7,15 @@ type outcome = {
 }
 
 (* Execute one complete operation against the TM on behalf of [p],
-   recording events; polls until the TM answers. *)
+   recording events. *)
 let exec_op tm history p inv =
-  history := History.append !history (Event.Inv (p, inv));
-  tm.Tm_impl.Tm_intf.invoke p inv;
-  let rec wait n =
-    if n > 10_000 then failwith "controlled executor: TM not responding"
-    else
-      match tm.Tm_impl.Tm_intf.poll p with
-      | Some r ->
-          history := History.append !history (Event.Res (p, r));
-          r
-      | None -> wait (n + 1)
-  in
-  wait 0
+  match
+    Tm_impl.Tm_intf.call tm ~patience:10_000
+      ~record:(fun e -> history := History.append !history e)
+      p inv
+  with
+  | Some r -> r
+  | None -> failwith "controlled executor: TM not responding"
 
 (* Run one body to completion; [`Committed] or [`Aborted] (one attempt). *)
 let attempt tm history p body =

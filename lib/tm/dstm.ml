@@ -30,22 +30,6 @@ let fresh_txn () =
     timestamp = 0;
   }
 
-let create_with cm cfg =
-  {
-    cfg;
-    mail = Tm_intf.Mailbox.create cfg;
-    time = 0;
-    committed = Array.make cfg.ntvars 0;
-    tentative = Array.make cfg.ntvars 0;
-    owner = Array.make cfg.ntvars None;
-    txns = Array.init (cfg.nprocs + 1) (fun _ -> fresh_txn ());
-    cm;
-  }
-
-let invoke_t t p inv =
-  Tm_intf.Mailbox.check_range t.cfg p inv;
-  Tm_intf.Mailbox.put t.mail p inv
-
 let begin_if_needed t p =
   let txn = t.txns.(p) in
   if not txn.started then begin
@@ -101,103 +85,104 @@ let resolve t p q =
       `Wait
   | Cm.Abort_self -> `Abort_self
 
-let poll_t t p =
-  match Tm_intf.Mailbox.get t.mail p with
-  | None -> None
-  | Some inv ->
-      begin_if_needed t p;
-      let txn = t.txns.(p) in
-      let answer resp =
-        Tm_intf.Mailbox.clear t.mail p;
-        Some resp
-      in
-      if txn.doomed then answer (deliver_abort t p)
-      else if not (reads_valid t p) then answer (deliver_abort t p)
-      else
-        let use_variable x k =
-          match t.owner.(x) with
-          | Some q when q <> p -> (
-              match resolve t p q with
-              | `Proceed -> k ()
-              | `Wait -> None
-              | `Abort_self -> answer (deliver_abort t p))
-          | Some _ | None -> k ()
-        in
-        let step () =
-          match inv with
-          | Event.Read x ->
-              use_variable x (fun () ->
-                  let v =
-                    if t.owner.(x) = Some p then t.tentative.(x)
-                    else t.committed.(x)
-                  in
-                  if t.owner.(x) <> Some p then txn.reads <- (x, v) :: txn.reads;
-                  txn.ops_done <- txn.ops_done + 1;
-                  txn.waits <- 0;
-                  answer (Event.Value v))
-          | Event.Write (x, v) ->
-              use_variable x (fun () ->
-                  if t.owner.(x) <> Some p then t.owner.(x) <- Some p;
-                  t.tentative.(x) <- v;
-                  txn.ops_done <- txn.ops_done + 1;
-                  txn.waits <- 0;
-                  answer Event.Ok_written)
-          | Event.Try_commit ->
-              (* Commit is one atomic step: re-validate reads, then install
-                 tentative values. *)
-              if not (reads_valid t p) then answer (deliver_abort t p)
-              else begin
-                Array.iteri
-                  (fun x o ->
-                    if o = Some p then begin
-                      t.committed.(x) <- t.tentative.(x);
-                      t.owner.(x) <- None
-                    end)
-                  t.owner;
-                t.txns.(p) <- fresh_txn ();
-                answer Event.Committed
-              end
-        in
-        step ()
+let step t p inv =
+  begin_if_needed t p;
+  let txn = t.txns.(p) in
+  if txn.doomed then Some (deliver_abort t p)
+  else if not (reads_valid t p) then Some (deliver_abort t p)
+  else
+    let use_variable x k =
+      match t.owner.(x) with
+      | Some q when q <> p -> (
+          match resolve t p q with
+          | `Proceed -> k ()
+          | `Wait -> None
+          | `Abort_self -> Some (deliver_abort t p))
+      | Some _ | None -> k ()
+    in
+    match inv with
+    | Event.Read x ->
+        use_variable x (fun () ->
+            let v =
+              if t.owner.(x) = Some p then t.tentative.(x)
+              else t.committed.(x)
+            in
+            if t.owner.(x) <> Some p then txn.reads <- (x, v) :: txn.reads;
+            txn.ops_done <- txn.ops_done + 1;
+            txn.waits <- 0;
+            Some (Event.Value v))
+    | Event.Write (x, v) ->
+        use_variable x (fun () ->
+            if t.owner.(x) <> Some p then t.owner.(x) <- Some p;
+            t.tentative.(x) <- v;
+            txn.ops_done <- txn.ops_done + 1;
+            txn.waits <- 0;
+            Some Event.Ok_written)
+    | Event.Try_commit ->
+        (* Commit is one atomic step: re-validate reads, then install
+           tentative values. *)
+        if not (reads_valid t p) then Some (deliver_abort t p)
+        else begin
+          Array.iteri
+            (fun x o ->
+              if o = Some p then begin
+                t.committed.(x) <- t.tentative.(x);
+                t.owner.(x) <- None
+              end)
+            t.owner;
+          t.txns.(p) <- fresh_txn ();
+          Some Event.Committed
+        end
 
-let pending_t t p = Tm_intf.Mailbox.get t.mail p
+module Variant (C : sig
+  val cm : Cm.t
+end) =
+Tm_intf.Make (struct
+  type nonrec t = t
 
-let copy_t t =
-  {
-    t with
-    mail = Tm_intf.Mailbox.copy t.mail;
-    committed = Array.copy t.committed;
-    tentative = Array.copy t.tentative;
-    owner = Array.copy t.owner;
-    txns = Array.map (fun txn -> { txn with started = txn.started }) t.txns;
-  }
+  let name = "dstm-" ^ C.cm.Cm.cm_name
+
+  let describe =
+    "DSTM-style obstruction-free TM with revocable ownership, contention \
+     manager: " ^ C.cm.Cm.cm_name
+
+  let create cfg =
+    {
+      cfg;
+      mail = Tm_intf.Mailbox.create cfg;
+      time = 0;
+      committed = Array.make cfg.ntvars 0;
+      tentative = Array.make cfg.ntvars 0;
+      owner = Array.make cfg.ntvars None;
+      txns = Array.init (cfg.nprocs + 1) (fun _ -> fresh_txn ());
+      cm = C.cm;
+    }
+
+  let copy t =
+    {
+      t with
+      mail = Tm_intf.Mailbox.copy t.mail;
+      committed = Array.copy t.committed;
+      tentative = Array.copy t.tentative;
+      owner = Array.copy t.owner;
+      txns = Array.map (fun txn -> { txn with started = txn.started }) t.txns;
+    }
+
+  let cfg t = t.cfg
+  let mail t = t.mail
+  let step = step
+end)
 
 let make cm : (module Tm_intf.S) =
   (module struct
     type nonrec t = t
 
-    let name = "dstm-" ^ cm.Cm.cm_name
-
-    let describe =
-      "DSTM-style obstruction-free TM with revocable ownership, contention \
-       manager: " ^ cm.Cm.cm_name
-
-    let create = create_with cm
-    let invoke = invoke_t
-    let poll = poll_t
-    let pending = pending_t
-    let copy = copy_t
+    include Variant (struct
+      let cm = cm
+    end)
   end)
 
 (* Default variant: aggressive contention manager. *)
-let name = "dstm-aggressive"
-
-let describe =
-  "DSTM-style obstruction-free TM with revocable ownership, contention \
-   manager: aggressive"
-
-let create = create_with Cm.aggressive
-let invoke = invoke_t
-let poll = poll_t
-let pending = pending_t
-let copy = copy_t
+include Variant (struct
+  let cm = Cm.aggressive
+end)

@@ -9,36 +9,10 @@ type t = {
   committed : int array;  (** last committed snapshot, for abort delivery *)
 }
 
-let name = "fgp"
-
-let describe =
-  "the paper's Section-6 automaton: first committer of each concurrent \
-   group wins, everyone else in the group aborts (opacity + global \
-   progress in any fault-prone system)"
-
-let create cfg =
-  {
-    cfg;
-    mail = Tm_intf.Mailbox.create cfg;
-    status = Array.make (cfg.nprocs + 1) `C;
-    cp = Array.make (cfg.nprocs + 1) false;
-    vals = Array.make_matrix (cfg.nprocs + 1) cfg.ntvars 0;
-    committed = Array.make cfg.ntvars 0;
-  }
-
-(* Invocations enter the mailbox and add their process to CP; a write also
-   updates the process's view immediately, exactly as in the paper's
-   transition rules. *)
-let invoke t p inv =
-  Tm_intf.Mailbox.check_range t.cfg p inv;
-  Tm_intf.Mailbox.put t.mail p inv;
-  t.cp.(p) <- true;
-  match inv with
-  | Event.Write (x, v) -> t.vals.(p).(x) <- v
-  | Event.Read _ | Event.Try_commit -> ()
-
-let deliver_abort t p =
+let deliver_abort ~priority t p =
   t.status.(p) <- `C;
+  (* The priority variant also drops p from CP (see .mli). *)
+  if priority then t.cp.(p) <- false;
   (* Repair (see .mli): discard the doomed transaction's buffered writes by
      resetting the view to the committed snapshot. *)
   Array.blit t.committed 0 t.vals.(p) 0 t.cfg.ntvars;
@@ -56,33 +30,98 @@ let deliver_commit t p =
   Array.fill t.cp 0 (Array.length t.cp) false;
   Event.Committed
 
-let poll t p =
-  match Tm_intf.Mailbox.get t.mail p with
-  | None -> None
-  | Some inv ->
-      let resp =
-        match t.status.(p) with
-        | `A -> deliver_abort t p
-        | `C -> (
-            match inv with
-            | Event.Read x -> Event.Value t.vals.(p).(x)
-            | Event.Write (_, _) -> Event.Ok_written
-            | Event.Try_commit -> deliver_commit t p)
-      in
-      Tm_intf.Mailbox.clear t.mail p;
-      Some resp
+(* Smaller value = higher priority: the process identifier itself. *)
+let priority_of (p : Event.proc) = p
 
-let pending t p = Tm_intf.Mailbox.get t.mail p
+let higher_priority_active t p =
+  let active = ref false in
+  for k = 1 to t.cfg.nprocs do
+    if k <> p && t.cp.(k) && priority_of k < priority_of p then active := true
+  done;
+  !active
 
-let copy t =
-  {
-    t with
-    mail = Tm_intf.Mailbox.copy t.mail;
-    status = Array.copy t.status;
-    cp = Array.copy t.cp;
-    vals = Array.map Array.copy t.vals;
-    committed = Array.copy t.committed;
-  }
+let step ~priority t p inv =
+  Some
+    (match t.status.(p) with
+    | `A -> deliver_abort ~priority t p
+    | `C -> (
+        match inv with
+        | Event.Read x -> Event.Value t.vals.(p).(x)
+        | Event.Write (_, _) -> Event.Ok_written
+        | Event.Try_commit ->
+            if priority && higher_priority_active t p then
+              deliver_abort ~priority t p
+            else deliver_commit t p))
+
+(* The two variants share everything but their name and the [priority]
+   rules of [step]. *)
+module Variant (V : sig
+  val priority : bool
+end) =
+struct
+  include Tm_intf.Make (struct
+    type nonrec t = t
+
+    let name = if V.priority then "fgp-priority" else "fgp"
+
+    let describe =
+      if V.priority then
+        "Fgp with a priority commit guard: a process commits only when no \
+         higher-priority process is in the concurrent group (local \
+         progress for the top-priority process; fault-prone only below \
+         the faulty rank)"
+      else
+        "the paper's Section-6 automaton: first committer of each \
+         concurrent group wins, everyone else in the group aborts \
+         (opacity + global progress in any fault-prone system)"
+
+    let create cfg =
+      {
+        cfg;
+        mail = Tm_intf.Mailbox.create cfg;
+        status = Array.make (cfg.nprocs + 1) `C;
+        cp = Array.make (cfg.nprocs + 1) false;
+        vals = Array.make_matrix (cfg.nprocs + 1) cfg.ntvars 0;
+        committed = Array.make cfg.ntvars 0;
+      }
+
+    let copy t =
+      {
+        t with
+        mail = Tm_intf.Mailbox.copy t.mail;
+        status = Array.copy t.status;
+        cp = Array.copy t.cp;
+        vals = Array.map Array.copy t.vals;
+        committed = Array.copy t.committed;
+      }
+
+    let cfg t = t.cfg
+    let mail t = t.mail
+    let step = step ~priority:V.priority
+  end)
+
+  (* An invocation adds its process to CP; a write also updates the
+     process's view immediately, exactly as in the paper's transition
+     rules. *)
+  let invoke t p inv =
+    invoke t p inv;
+    t.cp.(p) <- true;
+    match inv with
+    | Event.Write (x, v) -> t.vals.(p).(x) <- v
+    | Event.Read _ | Event.Try_commit -> ()
+end
+
+include Variant (struct
+  let priority = false
+end)
+
+module Priority = struct
+  type nonrec t = t
+
+  include Variant (struct
+    let priority = true
+  end)
+end
 
 type state = {
   s_status : [ `C | `A ] list;
@@ -99,7 +138,7 @@ let state t =
     s_vals = List.init t.cfg.nprocs (fun k -> Array.to_list t.vals.(k + 1));
     s_pending =
       List.init t.cfg.nprocs (fun k ->
-          (k + 1, Tm_intf.Mailbox.get t.mail (k + 1)));
+          (k + 1, pending t (k + 1)));
   }
 
 let pp_state ppf s =

@@ -33,6 +33,34 @@
 
 include Tm_intf.S
 
+(** A priority variant (["fgp-priority"]), answering the paper's
+    concluding-remarks question about liveness properties that
+    "guarantee progress for processes with higher priority".
+
+    It differs from [Fgp] in two rules.  The commit rule: a process may
+    commit only if no {e higher-priority} process (lower identifier =
+    higher priority) is currently in the concurrent group; otherwise its
+    [tryC] is answered with an abort.  The abort rule: delivering [A_k]
+    also removes [pk] from [CP], where [Fgp] keeps it there until the
+    next commit.  So the next commit of another process dooms [pk] under
+    [Fgp] but not here: if p2's write is aborted and p1 then commits,
+    p2's next read aborts under [Fgp] and returns a value under this
+    variant.
+
+    Consequently the highest-priority process is never aborted at all —
+    it enjoys {e local} progress — and in fault-free runs priorities are
+    served in order (the progress_zoo and FW experiments measure this).
+    The cost is exactly what Theorem 1 predicts for any such
+    strengthening: the guarantee needs fault-freedom above you in the
+    priority order.  A crashed or parasitic process stays in the
+    concurrent group forever, and every lower-priority process aborts
+    forever — so [priority_progress] for the remaining correct processes
+    fails in fault-prone systems, and the TM as a whole still only
+    ensures global progress there when the faulty process is the
+    lowest-priority one.  Opacity is unaffected (the commit rule is
+    strictly more restrictive than [Fgp]'s). *)
+module Priority : Tm_intf.S
+
 type state
 
 val state : t -> state

@@ -9,26 +9,6 @@ type t = {
   waiting : bool array;  (** waiting.(p): p is already enqueued *)
 }
 
-let name = "global-lock"
-
-let describe =
-  "single fair global lock; never aborts; blocks while the lock is held \
-   (local progress iff crash-free and parasitic-free)"
-
-let create cfg =
-  {
-    cfg;
-    mail = Tm_intf.Mailbox.create cfg;
-    store = Array.make cfg.ntvars 0;
-    owner = None;
-    queue = Queue.create ();
-    waiting = Array.make (cfg.nprocs + 1) false;
-  }
-
-let invoke t p inv =
-  Tm_intf.Mailbox.check_range t.cfg p inv;
-  Tm_intf.Mailbox.put t.mail p inv
-
 let holds_lock t p = t.owner = Some p
 
 (* Hand the lock to the next waiter, if any. *)
@@ -53,33 +33,47 @@ let try_acquire t p =
       t.owner <- Some p;
       true
 
-let poll t p =
-  match Tm_intf.Mailbox.get t.mail p with
-  | None -> None
-  | Some inv ->
-      if not (holds_lock t p || try_acquire t p) then None
-      else begin
-        let resp =
-          match inv with
-          | Event.Read x -> Event.Value t.store.(x)
-          | Event.Write (x, v) ->
-              t.store.(x) <- v;
-              Event.Ok_written
-          | Event.Try_commit ->
-              release t;
-              Event.Committed
-        in
-        Tm_intf.Mailbox.clear t.mail p;
-        Some resp
-      end
+include Tm_intf.Make (struct
+  type nonrec t = t
 
-let pending t p = Tm_intf.Mailbox.get t.mail p
+  let name = "global-lock"
 
-let copy t =
-  {
-    t with
-    mail = Tm_intf.Mailbox.copy t.mail;
-    store = Array.copy t.store;
-    queue = Queue.copy t.queue;
-    waiting = Array.copy t.waiting;
-  }
+  let describe =
+    "single fair global lock; never aborts; blocks while the lock is held \
+     (local progress iff crash-free and parasitic-free)"
+
+  let create cfg =
+    {
+      cfg;
+      mail = Tm_intf.Mailbox.create cfg;
+      store = Array.make cfg.ntvars 0;
+      owner = None;
+      queue = Queue.create ();
+      waiting = Array.make (cfg.nprocs + 1) false;
+    }
+
+  let copy t =
+    {
+      t with
+      mail = Tm_intf.Mailbox.copy t.mail;
+      store = Array.copy t.store;
+      queue = Queue.copy t.queue;
+      waiting = Array.copy t.waiting;
+    }
+
+  let cfg t = t.cfg
+  let mail t = t.mail
+
+  let step t p inv =
+    if not (holds_lock t p || try_acquire t p) then None
+    else
+      Some
+        (match inv with
+        | Event.Read x -> Event.Value t.store.(x)
+        | Event.Write (x, v) ->
+            t.store.(x) <- v;
+            Event.Ok_written
+        | Event.Try_commit ->
+            release t;
+            Event.Committed)
+end)

@@ -20,28 +20,8 @@ type t = {
   txns : txn array;
 }
 
-let name = "mvstm"
-
-let describe =
-  "multiversion: reads never abort (snapshot at transaction start), \
-   first-committer-wins validation for writers"
-
 let fresh_txn () =
   { started = false; rv = 0; reads = []; writes = []; phase = Idle }
-
-let create cfg =
-  {
-    cfg;
-    mail = Tm_intf.Mailbox.create cfg;
-    clock = 0;
-    versions = Array.make cfg.ntvars [ (0, 0) ];
-    lock = Array.make cfg.ntvars None;
-    txns = Array.init (cfg.nprocs + 1) (fun _ -> fresh_txn ());
-  }
-
-let invoke t p inv =
-  Tm_intf.Mailbox.check_range t.cfg p inv;
-  Tm_intf.Mailbox.put t.mail p inv
 
 let begin_if_needed t p =
   let txn = t.txns.(p) in
@@ -120,38 +100,50 @@ let commit_step t p =
         None
       end
 
-let poll t p =
-  match Tm_intf.Mailbox.get t.mail p with
-  | None -> None
-  | Some inv ->
-      begin_if_needed t p;
-      let txn = t.txns.(p) in
-      let resp =
-        match inv with
-        | Event.Read x -> (
-            match List.assoc_opt x txn.writes with
-            | Some v -> Some (Event.Value v)
-            | None ->
-                let ver, v = read_at t x txn.rv in
-                txn.reads <- (x, ver) :: txn.reads;
-                Some (Event.Value v))
-        | Event.Write (x, v) ->
-            txn.writes <- (x, v) :: txn.writes;
-            Some Event.Ok_written
-        | Event.Try_commit -> commit_step t p
-      in
-      (match resp with
-      | Some _ -> Tm_intf.Mailbox.clear t.mail p
-      | None -> ());
-      resp
+include Tm_intf.Make (struct
+  type nonrec t = t
 
-let pending t p = Tm_intf.Mailbox.get t.mail p
+  let name = "mvstm"
 
-let copy t =
-  {
-    t with
-    mail = Tm_intf.Mailbox.copy t.mail;
-    versions = Array.copy t.versions;
-    lock = Array.copy t.lock;
-    txns = Array.map (fun txn -> { txn with started = txn.started }) t.txns;
-  }
+  let describe =
+    "multiversion: reads never abort (snapshot at transaction start), \
+     first-committer-wins validation for writers"
+
+  let create cfg =
+    {
+      cfg;
+      mail = Tm_intf.Mailbox.create cfg;
+      clock = 0;
+      versions = Array.make cfg.ntvars [ (0, 0) ];
+      lock = Array.make cfg.ntvars None;
+      txns = Array.init (cfg.nprocs + 1) (fun _ -> fresh_txn ());
+    }
+
+  let copy t =
+    {
+      t with
+      mail = Tm_intf.Mailbox.copy t.mail;
+      versions = Array.copy t.versions;
+      lock = Array.copy t.lock;
+      txns = Array.map (fun txn -> { txn with started = txn.started }) t.txns;
+    }
+
+  let cfg t = t.cfg
+  let mail t = t.mail
+
+  let step t p inv =
+    begin_if_needed t p;
+    let txn = t.txns.(p) in
+    match inv with
+    | Event.Read x -> (
+        match List.assoc_opt x txn.writes with
+        | Some v -> Some (Event.Value v)
+        | None ->
+            let ver, v = read_at t x txn.rv in
+            txn.reads <- (x, ver) :: txn.reads;
+            Some (Event.Value v))
+    | Event.Write (x, v) ->
+        txn.writes <- (x, v) :: txn.writes;
+        Some Event.Ok_written
+    | Event.Try_commit -> commit_step t p
+end)

@@ -21,28 +21,8 @@ type t = {
   txns : txn array;
 }
 
-let name = "norec"
-
-let describe =
-  "NOrec-style: single commit lock, value-based validation (solo progress \
-   in crash-free systems)"
-
 let fresh_txn () =
   { started = false; snapshot = 0; reads = []; writes = []; phase = Idle }
-
-let create cfg =
-  {
-    cfg;
-    mail = Tm_intf.Mailbox.create cfg;
-    counter = 0;
-    writer = None;
-    value = Array.make cfg.ntvars 0;
-    txns = Array.init (cfg.nprocs + 1) (fun _ -> fresh_txn ());
-  }
-
-let invoke t p inv =
-  Tm_intf.Mailbox.check_range t.cfg p inv;
-  Tm_intf.Mailbox.put t.mail p inv
 
 let begin_if_needed t p =
   let txn = t.txns.(p) in
@@ -73,71 +53,85 @@ let write_set txn =
   List.sort_uniq Int.compare (List.map fst txn.writes)
   |> List.map (fun x -> (x, List.assoc x txn.writes))
 
-let poll t p =
-  match Tm_intf.Mailbox.get t.mail p with
-  | None -> None
-  | Some inv ->
-      begin_if_needed t p;
-      let txn = t.txns.(p) in
-      let answer resp =
-        Tm_intf.Mailbox.clear t.mail p;
-        Some resp
-      in
-      (match inv with
-      | Event.Read x -> (
-          match List.assoc_opt x txn.writes with
-          | Some v -> answer (Event.Value v)
-          | None ->
-              (* Wait out an in-flight writer: its write-back is not an
-                 atomic snapshot. *)
-              if t.writer <> None && t.writer <> Some p then None
-              else if txn.snapshot <> t.counter && not (revalidate t p) then
-                answer (abort t p)
+include Tm_intf.Make (struct
+  type nonrec t = t
+
+  let name = "norec"
+
+  let describe =
+    "NOrec-style: single commit lock, value-based validation (solo progress \
+     in crash-free systems)"
+
+  let create cfg =
+    {
+      cfg;
+      mail = Tm_intf.Mailbox.create cfg;
+      counter = 0;
+      writer = None;
+      value = Array.make cfg.ntvars 0;
+      txns = Array.init (cfg.nprocs + 1) (fun _ -> fresh_txn ());
+    }
+
+  let copy t =
+    {
+      t with
+      mail = Tm_intf.Mailbox.copy t.mail;
+      value = Array.copy t.value;
+      txns = Array.map (fun txn -> { txn with started = txn.started }) t.txns;
+    }
+
+  let cfg t = t.cfg
+  let mail t = t.mail
+
+  let step t p inv =
+    begin_if_needed t p;
+    let txn = t.txns.(p) in
+    match inv with
+    | Event.Read x -> (
+        match List.assoc_opt x txn.writes with
+        | Some v -> Some (Event.Value v)
+        | None ->
+            (* Wait out an in-flight writer: its write-back is not an
+               atomic snapshot. *)
+            if t.writer <> None && t.writer <> Some p then None
+            else if txn.snapshot <> t.counter && not (revalidate t p) then
+              Some (abort t p)
+            else begin
+              let v = t.value.(x) in
+              txn.reads <- (x, v) :: txn.reads;
+              Some (Event.Value v)
+            end)
+    | Event.Write (x, v) ->
+        txn.writes <- (x, v) :: txn.writes;
+        Some Event.Ok_written
+    | Event.Try_commit -> (
+        match txn.phase with
+        | Idle ->
+            if write_set txn = [] then
+              (* Read-only: the read set was coherent at the last
+                 (re)validation and no writer has intervened since the
+                 snapshot was adopted. *)
+              if txn.snapshot = t.counter || revalidate t p then
+                Some
+                  (t.txns.(p) <- fresh_txn ();
+                   Event.Committed)
+              else Some (abort t p)
+            else if t.writer <> None then None
+            else begin
+              t.writer <- Some p;
+              if not (revalidate t p) then Some (abort t p)
               else begin
-                let v = t.value.(x) in
-                txn.reads <- (x, v) :: txn.reads;
-                answer (Event.Value v)
-              end)
-      | Event.Write (x, v) ->
-          txn.writes <- (x, v) :: txn.writes;
-          answer Event.Ok_written
-      | Event.Try_commit -> (
-          match txn.phase with
-          | Idle ->
-              if write_set txn = [] then
-                (* Read-only: the read set was coherent at the last
-                   (re)validation and no writer has intervened since the
-                   snapshot was adopted. *)
-                if txn.snapshot = t.counter || revalidate t p then
-                  answer
-                    (t.txns.(p) <- fresh_txn ();
-                     Event.Committed)
-                else answer (abort t p)
-              else if t.writer <> None then None
-              else begin
-                t.writer <- Some p;
-                if not (revalidate t p) then answer (abort t p)
-                else begin
-                  txn.phase <- Writing_back (write_set txn);
-                  None
-                end
+                txn.phase <- Writing_back (write_set txn);
+                None
               end
-          | Writing_back [] ->
-              t.counter <- t.counter + 1;
-              t.writer <- None;
-              t.txns.(p) <- fresh_txn ();
-              answer Event.Committed
-          | Writing_back ((x, v) :: rest) ->
-              t.value.(x) <- v;
-              txn.phase <- Writing_back rest;
-              None))
-
-let pending t p = Tm_intf.Mailbox.get t.mail p
-
-let copy t =
-  {
-    t with
-    mail = Tm_intf.Mailbox.copy t.mail;
-    value = Array.copy t.value;
-    txns = Array.map (fun txn -> { txn with started = txn.started }) t.txns;
-  }
+            end
+        | Writing_back [] ->
+            t.counter <- t.counter + 1;
+            t.writer <- None;
+            t.txns.(p) <- fresh_txn ();
+            Some Event.Committed
+        | Writing_back ((x, v) :: rest) ->
+            t.value.(x) <- v;
+            txn.phase <- Writing_back rest;
+            None)
+end)

@@ -35,29 +35,8 @@ type t = {
   txns : txn array;
 }
 
-let name = "ostm"
-
-let describe =
-  "OSTM-style lock-free TM: deferred updates, commit descriptors, helping \
-   (global progress in any fault-prone system)"
-
 let fresh_txn () =
   { started = false; rv = 0; reads = []; writes = []; desc = None }
-
-let create cfg =
-  {
-    cfg;
-    mail = Tm_intf.Mailbox.create cfg;
-    clock = 0;
-    value = Array.make cfg.ntvars 0;
-    version = Array.make cfg.ntvars 0;
-    holder = Array.make cfg.ntvars None;
-    txns = Array.init (cfg.nprocs + 1) (fun _ -> fresh_txn ());
-  }
-
-let invoke t p inv =
-  Tm_intf.Mailbox.check_range t.cfg p inv;
-  Tm_intf.Mailbox.put t.mail p inv
 
 let begin_if_needed t p =
   let txn = t.txns.(p) in
@@ -136,85 +115,101 @@ let commit t p =
   t.txns.(p) <- fresh_txn ();
   Event.Committed
 
-let poll t p =
-  match Tm_intf.Mailbox.get t.mail p with
-  | None -> None
-  | Some inv ->
-      begin_if_needed t p;
-      let txn = t.txns.(p) in
-      let answer resp =
-        Tm_intf.Mailbox.clear t.mail p;
-        Some resp
-      in
-      (match inv with
-      | Event.Read x -> (
-          match List.assoc_opt x txn.writes with
-          | Some v -> answer (Event.Value v)
-          | None ->
-              (* Help any in-flight commit holding x to completion, then
-                 read. *)
-              (match t.holder.(x) with
-              | Some d -> advance_full t d
-              | None -> ());
-              if t.version.(x) > txn.rv then answer (abort t p)
-              else begin
-                txn.reads <- (x, t.version.(x)) :: txn.reads;
-                answer (Event.Value t.value.(x))
-              end)
-      | Event.Write (x, v) ->
-          txn.writes <- (x, v) :: txn.writes;
-          answer Event.Ok_written
-      | Event.Try_commit -> (
-          match txn.desc with
-          | None ->
-              if write_set txn = [] then
-                (* Read-only: reads were validated against rv as they
-                   happened. *)
-                answer (commit t p)
-              else begin
-                let d =
-                  {
-                    d_rv = txn.rv;
-                    d_reads = txn.reads;
-                    d_writes = write_set txn;
-                    d_wv = 0;
-                    d_phase = Acquiring (List.map fst (write_set txn));
-                  }
-                in
-                txn.desc <- Some d;
-                (* One poll publishes the descriptor; the next drives it.
-                   Helpers may finish it in between. *)
-                None
-              end
-          | Some d -> (
-              advance_step t d;
-              match d.d_phase with
-              | Done true -> answer (commit t p)
-              | Done false -> answer (abort t p)
-              | Acquiring _ | Checking _ | Writing _ -> None)))
+include Tm_intf.Make (struct
+  type nonrec t = t
 
-let pending t p = Tm_intf.Mailbox.get t.mail p
+  let name = "ostm"
 
-(* A descriptor can sit in several holders and in its transaction at
-   once; the memo (keyed by physical identity) maps each one to a single
-   copy so the copy keeps that aliasing. *)
-let copy t =
-  let memo = ref [] in
-  let copy_desc = function
-    | None -> None
-    | Some d -> (
-        match List.assq_opt d !memo with
-        | Some d' -> Some d'
+  let describe =
+    "OSTM-style lock-free TM: deferred updates, commit descriptors, helping \
+     (global progress in any fault-prone system)"
+
+  let create cfg =
+    {
+      cfg;
+      mail = Tm_intf.Mailbox.create cfg;
+      clock = 0;
+      value = Array.make cfg.ntvars 0;
+      version = Array.make cfg.ntvars 0;
+      holder = Array.make cfg.ntvars None;
+      txns = Array.init (cfg.nprocs + 1) (fun _ -> fresh_txn ());
+    }
+
+  (* A descriptor can sit in several holders and in its transaction at
+     once; the memo (keyed by physical identity) maps each one to a single
+     copy so the copy keeps that aliasing. *)
+  let copy t =
+    let memo = ref [] in
+    let copy_desc = function
+      | None -> None
+      | Some d -> (
+          match List.assq_opt d !memo with
+          | Some d' -> Some d'
+          | None ->
+              let d' = { d with d_wv = d.d_wv } in
+              memo := (d, d') :: !memo;
+              Some d')
+    in
+    {
+      t with
+      mail = Tm_intf.Mailbox.copy t.mail;
+      value = Array.copy t.value;
+      version = Array.copy t.version;
+      holder = Array.map copy_desc t.holder;
+      txns =
+        Array.map (fun txn -> { txn with desc = copy_desc txn.desc }) t.txns;
+    }
+
+  let cfg t = t.cfg
+  let mail t = t.mail
+
+  let step t p inv =
+    begin_if_needed t p;
+    let txn = t.txns.(p) in
+    match inv with
+    | Event.Read x -> (
+        match List.assoc_opt x txn.writes with
+        | Some v -> Some (Event.Value v)
         | None ->
-            let d' = { d with d_wv = d.d_wv } in
-            memo := (d, d') :: !memo;
-            Some d')
-  in
-  {
-    t with
-    mail = Tm_intf.Mailbox.copy t.mail;
-    value = Array.copy t.value;
-    version = Array.copy t.version;
-    holder = Array.map copy_desc t.holder;
-    txns = Array.map (fun txn -> { txn with desc = copy_desc txn.desc }) t.txns;
-  }
+            (* Help any in-flight commit holding x to completion, then
+               read. *)
+            (match t.holder.(x) with
+            | Some d -> advance_full t d
+            | None -> ());
+            if t.version.(x) > txn.rv then Some (abort t p)
+            else begin
+              txn.reads <- (x, t.version.(x)) :: txn.reads;
+              Some (Event.Value t.value.(x))
+            end)
+    | Event.Write (x, v) ->
+        txn.writes <- (x, v) :: txn.writes;
+        Some Event.Ok_written
+    | Event.Try_commit -> (
+        match txn.desc with
+        | None ->
+            if write_set txn = [] then
+              (* Read-only: reads were validated against rv as they
+                 happened. *)
+              Some (commit t p)
+            else begin
+              let d =
+                {
+                  d_rv = txn.rv;
+                  d_reads = txn.reads;
+                  d_writes = write_set txn;
+                  d_wv = 0;
+                  d_phase = Acquiring (List.map fst (write_set txn));
+                }
+              in
+              txn.desc <- Some d;
+              (* One poll publishes the descriptor; the next drives it.
+                 Helpers may finish it in between. *)
+              None
+            end
+        | Some d -> (
+            advance_step t d;
+            match d.d_phase with
+            | Done true -> Some (commit t p)
+            | Done false -> Some (abort t p)
+            | Acquiring _ | Checking _ | Writing _ -> None))
+end)

@@ -13,78 +13,73 @@ type t = {
   txns : txn array;
 }
 
-let name = "quiescent"
-
-let describe =
-  "over-conservative strawman: writers commit only when no other \
-   transaction is live (opaque and responsive, but one open transaction \
-   starves all writers - realizes Figures 9 and 12)"
-
 let fresh_txn () = { live = false; reads = []; writes = [] }
-
-let create cfg =
-  {
-    cfg;
-    mail = Tm_intf.Mailbox.create cfg;
-    store = Array.make cfg.ntvars 0;
-    txns = Array.init (cfg.nprocs + 1) (fun _ -> fresh_txn ());
-  }
-
-let invoke t p inv =
-  Tm_intf.Mailbox.check_range t.cfg p inv;
-  Tm_intf.Mailbox.put t.mail p inv
 
 let others_live t p =
   let live = ref false in
   Array.iteri (fun q txn -> if q <> p && q > 0 && txn.live then live := true) t.txns;
   !live
 
-let poll t p =
-  match Tm_intf.Mailbox.get t.mail p with
-  | None -> None
-  | Some inv ->
-      let txn = t.txns.(p) in
-      txn.live <- true;
-      let resp =
-        match inv with
-        | Event.Read x -> (
-            match List.assoc_opt x txn.writes with
-            | Some v -> Event.Value v
-            | None ->
-                (* Reads return the committed value; since writers commit
-                   only in quiescence, the whole read set is automatically
-                   a consistent snapshot as long as this transaction lives
-                   (nobody can commit while it does). *)
-                let v = t.store.(x) in
-                txn.reads <- (x, v) :: txn.reads;
-                Event.Value v)
-        | Event.Write (x, v) ->
-            txn.writes <- (x, v) :: txn.writes;
-            Event.Ok_written
-        | Event.Try_commit ->
-            if txn.writes = [] then begin
-              t.txns.(p) <- fresh_txn ();
-              Event.Committed
-            end
-            else if others_live t p then begin
-              t.txns.(p) <- fresh_txn ();
-              Event.Aborted
-            end
-            else begin
-              List.iter (fun (x, v) -> t.store.(x) <- v) (List.rev txn.writes);
-              t.txns.(p) <- fresh_txn ();
-              Event.Committed
-            end
-      in
-      Tm_intf.Mailbox.clear t.mail p;
-      Some resp
+include Tm_intf.Make (struct
+  type nonrec t = t
 
-let pending t p = Tm_intf.Mailbox.get t.mail p
+  let name = "quiescent"
 
-let copy t =
-  {
-    t with
-    mail = Tm_intf.Mailbox.copy t.mail;
-    store = Array.copy t.store;
-    txns = Array.map (fun txn -> { txn with live = txn.live }) t.txns;
-  }
+  let describe =
+    "over-conservative strawman: writers commit only when no other \
+     transaction is live (opaque and responsive, but one open transaction \
+     starves all writers - realizes Figures 9 and 12)"
+
+  let create cfg =
+    {
+      cfg;
+      mail = Tm_intf.Mailbox.create cfg;
+      store = Array.make cfg.ntvars 0;
+      txns = Array.init (cfg.nprocs + 1) (fun _ -> fresh_txn ());
+    }
+
+  let copy t =
+    {
+      t with
+      mail = Tm_intf.Mailbox.copy t.mail;
+      store = Array.copy t.store;
+      txns = Array.map (fun txn -> { txn with live = txn.live }) t.txns;
+    }
+
+  let cfg t = t.cfg
+  let mail t = t.mail
+
+  let step t p inv =
+    let txn = t.txns.(p) in
+    txn.live <- true;
+    Some
+      (match inv with
+      | Event.Read x -> (
+          match List.assoc_opt x txn.writes with
+          | Some v -> Event.Value v
+          | None ->
+              (* Reads return the committed value; since writers commit
+                 only in quiescence, the whole read set is automatically
+                 a consistent snapshot as long as this transaction lives
+                 (nobody can commit while it does). *)
+              let v = t.store.(x) in
+              txn.reads <- (x, v) :: txn.reads;
+              Event.Value v)
+      | Event.Write (x, v) ->
+          txn.writes <- (x, v) :: txn.writes;
+          Event.Ok_written
+      | Event.Try_commit ->
+          if txn.writes = [] then begin
+            t.txns.(p) <- fresh_txn ();
+            Event.Committed
+          end
+          else if others_live t p then begin
+            t.txns.(p) <- fresh_txn ();
+            Event.Aborted
+          end
+          else begin
+            List.iter (fun (x, v) -> t.store.(x) <- v) (List.rev txn.writes);
+            t.txns.(p) <- fresh_txn ();
+            Event.Committed
+          end)
+end)

@@ -30,7 +30,7 @@ let all =
     of_module (module Mvstm);
     of_module (module Quiescent);
     of_module ~responsive:false (module Twopl);
-    of_module (module Fgp_priority);
+    of_module (module Fgp.Priority);
   ]
 
 let responsive = List.filter (fun e -> e.responsive) all

@@ -20,13 +20,6 @@ type t = {
   txns : txn array;
 }
 
-let name = "swisstm"
-
-let describe =
-  "SwissTM-style: eager write locking, lazy updates, two-phase contention \
-   management (solo progress only in crash-free and parasitic-free \
-   systems)"
-
 (* The two-phase contention threshold: transactions that completed fewer
    operations than this abort themselves on a write-write conflict; bigger
    ones wait and then doom the holder. *)
@@ -43,21 +36,6 @@ let fresh_txn () =
     waits = 0;
     doomed = false;
   }
-
-let create cfg =
-  {
-    cfg;
-    mail = Tm_intf.Mailbox.create cfg;
-    clock = 0;
-    value = Array.make cfg.ntvars 0;
-    version = Array.make cfg.ntvars 0;
-    wlock = Array.make cfg.ntvars None;
-    txns = Array.init (cfg.nprocs + 1) (fun _ -> fresh_txn ());
-  }
-
-let invoke t p inv =
-  Tm_intf.Mailbox.check_range t.cfg p inv;
-  Tm_intf.Mailbox.put t.mail p inv
 
 let begin_if_needed t p =
   let txn = t.txns.(p) in
@@ -78,93 +56,109 @@ let doom t q =
   release_locks t q;
   t.txns.(q).doomed <- true
 
-let poll t p =
-  match Tm_intf.Mailbox.get t.mail p with
-  | None -> None
-  | Some inv ->
-      begin_if_needed t p;
-      let txn = t.txns.(p) in
-      let answer resp =
-        Tm_intf.Mailbox.clear t.mail p;
-        Some resp
-      in
-      if txn.doomed then answer (deliver_abort t p)
-      else (
-        match inv with
-        | Event.Read x -> (
-            (* Lazy updates: the committed value is always in place, so a
-               write lock does not block readers. *)
-            match List.assoc_opt x txn.writes with
-            | Some v ->
+include Tm_intf.Make (struct
+  type nonrec t = t
+
+  let name = "swisstm"
+
+  let describe =
+    "SwissTM-style: eager write locking, lazy updates, two-phase contention \
+     management (solo progress only in crash-free and parasitic-free \
+     systems)"
+
+  let create cfg =
+    {
+      cfg;
+      mail = Tm_intf.Mailbox.create cfg;
+      clock = 0;
+      value = Array.make cfg.ntvars 0;
+      version = Array.make cfg.ntvars 0;
+      wlock = Array.make cfg.ntvars None;
+      txns = Array.init (cfg.nprocs + 1) (fun _ -> fresh_txn ());
+    }
+
+  let copy t =
+    {
+      t with
+      mail = Tm_intf.Mailbox.copy t.mail;
+      value = Array.copy t.value;
+      version = Array.copy t.version;
+      wlock = Array.copy t.wlock;
+      txns = Array.map (fun txn -> { txn with started = txn.started }) t.txns;
+    }
+
+  let cfg t = t.cfg
+  let mail t = t.mail
+
+  let step t p inv =
+    begin_if_needed t p;
+    let txn = t.txns.(p) in
+    if txn.doomed then Some (deliver_abort t p)
+    else (
+      match inv with
+      | Event.Read x -> (
+          (* Lazy updates: the committed value is always in place, so a
+             write lock does not block readers. *)
+          match List.assoc_opt x txn.writes with
+          | Some v ->
+              txn.ops_done <- txn.ops_done + 1;
+              Some (Event.Value v)
+          | None ->
+              if t.version.(x) > txn.rv then Some (deliver_abort t p)
+              else begin
+                txn.reads <- (x, t.version.(x)) :: txn.reads;
                 txn.ops_done <- txn.ops_done + 1;
-                answer (Event.Value v)
-            | None ->
-                if t.version.(x) > txn.rv then answer (deliver_abort t p)
-                else begin
-                  txn.reads <- (x, t.version.(x)) :: txn.reads;
-                  txn.ops_done <- txn.ops_done + 1;
-                  answer (Event.Value t.value.(x))
-                end)
-        | Event.Write (x, v) -> (
-            match t.wlock.(x) with
-            | Some q when q <> p ->
-                (* Two-phase contention management. *)
-                if txn.ops_done < cm_threshold then answer (deliver_abort t p)
-                else if txn.waits < cm_patience then begin
-                  txn.waits <- txn.waits + 1;
-                  None
-                end
-                else begin
-                  doom t q;
-                  t.wlock.(x) <- Some p;
-                  txn.writes <- (x, v) :: txn.writes;
-                  txn.ops_done <- txn.ops_done + 1;
-                  txn.waits <- 0;
-                  answer Event.Ok_written
-                end
-            | Some _ | None ->
+                Some (Event.Value t.value.(x))
+              end)
+      | Event.Write (x, v) -> (
+          match t.wlock.(x) with
+          | Some q when q <> p ->
+              (* Two-phase contention management. *)
+              if txn.ops_done < cm_threshold then Some (deliver_abort t p)
+              else if txn.waits < cm_patience then begin
+                txn.waits <- txn.waits + 1;
+                None
+              end
+              else begin
+                doom t q;
                 t.wlock.(x) <- Some p;
                 txn.writes <- (x, v) :: txn.writes;
                 txn.ops_done <- txn.ops_done + 1;
                 txn.waits <- 0;
-                answer Event.Ok_written)
-        | Event.Try_commit ->
-            (* Commit is one atomic step: a multi-poll write-back would let
-               a reader whose snapshot is the new clock value observe half
-               of the commit.  SwissTM's fault character lives in its
-               eager encounter-time write locks, which is unaffected. *)
-            let valid =
-              List.for_all
-                (fun (x, ver) -> t.version.(x) = ver && t.version.(x) <= txn.rv)
-                txn.reads
-            in
-            if not valid then answer (deliver_abort t p)
-            else begin
-              (if txn.writes <> [] then begin
-                 t.clock <- t.clock + 1;
-                 let wv = t.clock in
-                 let vars =
-                   List.sort_uniq Int.compare (List.map fst txn.writes)
-                 in
-                 List.iter
-                   (fun x ->
-                     t.value.(x) <- List.assoc x txn.writes;
-                     t.version.(x) <- wv)
-                   vars
-               end);
-              release_locks t p;
-              t.txns.(p) <- fresh_txn ();
-              answer Event.Committed
-            end)
-
-let pending t p = Tm_intf.Mailbox.get t.mail p
-
-let copy t =
-  {
-    t with
-    mail = Tm_intf.Mailbox.copy t.mail;
-    value = Array.copy t.value;
-    version = Array.copy t.version;
-    wlock = Array.copy t.wlock;
-    txns = Array.map (fun txn -> { txn with started = txn.started }) t.txns;
-  }
+                Some Event.Ok_written
+              end
+          | Some _ | None ->
+              t.wlock.(x) <- Some p;
+              txn.writes <- (x, v) :: txn.writes;
+              txn.ops_done <- txn.ops_done + 1;
+              txn.waits <- 0;
+              Some Event.Ok_written)
+      | Event.Try_commit ->
+          (* Commit is one atomic step: a multi-poll write-back would let
+             a reader whose snapshot is the new clock value observe half
+             of the commit.  SwissTM's fault character lives in its
+             eager encounter-time write locks, which is unaffected. *)
+          let valid =
+            List.for_all
+              (fun (x, ver) -> t.version.(x) = ver && t.version.(x) <= txn.rv)
+              txn.reads
+          in
+          if not valid then Some (deliver_abort t p)
+          else begin
+            (if txn.writes <> [] then begin
+               t.clock <- t.clock + 1;
+               let wv = t.clock in
+               let vars =
+                 List.sort_uniq Int.compare (List.map fst txn.writes)
+               in
+               List.iter
+                 (fun x ->
+                   t.value.(x) <- List.assoc x txn.writes;
+                   t.version.(x) <- wv)
+                 vars
+             end);
+            release_locks t p;
+            t.txns.(p) <- fresh_txn ();
+            Some Event.Committed
+          end)
+end)

@@ -19,34 +19,7 @@ type t = {
   extension : bool;  (** timestamp extension on snapshot misses *)
 }
 
-let name = "tinystm"
-
-let describe =
-  "TinySTM-style: encounter-time locking, write-through with undo log \
-   (solo progress only in crash-free and parasitic-free systems)"
-
-(* Whether this instance attempts snapshot (timestamp) extension instead of
-   aborting when it meets a too-new version.  Set per instance below. *)
-
 let fresh_txn () = { started = false; rv = 0; reads = []; undo = [] }
-
-let create_with ~extension cfg =
-  {
-    cfg;
-    mail = Tm_intf.Mailbox.create cfg;
-    clock = 0;
-    value = Array.make cfg.ntvars 0;
-    version = Array.make cfg.ntvars 0;
-    lock = Array.make cfg.ntvars None;
-    txns = Array.init (cfg.nprocs + 1) (fun _ -> fresh_txn ());
-    extension;
-  }
-
-let create cfg = create_with ~extension:false cfg
-
-let invoke t p inv =
-  Tm_intf.Mailbox.check_range t.cfg p inv;
-  Tm_intf.Mailbox.put t.mail p inv
 
 let begin_if_needed t p =
   let txn = t.txns.(p) in
@@ -91,99 +64,118 @@ let try_extend t p =
        true
      end
 
-let poll t p =
-  match Tm_intf.Mailbox.get t.mail p with
-  | None -> None
-  | Some inv ->
-      begin_if_needed t p;
-      let txn = t.txns.(p) in
-      let resp =
-        match inv with
-        | Event.Read x ->
-            if owns t p x then Event.Value t.value.(x)
-            else if locked_by_other t p x then abort t p
-            else if t.version.(x) > txn.rv && not (try_extend t p) then
-              abort t p
-            else begin
-              txn.reads <- (x, t.version.(x)) :: txn.reads;
-              Event.Value t.value.(x)
-            end
-        | Event.Write (x, v) ->
-            if locked_by_other t p x then abort t p
-            else if
-              t.version.(x) > txn.rv
-              && (not (owns t p x))
-              && not (try_extend t p)
-            then
-              (* Writing over a version we could not have read keeps the
-                 commit-time validation simple: abort early (or extend). *)
-              abort t p
-            else begin
-              if not (owns t p x) then begin
-                t.lock.(x) <- Some p;
-                txn.undo <- (x, t.value.(x), t.version.(x)) :: txn.undo
-              end;
-              t.value.(x) <- v;
-              Event.Ok_written
-            end
-        | Event.Try_commit ->
-            (* Each read must still sit at the exact version it was read at
-               (own locks are fine: the version was checked when the lock
-               was taken).  The exact comparison is what keeps the
-               timestamp-extension variant sound — with a moving snapshot,
-               "version <= rv" would accept a variable that changed twice. *)
-            let valid =
-              List.for_all
-                (fun (x, ver) ->
-                  owns t p x
-                  || ((not (locked_by_other t p x)) && t.version.(x) = ver))
-                txn.reads
-            in
-            if not valid then abort t p
-            else begin
-              t.clock <- t.clock + 1;
-              let wv = t.clock in
-              Array.iteri
-                (fun x o ->
-                  if o = Some p then begin
-                    t.version.(x) <- wv;
-                    t.lock.(x) <- None
-                  end)
-                t.lock;
-              t.txns.(p) <- fresh_txn ();
-              Event.Committed
-            end
-      in
-      Tm_intf.Mailbox.clear t.mail p;
-      Some resp
+let step t p inv =
+  begin_if_needed t p;
+  let txn = t.txns.(p) in
+  Some
+    (match inv with
+    | Event.Read x ->
+        if owns t p x then Event.Value t.value.(x)
+        else if locked_by_other t p x then abort t p
+        else if t.version.(x) > txn.rv && not (try_extend t p) then
+          abort t p
+        else begin
+          txn.reads <- (x, t.version.(x)) :: txn.reads;
+          Event.Value t.value.(x)
+        end
+    | Event.Write (x, v) ->
+        if locked_by_other t p x then abort t p
+        else if
+          t.version.(x) > txn.rv
+          && (not (owns t p x))
+          && not (try_extend t p)
+        then
+          (* Writing over a version we could not have read keeps the
+             commit-time validation simple: abort early (or extend). *)
+          abort t p
+        else begin
+          if not (owns t p x) then begin
+            t.lock.(x) <- Some p;
+            txn.undo <- (x, t.value.(x), t.version.(x)) :: txn.undo
+          end;
+          t.value.(x) <- v;
+          Event.Ok_written
+        end
+    | Event.Try_commit ->
+        (* Each read must still sit at the exact version it was read at
+           (own locks are fine: the version was checked when the lock
+           was taken).  The exact comparison is what keeps the
+           timestamp-extension variant sound — with a moving snapshot,
+           "version <= rv" would accept a variable that changed twice. *)
+        let valid =
+          List.for_all
+            (fun (x, ver) ->
+              owns t p x
+              || ((not (locked_by_other t p x)) && t.version.(x) = ver))
+            txn.reads
+        in
+        if not valid then abort t p
+        else begin
+          t.clock <- t.clock + 1;
+          let wv = t.clock in
+          Array.iteri
+            (fun x o ->
+              if o = Some p then begin
+                t.version.(x) <- wv;
+                t.lock.(x) <- None
+              end)
+            t.lock;
+          t.txns.(p) <- fresh_txn ();
+          Event.Committed
+        end)
 
-let pending t p = Tm_intf.Mailbox.get t.mail p
+module Variant (E : sig
+  val extension : bool
+end) =
+Tm_intf.Make (struct
+  type nonrec t = t
 
-let copy t =
-  {
-    t with
-    mail = Tm_intf.Mailbox.copy t.mail;
-    value = Array.copy t.value;
-    version = Array.copy t.version;
-    lock = Array.copy t.lock;
-    txns = Array.map (fun txn -> { txn with started = txn.started }) t.txns;
-  }
+  let name = if E.extension then "tinystm-ext" else "tinystm"
+
+  let describe =
+    if E.extension then
+      "TinySTM-style with timestamp extension: encounter-time locking, \
+       write-through, snapshot extension on too-new versions"
+    else
+      "TinySTM-style: encounter-time locking, write-through with undo log \
+       (solo progress only in crash-free and parasitic-free systems)"
+
+  let create cfg =
+    {
+      cfg;
+      mail = Tm_intf.Mailbox.create cfg;
+      clock = 0;
+      value = Array.make cfg.ntvars 0;
+      version = Array.make cfg.ntvars 0;
+      lock = Array.make cfg.ntvars None;
+      txns = Array.init (cfg.nprocs + 1) (fun _ -> fresh_txn ());
+      extension = E.extension;
+    }
+
+  let copy t =
+    {
+      t with
+      mail = Tm_intf.Mailbox.copy t.mail;
+      value = Array.copy t.value;
+      version = Array.copy t.version;
+      lock = Array.copy t.lock;
+      txns = Array.map (fun txn -> { txn with started = txn.started }) t.txns;
+    }
+
+  let cfg t = t.cfg
+  let mail t = t.mail
+  let step = step
+end)
 
 let make ~extension : (module Tm_intf.S) =
   (module struct
     type nonrec t = t
 
-    let name = if extension then "tinystm-ext" else "tinystm"
-
-    let describe =
-      if extension then
-        "TinySTM-style with timestamp extension: encounter-time locking, \
-         write-through, snapshot extension on too-new versions"
-      else describe
-
-    let create = create_with ~extension
-    let invoke = invoke
-    let poll = poll
-    let pending = pending
-    let copy = copy
+    include Variant (struct
+      let extension = extension
+    end)
   end)
+
+include Variant (struct
+  let extension = false
+end)

@@ -25,29 +25,8 @@ type t = {
   txns : txn array;
 }
 
-let name = "tl2"
-
-let describe =
-  "TL2-style: deferred updates, commit-time locking, global version clock \
-   (solo progress in crash-free systems)"
-
 let fresh_txn () =
   { started = false; rv = 0; reads = []; writes = []; phase = Idle }
-
-let create cfg =
-  {
-    cfg;
-    mail = Tm_intf.Mailbox.create cfg;
-    clock = 0;
-    value = Array.make cfg.ntvars 0;
-    version = Array.make cfg.ntvars 0;
-    lock = Array.make cfg.ntvars None;
-    txns = Array.init (cfg.nprocs + 1) (fun _ -> fresh_txn ());
-  }
-
-let invoke t p inv =
-  Tm_intf.Mailbox.check_range t.cfg p inv;
-  Tm_intf.Mailbox.put t.mail p inv
 
 let begin_if_needed t p =
   let txn = t.txns.(p) in
@@ -137,36 +116,49 @@ let commit_step t p =
       txn.phase <- Writing_back (wv, rest);
       None
 
-let poll t p =
-  match Tm_intf.Mailbox.get t.mail p with
-  | None -> None
-  | Some inv ->
-      begin_if_needed t p;
-      let resp =
-        match inv with
-        | Event.Read x -> (
-            match read_value t p x with
-            | Some r -> Some r
-            | None -> Some (abort t p))
-        | Event.Write (x, v) ->
-            let txn = t.txns.(p) in
-            txn.writes <- (x, v) :: txn.writes;
-            Some Event.Ok_written
-        | Event.Try_commit -> commit_step t p
-      in
-      (match resp with
-      | Some _ -> Tm_intf.Mailbox.clear t.mail p
-      | None -> ());
-      resp
+include Tm_intf.Make (struct
+  type nonrec t = t
 
-let pending t p = Tm_intf.Mailbox.get t.mail p
+  let name = "tl2"
 
-let copy t =
-  {
-    t with
-    mail = Tm_intf.Mailbox.copy t.mail;
-    value = Array.copy t.value;
-    version = Array.copy t.version;
-    lock = Array.copy t.lock;
-    txns = Array.map (fun txn -> { txn with started = txn.started }) t.txns;
-  }
+  let describe =
+    "TL2-style: deferred updates, commit-time locking, global version clock \
+     (solo progress in crash-free systems)"
+
+  let create cfg =
+    {
+      cfg;
+      mail = Tm_intf.Mailbox.create cfg;
+      clock = 0;
+      value = Array.make cfg.ntvars 0;
+      version = Array.make cfg.ntvars 0;
+      lock = Array.make cfg.ntvars None;
+      txns = Array.init (cfg.nprocs + 1) (fun _ -> fresh_txn ());
+    }
+
+  let copy t =
+    {
+      t with
+      mail = Tm_intf.Mailbox.copy t.mail;
+      value = Array.copy t.value;
+      version = Array.copy t.version;
+      lock = Array.copy t.lock;
+      txns = Array.map (fun txn -> { txn with started = txn.started }) t.txns;
+    }
+
+  let cfg t = t.cfg
+  let mail t = t.mail
+
+  let step t p inv =
+    begin_if_needed t p;
+    match inv with
+    | Event.Read x -> (
+        match read_value t p x with
+        | Some r -> Some r
+        | None -> Some (abort t p))
+    | Event.Write (x, v) ->
+        let txn = t.txns.(p) in
+        txn.writes <- (x, v) :: txn.writes;
+        Some Event.Ok_written
+    | Event.Try_commit -> commit_step t p
+end)

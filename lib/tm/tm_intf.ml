@@ -19,7 +19,14 @@ open Tm_history
     the progress taxonomy of Section 3.2.3 observable.  A {e blocking} TM
     (e.g. the global-lock TM) returns [None] from [poll] until it can
     answer; a {e responsive} TM answers every invocation within a bounded
-    number of polls, possibly with an abort. *)
+    number of polls, possibly with an abort.
+
+    Both sides of this protocol are written once, here.  A zoo member
+    writes only its {!module-type-STEP} — its state, with its own [cfg]
+    and [mail] fields, and one bounded [step] — and {!Make} turns it into
+    an {!module-type-S}; the runners drive any {!instance} with {!call}
+    (one synchronous operation) or {!replay} (a history, event by
+    event). *)
 
 type config = {
   nprocs : int;  (** number of processes, named 1..nprocs *)
@@ -65,28 +72,6 @@ module type S = sig
       last level needs no TM. *)
 end
 
-(** A TM instance packed with its state, convenient for heterogeneous
-    registries and runners. *)
-type instance = {
-  name : string;
-  invoke : Event.proc -> Event.invocation -> unit;
-  poll : Event.proc -> Event.response option;
-  pending : Event.proc -> Event.invocation option;
-  copy : unit -> instance;  (** {!module-type-S.copy}, packed *)
-}
-
-let pack (module M : S) cfg =
-  let rec wrap t =
-    {
-      name = M.name;
-      invoke = M.invoke t;
-      poll = M.poll t;
-      pending = M.pending t;
-      copy = (fun () -> wrap (M.copy t));
-    }
-  in
-  wrap (M.create cfg)
-
 (** Shared per-process pending-invocation bookkeeping. *)
 module Mailbox = struct
   type t = Event.invocation option array
@@ -112,3 +97,109 @@ module Mailbox = struct
   let clear (m : t) p = m.(p) <- None
   let copy : t -> t = Array.copy
 end
+
+(** The TM author's side of the protocol: the state, with the TM's own
+    [cfg] and [mail] fields, and one bounded internal step. *)
+module type STEP = sig
+  type t
+
+  val name : string
+  val describe : string
+  val create : config -> t
+  val copy : t -> t
+  val cfg : t -> config
+  val mail : t -> Mailbox.t
+
+  val step : t -> Event.proc -> Event.invocation -> Event.response option
+  (** One bounded internal step on [p]'s pending invocation [inv];
+      [Some r] answers it. *)
+end
+
+(** The protocol, once for the whole zoo: [invoke] checks the range and
+    fills the mailbox, [poll] steps the pending invocation and empties
+    the mailbox exactly when [step] answers, so a process has at most one
+    pending invocation and each gets one response. *)
+module Make (M : STEP) : S with type t := M.t = struct
+  include M
+
+  let invoke t p inv =
+    Mailbox.check_range (cfg t) p inv;
+    Mailbox.put (mail t) p inv
+
+  let pending t p = Mailbox.get (mail t) p
+
+  let poll t p =
+    let m = mail t in
+    match Mailbox.get m p with
+    | None -> None
+    | Some inv -> (
+        match step t p inv with
+        | Some _ as answer ->
+            Mailbox.clear m p;
+            answer
+        | None -> None)
+end
+
+(** A TM instance packed with its state, convenient for heterogeneous
+    registries and runners. *)
+type instance = {
+  name : string;
+  invoke : Event.proc -> Event.invocation -> unit;
+  poll : Event.proc -> Event.response option;
+  pending : Event.proc -> Event.invocation option;
+  copy : unit -> instance;  (** {!module-type-S.copy}, packed *)
+}
+
+let pack (module M : S) cfg =
+  let rec wrap t =
+    {
+      name = M.name;
+      invoke = M.invoke t;
+      poll = M.poll t;
+      pending = M.pending t;
+      copy = (fun () -> wrap (M.copy t));
+    }
+  in
+  wrap (M.create cfg)
+
+(* Poll [p] until the TM answers, at most [patience + 1] times. *)
+let await inst ~patience p =
+  let rec go n =
+    if n > patience then None
+    else match inst.poll p with Some _ as answer -> answer | None -> go (n + 1)
+  in
+  go 0
+
+(** The client's side of the protocol: one synchronous operation.
+    [call inst ~patience ~record p inv] invokes [inv] for [p] and polls
+    [p] until the TM answers, at most [patience + 1] times; [None] when it
+    does not.  [record] sees the invocation and the response events. *)
+let call inst ~patience ~record p inv =
+  record (Event.Inv (p, inv));
+  inst.invoke p inv;
+  match await inst ~patience p with
+  | Some r as answer ->
+      record (Event.Res (p, r));
+      answer
+  | None -> None
+
+(** [replay inst ~patience h] walks [h] against [inst]: an [Inv] event
+    invokes, and a [Res] event polls its process until it answers (at
+    most [patience + 1] times).  Returns the history the TM produced,
+    which stops at the first answer that differs from [h]'s, or before a
+    response that never came; [h] is reproduced exactly when the result
+    equals it. *)
+let replay inst ~patience h =
+  let rec walk acc = function
+    | [] -> acc
+    | (Event.Inv (p, inv) as e) :: rest ->
+        inst.invoke p inv;
+        walk (History.append acc e) rest
+    | Event.Res (p, r) :: rest -> (
+        match await inst ~patience p with
+        | Some r' ->
+            let acc = History.append acc (Event.Res (p, r')) in
+            if r' = r then walk acc rest else acc
+        | None -> acc)
+  in
+  walk History.empty (History.events h)

@@ -17,28 +17,7 @@ type t = {
   txns : txn array;
 }
 
-let name = "twopl"
-
-let describe =
-  "strict two-phase locking with waits-for deadlock detection (solo \
-   progress only in crash-free and parasitic-free systems; blocking)"
-
 let fresh_txn () = { started = false; doomed = false; timestamp = 0; writes = [] }
-
-let create cfg =
-  {
-    cfg;
-    mail = Tm_intf.Mailbox.create cfg;
-    time = 0;
-    value = Array.make cfg.ntvars 0;
-    readers = Array.init cfg.ntvars (fun _ -> Array.make (cfg.nprocs + 1) false);
-    writer = Array.make cfg.ntvars None;
-    txns = Array.init (cfg.nprocs + 1) (fun _ -> fresh_txn ());
-  }
-
-let invoke t p inv =
-  Tm_intf.Mailbox.check_range t.cfg p inv;
-  Tm_intf.Mailbox.put t.mail p inv
 
 let begin_if_needed t p =
   let txn = t.txns.(p) in
@@ -59,10 +38,10 @@ let deliver_abort t p =
   t.txns.(p) <- fresh_txn ();
   Event.Aborted
 
-(* The processes whose locks prevent p's pending operation from
-   proceeding. *)
+(* The processes whose locks prevent p's pending operation (its mailbox
+   slot) from proceeding. *)
 let blockers t p =
-  match Tm_intf.Mailbox.get t.mail p with
+  match t.mail.(p) with
   | None | Some Event.Try_commit -> []
   | Some (Event.Read x) -> (
       match t.writer.(x) with Some q when q <> p -> [ q ] | _ -> [])
@@ -102,64 +81,80 @@ let break_deadlock t p =
       in
       t.txns.(youngest).doomed <- true
 
-let poll t p =
-  match Tm_intf.Mailbox.get t.mail p with
-  | None -> None
-  | Some inv ->
-      begin_if_needed t p;
-      let txn = t.txns.(p) in
-      let answer resp =
-        Tm_intf.Mailbox.clear t.mail p;
-        Some resp
-      in
-      if txn.doomed then answer (deliver_abort t p)
-      else (
-        match inv with
-        | Event.Read x -> (
-            match t.writer.(x) with
-            | Some q when q <> p ->
-                break_deadlock t p;
-                None
-            | Some _ | None ->
-                t.readers.(x).(p) <- true;
-                let v =
-                  match List.assoc_opt x txn.writes with
-                  | Some v -> v
-                  | None -> t.value.(x)
-                in
-                answer (Event.Value v))
-        | Event.Write (x, v) ->
-            if blockers t p <> [] then begin
+include Tm_intf.Make (struct
+  type nonrec t = t
+
+  let name = "twopl"
+
+  let describe =
+    "strict two-phase locking with waits-for deadlock detection (solo \
+     progress only in crash-free and parasitic-free systems; blocking)"
+
+  let create cfg =
+    {
+      cfg;
+      mail = Tm_intf.Mailbox.create cfg;
+      time = 0;
+      value = Array.make cfg.ntvars 0;
+      readers =
+        Array.init cfg.ntvars (fun _ -> Array.make (cfg.nprocs + 1) false);
+      writer = Array.make cfg.ntvars None;
+      txns = Array.init (cfg.nprocs + 1) (fun _ -> fresh_txn ());
+    }
+
+  let copy t =
+    {
+      t with
+      mail = Tm_intf.Mailbox.copy t.mail;
+      value = Array.copy t.value;
+      readers = Array.map Array.copy t.readers;
+      writer = Array.copy t.writer;
+      txns = Array.map (fun txn -> { txn with started = txn.started }) t.txns;
+    }
+
+  let cfg t = t.cfg
+  let mail t = t.mail
+
+  let step t p inv =
+    begin_if_needed t p;
+    let txn = t.txns.(p) in
+    if txn.doomed then Some (deliver_abort t p)
+    else (
+      match inv with
+      | Event.Read x -> (
+          match t.writer.(x) with
+          | Some q when q <> p ->
               break_deadlock t p;
               None
-            end
-            else begin
-              t.writer.(x) <- Some p;
-              t.readers.(x).(p) <- false;
-              txn.writes <- (x, v) :: txn.writes;
-              answer Event.Ok_written
-            end
-        | Event.Try_commit ->
-            (* Strictness: writes apply under the exclusive locks, which
-               are only now released. *)
-            let vars =
-              List.sort_uniq Int.compare (List.map fst txn.writes)
-            in
-            List.iter
-              (fun x -> t.value.(x) <- List.assoc x txn.writes)
-              vars;
-            release_locks t p;
-            t.txns.(p) <- fresh_txn ();
-            answer Event.Committed)
-
-let pending t p = Tm_intf.Mailbox.get t.mail p
-
-let copy t =
-  {
-    t with
-    mail = Tm_intf.Mailbox.copy t.mail;
-    value = Array.copy t.value;
-    readers = Array.map Array.copy t.readers;
-    writer = Array.copy t.writer;
-    txns = Array.map (fun txn -> { txn with started = txn.started }) t.txns;
-  }
+          | Some _ | None ->
+              t.readers.(x).(p) <- true;
+              let v =
+                match List.assoc_opt x txn.writes with
+                | Some v -> v
+                | None -> t.value.(x)
+              in
+              Some (Event.Value v))
+      | Event.Write (x, v) ->
+          if blockers t p <> [] then begin
+            break_deadlock t p;
+            None
+          end
+          else begin
+            t.writer.(x) <- Some p;
+            t.readers.(x).(p) <- false;
+            txn.writes <- (x, v) :: txn.writes;
+            Some Event.Ok_written
+          end
+      | Event.Try_commit ->
+          (* Strictness: writes apply under the exclusive locks, which
+             are only now released. *)
+          let vars =
+            List.sort_uniq Int.compare (List.map fst txn.writes)
+          in
+          List.iter
+            (fun x -> t.value.(x) <- List.assoc x txn.writes)
+            vars;
+          release_locks t p;
+          t.txns.(p) <- fresh_txn ();
+          Some Event.Committed)
+end)

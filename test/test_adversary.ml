@@ -21,43 +21,38 @@ module Bogus : Tm_impl.Tm_intf.S = struct
     cfg : Tm_impl.Tm_intf.config;
   }
 
-  let name = "bogus-always-commit"
-  let describe = "unsafe strawman: applies writes immediately, always commits"
+  include Tm_impl.Tm_intf.Make (struct
+    type nonrec t = t
 
-  let create cfg =
-    {
-      mail = Tm_impl.Tm_intf.Mailbox.create cfg;
-      store = Array.make cfg.ntvars 0;
-      cfg;
-    }
+    let name = "bogus-always-commit"
+    let describe = "unsafe strawman: applies writes immediately, always commits"
 
-  let invoke t p inv =
-    Tm_impl.Tm_intf.Mailbox.check_range t.cfg p inv;
-    Tm_impl.Tm_intf.Mailbox.put t.mail p inv
+    let create cfg =
+      {
+        mail = Tm_impl.Tm_intf.Mailbox.create cfg;
+        store = Array.make cfg.ntvars 0;
+        cfg;
+      }
 
-  let poll t p =
-    match Tm_impl.Tm_intf.Mailbox.get t.mail p with
-    | None -> None
-    | Some inv ->
-        let resp =
-          match inv with
-          | Event.Read x -> Event.Value t.store.(x)
-          | Event.Write (x, v) ->
-              t.store.(x) <- v;
-              Event.Ok_written
-          | Event.Try_commit -> Event.Committed
-        in
-        Tm_impl.Tm_intf.Mailbox.clear t.mail p;
-        Some resp
+    let copy t =
+      {
+        t with
+        mail = Tm_impl.Tm_intf.Mailbox.copy t.mail;
+        store = Array.copy t.store;
+      }
 
-  let pending t p = Tm_impl.Tm_intf.Mailbox.get t.mail p
+    let cfg t = t.cfg
+    let mail t = t.mail
 
-  let copy t =
-    {
-      t with
-      mail = Tm_impl.Tm_intf.Mailbox.copy t.mail;
-      store = Array.copy t.store;
-    }
+    let step t _ inv =
+      Some
+        (match inv with
+        | Event.Read x -> Event.Value t.store.(x)
+        | Event.Write (x, v) ->
+            t.store.(x) <- v;
+            Event.Ok_written
+        | Event.Try_commit -> Event.Committed)
+  end)
 end
 
 let bogus_entry =

@@ -9,14 +9,10 @@ module Intf = Tm_impl.Tm_intf
 (* ------------------------------------------------------------------ *)
 (* Helpers: drive a packed instance synchronously. *)
 
-let op ?(patience = 500) (inst : Intf.instance) p inv =
-  inst.Intf.invoke p inv;
-  let rec go n =
-    if n > patience then Alcotest.failf "operation blocked: %s" inst.Intf.name
-    else
-      match inst.Intf.poll p with Some r -> r | None -> go (n + 1)
-  in
-  go 0
+let op (inst : Intf.instance) p inv =
+  match Intf.call inst ~patience:500 ~record:ignore p inv with
+  | Some r -> r
+  | None -> Alcotest.failf "operation blocked: %s" inst.Intf.name
 
 let expect_value name r =
   match (r : Event.response) with
@@ -91,49 +87,16 @@ let zoo_semantics_tests =
 (* Figure 16: exact replay on Fgp. *)
 
 let test_fig16_replay () =
+  (* Fgp answers every poll, so each response is the first poll's. *)
   let cfg = Intf.config ~nprocs:3 ~ntvars:2 () in
-  let t = Tm_impl.Fgp.create cfg in
-  let h = ref History.empty in
-  let invoke p inv =
-    Tm_impl.Fgp.invoke t p inv;
-    h := History.append !h (Event.Inv (p, inv))
-  in
-  let poll p =
-    match Tm_impl.Fgp.poll t p with
-    | Some r -> h := History.append !h (Event.Res (p, r))
-    | None -> Alcotest.fail "Fgp must always respond"
-  in
-  let x = 0 and y = 1 in
-  invoke 1 (Event.Read x);
-  poll 1;
-  invoke 2 (Event.Write (y, 1));
-  invoke 1 (Event.Write (x, 1));
-  poll 1;
-  invoke 1 Event.Try_commit;
-  poll 1;
-  poll 2;
-  invoke 3 (Event.Read y);
-  poll 3;
-  invoke 3 (Event.Write (y, 1));
-  poll 3;
-  invoke 1 (Event.Read y);
-  poll 1;
-  invoke 3 Event.Try_commit;
-  poll 3;
-  invoke 1 Event.Try_commit;
-  poll 1;
-  invoke 2 (Event.Read y);
-  poll 2;
-  invoke 2 (Event.Read x);
-  poll 2;
-  invoke 2 Event.Try_commit;
-  poll 2;
+  let fgp = Intf.pack (module Tm_impl.Fgp) cfg in
+  let h = Intf.replay fgp ~patience:0 Figures.fig16 in
   Alcotest.(check bool)
     "replayed history equals Figure 16" true
-    (History.equal !h Figures.fig16);
+    (History.equal h Figures.fig16);
   Alcotest.(check bool)
     "Figure 16 history is opaque" true
-    (Tm_safety.Opacity.is_opaque !h)
+    (Tm_safety.Opacity.is_opaque h)
 
 (* ------------------------------------------------------------------ *)
 (* Figure 15: exhaustive enumeration of Fgp with one process and one
@@ -213,63 +176,76 @@ let test_fgp_never_aborts_solo () =
    snapshot is kept). *)
 module Fgp_literal = struct
   type t = {
-    nprocs : int;
-    ntvars : int;
-    mail : Event.invocation option array;
+    cfg : Intf.config;
+    mail : Intf.Mailbox.t;
     status : [ `C | `A ] array;
     cp : bool array;
     vals : int array array;
   }
 
-  let create ~nprocs ~ntvars =
-    {
-      nprocs;
-      ntvars;
-      mail = Array.make (nprocs + 1) None;
-      status = Array.make (nprocs + 1) `C;
-      cp = Array.make (nprocs + 1) false;
-      vals = Array.make_matrix (nprocs + 1) ntvars 0;
-    }
+  include Intf.Make (struct
+    type nonrec t = t
+
+    let name = "fgp-literal"
+    let describe = "Fgp by the paper's formal rules, unrepaired"
+
+    let create (cfg : Intf.config) =
+      {
+        cfg;
+        mail = Intf.Mailbox.create cfg;
+        status = Array.make (cfg.nprocs + 1) `C;
+        cp = Array.make (cfg.nprocs + 1) false;
+        vals = Array.make_matrix (cfg.nprocs + 1) cfg.ntvars 0;
+      }
+
+    let copy t =
+      {
+        t with
+        mail = Intf.Mailbox.copy t.mail;
+        status = Array.copy t.status;
+        cp = Array.copy t.cp;
+        vals = Array.map Array.copy t.vals;
+      }
+
+    let cfg t = t.cfg
+    let mail t = t.mail
+
+    let step t p inv =
+      Some
+        (match t.status.(p) with
+        | `A ->
+            t.status.(p) <- `C;
+            (* Literal rule: Val' = Val — the aborted writes linger. *)
+            Event.Aborted
+        | `C -> (
+            match inv with
+            | Event.Read x -> Event.Value t.vals.(p).(x)
+            | Event.Write _ -> Event.Ok_written
+            | Event.Try_commit ->
+                (* Literal rule: every other process gets status a. *)
+                for k = 1 to t.cfg.nprocs do
+                  if k <> p then t.status.(k) <- `A;
+                  Array.blit t.vals.(p) 0 t.vals.(k) 0 t.cfg.ntvars
+                done;
+                Array.fill t.cp 0 (Array.length t.cp) false;
+                Event.Committed))
+  end)
 
   let invoke t p inv =
-    assert (t.mail.(p) = None);
-    t.mail.(p) <- Some inv;
+    invoke t p inv;
     t.cp.(p) <- true;
     match inv with
     | Event.Write (x, v) -> t.vals.(p).(x) <- v
     | Event.Read _ | Event.Try_commit -> ()
-
-  let poll t p =
-    match t.mail.(p) with
-    | None -> None
-    | Some inv ->
-        t.mail.(p) <- None;
-        Some
-          (match t.status.(p) with
-          | `A ->
-              t.status.(p) <- `C;
-              (* Literal rule: Val' = Val — the aborted writes linger. *)
-              Event.Aborted
-          | `C -> (
-              match inv with
-              | Event.Read x -> Event.Value t.vals.(p).(x)
-              | Event.Write _ -> Event.Ok_written
-              | Event.Try_commit ->
-                  (* Literal rule: every other process gets status a. *)
-                  for k = 1 to t.nprocs do
-                    if k <> p then t.status.(k) <- `A;
-                    Array.blit t.vals.(p) 0 t.vals.(k) 0 t.ntvars
-                  done;
-                  Array.fill t.cp 0 (Array.length t.cp) false;
-                  Event.Committed))
 end
 
 let test_literal_fgp_breaks_fig16 () =
   (* Under the literal every-other-process rule, p2 — which was *not*
      concurrent to p3's transaction — gets spuriously aborted, so the
      Figure 16 history cannot be produced: the paper's own example agrees
-     with the prose, not with the formal rule. *)
-  let t = Fgp_literal.create ~nprocs:3 ~ntvars:2 in
+     with the prose, not with the formal rule (our implementation, which
+     follows the prose, replays it exactly: test_fig16_replay). *)
+  let t = Fgp_literal.create (Intf.config ~nprocs:3 ~ntvars:2 ()) in
   let x = 0 and y = 1 in
   let run p inv =
     Fgp_literal.invoke t p inv;
@@ -291,27 +267,7 @@ let test_literal_fgp_breaks_fig16 () =
   let r = run 2 (Event.Read y) in
   Alcotest.(check bool)
     "literal rule spuriously aborts p2 (Figure 16 impossible)" true
-    (r = Event.Aborted);
-  (* Our implementation produces the figure exactly (checked in
-     test_fig16_replay). *)
-  let cfg = Intf.config ~nprocs:3 ~ntvars:2 () in
-  let good = Tm_impl.Fgp.create cfg in
-  Tm_impl.Fgp.invoke good 2 (Event.Write (y, 1));
-  let run_good p inv =
-    Tm_impl.Fgp.invoke good p inv;
-    Option.get (Tm_impl.Fgp.poll good p)
-  in
-  ignore (run_good 1 (Event.Read x));
-  ignore (run_good 1 (Event.Write (x, 1)));
-  ignore (run_good 1 Event.Try_commit);
-  ignore (Option.get (Tm_impl.Fgp.poll good 2));
-  ignore (run_good 3 (Event.Read y));
-  ignore (run_good 3 (Event.Write (y, 1)));
-  ignore (run_good 1 (Event.Read y));
-  ignore (run_good 3 Event.Try_commit);
-  ignore (run_good 1 Event.Try_commit);
-  Alcotest.(check bool) "prose rule lets p2 proceed" true
-    (run_good 2 (Event.Read y) = Event.Value 1)
+    (r = Event.Aborted)
 
 let test_literal_fgp_not_opaque () =
   (* Without the Val-reset-on-abort repair, a doomed process's buffered
@@ -321,41 +277,29 @@ let test_literal_fgp_not_opaque () =
      write — which the literal write rule applies to Val unguarded — and
      receives the abort for it; p2's *next* transaction then reads its own
      aborted write. *)
-  let t = Fgp_literal.create ~nprocs:2 ~ntvars:1 in
-  let h = ref History.empty in
-  let record e = h := History.append !h e in
-  let run p inv =
-    Fgp_literal.invoke t p inv;
-    record (Event.Inv (p, inv));
-    let r = Option.get (Fgp_literal.poll t p) in
-    record (Event.Res (p, r));
-    r
+  let play tm =
+    let h = ref History.empty in
+    let record e = h := History.append !h e in
+    let run p inv = Option.get (Intf.call tm ~patience:0 ~record p inv) in
+    ignore (run 2 (Event.Read 0)) (* p2 joins the concurrent group *);
+    ignore (run 1 (Event.Read 0));
+    ignore (run 1 (Event.Write (0, 1)));
+    ignore (run 1 Event.Try_commit) (* p1 commits; p2 doomed *);
+    let r1 = run 2 (Event.Write (0, 9)) in
+    let r2 = run 2 (Event.Read 0) in
+    (r1, r2, !h)
   in
-  ignore (run 2 (Event.Read 0)) (* p2 joins the concurrent group *);
-  ignore (run 1 (Event.Read 0));
-  ignore (run 1 (Event.Write (0, 1)));
-  ignore (run 1 Event.Try_commit) (* p1 commits; p2 doomed *);
-  let r1 = run 2 (Event.Write (0, 9)) in
+  let cfg = Intf.config ~nprocs:2 ~ntvars:1 () in
+  let r1, r2, h = play (Intf.pack (module Fgp_literal) cfg) in
   Alcotest.(check bool) "p2's write is aborted" true (r1 = Event.Aborted);
-  let r2 = run 2 (Event.Read 0) in
   Alcotest.(check bool) "p2 reads its own aborted write" true
     (r2 = Event.Value 9);
   Alcotest.(check bool) "the history is NOT opaque" false
-    (Tm_safety.Opacity.is_opaque !h);
+    (Tm_safety.Opacity.is_opaque h);
   (* Our repaired Fgp returns the committed value instead. *)
-  let cfg = Intf.config ~nprocs:2 ~ntvars:1 () in
-  let good = Tm_impl.Fgp.create cfg in
-  let run_good p inv =
-    Tm_impl.Fgp.invoke good p inv;
-    Option.get (Tm_impl.Fgp.poll good p)
-  in
-  ignore (run_good 2 (Event.Read 0));
-  ignore (run_good 1 (Event.Read 0));
-  ignore (run_good 1 (Event.Write (0, 1)));
-  ignore (run_good 1 Event.Try_commit);
-  ignore (run_good 2 (Event.Write (0, 9)));
+  let _, r2, _ = play (Intf.pack (module Tm_impl.Fgp) cfg) in
   Alcotest.(check bool) "repaired Fgp reads the committed value" true
-    (run_good 2 (Event.Read 0) = Event.Value 1)
+    (r2 = Event.Value 1)
 
 (* ------------------------------------------------------------------ *)
 (* Simulated runs: opacity, determinism, progress. *)
@@ -472,6 +416,29 @@ let zoo_progress_tests =
              `Quick
              (test_faultfree_everyone_commits entry)))
     Reg.all
+
+(* The two Fgp variants differ in their abort rule as well as in their
+   commit rule: fgp-priority drops an aborted process from CP, while Fgp
+   keeps it there until the next commit, which then dooms it. *)
+let test_fgp_priority_abort_leaves_cp () =
+  let next_read name =
+    let entry = Option.get (Reg.find name) in
+    let tm = Reg.instance entry (Intf.config ~nprocs:2 ~ntvars:1 ()) in
+    let expect what r resp =
+      Alcotest.(check bool) (name ^ ": " ^ what) true (r = resp)
+    in
+    ignore (op tm 1 (Event.Read 0));
+    ignore (op tm 2 (Event.Read 0));
+    expect "p1 commits" (op tm 1 Event.Try_commit) Event.Committed;
+    expect "p2's write aborts" (op tm 2 (Event.Write (0, 1))) Event.Aborted;
+    ignore (op tm 1 (Event.Read 0));
+    expect "p1 commits again" (op tm 1 Event.Try_commit) Event.Committed;
+    op tm 2 (Event.Read 0)
+  in
+  Alcotest.(check bool) "fgp: p2's next read aborts" true
+    (next_read "fgp" = Event.Aborted);
+  Alcotest.(check bool) "fgp-priority: p2's next read returns a value" true
+    (next_read "fgp-priority" = Event.Value 0)
 
 let test_fgp_priority_faultfree () =
   (* The guarantee is exactly priority progress: the top-priority process
@@ -799,6 +766,11 @@ let () =
             `Quick test_literal_fgp_breaks_fig16;
           Alcotest.test_case "literal formal rules violate opacity" `Quick
             test_literal_fgp_not_opaque;
+        ] );
+      ( "fgp variants",
+        [
+          Alcotest.test_case "only fgp-priority's abort leaves CP" `Quick
+            test_fgp_priority_abort_leaves_cp;
         ] );
       ("opacity of runs", zoo_opacity_tests);
       ( "runner",

@@ -97,14 +97,9 @@ let run_sim name workload =
   in
   let inst = Reg.instance entry (Intf.config ~nprocs:1 ~ntvars ()) in
   let respond inv =
-    inst.Intf.invoke 1 inv;
-    let rec poll n =
-      if n > 100_000 then
-        Alcotest.failf "%s: no response within patience" name
-      else
-        match inst.Intf.poll 1 with Some r -> r | None -> poll (n + 1)
-    in
-    poll 0
+    match Intf.call inst ~patience:100_000 ~record:ignore 1 inv with
+    | Some r -> r
+    | None -> Alcotest.failf "%s: no response within patience" name
   in
   let read x =
     match respond (Event.Read x) with
