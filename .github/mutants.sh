@@ -31,7 +31,7 @@ row build-and-test per-tick-live-filter lib/sim/runner.ml \
 # An invocation at the model checker's last level needs only its
 # history.  Copy and invoke a TM for it anyway: the preorder is
 # unchanged, but test_sim "enumeration words per node" (<= 32 words)
-# must FAIL (measured 42.9; 24.5 with the shortcut).
+# must FAIL (measured 42.1; 23.7 with the shortcut).
 row build-and-test leaf-copy lib/sim/sweep.ml \
   's/if d = 1 then on_history/if false then on_history/' \
   -- dune exec test/test_sim.exe -- test "pipeline allocation" 1
@@ -39,7 +39,7 @@ row build-and-test leaf-copy lib/sim/sweep.ml \
 # An untraced sweep drops each run's history once its metrics are
 # taken.  Keep it in the result anyway: the metrics are unchanged, but
 # test_sim "untraced sweep retains no histories" (<= 4,000 live words)
-# must FAIL (measured 135,597; 1,392 without it).
+# must FAIL (measured 135,645; 1,440 without it).
 row build-and-test untraced-history lib/sim/sweep.ml \
   's/r_traced = None/r_traced = Some { t_history = outcome.Runner.history; t_trace = [] }/' \
   -- dune exec test/test_sim.exe -- test "pipeline allocation" 7
@@ -68,10 +68,23 @@ row build-and-test mvstm-mid-commit-verdicts lib/tm/contract.ml \
 
 # Figure 15's automaton has no abort transition.  Answer a lone
 # process's tryC with an abort: test_tm "figure 15 has no abort
-# transition", which replays every poll of the exploration, must FAIL.
+# transition", which reads every poll edge's response from the state
+# graph, must FAIL.
 row build-and-test fgp-lone-abort lib/tm/fgp.ml \
   's/^            else deliver_commit t p))$/            else if t.cfg.nprocs = 1 then deliver_abort ~priority t p\n            else deliver_commit t p))/' \
   -- dune exec test/test_tm.exe -- test "fgp figures" 2
+
+# Exhaustive.graph expands a child only when its key is new.  Expand
+# every child: the walk becomes the schedule tree and never closes, so
+# test_tm "figure 15 enumeration" must FAIL, and so must the bench
+# paper-verdicts rule (bench F15 asserts its graph complete, so the
+# bench stops before the diff).
+row build-and-test graph-no-dedup lib/sim/sweep.ml \
+  's/if not (Hashtbl.mem seen k) then begin/if true then begin/' \
+  -- dune exec test/test_tm.exe -- test "fgp figures" 1
+row build-and-test graph-no-dedup-verdicts lib/sim/sweep.ml \
+  's/if not (Hashtbl.mem seen k) then begin/if true then begin/' \
+  -- dune build @bench/runtest
 
 # fgp-priority's abort also drops the aborted process from CP, so the
 # next commit does not doom it.  Keep it in CP, as Fgp does: test_tm

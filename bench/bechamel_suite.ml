@@ -46,11 +46,7 @@ let bechamel_benches () =
         (Staged.stage (fun () -> Runner.run sim_entry sim_spec));
       Test.make ~name:"fgp-fig15-enumeration"
         (Staged.stage (fun () ->
-             let cfg = Tm_impl.Tm_intf.config ~nprocs:1 ~ntvars:1 () in
-             Tm_automaton.Explorer.reachable
-               ~make:(fun () -> Tm_impl.Fgp.create cfg)
-               ~snapshot:Tm_impl.Fgp.state ~actions:Tm_impl.Fgp.actions
-               ~apply:Tm_impl.Fgp.apply ()));
+             assert (Tm_sim.Sweep.Exhaustive.fig15 ()).complete));
       Test.make ~name:"stm-atomically-increment"
         (let v = Stm.tvar 0 in
          Staged.stage (fun () ->

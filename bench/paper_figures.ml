@@ -122,19 +122,13 @@ let liveness_figures () =
 
 let f15 () =
   section "F15" "Figure 15: Fgp with one process, one binary t-variable";
-  let cfg = Tm_impl.Tm_intf.config ~nprocs:1 ~ntvars:1 () in
-  let exploration =
-    Tm_automaton.Explorer.reachable
-      ~make:(fun () -> Tm_impl.Fgp.create cfg)
-      ~snapshot:Tm_impl.Fgp.state ~actions:Tm_impl.Fgp.actions
-      ~apply:Tm_impl.Fgp.apply ()
-  in
-  check_int "reachable states" ~paper:10
-    ~measured:(List.length exploration.Tm_automaton.Explorer.states);
+  let g = Tm_sim.Sweep.Exhaustive.fig15 () in
+  assert g.complete;
+  check_int "reachable states" ~paper:10 ~measured:(List.length g.states);
   Fmt.pr "  states:@.";
   List.iteri
     (fun i (s, _) -> Fmt.pr "    s%-2d %a@." (i + 1) Tm_impl.Fgp.pp_state s)
-    exploration.Tm_automaton.Explorer.states
+    g.states
 
 (* ------------------------------------------------------------------ *)
 (* F16: the example history Hex of Fgp, replayed. *)

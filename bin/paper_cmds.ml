@@ -463,29 +463,25 @@ let trace_cmd =
 
 let explore_cmd =
   let run dot =
-    let cfg = Tm_impl.Tm_intf.config ~nprocs:1 ~ntvars:1 () in
-    let exploration =
-      Tm_automaton.Explorer.reachable
-        ~make:(fun () -> Tm_impl.Fgp.create cfg)
-        ~snapshot:Tm_impl.Fgp.state ~actions:Tm_impl.Fgp.actions
-        ~apply:Tm_impl.Fgp.apply ()
-    in
+    let module Exh = Tm_sim.Sweep.Exhaustive in
+    let g = Exh.fig15 () in
+    assert g.Exh.complete;
     if dot then
       print_string
-        (Tm_automaton.Explorer.to_dot
+        (Exh.to_dot
            ~state_label:(Fmt.str "%a" Tm_impl.Fgp.pp_state)
            ~action_label:(function
-             | Tm_impl.Fgp.Invoke inv ->
+             | Exh.Invoke (_, inv) ->
                  Fmt.str "%a" Tm_history.Event.pp_invocation inv
-             | Tm_impl.Fgp.Poll -> "poll")
-           exploration)
+             | Exh.Poll _ -> "poll")
+           g)
     else begin
       Fmt.pr "%d reachable states (the paper's Figure 15 lists 10):@."
-        (List.length exploration.Tm_automaton.Explorer.states);
+        (List.length g.Exh.states);
       List.iteri
         (fun i (s, _) ->
           Fmt.pr "  s%-2d %a@." (i + 1) Tm_impl.Fgp.pp_state s)
-        exploration.Tm_automaton.Explorer.states
+        g.Exh.states
     end
   in
   let dot =

@@ -144,6 +144,25 @@ module Exhaustive = struct
   (* The largest read value whose response event is shared. *)
   let max_shared_value = 63
 
+  (* The menu both walks share, built once: [Poll p] for a process with
+     a pending invocation, otherwise each of [invocations] in order, as
+     [(invocation, action, invocation event)].  It is range-checked up
+     front, so an invalid invocation raises even where no TM would see
+     it. *)
+  let menu ~nprocs ~ntvars ~invocations ~depth =
+    let cfg = Tm_impl.Tm_intf.config ~nprocs ~ntvars () in
+    if depth > 0 && nprocs > 0 then
+      List.iter (Tm_impl.Tm_intf.Mailbox.check_range cfg 1) invocations;
+    let polls = Array.init (nprocs + 1) (fun p -> Poll p) in
+    let menus =
+      Array.init (nprocs + 1) (fun p ->
+          Array.of_list
+            (List.map
+               (fun inv -> (inv, Invoke (p, inv), Event.Inv (p, inv)))
+               invocations))
+    in
+    (cfg, polls, menus)
+
   (* Depth-first, preorder.  A child node is its parent's TM advanced by
      one action, and the parent's history extended by the event that
      action produced (if any): O(1) TM steps per node.  A child takes a
@@ -162,10 +181,7 @@ module Exhaustive = struct
   let run (entry : Tm_impl.Registry.entry) ~nprocs ~ntvars ~invocations
       ~depth ~on_history =
     let (module M) = entry.Tm_impl.Registry.impl in
-    let cfg = Tm_impl.Tm_intf.config ~nprocs ~ntvars () in
-    if depth > 0 && nprocs > 0 then
-      List.iter (Tm_impl.Tm_intf.Mailbox.check_range cfg 1) invocations;
-    let polls = Array.init (nprocs + 1) (fun p -> Poll p) in
+    let cfg, polls, menus = menu ~nprocs ~ntvars ~invocations ~depth in
     let written =
       List.fold_left
         (fun m -> function Event.Write (_, v) -> max m v | _ -> m)
@@ -173,13 +189,6 @@ module Exhaustive = struct
     in
     let responses =
       Event.responses ~nprocs ~values:(1 + min max_shared_value written)
-    in
-    let menus =
-      Array.init (nprocs + 1) (fun p ->
-          Array.of_list
-            (List.map
-               (fun inv -> (inv, Invoke (p, inv), Event.Inv (p, inv)))
-               invocations))
     in
     let path = Array.make (max depth 0) polls.(0) and len = ref 0 in
     let actions () = List.init !len (Array.get path) in
@@ -242,4 +251,87 @@ module Exhaustive = struct
     run entry ~nprocs ~ntvars ~invocations ~depth ~on_history:(fun _ _ ->
         incr n);
     !n
+
+  type 'k graph = {
+    states : ('k * action list) list;
+    edges : ('k * action * Event.response option * 'k) list;
+    complete : bool;
+  }
+
+  (* Breadth-first, one layer at a time: a child is a copy of its
+     parent's TM advanced by one action, and it joins the next layer
+     only when its key is new. *)
+  let graph (type a) (module M : Tm_impl.Tm_intf.S with type t = a) ~key
+      ~nprocs ~ntvars ~invocations ~depth =
+    let cfg, polls, menus = menu ~nprocs ~ntvars ~invocations ~depth in
+    let seen = Hashtbl.create 64 and states = ref [] and edges = ref [] in
+    let discover next tm rev_path =
+      let k = key tm in
+      if not (Hashtbl.mem seen k) then begin
+        Hashtbl.add seen k ();
+        states := (k, List.rev rev_path) :: !states;
+        next := (tm, k, rev_path) :: !next
+      end;
+      k
+    in
+    let expand next (tm, k, rev_path) =
+      let child a step =
+        let tm' = M.copy tm in
+        let r = step tm' in
+        edges := (k, a, r, discover next tm' (a :: rev_path)) :: !edges
+      in
+      for p = 1 to nprocs do
+        match M.pending tm p with
+        | Some _ -> child polls.(p) (fun tm' -> M.poll tm' p)
+        | None ->
+            Array.iter
+              (fun (inv, a, _) ->
+                child a (fun tm' ->
+                    M.invoke tm' p inv;
+                    None))
+              menus.(p)
+      done
+    in
+    let rec walk layer d =
+      match layer with
+      | [] -> true
+      | _ when d = depth -> false
+      | _ ->
+          let next = ref [] in
+          List.iter (expand next) layer;
+          walk (List.rev !next) (d + 1)
+    in
+    let root = ref [] in
+    ignore (discover root (M.create cfg) []);
+    let complete = walk !root 0 in
+    { states = List.rev !states; edges = List.rev !edges; complete }
+
+  let to_dot ~state_label ~action_label g =
+    let buf = Buffer.create 1024 in
+    let names = Hashtbl.create 16 in
+    List.iteri
+      (fun i (k, _) -> Hashtbl.replace names k ("s" ^ string_of_int (i + 1)))
+      g.states;
+    let name_of = Hashtbl.find names in
+    Buffer.add_string buf "digraph automaton {\n  rankdir=LR;\n";
+    List.iter
+      (fun (k, _) ->
+        Buffer.add_string buf
+          (Printf.sprintf "  %s [label=%S];\n" (name_of k) (state_label k)))
+      g.states;
+    List.iter
+      (fun (k, a, _, k') ->
+        Buffer.add_string buf
+          (Printf.sprintf "  %s -> %s [label=%S];\n" (name_of k) (name_of k')
+             (action_label a)))
+      g.edges;
+    Buffer.add_string buf "}\n";
+    Buffer.contents buf
+
+  let fig15 () =
+    graph
+      (module Tm_impl.Fgp)
+      ~key:Tm_impl.Fgp.state ~nprocs:1 ~ntvars:1
+      ~invocations:Event.[ Read 0; Write (0, 0); Write (0, 1); Try_commit ]
+      ~depth:5
 end

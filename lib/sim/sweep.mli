@@ -86,14 +86,21 @@ val pp_table : Format.formatter -> result list -> unit
 (** One line per run: label, commits, aborts by cause, defers, mean
     commit latency. *)
 
-(** Exhaustive schedule enumeration for model-checking a TM.
+(** Exhaustive exploration of a TM: the one engine behind the bounded
+    model checker ({!run}, {!screen}) and the reachable-state graphs
+    ({!graph}, Figure 15).
 
-    Enumerates {e every} interleaving of up to [depth] scheduler actions —
-    at each step each process either polls its pending operation or issues
-    any invocation from the given menu — and hands each reached history to
-    the callback.  A poll can advance a TM's internal state without
-    emitting an event (multi-poll commits), so a node is its TM state, not
-    its history.  The enumeration is {e copy-and-extend}: each child node
+    Both walks drive a TM under the same menu: at each step each process
+    either polls its pending invocation or, with none pending, issues any
+    invocation from the given list.
+
+    {2 Schedules}
+
+    [run] enumerates {e every} interleaving of up to [depth] scheduler
+    actions and hands each reached history to the callback.  A poll can
+    advance a TM's internal state without emitting an event (multi-poll
+    commits), so a node is its TM state, not its history.  The
+    enumeration is {e copy-and-extend}: each child node
     is its parent's TM advanced by one action, and its history is the
     parent's extended by the event that action produced.  A child takes a
     {!Tm_impl.Tm_intf.S.copy} of its parent's TM only where a later
@@ -162,4 +169,51 @@ module Exhaustive : sig
     invocations:Event.invocation list ->
     depth:int ->
     int
+
+  (** {2 Reachable states}
+
+      [graph] walks the same menu breadth-first, a child being a
+      {!Tm_impl.Tm_intf.S.copy} of its parent advanced by one action, and
+      expands one TM per key: the key must determine the TM's future. *)
+
+  type 'k graph = {
+    states : ('k * action list) list;
+        (** each reachable key with a shortest action list reaching it,
+            in discovery order *)
+    edges : ('k * action * Event.response option * 'k) list;
+        (** [(k, a, r, k')]: action [a] from [k]'s representative answers
+            [r] (always [None] for an invocation) and reaches [k'], in
+            expansion order *)
+    complete : bool;
+        (** no new key at distance [depth]: all reachable keys, expanded *)
+  }
+
+  val graph :
+    (module Tm_impl.Tm_intf.S with type t = 'a) ->
+    key:('a -> 'k) ->
+    nprocs:int ->
+    ntvars:int ->
+    invocations:Event.invocation list ->
+    depth:int ->
+    'k graph
+  (** Keys are compared with structural equality.  A key first reached at
+      distance [depth] is listed but not expanded.  Each node's children
+      are in {!run}'s order.
+
+      @raise Invalid_argument as {!run} does. *)
+
+  val to_dot :
+    state_label:('k -> string) ->
+    action_label:(action -> string) ->
+    'k graph ->
+    string
+  (** A Graphviz rendering of the graph: keys are named s1, s2, ... in
+      discovery order (so the Figure-15 exploration reproduces the paper's
+      own diagram). *)
+
+  val fig15 : unit -> Tm_impl.Fgp.state graph
+  (** Figure 15: the graph of fgp with one process on one binary
+      t-variable, keyed by {!Tm_impl.Fgp.state}, under the menu read
+      [x0], write 0 or 1 to [x0], [tryC].  Its layers close at depth 5
+      ([complete]) with the paper's ten states s1–s10 in its order. *)
 end

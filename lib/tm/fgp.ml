@@ -156,20 +156,3 @@ let pp_state ppf s =
     s.s_vals
     Fmt.(list ~sep:(any ",") pp_pending)
     s.s_pending
-
-type action = Invoke of Event.invocation | Poll
-
-let actions t =
-  match pending t 1 with
-  | Some _ -> [ Poll ]
-  | None ->
-      [
-        Invoke (Event.Read 0);
-        Invoke (Event.Write (0, 0));
-        Invoke (Event.Write (0, 1));
-        Invoke Event.Try_commit;
-      ]
-
-let apply t = function
-  | Invoke inv -> invoke t 1 inv
-  | Poll -> ignore (poll t 1)

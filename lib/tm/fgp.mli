@@ -64,17 +64,11 @@ module Priority : Tm_intf.S
 type state
 
 val state : t -> state
-(** A snapshot of the automaton state (for the explorer and tests). *)
+(** The automaton state [(Status, CP, Val, f)], Figure 15's graph key.
+    It leaves out the committed snapshot that delivering [A_k] restores,
+    so it determines the future only for one process, which is never
+    aborted: with two, states that differ only in that snapshot restore
+    different views on p2's abort (test_sim "fgp's key needs one
+    process"). *)
 
 val pp_state : Format.formatter -> state -> unit
-
-(** Figure 15's menu: the actions of a lone process p1 on one binary
-    t-variable [x0], for exploring the automaton. *)
-type action = Invoke of Tm_history.Event.invocation | Poll
-
-val actions : t -> action list
-(** [Poll] while p1 has a pending invocation; otherwise [read x0],
-    [write (x0, 0)], [write (x0, 1)] and [tryC]. *)
-
-val apply : t -> action -> unit
-(** Invoke, or poll and drop the response. *)

@@ -578,11 +578,7 @@ let test_findings_json () =
   in
   let json = An.Finding.list_to_json fs in
   Alcotest.(check string) "deterministic" json (An.Finding.list_to_json fs);
-  let contains needle =
-    let n = String.length needle and m = String.length json in
-    let rec go i = i + n <= m && (String.sub json i n = needle || go (i + 1)) in
-    go 0
-  in
+  let contains = Tm_test_util.Util.contains json in
   Alcotest.(check bool) "counts" true
     (contains "\"counts\":{\"error\":1,\"warning\":1,\"info\":0}");
   Alcotest.(check bool) "escaping" true (contains "msg \\\"quoted\\\"");

@@ -434,6 +434,62 @@ let test_event_compare_total () =
     es
 
 (* ------------------------------------------------------------------ *)
+(* The codec (trace serialization), round-tripped on the figures and on
+   generated events. *)
+
+let test_codec_roundtrip_figures () =
+  List.iter
+    (fun (name, h) ->
+      match Codec.history_of_string (Codec.history_to_string h) with
+      | Ok h' ->
+          Alcotest.(check bool) (name ^ " round-trips") true (History.equal h h')
+      | Error m -> Alcotest.failf "%s: %s" name m)
+    Figures.all_finite;
+  List.iter
+    (fun (name, l) ->
+      match Codec.lasso_of_string (Codec.lasso_to_string l) with
+      | Ok l' ->
+          Alcotest.(check bool)
+            (name ^ " lasso round-trips")
+            true
+            (l.Lasso.stem = l'.Lasso.stem && l.Lasso.cycle = l'.Lasso.cycle)
+      | Error m -> Alcotest.failf "%s: %s" name m)
+    Figures.all_lassos
+
+let test_codec_rejects_garbage () =
+  (match Codec.event_of_string "inv one read 0" with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "non-numeric process accepted");
+  (match Codec.history_of_string "res 1 value 0\n" with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "ill-formed history accepted");
+  match Codec.lasso_of_string "inv 1 read 0\n" with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "lasso without cycle separator accepted"
+
+let test_codec_comments_and_blanks () =
+  let text = "# a comment\n\ninv 1 read 0\nres 1 value 0\n\n" in
+  match Codec.history_of_string text with
+  | Ok h -> Alcotest.(check int) "two events" 2 (History.length h)
+  | Error m -> Alcotest.fail m
+
+let prop_codec_roundtrip =
+  let gen_event =
+    QCheck2.Gen.(
+      let* p = int_range 1 5 and* inv = gen_invocation in
+      oneof
+        [
+          return (Event.Inv (p, inv));
+          map (fun r -> Event.Res (p, r)) (gen_response_for inv);
+        ])
+  in
+  QCheck2.Test.make ~count:500 ~name:"event codec round-trips" gen_event
+    (fun e ->
+      match Codec.event_of_string (Codec.event_to_string e) with
+      | Ok e' -> Event.equal e e'
+      | Error _ -> false)
+
+(* ------------------------------------------------------------------ *)
 (* Property tests. *)
 
 let prop_generated_well_formed =
@@ -617,6 +673,16 @@ let () =
           Alcotest.test_case "fused rows" `Quick test_pretty_fused_rows;
           Alcotest.test_case "event compare total" `Quick
             test_event_compare_total;
+        ] );
+      ( "codec",
+        [
+          Alcotest.test_case "figures round-trip" `Quick
+            test_codec_roundtrip_figures;
+          Alcotest.test_case "garbage rejected" `Quick
+            test_codec_rejects_garbage;
+          Alcotest.test_case "comments and blanks" `Quick
+            test_codec_comments_and_blanks;
+          QCheck_alcotest.to_alcotest prop_codec_roundtrip;
         ] );
       ("properties", properties);
     ]

@@ -475,6 +475,113 @@ let test_copies_are_independent () =
       done)
     Reg.all
 
+(* The reachable-state graph, on fgp under Figure 15's menu (one process,
+   one binary t-variable) keyed by its automaton state. *)
+module Fgp = Tm_impl.Fgp
+
+let fig15_invocations =
+  [ Event.Read 0; Event.Write (0, 0); Event.Write (0, 1); Event.Try_commit ]
+
+let fgp_graph ?(nprocs = 1) ?(invocations = fig15_invocations) depth =
+  Exh.graph (module Fgp) ~key:Fgp.state ~nprocs ~ntvars:1 ~invocations ~depth
+
+let fgp_replay ?(nprocs = 1) actions =
+  let t = Fgp.create (Tm_impl.Tm_intf.config ~nprocs ~ntvars:1 ()) in
+  List.iter
+    (function
+      | Exh.Invoke (p, inv) -> Fgp.invoke t p inv
+      | Exh.Poll p -> ignore (Fgp.poll t p))
+    actions;
+  t
+
+(* Each state's action list leads to it and is as long as its
+   breadth-first layer (worked by hand from Figure 15). *)
+let test_graph_shortest_witnesses () =
+  let g = Exh.fig15 () in
+  List.iter
+    (fun (k, path) ->
+      if Fgp.state (fgp_replay path) <> k then
+        Alcotest.failf "the witness of %a leads elsewhere" Fgp.pp_state k)
+    g.Exh.states;
+  Alcotest.(check (list int))
+    "witness lengths" [ 0; 1; 1; 1; 1; 2; 2; 3; 3; 4 ]
+    (List.map (fun (_, path) -> List.length path) g.Exh.states)
+
+(* The tenth state is first reached at distance 4: a bound of 4 lists it
+   but does not expand it, so the graph cannot claim to be closed. *)
+let test_graph_depth_bound () =
+  let cut = fgp_graph 4 and closed = Exh.fig15 () in
+  Alcotest.(check (pair bool bool))
+    "complete at 4, at 5" (false, true)
+    (cut.Exh.complete, closed.Exh.complete);
+  Alcotest.(check (triple int int int))
+    "states at 4, edges at 4 and at 5" (10, 18, 22)
+    ( List.length cut.Exh.states,
+      List.length cut.Exh.edges,
+      List.length closed.Exh.edges )
+
+(* The header, then the states in discovery order, then the edges. *)
+let test_graph_dot () =
+  let dot =
+    Exh.to_dot
+      ~state_label:(Fmt.str "%a" Fgp.pp_state)
+      ~action_label:(function
+        | Exh.Invoke (_, inv) -> Fmt.str "%a" Event.pp_invocation inv
+        | Exh.Poll _ -> "poll")
+      (Exh.fig15 ())
+  in
+  Alcotest.(check (list string))
+    "header, s1, the first edge, the end"
+    [
+      "digraph automaton {";
+      "  rankdir=LR;";
+      "  s1 [label=\"(status=[c] cp={} val=[0] f=[_])\"];";
+      "  s1 -> s2 [label=\"x0.read\"];";
+      "}";
+      "";
+    ]
+    (List.filteri
+       (fun i _ -> i < 3 || i = 12 || i >= 34)
+       (String.split_on_char '\n' dot))
+
+(* The graph against the tree: with one process, the keys [graph] finds
+   are exactly the states of the nodes [run] enumerates at the same
+   depth, each node's state taken by replaying its action list. *)
+let test_graph_matches_run () =
+  let fgp = Option.get (Reg.find "fgp") in
+  for depth = 0 to 6 do
+    let by_run = ref [] in
+    Exh.run fgp ~nprocs:1 ~ntvars:1 ~invocations:fig15_invocations ~depth
+      ~on_history:(fun _ actions ->
+        by_run := Fgp.state (fgp_replay (actions ())) :: !by_run);
+    Alcotest.(check bool)
+      (Fmt.str "depth %d" depth) true
+      (List.sort_uniq compare !by_run
+      = List.sort compare (List.map fst (fgp_graph depth).Exh.states))
+  done
+
+(* [Fgp.state] leaves out the committed snapshot that an abort restores,
+   so it is no key for two processes.  p1 commits 0 (or its own write of
+   1) and dooms p2, then both write 1: the two states share a key, but
+   p2's abort restores 0 in one and 1 in the other, and the graph
+   follows only the first. *)
+let test_graph_fgp_key_needs_one_process () =
+  let w p = Exh.Invoke (p, Event.Write (0, 1)) and poll p = Exh.Poll p in
+  let head = [ Exh.Invoke (2, Event.Read 0); poll 2 ]
+  and tail = [ Exh.Invoke (1, Event.Try_commit); poll 1; w 1; poll 1; w 2 ] in
+  let zero = fgp_replay ~nprocs:2 (head @ tail)
+  and one = fgp_replay ~nprocs:2 (head @ [ w 1; poll 1 ] @ tail) in
+  let k = Fgp.state one in
+  Alcotest.(check bool) "same key" true (Fgp.state zero = k);
+  ignore (Fgp.poll zero 2, Fgp.poll one 2);
+  Alcotest.(check bool) "different successors" false
+    (Fgp.state zero = Fgp.state one);
+  let g = fgp_graph ~nprocs:2 ~invocations:sweep_invocations 8 in
+  Alcotest.(check bool) "the graph follows the first" true
+    (List.exists
+       (fun (k0, a, _, k') -> k0 = k && a = Exh.Poll 2 && k' = Fgp.state zero)
+       g.Exh.edges)
+
 (* ------------------------------------------------------------------ *)
 (* Allocation gates for the paper pipeline: words are deterministic, so
    these hold on any number of cores.  A reading counts this domain's
@@ -623,8 +730,8 @@ let test_metrics_words () =
 
 (* An untraced sweep's results hold configurations and metrics only:
    each run's history is garbage once its metrics are taken.  Held
-   results of the zoo's healthy 2,000-step sweep keep 1,392 words
-   live (135,597 while every result kept its history). *)
+   results of the zoo's healthy 2,000-step sweep keep 1,440 words
+   live (135,645 while every result kept its history). *)
 let test_sweep_retains_little () =
   let configs =
     Tm_sim.Sweep.grid
@@ -767,13 +874,8 @@ let test_metrics_of_outcome () =
   Tm_sim.Metrics.to_json buf m;
   let json = Buffer.contents buf in
   Alcotest.(check bool) "json has abort causes" true
-    (let needle = "\"abort_causes\":{\"read\":1,\"write\":0,\"commit\":1}" in
-     let rec contains i =
-       i + String.length needle <= String.length json
-       && (String.sub json i (String.length needle) = needle
-          || contains (i + 1))
-     in
-     contains 0)
+    (Tm_test_util.Util.contains json
+       "\"abort_causes\":{\"read\":1,\"write\":0,\"commit\":1}")
 
 let test_metrics_histogram_edges () =
   let module M = Tm_sim.Metrics in
@@ -869,15 +971,8 @@ let test_metrics_fault_counters () =
   let buf = Buffer.create 256 in
   M.to_json buf m;
   let json = Buffer.contents buf in
-  let contains needle =
-    let rec go i =
-      i + String.length needle <= String.length json
-      && (String.sub json i (String.length needle) = needle || go (i + 1))
-    in
-    go 0
-  in
   Alcotest.(check bool) "json exports the fault counters" true
-    (contains "\"faults\":1,\"starvations\":1")
+    (Tm_test_util.Util.contains json "\"faults\":1,\"starvations\":1")
 
 (* [Metrics.of_outcome] as it was before it became one pass, the
    reference for the property below: a fold for the process count, a
@@ -1408,5 +1503,16 @@ let () =
             test_sweep_quiescent;
           Alcotest.test_case "invalid invocation raises" `Quick
             test_invalid_invocation_raises;
+        ] );
+      ( "state graph",
+        [
+          Alcotest.test_case "shortest witnesses" `Quick
+            test_graph_shortest_witnesses;
+          Alcotest.test_case "depth bound" `Quick test_graph_depth_bound;
+          Alcotest.test_case "DOT export" `Quick test_graph_dot;
+          Alcotest.test_case "graph keys = run's states" `Quick
+            test_graph_matches_run;
+          Alcotest.test_case "fgp's key needs one process" `Quick
+            test_graph_fgp_key_needs_one_process;
         ] );
     ]

@@ -102,44 +102,30 @@ let test_fig16_replay () =
 (* Figure 15: exhaustive enumeration of Fgp with one process and one
    binary t-variable yields exactly the paper's 10 states. *)
 
-let fig15_cfg = Intf.config ~nprocs:1 ~ntvars:1 ()
-
-let fig15 () =
-  Tm_automaton.Explorer.reachable
-    ~make:(fun () -> Tm_impl.Fgp.create fig15_cfg)
-    ~snapshot:Tm_impl.Fgp.state ~actions:Tm_impl.Fgp.actions
-    ~apply:Tm_impl.Fgp.apply ()
+module Exh = Tm_sim.Sweep.Exhaustive
 
 let test_fig15_enumeration () =
-  let exploration = fig15 () in
-  Alcotest.(check bool) "exploration complete" true
-    exploration.Tm_automaton.Explorer.complete;
-  Alcotest.(check int)
-    "exactly the 10 states of Figure 15" 10
-    (List.length exploration.Tm_automaton.Explorer.states)
+  let g = Exh.fig15 () in
+  Alcotest.(check (pair bool int))
+    "complete, with exactly the 10 states of Figure 15" (true, 10)
+    (g.Exh.complete, List.length g.Exh.states)
 
 (* No abort event is ever delivered (the paper: the single-process
-   automaton has no abort transitions).  A transition records states,
-   not responses, so each poll transition is replayed: its source
-   state's witness on a fresh automaton, then the poll. *)
+   automaton has no abort transitions): every poll edge answers, and
+   never with an abort. *)
 let test_fig15_no_abort () =
-  let exploration = fig15 () in
   let polls = ref 0 in
   List.iter
-    (fun (s, a, _) ->
-      if a = Tm_impl.Fgp.Poll then begin
-        incr polls;
-        let t = Tm_impl.Fgp.create fig15_cfg in
-        List.iter (Tm_impl.Fgp.apply t)
-          (List.assoc s exploration.Tm_automaton.Explorer.states);
-        match Tm_impl.Fgp.poll t 1 with
-        | Some Event.Aborted ->
-            Alcotest.failf "abort transition from %a" Tm_impl.Fgp.pp_state s
-        | Some _ -> ()
-        | None -> Alcotest.fail "a poll transition without a response"
-      end)
-    exploration.Tm_automaton.Explorer.transitions;
-  Alcotest.(check bool) "poll transitions replayed" true (!polls > 0)
+    (fun (s, a, r, _) ->
+      match (a, r) with
+      | Exh.Invoke _, _ -> ()
+      | Exh.Poll _, Some Event.Aborted ->
+          Alcotest.failf "abort transition from %a" Tm_impl.Fgp.pp_state s
+      | Exh.Poll _, Some _ -> incr polls
+      | Exh.Poll _, None ->
+          Alcotest.fail "a poll transition without a response")
+    (Exh.fig15 ()).Exh.edges;
+  Alcotest.(check bool) "poll transitions answered" true (!polls > 0)
 
 let test_fgp_never_aborts_solo () =
   (* Stronger form of the Figure-15 claim: a single process never receives

@@ -92,11 +92,7 @@ let test_export_deterministic_bytes () =
 
 let test_export_chrome_shape () =
   let json = Tm_trace.Export.chrome_string sample_events in
-  let contains needle =
-    let n = String.length needle and m = String.length json in
-    let rec go i = i + n <= m && (String.sub json i n = needle || go (i + 1)) in
-    go 0
-  in
+  let contains = Tm_test_util.Util.contains json in
   Alcotest.(check bool) "top-level array" true
     (String.length json > 0 && json.[0] = '[');
   Alcotest.(check bool) "span begin phase code" true
