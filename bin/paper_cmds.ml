@@ -470,10 +470,6 @@ let explore_cmd =
       print_string
         (Exh.to_dot
            ~state_label:(Fmt.str "%a" Tm_impl.Fgp.pp_state)
-           ~action_label:(function
-             | Exh.Invoke (_, inv) ->
-                 Fmt.str "%a" Tm_history.Event.pp_invocation inv
-             | Exh.Poll _ -> "poll")
            g)
     else begin
       Fmt.pr "%d reachable states (the paper's Figure 15 lists 10):@."

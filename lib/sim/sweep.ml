@@ -306,7 +306,7 @@ module Exhaustive = struct
     let complete = walk !root 0 in
     { states = List.rev !states; edges = List.rev !edges; complete }
 
-  let to_dot ~state_label ~action_label g =
+  let to_dot ~state_label g =
     let buf = Buffer.create 1024 in
     let names = Hashtbl.create 16 in
     List.iteri
@@ -323,7 +323,9 @@ module Exhaustive = struct
       (fun (k, a, _, k') ->
         Buffer.add_string buf
           (Printf.sprintf "  %s -> %s [label=%S];\n" (name_of k) (name_of k')
-             (action_label a)))
+             (match a with
+             | Invoke (_, inv) -> Fmt.str "%a" Event.pp_invocation inv
+             | Poll _ -> "poll")))
       g.edges;
     Buffer.add_string buf "}\n";
     Buffer.contents buf

@@ -202,11 +202,7 @@ module Exhaustive : sig
 
       @raise Invalid_argument as {!run} does. *)
 
-  val to_dot :
-    state_label:('k -> string) ->
-    action_label:(action -> string) ->
-    'k graph ->
-    string
+  val to_dot : state_label:('k -> string) -> 'k graph -> string
   (** A Graphviz rendering of the graph: keys are named s1, s2, ... in
       discovery order (so the Figure-15 exploration reproduces the paper's
       own diagram). *)

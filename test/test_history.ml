@@ -476,11 +476,18 @@ let test_codec_comments_and_blanks () =
 let prop_codec_roundtrip =
   let gen_event =
     QCheck2.Gen.(
-      let* p = int_range 1 5 and* inv = gen_invocation in
+      let* p = int_range 1 5 in
       oneof
         [
-          return (Event.Inv (p, inv));
-          map (fun r -> Event.Res (p, r)) (gen_response_for inv);
+          map (fun x -> Event.Inv (p, Event.Read x)) (int_bound 10);
+          map2
+            (fun x v -> Event.Inv (p, Event.Write (x, v)))
+            (int_bound 10) (int_bound 100);
+          return (Event.Inv (p, Event.Try_commit));
+          map (fun v -> Event.Res (p, Event.Value v)) (int_bound 100);
+          return (Event.Res (p, Event.Ok_written));
+          return (Event.Res (p, Event.Committed));
+          return (Event.Res (p, Event.Aborted));
         ])
   in
   QCheck2.Test.make ~count:500 ~name:"event codec round-trips" gen_event

@@ -525,9 +525,6 @@ let test_graph_dot () =
   let dot =
     Exh.to_dot
       ~state_label:(Fmt.str "%a" Fgp.pp_state)
-      ~action_label:(function
-        | Exh.Invoke (_, inv) -> Fmt.str "%a" Event.pp_invocation inv
-        | Exh.Poll _ -> "poll")
       (Exh.fig15 ())
   in
   Alcotest.(check (list string))
