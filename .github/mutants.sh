@@ -21,9 +21,16 @@ row build-and-test monitor-restore lib/safety/monitor.ml \
   's/if i <> r.at then restore r i;/if i <> r.at then ();/' \
   -- dune exec test/test_safety.exe -- test "monitor resumption"
 
+# Restoring a saved prefix pops the trail back to the frame's mark,
+# writing each process int's old value back.  Skip the pops: test_safety
+# "monitor resumption" must FAIL.
+row build-and-test trail-no-undo lib/safety/monitor.ml \
+  's/while m.ntrail > mark do/while false \&\& m.ntrail > mark do/' \
+  -- dune exec test/test_safety.exe -- test "monitor resumption"
+
 # Put back the uniform scheduler's per-tick List.filter over all
 # processes: the schedule is unchanged, but test_sim "runner words per
-# step" (<= 10 words) must FAIL (measured 18.8).
+# step" (<= 10 words) must FAIL (measured 17.2; 4.3 without it).
 row build-and-test per-tick-live-filter lib/sim/runner.ml \
   's/^  let rr = ref 0 in$/  let all_procs = List.init n succ in\n  let rr = ref 0 in/;s/^    | Uniform -> live.(Prng.int sched_prng !nlive)$/    | Uniform ->\n        let procs = List.filter (fun q -> not (crashed tick q)) all_procs in\n        List.nth procs (Prng.int sched_prng (List.length procs))/' \
   -- dune exec test/test_sim.exe -- test "pipeline allocation" 4
@@ -31,18 +38,27 @@ row build-and-test per-tick-live-filter lib/sim/runner.ml \
 # An invocation at the model checker's last level needs only its
 # history.  Copy and invoke a TM for it anyway: the preorder is
 # unchanged, but test_sim "enumeration words per node" (<= 32 words)
-# must FAIL (measured 42.1; 23.7 with the shortcut).
+# must FAIL (measured 41.2; 23.5 with the shortcut).
 row build-and-test leaf-copy lib/sim/sweep.ml \
   's/if d = 1 then on_history/if false then on_history/' \
   -- dune exec test/test_sim.exe -- test "pipeline allocation" 1
 
-# An untraced sweep drops each run's history once its metrics are
-# taken.  Keep it in the result anyway: the metrics are unchanged, but
-# test_sim "untraced sweep retains no histories" (<= 4,000 live words)
-# must FAIL (measured 135,645; 1,440 without it).
+# An untraced sweep run builds no history: Runner.metrics tallies its
+# metrics as it goes.  Run it through Runner.run and keep the history
+# in the result: the metrics are unchanged, but test_sim "untraced
+# sweep retains no histories" (<= 4,000 live words) must FAIL
+# (measured 135,645; 1,440 without it).
 row build-and-test untraced-history lib/sim/sweep.ml \
-  's/r_traced = None/r_traced = Some { t_history = outcome.Runner.history; t_trace = [] }/' \
+  's/else { r_config = c; r_metrics = Runner.metrics c.tm c.spec; r_traced = None }/else let o = Runner.run c.tm c.spec in { r_config = c; r_metrics = o.Runner.metrics; r_traced = Some { t_history = o.Runner.history; t_trace = [] } }/' \
   -- dune exec test/test_sim.exe -- test "pipeline allocation" 7
+
+# The runner reads the empirical fault/starvation window off the last
+# max 1 (events / 4) events it tallied.  Read one event fewer: test_sim
+# "runner metrics = four-pass reference", which holds the runner's
+# metrics to a walk of its own history, must FAIL.
+row build-and-test tally-window-off-by-one lib/sim/metrics.ml \
+  's|~window:(max 1 (n / 4))|~window:(max 1 (n / 4) - 1)|' \
+  -- dune exec test/test_sim.exe -- test metrics 12
 
 # TL2 validates a t-variable read and then written at once only when
 # its commit locks it: the word the lock replaced must be at the version

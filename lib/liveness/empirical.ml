@@ -44,45 +44,76 @@ type window_summary = {
   looks_progressing : bool;
 }
 
-(* Per-process counts over the whole history and over its last [window]
-   events, in arrays indexed from the lowest process counted. *)
+(* What the window counts of an event, as the low two bits of a ring
+   code. *)
+type kind = Other | Commit | Abort | Try_commit
+
+let kind e =
+  if Event.is_commit e then Commit
+  else if Event.is_abort e then Abort
+  else if Event.is_try_commit e then Try_commit
+  else Other
+
+let code_of_kind = function
+  | Other -> 0
+  | Commit -> 1
+  | Abort -> 2
+  | Try_commit -> 3
+
+(* Per-process event counts over everything tallied, in an array indexed
+   from the lowest process counted, and the codes ((process - lo) * 4 +
+   kind) of the newest events in a ring: [ring.(pos - 1)] is the newest,
+   wrapping. *)
 type tally = {
   lo : Event.proc;
-  from : int;  (** the index of the window's first event *)
   total : int array;
-  in_window : int array;
-  commits : int array;
-  aborts : int array;
-  trycs : int array;
+  ring : int array;
+  mutable pos : int;
+  mutable count : int;  (** events tallied *)
 }
 
-let tally ~lo ~hi ~length ~window =
-  let size = Int.max 0 (hi - lo + 1) in
+let tally ~lo ~hi ~capacity =
   {
     lo;
-    from = length - window;
-    total = Array.make size 0;
-    in_window = Array.make size 0;
-    commits = Array.make size 0;
-    aborts = Array.make size 0;
-    trycs = Array.make size 0;
+    total = Array.make (Int.max 0 (hi - lo + 1)) 0;
+    ring = Array.make (Int.max 1 capacity) 0;
+    pos = 0;
+    count = 0;
   }
 
-let tally_event t i e =
-  let k = Event.proc e - t.lo in
+let tally_kind t p kind =
+  let k = p - t.lo in
   t.total.(k) <- t.total.(k) + 1;
-  if i >= t.from then begin
-    t.in_window.(k) <- t.in_window.(k) + 1;
-    if Event.is_commit e then t.commits.(k) <- t.commits.(k) + 1;
-    if Event.is_abort e then t.aborts.(k) <- t.aborts.(k) + 1;
-    if Event.is_try_commit e then t.trycs.(k) <- t.trycs.(k) + 1
-  end
+  t.ring.(t.pos) <- (k lsl 2) lor code_of_kind kind;
+  let pos = t.pos + 1 in
+  t.pos <- (if pos = Array.length t.ring then 0 else pos);
+  t.count <- t.count + 1
 
-let tally_summaries t =
+let tally_event t e = tally_kind t (Event.proc e) (kind e)
+
+let tally_summaries t ~window =
+  let w = Int.max 0 (Int.min window t.count) and cap = Array.length t.ring in
+  if w > cap then
+    invalid_arg "Empirical.tally_summaries: window exceeds capacity";
+  let size = Array.length t.total in
+  let in_window = Array.make size 0 and commits = Array.make size 0 in
+  let aborts = Array.make size 0 and trycs = Array.make size 0 in
+  let start = t.pos - w in
+  for j = 0 to w - 1 do
+    let i = start + j in
+    let c = t.ring.(if i < 0 then i + cap else i) in
+    let k = c lsr 2 in
+    in_window.(k) <- in_window.(k) + 1;
+    match c land 3 with
+    | 1 -> commits.(k) <- commits.(k) + 1
+    | 2 -> aborts.(k) <- aborts.(k) + 1
+    | 3 -> trycs.(k) <- trycs.(k) + 1
+    | _ -> ()
+  done;
   let summary k =
-    let events_total = t.total.(k) and events_in_window = t.in_window.(k) in
-    let commits_in_window = t.commits.(k) and aborts_in_window = t.aborts.(k) in
-    let trycs_in_window = t.trycs.(k) in
+    let events_total = t.total.(k) and events_in_window = in_window.(k) in
+    let commits_in_window = commits.(k) and aborts_in_window = aborts.(k) in
+    let trycs_in_window = trycs.(k) in
     let looks_pending = commits_in_window = 0 in
     let looks_crashed = events_total > 0 && events_in_window = 0 in
     let looks_parasitic =
@@ -106,7 +137,7 @@ let tally_summaries t =
     if k < 0 then acc
     else collect (k - 1) (if t.total.(k) > 0 then summary k :: acc else acc)
   in
-  collect (Array.length t.total - 1) []
+  collect (size - 1) []
 
 (* One pass over the events after one over the process range. *)
 let classify_window ~window h =
@@ -119,14 +150,9 @@ let classify_window ~window h =
         lo := Int.min !lo (Event.proc e);
         hi := Int.max !hi (Event.proc e))
       (History.rev_events h);
-    let t = tally ~lo:!lo ~hi:!hi ~length:n ~window in
-    let next = ref 0 in
-    History.iter
-      (fun e ->
-        tally_event t !next e;
-        incr next)
-      h;
-    tally_summaries t
+    let t = tally ~lo:!lo ~hi:!hi ~capacity:(Int.min window n) in
+    History.iter (tally_event t) h;
+    tally_summaries t ~window
   end
 
 (* Counter-sample classification: the watchdog's view of a real domain.

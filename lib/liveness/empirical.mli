@@ -46,24 +46,35 @@ val classify_window : window:int -> History.t -> window_summary list
 (** {2 Window tallies}
 
     The counts behind {!classify_window}, taken one event at a time, so
-    that a caller already walking a history (the simulator's metrics) can
-    take the window reading in the same pass.  The heuristics that turn
-    counts into a {!window_summary} live only here. *)
+    that a caller that never keeps the events (the simulator's run
+    metrics) can read the window when the run ends.  A tally keeps each
+    process's event count and, in a ring, a (process, kind) code for each
+    of its newest [capacity] events; the heuristics that turn counts into
+    a {!window_summary} live only here. *)
+
+(** What the window counts of an event. *)
+type kind =
+  | Other
+  | Commit  (** a [Committed] response *)
+  | Abort  (** an [Aborted] response *)
+  | Try_commit  (** a [tryC] invocation *)
 
 type tally
 
-val tally : lo:Event.proc -> hi:Event.proc -> length:int -> window:int -> tally
-(** Zeroed counters for processes [lo .. hi] of a history of [length]
-    events whose window is its last [window] events. *)
+val tally : lo:Event.proc -> hi:Event.proc -> capacity:int -> tally
+(** Zeroed counters for processes [lo .. hi], keeping the codes of the
+    newest [max 1 capacity] events. *)
 
-val tally_event : tally -> int -> Event.t -> unit
-(** [tally_event t i e] counts [e], the event at index [i] (0-based) of
-    the history.  Allocates nothing.
-    @raise Invalid_argument if [e]'s process is outside [lo .. hi]. *)
+val tally_kind : tally -> Event.proc -> kind -> unit
+(** Counts the next event, of process [p] and kind [kind].  Allocates
+    nothing.  @raise Invalid_argument if [p] is outside [lo .. hi]. *)
 
-val tally_summaries : tally -> window_summary list
-(** One summary per counted process with at least one event, ascending —
-    what {!classify_window} returns for the same events and window. *)
+val tally_summaries : tally -> window:int -> window_summary list
+(** One summary per counted process with at least one event, ascending,
+    the window being the last [window] events counted — what
+    {!classify_window} returns for the same events and window.
+    @raise Invalid_argument if the window holds more events than the
+    ring keeps. *)
 
 val pp_window_summary : Format.formatter -> window_summary -> unit
 

@@ -33,9 +33,9 @@ let k_commit = 3
 
 type t = {
   mutable record : bool;
-      (** logs only grow and installs are logged, so earlier states can be
-          restored (see [run]); otherwise a transaction's logs restart at
-          0 *)
+      (** logs only grow, and installs and process-int writes are logged,
+          so earlier states can be restored (see [run]); otherwise a
+          transaction's logs restart at 0 *)
   mutable epoch : int;
   mutable failed : string option;
   mutable versions : (int * Event.value) list array;  (** by t-variable *)
@@ -45,6 +45,9 @@ type t = {
   mutable writes : int array array;
   mutable installs : int array;  (** recording: t-variables installed *)
   mutable ninstalls : int;
+  mutable trail : int array;
+      (** recording: (index, old value) of each write to [procs] *)
+  mutable ntrail : int;
 }
 
 let initial_versions = [ (0, 0) ]
@@ -76,6 +79,8 @@ let make ~record =
     writes = Array.make 4 [||];
     installs = [||];
     ninstalls = 0;
+    trail = [||];
+    ntrail = 0;
   }
 
 let create () = make ~record:false
@@ -126,6 +131,17 @@ let grow log n =
   done;
   log'
 
+(* [t.procs.(k) <- v], trailing the old value while recording. *)
+let set t k v =
+  if t.record then begin
+    let n = t.ntrail in
+    if n + 2 > Array.length t.trail then t.trail <- grow t.trail n;
+    t.trail.(n) <- k;
+    t.trail.(n + 1) <- t.procs.(k);
+    t.ntrail <- n + 2
+  end;
+  t.procs.(k) <- v
+
 (* Whether some epoch in [lo, hi] lets every read in [log.(r0 .. i+1)]
    see its value in the committed store: a depth-first walk, newest read
    first, that picks, read by read, a version segment holding the read
@@ -160,10 +176,10 @@ let rec own_write log w0 x i =
 let open_txn t p =
   let a = t.procs and b = p * nf in
   if a.(b + f_start) < 0 then begin
-    a.(b + f_start) <- t.epoch;
+    set t (b + f_start) t.epoch;
     if t.record then begin
-      a.(b + f_r0) <- a.(b + f_r1);
-      a.(b + f_w0) <- a.(b + f_w1)
+      set t (b + f_r0) a.(b + f_r1);
+      set t (b + f_w0) a.(b + f_w1)
     end
     else begin
       a.(b + f_r0) <- 0;
@@ -181,7 +197,7 @@ let finish_aborted t p =
     fail t
       (Fmt.str "aborted transaction of p%d has no consistent snapshot point"
          p);
-  t.procs.(b + f_start) <- -1
+  set t (b + f_start) (-1)
 
 (* Install a committed writer's final value per variable.  The write log
    is walked latest first, so the first write met for a variable is its
@@ -228,7 +244,7 @@ let finish_committed t p =
      t.epoch <- t.epoch + 1;
      install t p
    end);
-  t.procs.(b + f_start) <- -1
+  set t (b + f_start) (-1)
 
 (* Append the pair [x, v] to one of [p]'s logs, whose end is field
    [f]. *)
@@ -238,7 +254,7 @@ let log_pair t logs p f x v =
   let log = logs.(p) in
   log.(i) <- x;
   log.(i + 1) <- v;
-  t.procs.((p * nf) + f) <- i + 2
+  set t ((p * nf) + f) (i + 2)
 
 let on_read t p x v =
   let b = p * nf in
@@ -261,18 +277,18 @@ let step t e =
       | Event.Read x | Event.Write (x, _) -> check_id "t-variable" x
       | Event.Try_commit -> ());
       ensure_proc t p;
-      let a = t.procs and b = p * nf in
-      if a.(b + f_inv) <> k_none then
+      let b = p * nf in
+      if t.procs.(b + f_inv) <> k_none then
         invalid_arg "Monitor.step: pending invocation exists";
       (match inv with
       | Event.Read x ->
-          a.(b + f_inv) <- k_read;
-          a.(b + f_x) <- x
+          set t (b + f_inv) k_read;
+          set t (b + f_x) x
       | Event.Write (x, v) ->
-          a.(b + f_inv) <- k_write;
-          a.(b + f_x) <- x;
-          a.(b + f_v) <- v
-      | Event.Try_commit -> a.(b + f_inv) <- k_commit);
+          set t (b + f_inv) k_write;
+          set t (b + f_x) x;
+          set t (b + f_v) v
+      | Event.Try_commit -> set t (b + f_inv) k_commit);
       open_txn t p
   | Event.Res (p, r) -> (
       let a = t.procs and b = p * nf in
@@ -282,16 +298,16 @@ let step t e =
       let x = a.(b + f_x) and v = a.(b + f_v) in
       match r with
       | Event.Value got when k = k_read ->
-          a.(b + f_inv) <- k_none;
+          set t (b + f_inv) k_none;
           on_read t p x got
       | Event.Ok_written when k = k_write ->
-          a.(b + f_inv) <- k_none;
+          set t (b + f_inv) k_none;
           log_pair t t.writes p f_w1 x v
       | Event.Committed when k = k_commit ->
-          a.(b + f_inv) <- k_none;
+          set t (b + f_inv) k_none;
           finish_committed t p
       | Event.Aborted ->
-          a.(b + f_inv) <- k_none;
+          set t (b + f_inv) k_none;
           finish_aborted t p
       | Event.Value _ | Event.Ok_written | Event.Committed ->
           invalid_arg "Monitor.step: mismatched response")
@@ -323,12 +339,13 @@ let verdict t =
 (* Resuming.  Each domain keeps a monitor and, for each prefix of the
    last history it checked (up to [bound] events), a frame: that prefix's
    spine and the monitor's state after it.  While recording, a monitor's
-   logs only grow along a history and its installs are logged, so a
-   frame is the epoch, the install count, [np] and the [np * nf] process
-   ints, plus the failure: restoring one copies those back, pops the
-   versions installed since, and clears the processes first seen since.
-   Nothing is allocated to save or restore a frame once its int array
-   has grown to [np].
+   logs only grow along a history, its installs are logged, and each
+   write to a process int pushes the int's index and old value onto the
+   trail.  So a frame is the trail's length, the epoch, the install count
+   and [np], plus the failure: restoring one pops the trail back to its
+   length, writing each old value back (which clears the processes first
+   seen since), and pops the versions installed since.  Nothing is
+   allocated to save or restore a frame once the trail has grown.
 
    Only histories of at most [bound] events whose new events use ids of
    at most [max_recorded_id] are recorded, so every table a frame covers
@@ -339,11 +356,18 @@ let bound = 64
 let max_recorded_id = 63
 let max_kept_log = 1024 (* ints: a longer log is dropped after a run *)
 
+(* A frame's ints, at [i * frame_ints] in [frames.ints]. *)
+let fr_trail = 0
+let fr_epoch = 1
+let fr_installs = 2
+let fr_np = 3
+let frame_ints = 4
+
 type frames = {
   m : t;
   spine : Event.t list array;  (** frame [i]: its prefix, newest first *)
   failure : string option array;
-  ints : int array array;  (** epoch, ninstalls, np, process ints *)
+  ints : int array;  (** frame [i]: trail length, epoch, ninstalls, np *)
   mutable valid : int;
       (** frames [0 .. valid-1] hold prefixes of one history *)
   mutable at : int;  (** the frame [m] is in, or -1 *)
@@ -355,41 +379,36 @@ let frames_key =
         m = make ~record:true;
         spine = Array.make (bound + 1) [];
         failure = Array.make (bound + 1) None;
-        ints = Array.init (bound + 1) (fun _ -> [| 0; 0; 0 |]);
+        ints = Array.make ((bound + 1) * frame_ints) 0;
         valid = 1;
         at = 0;
       })
 
 let save r i s =
-  let m = r.m in
-  let n = m.np * nf in
-  if Array.length r.ints.(i) < 3 + n then
-    r.ints.(i) <- Array.make (3 + Int.max n (2 * Array.length r.ints.(i))) 0;
-  let a = r.ints.(i) in
-  a.(0) <- m.epoch;
-  a.(1) <- m.ninstalls;
-  a.(2) <- m.np;
-  for k = 0 to n - 1 do
-    a.(3 + k) <- m.procs.(k)
-  done;
+  let m = r.m and a = r.ints and b = i * frame_ints in
+  a.(b + fr_trail) <- m.ntrail;
+  a.(b + fr_epoch) <- m.epoch;
+  a.(b + fr_installs) <- m.ninstalls;
+  a.(b + fr_np) <- m.np;
   r.spine.(i) <- s;
   r.failure.(i) <- m.failed;
   r.valid <- i + 1
 
 let restore r i =
-  let m = r.m and a = r.ints.(i) in
-  m.epoch <- a.(0);
-  while m.ninstalls > a.(1) do
+  let m = r.m and a = r.ints and b = i * frame_ints in
+  let mark = a.(b + fr_trail) in
+  while m.ntrail > mark do
+    let n = m.ntrail - 2 in
+    m.procs.(m.trail.(n)) <- m.trail.(n + 1);
+    m.ntrail <- n
+  done;
+  m.epoch <- a.(b + fr_epoch);
+  while m.ninstalls > a.(b + fr_installs) do
     m.ninstalls <- m.ninstalls - 1;
     let x = m.installs.(m.ninstalls) in
     m.versions.(x) <- List.tl m.versions.(x)
   done;
-  let np = a.(2) in
-  for k = 0 to (np * nf) - 1 do
-    m.procs.(k) <- a.(3 + k)
-  done;
-  clear_procs m.procs np m.np;
-  m.np <- np;
+  m.np <- a.(b + fr_np);
   m.failed <- r.failure.(i);
   r.valid <- i + 1
 

@@ -61,18 +61,25 @@ val run : History.t -> verdict
     last history checked on the same domain, as each schedule of the
     model checker's depth-first enumeration extends its parent.  Any
     other history costs O(|h|), walked in place without copying its
-    events.  Saving and restoring a prefix state allocates nothing.
+    events.  A prefix state is four ints and the failure: while
+    recording, each write to a process's ints pushes the int's index
+    and old value onto a per-domain trail, and restoring a prefix pops
+    the trail back to that state's mark, writing the old values back —
+    O(events undone), whatever the number of processes.  Neither saving
+    nor restoring allocates once the trail has grown.
 
     {b Order independence.}  Verdicts and messages depend only on the
     history: not on which histories were checked before on the domain,
     nor on an earlier call that raised part-way.
 
     {b Retained state.}  Per domain: the spine of the last history of
-    at most 64 events, its prefix states, and the monitor's tables, all
-    bounded by process and t-variable ids below 64 — under 2,600 words
-    per process.  A history with a larger id, or longer than 64 events,
-    is checked without saving prefix states, and the tables it grew are
-    dropped afterwards: nothing retained grows with the largest id seen
+    at most 64 events, its prefix states (4 ints each), the trail (at
+    most 12 ints per event, so under 1,024 ints) and the monitor's
+    tables, all bounded by process and t-variable ids below 64; each
+    process's read and write logs keep at most 1,024 ints apiece.  A
+    history with a larger id, or longer than 64 events, is checked
+    without saving prefix states, and the tables it grew are dropped
+    afterwards: nothing retained grows with the largest id seen
     or with the longest history. *)
 
 val run_traced : trace:Tm_trace.Sink.t -> History.t -> verdict

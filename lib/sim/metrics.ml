@@ -43,90 +43,125 @@ type t = {
    with no pending invocation counting as a commit-time abort. *)
 type cause = On_read | On_write | On_commit
 
-(* Walk the history once.  Per process, track the index of its current
-   transaction's first invocation, the cause its pending invocation would
-   be charged and its streak of consecutive aborts (the retry depth
-   recorded at the next commit); and tally the events of the last quarter
-   of the history for the empirical fault/starvation reading: a process
-   that looks crashed or parasitic in that window is a fault, an active
-   process with no commit in it (and no injected-looking fault) is
-   starving.  These are the chaos watchdog's bounded-window heuristics
-   ({!Tm_liveness.Empirical}), applied post hoc to the deterministic
-   history.  The processes are the outcome's, [0 .. nprocs]. *)
-let of_outcome (o : Runner.outcome) =
-  let h = o.Runner.history in
-  let nprocs = Array.length o.Runner.commits - 1 in
-  let n = History.length h in
-  let window =
-    Tm_liveness.Empirical.tally ~lo:0 ~hi:nprocs ~length:n
-      ~window:(max 1 (n / 4))
-  in
-  let txn_start = Array.make (nprocs + 1) (-1) in
-  let pending = Array.make (nprocs + 1) On_commit in
-  let retries = Array.make (nprocs + 1) 0 in
-  let on_read = ref 0 and on_write = ref 0 and on_commit = ref 0 in
-  let retry_depth = Hist.create Hist.sim in
-  let commit_latency = Hist.create Hist.sim in
-  let abort_latency = Hist.create Hist.sim in
-  let next = ref 0 in
-  History.iter
-    (fun (e : Event.t) ->
-      let i = !next in
-      next := i + 1;
-      Tm_liveness.Empirical.tally_event window i e;
-      match e with
-      | Event.Inv (p, inv) ->
-          if txn_start.(p) < 0 then txn_start.(p) <- i;
-          pending.(p) <-
-            (match inv with
-            | Event.Read _ -> On_read
-            | Event.Write _ -> On_write
-            | Event.Try_commit -> On_commit)
-      | Event.Res (p, resp) -> (
-          let latency = i - Int.max 0 txn_start.(p) in
-          match resp with
-          | Event.Value _ | Event.Ok_written -> pending.(p) <- On_commit
-          | Event.Committed ->
-              Hist.add commit_latency latency;
-              Hist.add retry_depth retries.(p);
-              retries.(p) <- 0;
-              txn_start.(p) <- -1;
-              pending.(p) <- On_commit
-          | Event.Aborted ->
-              (match pending.(p) with
-              | On_read -> incr on_read
-              | On_write -> incr on_write
-              | On_commit -> incr on_commit);
-              Hist.add abort_latency latency;
-              retries.(p) <- retries.(p) + 1;
-              txn_start.(p) <- -1;
-              pending.(p) <- On_commit))
-    h;
+module Empirical = Tm_liveness.Empirical
+
+(* Per process, the index of its current transaction's first invocation,
+   the cause its pending invocation would be charged and its streak of
+   consecutive aborts (the retry depth recorded at the next commit); and
+   the window counts of the empirical fault/starvation reading: a
+   process that looks crashed or parasitic in the last quarter of the
+   events is a fault, an active process with no commit in it (and no
+   injected-looking fault) is starving.  These are the chaos watchdog's
+   bounded-window heuristics ({!Tm_liveness.Empirical}), applied to the
+   deterministic event stream. *)
+type tally = {
+  window : Empirical.tally;
+  txn_start : int array;
+  pending : cause array;
+  retries : int array;
+  mutable next : int;  (** the index of the next event *)
+  mutable t_commits : int;
+  mutable t_aborts : int;
+  mutable t_invocations : int;
+  mutable on_read : int;
+  mutable on_write : int;
+  mutable on_commit : int;
+  t_retry_depth : Hist.t;
+  t_commit_latency : Hist.t;
+  t_abort_latency : Hist.t;
+}
+
+let tally ~nprocs ~capacity =
+  {
+    window = Empirical.tally ~lo:0 ~hi:nprocs ~capacity;
+    txn_start = Array.make (nprocs + 1) (-1);
+    pending = Array.make (nprocs + 1) On_commit;
+    retries = Array.make (nprocs + 1) 0;
+    next = 0;
+    t_commits = 0;
+    t_aborts = 0;
+    t_invocations = 0;
+    on_read = 0;
+    on_write = 0;
+    on_commit = 0;
+    t_retry_depth = Hist.create Hist.sim;
+    t_commit_latency = Hist.create Hist.sim;
+    t_abort_latency = Hist.create Hist.sim;
+  }
+
+let tally_invocation t p (inv : Event.invocation) =
+  let i = t.next in
+  t.next <- i + 1;
+  t.t_invocations <- t.t_invocations + 1;
+  if t.txn_start.(p) < 0 then t.txn_start.(p) <- i;
+  match inv with
+  | Event.Read _ ->
+      Empirical.tally_kind t.window p Empirical.Other;
+      t.pending.(p) <- On_read
+  | Event.Write _ ->
+      Empirical.tally_kind t.window p Empirical.Other;
+      t.pending.(p) <- On_write
+  | Event.Try_commit ->
+      Empirical.tally_kind t.window p Empirical.Try_commit;
+      t.pending.(p) <- On_commit
+
+let tally_response t p (resp : Event.response) =
+  let i = t.next in
+  t.next <- i + 1;
+  let latency = i - Int.max 0 t.txn_start.(p) in
+  match resp with
+  | Event.Value _ | Event.Ok_written ->
+      Empirical.tally_kind t.window p Empirical.Other;
+      t.pending.(p) <- On_commit
+  | Event.Committed ->
+      Empirical.tally_kind t.window p Empirical.Commit;
+      t.t_commits <- t.t_commits + 1;
+      Hist.add t.t_commit_latency latency;
+      Hist.add t.t_retry_depth t.retries.(p);
+      t.retries.(p) <- 0;
+      t.txn_start.(p) <- -1;
+      t.pending.(p) <- On_commit
+  | Event.Aborted ->
+      Empirical.tally_kind t.window p Empirical.Abort;
+      t.t_aborts <- t.t_aborts + 1;
+      (match t.pending.(p) with
+      | On_read -> t.on_read <- t.on_read + 1
+      | On_write -> t.on_write <- t.on_write + 1
+      | On_commit -> t.on_commit <- t.on_commit + 1);
+      Hist.add t.t_abort_latency latency;
+      t.retries.(p) <- t.retries.(p) + 1;
+      t.txn_start.(p) <- -1;
+      t.pending.(p) <- On_commit
+
+let of_tally t ~defers ~steps =
+  let n = t.next in
   let faults, starvations =
     List.fold_left
-      (fun (faults, starved) (s : Tm_liveness.Empirical.window_summary) ->
+      (fun (faults, starved) (s : Empirical.window_summary) ->
         if s.looks_crashed || s.looks_parasitic then (faults + 1, starved)
         else if s.events_in_window > 0 && s.commits_in_window = 0 then
           (faults, starved + 1)
         else (faults, starved))
       (0, 0)
-      (Tm_liveness.Empirical.tally_summaries window)
+      (Empirical.tally_summaries t.window ~window:(max 1 (n / 4)))
   in
   {
-    commits = Runner.commit_total o;
-    aborts = Runner.abort_total o;
-    invocations = Runner.total o.Runner.invocations;
-    defers = Runner.total o.Runner.defers;
+    commits = t.t_commits;
+    aborts = t.t_aborts;
+    invocations = t.t_invocations;
+    defers;
     faults;
     starvations;
-    steps = o.Runner.steps_taken;
+    steps;
     events = n;
-    throughput = Runner.throughput o;
+    throughput =
+      (if steps = 0 then 0.0
+       else float_of_int t.t_commits /. float_of_int steps);
     abort_causes =
-      { on_read = !on_read; on_write = !on_write; on_commit = !on_commit };
-    retry_depth;
-    commit_latency;
-    abort_latency;
+      { on_read = t.on_read; on_write = t.on_write; on_commit = t.on_commit };
+    retry_depth = t.t_retry_depth;
+    commit_latency = t.t_commit_latency;
+    abort_latency = t.t_abort_latency;
   }
 
 let merge a b =
@@ -158,9 +193,9 @@ let merge a b =
    key order and byte-stable number formatting, so sequential and parallel
    sweeps serialize identically. *)
 let json_hist buf (h : Hist.t) =
-  Buffer.add_string buf
-    (Fmt.str "{\"count\":%d,\"sum\":%d,\"max\":%d,\"mean\":%.6f,\"buckets\":["
-       h.count h.sum h.max_sample (Hist.mean h));
+  Printf.bprintf buf
+    "{\"count\":%d,\"sum\":%d,\"max\":%d,\"mean\":%.6f,\"buckets\":[" h.count
+    h.sum h.max_sample (Hist.mean h);
   Array.iteri
     (fun i c ->
       if i > 0 then Buffer.add_char buf ',';
@@ -169,15 +204,13 @@ let json_hist buf (h : Hist.t) =
   Buffer.add_string buf "]}"
 
 let to_json buf m =
-  Buffer.add_string buf
-    (Fmt.str
-       "{\"commits\":%d,\"aborts\":%d,\"invocations\":%d,\"defers\":%d,\"faults\":%d,\"starvations\":%d,\"steps\":%d,\"events\":%d,\"throughput\":%.6f,"
-       m.commits m.aborts m.invocations m.defers m.faults m.starvations
-       m.steps m.events m.throughput);
-  Buffer.add_string buf
-    (Fmt.str
-       "\"abort_causes\":{\"read\":%d,\"write\":%d,\"commit\":%d},"
-       m.abort_causes.on_read m.abort_causes.on_write m.abort_causes.on_commit);
+  Printf.bprintf buf
+    "{\"commits\":%d,\"aborts\":%d,\"invocations\":%d,\"defers\":%d,\"faults\":%d,\"starvations\":%d,\"steps\":%d,\"events\":%d,\"throughput\":%.6f,"
+    m.commits m.aborts m.invocations m.defers m.faults m.starvations m.steps
+    m.events m.throughput;
+  Printf.bprintf buf
+    "\"abort_causes\":{\"read\":%d,\"write\":%d,\"commit\":%d},"
+    m.abort_causes.on_read m.abort_causes.on_write m.abort_causes.on_commit;
   Buffer.add_string buf "\"retry_depth\":";
   json_hist buf m.retry_depth;
   Buffer.add_string buf ",\"commit_latency\":";

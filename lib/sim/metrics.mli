@@ -1,7 +1,9 @@
+open Tm_history
+
 (** Per-run observability for the simulation runner.
 
-    A {!t} condenses one {!Runner.outcome} into the numbers the sweep
-    engine reports and exports: commit/abort counts, the abort-cause
+    A {!t} condenses one {!Runner} run into the numbers the sweep engine
+    reports and exports: commit/abort counts, the abort-cause
     breakdown (which kind of operation the TM aborted the transaction
     on), the retry-depth distribution (how many consecutive aborts a
     process accumulated before each commit) and latency histograms for
@@ -58,14 +60,31 @@ type t = {
   abort_latency : Hist.t;
 }
 
-val of_outcome : Runner.outcome -> t
-(** One pass over the outcome's history: the abort causes, retry depths
-    and latencies, and the window counts behind [faults] and
-    [starvations] ({!Tm_liveness.Empirical.tally}) are all gathered in
-    the same walk, which allocates only the histograms and O([nprocs])
-    counters.  The processes are taken from the outcome's per-process
-    arrays, [0 .. Array.length commits - 1]; every event of the history
-    must name one of them, as every {!Runner.run} outcome does. *)
+(** {2 Tallying a run}
+
+    The runner tallies a run's metrics as it records each event, so a
+    run that keeps no history ({!Runner.metrics}) still has them.  The
+    processes are [0 .. nprocs]; every event must name one of them. *)
+
+type tally
+
+val tally : nprocs:int -> capacity:int -> tally
+(** Zeroed counters for a run of at most [4 * capacity + 3] events: the
+    fault and starvation reading looks at the last [max 1 (events / 4)]
+    events, and the tally keeps the newest [capacity] of them. *)
+
+val tally_invocation : tally -> Event.proc -> Event.invocation -> unit
+(** Counts the next event, an invocation.  Allocates nothing. *)
+
+val tally_response : tally -> Event.proc -> Event.response -> unit
+(** Counts the next event, a response: the abort causes, retry depths
+    and latencies are taken here, into the histograms. *)
+
+val of_tally : tally -> defers:int -> steps:int -> t
+(** The metrics of the events counted, with the run's unanswered polls
+    and simulation steps.  [faults] and [starvations] are read here from
+    the window ({!Tm_liveness.Empirical.tally_summaries}); the histograms
+    are the tally's own, not copies. *)
 
 val merge : t -> t -> t
 

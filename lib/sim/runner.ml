@@ -36,6 +36,7 @@ type outcome = {
   defers : int array;
   final_defer_streak : int array;
   steps_taken : int;
+  metrics : Metrics.t;
 }
 
 type mode = Normal | Parasite
@@ -75,8 +76,12 @@ let mode_label = function Normal -> "normal" | Parasite -> "parasite"
 (* The threshold of a fate that does not apply: no tick, count or poll
    number reaches it. *)
 let never = max_int
+let total a = Array.fold_left ( + ) 0 a
 
-let run ?trace ?on_event (entry : Tm_impl.Registry.entry) s =
+(* The one simulation loop.  Every event is tallied into the run's
+   metrics as it happens; only with [keep] is it also built, shown to
+   [on_event] and kept for the history. *)
+let drive ~keep ?trace ?on_event (entry : Tm_impl.Registry.entry) s =
   let n = s.nprocs in
   let cfg =
     Tm_impl.Tm_intf.config ~seed:s.seed ~nprocs:n ~ntvars:s.ntvars ()
@@ -141,6 +146,9 @@ let run ?trace ?on_event (entry : Tm_impl.Registry.entry) s =
   let defers = Array.make (n + 1) 0 in
   let streak = Array.make (n + 1) 0 in
   let sched_prng = Prng.split master in
+  (* At most one event per step: the last quarter of the events fits in
+     [steps / 4] ring slots. *)
+  let tally = Metrics.tally ~nprocs:n ~capacity:(max 1 (s.steps / 4)) in
   (* The history, latest event first.  The trace's clock is the number of
      history events recorded so far — the same deterministic event-count
      clock Metrics uses for latencies.  An event emitted with [ts = !nev]
@@ -154,6 +162,14 @@ let run ?trace ?on_event (entry : Tm_impl.Registry.entry) s =
     (match on_event with Some f -> f ~ts:!nev e | None -> ());
     rev_events := e :: !rev_events;
     incr nev
+  in
+  let record_inv p inv =
+    Metrics.tally_invocation tally p inv;
+    if keep then record (inv_event p inv)
+  in
+  let record_res p resp =
+    Metrics.tally_response tally p resp;
+    if keep then record (Event.response responses p resp)
   in
   let tracing = Option.is_some trace in
   let emit_tr e =
@@ -205,7 +221,7 @@ let run ?trace ?on_event (entry : Tm_impl.Registry.entry) s =
                   [ ("outcome", Tev.Str outcome) ])
            end
        | Event.Value _ | Event.Ok_written -> ());
-    record (Event.response responses p resp);
+    record_res p resp;
     match (resp : Event.response) with
     | Event.Value v -> (
         match inv with
@@ -265,7 +281,7 @@ let run ?trace ?on_event (entry : Tm_impl.Registry.entry) s =
         emit_tr (Tev.span_begin ~ts:!nev ~tid:p Tev.Txn "tryC" [])
       end
     end;
-    record (inv_event p inv);
+    record_inv p inv;
     tm.Tm_impl.Tm_intf.invoke p inv
   in
 
@@ -386,9 +402,13 @@ let run ?trace ?on_event (entry : Tm_impl.Registry.entry) s =
     defers;
     final_defer_streak = streak;
     steps_taken = !steps_taken;
+    metrics =
+      Metrics.of_tally tally ~defers:(total defers) ~steps:!steps_taken;
   }
 
-let total a = Array.fold_left ( + ) 0 a
+let run ?trace ?on_event entry s = drive ~keep:true ?trace ?on_event entry s
+let metrics entry s = (drive ~keep:false entry s).metrics
+
 let commit_total o = total o.commits
 let abort_total o = total o.aborts
 

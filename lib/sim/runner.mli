@@ -2,7 +2,7 @@ open Tm_history
 
 (** The simulation runner: drives transaction programs against a TM
     instance under an adversarial scheduler with fault injection, and
-    records the resulting history.
+    records the resulting history and its {!Metrics.t}.
 
     Each simulation step gives one process one micro-step: either its
     program emits the next invocation, or the TM is polled on its pending
@@ -15,7 +15,7 @@ open Tm_history
     parasitic process — as long as the TM never aborts it).
 
     {b Cost model.}  A tick does O(1) work in the runner, and allocates
-    only the event it records:
+    only the event it records ({!metrics} records none):
     - each fate is read once, into per-process arrays (crash tick,
       parasitic onset, crash-after-write count, crash-mid-commit count);
     - the scheduler indexes an increasing array of the live processes.
@@ -29,10 +29,15 @@ open Tm_history
       [outcome.history] may be physically shared within a run: compare
       them structurally ({!Event.equal}), never with [==].  Only
       [Value v] responses and [Write (x, v)] invocations are allocated per
-      event.
+      event;
+    - the run's {!Metrics.t} is tallied as each event is recorded, into
+      O([nprocs] + [steps] / 4) words allocated per run: the last
+      quarter's (process, kind) codes are kept in a ring until the run
+      ends.
     The TM's [pending]/[poll] and the workload's bodies (one list per
     transaction) allocate on their own account.  test_sim gates the sum
-    on a global-lock sweep row at 10 words per step. *)
+    on a global-lock sweep row at 10 words per step, and {!metrics} over
+    the zoo's 1,000-step sweep grid at 16 words per step. *)
 
 type fate =
   | Healthy
@@ -90,6 +95,7 @@ type outcome = {
       (** consecutive unanswered polls at the end of the run — a large
           value on an alive process indicates it is blocked *)
   steps_taken : int;
+  metrics : Metrics.t;  (** tallied as the events were recorded *)
 }
 
 val run :
@@ -110,6 +116,11 @@ val run :
     synchronously on the simulation domain; telemetry publishers
     ({!Tm_telemetry.Sim_pub} via its [hook]) plug in here without the
     runner depending on them. *)
+
+val metrics : Tm_impl.Registry.entry -> spec -> Metrics.t
+(** [(run entry spec).metrics], by the same loop, but builds no history:
+    events are tallied, never made, so only the invocations handed to the
+    TM and its responses are allocated.  The untraced sweep runs here. *)
 
 val total : int array -> int
 val commit_total : outcome -> int

@@ -55,8 +55,8 @@ type result = {
   r_traced : traced option;
 }
 
-(* An untraced run's history is garbage as soon as its metrics are
-   taken: a sweep holds one history per job at a time. *)
+(* An untraced run builds no history: its metrics are tallied as it
+   goes. *)
 let run_one ~trace c =
   if trace then begin
     let col = Tm_trace.Sink.collector () in
@@ -65,7 +65,7 @@ let run_one ~trace c =
     in
     {
       r_config = c;
-      r_metrics = Metrics.of_outcome outcome;
+      r_metrics = outcome.Runner.metrics;
       r_traced =
         Some
           {
@@ -74,9 +74,7 @@ let run_one ~trace c =
           };
     }
   end
-  else
-    let outcome = Runner.run c.tm c.spec in
-    { r_config = c; r_metrics = Metrics.of_outcome outcome; r_traced = None }
+  else { r_config = c; r_metrics = Runner.metrics c.tm c.spec; r_traced = None }
 
 let run ?pool ?(trace = false) configs =
   let configs = Array.of_list configs in
@@ -106,10 +104,9 @@ let to_json results =
   List.iteri
     (fun i r ->
       if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Fmt.str "{\"tm\":%S,\"pattern\":%S,\"seed\":%d,\"metrics\":"
-           r.r_config.tm.Tm_impl.Registry.entry_name r.r_config.pattern
-           r.r_config.seed);
+      Printf.bprintf buf "{\"tm\":%S,\"pattern\":%S,\"seed\":%d,\"metrics\":"
+        r.r_config.tm.Tm_impl.Registry.entry_name r.r_config.pattern
+        r.r_config.seed;
       Metrics.to_json buf r.r_metrics;
       Buffer.add_char buf '}')
     results;
@@ -117,7 +114,7 @@ let to_json results =
   List.iteri
     (fun i (name, m) ->
       if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Fmt.str "{\"tm\":%S,\"metrics\":" name);
+      Printf.bprintf buf "{\"tm\":%S,\"metrics\":" name;
       Metrics.to_json buf m;
       Buffer.add_char buf '}')
     (by_tm results);

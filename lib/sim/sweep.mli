@@ -65,9 +65,8 @@ val run : ?pool:Pool.t -> ?trace:bool -> config list -> result list
     the caller; either way the results are identical.
 
     An untraced result holds only its configuration and metrics: each
-    run's history is dropped as soon as {!Metrics.of_outcome} has read
-    it, so the sweep keeps one history per job alive at a time, not one
-    per grid cell.  With [~trace:true] each result also keeps its run's
+    run is a {!Runner.metrics}, which tallies the metrics as it goes and
+    builds no history.  With [~trace:true] each result also keeps its run's
     history and deterministic step-clock trace in [r_traced]; those, like
     the metrics, are identical whether or not a pool is used, and they
     take memory in proportion to the whole grid. *)

@@ -45,7 +45,9 @@ let begin_if_needed t p =
 (* Abort p's transaction: drop its ownerships (tentative values are simply
    forgotten; the committed values were never touched). *)
 let release_ownerships t p =
-  Array.iteri (fun x o -> if o = Some p then t.owner.(x) <- None) t.owner
+  Array.iteri
+    (fun x o -> if Tm_intf.held_by p o then t.owner.(x) <- None)
+    t.owner
 
 let deliver_abort t p =
   release_ownerships t p;
@@ -104,16 +106,17 @@ let step t p inv =
     | Event.Read x ->
         use_variable x (fun () ->
             let v =
-              if t.owner.(x) = Some p then t.tentative.(x)
+              if Tm_intf.held_by p t.owner.(x) then t.tentative.(x)
               else t.committed.(x)
             in
-            if t.owner.(x) <> Some p then txn.reads <- (x, v) :: txn.reads;
+            if not (Tm_intf.held_by p t.owner.(x)) then
+              txn.reads <- (x, v) :: txn.reads;
             txn.ops_done <- txn.ops_done + 1;
             txn.waits <- 0;
             Some (Event.Value v))
     | Event.Write (x, v) ->
         use_variable x (fun () ->
-            if t.owner.(x) <> Some p then t.owner.(x) <- Some p;
+            if not (Tm_intf.held_by p t.owner.(x)) then t.owner.(x) <- Some p;
             t.tentative.(x) <- v;
             txn.ops_done <- txn.ops_done + 1;
             txn.waits <- 0;
@@ -125,7 +128,7 @@ let step t p inv =
         else begin
           Array.iteri
             (fun x o ->
-              if o = Some p then begin
+              if Tm_intf.held_by p o then begin
                 t.committed.(x) <- t.tentative.(x);
                 t.owner.(x) <- None
               end)

@@ -9,7 +9,7 @@ type t = {
   waiting : bool array;  (** waiting.(p): p is already enqueued *)
 }
 
-let holds_lock t p = t.owner = Some p
+let holds_lock t p = Tm_intf.held_by p t.owner
 
 (* Hand the lock to the next waiter, if any. *)
 let release t =

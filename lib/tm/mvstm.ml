@@ -49,7 +49,9 @@ let locked_by_other t p x =
   match t.lock.(x) with Some q -> q <> p | None -> false
 
 let release_acquired t p =
-  Array.iteri (fun x o -> if o = Some p then t.lock.(x) <- None) t.lock
+  Array.iteri
+    (fun x o -> if Tm_intf.held_by p o then t.lock.(x) <- None)
+    t.lock
 
 let abort t p =
   release_acquired t p;

@@ -35,7 +35,7 @@ let begin_if_needed t p =
   end
 
 let abort t p =
-  if t.writer = Some p then t.writer <- None;
+  if Tm_intf.held_by p t.writer then t.writer <- None;
   t.txns.(p) <- fresh_txn ();
   Event.Aborted
 
@@ -93,7 +93,8 @@ include Tm_intf.Make (struct
         | None ->
             (* Wait out an in-flight writer: its write-back is not an
                atomic snapshot. *)
-            if t.writer <> None && t.writer <> Some p then None
+            if Option.is_some t.writer && not (Tm_intf.held_by p t.writer)
+            then None
             else if txn.snapshot <> t.counter && not (revalidate t p) then
               Some (abort t p)
             else begin

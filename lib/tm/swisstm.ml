@@ -45,7 +45,9 @@ let begin_if_needed t p =
   end
 
 let release_locks t p =
-  Array.iteri (fun x o -> if o = Some p then t.wlock.(x) <- None) t.wlock
+  Array.iteri
+    (fun x o -> if Tm_intf.held_by p o then t.wlock.(x) <- None)
+    t.wlock
 
 let deliver_abort t p =
   release_locks t p;

@@ -33,7 +33,7 @@ let begin_if_needed t p =
 let locked_by_other t p x =
   match t.lock.(x) with Some q -> q <> p | None -> false
 
-let owns t p x = t.lock.(x) = Some p
+let owns t p x = Tm_intf.held_by p t.lock.(x)
 
 (* Roll back in-place writes (newest first restores the oldest state last,
    which is what we want since undo is newest-first and we restore each
@@ -45,7 +45,9 @@ let abort t p =
       t.value.(x) <- v;
       t.version.(x) <- ver)
     (List.rev txn.undo);
-  Array.iteri (fun x o -> if o = Some p then t.lock.(x) <- None) t.lock;
+  Array.iteri
+    (fun x o -> if Tm_intf.held_by p o then t.lock.(x) <- None)
+    t.lock;
   t.txns.(p) <- fresh_txn ();
   Event.Aborted
 
@@ -115,7 +117,7 @@ let step t p inv =
           let wv = t.clock in
           Array.iteri
             (fun x o ->
-              if o = Some p then begin
+              if Tm_intf.held_by p o then begin
                 t.version.(x) <- wv;
                 t.lock.(x) <- None
               end)

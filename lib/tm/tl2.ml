@@ -43,7 +43,7 @@ let locked_by_other t p x =
 
 let release_acquired t p =
   Array.iteri
-    (fun x owner -> if owner = Some p then t.lock.(x) <- None)
+    (fun x owner -> if Tm_intf.held_by p owner then t.lock.(x) <- None)
     t.lock
 
 let abort t p =

@@ -72,6 +72,11 @@ module type S = sig
       last level needs no TM. *)
 end
 
+(** [held_by p o]: whether the owner slot [o] (a lock's holder, a
+    t-variable's owner) is process [p].  A match: [o = Some p] would
+    allocate the option and call the polymorphic compare on every poll. *)
+let held_by p = function Some (q : Event.proc) -> q = p | None -> false
+
 (** Shared per-process pending-invocation bookkeeping. *)
 module Mailbox = struct
   type t = Event.invocation option array
@@ -81,10 +86,10 @@ module Mailbox = struct
   let check_range cfg p (inv : Event.invocation) =
     if p < 1 || p > cfg.nprocs then
       invalid_arg (Fmt.str "process p%d out of range" p);
-    match Event.tvar_of_invocation inv with
-    | Some x when x < 0 || x >= cfg.ntvars ->
+    match inv with
+    | (Event.Read x | Event.Write (x, _)) when x < 0 || x >= cfg.ntvars ->
         invalid_arg (Fmt.str "t-variable x%d out of range" x)
-    | Some _ | None -> ()
+    | Event.Read _ | Event.Write _ | Event.Try_commit -> ()
 
   let put (m : t) p inv =
     match m.(p) with

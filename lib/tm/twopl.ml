@@ -31,7 +31,9 @@ let begin_if_needed t p =
 
 let release_locks t p =
   Array.iter (fun row -> row.(p) <- false) t.readers;
-  Array.iteri (fun x w -> if w = Some p then t.writer.(x) <- None) t.writer
+  Array.iteri
+    (fun x w -> if Tm_intf.held_by p w then t.writer.(x) <- None)
+    t.writer
 
 let deliver_abort t p =
   release_locks t p;

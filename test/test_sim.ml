@@ -602,6 +602,13 @@ let words_of f =
 let check_at_most what bound got =
   if got > bound then Alcotest.failf "%s: %.1f words, bound %.0f" what got bound
 
+(* The paper pipeline's sweep grid: the zoo x four fault patterns x
+   four seeds, 4,000 steps each. *)
+let pipeline_grid () =
+  Tm_sim.Sweep.grid
+    ~patterns:(Tm_sim.Sweep.fault_patterns ~steps:4000 ())
+    ~seeds:[ 1; 2; 3; 4 ] ()
+
 let tl2_depth10 on_history =
   Exh.run tl2 ~nprocs:2 ~ntvars:1 ~invocations:sweep_invocations ~depth:10
     ~on_history
@@ -651,9 +658,7 @@ let test_monitor_event_words () =
       (fun c ->
         (Tm_sim.Runner.run c.Tm_sim.Sweep.tm c.Tm_sim.Sweep.spec)
           .Tm_sim.Runner.history)
-      (Tm_sim.Sweep.grid
-         ~patterns:(Tm_sim.Sweep.fault_patterns ~steps:4000 ())
-         ~seeds:[ 1; 2; 3; 4 ] ())
+      (pipeline_grid ())
   in
   let events = List.fold_left (fun n h -> n + History.length h) 0 histories in
   let w =
@@ -703,30 +708,32 @@ let test_runner_words () =
   in
   check_at_most "Runner.run words per step" 10. (w /. float_of_int !steps)
 
-let test_metrics_words () =
-  let outcomes =
-    List.map
-      (fun c -> Tm_sim.Runner.run c.Tm_sim.Sweep.tm c.Tm_sim.Sweep.spec)
-      (Tm_sim.Sweep.grid
-         ~patterns:(Tm_sim.Sweep.fault_patterns ~steps:1000 ())
-         ~seeds:[ 1 ] ())
+(* An untraced sweep run builds no history: per step, the runner's own
+   work and the metrics tally, plus what the TM and the workload
+   allocate.  Over the zoo's 1,000-step grid this reads 15.0 words per
+   step, and 18.4 when the same loop also builds the history. *)
+let test_history_free_words () =
+  let configs =
+    Tm_sim.Sweep.grid
+      ~patterns:(Tm_sim.Sweep.fault_patterns ~steps:1000 ())
+      ~seeds:[ 1 ] ()
   in
-  let events =
-    List.fold_left
-      (fun n o -> n + History.length o.Tm_sim.Runner.history)
-      0 outcomes
-  in
+  let steps = ref 0 in
   let w =
     words_of (fun () ->
         List.iter
-          (fun o -> ignore (Sys.opaque_identity (Tm_sim.Metrics.of_outcome o)))
-          outcomes)
+          (fun c ->
+            let m =
+              Tm_sim.Runner.metrics c.Tm_sim.Sweep.tm c.Tm_sim.Sweep.spec
+            in
+            steps := !steps + m.Tm_sim.Metrics.steps)
+          configs)
   in
-  check_at_most "Metrics.of_outcome words per history event" 1.
-    (w /. float_of_int events)
+  check_at_most "Runner.metrics words per step" 16.
+    (w /. float_of_int !steps)
 
 (* An untraced sweep's results hold configurations and metrics only:
-   each run's history is garbage once its metrics are taken.  Held
+   each run tallies its metrics and builds no history.  Held
    results of the zoo's healthy 2,000-step sweep keep 1,440 words
    live (135,645 while every result kept its history). *)
 let test_sweep_retains_little () =
@@ -828,7 +835,19 @@ let test_metrics_histogram () =
   let m = H.merge h h in
   Alcotest.(check int) "merge doubles" 12 m.H.count
 
-let test_metrics_of_outcome () =
+(* The library's tally of a hand-written history, fed event by event
+   as the runner feeds it. *)
+let tally_history ~nprocs ~steps h =
+  let module M = Tm_sim.Metrics in
+  let t = M.tally ~nprocs ~capacity:(max 1 (History.length h / 4)) in
+  History.iter
+    (function
+      | Event.Inv (p, inv) -> M.tally_invocation t p inv
+      | Event.Res (p, r) -> M.tally_response t p r)
+    h;
+  M.of_tally t ~defers:0 ~steps
+
+let test_metrics_tally () =
   (* A hand-written history: p1 aborts once on a read, retries and
      commits; p2 aborts at tryC. *)
   let h =
@@ -841,20 +860,11 @@ let test_metrics_of_outcome () =
         History.abort 2;
       ]
   in
-  let outcome =
-    {
-      Tm_sim.Runner.history = h;
-      commits = [| 0; 1; 0 |];
-      aborts = [| 0; 1; 1 |];
-      invocations = [| 0; 3; 2 |];
-      defers = [| 0; 0; 0 |];
-      final_defer_streak = [| 0; 0; 0 |];
-      steps_taken = 10;
-    }
-  in
-  let m = Tm_sim.Metrics.of_outcome outcome in
+  let m = tally_history ~nprocs:2 ~steps:10 h in
   Alcotest.(check int) "commits" 1 m.Tm_sim.Metrics.commits;
   Alcotest.(check int) "aborts" 2 m.Tm_sim.Metrics.aborts;
+  Alcotest.(check int) "invocations" 5 m.Tm_sim.Metrics.invocations;
+  Alcotest.(check int) "events" 10 m.Tm_sim.Metrics.events;
   Alcotest.(check int) "abort on read" 1
     m.Tm_sim.Metrics.abort_causes.Tm_sim.Metrics.on_read;
   Alcotest.(check int) "abort on commit" 1
@@ -942,18 +952,7 @@ let test_metrics_fault_counters () =
         History.read_aborted 3 0;
       ]
   in
-  let outcome =
-    {
-      Tm_sim.Runner.history = h;
-      commits = [| 0; 0; 1; 0 |];
-      aborts = [| 0; 0; 0; 1 |];
-      invocations = [| 0; 2; 3; 3 |];
-      defers = [| 0; 0; 0; 0 |];
-      final_defer_streak = [| 0; 0; 0; 0 |];
-      steps_taken = 20;
-    }
-  in
-  let m = M.of_outcome outcome in
+  let m = tally_history ~nprocs:3 ~steps:20 h in
   Alcotest.(check int) "one crashed-looking process" 1 m.M.faults;
   Alcotest.(check int) "one starving process" 1 m.M.starvations;
   (* merge sums the counters (and is the identity on a zeroed side). *)
@@ -971,11 +970,12 @@ let test_metrics_fault_counters () =
   Alcotest.(check bool) "json exports the fault counters" true
     (Tm_test_util.Util.contains json "\"faults\":1,\"starvations\":1")
 
-(* [Metrics.of_outcome] as it was before it became one pass, the
-   reference for the property below: a fold for the process count, a
-   walk for the abort causes, retry depths and latencies, and the fault
-   counters read off [Empirical.classify_window] as it was then (a fold
-   for the process range, then a count pass). *)
+(* The run metrics as [Metrics.of_outcome] read them off a history before
+   that walk became one pass, and long before the runner tallied them as
+   it records: the reference for the runner's metrics.  A fold for the
+   process count, a walk for the abort causes, retry depths and
+   latencies, and the fault counters read off [Empirical.classify_window]
+   as it was then (a fold for the process range, then a count pass). *)
 module Four_pass = struct
   module M = Tm_sim.Metrics
 
@@ -1139,12 +1139,64 @@ let print_run ((tm : Reg.entry), (s : Tm_sim.Runner.spec)) =
     s.Tm_sim.Runner.seed
     (List.length s.Tm_sim.Runner.fates)
 
+(* The runner's tally against the reference over the run's own history,
+   and the history-free entry against the runner. *)
 let prop_metrics_one_pass =
   QCheck2.Test.make ~count:qcheck_count ~print:print_run
-    ~name:"one-pass of_outcome = four-pass reference" gen_run
+    ~name:"runner metrics = four-pass reference" gen_run
     (fun (tm, spec) ->
       let o = Tm_sim.Runner.run tm spec in
-      Tm_sim.Metrics.of_outcome o = Four_pass.of_outcome o)
+      o.Tm_sim.Runner.metrics = Four_pass.of_outcome o
+      && Tm_sim.Runner.metrics tm spec = o.Tm_sim.Runner.metrics)
+
+(* The window's edges: the last [max 1 (events / 4)] events, read from a
+   ring of [max 1 (steps / 4)] slots. *)
+let test_metrics_window_edges () =
+  let module R = Tm_sim.Runner in
+  let check name (tm, spec) =
+    let o = R.run tm spec in
+    if o.R.metrics <> Four_pass.of_outcome o then
+      Alcotest.failf "%s: runner metrics differ from the reference" name;
+    if R.metrics tm spec <> o.R.metrics then
+      Alcotest.failf "%s: history-free metrics differ from the runner's" name;
+    o
+  in
+  let gl = Option.get (Reg.find "global-lock") in
+  let o = check "0 steps" (tl2, R.spec ~nprocs:2 ~steps:0 ()) in
+  Alcotest.(check int) "no events" 0 o.R.metrics.Tm_sim.Metrics.events;
+  for steps = 1 to 3 do
+    let o = check "under 4 events" (gl, R.spec ~nprocs:2 ~steps ()) in
+    Alcotest.(check bool) "fewer than 4 events" true
+      (o.R.metrics.Tm_sim.Metrics.events < 4)
+  done;
+  let o = check "16 events" (gl, R.spec ~nprocs:1 ~steps:16 ()) in
+  Alcotest.(check int) "a length divisible by 4" 16
+    o.R.metrics.Tm_sim.Metrics.events;
+  let o =
+    check "crash before the window"
+      (tl2, R.spec ~nprocs:3 ~steps:400 ~seed:2 ~sched:R.Uniform
+              ~fates:[ (1, R.Crash_at 100) ] ())
+  in
+  Alcotest.(check int) "the crashed process is a fault" 1
+    o.R.metrics.Tm_sim.Metrics.faults;
+  let o =
+    check "everyone crashes"
+      (tl2, R.spec ~nprocs:2 ~ntvars:1 ~steps:500 ~seed:1
+              ~fates:[ (1, R.Crash_at 10); (2, R.Crash_at 10) ] ())
+  in
+  Alcotest.(check int) "the run stops at the crash" 10
+    o.R.metrics.Tm_sim.Metrics.steps
+
+(* The untraced sweep's runs against the runner's, on every
+   configuration of the paper pipeline's grid. *)
+let test_history_free_pipeline_grid () =
+  List.iter
+    (fun c ->
+      let o = Tm_sim.Runner.run c.Tm_sim.Sweep.tm c.Tm_sim.Sweep.spec in
+      if Tm_sim.Runner.metrics c.Tm_sim.Sweep.tm c.Tm_sim.Sweep.spec
+         <> o.Tm_sim.Runner.metrics
+      then Alcotest.failf "%s: metrics differ" (Tm_sim.Sweep.label c))
+    (pipeline_grid ())
 
 let test_sweep_grid_canonical_order () =
   let tms = List.filter_map Reg.find [ "tl2"; "fgp" ] in
@@ -1432,7 +1484,7 @@ let () =
             test_metrics_histogram_empty_pp;
           Alcotest.test_case "hist_merge monoid laws" `Quick
             test_metrics_hist_merge_laws;
-          Alcotest.test_case "of_outcome" `Quick test_metrics_of_outcome;
+          Alcotest.test_case "tally" `Quick test_metrics_tally;
           Alcotest.test_case "fault and starvation counters" `Quick
             test_metrics_fault_counters;
           Alcotest.test_case "grid canonical order" `Quick
@@ -1448,6 +1500,9 @@ let () =
           Alcotest.test_case "everyone crashes, pinned" `Quick
             test_all_crash_pinned;
           QCheck_alcotest.to_alcotest prop_metrics_one_pass;
+          Alcotest.test_case "window edges" `Quick test_metrics_window_edges;
+          Alcotest.test_case "history-free = runner on the pipeline grid"
+            `Quick test_history_free_pipeline_grid;
         ] );
       ( "stats",
         [ Alcotest.test_case "summaries and percentiles" `Quick test_stats ]
@@ -1470,8 +1525,8 @@ let () =
             test_enumeration_words;
           Alcotest.test_case "monitor words per history" `Quick
             test_monitor_words;
-          Alcotest.test_case "metrics words per event" `Quick
-            test_metrics_words;
+          Alcotest.test_case "history-free words per step" `Quick
+            test_history_free_words;
           Alcotest.test_case "runner words per step" `Quick test_runner_words;
           Alcotest.test_case "monitor words per event" `Quick
             test_monitor_event_words;
