@@ -168,15 +168,36 @@ row chaos falsified-verdict \
   -- dune exec bin/tmlive.exe -- analyze --trace chaos-crash.json \
   --format json -o findings-chaos-seeded.json
 
-# Count a parasite as landed once its op clock reaches its onset
-# instead of when it enters its spin: test_chaos "onset waits for the
-# takeover" holds a transaction in flight past the onset, and the onset
-# wait must not report it landed, so it must FAIL.
+# Count a parasite as in effect once its op clock reaches its onset
+# instead of when it turns: test_chaos "onset waits for the takeover"
+# holds a transaction in flight past the onset, and the window's open
+# condition must not hold while it is in flight, so it must FAIL.
 row chaos parasite-onset --leg tl2 \
   --expect 'no onset while the transaction is in flight' chaos-onset-mutant.log \
   lib/chaos/runner.ml \
-  's/| Plan.Parasitic _ -> Atomic.get ses.ses_taken_over.(d)/| Plan.Parasitic { from_op } -> ignore ses.ses_taken_over; Tel.Instrument.value ses.ses_ops.(d) >= from_op/' \
+  's/| Plan.Parasitic _ -> Atomic.get ses.ses_turned.(d)/| Plan.Parasitic { from_op } -> ignore ses.ses_turned; Tel.Instrument.value ses.ses_ops.(d) >= from_op/' \
   -- sh -c 'dune exec test/test_chaos.exe -- test run 10 --color=never > chaos-onset-mutant.log 2>&1'
+
+# Close the window at its open (K = 0 sites): test_chaos "a held domain
+# is waited for" holds a healthy domain in its next past the open, and
+# a window that does not wait for its sites reads it crashed, so it
+# must FAIL.
+row chaos window-at-open --leg tl2 \
+  --expect 'the held domain progresses' chaos-window-mutant.log \
+  lib/chaos/runner.ml \
+  's/^let window_sites = Tel.Blame_graph.min_events$/let window_sites = 0/' \
+  -- sh -c 'dune exec test/test_chaos.exe -- test run 13 --color=never > chaos-window-mutant.log 2>&1'
+
+# Open the window without waiting for every live domain to start an
+# attempt since the faults took effect: test_chaos "a commit is counted
+# before the window opens" holds domain 2 between its commit and its
+# count while the crash lands, so the window counts that commit and it
+# must FAIL.
+row chaos late-count --leg tl2 \
+  --expect 'the held commit is not in the window' chaos-count-mutant.log \
+  lib/chaos/runner.ml \
+  's/|| Tel.Instrument.value ses.ses_attempts.(d) > started.(d)))/|| Tel.Instrument.value ses.ses_attempts.(d) >= started.(d)))/' \
+  -- sh -c 'dune exec test/test_chaos.exe -- test run 14 --color=never > chaos-count-mutant.log 2>&1'
 
 # ---- blame: the leg is algo/scenario ----
 

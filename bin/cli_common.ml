@@ -182,18 +182,6 @@ let domains_arg ?(default = 4) () =
     value & opt int default
     & info [ "d"; "domains" ] ~doc:"Worker domains to spawn (>= 2).")
 
-let warmup_arg () =
-  Arg.(
-    value & opt float 0.05
-    & info [ "warmup" ] ~docv:"SECONDS"
-        ~doc:"Settle time before the first watchdog sample.")
-
-let window_arg () =
-  Arg.(
-    value & opt float 0.15
-    & info [ "window" ] ~docv:"SECONDS"
-        ~doc:"Observation window between the two watchdog samples.")
-
 let scenario_arg ?(default = "healthy") () =
   Arg.(
     value
@@ -478,7 +466,9 @@ let chaos_session ~name ~algo ~scenario ~seed ~domains ~run ~render
   in
   let write_out = output_to out and write_trace = output_to trace in
   let on_sample, tel_flush = telemetry_setup telemetry telemetry_format in
-  let o : Tm_chaos.Runner.outcome = run on_sample plan in
+  let o : Tm_chaos.Runner.outcome =
+    try run on_sample plan with Tm_chaos.Runner.Inconclusive m -> die "%s" m
+  in
   render o;
   tel_flush ();
   write_out (fun oc -> output_string oc (document o)) note;

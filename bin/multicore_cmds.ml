@@ -7,8 +7,8 @@ open Cmdliner
 open Cli_common
 
 let chaos_cmd =
-  let run list_scenarios algo scenario seed domains tvars warmup window format
-      out trace telemetry telemetry_format =
+  let run list_scenarios algo scenario seed domains tvars format out trace
+      telemetry telemetry_format =
     if list_scenarios then
       List.iter
         (fun s ->
@@ -18,7 +18,7 @@ let chaos_cmd =
     else
       chaos_session ~name:"chaos" ~algo ~scenario ~seed ~domains
         ~run:(fun on_sample plan ->
-          Tm_chaos.Runner.run ~warmup ~window ?on_sample
+          Tm_chaos.Runner.run ?on_sample
             ~workload:(Tm_chaos.Runner.hot_set ~tvars) plan)
         ~render:(fun o ->
           match format with
@@ -70,8 +70,8 @@ let chaos_cmd =
           Exits 1 on any verdict mismatch.")
     Term.(
       const run $ list_scenarios $ algo_arg () $ scenario_arg () $ seed_arg ()
-      $ domains_arg () $ ntvars_arg () $ warmup_arg () $ window_arg ()
-      $ format $ out $ trace $ telemetry $ telemetry_format_arg ())
+      $ domains_arg () $ ntvars_arg () $ format $ out $ trace $ telemetry
+      $ telemetry_format_arg ())
 
 (* Blame renderers.  The canonical document (JSON and DOT) carries the
    scenario identity, the verdict gate and the classification — shape
@@ -180,11 +180,11 @@ let classified (o : Tm_chaos.Runner.outcome) =
       (g, shape, evidence)
 
 let blame_cmd =
-  let run algo scenario seed domains tvars warmup window format out trace
-      telemetry telemetry_format =
+  let run algo scenario seed domains tvars format out trace telemetry
+      telemetry_format =
     chaos_session ~name:"blame" ~algo ~scenario ~seed ~domains
       ~run:(fun on_sample plan ->
-        Tm_chaos.Runner.run ~blame:true ~warmup ~window ?on_sample
+        Tm_chaos.Runner.run ~blame:true ?on_sample
           ~workload:(Tm_chaos.Runner.hot_set ~tvars) plan)
       ~render:(fun o ->
         let g, shape, evidence = classified o in
@@ -252,9 +252,8 @@ let blame_cmd =
     Term.(
       const run $ algo_arg ()
       $ scenario_arg ~default:"crash-holding-locks" ()
-      $ seed_arg () $ domains_arg () $ ntvars_arg () $ warmup_arg ()
-      $ window_arg () $ format $ out $ trace $ telemetry
-      $ telemetry_format_arg ())
+      $ seed_arg () $ domains_arg () $ ntvars_arg () $ format $ out $ trace
+      $ telemetry $ telemetry_format_arg ())
 
 let top_cmd =
   let run algo scenario seed domains tvars period frames plain serve profile

@@ -91,8 +91,6 @@ let simulate_cmd =
     let o =
       Tm_sim.Runner.run
         ?trace:(Option.map Tm_trace.Sink.collector_sink col)
-        ?on_event:
-          (Option.map (fun (pub, _) -> Tm_telemetry.Sim_pub.hook pub) tel)
         entry spec
     in
     Fmt.pr "%a@.@." Tm_sim.Runner.pp_summary o;
@@ -100,8 +98,7 @@ let simulate_cmd =
     (match tel with
     | None -> ()
     | Some (pub, flush) ->
-        ignore
-          (Tm_telemetry.Sim_pub.finish pub ~ts:(Tm_history.History.length h));
+        Tm_telemetry.Sim_pub.publish pub h;
         flush ());
     (match col with
     | Some col ->

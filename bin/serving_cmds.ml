@@ -12,8 +12,8 @@ let keys_arg () =
 
 let serve_cmd =
   let run list_profiles profile algo domains seed clients ops keys stripes
-      no_batching journal queue_cap arrival rate scenario warmup window
-      format out telemetry telemetry_format =
+      no_batching journal queue_cap arrival rate scenario format out telemetry
+      telemetry_format =
     if list_profiles then
       List.iter
         (fun p ->
@@ -43,7 +43,7 @@ let serve_cmd =
           (* Chaos against the serving path: verdict-gated like chaos. *)
           chaos_session ~name:"serve" ~algo ~scenario ~seed ~domains
             ~run:(fun on_sample plan ->
-              Serve.chaos_run ~warmup ~window ?on_sample plan cfg)
+              Serve.chaos_run ?on_sample plan cfg)
             ~render:(fun o ->
               match format with
               | `Table -> Fmt.pr "%a@." (Serve.pp_chaos_table profile) o
@@ -168,7 +168,7 @@ let serve_cmd =
       const run $ list_profiles $ profile_arg () $ algo_arg () $ domains_arg ()
       $ seed_arg ~default:42 () $ clients $ ops $ keys_arg () $ stripes
       $ no_batching $ journal $ queue_cap $ arrival_arg () $ rate_arg ()
-      $ scenario $ warmup_arg () $ window_arg () $ format
+      $ scenario $ format
       $ out_arg
           ~doc:"Also write the canonical JSON document here (CI artifact)."
           ()

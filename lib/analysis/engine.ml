@@ -176,5 +176,3 @@ let exit_code_at level findings =
           findings
       then 1
       else 0
-
-let exit_code findings = exit_code_at `Error findings

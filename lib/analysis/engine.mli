@@ -56,6 +56,3 @@ type fail_level = [ `Error | `Warning | `Never ]
 val exit_code_at : fail_level -> Finding.t list -> int
 (** CI gating at a chosen threshold: [1] if any finding at or above
     [level] is present, [0] otherwise ([`Never] is always [0]). *)
-
-val exit_code : Finding.t list -> int
-(** [exit_code fs = exit_code_at `Error fs]. *)

@@ -41,9 +41,10 @@ let scenario_table =
 let scenarios = List.map fst scenario_table
 let scenario_doc s = List.assoc_opt s scenario_table
 
-(* Fault instants are early in the run (within the first few hundred
-   operations, i.e. well inside the watchdog's warmup) so the sampled
-   observation window sees the steady faulty state, not the onset. *)
+(* Fault instants are early in the run, within the first few hundred
+   operations.  The watchdog's window opens only once each faulty
+   domain's op clock has passed its [fault_instant], so it sees the
+   steady faulty state, not the onset. *)
 let fault_of_scenario scenario d g =
   match scenario with
   | "healthy" -> Healthy
@@ -207,5 +208,3 @@ let pp ppf p =
         (Pc.cls_label p.expected.(d)))
     p.faults;
   Fmt.pf ppf "@]"
-
-let render_schedule p = Fmt.str "%a" pp p

@@ -72,6 +72,11 @@ val fault_label : fault -> string
 (** ["healthy"], ["crash@op=93+locks"], ["parasitic@op=41"],
     ["stall(period=11,spins=101)"], ["abort-storm[128,412)"]. *)
 
+val fault_instant : fault -> int
+(** Where the fault reaches its steady state on the faulty domain's op
+    clock: [0] for [Healthy], the crash or parasitic onset, a stall's
+    first [period], the end of an abort storm. *)
+
 val horizon : t -> int
 (** One past the largest scheduled fault instant — the logical timestamp
     verdict events are stamped with, so they sort after every fault. *)
@@ -82,7 +87,7 @@ val trace_events : t -> Tm_trace.Trace_event.t list
     index).  A pure function of the plan: byte-identical Chrome JSON for
     equal plans, whatever really happens at run time. *)
 
-val render_schedule : t -> string
+val pp : Format.formatter -> t -> unit
 (** The schedule as stable text, one line per domain
     ([domain d: <fault> expect <class>]) — the byte-comparison form the
     determinism tests use. *)

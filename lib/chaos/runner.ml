@@ -33,8 +33,7 @@ type session = {
          reported, and the steals that aborted it; private to the
          report, not in the registry *)
   ses_crashed : Tel.Instrument.gauge array;
-  ses_taken_over : bool Atomic.t array;
-      (* set by a parasite as it enters its spin: its takeover *)
+  ses_turned : bool Atomic.t array;  (* see [worker] *)
   ses_latency : Tel.Latency_recorder.t option;
 }
 
@@ -178,9 +177,13 @@ exception Stop_worker
    its takeover point after its reads and, once past the onset, simply
    never reaches tryC — it already holds the serializer, stranding
    every peer deterministically (prior reads in the set are harmless:
-   the serializer validates nothing). *)
-let worker ~stop ~job ~mine ~algo ~fault ~parasite_gate ~taken_over ~ops
-    ~injected ~causes ~attempts ~trycs ~commits ~crashed ~lat d () =
+   the serializer validates nothing).
+
+   [turned] marks the parasite's turn (runner.mli, [in_effect]).  Without
+   a crash gate only the takeover counts: an attempt that has not won
+   the serializer yet leaves the peers committing. *)
+let worker ~stop ~job ~mine ~algo ~fault ~crash_gate ~turned ~ops ~injected
+    ~causes ~attempts ~trycs ~commits ~crashed ~lat d () =
   Domain.DLS.get dls :=
     Some
       {
@@ -214,11 +217,13 @@ let worker ~stop ~job ~mine ~algo ~fault ~parasite_gate ~taken_over ~ops
   in
   let parasitic_now () =
     match parasitic_from with
-    | Some from -> parasite_gate () && Tel.Instrument.value ops >= from
+    | Some from ->
+        Option.fold ~none:true ~some:(fun open_ -> open_ ()) crash_gate
+        && Tel.Instrument.value ops >= from
     | None -> false
   in
   let parasite_spin () =
-    Atomic.set taken_over true;
+    Atomic.set turned true;
     while true do
       ignore (Stm.read mine);
       if Atomic.get stop then raise Stop_worker;
@@ -229,10 +234,12 @@ let worker ~stop ~job ~mine ~algo ~fault ~parasite_gate ~taken_over ~ops
   let takeover () =
     if in_body_takeover && parasitic_now () then parasite_spin ()
   in
+  let stranded_turn = in_body_takeover && Option.is_some crash_gate in
   let body () =
     (* Re-run on every attempt: a permanently starving domain still
        gets to observe the stop flag. *)
     if Atomic.get stop then raise Stop_worker;
+    if stranded_turn && parasitic_now () then Atomic.set turned true;
     Tel.Instrument.incr attempts;
     job.body takeover;
     Tel.Instrument.incr trycs
@@ -297,7 +304,7 @@ let with_session ?(blame = false) ?(latency = false) ?registry ~workload
     Array.init nd (fun _ ->
         List.map (fun c -> (c, Tel.Instrument.counter ~shards:1 ())) Obs.causes)
   in
-  let taken_over = Array.init nd (fun _ -> Atomic.make false) in
+  let turned = Array.init nd (fun _ -> Atomic.make false) in
   let sources =
     Array.init nd (fun d ->
         Tel.Liveness_gauge.source
@@ -334,7 +341,7 @@ let with_session ?(blame = false) ?(latency = false) ?registry ~workload
       ses_commits = commits;
       ses_causes = causes;
       ses_crashed = crashed;
-      ses_taken_over = taken_over;
+      ses_turned = turned;
       ses_latency = lat;
     }
   in
@@ -345,15 +352,14 @@ let with_session ?(blame = false) ?(latency = false) ?registry ~workload
      — under the serializer the eventual winner's clock outruns a
      starving peer's arbitrarily.  With no crasher in the plan the gate
      is always open. *)
-  let parasite_gate =
-    match
-      Array.to_list plan.Plan.faults
-      |> List.mapi (fun d f -> (d, f))
-      |> List.find_map (fun (d, f) ->
-             match f with Plan.Crash _ -> Some d | _ -> None)
-    with
-    | None -> fun () -> true
-    | Some cd -> fun () -> Tel.Instrument.gauge_value crashed.(cd) = 1
+  let crash_gate =
+    Array.to_list plan.Plan.faults
+    |> List.mapi (fun d f -> (d, f))
+    |> List.find_map (fun (d, f) ->
+           match f with
+           | Plan.Crash _ ->
+               Some (fun () -> Tel.Instrument.gauge_value crashed.(d) = 1)
+           | _ -> None)
   in
   (* Select the plan's core before the workload creates its t-variables
      (a t-variable belongs to the algorithm that uses it) and restore
@@ -384,8 +390,8 @@ let with_session ?(blame = false) ?(latency = false) ?registry ~workload
         List.init nd (fun d ->
             Domain.spawn
               (worker ~stop ~job:(job d) ~mine:mine.(d) ~algo:plan.Plan.algo
-                 ~fault:plan.Plan.faults.(d) ~parasite_gate
-                 ~taken_over:taken_over.(d) ~ops:ops.(d)
+                 ~fault:plan.Plan.faults.(d) ~crash_gate ~turned:turned.(d)
+                 ~ops:ops.(d)
                  ~injected:injected.(d) ~causes
                  ~attempts:attempts.(d)
                  ~trycs:trycs.(d) ~commits:commits.(d) ~crashed:crashed.(d)
@@ -403,72 +409,67 @@ let with_session ?(blame = false) ?(latency = false) ?registry ~workload
           finish ();
           raise e)
 
-(* Whether domain [d]'s fault has taken effect: a crasher has died, a
-   parasite has taken over.  A parasite's op clock passing its onset is
-   not enough: the transaction in flight at that point can still
-   commit, so only the entry into its spin counts.  Other faults are
-   active throughout the run. *)
-let onset_landed ses d =
-  match ses.ses_plan.Plan.faults.(d) with
+(* The open condition for domain [d] (runner.mli, [in_effect]). *)
+let fault_in_effect ses d =
+  let f = ses.ses_plan.Plan.faults.(d) in
+  Tel.Instrument.value ses.ses_ops.(d) >= Plan.fault_instant f
+  &&
+  match f with
   | Plan.Crash _ -> session_crashed ses d
-  | Plan.Parasitic _ -> Atomic.get ses.ses_taken_over.(d)
+  | Plan.Parasitic _ -> Atomic.get ses.ses_turned.(d)
   | _ -> true
 
-(* Onsets are a few hundred operations in, well inside the warm-up on
-   an idle machine.  On a loaded one a faulty domain that keeps losing
-   the CPU or the global-lock serializer can still be short of its
-   onset when the warm-up ends, and the window would then classify the
-   onset instead of the steady faulty state.  So the warm-up also waits
-   for every onset, for at most this long. *)
-let onset_budget = 2.0
+let all_domains ses = List.init ses.ses_plan.Plan.domains Fun.id
+let in_effect ses = List.for_all (fault_in_effect ses) (all_domains ses)
 
-let await_onsets ses =
-  let deadline = Unix.gettimeofday () +. onset_budget in
-  let landed () =
-    List.for_all (onset_landed ses)
-      (List.init ses.ses_plan.Plan.domains Fun.id)
+(* K and the backing rule of [short_of_close] (runner.mli gives their
+   reasons). *)
+let window_sites = Tel.Blame_graph.min_events
+let backing_sites = 16 * window_sites
+let hang_cap = 10.0
+
+exception Inconclusive of string
+
+(* Polls [short], the domains still short of a condition, until it
+   names none.  Past [deadline] the run is inconclusive, never a
+   verdict. *)
+let rec await ~deadline ~what short =
+  match short () with
+  | [] -> ()
+  | ds when Unix.gettimeofday () > deadline ->
+      raise
+        (Inconclusive
+           (Fmt.str
+              "the chaos window did not %s within %g s: domains %a short" what
+              hang_cap
+              Fmt.(list ~sep:comma int)
+              ds))
+  | _ ->
+      Unix.sleepf 0.001;
+      await ~deadline ~what short
+
+(* Whether domain [d] is short of the window's close: alive and below
+   [window_sites] of its own, or reading starving without backing and
+   below [backing_sites]. *)
+let short_of_close ses ~first ~last d =
+  let run = last.(d).ops - first.(d).ops in
+  let committed e = last.(e).commits > first.(e).commits in
+  let backed () =
+    (not (List.exists (fun e -> e <> d && committed e) (all_domains ses)))
+    &&
+    match ses.ses_blame with
+    | None -> true
+    | Some g -> Tel.Blame_graph.victim_total g d >= Tel.Blame_graph.min_events
   in
-  while (not (landed ())) && Unix.gettimeofday () < deadline do
-    Unix.sleepf 0.001
-  done;
-  landed ()
+  (not (session_crashed ses d))
+  && (run < window_sites
+     || run < backing_sites
+        && Pc.equal_cls Pc.Starving
+             (Emp.classify_counters ~first:(counters_of first.(d))
+                ~last:(counters_of last.(d)))
+        && not (backed ()))
 
-(* A starving domain's blame evidence is counted from the first sample
-   and is attributed only from [Blame_graph.min_events] witnessed events on
-   (below that it reads "quiet").  On an idle machine the window
-   collects thousands; on a loaded one a victim that gets little CPU can
-   still be short when the window closes.  Its starvation outlasts the
-   window (the fault behind it stays in place), so with blame armed the
-   session also waits, for at most this long, until every domain the
-   window found starving has been witnessed that often.  The verdicts
-   are the window's; only the evidence count grows. *)
-let witness_budget = 2.0
-
-let await_witnesses ses ~first ~last =
-  match ses.ses_blame with
-  | None -> ()
-  | Some g ->
-      let starving =
-        List.filter
-          (fun d ->
-            Pc.equal_cls Pc.Starving
-              (Emp.classify_counters ~first:(counters_of first.(d))
-                 ~last:(counters_of last.(d))))
-          (List.init ses.ses_plan.Plan.domains Fun.id)
-      in
-      let deadline = Unix.gettimeofday () +. witness_budget in
-      let witnessed () =
-        List.for_all
-          (fun d ->
-            Tel.Blame_graph.victim_total g d >= Tel.Blame_graph.min_events)
-          starving
-      in
-      while (not (witnessed ())) && Unix.gettimeofday () < deadline do
-        Unix.sleepf 0.001
-      done
-
-let run ?blame ?latency ?(warmup = 0.05) ?(window = 0.15) ?registry
-    ?on_sample ~workload (plan : Plan.t) =
+let run ?blame ?latency ?registry ?on_sample ~workload (plan : Plan.t) =
   let nd = plan.Plan.domains in
   let scrape ses ts =
     match on_sample with
@@ -484,26 +485,39 @@ let run ?blame ?latency ?(warmup = 0.05) ?(window = 0.15) ?registry
   in
   let first, last, ses =
     with_session ?blame ?latency ?registry ~workload plan (fun ses ->
-        Unix.sleepf warmup;
-        ignore (await_onsets ses : bool);
+        let deadline = Unix.gettimeofday () +. hang_cap in
+        let all = all_domains ses in
+        await ~deadline ~what:"open" (fun () ->
+            List.filter (fun d -> not (fault_in_effect ses d)) all);
+        (* No commit made before the faults took effect may be counted
+           inside the window (runner.mli). *)
+        let started = Array.map Tel.Instrument.value ses.ses_attempts in
+        await ~deadline ~what:"open" (fun () ->
+            List.filter
+              (fun d ->
+                not
+                  (session_crashed ses d
+                  || Atomic.get ses.ses_turned.(d)
+                  || Tel.Instrument.value ses.ses_attempts.(d) > started.(d)))
+              all);
         let first = samples ses in
-        (* Attribute only what the window sees: contention from a long
-           warm-up (a crasher slow to reach its crash op) would dilute
-           the dominator's share. *)
+        (* Attribute only what the window sees: contention before the
+           faults were in effect would dilute the dominator's share. *)
         Option.iter Tel.Blame_graph.mark ses.ses_blame;
         (* Baseline the liveness gauge on the exact watchdog samples so
            the exported classes equal the verdicts below. *)
         Tel.Liveness_gauge.rebase_with ses.ses_liveness
           (Array.map counters_of first);
         scrape ses 0;
-        Unix.sleepf window;
-        let last = samples ses in
+        let last = ref first in
+        await ~deadline ~what:"close" (fun () ->
+            last := samples ses;
+            List.filter (short_of_close ses ~first ~last:!last) all);
         ignore
           (Tel.Liveness_gauge.update_with ses.ses_liveness
-             (Array.map counters_of last));
+             (Array.map counters_of !last));
         scrape ses 1;
-        await_witnesses ses ~first ~last;
-        (first, last, ses))
+        (first, !last, ses))
   in
   (* [with_session] has joined the workers, so the crashed gauges are
      final. *)

@@ -10,8 +10,7 @@
     verdict per domain, which is compared against the plan's
     expectation.  The worker loop, the parasite takeover, the crash
     gate, the instruments and the watchdog window exist once, here, so
-    every fix to the window (the onset and witness waits below) holds
-    for every workload.
+    every fix to the window holds for every workload.
 
     The run's trace ({!outcome.events}) is the {e planned} fault
     schedule ({!Plan.trace_events}) followed by one verdict instant per
@@ -117,13 +116,30 @@ val with_session :
     domain's starvation age and the open-loop (censored) quantiles keep
     growing while the closed-loop ones freeze. *)
 
-val await_onsets : session -> bool
-(** Wait, for at most 2 s, until every fault's onset has landed: each
-    crasher has died and each parasite has taken over, that is, entered
-    its spin.  A parasite whose op clock passes its onset inside a
-    transaction takes over only once that transaction is done, so its
-    onset lands then, not at the op count.  [run]'s warm-up ends with
-    this wait.  Returns whether every onset landed. *)
+val in_effect : session -> bool
+(** [run]'s open condition: each faulty domain's op clock has passed its
+    {!Plan.fault_instant}, each crasher has died and each parasite has
+    turned — no attempt of its own can reach tryC again.  A parasite
+    turns as it takes over, or, under the global-lock serializer in
+    [mixed] (the crash strands the serializer), as an attempt starts
+    past its onset; a transaction in flight past it can still commit. *)
+
+val window_sites : int
+(** K = {!Tm_telemetry.Blame_graph.min_events} (64): [run]'s window
+    closes once every live domain has reached K sites of its own since
+    the open.  A starving global-lock peer takes one site and one blamed
+    abort per attempt, a few hundred a second, so K gives it [min_events]
+    of evidence and every site beyond K lengthens its window.  A
+    committing domain runs K sites in about a millisecond and can lose
+    that many in a row (tl2 is progressive, not starvation-free), so a
+    starving reading closes the window at K only when backed — no other
+    domain committed in the window and, with blame armed, [min_events]
+    witnessed events — and otherwise after 16 K sites of its own. *)
+
+exception Inconclusive of string
+(** Raised by [run] when its window has not closed 10 s (wall clock)
+    after the workers started — a hang guard, not a window; the message
+    names the domains that fell short. *)
 
 type report = {
   rep_domain : int;
@@ -155,28 +171,24 @@ type outcome = {
 val run :
   ?blame:bool ->
   ?latency:bool ->
-  ?warmup:float ->
-  ?window:float ->
   ?registry:Tm_telemetry.Registry.t ->
   ?on_sample:(Tm_telemetry.Registry.snapshot -> unit) ->
   workload:workload ->
   Plan.t ->
   outcome
-(** [run ~workload plan] executes the plan and classifies every domain.
-    [warmup] is the settle time in seconds before the first sample
-    (default 0.05 — fault onsets are a few hundred operations in, i.e.
-    microseconds, so the window observes the steady faulty state; the
-    warm-up is extended by up to 2 s until every crash and parasitic
-    onset has landed), [window] the observation time between samples
-    (default 0.15).  With [blame] armed, the graph counts from the first
-    sample ({!Tm_telemetry.Blame_graph.mark}), and the workers also run
-    on after the window, by up to 2 s, until every domain the window
-    classified starving has {!Tm_telemetry.Blame_graph.min_events}
-    witnessed blame events, so a victim short of CPU is attributed
-    rather than read as quiet.  The window and both waits are the same
-    for every workload: the hot set and the serving path are classified
-    by this one window.  The subscribers are removed before returning,
-    even on exceptions.
+(** [run ~workload plan] executes the plan and classifies every domain
+    over one window on each domain's own op clock.  The window opens
+    (first sample) once every fault is {!in_effect} and every live
+    domain has since turned or started an attempt (a worker counts each
+    commit before its next attempt, so no earlier commit lands in the
+    window), and closes (last sample) as {!window_sites} says: a domain
+    that gets no CPU for a while is waited for, not read as crashed.
+    With [blame] armed, the graph counts from the open
+    ({!Tm_telemetry.Blame_graph.mark}), so verdicts and evidence share
+    one interval.  The hot set and the serving path share this window.
+    The watchdog polls every millisecond; 10 s after the workers started
+    it raises {!Inconclusive} instead of a verdict.  The subscribers are
+    removed before returning, even on exceptions.
 
     [registry] and [on_sample] expose the run's telemetry: the watchdog
     scrapes the session registry right after each of its two samples

@@ -601,8 +601,8 @@ let chaos_workload cfg (plan : Plan.t) =
           Store.journal_mark store 1);
     }
 
-let chaos_run ?warmup ?window ?on_sample plan cfg =
-  Runner.run ?warmup ?window ?on_sample ~workload:(chaos_workload cfg) plan
+let chaos_run ?on_sample plan cfg =
+  Runner.run ?on_sample ~workload:(chaos_workload cfg) plan
 
 let pp_chaos_table profile ppf (o : Runner.outcome) =
   Fmt.pf ppf "@[<v>tmserve chaos %s profile=%s algo=%s seed=%d domains=%d@,"

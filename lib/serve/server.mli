@@ -255,14 +255,12 @@ val chaos_workload : config -> Tm_chaos.Runner.workload
     @raise Invalid_argument if the overridden config is invalid. *)
 
 val chaos_run :
-  ?warmup:float ->
-  ?window:float ->
   ?on_sample:(Tm_telemetry.Registry.snapshot -> unit) ->
   Tm_chaos.Plan.t ->
   config ->
   Tm_chaos.Runner.outcome
-(** {!Tm_chaos.Runner.run} with {!chaos_workload}: the same window,
-    onset and witness waits as [tmlive chaos]. *)
+(** {!Tm_chaos.Runner.run} with {!chaos_workload}: the same op-clock
+    window as [tmlive chaos]. *)
 
 val pp_chaos_table :
   Workload.profile -> Format.formatter -> Tm_chaos.Runner.outcome -> unit

@@ -155,5 +155,3 @@ let map_array t f xs =
     | Some e -> raise e
     | None -> Array.map Option.get results
   end
-
-let map_list t f xs = Array.to_list (map_array t f (Array.of_list xs))

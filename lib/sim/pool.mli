@@ -27,8 +27,6 @@ val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
     one such exception is re-raised in the caller after the whole batch
     has drained. *)
 
-val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
-
 val shutdown : t -> unit
 (** Ends the worker domains (idempotent).  Outstanding batches finish
     first; submitting after shutdown raises [Invalid_argument]. *)

@@ -79,9 +79,9 @@ let never = max_int
 let total a = Array.fold_left ( + ) 0 a
 
 (* The one simulation loop.  Every event is tallied into the run's
-   metrics as it happens; only with [keep] is it also built, shown to
-   [on_event] and kept for the history. *)
-let drive ~keep ?trace ?on_event (entry : Tm_impl.Registry.entry) s =
+   metrics as it happens; only with [keep] is it also built and kept
+   for the history. *)
+let drive ~keep ?trace (entry : Tm_impl.Registry.entry) s =
   let n = s.nprocs in
   let cfg =
     Tm_impl.Tm_intf.config ~seed:s.seed ~nprocs:n ~ntvars:s.ntvars ()
@@ -157,9 +157,6 @@ let drive ~keep ?trace ?on_event (entry : Tm_impl.Registry.entry) s =
   let rev_events = ref [] in
   let nev = ref 0 in
   let record e =
-    (* Observers see the event at its history index, before it is
-       appended — the same step clock the trace and metrics use. *)
-    (match on_event with Some f -> f ~ts:!nev e | None -> ());
     rev_events := e :: !rev_events;
     incr nev
   in
@@ -406,7 +403,7 @@ let drive ~keep ?trace ?on_event (entry : Tm_impl.Registry.entry) s =
       Metrics.of_tally tally ~defers:(total defers) ~steps:!steps_taken;
   }
 
-let run ?trace ?on_event entry s = drive ~keep:true ?trace ?on_event entry s
+let run ?trace entry s = drive ~keep:true ?trace entry s
 let metrics entry s = (drive ~keep:false entry s).metrics
 
 let commit_total o = total o.commits

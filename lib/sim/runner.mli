@@ -100,7 +100,6 @@ type outcome = {
 
 val run :
   ?trace:Tm_trace.Sink.t ->
-  ?on_event:(ts:int -> Event.t -> unit) ->
   Tm_impl.Registry.entry ->
   spec ->
   outcome
@@ -109,13 +108,8 @@ val run :
     tryC spans, fault instants (crashes, parasitic turns), and per-process
     defer counters.  Event timestamps are history-event indexes — the
     deterministic step clock — so traces of a seeded run are bit-for-bit
-    reproducible.
-
-    [?on_event] observes every history event as it is recorded, with
-    [ts] the event's history index (the same step clock).  It is called
-    synchronously on the simulation domain; telemetry publishers
-    ({!Tm_telemetry.Sim_pub} via its [hook]) plug in here without the
-    runner depending on them. *)
+    reproducible.  A telemetry publisher ({!Tm_telemetry.Sim_pub})
+    reads the finished history on the same step clock. *)
 
 val metrics : Tm_impl.Registry.entry -> spec -> Metrics.t
 (** [(run entry spec).metrics], by the same loop, but builds no history:

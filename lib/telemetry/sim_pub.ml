@@ -1,10 +1,10 @@
 (* Publishing a simulator run into a registry, on the step clock.
 
-   The runner's [?on_event] hook calls [hook] with the history-event
-   index as timestamp; counters are updated per event, and every
-   [period] events the liveness gauge is updated and the registry
-   scraped into the consumers, so the resulting JSONL time series is a
-   pure function of the history — byte-identical across equal runs.
+   [publish] folds a finished history with each event's index as
+   timestamp; counters are updated per event, and every [period] events
+   the liveness gauge is updated and the registry scraped into the
+   consumers, so the resulting JSONL time series is a pure function of
+   the history — byte-identical across equal runs.
    Everything is single-domain (the simulator is sequential), hence
    [~shards:1] instruments. *)
 
@@ -21,7 +21,6 @@ type t = {
   p_trycs : Instrument.counter array;
   p_commits : Instrument.counter array;
   p_aborts : Instrument.counter array;
-  mutable last_tick : int;
 }
 
 let create ?(period = 200) ?(consumers = []) ~nprocs reg =
@@ -70,18 +69,16 @@ let create ?(period = 200) ?(consumers = []) ~nprocs reg =
     p_trycs;
     p_commits;
     p_aborts;
-    last_tick = -1;
   }
 
 let scrape t ~ts =
   ignore (Liveness_gauge.update t.liveness);
   let snap = Registry.scrape t.reg ~ts in
-  List.iter (fun f -> f snap) t.consumers;
-  snap
+  List.iter (fun f -> f snap) t.consumers
 
-let hook t ~ts ev =
+let count t ev =
   Instrument.incr t.events;
-  (match ev with
+  match ev with
   | Ev.Inv (p, inv) ->
       Instrument.incr t.p_events.(p);
       Instrument.incr t.p_invs.(p);
@@ -91,12 +88,14 @@ let hook t ~ts ev =
       match resp with
       | Ev.Committed -> Instrument.incr t.p_commits.(p)
       | Ev.Aborted -> Instrument.incr t.p_aborts.(p)
-      | Ev.Value _ | Ev.Ok_written -> ()));
-  if ts mod t.period = 0 && ts > t.last_tick then begin
-    t.last_tick <- ts;
-    ignore (scrape t ~ts)
-  end
+      | Ev.Value _ | Ev.Ok_written -> ())
 
-let finish t ~ts =
-  t.last_tick <- ts;
-  scrape t ~ts
+let publish t h =
+  let ts = ref 0 in
+  Tm_history.History.iter
+    (fun ev ->
+      count t ev;
+      if !ts mod t.period = 0 then scrape t ~ts:!ts;
+      incr ts)
+    h;
+  scrape t ~ts:!ts

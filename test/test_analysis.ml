@@ -555,7 +555,7 @@ let test_rule_selection () =
     (An.Engine.run_trace ~rules:[ "lock-order-cycle" ] ~subject:"fixture" tr)
 
 let test_exit_code () =
-  Alcotest.(check int) "no findings -> 0" 0 (An.Engine.exit_code []);
+  Alcotest.(check int) "no findings -> 0" 0 (An.Engine.exit_code_at `Error []);
   let w =
     An.Finding.v ~rule:"lock-leak" ~severity:An.Finding.Warning ~subject:"s"
       "w"
@@ -563,8 +563,8 @@ let test_exit_code () =
   let e =
     An.Finding.v ~rule:"hb-race" ~severity:An.Finding.Error ~subject:"s" "e"
   in
-  Alcotest.(check int) "warnings alone -> 0" 0 (An.Engine.exit_code [ w ]);
-  Alcotest.(check int) "any error -> 1" 1 (An.Engine.exit_code [ w; e ])
+  Alcotest.(check int) "warnings alone -> 0" 0 (An.Engine.exit_code_at `Error [ w ]);
+  Alcotest.(check int) "any error -> 1" 1 (An.Engine.exit_code_at `Error [ w; e ])
 
 let test_findings_json () =
   let fs =

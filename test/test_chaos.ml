@@ -119,7 +119,7 @@ let test_plan_trace_events_deterministic () =
   let sched seed =
     match Plan.make ~scenario:"crash-holding-locks" ~seed ~domains:4 () with
     | Error m -> Alcotest.fail m
-    | Ok p -> Plan.render_schedule p
+    | Ok p -> Fmt.str "%a" Plan.pp p
   in
   Alcotest.(check bool) "seeds differentiate the schedule" true
     (sched 1 <> sched 2)
@@ -231,17 +231,24 @@ let test_chaos_rule_ignores_faultless_traces () =
   Alcotest.(check int) "no verdicts, no findings" 0
     (List.length (run_chaos_rule events))
 
+(* Polls [pred] every millisecond for at most [secs] seconds. *)
+let within secs pred =
+  let deadline = Unix.gettimeofday () +. secs in
+  while (not (pred ())) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  pred ()
+
 (* ------------------------------------------------------------------ *)
-(* Real runs: determinism and verdicts.  Short windows keep the suite
-   fast; the classification already settles within a few milliseconds. *)
+(* Real runs: determinism and verdicts.  Each run's window spans
+   [Runner.window_sites] of every live domain's own sites, so a run
+   takes milliseconds, or a few tenths of a second where the starving
+   peers of the serializer tick slowly. *)
 
 let run_scenario scenario seed =
   match Plan.make ~scenario ~seed ~domains:3 () with
   | Error m -> Alcotest.fail m
-  | Ok p ->
-      Runner.run ~warmup:0.02 ~window:0.05
-        ~workload:(Runner.hot_set ~tvars:2)
-        p
+  | Ok p -> Runner.run ~workload:(Runner.hot_set ~tvars:2) p
 
 let test_run_crash_holding_locks () =
   let o = run_scenario "crash-holding-locks" 7 in
@@ -261,10 +268,7 @@ let test_run_crash_holding_locks () =
 let run_scenario_algo algo scenario seed =
   match Plan.make ~algo ~scenario ~seed ~domains:3 () with
   | Error m -> Alcotest.fail m
-  | Ok p ->
-      Runner.run ~warmup:0.02 ~window:0.05
-        ~workload:(Runner.hot_set ~tvars:2)
-        p
+  | Ok p -> Runner.run ~workload:(Runner.hot_set ~tvars:2) p
 
 (* The table's abort causes: every domain's line carries its window
    deltas of conflict sites by cause.  A healthy peer is charged one
@@ -423,8 +427,8 @@ let test_run_trace_lints_clean () =
     (List.length findings)
 
 (* A parasite whose op clock passes its onset inside a transaction
-   takes over only after that transaction: the onset wait must not
-   return while it is still in flight.  Domain 0's first transaction
+   takes over only after that transaction: the window must not open
+   while it is still in flight.  Domain 0's first transaction
    reads past [from_op] (each read is one tick of its op clock) and then
    holds until released; every later transaction of either domain is a
    private read-increment. *)
@@ -468,18 +472,146 @@ let test_onset_waits_for_takeover () =
       Fun.protect
         ~finally:(fun () -> Atomic.set release true)
         (fun () ->
-          let deadline = Unix.gettimeofday () +. 10.0 in
-          while (not (Atomic.get held)) && Unix.gettimeofday () < deadline do
-            Unix.sleepf 0.001
-          done;
           Alcotest.(check bool) "the parasite holds past its onset" true
-            (Atomic.get held);
+            (within 10.0 (fun () -> Atomic.get held));
           Alcotest.(check bool)
             "no onset while the transaction is in flight" false
-            (Runner.await_onsets ses);
+            (Runner.in_effect ses);
           Atomic.set release true;
           Alcotest.(check bool) "the onset lands at the takeover" true
-            (Runner.await_onsets ses)))
+            (within 10.0 (fun () -> Runner.in_effect ses))))
+
+(* [mixed] end to end on every core: the crash lands, then the parasite
+   turns in the wreckage.  Under the serializer the crash strands it and
+   the parasite never takes over; its window opens once it starts an
+   attempt past its onset, so the run needs no onset wait and takes a
+   fraction of the 2 s it is allowed.  A run that returns opened and
+   closed on the op clock (the hang cap raises instead), so every live
+   domain's window spans at least [window_sites] of its own sites. *)
+let test_run_mixed_every_core () =
+  List.iter
+    (fun algo ->
+      let name = Stm.Algo.name algo ^ " mixed" in
+      let t0 = Unix.gettimeofday () in
+      let o = run_scenario_algo algo "mixed" 7 in
+      let took = Unix.gettimeofday () -. t0 in
+      if not o.Runner.o_ok then Fmt.epr "%s:@.%a@." name Runner.pp_table o;
+      Alcotest.(check bool) (name ^ ": verdicts match") true o.Runner.o_ok;
+      List.iter
+        (fun (r : Runner.report) ->
+          if not r.Runner.rep_crashed then
+            Alcotest.(check bool)
+              (Fmt.str "%s: domain %d ran the window's sites" name
+                 r.Runner.rep_domain)
+              true
+              (r.Runner.rep_last.Runner.ops - r.Runner.rep_first.Runner.ops
+              >= Runner.window_sites))
+        o.Runner.o_reports;
+      if algo = Stm.Algo.Global_lock then
+        Alcotest.(check bool)
+          (Fmt.str "%s: no 2 s onset wait (took %.2f s)" name took)
+          true (took < 2.0))
+    Stm.Algo.all
+
+(* A domain that gets no CPU for a while is waited for, not read as
+   crashed.  Domain 1 of a healthy plan spends its [next], outside any
+   transaction, waiting 1 ms, and the wait that spans the window's first
+   scrape (ts 0) lasts until 0.4 s after it — longer than a 0.2 s
+   wall-clock warm-up and window would wait.  Every domain increments a
+   t-variable of its own, so nothing but the window decides its verdict:
+   it spans [window_sites] sites of domain 1's own, so domain 1
+   classifies progressing. *)
+let test_held_domain_waited_for () =
+  let plan =
+    match Plan.make ~scenario:"healthy" ~seed:3 ~domains:3 () with
+    | Ok p -> p
+    | Error m -> Alcotest.fail m
+  in
+  let opened = Atomic.make neg_infinity in
+  let workload (p : Plan.t) =
+    let tvs = Array.init p.Plan.domains (fun _ -> Stm.tvar 0) in
+    fun d ->
+      {
+        Runner.next =
+          (fun () ->
+            if d = 1 then begin
+              let until = Unix.gettimeofday () +. 0.001 in
+              while
+                let now = Unix.gettimeofday () in
+                now < until || now < Atomic.get opened +. 0.4
+              do
+                Unix.sleepf 0.0002
+              done
+            end);
+        body =
+          (fun takeover ->
+            let v = Stm.read tvs.(d) in
+            takeover ();
+            Stm.write tvs.(d) (v + 1));
+      }
+  in
+  let on_sample (s : Tm_telemetry.Registry.snapshot) =
+    if s.Tm_telemetry.Registry.ts = 0 then
+      Atomic.set opened (Unix.gettimeofday ())
+  in
+  let o = Runner.run ~on_sample ~workload plan in
+  if not o.Runner.o_ok then Fmt.epr "held domain:@.%a@." Runner.pp_table o;
+  Alcotest.(check string) "the held domain progresses"
+    (Pc.cls_label Pc.Progressing)
+    (Pc.cls_label (List.nth o.Runner.o_reports 1).Runner.rep_observed);
+  Alcotest.(check bool) "verdicts match" true o.Runner.o_ok
+
+(* A commit made before the faults took effect is counted before the
+   window opens (mode C).  Under the serializer a clean crash strands
+   every peer; domain 2 is held for 0.2 s between its first commit and
+   its count (at its [Commit] site, after the commit took effect), and
+   domain 0 starts only once that hold has begun, so it crashes during
+   the hold.  A window opened while domain 2's commit is uncounted
+   would count it and read domain 2 progressing; it must read
+   starving. *)
+let test_commit_counted_before_open () =
+  let plan =
+    match
+      Plan.make ~algo:Stm.Algo.Global_lock ~scenario:"crash-clean" ~seed:11
+        ~domains:3 ()
+    with
+    | Ok p -> p
+    | Error m -> Alcotest.fail m
+  in
+  let holding = Atomic.make false in
+  let hold site _ _ =
+    if
+      site = Stm.Obs.Commit
+      && Stm.Obs.self () = 2
+      && not (Atomic.exchange holding true)
+    then Unix.sleepf 0.2;
+    Stm.Obs.Proceed
+  in
+  let workload p =
+    let hot = Runner.hot_set ~tvars:2 p in
+    fun d ->
+      let w = hot d in
+      if d <> 0 then w
+      else
+        {
+          w with
+          Runner.next =
+            (fun () ->
+              ignore (within 10.0 (fun () -> Atomic.get holding) : bool);
+              w.Runner.next ());
+        }
+  in
+  let h = Stm.Obs.subscribe hold in
+  let o =
+    Fun.protect
+      ~finally:(fun () -> Stm.Obs.unsubscribe h)
+      (fun () -> Runner.run ~workload plan)
+  in
+  if not o.Runner.o_ok then Fmt.epr "held commit:@.%a@." Runner.pp_table o;
+  Alcotest.(check string) "the held commit is not in the window"
+    (Pc.cls_label Pc.Starving)
+    (Pc.cls_label (List.nth o.Runner.o_reports 2).Runner.rep_observed);
+  Alcotest.(check bool) "verdicts match" true o.Runner.o_ok
 
 (* ------------------------------------------------------------------ *)
 (* Blame-armed runs: the graph arrives in the outcome, classifies to
@@ -488,13 +620,10 @@ let test_onset_waits_for_takeover () =
 
 module Bg = Tm_telemetry.Blame_graph
 
-let run_blame ?(warmup = 0.02) ?(window = 0.05) algo scenario seed =
+let run_blame algo scenario seed =
   match Plan.make ~algo ~scenario ~seed ~domains:3 () with
   | Error m -> Alcotest.fail m
-  | Ok p ->
-      Runner.run ~blame:true ~warmup ~window
-        ~workload:(Runner.hot_set ~tvars:2)
-        p
+  | Ok p -> Runner.run ~blame:true ~workload:(Runner.hot_set ~tvars:2) p
 
 let classify_outcome o =
   match o.Runner.o_blame with
@@ -562,12 +691,10 @@ let test_blame_run_deterministic () =
     ^ String.concat ","
         (Array.to_list (Array.map Bg.evidence_label evidence))
   in
-  (* The serializer's victims back off on the big lock, so witnessing
-     [min_events] of blame per peer needs the standard window length. *)
-  let a = run_blame ~warmup:0.05 ~window:0.15 Stm.Algo.Global_lock
-      "parasitic-only" 5 in
-  let b = run_blame ~warmup:0.05 ~window:0.15 Stm.Algo.Global_lock
-      "parasitic-only" 5 in
+  (* The serializer's victims back off on the big lock and tick slowly;
+     the window stays open until each has [min_events] of blame. *)
+  let a = run_blame Stm.Algo.Global_lock "parasitic-only" 5 in
+  let b = run_blame Stm.Algo.Global_lock "parasitic-only" 5 in
   Alcotest.(check string) "serializer takeover is a star on the parasite"
     "star:0/parasitic,starved-by:0,starved-by:0" (render a);
   Alcotest.(check string) "same seed, same classified form" (render a)
@@ -598,7 +725,7 @@ let prop_plan_deterministic =
           Plan.make ~scenario ~seed ~domains () )
       with
       | Ok a, Ok b ->
-          Plan.render_schedule a = Plan.render_schedule b
+          Fmt.str "%a" Plan.pp a = Fmt.str "%a" Plan.pp b
           && Tm_trace.Export.chrome_string (Plan.trace_events a)
              = Tm_trace.Export.chrome_string (Plan.trace_events b)
       | _ -> false)
@@ -670,6 +797,12 @@ let () =
             test_onset_waits_for_takeover;
           Alcotest.test_case "the table counts aborts by cause" `Quick
             test_run_abort_causes;
+          Alcotest.test_case "mixed on every core" `Quick
+            test_run_mixed_every_core;
+          Alcotest.test_case "a held domain is waited for" `Quick
+            test_held_domain_waited_for;
+          Alcotest.test_case "a commit is counted before the window opens"
+            `Quick test_commit_counted_before_open;
         ] );
       ( "blame",
         [

@@ -775,8 +775,8 @@ let test_pool_map_order () =
         (Array.map (fun x -> x * x) xs)
         ys;
       (* A second batch on the same pool. *)
-      let zs = Tm_sim.Pool.map_list pool string_of_int [ 3; 1; 2 ] in
-      Alcotest.(check (list string)) "list map" [ "3"; "1"; "2" ] zs)
+      let zs = Tm_sim.Pool.map_array pool string_of_int [| 3; 1; 2 |] in
+      Alcotest.(check (array string)) "second batch" [| "3"; "1"; "2" |] zs)
 
 let test_pool_single_job_inline () =
   Tm_sim.Pool.with_pool ~jobs:1 (fun pool ->

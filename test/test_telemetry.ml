@@ -765,12 +765,8 @@ let jsonl_of_run () =
         ]
       ~nprocs:3 reg
   in
-  let o =
-    Tm_sim.Runner.run ~on_event:(Tm_telemetry.Sim_pub.hook pub) entry spec
-  in
-  ignore
-    (Tm_telemetry.Sim_pub.finish pub
-       ~ts:(Tm_history.History.length o.Tm_sim.Runner.history));
+  Tm_telemetry.Sim_pub.publish pub
+    (Tm_sim.Runner.run entry spec).Tm_sim.Runner.history;
   Buffer.contents buf
 
 let test_jsonl_deterministic () =
