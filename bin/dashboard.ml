@@ -44,7 +44,6 @@ let phase_rows =
    job. *)
 let render_blame g =
   let module Bg = Tel.Blame_graph in
-  Bg.refresh g;
   Fmt.pr "@.blame graph (events=%d):@." (Bg.clock g);
   let slot = function -1 -> "d?" | d -> "d" ^ string_of_int d in
   let edges =
@@ -74,8 +73,8 @@ let render_blame g =
 
 (* The open-loop latency panel: sojourn percentiles from the hires
    histogram, the coordinated-omission split (open vs closed p99) and
-   each domain's starvation age — all read from the scrape, which
-   [observe] refreshes via [Latency_recorder.publish] each frame.
+   each domain's starvation age — all read from the scrape, which reads
+   them from the recorder as it is taken.
    Sessions opened without the recorder simply have no such series and
    the panel stays hidden. *)
 let render_latency ~nd snap =
@@ -163,19 +162,13 @@ let render ~plain ~title ~plan ~frame ~frames ~period ~prev ~blame snap =
    the wall-ms clock, export, render. *)
 let observe ~title ~plan ~period ~frames ~plain ~tel ~tty ~reg ses =
   let liveness = Runner.session_liveness ses
-  and blame = Runner.session_blame ses
-  and latency = Runner.session_latency ses in
+  and blame = Runner.session_blame ses in
   let t0 = Unix.gettimeofday () in
   let prev = ref None in
   for frame = 1 to frames do
     Unix.sleepf period;
     ignore (Tel.Liveness_gauge.update liveness);
     let ts = int_of_float ((Unix.gettimeofday () -. t0) *. 1000.) in
-    Option.iter Tel.Blame_graph.refresh blame;
-    Option.iter
-      (fun r ->
-        Tel.Latency_recorder.publish r ~now:(Tel.Latency_recorder.now_ns ()))
-      latency;
     let snap = Tel.Registry.scrape reg ~ts in
     (match tel with Some (add, _) -> add snap | None -> ());
     if tty || frame = frames then

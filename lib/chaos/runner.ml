@@ -13,10 +13,10 @@ type sample = {
   causes : (Obs.cause * int) list;
 }
 
-(* Per-domain monotone counters live in a telemetry registry
-   ([tm_chaos_*_total{domain=...}], single-writer so one shard each):
-   the watchdog, the liveness gauge and any --telemetry export all read
-   the same instruments instead of ad-hoc cells.  Aborts are derived:
+(* Per-domain monotone counters are single-writer instruments (one
+   shard each) that the session registry reads as
+   [tm_chaos_*_total{domain=...}]: the watchdog, the liveness gauge and
+   any --telemetry export all read the same cells.  Aborts are derived:
    every transaction body start is an attempt, every [atomically] return
    a commit, and each attempt either commits or aborts. *)
 type session = {
@@ -32,7 +32,7 @@ type session = {
       (* per domain, the conflicts charged to it by cause — those it
          reported, and the steals that aborted it; private to the
          report, not in the registry *)
-  ses_crashed : Tel.Instrument.gauge array;
+  ses_crashed : bool Atomic.t array;  (* the worker died on [Crashed] *)
   ses_turned : bool Atomic.t array;  (* see [worker] *)
   ses_latency : Tel.Latency_recorder.t option;
 }
@@ -41,8 +41,7 @@ let session_liveness ses = ses.ses_liveness
 let session_blame ses = ses.ses_blame
 let session_latency ses = ses.ses_latency
 
-let session_crashed ses d =
-  Tel.Instrument.gauge_value ses.ses_crashed.(d) = 1
+let session_crashed ses d = Atomic.get ses.ses_crashed.(d)
 
 let sample ses d =
   let v a = Tel.Instrument.value a.(d) in
@@ -262,7 +261,7 @@ let worker ~stop ~job ~mine ~algo ~fault ~crash_gate ~turned ~ops ~injected
      done
    with
   | Stop_worker -> ()
-  | Obs.Crashed -> Tel.Instrument.set_gauge crashed 1);
+  | Obs.Crashed -> Atomic.set crashed true);
   Obs.set_self (-1);
   Domain.DLS.get dls := None
 
@@ -275,11 +274,13 @@ let with_session ?(blame = false) ?(latency = false) ?registry ~workload
   let reg =
     match registry with Some r -> r | None -> Tel.Registry.create ()
   in
+  let dom d = [ ("domain", string_of_int d) ] in
   let per name help =
     Array.init nd (fun d ->
-        Tel.Registry.counter reg ~shards:1
-          ~labels:[ ("domain", string_of_int d) ]
-          ~help name)
+        let c = Tel.Instrument.counter ~shards:1 () in
+        Tel.Registry.counter reg ~labels:(dom d) ~help name (fun () ->
+            Tel.Instrument.value c);
+        c)
   in
   let ops =
     per "tm_chaos_ops_total"
@@ -293,13 +294,13 @@ let with_session ?(blame = false) ?(latency = false) ?registry ~workload
   let injected =
     per "tm_chaos_injected_total" "Faults injected (non-Proceed actions)"
   in
-  let crashed =
-    Array.init nd (fun d ->
-        Tel.Registry.gauge reg
-          ~labels:[ ("domain", string_of_int d) ]
-          ~help:"1 after the worker died on Stm.Obs.Crashed"
-          "tm_chaos_crashed")
-  in
+  let crashed = Array.init nd (fun _ -> Atomic.make false) in
+  Array.iteri
+    (fun d c ->
+      Tel.Registry.gauge reg ~labels:(dom d)
+        ~help:"1 after the worker died on Stm.Obs.Crashed" "tm_chaos_crashed"
+        (fun () -> Bool.to_int (Atomic.get c)))
+    crashed;
   let causes =
     Array.init nd (fun _ ->
         List.map (fun c -> (c, Tel.Instrument.counter ~shards:1 ())) Obs.causes)
@@ -357,8 +358,7 @@ let with_session ?(blame = false) ?(latency = false) ?registry ~workload
     |> List.mapi (fun d f -> (d, f))
     |> List.find_map (fun (d, f) ->
            match f with
-           | Plan.Crash _ ->
-               Some (fun () -> Tel.Instrument.gauge_value crashed.(d) = 1)
+           | Plan.Crash _ -> Some (fun () -> Atomic.get crashed.(d))
            | _ -> None)
   in
   (* Select the plan's core before the workload creates its t-variables
@@ -473,17 +473,10 @@ let run ?blame ?latency ?registry ?on_sample ~workload (plan : Plan.t) =
   let nd = plan.Plan.domains in
   let scrape ses ts =
     match on_sample with
-    | Some f ->
-        Option.iter Tel.Blame_graph.refresh ses.ses_blame;
-        Option.iter
-          (fun r ->
-            Tel.Latency_recorder.publish r
-              ~now:(Tel.Latency_recorder.now_ns ()))
-          ses.ses_latency;
-        f (Tel.Registry.scrape ses.ses_registry ~ts)
+    | Some f -> f (Tel.Registry.scrape ses.ses_registry ~ts)
     | None -> ()
   in
-  let first, last, ses =
+  let first, last, observed, ses =
     with_session ?blame ?latency ?registry ~workload plan (fun ses ->
         let deadline = Unix.gettimeofday () +. hang_cap in
         let all = all_domains ses in
@@ -504,22 +497,23 @@ let run ?blame ?latency ?registry ?on_sample ~workload (plan : Plan.t) =
         (* Attribute only what the window sees: contention before the
            faults were in effect would dilute the dominator's share. *)
         Option.iter Tel.Blame_graph.mark ses.ses_blame;
-        (* Baseline the liveness gauge on the exact watchdog samples so
-           the exported classes equal the verdicts below. *)
-        Tel.Liveness_gauge.rebase_with ses.ses_liveness
-          (Array.map counters_of first);
         scrape ses 0;
         let last = ref first in
         await ~deadline ~what:"close" (fun () ->
             last := samples ses;
             List.filter (short_of_close ses ~first ~last:!last) all);
-        ignore
-          (Tel.Liveness_gauge.update_with ses.ses_liveness
-             (Array.map counters_of !last));
+        (* One classification per domain: the verdicts reported
+           below, which the final scrape's liveness gauge reads. *)
+        let observed =
+          Array.init nd (fun d ->
+              Emp.classify_counters ~first:(counters_of first.(d))
+                ~last:(counters_of !last.(d)))
+        in
+        Tel.Liveness_gauge.set ses.ses_liveness observed;
         scrape ses 1;
-        (first, !last, ses))
+        (first, !last, observed, ses))
   in
-  (* [with_session] has joined the workers, so the crashed gauges are
+  (* [with_session] has joined the workers, so the crashed flags are
      final. *)
   let reports =
     List.init nd (fun d ->
@@ -527,9 +521,7 @@ let run ?blame ?latency ?registry ?on_sample ~workload (plan : Plan.t) =
           rep_domain = d;
           rep_fault = plan.Plan.faults.(d);
           rep_expected = plan.Plan.expected.(d);
-          rep_observed =
-            Emp.classify_counters ~first:(counters_of first.(d))
-              ~last:(counters_of last.(d));
+          rep_observed = observed.(d);
           rep_first = first.(d);
           rep_last = last.(d);
           rep_crashed = session_crashed ses d;
@@ -557,11 +549,7 @@ let run ?blame ?latency ?registry ?on_sample ~workload (plan : Plan.t) =
     match ses.ses_blame with
     | None -> []
     | Some g ->
-        Tel.Blame_graph.refresh g;
-        let classes =
-          Array.of_list (List.map (fun r -> r.rep_observed) reports)
-        in
-        let shape, evidence = Tel.Blame_graph.classify g ~classes in
+        let shape, evidence = Tel.Blame_graph.classify g ~classes:observed in
         List.init nd (fun d ->
             Tev.instant ~ts:h ~tid:d Tev.Monitor "blame-evidence"
               [

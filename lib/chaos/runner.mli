@@ -193,10 +193,10 @@ val run :
     [registry] and [on_sample] expose the run's telemetry: the watchdog
     scrapes the session registry right after each of its two samples
     (snapshot timestamps 0 and 1) and hands the snapshots to
-    [on_sample].  The liveness gauge is rebased on the first watchdog
-    sample and updated with the second, so the [tm_liveness_class]
-    stateset in the final scrape byte-agrees with the verdicts in the
-    returned reports.
+    [on_sample].  Each domain is classified once, and the liveness gauge
+    is {!Tm_telemetry.Liveness_gauge.set} to those verdicts before the
+    second scrape, so its [tm_liveness_class] stateset equals the
+    verdicts in the returned reports.
 
     Note: after a crash-holding-locks run the workload's t-variables
     stay locked forever by the dead domain — they are private to the

@@ -67,30 +67,21 @@ let rung ?on_sample ~quantum ~kind ~rung_index rate (cfg : Server.config) wl =
   let arrival = Arrival.make ~kind ~rate ~seed:cfg.Server.c_seed in
   let cur = Arrival.cursor arrival in
   let cap_ns = cfg.Server.c_queue_cap * quantum in
+  let admitted = ref 0 and shed = ref 0 and makespan = ref 0 in
+  let hires () = Tm_sim.Hist.create Tm_sim.Hist.hires in
+  let queueing_h = hires () and service_h = hires () and sojourn_h = hires () in
   let reg = Tel.Registry.create () in
-  let admitted_c =
-    Tel.Registry.counter reg ~shards:1 ~help:"Requests admitted (model)"
-      "tm_loadcurve_admitted_total"
-  in
-  let shed_c =
-    Tel.Registry.counter reg ~shards:1 ~help:"Requests shed (model)"
-      "tm_loadcurve_shed_total"
-  in
-  let hist name help =
-    Tel.Registry.histogram reg ~shards:1 ~layout:Tm_sim.Hist.hires ~help name
-  in
-  let queueing_h =
-    hist "tm_loadcurve_queueing_ns" "Arrival to service start (virtual)"
-  in
-  let service_h =
-    hist "tm_loadcurve_service_ns" "Service time (cost * quantum)"
-  in
-  let sojourn_h =
-    hist "tm_loadcurve_sojourn_ns" "Arrival to completion (virtual)"
-  in
+  Tel.Registry.counter reg ~help:"Requests admitted (model)"
+    "tm_loadcurve_admitted_total" (fun () -> !admitted);
+  Tel.Registry.counter reg ~help:"Requests shed (model)"
+    "tm_loadcurve_shed_total" (fun () -> !shed);
+  let hist name help h = Tel.Registry.histogram reg ~help name (fun () -> h) in
+  hist "tm_loadcurve_queueing_ns" "Arrival to service start (virtual)"
+    queueing_h;
+  hist "tm_loadcurve_service_ns" "Service time (cost * quantum)" service_h;
+  hist "tm_loadcurve_sojourn_ns" "Arrival to completion (virtual)" sojourn_h;
   let buf = Store.buffer () in
   let server_free = ref 0 in
-  let admitted = ref 0 and shed = ref 0 and makespan = ref 0 in
   for g = 0 to n - 1 do
     let arr = Arrival.next cur in
     let client = g mod cfg.Server.c_clients
@@ -98,26 +89,21 @@ let rung ?on_sample ~quantum ~kind ~rung_index rate (cfg : Server.config) wl =
     Workload.fill wl buf ~client ~index;
     let service = Store.cost buf * quantum in
     let backlog = max 0 (!server_free - arr) in
-    if backlog > cap_ns then begin
-      incr shed;
-      Tel.Instrument.incr shed_c
-    end
+    if backlog > cap_ns then incr shed
     else begin
       let start = max arr !server_free in
       let finish = start + service in
       server_free := finish;
       makespan := finish;
       incr admitted;
-      Tel.Instrument.incr admitted_c;
-      Tel.Instrument.observe queueing_h (start - arr);
-      Tel.Instrument.observe service_h service;
-      Tel.Instrument.observe sojourn_h (finish - arr)
+      Tm_sim.Hist.add queueing_h (start - arr);
+      Tm_sim.Hist.add service_h service;
+      Tm_sim.Hist.add sojourn_h (finish - arr)
     end
   done;
   (match on_sample with
   | Some f -> f (Tel.Registry.scrape reg ~ts:rung_index)
   | None -> ());
-  let snap h = Tel.Instrument.hist_snapshot h in
   {
     p_rate = rate;
     p_offered = n;
@@ -126,9 +112,9 @@ let rung ?on_sample ~quantum ~kind ~rung_index rate (cfg : Server.config) wl =
     p_achieved =
       (if !admitted = 0 || !makespan = 0 then 0.0
        else float_of_int !admitted *. 1e9 /. float_of_int !makespan);
-    p_queueing = pcts_of_snap (snap queueing_h);
-    p_service = pcts_of_snap (snap service_h);
-    p_sojourn = pcts_of_snap (snap sojourn_h);
+    p_queueing = pcts_of_snap queueing_h;
+    p_service = pcts_of_snap service_h;
+    p_sojourn = pcts_of_snap sojourn_h;
   }
 
 let run ?(quantum_ns = default_quantum_ns) ?on_sample ~kind ~ladder

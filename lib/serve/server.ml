@@ -296,31 +296,35 @@ let run ?on_sample cfg =
   in
   let wl = workload cfg in
   let nd = cfg.c_domains in
-  (* Canonical registry: deterministic instruments only (see .mli). *)
-  let reg = Tel.Registry.create () in
-  let per name help =
-    Array.init nd (fun d ->
-        Tel.Registry.counter reg ~shards:1
-          ~labels:[ ("domain", string_of_int d) ]
-          ~help name)
-  in
-  let requests = per "tm_serve_requests_total" "Requests generated" in
-  let admitted = per "tm_serve_admitted_total" "Requests admitted" in
-  let shed = per "tm_serve_shed_total" "Requests shed by admission" in
-  let batched =
-    per "tm_serve_batched_total" "Admitted puts routed through a combiner"
-  in
-  let mutators = per "tm_serve_mutators_total" "Admitted mutating requests" in
   (* Indexed by [Workload.kind_index], in [Workload.kinds] order. *)
   let kinds = Array.of_list Workload.kinds in
-  let by_kind =
-    Array.map
-      (fun k ->
-        Tel.Registry.counter reg ~shards:1
-          ~labels:[ ("kind", k) ]
-          ~help:"Admitted requests by kind" "tm_serve_admitted_kind_total")
-      kinds
+  (* Each executor's tally, all zeros until [Domain.join] returns it. *)
+  let tallies = Array.make nd (tally (Array.length kinds)) in
+  let sum f = Array.fold_left (fun acc t -> acc + f t) 0 tallies in
+  (* Canonical registry: deterministic reads only (see .mli). *)
+  let reg = Tel.Registry.create () in
+  let per name help f =
+    for d = 0 to nd - 1 do
+      Tel.Registry.counter reg
+        ~labels:[ ("domain", string_of_int d) ]
+        ~help name
+        (fun () -> f tallies.(d))
+    done
   in
+  per "tm_serve_requests_total" "Requests generated" (fun t -> t.t_requests);
+  per "tm_serve_admitted_total" "Requests admitted" (fun t -> t.t_admitted);
+  per "tm_serve_shed_total" "Requests shed by admission" (fun t -> t.t_shed);
+  per "tm_serve_batched_total" "Admitted puts routed through a combiner"
+    (fun t -> t.t_batched);
+  per "tm_serve_mutators_total" "Admitted mutating requests" (fun t ->
+      t.t_mutators);
+  Array.iteri
+    (fun k name ->
+      Tel.Registry.counter reg
+        ~labels:[ ("kind", name) ]
+        ~help:"Admitted requests by kind" "tm_serve_admitted_kind_total"
+        (fun () -> sum (fun t -> t.t_by_kind.(k))))
+    kinds;
   (* The open-loop recorder is registry-free on purpose: its samples are
      wall-clock measurements, and the canonical scrape must not see
      them. *)
@@ -413,27 +417,10 @@ let run ?on_sample cfg =
   done;
   let t0 = Unix.gettimeofday () in
   Atomic.set go (now_ns ());
-  (* Publication: the join orders each executor's writes before these
-     plain reads. *)
-  let tallies = Array.of_list (List.map Domain.join ds) in
+  (* Publication: the join orders each executor's writes before the
+     plain reads of its tally, here and in the final scrape. *)
+  List.iteri (fun d dom -> tallies.(d) <- Domain.join dom) ds;
   let wall = Unix.gettimeofday () -. t0 in
-  let sum f = Array.fold_left (fun acc t -> acc + f t) 0 tallies in
-  Array.iteri
-    (fun d t ->
-      Tel.Instrument.add requests.(d) t.t_requests;
-      Tel.Instrument.add admitted.(d) t.t_admitted;
-      Tel.Instrument.add shed.(d) t.t_shed;
-      Tel.Instrument.add batched.(d) t.t_batched;
-      Tel.Instrument.add mutators.(d) t.t_mutators)
-    tallies;
-  let s_by_kind =
-    List.mapi
-      (fun k name ->
-        let n = sum (fun t -> t.t_by_kind.(k)) in
-        Tel.Instrument.add by_kind.(k) n;
-        (name, n))
-      Workload.kinds
-  in
   scrape (total_requests cfg);
   let commits1, aborts1 = Stm.stats () in
   (* Measured, non-canonical, never scraped. *)
@@ -455,7 +442,8 @@ let run ?on_sample cfg =
     s_shed = sum (fun t -> t.t_shed);
     s_batched = sum (fun t -> t.t_batched);
     s_mutators = mut_total;
-    s_by_kind;
+    s_by_kind =
+      List.mapi (fun k name -> (name, sum (fun t -> t.t_by_kind.(k)))) Workload.kinds;
     s_per_domain =
       Array.map
         (fun t ->

@@ -51,16 +51,15 @@
     [n] admitted requests on an executor has [(n + 15) / 16] samples
     there.  The worker returns its tally through [Domain.join], which
     orders every write the domain made before [run]'s reads of it, so
-    those plain reads are exact.  After the join, {!run} builds
-    {!outcome} from the tallies, adds them into its registered
-    [tm_serve_*] counters once per instrument and merges the latency
-    histograms, all before the final scrape.
-    The rule this relies on: {!run}'s instruments have no live reader.
-    A scrape sees them only at [ts = 0] (all zero) and at
-    [ts = total_requests] (after publication).  [tmlive top --serve]
-    reads the chaos runner's instruments, not these.  The combiner's
-    flush counter and the open-loop {!Tm_telemetry.Latency_recorder},
-    whose in-flight gauges are read live, stay atomic. *)
+    those plain reads are exact.  {!run} keeps the joined tallies where
+    its registered [tm_serve_*] counters read them, so a scrape sees
+    all zeros at [ts = 0] and the tallies at [ts = total_requests];
+    the outcome and the merged latency histograms come from the same
+    tallies.  The rule this relies on: nothing scrapes {!run}'s registry
+    while the executors run.  [tmlive top --serve] reads the chaos
+    runner's instruments, not these.  The combiner's flush counter and
+    the open-loop {!Tm_telemetry.Latency_recorder}, whose in-flight ages
+    are read live, stay atomic. *)
 
 type config = {
   c_profile : Workload.profile;
@@ -213,15 +212,15 @@ val run :
     canonical telemetry scrape twice, {e keyed on the op clock}: once
     at [ts = 0] before the executors start and once at
     [ts = total_requests config] after they join.  The scraped registry
-    holds only deterministic instruments ([tm_serve_requests_total],
+    holds only deterministic reads ([tm_serve_requests_total],
     [tm_serve_admitted_total], [tm_serve_shed_total],
     [tm_serve_batched_total], [tm_serve_mutators_total] per domain and
     [tm_serve_admitted_kind_total] per kind), so for a fixed
     (profile, seed, domains, algo) the export is byte-deterministic —
     latency histograms are measured and deliberately kept out.  The
     final scrape and the outcome hold the same counts: both come from
-    the executors' tallies, published after the join (see Bookkeeping
-    and publication above). *)
+    the executors' joined tallies (see Bookkeeping and publication
+    above). *)
 
 val to_json : outcome -> string
 (** The canonical serve document — configuration and plan-determined

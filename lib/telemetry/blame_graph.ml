@@ -14,8 +14,9 @@
    seam itself defines.  [last_commit] is the clock value at a slot's
    most recent commit; its wait age is the distance from the current
    clock, i.e. how many blame-worthy things happened since it last got
-   through.  Ages are materialized into gauges by {!refresh} (scrape
-   paths are cold; the emit path never touches gauges).
+   through.  The registered clock, last-commit and wait-age gauges read
+   these atomics at scrape time; the emit path never touches the
+   registry.
 
    The graph accessors count from the last {!mark}: [base] holds every
    cell's value at that point, so a run can attribute only what
@@ -31,9 +32,6 @@ type t = {
   commits : Instrument.counter array;  (* per slot, unknown excluded *)
   last_commit : int Atomic.t array;
   clock : int Atomic.t;
-  clock_gauge : Instrument.gauge;
-  last_commit_gauge : Instrument.gauge array;
-  wait_age_gauge : Instrument.gauge array;
 }
 
 let ncauses = List.length Obs.causes
@@ -47,14 +45,22 @@ let cause_index = function
 
 let cause_of_index i = List.nth Obs.causes i
 let slot_label = function -1 -> "unknown" | n -> string_of_int n
+let clock t = Atomic.get t.clock
+let last_commit t d = Atomic.get t.last_commit.(d)
+let wait_age t d = max 0 (clock t - last_commit t d)
 
 let create reg ~domains =
   if domains < 1 then invalid_arg "Blame_graph.create: domains must be >= 1";
+  let counter ~labels ~help name =
+    let c = Instrument.counter ~shards:1 () in
+    Registry.counter reg ~labels ~help name (fun () -> Instrument.value c);
+    c
+  in
   let cells =
     Array.init (domains + 1) (fun vi ->
         Array.init (domains + 1) (fun ai ->
             Array.init ncauses (fun ci ->
-                Registry.counter reg ~shards:1
+                counter
                   ~labels:
                     [
                       ("victim", slot_label (vi - 1));
@@ -66,34 +72,37 @@ let create reg ~domains =
   in
   let commits =
     Array.init domains (fun d ->
-        Registry.counter reg ~shards:1
+        counter
           ~labels:[ ("domain", string_of_int d) ]
           ~help:"Commits per plan slot (the blame progress watermark feed)"
           "tm_blame_commits_total")
   in
-  let g name help =
-    Array.init domains (fun d ->
-        Registry.gauge reg
-          ~labels:[ ("domain", string_of_int d) ]
-          ~help name)
+  let t =
+    {
+      domains;
+      cells;
+      base = Array.map (Array.map (Array.map (fun _ -> 0))) cells;
+      commits;
+      last_commit = Array.init domains (fun _ -> Atomic.make 0);
+      clock = Atomic.make 0;
+    }
   in
-  {
-    domains;
-    cells;
-    base = Array.map (Array.map (Array.map (fun _ -> 0))) cells;
-    commits;
-    last_commit = Array.init domains (fun _ -> Atomic.make 0);
-    clock = Atomic.make 0;
-    clock_gauge =
+  let per name help read =
+    for d = 0 to domains - 1 do
       Registry.gauge reg
-        ~help:"Blame event clock (one tick per blame event or commit)"
-        "tm_blame_clock";
-    last_commit_gauge =
-      g "tm_blame_last_commit" "Blame-clock value at the slot's last commit";
-    wait_age_gauge =
-      g "tm_blame_wait_age"
-        "Blame-clock ticks since the slot's last commit (at last refresh)";
-  }
+        ~labels:[ ("domain", string_of_int d) ]
+        ~help name
+        (fun () -> read t d)
+    done
+  in
+  per "tm_blame_wait_age" "Blame-clock ticks since the slot's last commit"
+    wait_age;
+  per "tm_blame_last_commit" "Blame-clock value at the slot's last commit"
+    last_commit;
+  Registry.gauge reg
+    ~help:"Blame event clock (one tick per blame event or commit)"
+    "tm_blame_clock" (fun () -> clock t);
+  t
 
 let idx d = d + 1
 
@@ -123,7 +132,6 @@ let mark t =
   t.base <- Array.map (Array.map (Array.map Instrument.value)) t.cells
 
 let domains t = t.domains
-let clock t = Atomic.get t.clock
 
 let cell t vi ai ci =
   Instrument.value t.cells.(vi).(ai).(ci) - t.base.(vi).(ai).(ci)
@@ -175,15 +183,6 @@ let cause_counts t =
     Obs.causes
 
 let commits t d = Instrument.value t.commits.(d)
-let last_commit t d = Atomic.get t.last_commit.(d)
-let wait_age t d = max 0 (clock t - last_commit t d)
-
-let refresh t =
-  Instrument.set_gauge t.clock_gauge (clock t);
-  for d = 0 to t.domains - 1 do
-    Instrument.set_gauge t.last_commit_gauge.(d) (last_commit t d);
-    Instrument.set_gauge t.wait_age_gauge.(d) (wait_age t d)
-  done
 
 (* Classification.  Raw edge weights of a real multicore run are not
    reproducible; what is reproducible is the verdicts plus wide-margin

@@ -13,10 +13,10 @@
     blame event or commit.  A slot's {!wait_age} — clock distance from
     its last commit — is the starvation signal: it grows without bound
     for a starved slot while peers keep generating events, and resets
-    on every commit.  {!refresh} materializes clock, last-commit and
-    wait-age into gauges ([tm_blame_clock], [tm_blame_last_commit],
-    [tm_blame_wait_age]) so scrapes see them; call it before each
-    scrape (the emit path never touches gauges).
+    on every commit.  The registered gauges [tm_blame_clock],
+    [tm_blame_last_commit] and [tm_blame_wait_age] read the clock and
+    the watermarks at scrape time (the emit path never touches the
+    registry).
 
     The graph accessors below count from the last {!mark}; the
     registered counters stay cumulative. *)
@@ -76,9 +76,6 @@ val last_commit : t -> int -> int
 
 val wait_age : t -> int -> int
 (** [clock t - last_commit t d], clamped at 0. *)
-
-val refresh : t -> unit
-(** Materialize clock/last-commit/wait-age into their gauges. *)
 
 (** {2 Deterministic classification}
 

@@ -44,14 +44,6 @@ let value c =
   done;
   !acc
 
-(* ---- gauges ---- *)
-
-type gauge = int Atomic.t
-
-let gauge ?(init = 0) () = Atomic.make init
-let set_gauge g v = Atomic.set g v
-let gauge_value g = Atomic.get g
-
 (* ---- histograms ----
 
    The bucket rule is [Tm_sim.Hist]'s; a histogram keeps one atomic
@@ -95,17 +87,6 @@ let observe h v =
   ignore (Atomic.fetch_and_add s.hb.(Hist.bucket_of h.h_layout v) 1);
   if v > 0 then ignore (Atomic.fetch_and_add s.hs v);
   bump_max s.hm v
-
-let absorb h (src : Hist.t) =
-  let s = h.h_shards.((Domain.self () :> int) land h.h_mask) in
-  Array.iteri
-    (fun k c ->
-      if c > 0 then
-        let upper = Hist.bucket_upper src.layout k in
-        ignore (Atomic.fetch_and_add s.hb.(Hist.bucket_of h.h_layout upper) c))
-    src.buckets;
-  ignore (Atomic.fetch_and_add s.hs (max 0 src.sum));
-  bump_max s.hm src.max_sample
 
 type hsnap = Hist.t = {
   layout : Hist.layout;

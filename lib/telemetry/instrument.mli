@@ -1,4 +1,4 @@
-(** Cheap, contention-free instruments: the write side only.
+(** Cheap, contention-free instruments for multi-domain writers.
 
     The write paths are wait-free per shard and allocate nothing:
     counters and histograms are sharded over domains (each writer RMWs
@@ -30,14 +30,6 @@ val value : counter -> int
     increments, but never under-reads a quiesced counter and is always
     monotone for monotone updates. *)
 
-(** {2 Gauges} *)
-
-type gauge
-
-val gauge : ?init:int -> unit -> gauge
-val set_gauge : gauge -> int -> unit
-val gauge_value : gauge -> int
-
 (** {2 Histograms}
 
     Bucketed by {!Tm_sim.Hist}'s one log2 rule under a layout fixed at
@@ -52,11 +44,6 @@ val histogram :
     recorder uses {!Tm_sim.Hist.hires} for its tail quantiles. *)
 
 val observe : histogram -> int -> unit
-
-val absorb : histogram -> Tm_sim.Hist.t -> unit
-(** Add a plain histogram's samples, bucket by bucket, as
-    {!Tm_sim.Hist.merge} does: a {!Tm_sim.Metrics} run's {!Tm_sim.Hist.sim}
-    overflow bucket lands in this histogram's overflow bucket. *)
 
 type hsnap = Tm_sim.Hist.t = {
   layout : Tm_sim.Hist.layout;

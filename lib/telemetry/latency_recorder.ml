@@ -34,61 +34,7 @@ type t = {
   service : Instrument.histogram;
   sojourn : Instrument.histogram;
   inflight : int Atomic.t array;  (* sched ts of the current request *)
-  age_gauges : Instrument.gauge array;  (* set by [publish] *)
-  open_p99_gauge : Instrument.gauge option;
-  closed_p99_gauge : Instrument.gauge option;
 }
-
-let create ?registry ?(metric = "tm_latency") ?(interval_ns = 1_000_000)
-    ~domains () =
-  if domains < 1 then invalid_arg "Latency_recorder.create: domains < 1";
-  if interval_ns < 1 then
-    invalid_arg "Latency_recorder.create: interval_ns < 1";
-  let shards = domains in
-  let layout = Tm_sim.Hist.hires in
-  let hires name help =
-    match registry with
-    | Some reg -> Registry.histogram reg ~shards ~layout ~help (metric ^ name)
-    | None -> Instrument.histogram ~shards ~layout ()
-  in
-  let queueing =
-    hires "_queueing_ns" "Scheduled arrival to dispatch (open-loop)"
-  in
-  let service = hires "_service_ns" "Dispatch to completion" in
-  let sojourn =
-    hires "_sojourn_ns" "Scheduled arrival to completion (open-loop)"
-  in
-  let age_gauges =
-    Array.init domains (fun d ->
-        match registry with
-        | Some reg ->
-            Registry.gauge reg
-              ~labels:[ ("domain", string_of_int d) ]
-              ~help:
-                "Age of the oldest in-flight request (starvation age; \
-                 set at publish time)"
-              (metric ^ "_oldest_inflight_age_ns")
-        | None -> Instrument.gauge ())
-  in
-  let p99 name help =
-    match registry with
-    | Some reg -> Some (Registry.gauge reg ~help (metric ^ name))
-    | None -> None
-  in
-  {
-    domains;
-    interval = interval_ns;
-    queueing;
-    service;
-    sojourn;
-    inflight = Array.init domains (fun _ -> Atomic.make idle);
-    age_gauges;
-    open_p99_gauge =
-      p99 "_open_p99_ns"
-        "Censored open-loop sojourn p99 (in-flight ages folded in)";
-    closed_p99_gauge =
-      p99 "_closed_p99_ns" "Completed-sample sojourn p99 (closed-loop)";
-  }
 
 let mark t d ~sched = Atomic.set t.inflight.(d) sched
 let abandon t d = Atomic.set t.inflight.(d) idle
@@ -139,16 +85,51 @@ let open_quantile t ~now q =
     t.inflight;
   Tm_sim.Hist.quantile snap q
 
-let publish t ~now =
-  Array.iteri
-    (fun d g -> Instrument.set_gauge g (inflight_age t ~now d))
-    t.age_gauges;
-  Option.iter
-    (fun g -> Instrument.set_gauge g (open_quantile t ~now 0.99))
-    t.open_p99_gauge;
-  Option.iter
-    (fun g -> Instrument.set_gauge g (closed_quantile t 0.99))
-    t.closed_p99_gauge
+(* The registry reads every value at scrape time, the ages and the
+   open-loop p99 against the clock of that moment. *)
+let register t metric reg =
+  let hist name help h =
+    Registry.histogram reg ~help (metric ^ name) (fun () ->
+        Instrument.hist_snapshot h)
+  in
+  hist "_queueing_ns" "Scheduled arrival to dispatch (open-loop)" t.queueing;
+  hist "_service_ns" "Dispatch to completion" t.service;
+  hist "_sojourn_ns" "Scheduled arrival to completion (open-loop)" t.sojourn;
+  for d = 0 to t.domains - 1 do
+    Registry.gauge reg
+      ~labels:[ ("domain", string_of_int d) ]
+      ~help:"Age of the oldest in-flight request (starvation age)"
+      (metric ^ "_oldest_inflight_age_ns")
+      (fun () -> inflight_age t ~now:(now_ns ()) d)
+  done;
+  Registry.gauge reg ~help:"Completed-sample sojourn p99 (closed-loop)"
+    (metric ^ "_closed_p99_ns")
+    (fun () -> closed_quantile t 0.99);
+  Registry.gauge reg
+    ~help:"Censored open-loop sojourn p99 (in-flight ages folded in)"
+    (metric ^ "_open_p99_ns")
+    (fun () -> open_quantile t ~now:(now_ns ()) 0.99)
+
+let create ?registry ?(metric = "tm_latency") ?(interval_ns = 1_000_000)
+    ~domains () =
+  if domains < 1 then invalid_arg "Latency_recorder.create: domains < 1";
+  if interval_ns < 1 then
+    invalid_arg "Latency_recorder.create: interval_ns < 1";
+  let hires () =
+    Instrument.histogram ~shards:domains ~layout:Tm_sim.Hist.hires ()
+  in
+  let t =
+    {
+      domains;
+      interval = interval_ns;
+      queueing = hires ();
+      service = hires ();
+      sojourn = hires ();
+      inflight = Array.init domains (fun _ -> Atomic.make idle);
+    }
+  in
+  Option.iter (register t metric) registry;
+  t
 
 let corroborate t ~now ~progressing =
   if Array.length progressing <> t.domains then

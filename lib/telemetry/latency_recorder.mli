@@ -33,8 +33,9 @@ val create :
     registers under the [metric] prefix (default ["tm_latency"]): hires
     histograms [<m>_queueing_ns], [<m>_service_ns], [<m>_sojourn_ns];
     per-domain gauges [<m>_oldest_inflight_age_ns{domain="d"}]; gauges
-    [<m>_open_p99_ns] and [<m>_closed_p99_ns] — the gauges are refreshed
-    by {!publish}, typically right before a scrape.
+    [<m>_open_p99_ns] and [<m>_closed_p99_ns], all read when the
+    registry is scraped, the ages and the open p99 at {!now_ns} of that
+    moment.
     @raise Invalid_argument if [domains < 1] or [interval_ns < 1]. *)
 
 (** {2 Hot path} *)
@@ -75,11 +76,6 @@ val open_quantile : t -> now:int -> float -> int
     coordinated-omission correction described above.  Monotone in the
     stall: a request stuck behind a dead lock holder drives this up
     every time it is read. *)
-
-val publish : t -> now:int -> unit
-(** Refresh the registry gauges (per-domain starvation ages, open/closed
-    p99) from the current state.  No-op on the histogram samples, which
-    scrape live.  Without a registry, a no-op. *)
 
 val corroborate : t -> now:int -> progressing:bool array -> bool
 (** [corroborate t ~now ~progressing] cross-checks the recorder against

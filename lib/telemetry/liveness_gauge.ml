@@ -22,21 +22,13 @@ type source = {
 
 let source ~ops ~trycs ~commits ~aborts = { ops; trycs; commits; aborts }
 
-let of_counters ~ops ~trycs ~commits ~aborts =
-  {
-    ops = (fun () -> Instrument.value ops);
-    trycs = (fun () -> Instrument.value trycs);
-    commits = (fun () -> Instrument.value commits);
-    aborts = (fun () -> Instrument.value aborts);
-  }
-
 let states = [| "crashed"; "parasitic"; "starving"; "progressing" |]
 
 let state_of_cls = function
-  | Pc.Crashed -> "crashed"
-  | Pc.Parasitic -> "parasitic"
-  | Pc.Starving -> "starving"
-  | Pc.Progressing -> "progressing"
+  | Pc.Crashed -> 0
+  | Pc.Parasitic -> 1
+  | Pc.Starving -> 2
+  | Pc.Progressing -> 3
 
 let correct_of_cls = function
   | Pc.Starving | Pc.Progressing -> 1
@@ -46,55 +38,53 @@ type t = {
   sources : source array;
   mutable last : Emp.counters array;
   current : Pc.cls array;
-  class_states : Registry.state array;
-  correct : Instrument.gauge array;
 }
 
 let zero = Emp.counters ~ops:0 ~trycs:0 ~commits:0 ~aborts:0
 
+(* The registered metrics read [current], which only [update] and [set]
+   write: a scrape sees the classes of the last one. *)
 let create ?(metric = "tm_liveness") ?(label = "domain") ?ids reg ~sources =
   let nd = Array.length sources in
   let id d = match ids with Some a -> a.(d) | None -> d in
   let labels d = [ (label, string_of_int (id d)) ] in
-  {
-    sources;
-    last = Array.make nd zero;
-    current = Array.make nd Pc.Progressing;
-    class_states =
-      Array.init nd (fun d ->
-          Registry.state reg ~labels:(labels d) ~init:"progressing"
-            ~key:"class" ~states
-            ~help:
-              "Figure-2 class of the domain over the last scrape interval \
-               (Empirical.classify_counters on counter deltas)"
-            (metric ^ "_class"));
-    correct =
-      Array.init nd (fun d ->
-          Registry.gauge reg ~labels:(labels d) ~init:1
-            ~help:
-              "1 when the domain is correct in the paper's sense (neither \
-               crashed nor parasitic; a starving domain is still correct)"
-            (metric ^ "_correct"));
-  }
+  let t =
+    {
+      sources;
+      last = Array.make nd zero;
+      current = Array.make nd Pc.Progressing;
+    }
+  in
+  for d = 0 to nd - 1 do
+    Registry.gauge reg ~labels:(labels d)
+      ~help:
+        "1 when the domain is correct in the paper's sense (neither \
+         crashed nor parasitic; a starving domain is still correct)"
+      (metric ^ "_correct")
+      (fun () -> correct_of_cls t.current.(d))
+  done;
+  for d = 0 to nd - 1 do
+    Registry.state reg ~labels:(labels d) ~key:"class" ~states
+      ~help:
+        "Figure-2 class of the domain over the last scrape interval \
+         (Empirical.classify_counters on counter deltas)"
+      (metric ^ "_class")
+      (fun () -> state_of_cls t.current.(d))
+  done;
+  t
 
-let read_sources t =
-  Array.map
-    (fun s ->
-      Emp.counters ~ops:(s.ops ()) ~trycs:(s.trycs ()) ~commits:(s.commits ())
-        ~aborts:(s.aborts ()))
-    t.sources
-
-let update_with t now =
+let update t =
+  let now =
+    Array.map
+      (fun s ->
+        Emp.counters ~ops:(s.ops ()) ~trycs:(s.trycs ()) ~commits:(s.commits ())
+          ~aborts:(s.aborts ()))
+      t.sources
+  in
   Array.iteri
-    (fun d c ->
-      let cls = Emp.classify_counters ~first:t.last.(d) ~last:c in
-      t.current.(d) <- cls;
-      Registry.set_state t.class_states.(d) (state_of_cls cls);
-      Instrument.set_gauge t.correct.(d) (correct_of_cls cls))
+    (fun d c -> t.current.(d) <- Emp.classify_counters ~first:t.last.(d) ~last:c)
     now;
   t.last <- now;
   t.current
 
-let update t = update_with t (read_sources t)
-let rebase_with t counters = t.last <- counters
-let current t = t.current
+let set t classes = Array.blit classes 0 t.current 0 (Array.length t.current)

@@ -31,13 +31,6 @@ val source :
   aborts:(unit -> int) ->
   source
 
-val of_counters :
-  ops:Instrument.counter ->
-  trycs:Instrument.counter ->
-  commits:Instrument.counter ->
-  aborts:Instrument.counter ->
-  source
-
 type t
 
 val create :
@@ -55,16 +48,13 @@ val create :
     against all-zero counters. *)
 
 val update : t -> Tm_liveness.Process_class.cls array
-(** Read the sources, classify the deltas since the previous
-    update or {!rebase_with}, set the gauges; returns the classes (aliased, do not
+(** Read the sources and classify the deltas since the previous update
+    (all-zero counters before the first); the registered metrics read
+    these classes from now on.  Returns them (aliased, do not
     mutate). *)
 
-val update_with : t -> Tm_liveness.Empirical.counters array -> Tm_liveness.Process_class.cls array
-(** Like {!update} but with counters the caller already sampled — used
-    when the exported classes must agree exactly with a verdict computed
-    from the same samples. *)
-
-val rebase_with : t -> Tm_liveness.Empirical.counters array -> unit
-
-val current : t -> Tm_liveness.Process_class.cls array
-(** Classes from the most recent update (aliased). *)
+val set : t -> Tm_liveness.Process_class.cls array -> unit
+(** [set t classes] makes [classes] (one per source) the classes the
+    registered metrics read, e.g. the verdicts a chaos run reports, so
+    that a scrape agrees with them by construction.  A later {!update}
+    still deltas against the previous update's counters. *)

@@ -1,34 +1,24 @@
-(* A named collection of instruments.
+(* A named collection of metrics, each a read of state its owner keeps.
 
-   Registration takes a mutex (it happens at setup time); the hot write
-   paths touch only the instruments themselves.  A scrape walks the
-   metrics in registration order and freezes every value into a plain
-   snapshot, so exporters and dashboards work on immutable data and the
-   output ordering is deterministic by construction. *)
+   Registration takes a mutex (it happens at setup time); the owners'
+   write paths never touch the registry.  A scrape calls the reads in
+   registration order and freezes their values into a plain snapshot,
+   so exporters and dashboards work on immutable data and the output
+   ordering is deterministic by construction. *)
 
-type state = { st_states : string array; st_current : int Atomic.t }
+type value =
+  | Num of int
+  | Hist of Tm_sim.Hist.t
+  | State_of of { states : string array; current : int }
 
-let set_state st label =
-  let n = Array.length st.st_states in
-  let rec find i =
-    if i >= n then
-      invalid_arg (Fmt.str "Registry.set_state: unknown state %S" label)
-    else if String.equal st.st_states.(i) label then i
-    else find (i + 1)
-  in
-  Atomic.set st.st_current (find 0)
-
-type instrument =
-  | I_counter of Instrument.counter
-  | I_gauge of Instrument.gauge
-  | I_histogram of Instrument.histogram
-  | I_state of state
+type kind = Counter | Gauge | Histogram | State
 
 type metric = {
   m_name : string;
   m_help : string;
+  m_kind : kind;
   m_labels : (string * string) list;
-  m_inst : instrument;
+  m_read : unit -> value;
 }
 
 type t = { mutable rev_metrics : metric list; mu : Mutex.t }
@@ -38,47 +28,38 @@ let create () = { rev_metrics = []; mu = Mutex.create () }
 let sort_labels labels =
   List.sort (fun (a, _) (b, _) -> String.compare a b) labels
 
-let register t ~name ~help ~labels inst =
+let register t ~name ~help ~labels kind read =
   let m =
-    { m_name = name; m_help = help; m_labels = sort_labels labels; m_inst = inst }
+    {
+      m_name = name;
+      m_help = help;
+      m_kind = kind;
+      m_labels = sort_labels labels;
+      m_read = read;
+    }
   in
   Mutex.protect t.mu (fun () -> t.rev_metrics <- m :: t.rev_metrics)
 
-let counter t ?shards ?(labels = []) ~help name =
-  let c = Instrument.counter ?shards () in
-  register t ~name ~help ~labels (I_counter c);
-  c
+let counter t ?(labels = []) ~help name read =
+  register t ~name ~help ~labels Counter (fun () -> Num (read ()))
 
-let gauge t ?(labels = []) ?init ~help name =
-  let g = Instrument.gauge ?init () in
-  register t ~name ~help ~labels (I_gauge g);
-  g
+let gauge t ?(labels = []) ~help name read =
+  register t ~name ~help ~labels Gauge (fun () -> Num (read ()))
 
-let histogram t ?shards ?layout ?(labels = []) ~help name =
-  let h = Instrument.histogram ?shards ?layout () in
-  register t ~name ~help ~labels (I_histogram h);
-  h
+let histogram t ?(labels = []) ~help name read =
+  register t ~name ~help ~labels Histogram (fun () -> Hist (read ()))
 
-let state t ?(labels = []) ?init ~key ~states ~help name =
+(* The [key] label slot is a placeholder: the exporter expands a state
+   metric into one 0/1 sample per state, substituting each state name
+   as the [key] label's value. *)
+let state t ?(labels = []) ~key ~states ~help name read =
   if Array.length states = 0 then invalid_arg "Registry.state: no states";
-  let st = { st_states = states; st_current = Atomic.make 0 } in
-  (match init with Some l -> set_state st l | None -> ());
   register t ~name ~help
     ~labels:((key, "") :: labels)
-    (I_state st);
-  (* The [key] label slot is a placeholder: the exporter expands a state
-     metric into one 0/1 sample per state, substituting each state name
-     as the [key] label's value. *)
-  st
+    State
+    (fun () -> State_of { states; current = read () })
 
 (* ---- scraping ---- *)
-
-type value =
-  | Num of int
-  | Hist of Instrument.hsnap
-  | State_of of { states : string array; current : int }
-
-type kind = Counter | Gauge | Histogram | State
 
 type sample = {
   s_name : string;
@@ -91,22 +72,12 @@ type sample = {
 type snapshot = { ts : int; samples : sample list }
 
 let sample_of_metric m =
-  let kind, value =
-    match m.m_inst with
-    | I_counter c -> (Counter, Num (Instrument.value c))
-    | I_gauge g -> (Gauge, Num (Instrument.gauge_value g))
-    | I_histogram h -> (Histogram, Hist (Instrument.hist_snapshot h))
-    | I_state st ->
-        ( State,
-          State_of { states = st.st_states; current = Atomic.get st.st_current }
-        )
-  in
   {
     s_name = m.m_name;
     s_help = m.m_help;
-    s_kind = kind;
+    s_kind = m.m_kind;
     s_labels = m.m_labels;
-    s_value = value;
+    s_value = m.m_read ();
   }
 
 let scrape t ~ts =

@@ -1,10 +1,17 @@
-(** A registry of named instruments and point-in-time scrapes.
+(** A registry of named metrics and point-in-time scrapes.
 
-    Instruments are registered once at setup (under a mutex) and then
-    written lock-free on the hot paths; {!scrape} freezes every value
-    into an immutable {!snapshot} whose sample order is the registration
-    order and whose label lists are sorted by key — so any export of a
-    snapshot is deterministic given deterministic instrument values.
+    A metric is a name, help text, labels, a kind and a read function:
+    its owner registers a read of the state it already keeps, and
+    {!scrape} calls every read, in registration order, freezing the
+    values into an immutable {!snapshot} whose label lists are sorted by
+    key — so any export of a snapshot is deterministic given
+    deterministic reads.  Nothing is pushed into the registry and
+    nothing needs refreshing before a scrape.
+
+    Registration takes a mutex (it happens at setup time).  A read runs
+    on the scraping domain, so it reads what its owner's writers may be
+    writing the way they publish it: an {!Instrument} read, an atomic
+    load, or plain state its writer no longer touches.
 
     Metric naming follows the Prometheus conventions: counters end in
     [_total], histograms carry their unit as a suffix ([_ns] for
@@ -16,57 +23,53 @@ val create : unit -> t
 
 val counter :
   t ->
-  ?shards:int ->
   ?labels:(string * string) list ->
   help:string ->
   string ->
-  Instrument.counter
+  (unit -> int) ->
+  unit
+(** [counter t ~help name read] registers a monotone value. *)
 
 val gauge :
   t ->
   ?labels:(string * string) list ->
-  ?init:int ->
   help:string ->
   string ->
-  Instrument.gauge
+  (unit -> int) ->
+  unit
 
 val histogram :
   t ->
-  ?shards:int ->
-  ?layout:Tm_sim.Hist.layout ->
   ?labels:(string * string) list ->
   help:string ->
   string ->
-  Instrument.histogram
-(** [layout] as {!Instrument.histogram}; the exporters render a
-    histogram under its own layout's bucket bounds. *)
-
-type state
-(** A stateset gauge: exactly one of a fixed set of labelled states is
-    current; the exporter renders one 0/1 sample per state, the state
-    name substituted as the value of the [key] label. *)
+  (unit -> Tm_sim.Hist.t) ->
+  unit
+(** The read's histogram goes into the snapshot as it is: return a
+    fresh one ({!Instrument.hist_snapshot}) or one that nothing writes
+    any more.  The exporters render it under its own layout's bucket
+    bounds. *)
 
 val state :
   t ->
   ?labels:(string * string) list ->
-  ?init:string ->
   key:string ->
   states:string array ->
   help:string ->
   string ->
-  state
-(** [state t ~key ~states ~help name] registers a stateset gauge.  The
-    initial state is [init] (default: the first of [states]).
-    @raise Invalid_argument if [states] is empty or [init] unknown. *)
-
-val set_state : state -> string -> unit
-(** @raise Invalid_argument on an unknown state name. *)
+  (unit -> int) ->
+  unit
+(** [state t ~key ~states ~help name read] registers a stateset gauge:
+    exactly one of [states] is current, the one whose index [read]
+    returns.  The exporter renders one 0/1 sample per state, the state
+    name substituted as the value of the [key] label.
+    @raise Invalid_argument if [states] is empty. *)
 
 (** {2 Scraping} *)
 
 type value =
   | Num of int
-  | Hist of Instrument.hsnap  (** under its own layout *)
+  | Hist of Tm_sim.Hist.t  (** under its own layout *)
   | State_of of { states : string array; current : int }
 
 type kind = Counter | Gauge | Histogram | State
@@ -100,9 +103,9 @@ val sample_hist :
   snapshot ->
   name:string ->
   labels:(string * string) list ->
-  Instrument.hsnap option
-(** A histogram sample's snapshot; {!Tm_sim.Hist.quantile} reads it
-    under its own layout. *)
+  Tm_sim.Hist.t option
+(** A histogram sample; {!Tm_sim.Hist.quantile} reads it under its own
+    layout. *)
 
 val sample_state :
   snapshot -> name:string -> labels:(string * string) list -> string option

@@ -5,7 +5,7 @@
     [tm_sim_trycs_total], [tm_sim_commits_total],
     [tm_sim_aborts_total], labelled [proc="p"]) plus a global
     [tm_sim_events_total], the liveness gauge classifies each process
-    between scrapes, and every [period] events the registry is scraped
+    between scrapes, and every 200 events the registry is scraped
     into the consumers with the event index as the snapshot timestamp —
     no wall clock anywhere, so consumer output (e.g. a JSONL time
     series) is byte-identical across equal runs. *)
@@ -13,14 +13,9 @@
 type t
 
 val create :
-  ?period:int ->
-  ?consumers:(Registry.snapshot -> unit) list ->
-  nprocs:int ->
-  Registry.t ->
-  t
-(** [period] (default 200) is the scrape interval in history events. *)
+  ?consumers:(Registry.snapshot -> unit) list -> nprocs:int -> Registry.t -> t
 
 val publish : t -> Tm_history.History.t -> unit
 (** [publish t h] counts the events of [h] in order, each with its
-    history index as timestamp, scrapes every [period] events (at
-    indexes [0], [period], ...) and once more at [History.length h]. *)
+    history index as timestamp, scrapes every 200 events (at indexes
+    [0], [200], ...) and once more at [History.length h]. *)

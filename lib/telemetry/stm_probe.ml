@@ -21,8 +21,16 @@ type t = {
 }
 
 let register reg =
-  let c name help = Registry.counter reg ~help name in
-  let h name help = Registry.histogram reg ~help name in
+  let c name help =
+    let c = Instrument.counter () in
+    Registry.counter reg ~help name (fun () -> Instrument.value c);
+    c
+  in
+  let h name help =
+    let h = Instrument.histogram () in
+    Registry.histogram reg ~help name (fun () -> Instrument.hist_snapshot h);
+    h
+  in
   {
     begins =
       c "tm_stm_begins_total" "Transaction attempts started (one per retry)";

@@ -4,9 +4,9 @@
     run index as timestamp — never live from the pool's worker domains,
     so the published series inherits the sweep engine's byte-level
     determinism for every [--jobs] value.  Registers cumulative
-    [tm_sweep_*_total] counters, and [tm_sweep_commit_latency_events] /
-    [tm_sweep_retry_depth] histograms absorbed from each run's
-    {!Tm_sim.Metrics.t}. *)
+    [tm_sweep_*_total] counters and [tm_sweep_commit_latency_events] /
+    [tm_sweep_retry_depth] log2 histograms, all read from the running
+    total ({!Tm_sim.Metrics.merge}) of the runs published so far. *)
 
 type t
 

@@ -158,17 +158,17 @@ let test_pp_empty () =
     "empty snapshot prints (empty)" "(empty)"
     (Fmt.str "%a" H.pp (I.hist_snapshot (I.histogram ~shards:1 ())))
 
-let test_absorb () =
-  (* Folding a 15-bucket Tm_sim.Metrics histogram into a 32-bucket
-     telemetry one preserves count, sum and max. *)
-  let h = I.histogram ~shards:1 () in
-  I.absorb h (hist_of_list H.sim [ 0; 1; 5; 100; 9000 ]);
-  let s = I.hist_snapshot h in
-  Alcotest.(check int) "count" 5 s.I.count;
-  Alcotest.(check int) "sum" 9106 s.I.sum;
-  Alcotest.(check int) "max" 9000 s.I.max_sample
+(* [Sweep_pub] merges each run's 15-bucket Tm_sim.Metrics histograms
+   into 32-bucket log2 ones. *)
+let test_merge_sim_into_log2 () =
+  let s =
+    H.merge (H.create H.log2) (hist_of_list H.sim [ 0; 1; 5; 100; 9000 ])
+  in
+  Alcotest.(check int) "count" 5 s.H.count;
+  Alcotest.(check int) "sum" 9106 s.H.sum;
+  Alcotest.(check int) "max" 9000 s.H.max_sample
 
-let test_absorb_overflow () =
+let test_merge_overflow () =
   (* Regression: a sample in the source's overflow bucket is only known
      to be >= 2^(nbuckets - 2); folding it into the same-index
      destination bucket would under-read it by orders of magnitude.  It
@@ -177,9 +177,7 @@ let test_absorb_overflow () =
   let last_sim = H.nbuckets H.sim - 1 in
   Alcotest.(check int) "sample sits in the source overflow bucket" 1
     src.H.buckets.(last_sim);
-  let h = I.histogram ~shards:1 () in
-  I.absorb h src;
-  let s = I.hist_snapshot h in
+  let s = H.merge (H.create H.log2) src in
   Alcotest.(check int) "overflow sample lands in our overflow bucket" 1
     s.I.buckets.(H.nbuckets H.log2 - 1);
   Alcotest.(check int) "not in the same-index range bucket" 0
@@ -299,22 +297,16 @@ let test_latency_recorder_open_vs_closed () =
 
 let test_openmetrics_roundtrip () =
   let reg = R.create () in
-  let c =
-    R.counter reg ~shards:1
-      ~labels:[ ("tm", "tl2") ]
-      ~help:"ops" "tm_test_ops_total"
-  in
-  let g = R.gauge reg ~init:7 ~help:"width" "tm_test_width" in
-  let h = R.histogram reg ~shards:1 ~help:"latency" "tm_test_lat_ns" in
-  let st =
-    R.state reg ~key:"class"
-      ~states:[| "idle"; "busy" |]
-      ~help:"mode" "tm_test_mode"
-  in
-  I.add c 42;
+  R.counter reg ~labels:[ ("tm", "tl2") ] ~help:"ops" "tm_test_ops_total"
+    (fun () -> 42);
+  R.gauge reg ~help:"width" "tm_test_width" (fun () -> 7);
+  let h = I.histogram ~shards:1 () in
+  R.histogram reg ~help:"latency" "tm_test_lat_ns" (fun () ->
+      I.hist_snapshot h);
+  R.state reg ~key:"class"
+    ~states:[| "idle"; "busy" |]
+    ~help:"mode" "tm_test_mode" (fun () -> 1);
   List.iter (I.observe h) [ 1; 2; 3; 1000 ];
-  R.set_state st "busy";
-  ignore g;
   let text = E.to_openmetrics (R.scrape reg ~ts:5) in
   Alcotest.(check bool) "terminated by # EOF" true
     (String.length text >= 6
@@ -352,12 +344,9 @@ let test_openmetrics_roundtrip () =
 
 let test_hires_openmetrics_roundtrip () =
   let reg = R.create () in
-  let h =
-    R.histogram reg ~shards:1 ~layout:H.hires ~help:"sojourn"
-      "tm_test_sojourn_ns"
-  in
   let samples = [ 1; 9; 10; 1_000; 1_000_000 ] in
-  List.iter (I.observe h) samples;
+  R.histogram reg ~help:"sojourn" "tm_test_sojourn_ns" (fun () ->
+      hist_of_list H.hires samples);
   let text = E.to_openmetrics (R.scrape reg ~ts:0) in
   let check_series series =
     let value name labels =
@@ -407,9 +396,9 @@ let test_hires_openmetrics_roundtrip () =
   check_series (E.parse_openmetrics text)
 
 (* The exporters' bytes, pinned: one scrape holding a counter, a
-   stateset, a log2 and a hires histogram, and a run histogram absorbed
-   as [Sweep_pub] absorbs it, with a sample in the sim layout's
-   overflow bucket. *)
+   stateset, a log2 and a hires histogram, and a run histogram merged
+   into a log2 one as [Sweep_pub] merges it, with a sample in the sim
+   layout's overflow bucket. *)
 let golden_openmetrics =
   {|# HELP tm_golden_commits_total Commits
 # TYPE tm_golden_commits_total counter
@@ -508,28 +497,20 @@ let golden_jsonl =
 
 let test_exporters_golden () =
   let reg = R.create () in
-  let c =
-    R.counter reg ~shards:1 ~labels:[ ("tm", "tl2") ] ~help:"Commits"
-      "tm_golden_commits_total"
-  in
-  let st =
-    R.state reg ~key:"class"
-      ~states:[| "progressing"; "starving"; "crashed" |]
-      ~labels:[ ("domain", "0") ] ~help:"Liveness class" "tm_golden_class"
-  in
-  let h = R.histogram reg ~shards:1 ~help:"Lock phase" "tm_golden_lock_ns" in
-  let r =
-    R.histogram reg ~shards:1 ~layout:H.hires ~help:"Sojourn"
-      "tm_golden_sojourn_ns"
-  in
-  let a =
-    R.histogram reg ~shards:1 ~help:"Retry depth" "tm_golden_retry_depth"
-  in
-  I.add c 42;
-  R.set_state st "starving";
+  R.counter reg ~labels:[ ("tm", "tl2") ] ~help:"Commits"
+    "tm_golden_commits_total" (fun () -> 42);
+  R.state reg ~key:"class"
+    ~states:[| "progressing"; "starving"; "crashed" |]
+    ~labels:[ ("domain", "0") ] ~help:"Liveness class" "tm_golden_class"
+    (fun () -> 1);
+  let h = I.histogram ~shards:1 () in
+  R.histogram reg ~help:"Lock phase" "tm_golden_lock_ns" (fun () ->
+      I.hist_snapshot h);
+  R.histogram reg ~help:"Sojourn" "tm_golden_sojourn_ns" (fun () ->
+      hist_of_list H.hires [ 5; 9; 1_000; 1_234_567 ]);
+  R.histogram reg ~help:"Retry depth" "tm_golden_retry_depth" (fun () ->
+      H.merge (H.create H.log2) (hist_of_list H.sim [ 0; 2; 3; 20_000 ]));
   List.iter (I.observe h) [ 0; 1; 3; 900; 70_000; 2_000_000_000 ];
-  List.iter (I.observe r) [ 5; 9; 1_000; 1_234_567 ];
-  I.absorb a (hist_of_list H.sim [ 0; 2; 3; 20_000 ]);
   let snap = R.scrape reg ~ts:3 in
   Alcotest.(check string) "openmetrics bytes" golden_openmetrics
     (E.to_openmetrics snap);
@@ -544,12 +525,10 @@ let test_openmetrics_empty_exposition () =
 
 let test_openmetrics_escaped_labels () =
   let reg = R.create () in
-  let c =
-    R.counter reg ~shards:1
-      ~labels:[ ("path", "a\\b\"c\nd") ]
-      ~help:"escapes" "tm_test_esc_total"
-  in
-  I.add c 3;
+  R.counter reg
+    ~labels:[ ("path", "a\\b\"c\nd") ]
+    ~help:"escapes" "tm_test_esc_total"
+    (fun () -> 3);
   let text = E.to_openmetrics (R.scrape reg ~ts:0) in
   let check_series series =
     match
@@ -631,7 +610,6 @@ let test_blame_graph_watermarks () =
   ev g 1 0;
   Alcotest.(check int) "age grows with peer events" 2 (Bg.wait_age g 0);
   Alcotest.(check int) "never-committed slot ages from 0" 5 (Bg.wait_age g 1);
-  Bg.refresh g;
   let snap = R.scrape reg ~ts:0 in
   Alcotest.(check (option int)) "clock gauge" (Some 5)
     (R.sample_num snap ~name:"tm_blame_clock" ~labels:[]);
@@ -736,9 +714,14 @@ let test_liveness_transitions () =
   (* Active but never trying to commit and never aborted: parasitic. *)
   ops := 400;
   step "reads only" "parasitic" 0;
-  Alcotest.(check bool) "current mirrors the stateset" true
-    (Tm_liveness.Process_class.equal_cls (L.current t).(0)
-       Tm_liveness.Process_class.Parasitic)
+  (* [set] replaces the classes the scrape reads, whatever the counters
+     say; the next update classifies from the counters again. *)
+  L.set t [| Pc.Starving |];
+  let cls, correct = observed () in
+  Alcotest.(check string) "set class" "starving" cls;
+  Alcotest.(check int) "set correct" 1 correct;
+  ops := 500;
+  step "update after set" "parasitic" 0
 
 (* ------------------------------------------------------------------ *)
 (* Step-clock JSONL determinism. *)
@@ -854,9 +837,10 @@ let () =
             test_histogram_sharded;
           Alcotest.test_case "empty snapshot pretty-prints" `Quick
             test_pp_empty;
-          Alcotest.test_case "absorb a Metrics histogram" `Quick test_absorb;
-          Alcotest.test_case "absorb routes overflow to overflow" `Quick
-            test_absorb_overflow;
+          Alcotest.test_case "merge a Metrics histogram into log2" `Quick
+            test_merge_sim_into_log2;
+          Alcotest.test_case "merge routes overflow to overflow" `Quick
+            test_merge_overflow;
         ] );
       ( "histograms",
         edge_cases
