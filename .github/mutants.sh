@@ -234,6 +234,16 @@ row telemetry upper-bound-off-by-one \
   's/((sub + 1) lsl (m - l.sub_bits)) - 1/(sub + 1) lsl (m - l.sub_bits)/' \
   -- sh -c 'dune exec test/test_telemetry.exe -- test histograms 3-5 --color=never > telemetry-hist-mutant.log 2>&1'
 
+# A registered metric is a read of its owner's state.  Make the
+# liveness gauge's correct read a constant 1: test_telemetry "class
+# transitions" scrapes a domain whose counters froze, reads the
+# stateset crashed and the correct gauge still 1, so it must FAIL.
+row telemetry constant-correct-read \
+  --expect 'FAIL.*liveness *0 *class transitions' telemetry-read-mutant.log \
+  lib/telemetry/liveness_gauge.ml \
+  's/(fun () -> correct_of_cls t.current.(d))/(fun () -> max 1 (correct_of_cls t.current.(d)))/' \
+  -- sh -c 'dune exec test/test_telemetry.exe -- test liveness 0 --color=never > telemetry-read-mutant.log 2>&1'
+
 # ---- serve: the leg is the algorithm; source mutants run on tl2 ----
 
 # Make the one per-op code path write a hitting cas's expected value
@@ -268,12 +278,12 @@ row serve flush-closure --leg tl2 lib/serve/server.ml \
   's/Stm.atomically c.fc_body/Stm.atomically (fun () -> c.fc_body ())/' \
   -- dune exec test/test_serve.exe -- test server 8
 
-# Publish each executor's batched-put tally as 0: the outcome still
-# counts the combined puts, so test_serve "final scrape agrees with the
-# outcome" must FAIL on tm_serve_batched_total.
+# Register a read of 0 for each executor's batched-put tally: the
+# outcome still counts the combined puts, so test_serve "final scrape
+# agrees with the outcome" must FAIL on tm_serve_batched_total.
 row serve tally-dropped --leg tl2 \
   --expect 'tm_serve_batched_total' serve-tally-mutant.log lib/serve/server.ml \
-  's/Tel.Instrument.add batched.(d) t.t_batched/Tel.Instrument.add batched.(d) 0/' \
+  's/^    (fun t -> t.t_batched);$/    (fun _ -> 0);/' \
   -- sh -c 'dune exec test/test_serve.exe -- test server 10 --color=never > serve-tally-mutant.log 2>&1'
 
 # Time every closed-loop request, as before sampling: each kind then has

@@ -118,18 +118,9 @@ let row s label t extra =
 (* ------------------------------------------------------------------ *)
 
 (* Write a section's one-line JSON document to [file] (BENCH_<name>.json
-   in the working directory, or the path in TM_BENCH_<NAME>_OUT) and
-   print "<what> written to <path>". *)
+   in the working directory) and print "<what> written to <file>". *)
 let write_result ~what file json =
-  let name =
-    let stem = Filename.remove_extension file in
-    let skip = String.length "BENCH_" in
-    String.uppercase_ascii (String.sub stem skip (String.length stem - skip))
-  in
-  let out =
-    Option.value ~default:file (Sys.getenv_opt ("TM_BENCH_" ^ name ^ "_OUT"))
-  in
-  Out_channel.with_open_text out (fun oc ->
+  Out_channel.with_open_text file (fun oc ->
       output_string oc json;
       output_char oc '\n');
-  Fmt.pr "    %s written to %s@." what out
+  Fmt.pr "    %s written to %s@." what file

@@ -16,8 +16,7 @@ module Server = Tm_serve.Server
    no combining pressure; (d) crash-holding-locks against the serving
    path still
    yields the per-algorithm Figure-2 verdicts.  The full ladder
-   (batching on/off x domains) goes to BENCH_serve.json
-   ([TM_BENCH_SERVE_OUT] overrides the path). *)
+   (batching on/off x domains) goes to BENCH_serve.json. *)
 
 let p12_serve () =
   let module Store = Tm_serve.Store in
@@ -191,8 +190,7 @@ let p12_serve () =
    monotonically with the stall — the exact blindness the recorder
    exists to remove.  (c) On >= 4 cores, the measured knee of the
    global-lock serializer does not exceed tl2's on the conflict-heavy
-   profile.  The trajectory goes to BENCH_loadcurve.json
-   ([TM_BENCH_LOADCURVE_OUT] overrides the path). *)
+   profile.  The trajectory goes to BENCH_loadcurve.json. *)
 
 let p13_loadcurve () =
   let module Lc = Tm_serve.Loadcurve in

@@ -86,19 +86,21 @@ module Bg = Tm_telemetry.Blame_graph
 
 let blame_json (o : Tm_chaos.Runner.outcome) shape evidence =
   let plan = o.Tm_chaos.Runner.o_plan in
+  let json = Tm_trace.Export.add_json_string in
   let b = Buffer.create 512 in
   Printf.bprintf b
-    "{\"scenario\":%S,\"algo\":%S,\"seed\":%d,\"domains\":%d,\"ok\":%b,\"shape\":%S,\"blame\":["
-    plan.Tm_chaos.Plan.scenario
+    "{\"scenario\":%a,\"algo\":%a,\"seed\":%d,\"domains\":%d,\"ok\":%b,\"shape\":%a,\"blame\":["
+    json plan.Tm_chaos.Plan.scenario json
     (Tm_stm.Stm.Algo.name plan.Tm_chaos.Plan.algo)
     plan.Tm_chaos.Plan.seed plan.Tm_chaos.Plan.domains
-    o.Tm_chaos.Runner.o_ok (Bg.shape_label shape);
+    o.Tm_chaos.Runner.o_ok json (Bg.shape_label shape);
   List.iteri
     (fun d (r : Tm_chaos.Runner.report) ->
       if d > 0 then Buffer.add_char b ',';
-      Printf.bprintf b "{\"domain\":%d,\"verdict\":%S,\"evidence\":%S}" d
+      Printf.bprintf b "{\"domain\":%d,\"verdict\":%a,\"evidence\":%a}" d
+        json
         (Tm_liveness.Process_class.cls_label r.Tm_chaos.Runner.rep_observed)
-        (Bg.evidence_label evidence.(d)))
+        json (Bg.evidence_label evidence.(d)))
     o.Tm_chaos.Runner.o_reports;
   Buffer.add_string b "]}";
   Buffer.contents b

@@ -49,23 +49,8 @@ let compare a b =
         in
         if c <> 0 then c else String.compare a.message b.message
 
-(* Deterministic JSON: fixed key order, the same escaping rules as
-   [Tm_trace.Export]. *)
-let escape_string b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
+(* Deterministic JSON: fixed key order, [Tm_trace.Export]'s escaping. *)
+let escape_string = Tm_trace.Export.add_json_string
 
 let location_to_json b = function
   | Whole -> Buffer.add_string b "{\"kind\":\"whole\"}"

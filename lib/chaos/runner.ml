@@ -599,23 +599,24 @@ let pp_table ppf o =
      else "MISMATCH (observed classes contradict the scenario)")
 
 let to_json o =
+  let json = Tm_trace.Export.json_string in
   let b = Buffer.create 512 in
   Buffer.add_string b
     (Fmt.str
-       "{\"scenario\":%S,\"algo\":%S,\"seed\":%d,\"domains\":%d,\"ok\":%b,\"verdicts\":["
-       o.o_plan.Plan.scenario
-       (Stm.Algo.name o.o_plan.Plan.algo)
+       "{\"scenario\":%s,\"algo\":%s,\"seed\":%d,\"domains\":%d,\"ok\":%b,\"verdicts\":["
+       (json o.o_plan.Plan.scenario)
+       (json (Stm.Algo.name o.o_plan.Plan.algo))
        o.o_plan.Plan.seed o.o_plan.Plan.domains o.o_ok);
   List.iteri
     (fun i r ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b
         (Fmt.str
-           "{\"domain\":%d,\"fault\":%S,\"expected\":%S,\"observed\":%S,\"ok\":%b,\"crashed\":%b,\"window_ops\":%d,\"window_trycs\":%d,\"window_commits\":%d,\"window_aborts\":%d}"
+           "{\"domain\":%d,\"fault\":%s,\"expected\":%s,\"observed\":%s,\"ok\":%b,\"crashed\":%b,\"window_ops\":%d,\"window_trycs\":%d,\"window_commits\":%d,\"window_aborts\":%d}"
            r.rep_domain
-           (Plan.fault_label r.rep_fault)
-           (Pc.cls_label r.rep_expected)
-           (Pc.cls_label r.rep_observed)
+           (json (Plan.fault_label r.rep_fault))
+           (json (Pc.cls_label r.rep_expected))
+           (json (Pc.cls_label r.rep_observed))
            (report_ok r) r.rep_crashed
            (delta r (fun s -> s.ops))
            (delta r (fun s -> s.trycs))

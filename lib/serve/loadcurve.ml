@@ -160,18 +160,20 @@ let curve_xy c = List.map (fun p -> (p.p_rate, p.p_achieved)) c.v_points
 
 (* {2 Canonical JSON} *)
 
+let json = Tm_trace.Export.json_string
+
 let add_pcts b key p =
   Buffer.add_string b
-    (Fmt.str "%S:{\"p50\":%d,\"p90\":%d,\"p99\":%d,\"p999\":%d,\"p9999\":%d}"
-       key p.q50 p.q90 p.q99 p.q999 p.q9999)
+    (Fmt.str "%s:{\"p50\":%d,\"p90\":%d,\"p99\":%d,\"p999\":%d,\"p9999\":%d}"
+       (json key) p.q50 p.q90 p.q99 p.q999 p.q9999)
 
 let to_json c =
   let b = Buffer.create 1024 in
   Buffer.add_string b
     (Fmt.str
-       "{\"subsystem\":\"tmloadcurve\",\"profile\":%S,\"arrival\":%S,\"seed\":%d,\"clients\":%d,\"ops_per_client\":%d,\"keys\":%d,\"queue_cap\":%d,\"quantum_ns\":%d,\"knee\":%.1f,\"rungs\":["
-       (Workload.profile_name c.v_profile)
-       (Arrival.kind_name c.v_kind)
+       "{\"subsystem\":\"tmloadcurve\",\"profile\":%s,\"arrival\":%s,\"seed\":%d,\"clients\":%d,\"ops_per_client\":%d,\"keys\":%d,\"queue_cap\":%d,\"quantum_ns\":%d,\"knee\":%.1f,\"rungs\":["
+       (json (Workload.profile_name c.v_profile))
+       (json (Arrival.kind_name c.v_kind))
        c.v_seed c.v_clients c.v_ops c.v_keys c.v_queue_cap c.v_quantum
        (knee (curve_xy c)));
   List.iteri

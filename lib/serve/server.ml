@@ -473,28 +473,31 @@ let run ?on_sample cfg =
         recorder;
   }
 
+let json = Tm_trace.Export.json_string
+
 let to_json o =
   let cfg = o.s_config in
   let b = Buffer.create 512 in
   Buffer.add_string b
     (Fmt.str
-       "{\"subsystem\":\"tmserve\",\"profile\":%S,\"algo\":%S,\"seed\":%d,\"domains\":%d,\"clients\":%d,\"ops_per_client\":%d,\"keys\":%d,\"stripes\":%d,\"batching\":%b,\"journal\":%b,\"queue_cap\":%d,\"arrival\":%s,\"requests\":%d,\"admitted\":%d,\"shed\":%d,\"batched_puts\":%d,\"mutators\":%d,\"journal_ok\":%b,\"conserved\":%b,\"by_kind\":{"
-       (Workload.profile_name cfg.c_profile)
-       (Stm.Algo.name cfg.c_algo) cfg.c_seed cfg.c_domains cfg.c_clients
+       "{\"subsystem\":\"tmserve\",\"profile\":%s,\"algo\":%s,\"seed\":%d,\"domains\":%d,\"clients\":%d,\"ops_per_client\":%d,\"keys\":%d,\"stripes\":%d,\"batching\":%b,\"journal\":%b,\"queue_cap\":%d,\"arrival\":%s,\"requests\":%d,\"admitted\":%d,\"shed\":%d,\"batched_puts\":%d,\"mutators\":%d,\"journal_ok\":%b,\"conserved\":%b,\"by_kind\":{"
+       (json (Workload.profile_name cfg.c_profile))
+       (json (Stm.Algo.name cfg.c_algo))
+       cfg.c_seed cfg.c_domains cfg.c_clients
        cfg.c_ops cfg.c_keys cfg.c_stripes cfg.c_batching cfg.c_journal
        cfg.c_queue_cap
        (match cfg.c_arrival with
        | None -> "{\"kind\":\"closed\"}"
        | Some a ->
-           Fmt.str "{\"kind\":%S,\"rate\":%.1f}"
-             (Arrival.kind_name (Arrival.kind a))
+           Fmt.str "{\"kind\":%s,\"rate\":%.1f}"
+             (json (Arrival.kind_name (Arrival.kind a)))
              (Arrival.rate a))
        o.s_requests o.s_admitted o.s_shed o.s_batched
        o.s_mutators o.s_journal_ok o.s_conserved);
   List.iteri
     (fun i (k, n) ->
       if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Fmt.str "%S:%d" k n))
+      Buffer.add_string b (Fmt.str "%s:%d" (json k) n))
     o.s_by_kind;
   Buffer.add_string b "},\"per_domain\":[";
   Array.iteri
@@ -608,21 +611,21 @@ let chaos_to_json profile (o : Runner.outcome) =
   let b = Buffer.create 512 in
   Buffer.add_string b
     (Fmt.str
-       "{\"subsystem\":\"tmserve\",\"scenario\":%S,\"profile\":%S,\"algo\":%S,\"seed\":%d,\"domains\":%d,\"ok\":%b,\"verdicts\":["
-       o.o_plan.Plan.scenario
-       (Workload.profile_name profile)
-       (Stm.Algo.name o.o_plan.Plan.algo)
+       "{\"subsystem\":\"tmserve\",\"scenario\":%s,\"profile\":%s,\"algo\":%s,\"seed\":%d,\"domains\":%d,\"ok\":%b,\"verdicts\":["
+       (json o.o_plan.Plan.scenario)
+       (json (Workload.profile_name profile))
+       (json (Stm.Algo.name o.o_plan.Plan.algo))
        o.o_plan.Plan.seed o.o_plan.Plan.domains o.o_ok);
   List.iteri
     (fun i (r : Runner.report) ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b
         (Fmt.str
-           "{\"domain\":%d,\"fault\":%S,\"expected\":%S,\"observed\":%S,\"ok\":%b,\"crashed\":%b}"
+           "{\"domain\":%d,\"fault\":%s,\"expected\":%s,\"observed\":%s,\"ok\":%b,\"crashed\":%b}"
            r.rep_domain
-           (Plan.fault_label r.rep_fault)
-           (Pc.cls_label r.rep_expected)
-           (Pc.cls_label r.rep_observed)
+           (json (Plan.fault_label r.rep_fault))
+           (json (Pc.cls_label r.rep_expected))
+           (json (Pc.cls_label r.rep_observed))
            (Runner.report_ok r) r.rep_crashed))
     o.o_reports;
   Buffer.add_string b "]}";

@@ -99,13 +99,14 @@ let by_tm results =
     [] results
 
 let to_json results =
+  let json = Tm_trace.Export.add_json_string in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\"runs\":[";
   List.iteri
     (fun i r ->
       if i > 0 then Buffer.add_char buf ',';
-      Printf.bprintf buf "{\"tm\":%S,\"pattern\":%S,\"seed\":%d,\"metrics\":"
-        r.r_config.tm.Tm_impl.Registry.entry_name r.r_config.pattern
+      Printf.bprintf buf "{\"tm\":%a,\"pattern\":%a,\"seed\":%d,\"metrics\":"
+        json r.r_config.tm.Tm_impl.Registry.entry_name json r.r_config.pattern
         r.r_config.seed;
       Metrics.to_json buf r.r_metrics;
       Buffer.add_char buf '}')
@@ -114,7 +115,7 @@ let to_json results =
   List.iteri
     (fun i (name, m) ->
       if i > 0 then Buffer.add_char buf ',';
-      Printf.bprintf buf "{\"tm\":%S,\"metrics\":" name;
+      Printf.bprintf buf "{\"tm\":%a,\"metrics\":" json name;
       Metrics.to_json buf m;
       Buffer.add_char buf '}')
     (by_tm results);

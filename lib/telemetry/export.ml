@@ -188,19 +188,7 @@ let parse_openmetrics text =
 
 (* ---- JSON lines ---- *)
 
-let add_json_string b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Fmt.str "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
+let add_json_string = Tm_trace.Export.add_json_string
 
 let add_json_labels b labels =
   Buffer.add_char b '{';

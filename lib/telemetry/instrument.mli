@@ -23,7 +23,6 @@ type counter
 
 val counter : ?shards:int -> unit -> counter
 val incr : counter -> unit
-val add : counter -> int -> unit
 
 val value : counter -> int
 (** Sum over shards.  Not a linearizable snapshot of concurrent

@@ -2,7 +2,7 @@
    integers are plain decimals, so equal event lists serialize to
    byte-identical strings — the determinism tests compare raw bytes. *)
 
-let escape_string b s =
+let add_json_string b s =
   Buffer.add_char b '"';
   String.iter
     (fun c ->
@@ -18,16 +18,21 @@ let escape_string b s =
     s;
   Buffer.add_char b '"'
 
+let json_string s =
+  let b = Buffer.create (String.length s + 2) in
+  add_json_string b s;
+  Buffer.contents b
+
 let add_args b args =
   Buffer.add_char b '{';
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char b ',';
-      escape_string b k;
+      add_json_string b k;
       Buffer.add_char b ':';
       match v with
       | Trace_event.Int n -> Buffer.add_string b (string_of_int n)
-      | Trace_event.Str s -> escape_string b s)
+      | Trace_event.Str s -> add_json_string b s)
     args;
   Buffer.add_char b '}'
 
@@ -38,7 +43,7 @@ let add_event b (e : Trace_event.t) =
     | _ -> e.args
   in
   Buffer.add_string b "{\"name\":";
-  escape_string b e.name;
+  add_json_string b e.name;
   Buffer.add_string b ",\"cat\":\"";
   Buffer.add_string b (Trace_event.category_label e.cat);
   Buffer.add_string b "\",\"ph\":\"";

@@ -5,6 +5,16 @@
     deterministic: fixed key order, no whitespace variation — equal event
     lists produce byte-identical strings. *)
 
+val add_json_string : Buffer.t -> string -> unit
+(** Appends [s] as a JSON string: quoted, with the double quote, the
+    backslash, newline, tab and carriage return escaped by name, every
+    other control character as a [\u00XX] escape, and every other byte
+    (UTF-8 included) as it is.  The one JSON string escaper: every JSON
+    writer of the repository uses it. *)
+
+val json_string : string -> string
+(** [s] as a JSON string, as {!add_json_string} writes it. *)
+
 val chrome_string : Trace_event.t list -> string
 (** JSON array of trace_event objects. *)
 

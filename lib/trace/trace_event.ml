@@ -40,17 +40,17 @@ let phase_code = function
   | Counter _ -> "C"
   | Metadata -> "M"
 
-let instant ~ts ?(pid = 0) ~tid cat name args =
-  { ts; pid; tid; cat; name; phase = Instant; args }
+let instant ~ts ~tid cat name args =
+  { ts; pid = 0; tid; cat; name; phase = Instant; args }
 
-let counter ~ts ?(pid = 0) ~tid cat name v =
-  { ts; pid; tid; cat; name; phase = Counter v; args = [] }
+let counter ~ts ~tid cat name v =
+  { ts; pid = 0; tid; cat; name; phase = Counter v; args = [] }
 
-let span_begin ~ts ?(pid = 0) ~tid cat name args =
-  { ts; pid; tid; cat; name; phase = Span_begin; args }
+let span_begin ~ts ~tid cat name args =
+  { ts; pid = 0; tid; cat; name; phase = Span_begin; args }
 
-let span_end ~ts ?(pid = 0) ~tid cat name args =
-  { ts; pid; tid; cat; name; phase = Span_end; args }
+let span_end ~ts ~tid cat name args =
+  { ts; pid = 0; tid; cat; name; phase = Span_end; args }
 
 let equal (a : t) (b : t) = a = b
 

@@ -52,16 +52,21 @@ val category_of_label : string -> category option
 val phase_code : phase -> string
 (** The Chrome [ph] code: ["B"], ["E"], ["i"], ["C"], ["M"]. *)
 
-val instant : ts:int -> ?pid:int -> tid:int -> category -> string ->
-  (string * arg) list -> t
+(** {2 Constructors}
 
-val counter : ts:int -> ?pid:int -> tid:int -> category -> string -> int -> t
+    Each event is on process lane 0; a grid trace retags a run's lane
+    with [{ e with pid }]. *)
 
-val span_begin : ts:int -> ?pid:int -> tid:int -> category -> string ->
-  (string * arg) list -> t
+val instant :
+  ts:int -> tid:int -> category -> string -> (string * arg) list -> t
 
-val span_end : ts:int -> ?pid:int -> tid:int -> category -> string ->
-  (string * arg) list -> t
+val counter : ts:int -> tid:int -> category -> string -> int -> t
+
+val span_begin :
+  ts:int -> tid:int -> category -> string -> (string * arg) list -> t
+
+val span_end :
+  ts:int -> tid:int -> category -> string -> (string * arg) list -> t
 
 val equal : t -> t -> bool
 

@@ -635,8 +635,17 @@ let classify_outcome o =
       in
       Bg.classify g ~classes
 
+(* A failed check first prints the runs' tables: their counters tell a
+   window that closed early from a domain that got no CPU. *)
+let with_tables os f =
+  try f ()
+  with e ->
+    List.iter (fun o -> Fmt.epr "%a@." Runner.pp_table o) os;
+    raise e
+
 let test_blame_run_star_tl2 () =
   let o = run_blame Stm.Algo.Tl2 "crash-holding-locks" 7 in
+  with_tables [ o ] @@ fun () ->
   Alcotest.(check bool) "verdicts match" true o.Runner.o_ok;
   let shape, evidence = classify_outcome o in
   Alcotest.(check string) "stranded vlocks make a star on the corpse"
@@ -695,6 +704,9 @@ let test_blame_run_deterministic () =
      the window stays open until each has [min_events] of blame. *)
   let a = run_blame Stm.Algo.Global_lock "parasitic-only" 5 in
   let b = run_blame Stm.Algo.Global_lock "parasitic-only" 5 in
+  with_tables [ a; b ] @@ fun () ->
+  Alcotest.(check bool) "first run's verdicts match" true a.Runner.o_ok;
+  Alcotest.(check bool) "second run's verdicts match" true b.Runner.o_ok;
   Alcotest.(check string) "serializer takeover is a star on the parasite"
     "star:0/parasitic,starved-by:0,starved-by:0" (render a);
   Alcotest.(check string) "same seed, same classified form" (render a)

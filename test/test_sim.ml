@@ -1235,6 +1235,29 @@ let test_sweep_json_file_deterministic () =
   Alcotest.(check string) "metrics JSON byte-stable through a file" (dump ())
     (dump ())
 
+(* Users name their own TMs (examples/custom_tm.ml), and a name is
+   written as a JSON string: UTF-8 as it is, not OCaml's "\195\169". *)
+let test_sweep_json_utf8_name () =
+  let tl2 = Option.get (Reg.find "tl2") in
+  let configs =
+    Tm_sim.Sweep.grid
+      ~tms:[ { tl2 with Reg.entry_name = "tl2-\u{e9}" } ]
+      ~patterns:[ List.hd (Tm_sim.Sweep.fault_patterns ~steps:50 ()) ]
+      ~seeds:[ 1 ] ()
+  in
+  let doc = Tm_sim.Sweep.to_json (Tm_sim.Sweep.run configs) in
+  let has sub =
+    let n = String.length sub in
+    let rec at i =
+      i + n <= String.length doc && (String.sub doc i n = sub || at (i + 1))
+    in
+    at 0
+  in
+  Alcotest.(check bool) "the run's tm is the name as a JSON string" true
+    (has "{\"runs\":[{\"tm\":\"tl2-\u{e9}\",");
+  Alcotest.(check bool) "and so is the per-TM total's" true
+    (has "\"by_tm\":[{\"tm\":\"tl2-\u{e9}\",")
+
 (* The whole zoo's sweep document, pinned before the metrics moved to
    mutable buckets and a one-pass window classifier. *)
 let test_sweep_json_pinned () =
@@ -1491,6 +1514,8 @@ let () =
             test_sweep_grid_canonical_order;
           Alcotest.test_case "metrics JSON file-stable" `Quick
             test_sweep_json_file_deterministic;
+          Alcotest.test_case "a UTF-8 TM name is a JSON string" `Quick
+            test_sweep_json_utf8_name;
           Alcotest.test_case "zoo sweep document pinned" `Quick
             test_sweep_json_pinned;
           Alcotest.test_case "every scheduler's sweep document pinned" `Quick

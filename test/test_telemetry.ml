@@ -23,9 +23,7 @@ let test_counter_sharded () =
             done))
   in
   List.iter Domain.join ds;
-  Alcotest.(check int) "sum over shards" (4 * n) (I.value c);
-  I.add c 5;
-  Alcotest.(check int) "add lands too" ((4 * n) + 5) (I.value c)
+  Alcotest.(check int) "sum over shards" (4 * n) (I.value c)
 
 let test_histogram_sharded () =
   let h = I.histogram () in
