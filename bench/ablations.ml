@@ -228,8 +228,8 @@ let p4_parallel_sweep () =
    simply have serialized, so its aborts/commit must be at least TL2's
    at the top of the domain ladder.  The full zoo trajectory (all four
    cores across the ladder) is recorded to BENCH_zoo.json as the repo's
-   benchmark artifact; the verdict is hardware-gated like P3/P4 — with fewer than
-   4 cores the contention the claim needs cannot be produced. *)
+   benchmark artifact; the verdict is hardware-gated like P3/P4 — with
+   fewer than 4 cores the contention the claim needs cannot be produced. *)
 
 let p9_zoo_separation () =
   section "P9"

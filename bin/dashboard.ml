@@ -167,7 +167,7 @@ let observe ~title ~plan ~period ~frames ~plain ~tel ~tty ~reg ses =
   let prev = ref None in
   for frame = 1 to frames do
     Unix.sleepf period;
-    ignore (Tel.Liveness_gauge.update liveness);
+    Tel.Liveness_gauge.update liveness;
     let ts = int_of_float ((Unix.gettimeofday () -. t0) *. 1000.) in
     let snap = Tel.Registry.scrape reg ~ts in
     (match tel with Some (add, _) -> add snap | None -> ());

@@ -50,8 +50,6 @@ let compare a b =
         if c <> 0 then c else String.compare a.message b.message
 
 (* Deterministic JSON: fixed key order, [Tm_trace.Export]'s escaping. *)
-let escape_string = Tm_trace.Export.add_json_string
-
 let location_to_json b = function
   | Whole -> Buffer.add_string b "{\"kind\":\"whole\"}"
   | At_proc p ->
@@ -66,15 +64,15 @@ let location_to_json b = function
 
 let to_json b f =
   Buffer.add_string b "{\"rule\":";
-  escape_string b f.rule;
+  Tm_trace.Export.add_json_string b f.rule;
   Buffer.add_string b ",\"severity\":\"";
   Buffer.add_string b (severity_label f.severity);
   Buffer.add_string b "\",\"subject\":";
-  escape_string b f.subject;
+  Tm_trace.Export.add_json_string b f.subject;
   Buffer.add_string b ",\"location\":";
   location_to_json b f.location;
   Buffer.add_string b ",\"message\":";
-  escape_string b f.message;
+  Tm_trace.Export.add_json_string b f.message;
   Buffer.add_char b '}'
 
 let count sev fs = List.length (List.filter (fun f -> f.severity = sev) fs)

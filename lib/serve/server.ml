@@ -443,7 +443,9 @@ let run ?on_sample cfg =
     s_batched = sum (fun t -> t.t_batched);
     s_mutators = mut_total;
     s_by_kind =
-      List.mapi (fun k name -> (name, sum (fun t -> t.t_by_kind.(k)))) Workload.kinds;
+      List.mapi
+        (fun k name -> (name, sum (fun t -> t.t_by_kind.(k))))
+        Workload.kinds;
     s_per_domain =
       Array.map
         (fun t ->

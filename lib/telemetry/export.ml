@@ -188,16 +188,14 @@ let parse_openmetrics text =
 
 (* ---- JSON lines ---- *)
 
-let add_json_string = Tm_trace.Export.add_json_string
-
 let add_json_labels b labels =
   Buffer.add_char b '{';
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char b ',';
-      add_json_string b k;
+      Tm_trace.Export.add_json_string b k;
       Buffer.add_char b ':';
-      add_json_string b v)
+      Tm_trace.Export.add_json_string b v)
     labels;
   Buffer.add_char b '}'
 
@@ -208,7 +206,7 @@ let to_jsonl (snap : Registry.snapshot) =
     (fun i (s : Registry.sample) ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b "{\"name\":";
-      add_json_string b s.Registry.s_name;
+      Tm_trace.Export.add_json_string b s.Registry.s_name;
       Buffer.add_string b ",\"labels\":";
       (match s.Registry.s_value with
       | Registry.Num v ->
@@ -220,7 +218,7 @@ let to_jsonl (snap : Registry.snapshot) =
           add_json_labels b
             (List.filter (fun (_, v) -> v <> "") s.Registry.s_labels);
           Buffer.add_string b ",\"state\":";
-          add_json_string b states.(current)
+          Tm_trace.Export.add_json_string b states.(current)
       | Registry.Hist h ->
           add_json_labels b s.Registry.s_labels;
           Buffer.add_string b

@@ -82,9 +82,9 @@ let update t =
       t.sources
   in
   Array.iteri
-    (fun d c -> t.current.(d) <- Emp.classify_counters ~first:t.last.(d) ~last:c)
+    (fun d c ->
+      t.current.(d) <- Emp.classify_counters ~first:t.last.(d) ~last:c)
     now;
-  t.last <- now;
-  t.current
+  t.last <- now
 
 let set t classes = Array.blit classes 0 t.current 0 (Array.length t.current)

@@ -47,11 +47,10 @@ val create :
     initial class is [progressing] and the first {!update} classifies
     against all-zero counters. *)
 
-val update : t -> Tm_liveness.Process_class.cls array
+val update : t -> unit
 (** Read the sources and classify the deltas since the previous update
     (all-zero counters before the first); the registered metrics read
-    these classes from now on.  Returns them (aliased, do not
-    mutate). *)
+    these classes from now on. *)
 
 val set : t -> Tm_liveness.Process_class.cls array -> unit
 (** [set t classes] makes [classes] (one per source) the classes the

@@ -40,7 +40,9 @@ let create ?(consumers = []) ~nprocs reg =
     done;
     a
   in
-  let p_events = per "tm_sim_proc_events_total" "History events of the process" in
+  let p_events =
+    per "tm_sim_proc_events_total" "History events of the process"
+  in
   let p_invs = per "tm_sim_invocations_total" "Invocations of the process" in
   let p_trycs = per "tm_sim_trycs_total" "tryC invocations of the process" in
   let p_commits = per "tm_sim_commits_total" "Committed transactions" in
@@ -72,7 +74,7 @@ let create ?(consumers = []) ~nprocs reg =
   }
 
 let scrape t ~ts =
-  ignore (Liveness_gauge.update t.liveness);
+  Liveness_gauge.update t.liveness;
   let snap = Registry.scrape t.reg ~ts in
   List.iter (fun f -> f snap) t.consumers
 

@@ -692,7 +692,7 @@ let test_liveness_transitions () =
            ~labels:[ ("domain", "0") ]) )
   in
   let step msg expect_cls expect_correct =
-    ignore (L.update t);
+    L.update t;
     let cls, correct = observed () in
     Alcotest.(check string) (msg ^ " class") expect_cls cls;
     Alcotest.(check int) (msg ^ " correct") expect_correct correct
