@@ -58,7 +58,7 @@ row build-and-test untraced-history lib/sim/sweep.ml \
 # metrics to a walk of its own history, must FAIL.
 row build-and-test tally-window-off-by-one lib/sim/metrics.ml \
   's|~window:(max 1 (n / 4))|~window:(max 1 (n / 4) - 1)|' \
-  -- dune exec test/test_sim.exe -- test metrics 12
+  -- dune exec test/test_sim.exe -- test metrics 13
 
 # TL2 validates a t-variable read and then written at once only when
 # its commit locks it: the word the lock replaced must be at the version
@@ -68,6 +68,14 @@ row build-and-test tally-window-off-by-one lib/sim/metrics.ml \
 row build-and-test lock-skips-version lib/stm/stm_tl2.ml \
   's/version_of v <> seen/false/' \
   -- dune exec test/test_stm.exe -- test "sets as data" 18
+
+# A cleared write set finds none of its cells: a slot's cell answers
+# only while its epoch is the set's.  Ignore the epoch: the set still
+# finds the last transaction's writes, and test_stm "Wset matches an
+# association list across transactions" must FAIL.
+row build-and-test index-ignores-epoch lib/stm/stm_core.ml \
+  's/if w.epoch = s.epoch then w.at else -1/w.at/' \
+  -- dune exec test/test_stm.exe -- test "sets as data" 20
 
 # A mid-commit crash lands two polls into a multi-poll commit, past its
 # lock phase (the mid_commit_depth of the TM's Tm_impl.Contract row).
@@ -265,18 +273,28 @@ row serve zipf-upper-edge --leg tl2 \
 
 # Build the executor's transaction body per request again: the closure
 # costs 4 words, so test_serve "served-request allocation" (read-mostly
-# <= 1 word, measured 0.39) must FAIL.
+# <= 1 word, measured 0.05) must FAIL.
 row serve request-closure --leg tl2 lib/serve/server.ml \
   's/let execute x = Stm.atomically x.x_body/let execute x = Stm.atomically (fun () -> x.x_body ())/' \
   -- dune exec test/test_serve.exe -- test server 8
 
 # Build the combiner's flush body per flush again: the closure costs 4
 # words per combined put, so test_serve "served-request allocation"
-# (write-heavy through the combiner <= 3 words, measured 2.10) must
+# (write-heavy through the combiner <= 1 word, measured 0.05) must
 # FAIL.
 row serve flush-closure --leg tl2 lib/serve/server.ml \
   's/Stm.atomically c.fc_body/Stm.atomically (fun () -> c.fc_body ())/' \
   -- dune exec test/test_serve.exe -- test server 8
+
+# A first write reuses its t-variable's write cell from the domain's
+# table.  Allocate a fresh cell every time instead (5 words per first
+# write): test_serve "served-request allocation" (long-txn <= 1 word,
+# measured 0.21) must FAIL on the long-txn gate.
+row serve fresh-write-cell --leg tl2 \
+  --expect 'served long-txn request' serve-cell-mutant.log \
+  lib/stm/stm_core.ml \
+  's/| W w as e when w.tv.id = tv.id ->/| W w as e when false \&\& w.tv.id = tv.id ->/' \
+  -- sh -c 'dune exec test/test_serve.exe -- test server 8 --color=never > serve-cell-mutant.log 2>&1'
 
 # Register a read of 0 for each executor's batched-put tally: the
 # outcome still counts the combined puts, so test_serve "final scrape

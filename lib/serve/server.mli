@@ -121,8 +121,8 @@ val iter_requests :
     in the store's {!combiner}.  The body is built once per domain and
     the combiner's state once per stripe, so serving a request
     allocates nothing of its own, combined or not: all it allocates is
-    what the core does for it — under TL2, its write-set entries, 3
-    words per first write. *)
+    what the core does for it — under TL2, one write cell per key the
+    domain writes for the first time, reused afterwards. *)
 
 type combiner
 (** The store's flat combiners, one per stripe, each with one slot per

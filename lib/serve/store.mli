@@ -61,8 +61,8 @@ val exec_op : t -> op -> result
     cost and whether it mutates.  {!Workload.fill} writes a request
     into a buffer and {!run} executes it; neither allocates, so a
     served request allocates only what the core itself does for it
-    (under TL2, its write-set entries: 3 words per first write to a
-    t-variable).  The buffer also owns the generator its requests are
+    (under TL2, one write cell per t-variable the domain writes for the
+    first time, reused afterwards).  The buffer also owns the generator its requests are
     drawn from.  {!op} reads an op back as an {!op} value. *)
 
 type buffer

@@ -223,15 +223,28 @@ end
 
 (* The write set shared by the write-back cores (TL2, global-lock,
    NOrec) and DSTM's own-write journal: the pending value of each
-   written t-variable, as data.  An entry is the t-variable plus its
-   buffered value, so the commit protocols can lock and publish without
-   closures.
-   Entries live in a pair of parallel arrays — the ids, scanned by
-   lookups and the commit-time sort, and the entries themselves — that
-   each core keeps per domain and reuses for every transaction: they
-   grow by doubling and are never freed (nor cleared, so they keep the
-   last values written alive until overwritten). *)
-type wentry = W : { tv : 'a tvar; mutable v : 'a } -> wentry
+   written t-variable, as data.  An entry is a write cell — the
+   t-variable, its buffered value, the epoch of the transaction it is
+   live in and its insertion index there — so the commit protocols can
+   lock and publish without closures.
+   Each set keeps a direct-mapped table of cells, one slot per
+   [id land cell_mask], that outlives its transactions: a t-variable's
+   first write on a domain allocates its cell, and its later first
+   writes reuse it.  A cell is live while its epoch is the set's;
+   [clear] bumps the epoch and so empties the set in O(1).  Beside the
+   table sit a pair of parallel arrays in insertion order — the ids,
+   scanned by the commit-time sort and after a spill, and the cells —
+   that each core keeps per domain and reuses for every transaction:
+   they grow by doubling and are never freed (nor cleared, so they keep
+   the last values written alive until overwritten). *)
+type wentry =
+  | W : {
+      tv : 'a tvar;
+      mutable v : 'a;
+      mutable epoch : int;
+      mutable at : int;
+    }
+      -> wentry
 
 (* How every per-domain set grows: [a]'s first [n] elements in a fresh
    array with room to double, filled past them with [fill] (the entry
@@ -244,31 +257,79 @@ let extend a n fill =
 module Wset = struct
   (* [ids] and [entries] stay in insertion order; [order] is a
      permutation of [0, n) that [sort] puts in ascending-id order.
-     Sorting moves only ints, so it never writes a young entry block
-     into the long-lived [entries] array. *)
+     Sorting moves only ints, so it never writes a cell into the
+     long-lived [entries] array.  [spills] counts the entries of this
+     transaction that found their table slot held by another live
+     t-variable's cell: they got a block of their own, which only a
+     scan of [ids] finds. *)
   type t = {
     mutable ids : int array;
     mutable entries : wentry array;
     mutable order : int array;
     mutable n : int;
+    mutable epoch : int;
+    mutable table : wentry array;
+    mutable spills : int;
   }
 
-  (* Empty until the first write. *)
-  let create () = { ids = [||]; entries = [||]; order = [||]; n = 0 }
+  let cells = 4096
+  let cell_mask = cells - 1
 
-  let clear s = s.n <- 0
+  (* What an unused table slot holds: a cell of no t-variable (id -1,
+     which no [tvar] hands out) that is never live. *)
+  let vacant =
+    let tv =
+      {
+        id = -1;
+        wit = Type.Id.make ();
+        content = Atomic.make ();
+        vlock = Atomic.make 0;
+        locator = Atomic.make untouched;
+      }
+    in
+    W { tv; v = (); epoch = -1; at = -1 }
+
+  (* Empty until the first write, the table included: a domain that
+     never writes never pays for it. *)
+  let create () =
+    {
+      ids = [||];
+      entries = [||];
+      order = [||];
+      n = 0;
+      epoch = 0;
+      table = [||];
+      spills = 0;
+    }
+
+  let clear s =
+    s.n <- 0;
+    s.epoch <- s.epoch + 1;
+    s.spills <- 0
+
   let length s = s.n
   let entry s k = s.entries.(s.order.(k))
   let id s k = s.ids.(s.order.(k))
 
-  (* Index of [tv]'s entry, or -1.  Newest first: a transaction that
-     re-reads what it just wrote finds it at once. *)
-  let index s tv =
+  (* A spilled entry's insertion index: newest first. *)
+  let scan s id =
     let i = ref (s.n - 1) in
-    while !i >= 0 && s.ids.(!i) <> tv.id do
+    while !i >= 0 && s.ids.(!i) <> id do
       decr i
     done;
     !i
+
+  (* Index of the entry of t-variable [id], or -1.  Its slot's cell
+     answers unless the slot holds another t-variable's cell and this
+     transaction has spilled: a slot that holds a live cell keeps it
+     until [clear], so a t-variable whose own cell sits in its slot was
+     never spilled. *)
+  let index s id =
+    if s.n = 0 then -1
+    else
+      match s.table.(id land cell_mask) with
+      | W w when w.tv.id = id -> if w.epoch = s.epoch then w.at else -1
+      | _ -> if s.spills > 0 then scan s id else -1
 
   let value (type a) s i (tv : a tvar) : a =
     match s.entries.(i) with W w -> cast w.tv.wit tv.wit w.v
@@ -278,20 +339,40 @@ module Wset = struct
     s.entries <- extend s.entries s.n fill;
     s.order <- extend s.order s.n 0
 
+  (* The cell for [tv]'s first write in this transaction: its own cell
+     from the table, else a new one that takes over a slot no live cell
+     holds, else (a collision) a block of its own. *)
+  let claim (type a) s (tv : a tvar) (x : a) =
+    if Array.length s.table = 0 then s.table <- Array.make cells vacant;
+    let h = tv.id land cell_mask in
+    match s.table.(h) with
+    | W w as e when w.tv.id = tv.id ->
+        w.v <- cast tv.wit w.tv.wit x;
+        w.epoch <- s.epoch;
+        w.at <- s.n;
+        e
+    | W w ->
+        let e = W { tv; v = x; epoch = s.epoch; at = s.n } in
+        if w.epoch = s.epoch then s.spills <- s.spills + 1
+        else s.table.(h) <- e;
+        e
+
   (* Append an entry for [tv], which the caller knows is not in the
-     set, without searching: the one entry block. *)
-  let push (type a) s (tv : a tvar) (x : a) =
-    let e = W { tv; v = x } in
+     set, without searching.  A transaction that repeats the last one's
+     writes finds each cell already at its index: it skips the write
+     barrier. *)
+  let push s tv x =
+    let e = claim s tv x in
     if s.n = Array.length s.ids then grow s e;
     s.ids.(s.n) <- tv.id;
-    s.entries.(s.n) <- e;
+    if s.entries.(s.n) != e then s.entries.(s.n) <- e;
     s.order.(s.n) <- s.n;
     s.n <- s.n + 1
 
-  (* Buffer [x] for [tv]: a first write costs the one entry block, a
-     rewrite allocates nothing. *)
+  (* Buffer [x] for [tv]: a rewrite, and the first write of a t-variable
+     whose cell is in the table, allocate nothing. *)
   let add (type a) s (tv : a tvar) (x : a) =
-    let i = index s tv in
+    let i = index s tv.id in
     if i >= 0 then (
       match s.entries.(i) with W w -> w.v <- cast tv.wit w.tv.wit x)
     else push s tv x
@@ -312,20 +393,6 @@ module Wset = struct
     done
 
   let slot s k = s.order.(k)
-
-  (* The insertion index of [id]'s entry by binary search, or -1; only
-     valid after [sort]. *)
-  let rec search s id lo hi =
-    if lo >= hi then -1
-    else
-      let mid = (lo + hi) lsr 1 in
-      let o = s.order.(mid) in
-      let m = s.ids.(o) in
-      if m = id then o
-      else if m < id then search s id (mid + 1) hi
-      else search s id lo mid
-
-  let find_sorted s id = search s id 0 s.n
 end
 
 (* Write-back for the serialized cores (global-lock, NOrec), which run
@@ -342,7 +409,7 @@ let write_back ws =
     done;
   for k = 0 to n - 1 do
     match Wset.entry ws k with
-    | W { tv; v } ->
+    | W { tv; v; _ } ->
         if armed then Obs.note Obs.Published tv.id 0;
         Atomic.set tv.content v
   done

@@ -136,12 +136,21 @@ end
 
     The write set of the write-back cores (TL2, global-lock, NOrec)
     and DSTM's own-write journal, held as data: one entry per written
-    t-variable, in arrays each core keeps per domain and reuses for
-    every transaction.  The arrays grow by doubling and are never
-    freed. *)
+    t-variable, a reusable write cell, kept in arrays each core keeps
+    per domain and reuses for every transaction.  The arrays grow by
+    doubling and are never freed. *)
 
-type wentry = W : { tv : 'a tvar; mutable v : 'a } -> wentry
-(** A written t-variable and its buffered value. *)
+type wentry =
+  | W : {
+      tv : 'a tvar;
+      mutable v : 'a;
+      mutable epoch : int;
+          (** the set epoch of the transaction the cell is live in *)
+      mutable at : int;  (** its insertion index in that transaction *)
+    }
+      -> wentry
+(** A written t-variable's write cell: the t-variable and its buffered
+    value. *)
 
 val extend : 'a array -> int -> 'a -> 'a array
 (** [extend a n fill] is how every per-domain set grows: [a]'s first
@@ -150,9 +159,40 @@ val extend : 'a array -> int -> 'a -> 'a array
 
 module Wset : sig
   type t
+  (** A write set indexed by t-variable id.  Beside its entries it
+      keeps a direct-mapped table of {!cells} write cells, one slot per
+      [id land (cells - 1)], which outlives its transactions.
+
+      - {b First write.}  The first write of a t-variable on a domain
+        allocates its cell (5 words); a later transaction's first write
+        of it reuses that cell and allocates nothing, as long as no
+        other t-variable of the same slot has taken the slot over in
+        between.  When the slot holds a cell that is live in the
+        current transaction, the colliding t-variable gets a block of
+        its own that the table does not keep, and the set counts a
+        spill.
+      - {b Cost.}  {!index} and {!add} are O(1) while the transaction
+        has no spill; with one, a lookup that misses its slot scans the
+        entries.
+      - {b Retained state.}  The table is made on the set's first write
+        ({!cells} words) and never freed: per core per domain, at most
+        {!cells} cells, each keeping its t-variable and the last value
+        written to it alive.
+      - {b Many keys.}  A domain that writes many more t-variables than
+        {!cells}, spread evenly over the slots, keeps taking slots over,
+        and each such first write allocates a cell again. *)
+
+  val cells : int
+  (** Slots of the cell table: 4,096. *)
 
   val create : unit -> t
+  (** An empty set with no table: it allocates nothing until its first
+      write. *)
+
   val clear : t -> unit
+  (** Empty the set in O(1): it bumps the set's epoch, so no cell is
+      live any more, and forgets the spills. *)
+
   val length : t -> int
 
   val entry : t -> int -> wentry
@@ -163,23 +203,24 @@ module Wset : sig
   val id : t -> int -> int
   (** The t-variable id of [entry s k]. *)
 
-  val index : t -> 'a tvar -> int
-  (** The insertion index of the t-variable's entry, or -1
-      (read-own-write lookup; allocates nothing).  {!sort} does not
-      move it. *)
+  val index : t -> int -> int
+  (** The insertion index of the entry of the t-variable with this id,
+      or -1 (read-own-write lookup; allocates nothing).  {!sort} does
+      not move it. *)
 
   val value : t -> int -> 'a tvar -> 'a
   (** The buffered value at an index {!index} returned for the same
       t-variable. *)
 
   val add : t -> 'a tvar -> 'a -> unit
-  (** Buffer a write: the first write of a t-variable allocates one
-      entry block, a rewrite allocates nothing. *)
+  (** Buffer a write, in O(1) while the transaction has no spill: a
+      rewrite allocates nothing, and neither does a first write that
+      finds the t-variable's cell in the table. *)
 
   val push : t -> 'a tvar -> 'a -> unit
   (** Append an entry for a t-variable the caller knows has none, with
-      no search: the one entry block.  A second entry for the same
-      t-variable breaks every lookup. *)
+      no search.  A second entry for the same t-variable breaks every
+      lookup. *)
 
   val sort : t -> unit
   (** Put {!entry}/{!id} in ascending-id order — the canonical commit
@@ -190,10 +231,6 @@ module Wset : sig
   val slot : t -> int -> int
   (** The insertion index of [entry s k]: where a core's own per-entry
       arrays, filled as entries are added, keep what it knows of it. *)
-
-  val find_sorted : t -> int -> int
-  (** The insertion index of a t-variable id's entry, or -1, by binary
-      search through the sorted order; only valid after {!sort}. *)
 end
 
 val write_back : Wset.t -> unit

@@ -164,7 +164,7 @@ let grow_reads t tv u =
   t.r_id <- extend t.r_id t.nr 0
 
 let read (type a) t (tv : a tvar) : a =
-  let i = Wset.index t.ws tv in
+  let i = Wset.index t.ws tv.id in
   if i >= 0 then Wset.value t.ws i tv (* read-own-write, from the journal *)
   else begin
     if Atomic.get Obs.armed then Obs.fire Obs.Read;

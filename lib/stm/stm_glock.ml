@@ -109,7 +109,7 @@ let ensure_locked t =
   end
 
 let read (type a) t (tv : a tvar) : a =
-  let i = Wset.index t.ws tv in
+  let i = Wset.index t.ws tv.id in
   if i >= 0 then Wset.value t.ws i tv (* read-own-write *)
   else begin
     ensure_locked t;

@@ -126,7 +126,7 @@ let grow_reads t r =
   t.r_seen <- extend t.r_seen t.nr r
 
 let read (type a) t (tv : a tvar) : a =
-  let i = Wset.index t.ws tv in
+  let i = Wset.index t.ws tv.id in
   if i >= 0 then Wset.value t.ws i tv (* read-own-write *)
   else begin
     if Atomic.get Obs.armed then Obs.fire Obs.Read;

@@ -130,7 +130,7 @@ let read_conflict v tv =
   raise Conflict
 
 let read (type a) t (tv : a tvar) : a =
-  let i = Wset.index t.ws tv in
+  let i = Wset.index t.ws tv.id in
   if i >= 0 then Wset.value t.ws i tv (* read-own-write *)
   else begin
     if Atomic.get Obs.armed then Obs.fire Obs.Read;
@@ -241,7 +241,7 @@ let rec lock_from t stamp k =
 let word_at t k =
   let v = Atomic.get t.r_vlock.(k) in
   if locked v then
-    let i = Wset.find_sorted t.ws t.r_id.(k) in
+    let i = Wset.index t.ws t.r_id.(k) in
     if i >= 0 then t.w_word.(i) else v
   else v
 
@@ -288,7 +288,7 @@ let commit t =
     let armed = Atomic.get Obs.armed in
     for k = 0 to n - 1 do
       match Wset.entry t.ws k with
-      | W { tv; v } ->
+      | W { tv; v; _ } ->
           if armed then Obs.note Obs.Published tv.id 0;
           publish_tvar tv v wv stamp
     done

@@ -1215,16 +1215,17 @@ let test_tvar_words () =
 
 (* Words per extra t-variable, at most, when a transaction writes it,
    reads it and then writes it at once, and rewrites one t-variable.
-   A first write costs one entry block (3 words) and a rewrite nothing;
-   TL2 moves a read-then-written t-variable out of its read set into
-   that entry, and the global lock keeps no read set, so there a read
-   adds nothing to the write.  NOrec's read-set entry is a block of its
-   own (3 words).  DSTM's write also installs a locator around a boxed
-   value (5 + 3 words), and its rewrite boxes the new value. *)
+   The warm-up leaves each t-variable's write cell in the domain's
+   table, so a first write reuses it and allocates nothing, and so
+   does a rewrite.  TL2 moves a read-then-written t-variable out of its
+   read set into that cell, and the global lock keeps no read set, so
+   there a read adds nothing to the write.  NOrec's read-set entry is a
+   block of its own (3 words).  DSTM's write installs a locator around
+   a boxed value (5 + 3 words), and its rewrite boxes the new value. *)
 let write_bounds = function
-  | Stm.Algo.Tl2 | Stm.Algo.Global_lock -> (3., 3., 0.)
-  | Stm.Algo.Norec -> (3., 6., 0.)
-  | Stm.Algo.Dstm -> (11., 11., 3.)
+  | Stm.Algo.Tl2 | Stm.Algo.Global_lock -> (0., 0., 0.)
+  | Stm.Algo.Norec -> (0., 3., 0.)
+  | Stm.Algo.Dstm -> (8., 8., 3.)
 
 let write_allocation algo () =
   Stm.with_algo algo (fun () ->
@@ -1363,7 +1364,7 @@ let reuse_after_abort algo () =
 (* The write set keeps its entries in insertion order and sorts an
    index permutation.  Over random first writes and rewrites, after
    [sort]: [entry]/[id] ascend by id and agree with each other and
-   with [slot], [find_sorted] finds each entry's insertion index, and
+   with [slot], [index] finds exactly the written t-variables, and
    [index]/[value] still find each t-variable's last buffered value. *)
 let prop_wset_sorted_view =
   let module C = Tm_stm.Stm_core in
@@ -1380,7 +1381,7 @@ let prop_wset_sorted_view =
       let n = C.Wset.length s in
       let entry_id k = match C.Wset.entry s k with C.W w -> w.tv.C.id in
       let entry_index k =
-        match C.Wset.entry s k with C.W w -> C.Wset.index s w.tv
+        match C.Wset.entry s k with C.W w -> C.Wset.index s w.tv.C.id
       in
       let rec ascending k =
         k >= n
@@ -1393,16 +1394,138 @@ let prop_wset_sorted_view =
       && ascending 0
       && List.for_all
            (fun k ->
-             let i = C.Wset.find_sorted s pool.(k).C.id in
-             if Hashtbl.mem last k then i = C.Wset.index s pool.(k) else i = -1)
+             let i = C.Wset.index s pool.(k).C.id in
+             if Hashtbl.mem last k then i >= 0 else i = -1)
            (List.init (Array.length pool) Fun.id)
       && Hashtbl.fold
            (fun k v ok ->
              ok
              &&
-             let i = C.Wset.index s pool.(k) in
+             let i = C.Wset.index s pool.(k).C.id in
              i >= 0 && C.Wset.value s i pool.(k) = v)
            last true)
+
+(* [n] fresh t-variables per cell-table slot over [slots] consecutive
+   slots: every t-variable of a slot collides with the others there. *)
+let colliding ~slots n =
+  let module C = Tm_stm.Stm_core in
+  let tvs = Array.init (((n - 1) * C.Wset.cells) + slots) (fun i -> C.tvar i) in
+  let base = tvs.(0).C.id in
+  Array.of_list
+    (List.filter
+       (fun tv -> (tv.C.id - base) land (C.Wset.cells - 1) < slots)
+       (Array.to_list tvs))
+
+type wset_op = Add of int * int | Push of int * int | Clear | Sort
+
+let wset_op_print = function
+  | Add (k, v) -> Fmt.str "add %d %d" k v
+  | Push (k, v) -> Fmt.str "push %d %d" k v
+  | Clear -> "clear"
+  | Sort -> "sort"
+
+(* One write set over many transactions ([Clear] ends one), against an
+   association list of the current transaction's writes.  The twelve
+   t-variables share four table slots, so first writes reuse cells,
+   take slots over from stale cells and spill beside live ones.  After
+   every op, [index] finds exactly the modelled t-variables and [value]
+   their last writes; after [sort], [entry]/[id] ascend and agree with
+   [index] through [slot].  [Push] is only applied to a t-variable the
+   model does not hold (its contract); otherwise it is an [add]. *)
+let prop_wset_model =
+  let module C = Tm_stm.Stm_core in
+  let pool = lazy (colliding ~slots:4 3) in
+  let gen =
+    QCheck2.Gen.(
+      list_size (int_range 0 120)
+        (frequency
+           [
+             (4, map2 (fun k v -> Add (k, v)) (int_bound 11) small_nat);
+             (3, map2 (fun k v -> Push (k, v)) (int_bound 11) small_nat);
+             (1, return Clear);
+             (1, return Sort);
+           ]))
+  in
+  QCheck2.Test.make ~count:500
+    ~name:"Wset matches an association list across transactions"
+    ~print:QCheck2.Print.(list wset_op_print)
+    gen
+    (fun ops ->
+      let pool = Lazy.force pool in
+      let s = C.Wset.create () in
+      let model = ref [] in
+      let found k =
+        let i = C.Wset.index s pool.(k).C.id in
+        match List.assoc_opt k !model with
+        | None -> i = -1
+        | Some v -> i >= 0 && C.Wset.value s i pool.(k) = v
+      in
+      let sorted () =
+        let n = C.Wset.length s in
+        let rec go k =
+          k >= n
+          || (k = 0 || C.Wset.id s (k - 1) < C.Wset.id s k)
+             && (match C.Wset.entry s k with
+                | C.W w ->
+                    w.tv.C.id = C.Wset.id s k
+                    && C.Wset.index s w.tv.C.id = C.Wset.slot s k)
+             && go (k + 1)
+        in
+        n = List.length !model && go 0
+      in
+      let step op =
+        (match op with
+        | Add (k, v) ->
+            C.Wset.add s pool.(k) v;
+            model := (k, v) :: List.remove_assoc k !model
+        | Push (k, v) ->
+            if List.mem_assoc k !model then C.Wset.add s pool.(k) v
+            else C.Wset.push s pool.(k) v;
+            model := (k, v) :: List.remove_assoc k !model
+        | Clear ->
+            C.Wset.clear s;
+            model := []
+        | Sort -> C.Wset.sort s);
+        (match op with Sort -> sorted () | _ -> true)
+        && C.Wset.length s = List.length !model
+        && List.for_all found (List.init (Array.length pool) Fun.id)
+      in
+      List.for_all step ops)
+
+(* Two t-variables of one table slot, live in one transaction: the
+   second spills and is still found; neither is found in the next
+   transaction, whichever of them that one writes first. *)
+let test_wset_spill () =
+  let module C = Tm_stm.Stm_core in
+  let a, b =
+    match colliding ~slots:1 2 with
+    | [| a; b |] -> (a, b)
+    | _ -> Alcotest.fail "two t-variables of one slot"
+  in
+  let s = C.Wset.create () in
+  let index tv = C.Wset.index s tv.C.id in
+  let check what tv expected =
+    let i = index tv in
+    let got = if i < 0 then None else Some (C.Wset.value s i tv) in
+    Alcotest.(check (option int)) what expected got
+  in
+  C.Wset.add s a 10;
+  C.Wset.add s b 20;
+  C.Wset.add s b 21;
+  Alcotest.(check int) "one entry each" 2 (C.Wset.length s);
+  check "a in its cell" a (Some 10);
+  check "spilled b" b (Some 21);
+  C.Wset.clear s;
+  check "a after clear" a None;
+  check "b after clear" b None;
+  C.Wset.add s b 30;
+  check "a stale" a None;
+  check "b takes the slot" b (Some 30);
+  C.Wset.add s a 40;
+  check "a spills" a (Some 40);
+  C.Wset.clear s;
+  check "a in the next transaction" a None;
+  check "b in the next transaction" b None
 
 (* Reads and writes of a few t-variables in any order, in one TL2
    transaction: a read returns the last value written, else the
@@ -1731,6 +1854,9 @@ let () =
           Alcotest.test_case "a stale read-then-write aborts" `Quick
             test_stale_read_then_write;
           QCheck_alcotest.to_alcotest prop_tl2_one_entry_per_write;
+          QCheck_alcotest.to_alcotest prop_wset_model;
+          Alcotest.test_case "Wset spills beside a live cell" `Quick
+            test_wset_spill;
         ] );
       ( "facade",
         [
