@@ -1,7 +1,7 @@
 (* What every section of the reproduction harness shares: the verdict
    printer and its failure count, wall-clock timing, the domain fan-out,
-   the armed-vs-disarmed seam-cost protocol (P5, P7, P8, P10) and the
-   BENCH result writer (P9-P13). *)
+   the armed-vs-disarmed seam-cost protocol (P5) and the BENCH result
+   writer (P5, P9-P13). *)
 
 module Reg = Tm_impl.Registry
 module Runner = Tm_sim.Runner
@@ -50,56 +50,31 @@ let spawn_join n f =
 
 (* ------------------------------------------------------------------ *)
 (* Seam cost: what an [Obs] subscriber adds to the hot path.  The work is
-   [seam_iters] single-domain read-modify-write increments.  After a
-   warm-up, three timed trials run with nothing subscribed ([t_off]), one
-   untimed trial is counted, three run armed ([t_armed]) and three more
-   after the disarm ([t_disarmed]), which must restore the baseline. *)
+   [seam_iters] single-domain read-modify-write increments of one
+   t-variable.  [seam_cost ()] warms it up and times three trials with
+   nothing subscribed ([t_off]); [armed s arm] times three trials with
+   what [arm ()] subscribed, then calls the disarm [arm] returned. *)
 
 let seam_iters = 200_000
 
-type 'c seam = {
-  t_off : float;
-  t_armed : float;
-  t_disarmed : float;
-  counted : 'c;  (** what [count] found in its trial *)
-}
+type seam = { work : unit -> unit; t_off : float }
 
-(* The timed work, on a fresh t-variable. *)
-let increments () =
+let seam_cost () =
   let v = Stm.tvar 0 in
-  fun () ->
+  let work () =
     for _ = 1 to seam_iters do
       Stm.atomically (fun () -> Stm.write v (Stm.read v + 1))
     done
-
-(* [count work] runs one trial of [work] and counts what the section
-   divides by; [arm ()] subscribes what the section measures and returns
-   its disarm. *)
-let seam_cost ~count ~arm =
-  let work = increments () in
-  work () (* warm-up *);
-  let t_off = min3 work in
-  let counted = count work in
-  let disarm = arm () in
-  let t_armed = min3 work in
-  disarm ();
-  let t_disarmed = min3 work in
-  Fmt.pr "  %d single-domain increments, min of 3 trials:@." seam_iters;
-  { t_off; t_armed; t_disarmed; counted }
-
-(* One trial of [work] under a counting subscriber: the sites delivered,
-   and how many of them [counted] takes. *)
-let count_sites counted work =
-  let all = Atomic.make 0 and hits = Atomic.make 0 in
-  let sub =
-    Obs.subscribe (fun site _ _ ->
-        Atomic.incr all;
-        if counted site then Atomic.incr hits;
-        Obs.Proceed)
   in
-  work ();
-  Obs.unsubscribe sub;
-  (Atomic.get all, Atomic.get hits)
+  work () (* warm-up *);
+  Fmt.pr "  %d single-domain increments, min of 3 trials:@." seam_iters;
+  { work; t_off = min3 work }
+
+let armed s arm =
+  let disarm = arm () in
+  let t = min3 s.work in
+  disarm ();
+  t
 
 let per_txn t = 1e9 *. t /. float_of_int seam_iters
 

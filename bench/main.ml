@@ -36,12 +36,9 @@ let bench_sections : (string * (unit -> unit)) list =
     ("p2b", Ablations.real_stm);
     ("p3", Ablations.p3_scaling);
     ("p4", Ablations.p4_parallel_sweep);
-    ("p5", Seam_costs.p5_trace_overhead);
+    ("seams", Seam_costs.p5_seam_costs);
     ("p6", Seam_costs.p6_analysis);
-    ("p7", Seam_costs.p7_chaos_overhead);
-    ("p8", Seam_costs.p8_telemetry_overhead);
     ("p9", Ablations.p9_zoo_separation);
-    ("p10", Seam_costs.p10_blame_overhead);
     ("p11", Static_analysis.p11_static_analysis);
     ("p12", Serving.p12_serve);
     ("p13", Serving.p13_loadcurve);

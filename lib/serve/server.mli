@@ -13,8 +13,9 @@
     invariant of the counter plane.  Wall-clock throughput, latency
     quantiles, commit/abort totals and combiner flush counts are real
     measurements and therefore {e informational}: they appear in the
-    human summary and in [BENCH_serve.json], never in the canonical
-    JSON or the canonical telemetry scrape.
+    human summary and in the [BENCH_serve.json] bench §P12 writes where
+    it runs (untracked), never in the canonical JSON or the canonical
+    telemetry scrape.
 
     {2 Admission}
 

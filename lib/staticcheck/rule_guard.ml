@@ -1,6 +1,6 @@
 (* seam-guard: every site must be dominated by the disarmed check — the
    one [Atomic.get Obs.armed] load that keeps the hot path under
-   100 ns/event when nothing is subscribed (bench §P5/P7/P8/P10).  A
+   100 ns/event when nothing is subscribed (bench §P5).  A
    site that skips the guard loads the subscriber list unconditionally
    and silently breaks that budget on every disarmed run.
 

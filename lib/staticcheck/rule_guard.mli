@@ -1,6 +1,6 @@
 (** seam-guard: every [Obs] site must be dominated by the
     [Atomic.get Obs.armed] disarmed check, preserving the
-    <100 ns/event disarmed discipline of bench §P5/P7/P8/P10. *)
+    <100 ns/event disarmed discipline of bench §P5. *)
 
 val rule : string
 

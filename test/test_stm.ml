@@ -809,8 +809,8 @@ let sites_truthful algo () =
     (reaches (Obs.Conflict Obs.Wait_budget))
 
 (* The sites one solo transaction delivers, per core: all of them, then
-   those a chaos plan can act on (the bench's P7 divisor), those the
-   telemetry probe times (P8) and those the blame graph takes (P10).
+   those a chaos plan can act on, those the telemetry probe times and
+   those the blame graph takes (the bench §P5 divisors).
    These counts are the hardware-independent half of the seam costs. *)
 let fault_site = function
   | Obs.Read | Obs.Lock | Obs.Validate | Obs.Publish | Obs.Commit -> true
