@@ -10,7 +10,7 @@
 # reuses.  FILE is seeded with the sed script EDIT and restored
 # afterwards.  CHECK must then fail, exiting N with --status; its output
 # must hold a [FAIL] line carrying each TITLE (CHECK is then
-# `dune exec EXE -- test GROUP [TESTCASES]`) and a match for each grep
+# `dune exec EXE -- test GROUP [N | N-M]`) and a match for each grep
 # PATTERN.  Adding a mutant is adding a row.
 
 # ---- the simulator, monitor and model checker ----
@@ -80,14 +80,15 @@ row index-ignores-epoch \
 # lock phase (the mid_commit_depth of the TM's Tm_impl.Contract row).
 # Land mvstm's right after its tryC instead: the crash then holds no
 # lock and the runner sails on, so the solo-progress cell fails, and so
-# does the bench paper-verdicts diff (Z1's mvstm crash-mid-commit reads
-# true).
+# does the bench's Z1 section (its mvstm crash-mid-commit reads true: a
+# MISMATCH, exit 1).
 row mvstm-mid-commit-depth --case "mvstm / crash-mid-commit" \
   lib/tm/contract.ml 's/v ~mid_commit_depth:2 "mvstm"/v "mvstm"/' \
   -- dune exec test/test_tm.exe -- test "solo-progress matrix" 50
-row mvstm-mid-commit-verdicts --expect 'mvstm crash-mid-commit .*MISMATCH' \
+row mvstm-mid-commit-verdicts --status 1 \
+  --expect 'mvstm crash-mid-commit .*MISMATCH' \
   lib/tm/contract.ml 's/v ~mid_commit_depth:2 "mvstm"/v "mvstm"/' \
-  -- dune build @bench/runtest
+  -- sh -c 'TM_BENCH_SECTIONS=z1 dune exec bench/main.exe'
 
 # Figure 15's automaton has no abort transition.  Answer a lone
 # process's tryC with an abort: the test reads every poll edge's

@@ -90,9 +90,7 @@ let p5_seam_costs () =
      site's progress watermark. *)
   let fired = Atomic.make 0 in
   let blame_counter site _ _ =
-    (match site with
-    | Obs.Conflict _ | Obs.Commit -> Atomic.incr fired
-    | _ -> ());
+    if blame_site site then Atomic.incr fired;
     Obs.Proceed
   in
   let t_blame = armed s (subscribe blame_counter) in
