@@ -56,17 +56,19 @@ end) : Tm_impl.Tm_intf.S = struct
           Array.init (cfg.nprocs + 1) (fun _ -> { reads = []; writes = [] });
       }
 
-    (* The model checker expands each schedule node from a copy of its
-       parent, so a copy must share no mutable block with the original:
-       copy every array and every mutable record (the lists inside are
+    (* The model checker expands each schedule node by blitting its
+       parent into an instance of the same config, so a blit must leave
+       [into] sharing no mutable block with the source: overwrite every
+       array and every mutable record in place (the lists inside are
        immutable and may be shared). *)
-    let copy t =
-      {
-        t with
-        mail = Tm_impl.Tm_intf.Mailbox.copy t.mail;
-        store = Array.copy t.store;
-        txns = Array.map (fun txn -> { txn with reads = txn.reads }) t.txns;
-      }
+    let blit t ~into =
+      Tm_impl.Tm_intf.Mailbox.blit t.mail ~into:into.mail;
+      Tm_impl.Tm_intf.blit_array t.store ~into:into.store;
+      Array.iteri
+        (fun p txn ->
+          into.txns.(p).reads <- txn.reads;
+          into.txns.(p).writes <- txn.writes)
+        t.txns
 
     let cfg t = t.cfg
     let mail t = t.mail

@@ -163,15 +163,20 @@ module Exhaustive = struct
 
   (* Depth-first, preorder.  A child node is its parent's TM advanced by
      one action, and the parent's history extended by the event that
-     action produced (if any): O(1) TM steps per node.  A child takes a
-     copy of the parent's TM only where a later sibling still needs the
-     parent:
-     - an invocation at the last level takes none: its TM would never be
+     action produced (if any): O(1) TM steps per node.  The walk creates
+     one TM per level up front, [slots.(d)] for the children at remaining
+     depth [d], and a child acts on its level's slot only where a later
+     sibling still needs the parent:
+     - an invocation at the last level needs no TM: its TM would never be
        polled, so only its history is built (the menu is range-checked up
        front, so an invalid invocation raises without [M.invoke]);
-     - the last child (the last enabled action of process [nprocs]) takes
-       the parent's instance itself: every [pending] read of the parent
-       happened before it, and nothing reads the parent after it.
+     - the last child (the last enabled action of process [nprocs]) acts
+       on the parent's instance itself: every [pending] read of the
+       parent happened before it, and nothing reads the parent after it;
+     - every other child blits the parent into the slot below and acts
+       there.  A node's TM is its own level's slot or an ancestor's (the
+       last child's), never a slot below it, so the blit overwrites no
+       live TM.
      The path is one array with the current length in [len]; [actions]
      reads it, so it is valid only during the callback.  Answered polls
      append shared events: [ok], [C], [A] and reads of the values the
@@ -190,14 +195,19 @@ module Exhaustive = struct
     in
     let path = Array.make (max depth 0) polls.(0) and len = ref 0 in
     let actions () = List.init !len (Array.get path) in
+    let slots = Array.init (max depth 0 + 1) (fun _ -> M.create cfg) in
+    let blit_below tm below =
+      M.blit tm ~into:below;
+      below
+    in
     let rec visit tm h d =
       on_history h actions;
       if d > 0 then begin
-        let i = depth - d in
+        let i = depth - d and below = slots.(d - 1) in
         for p = 1 to nprocs do
           match M.pending tm p with
           | Some _ ->
-              let tm' = if p = nprocs then tm else M.copy tm in
+              let tm' = if p = nprocs then tm else blit_below tm below in
               let h' =
                 match M.poll tm' p with
                 | Some r -> History.append h (Event.response responses p r)
@@ -216,7 +226,9 @@ module Exhaustive = struct
                 len := i + 1;
                 if d = 1 then on_history h' actions
                 else begin
-                  let tm' = if p = nprocs && k = last then tm else M.copy tm in
+                  let tm' =
+                    if p = nprocs && k = last then tm else blit_below tm below
+                  in
                   M.invoke tm' p inv;
                   visit tm' h' (d - 1)
                 end
@@ -224,7 +236,7 @@ module Exhaustive = struct
         done
       end
     in
-    visit (M.create cfg) History.empty depth
+    visit slots.(max depth 0) History.empty depth
 
   type screen = { checked : int; fallbacks : int; non_opaque : History.t list }
 

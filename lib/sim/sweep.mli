@@ -99,19 +99,22 @@ val pp_table : Format.formatter -> result list -> unit
     actions and hands each reached history to the callback.  A poll can
     advance a TM's internal state without emitting an event (multi-poll
     commits), so a node is its TM state, not its history.  The
-    enumeration is {e copy-and-extend}: each child node
+    enumeration is {e blit-and-extend}: each child node
     is its parent's TM advanced by one action, and its history is the
-    parent's extended by the event that action produced.  A child takes a
-    {!Tm_impl.Tm_intf.S.copy} of its parent's TM only where a later
+    parent's extended by the event that action produced.  [run] creates
+    one TM per tree level up front, and a child moves its parent's state
+    into its level's TM ({!Tm_impl.Tm_intf.S.blit}) only where a later
     sibling still needs the parent:
-    - an invocation at the last level takes no copy and no TM step: its
+    - an invocation at the last level takes no blit and no TM step: its
       TM is never polled, so only its history is built;
-    - the last child (the last enabled action of process [nprocs]) takes
-      the parent's instance itself;
-    - every other child takes one copy and one TM step.
+    - the last child (the last enabled action of process [nprocs]) acts
+      on the parent's instance itself;
+    - every other child blits the parent into the TM of the level below
+      and takes one TM step there.
 
-    A node therefore costs at most one copy and one TM step — O(1) in the
-    depth — and the tree has ~[(nprocs * |invocations|)^depth] nodes.
+    A node therefore costs at most one blit and one TM step — O(1) in
+    the depth, and no TM allocation beyond the [depth + 1] instances —
+    and the tree has ~[(nprocs * |invocations|)^depth] nodes.
 
     Combined with the linear-time {!Tm_safety.Monitor} this gives a small
     bounded model checker, {!screen}: [run] over all schedules, monitor

@@ -30,6 +30,14 @@ let fresh_txn () =
     timestamp = 0;
   }
 
+let blit_txn txn ~into =
+  into.started <- txn.started;
+  into.doomed <- txn.doomed;
+  into.reads <- txn.reads;
+  into.ops_done <- txn.ops_done;
+  into.waits <- txn.waits;
+  into.timestamp <- txn.timestamp
+
 let begin_if_needed t p =
   let txn = t.txns.(p) in
   if not txn.started then begin
@@ -90,8 +98,8 @@ let resolve t p q =
 let step t p inv =
   begin_if_needed t p;
   let txn = t.txns.(p) in
-  if txn.doomed then Some (deliver_abort t p)
-  else if not (reads_valid t p) then Some (deliver_abort t p)
+  if txn.doomed then Tm_intf.answer (deliver_abort t p)
+  else if not (reads_valid t p) then Tm_intf.answer (deliver_abort t p)
   else
     let use_variable x k =
       match t.owner.(x) with
@@ -99,7 +107,7 @@ let step t p inv =
           match resolve t p q with
           | `Proceed -> k ()
           | `Wait -> None
-          | `Abort_self -> Some (deliver_abort t p))
+          | `Abort_self -> Tm_intf.answer (deliver_abort t p))
       | Some _ | None -> k ()
     in
     match inv with
@@ -113,7 +121,7 @@ let step t p inv =
               txn.reads <- (x, v) :: txn.reads;
             txn.ops_done <- txn.ops_done + 1;
             txn.waits <- 0;
-            Some (Event.Value v))
+            Tm_intf.answer (Event.Value v))
     | Event.Write (x, v) ->
         use_variable x (fun () ->
             if not (Tm_intf.held_by p t.owner.(x)) then t.owner.(x) <- Some p;
@@ -124,7 +132,7 @@ let step t p inv =
     | Event.Try_commit ->
         (* Commit is one atomic step: re-validate reads, then install
            tentative values. *)
-        if not (reads_valid t p) then Some (deliver_abort t p)
+        if not (reads_valid t p) then Tm_intf.answer (deliver_abort t p)
         else begin
           Array.iteri
             (fun x o ->
@@ -161,15 +169,15 @@ Tm_intf.Make (struct
       cm = C.cm;
     }
 
-  let copy t =
-    {
-      t with
-      mail = Tm_intf.Mailbox.copy t.mail;
-      committed = Array.copy t.committed;
-      tentative = Array.copy t.tentative;
-      owner = Array.copy t.owner;
-      txns = Array.map (fun txn -> { txn with started = txn.started }) t.txns;
-    }
+  let blit t ~into =
+    Tm_intf.Mailbox.blit t.mail ~into:into.mail;
+    into.time <- t.time;
+    Tm_intf.blit_array t.committed ~into:into.committed;
+    Tm_intf.blit_array t.tentative ~into:into.tentative;
+    Tm_intf.blit_array t.owner ~into:into.owner;
+    for p = 0 to Array.length t.txns - 1 do
+      blit_txn t.txns.(p) ~into:into.txns.(p)
+    done
 
   let cfg t = t.cfg
   let mail t = t.mail

@@ -41,7 +41,7 @@ let higher_priority_active t p =
   !active
 
 let step ~priority t p inv =
-  Some
+  Tm_intf.answer
     (match t.status.(p) with
     | `A -> deliver_abort ~priority t p
     | `C -> (
@@ -85,15 +85,14 @@ struct
         committed = Array.make cfg.ntvars 0;
       }
 
-    let copy t =
-      {
-        t with
-        mail = Tm_intf.Mailbox.copy t.mail;
-        status = Array.copy t.status;
-        cp = Array.copy t.cp;
-        vals = Array.map Array.copy t.vals;
-        committed = Array.copy t.committed;
-      }
+    let blit t ~into =
+      Tm_intf.Mailbox.blit t.mail ~into:into.mail;
+      Tm_intf.blit_array t.status ~into:into.status;
+      Tm_intf.blit_array t.cp ~into:into.cp;
+      for k = 0 to Array.length t.vals - 1 do
+        Tm_intf.blit_array t.vals.(k) ~into:into.vals.(k)
+      done;
+      Tm_intf.blit_array t.committed ~into:into.committed
 
     let cfg t = t.cfg
     let mail t = t.mail

@@ -52,14 +52,13 @@ include Tm_intf.Make (struct
       waiting = Array.make (cfg.nprocs + 1) false;
     }
 
-  let copy t =
-    {
-      t with
-      mail = Tm_intf.Mailbox.copy t.mail;
-      store = Array.copy t.store;
-      queue = Queue.copy t.queue;
-      waiting = Array.copy t.waiting;
-    }
+  let blit t ~into =
+    Tm_intf.Mailbox.blit t.mail ~into:into.mail;
+    Tm_intf.blit_array t.store ~into:into.store;
+    into.owner <- t.owner;
+    Queue.clear into.queue;
+    Queue.iter (fun p -> Queue.add p into.queue) t.queue;
+    Tm_intf.blit_array t.waiting ~into:into.waiting
 
   let cfg t = t.cfg
   let mail t = t.mail
@@ -67,7 +66,7 @@ include Tm_intf.Make (struct
   let step t p inv =
     if not (holds_lock t p || try_acquire t p) then None
     else
-      Some
+      Tm_intf.answer
         (match inv with
         | Event.Read x -> Event.Value t.store.(x)
         | Event.Write (x, v) ->

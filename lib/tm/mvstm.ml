@@ -23,6 +23,13 @@ type t = {
 let fresh_txn () =
   { started = false; rv = 0; reads = []; writes = []; phase = Idle }
 
+let blit_txn txn ~into =
+  into.started <- txn.started;
+  into.rv <- txn.rv;
+  into.reads <- txn.reads;
+  into.writes <- txn.writes;
+  into.phase <- txn.phase
+
 let begin_if_needed t p =
   let txn = t.txns.(p) in
   if not txn.started then begin
@@ -83,7 +90,7 @@ let commit_step t p =
       let valid =
         List.for_all (fun (x, ver) -> latest_version t x = ver) txn.reads
       in
-      if not valid then Some (abort t p)
+      if not valid then Tm_intf.answer (abort t p)
       else begin
         t.clock <- t.clock + 1;
         let wv = t.clock in
@@ -95,7 +102,7 @@ let commit_step t p =
         Some Event.Committed
       end
   | Acquiring (x :: rest) ->
-      if locked_by_other t p x then Some (abort t p)
+      if locked_by_other t p x then Tm_intf.answer (abort t p)
       else begin
         t.lock.(x) <- Some p;
         txn.phase <- Acquiring rest;
@@ -121,14 +128,14 @@ include Tm_intf.Make (struct
       txns = Array.init (cfg.nprocs + 1) (fun _ -> fresh_txn ());
     }
 
-  let copy t =
-    {
-      t with
-      mail = Tm_intf.Mailbox.copy t.mail;
-      versions = Array.copy t.versions;
-      lock = Array.copy t.lock;
-      txns = Array.map (fun txn -> { txn with started = txn.started }) t.txns;
-    }
+  let blit t ~into =
+    Tm_intf.Mailbox.blit t.mail ~into:into.mail;
+    into.clock <- t.clock;
+    Tm_intf.blit_array t.versions ~into:into.versions;
+    Tm_intf.blit_array t.lock ~into:into.lock;
+    for p = 0 to Array.length t.txns - 1 do
+      blit_txn t.txns.(p) ~into:into.txns.(p)
+    done
 
   let cfg t = t.cfg
   let mail t = t.mail
@@ -139,11 +146,11 @@ include Tm_intf.Make (struct
     match inv with
     | Event.Read x -> (
         match List.assoc_opt x txn.writes with
-        | Some v -> Some (Event.Value v)
+        | Some v -> Tm_intf.answer (Event.Value v)
         | None ->
             let ver, v = read_at t x txn.rv in
             txn.reads <- (x, ver) :: txn.reads;
-            Some (Event.Value v))
+            Tm_intf.answer (Event.Value v))
     | Event.Write (x, v) ->
         txn.writes <- (x, v) :: txn.writes;
         Some Event.Ok_written

@@ -24,6 +24,13 @@ type t = {
 let fresh_txn () =
   { started = false; snapshot = 0; reads = []; writes = []; phase = Idle }
 
+let blit_txn txn ~into =
+  into.started <- txn.started;
+  into.snapshot <- txn.snapshot;
+  into.reads <- txn.reads;
+  into.writes <- txn.writes;
+  into.phase <- txn.phase
+
 let begin_if_needed t p =
   let txn = t.txns.(p) in
   if not txn.started then begin
@@ -72,13 +79,14 @@ include Tm_intf.Make (struct
       txns = Array.init (cfg.nprocs + 1) (fun _ -> fresh_txn ());
     }
 
-  let copy t =
-    {
-      t with
-      mail = Tm_intf.Mailbox.copy t.mail;
-      value = Array.copy t.value;
-      txns = Array.map (fun txn -> { txn with started = txn.started }) t.txns;
-    }
+  let blit t ~into =
+    Tm_intf.Mailbox.blit t.mail ~into:into.mail;
+    into.counter <- t.counter;
+    into.writer <- t.writer;
+    Tm_intf.blit_array t.value ~into:into.value;
+    for p = 0 to Array.length t.txns - 1 do
+      blit_txn t.txns.(p) ~into:into.txns.(p)
+    done
 
   let cfg t = t.cfg
   let mail t = t.mail
@@ -89,18 +97,18 @@ include Tm_intf.Make (struct
     match inv with
     | Event.Read x -> (
         match List.assoc_opt x txn.writes with
-        | Some v -> Some (Event.Value v)
+        | Some v -> Tm_intf.answer (Event.Value v)
         | None ->
             (* Wait out an in-flight writer: its write-back is not an
                atomic snapshot. *)
             if Option.is_some t.writer && not (Tm_intf.held_by p t.writer)
             then None
             else if txn.snapshot <> t.counter && not (revalidate t p) then
-              Some (abort t p)
+              Tm_intf.answer (abort t p)
             else begin
               let v = t.value.(x) in
               txn.reads <- (x, v) :: txn.reads;
-              Some (Event.Value v)
+              Tm_intf.answer (Event.Value v)
             end)
     | Event.Write (x, v) ->
         txn.writes <- (x, v) :: txn.writes;
@@ -112,15 +120,15 @@ include Tm_intf.Make (struct
               (* Read-only: the read set was coherent at the last
                  (re)validation and no writer has intervened since the
                  snapshot was adopted. *)
-              if txn.snapshot = t.counter || revalidate t p then
-                Some
-                  (t.txns.(p) <- fresh_txn ();
-                   Event.Committed)
-              else Some (abort t p)
+              if txn.snapshot = t.counter || revalidate t p then begin
+                t.txns.(p) <- fresh_txn ();
+                Some Event.Committed
+              end
+              else Tm_intf.answer (abort t p)
             else if t.writer <> None then None
             else begin
               t.writer <- Some p;
-              if not (revalidate t p) then Some (abort t p)
+              if not (revalidate t p) then Tm_intf.answer (abort t p)
               else begin
                 txn.phase <- Writing_back (write_set txn);
                 None

@@ -137,8 +137,8 @@ include Tm_intf.Make (struct
 
   (* A descriptor can sit in several holders and in its transaction at
      once; the memo (keyed by physical identity) maps each one to a single
-     copy so the copy keeps that aliasing. *)
-  let copy t =
+     fresh copy so [into] keeps that aliasing. *)
+  let blit t ~into =
     let memo = ref [] in
     let copy_desc = function
       | None -> None
@@ -150,15 +150,21 @@ include Tm_intf.Make (struct
               memo := (d, d') :: !memo;
               Some d')
     in
-    {
-      t with
-      mail = Tm_intf.Mailbox.copy t.mail;
-      value = Array.copy t.value;
-      version = Array.copy t.version;
-      holder = Array.map copy_desc t.holder;
-      txns =
-        Array.map (fun txn -> { txn with desc = copy_desc txn.desc }) t.txns;
-    }
+    Tm_intf.Mailbox.blit t.mail ~into:into.mail;
+    into.clock <- t.clock;
+    Tm_intf.blit_array t.value ~into:into.value;
+    Tm_intf.blit_array t.version ~into:into.version;
+    for x = 0 to Array.length t.holder - 1 do
+      into.holder.(x) <- copy_desc t.holder.(x)
+    done;
+    for p = 0 to Array.length t.txns - 1 do
+      let txn = t.txns.(p) and txn' = into.txns.(p) in
+      txn'.started <- txn.started;
+      txn'.rv <- txn.rv;
+      txn'.reads <- txn.reads;
+      txn'.writes <- txn.writes;
+      txn'.desc <- copy_desc txn.desc
+    done
 
   let cfg t = t.cfg
   let mail t = t.mail
@@ -169,17 +175,17 @@ include Tm_intf.Make (struct
     match inv with
     | Event.Read x -> (
         match List.assoc_opt x txn.writes with
-        | Some v -> Some (Event.Value v)
+        | Some v -> Tm_intf.answer (Event.Value v)
         | None ->
             (* Help any in-flight commit holding x to completion, then
                read. *)
             (match t.holder.(x) with
             | Some d -> advance_full t d
             | None -> ());
-            if t.version.(x) > txn.rv then Some (abort t p)
+            if t.version.(x) > txn.rv then Tm_intf.answer (abort t p)
             else begin
               txn.reads <- (x, t.version.(x)) :: txn.reads;
-              Some (Event.Value t.value.(x))
+              Tm_intf.answer (Event.Value t.value.(x))
             end)
     | Event.Write (x, v) ->
         txn.writes <- (x, v) :: txn.writes;
@@ -190,7 +196,7 @@ include Tm_intf.Make (struct
             if write_set txn = [] then
               (* Read-only: reads were validated against rv as they
                  happened. *)
-              Some (commit t p)
+              Tm_intf.answer (commit t p)
             else begin
               let d =
                 {
@@ -209,7 +215,7 @@ include Tm_intf.Make (struct
         | Some d -> (
             advance_step t d;
             match d.d_phase with
-            | Done true -> Some (commit t p)
-            | Done false -> Some (abort t p)
+            | Done true -> Tm_intf.answer (commit t p)
+            | Done false -> Tm_intf.answer (abort t p)
             | Acquiring _ | Checking _ | Writing _ -> None))
 end)

@@ -38,13 +38,15 @@ include Tm_intf.Make (struct
       txns = Array.init (cfg.nprocs + 1) (fun _ -> fresh_txn ());
     }
 
-  let copy t =
-    {
-      t with
-      mail = Tm_intf.Mailbox.copy t.mail;
-      store = Array.copy t.store;
-      txns = Array.map (fun txn -> { txn with live = txn.live }) t.txns;
-    }
+  let blit t ~into =
+    Tm_intf.Mailbox.blit t.mail ~into:into.mail;
+    Tm_intf.blit_array t.store ~into:into.store;
+    for p = 0 to Array.length t.txns - 1 do
+      let txn = t.txns.(p) and txn' = into.txns.(p) in
+      txn'.live <- txn.live;
+      txn'.reads <- txn.reads;
+      txn'.writes <- txn.writes
+    done
 
   let cfg t = t.cfg
   let mail t = t.mail
@@ -52,7 +54,7 @@ include Tm_intf.Make (struct
   let step t p inv =
     let txn = t.txns.(p) in
     txn.live <- true;
-    Some
+    Tm_intf.answer
       (match inv with
       | Event.Read x -> (
           match List.assoc_opt x txn.writes with

@@ -37,6 +37,15 @@ let fresh_txn () =
     doomed = false;
   }
 
+let blit_txn txn ~into =
+  into.started <- txn.started;
+  into.rv <- txn.rv;
+  into.reads <- txn.reads;
+  into.writes <- txn.writes;
+  into.ops_done <- txn.ops_done;
+  into.waits <- txn.waits;
+  into.doomed <- txn.doomed
+
 let begin_if_needed t p =
   let txn = t.txns.(p) in
   if not txn.started then begin
@@ -79,15 +88,15 @@ include Tm_intf.Make (struct
       txns = Array.init (cfg.nprocs + 1) (fun _ -> fresh_txn ());
     }
 
-  let copy t =
-    {
-      t with
-      mail = Tm_intf.Mailbox.copy t.mail;
-      value = Array.copy t.value;
-      version = Array.copy t.version;
-      wlock = Array.copy t.wlock;
-      txns = Array.map (fun txn -> { txn with started = txn.started }) t.txns;
-    }
+  let blit t ~into =
+    Tm_intf.Mailbox.blit t.mail ~into:into.mail;
+    into.clock <- t.clock;
+    Tm_intf.blit_array t.value ~into:into.value;
+    Tm_intf.blit_array t.version ~into:into.version;
+    Tm_intf.blit_array t.wlock ~into:into.wlock;
+    for p = 0 to Array.length t.txns - 1 do
+      blit_txn t.txns.(p) ~into:into.txns.(p)
+    done
 
   let cfg t = t.cfg
   let mail t = t.mail
@@ -95,7 +104,7 @@ include Tm_intf.Make (struct
   let step t p inv =
     begin_if_needed t p;
     let txn = t.txns.(p) in
-    if txn.doomed then Some (deliver_abort t p)
+    if txn.doomed then Tm_intf.answer (deliver_abort t p)
     else (
       match inv with
       | Event.Read x -> (
@@ -104,19 +113,20 @@ include Tm_intf.Make (struct
           match List.assoc_opt x txn.writes with
           | Some v ->
               txn.ops_done <- txn.ops_done + 1;
-              Some (Event.Value v)
+              Tm_intf.answer (Event.Value v)
           | None ->
-              if t.version.(x) > txn.rv then Some (deliver_abort t p)
+              if t.version.(x) > txn.rv then Tm_intf.answer (deliver_abort t p)
               else begin
                 txn.reads <- (x, t.version.(x)) :: txn.reads;
                 txn.ops_done <- txn.ops_done + 1;
-                Some (Event.Value t.value.(x))
+                Tm_intf.answer (Event.Value t.value.(x))
               end)
       | Event.Write (x, v) -> (
           match t.wlock.(x) with
           | Some q when q <> p ->
               (* Two-phase contention management. *)
-              if txn.ops_done < cm_threshold then Some (deliver_abort t p)
+              if txn.ops_done < cm_threshold then
+                Tm_intf.answer (deliver_abort t p)
               else if txn.waits < cm_patience then begin
                 txn.waits <- txn.waits + 1;
                 None
@@ -145,7 +155,7 @@ include Tm_intf.Make (struct
               (fun (x, ver) -> t.version.(x) = ver && t.version.(x) <= txn.rv)
               txn.reads
           in
-          if not valid then Some (deliver_abort t p)
+          if not valid then Tm_intf.answer (deliver_abort t p)
           else begin
             (if txn.writes <> [] then begin
                t.clock <- t.clock + 1;

@@ -21,6 +21,12 @@ type t = {
 
 let fresh_txn () = { started = false; rv = 0; reads = []; undo = [] }
 
+let blit_txn txn ~into =
+  into.started <- txn.started;
+  into.rv <- txn.rv;
+  into.reads <- txn.reads;
+  into.undo <- txn.undo
+
 let begin_if_needed t p =
   let txn = t.txns.(p) in
   if not txn.started then begin
@@ -69,7 +75,7 @@ let try_extend t p =
 let step t p inv =
   begin_if_needed t p;
   let txn = t.txns.(p) in
-  Some
+  Tm_intf.answer
     (match inv with
     | Event.Read x ->
         if owns t p x then Event.Value t.value.(x)
@@ -154,15 +160,15 @@ Tm_intf.Make (struct
       extension = E.extension;
     }
 
-  let copy t =
-    {
-      t with
-      mail = Tm_intf.Mailbox.copy t.mail;
-      value = Array.copy t.value;
-      version = Array.copy t.version;
-      lock = Array.copy t.lock;
-      txns = Array.map (fun txn -> { txn with started = txn.started }) t.txns;
-    }
+  let blit t ~into =
+    Tm_intf.Mailbox.blit t.mail ~into:into.mail;
+    into.clock <- t.clock;
+    Tm_intf.blit_array t.value ~into:into.value;
+    Tm_intf.blit_array t.version ~into:into.version;
+    Tm_intf.blit_array t.lock ~into:into.lock;
+    for p = 0 to Array.length t.txns - 1 do
+      blit_txn t.txns.(p) ~into:into.txns.(p)
+    done
 
   let cfg t = t.cfg
   let mail t = t.mail

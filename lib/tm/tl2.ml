@@ -28,6 +28,13 @@ type t = {
 let fresh_txn () =
   { started = false; rv = 0; reads = []; writes = []; phase = Idle }
 
+let blit_txn txn ~into =
+  into.started <- txn.started;
+  into.rv <- txn.rv;
+  into.reads <- txn.reads;
+  into.writes <- txn.writes;
+  into.phase <- txn.phase
+
 let begin_if_needed t p =
   let txn = t.txns.(p) in
   if not txn.started then begin
@@ -64,12 +71,12 @@ let write_set txn =
 let read_value t p x =
   let txn = t.txns.(p) in
   match List.assoc_opt x txn.writes with
-  | Some v -> Some (Event.Value v)
+  | Some v -> Tm_intf.answer (Event.Value v)
   | None ->
       if locked_by_other t p x || t.version.(x) > txn.rv then None
       else begin
         txn.reads <- (x, t.version.(x)) :: txn.reads;
-        Some (Event.Value t.value.(x))
+        Tm_intf.answer (Event.Value t.value.(x))
       end
 
 (* One micro-step of the commit state machine. *)
@@ -81,7 +88,7 @@ let commit_step t p =
       | [] ->
           (* Read-only transactions need no locks and no re-validation:
              every read was validated against rv when it happened. *)
-          Some (commit t p)
+          Tm_intf.answer (commit t p)
       | ws ->
           txn.phase <- Acquiring (List.map fst ws);
           None)
@@ -90,7 +97,7 @@ let commit_step t p =
       txn.phase <- Validating (t.clock, txn.reads);
       None
   | Acquiring (x :: rest) ->
-      if locked_by_other t p x then Some (abort t p)
+      if locked_by_other t p x then Tm_intf.answer (abort t p)
       else begin
         t.lock.(x) <- Some p;
         txn.phase <- Acquiring rest;
@@ -101,14 +108,14 @@ let commit_step t p =
       None
   | Validating (wv, (x, _ver) :: rest) ->
       if locked_by_other t p x || t.version.(x) > txn.rv then
-        Some (abort t p)
+        Tm_intf.answer (abort t p)
       else begin
         txn.phase <- Validating (wv, rest);
         None
       end
   | Writing_back (_, []) ->
       release_acquired t p;
-      Some (commit t p)
+      Tm_intf.answer (commit t p)
   | Writing_back (wv, (x, v) :: rest) ->
       t.value.(x) <- v;
       t.version.(x) <- wv;
@@ -136,15 +143,15 @@ include Tm_intf.Make (struct
       txns = Array.init (cfg.nprocs + 1) (fun _ -> fresh_txn ());
     }
 
-  let copy t =
-    {
-      t with
-      mail = Tm_intf.Mailbox.copy t.mail;
-      value = Array.copy t.value;
-      version = Array.copy t.version;
-      lock = Array.copy t.lock;
-      txns = Array.map (fun txn -> { txn with started = txn.started }) t.txns;
-    }
+  let blit t ~into =
+    Tm_intf.Mailbox.blit t.mail ~into:into.mail;
+    into.clock <- t.clock;
+    Tm_intf.blit_array t.value ~into:into.value;
+    Tm_intf.blit_array t.version ~into:into.version;
+    Tm_intf.blit_array t.lock ~into:into.lock;
+    for p = 0 to Array.length t.txns - 1 do
+      blit_txn t.txns.(p) ~into:into.txns.(p)
+    done
 
   let cfg t = t.cfg
   let mail t = t.mail
@@ -154,8 +161,8 @@ include Tm_intf.Make (struct
     match inv with
     | Event.Read x -> (
         match read_value t p x with
-        | Some r -> Some r
-        | None -> Some (abort t p))
+        | Some _ as r -> r
+        | None -> Tm_intf.answer (abort t p))
     | Event.Write (x, v) ->
         let txn = t.txns.(p) in
         txn.writes <- (x, v) :: txn.writes;

@@ -55,27 +55,25 @@ module type S = sig
 
   val pending : t -> Event.proc -> Event.invocation option
 
+  val blit : t -> into:t -> unit
+  (** {!module-type-STEP.blit}: [blit src ~into] puts [into] in [src]'s
+      state. *)
+
   val copy : t -> t
-  (** [copy t] is an independent instance in the same state as [t]: the
-      same pending invocations, transactions, locks and committed store,
-      so the same future [invoke]/[poll] sequence yields the same
-      responses on either.  No mutable block is shared between the two —
-      mutating one never shows in the other.  Sharing {e within} an
-      instance is kept: if two fields of [t] reference one mutable block
-      (OSTM's commit descriptors sit both in the t-variable holders and
-      in their transaction), the copy's two fields reference one copied
-      block.  Immutable values (lists, the config, a contention-manager
-      policy) may be shared.  The exhaustive model checker relies on this
-      to expand a schedule node with at most one [copy] and one action.
-      It copies the parent's TM for each child except two kinds: the
-      last child takes the parent's instance, and an invocation at the
-      last level needs no TM. *)
+  (** [copy t] is a fresh instance of [t]'s config with [t] blitted into
+      it: an independent instance in the same state, sharing no mutable
+      block with [t].  {!pack} and the reachable-state graph copy; the
+      exhaustive model checker blits into one instance per tree level. *)
 end
 
 (** [held_by p o]: whether the owner slot [o] (a lock's holder, a
     t-variable's owner) is process [p].  A match: [o = Some p] would
     allocate the option and call the polymorphic compare on every poll. *)
 let held_by p = function Some (q : Event.proc) -> q = p | None -> false
+
+(** [blit_array a ~into] overwrites [into] with [a] (of the same length);
+    the element blocks are shared. *)
+let blit_array a ~into = Array.blit a 0 into 0 (Array.length a)
 
 (** Shared per-process pending-invocation bookkeeping. *)
 module Mailbox = struct
@@ -100,8 +98,21 @@ module Mailbox = struct
 
   let get (m : t) p = m.(p)
   let clear (m : t) p = m.(p) <- None
-  let copy : t -> t = Array.copy
+  let blit (m : t) ~(into : t) = blit_array m ~into
 end
+
+(** [answer r] is [Some r], shared rather than allocated for the constant
+    responses and for reads of the values 0..63: a [step] that answers
+    [Some (abort t p)] or [Some (Event.Value v)] allocates on every poll,
+    [answer (abort t p)] mostly does not. *)
+let answer : Event.response -> Event.response option =
+  let values = Array.init 64 (fun v -> Some (Event.Value v)) in
+  function
+  | Event.Committed -> Some Event.Committed
+  | Event.Aborted -> Some Event.Aborted
+  | Event.Ok_written -> Some Event.Ok_written
+  | Event.Value v when v >= 0 && v < Array.length values -> values.(v)
+  | Event.Value _ as r -> Some r
 
 (** The TM author's side of the protocol: the state, with the TM's own
     [cfg] and [mail] fields, and one bounded internal step. *)
@@ -111,7 +122,25 @@ module type STEP = sig
   val name : string
   val describe : string
   val create : config -> t
-  val copy : t -> t
+
+  val blit : t -> into:t -> unit
+  (** [blit src ~into] overwrites every field of [into] with [src]'s
+      state: the same pending invocations, transactions, locks and
+      committed store, so the same future [invoke]/[poll] sequence yields
+      the same responses on either.  [into] has [src]'s config and is not
+      [src].  Afterwards no mutable block of [src] is reachable from
+      [into], so mutating one never shows in the other: arrays and
+      mutable records are overwritten in place, and a block that [into]
+      has no counterpart for (an OSTM commit descriptor) is copied
+      afresh.  Sharing {e within} an
+      instance is kept: if two fields of [src] reference one mutable
+      block (OSTM's commit descriptors sit both in the t-variable holders
+      and in their transaction), [into]'s two fields reference one
+      block.  Immutable values (lists, the config, a contention-manager
+      policy) may be shared.  The exhaustive model checker relies on this
+      to expand a schedule node with at most one [blit] and one action
+      into the instance of the level below. *)
+
   val cfg : t -> config
   val mail : t -> Mailbox.t
 
@@ -126,6 +155,11 @@ end
     pending invocation and each gets one response. *)
 module Make (M : STEP) : S with type t := M.t = struct
   include M
+
+  let copy t =
+    let t' = create (cfg t) in
+    blit t ~into:t';
+    t'
 
   let invoke t p inv =
     Mailbox.check_range (cfg t) p inv;

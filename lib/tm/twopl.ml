@@ -19,6 +19,12 @@ type t = {
 
 let fresh_txn () = { started = false; doomed = false; timestamp = 0; writes = [] }
 
+let blit_txn txn ~into =
+  into.started <- txn.started;
+  into.doomed <- txn.doomed;
+  into.timestamp <- txn.timestamp;
+  into.writes <- txn.writes
+
 let begin_if_needed t p =
   let txn = t.txns.(p) in
   if not txn.started then begin
@@ -104,15 +110,17 @@ include Tm_intf.Make (struct
       txns = Array.init (cfg.nprocs + 1) (fun _ -> fresh_txn ());
     }
 
-  let copy t =
-    {
-      t with
-      mail = Tm_intf.Mailbox.copy t.mail;
-      value = Array.copy t.value;
-      readers = Array.map Array.copy t.readers;
-      writer = Array.copy t.writer;
-      txns = Array.map (fun txn -> { txn with started = txn.started }) t.txns;
-    }
+  let blit t ~into =
+    Tm_intf.Mailbox.blit t.mail ~into:into.mail;
+    into.time <- t.time;
+    Tm_intf.blit_array t.value ~into:into.value;
+    for x = 0 to Array.length t.readers - 1 do
+      Tm_intf.blit_array t.readers.(x) ~into:into.readers.(x)
+    done;
+    Tm_intf.blit_array t.writer ~into:into.writer;
+    for p = 0 to Array.length t.txns - 1 do
+      blit_txn t.txns.(p) ~into:into.txns.(p)
+    done
 
   let cfg t = t.cfg
   let mail t = t.mail
@@ -120,7 +128,7 @@ include Tm_intf.Make (struct
   let step t p inv =
     begin_if_needed t p;
     let txn = t.txns.(p) in
-    if txn.doomed then Some (deliver_abort t p)
+    if txn.doomed then Tm_intf.answer (deliver_abort t p)
     else (
       match inv with
       | Event.Read x -> (
@@ -135,7 +143,7 @@ include Tm_intf.Make (struct
                 | Some v -> v
                 | None -> t.value.(x)
               in
-              Some (Event.Value v))
+              Tm_intf.answer (Event.Value v))
       | Event.Write (x, v) ->
           if blockers t p <> [] then begin
             break_deadlock t p;

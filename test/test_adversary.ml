@@ -34,12 +34,9 @@ module Bogus : Tm_impl.Tm_intf.S = struct
         cfg;
       }
 
-    let copy t =
-      {
-        t with
-        mail = Tm_impl.Tm_intf.Mailbox.copy t.mail;
-        store = Array.copy t.store;
-      }
+    let blit t ~into =
+      Tm_impl.Tm_intf.Mailbox.blit t.mail ~into:into.mail;
+      Tm_impl.Tm_intf.blit_array t.store ~into:into.store
 
     let cfg t = t.cfg
     let mail t = t.mail

@@ -184,14 +184,11 @@ module Fgp_literal = struct
         vals = Array.make_matrix (cfg.nprocs + 1) cfg.ntvars 0;
       }
 
-    let copy t =
-      {
-        t with
-        mail = Intf.Mailbox.copy t.mail;
-        status = Array.copy t.status;
-        cp = Array.copy t.cp;
-        vals = Array.map Array.copy t.vals;
-      }
+    let blit t ~into =
+      Intf.Mailbox.blit t.mail ~into:into.mail;
+      Intf.blit_array t.status ~into:into.status;
+      Intf.blit_array t.cp ~into:into.cp;
+      Array.iteri (fun k row -> Intf.blit_array row ~into:into.vals.(k)) t.vals
 
     let cfg t = t.cfg
     let mail t = t.mail
