@@ -30,23 +30,42 @@ row trail-no-undo --case "resumption is invisible" lib/safety/monitor.ml \
 
 # Put back the uniform scheduler's per-tick List.filter over all
 # processes: the schedule is unchanged, but the runner's words per step
-# (<= 10 words) read 17.2 (4.3 without it).
+# (<= 10 words) read 16.3 (3.45 without it).
 row per-tick-live-filter --case "runner words per step" lib/sim/runner.ml \
   's/^  let rr = ref 0 in$/  let all_procs = List.init n succ in\n  let rr = ref 0 in/;s/^    | Uniform -> live.(Prng.int sched_prng !nlive)$/    | Uniform ->\n        let procs = List.filter (fun q -> not (crashed tick q)) all_procs in\n        List.nth procs (Prng.int sched_prng (List.length procs))/' \
   -- dune exec test/test_sim.exe -- test "pipeline allocation" 4
 
 # The model checker blits each child but the last into the TM of the
 # level below.  Give each such child a copy of its parent's TM instead:
-# the preorder is unchanged, but the words per node (<= 14 words) read
-# 23.0 (10.96 with the blit).
+# the preorder is unchanged, but the words per node (<= 10 words) read
+# 19.3 (7.30 with the blit).
 row walk-copies --case "enumeration words per node" lib/sim/sweep.ml \
   's/^      M.blit tm ~into:below;$/      ignore below;/;s/^      below$/      M.copy tm/' \
   -- dune exec test/test_sim.exe -- test "pipeline allocation" 1
 
+# A counter body is immutable, so every draw of a t-variable below 64
+# returns one shared body.  Build a fresh body on every draw: the
+# schedule is unchanged, but the runner's words per event over a TM
+# that allocates nothing (<= 2) read 3.8 (1.28 with the shared ones).
+row counter-fresh-body --case "runner alone words per event" \
+  lib/sim/workload.ml \
+  's/if x < Array.length counter_bodies then counter_bodies.(x)/if false then counter_bodies.(x)/' \
+  -- dune exec test/test_sim.exe -- test "pipeline allocation" 9
+
+# Tm_intf.write_set builds a write set in one pass over the pairs it
+# has.  Put back the definition it replaced, a List.sort_uniq of the
+# variables and a List.assoc for each: the verdicts are unchanged, but
+# tl2's words per node at depth 8 (<= 9.5) read 10.4 (7.46 with the
+# one pass).
+row write-set-sort-uniq --case "enumeration words per node, whole zoo" \
+  --expect 'tl2: words per enumerated node at depth 8' lib/tm/tm_intf.ml \
+  's/^  | \[\] | \[ _ \] -> writes$/  | _ when true -> ignore insert; List.sort_uniq Int.compare (List.map fst writes) |> List.map (fun x -> (x, List.assoc x writes))/' \
+  -- dune exec test/test_sim.exe -- test "pipeline allocation" 8
+
 # An untraced sweep run builds no history: Runner.metrics tallies its
 # metrics as it goes.  Run it through Runner.run and keep the history
 # in the result: the metrics are unchanged, but the live words
-# (<= 4,000) read 135,645 (1,440 without it).
+# (<= 4,000) read 126,635 (1,440 without it).
 row untraced-history --case "untraced sweep retains no histories" \
   lib/sim/sweep.ml \
   's/else { r_config = c; r_metrics = Runner.metrics c.tm c.spec; r_traced = None }/else let o = Runner.run c.tm c.spec in { r_config = c; r_metrics = o.Runner.metrics; r_traced = Some { t_history = o.Runner.history; t_trace = [] } }/' \
@@ -94,7 +113,7 @@ row mvstm-mid-commit-verdicts --status 1 \
 # process's tryC with an abort: the test reads every poll edge's
 # response from the state graph.
 row fgp-lone-abort --case "figure 15 has no abort transition" lib/tm/fgp.ml \
-  's/^            else deliver_commit t p))$/            else if t.cfg.nprocs = 1 then deliver_abort ~priority t p\n            else deliver_commit t p))/' \
+  's/^             else deliver_commit t p))$/             else if t.cfg.nprocs = 1 then deliver_abort ~priority t p\n             else deliver_commit t p))/' \
   -- dune exec test/test_tm.exe -- test "fgp figures" 2
 
 # Exhaustive.graph expands a child only when its key is new.  Expand

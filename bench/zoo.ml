@@ -14,12 +14,7 @@ let toggle =
     [
       [
         Tm_sim.Workload.W_read 0;
-        Tm_sim.Workload.W_write
-          ( 0,
-            fun reads ->
-              match List.assoc_opt 0 reads with
-              | Some v -> 1 - v
-              | None -> 1 );
+        Tm_sim.Workload.W_write (0, fun latest -> 1 - latest 0);
       ];
     ]
 

@@ -18,8 +18,9 @@ let exec_op tm history p inv =
   | None -> failwith "controlled executor: TM not responding"
 
 (* Run one body to completion; [`Committed] or [`Aborted] (one attempt). *)
-let attempt tm history p body =
-  let rec ops reads = function
+let attempt tm history reads p body =
+  Workload.Reads.next_attempt reads;
+  let rec ops = function
     | [] -> (
         match exec_op tm history p Event.Try_commit with
         | Event.Committed -> `Committed
@@ -27,16 +28,19 @@ let attempt tm history p body =
         | Event.Value _ | Event.Ok_written -> assert false)
     | Workload.W_read x :: rest -> (
         match exec_op tm history p (Event.Read x) with
-        | Event.Value v -> ops ((x, v) :: reads) rest
+        | Event.Value v ->
+            Workload.Reads.record reads x v;
+            ops rest
         | Event.Aborted -> `Aborted
         | Event.Ok_written | Event.Committed -> assert false)
     | Workload.W_write (x, f) :: rest -> (
-        match exec_op tm history p (Event.Write (x, f reads)) with
-        | Event.Ok_written -> ops reads rest
+        let v = f (Workload.Reads.latest reads) in
+        match exec_op tm history p (Event.Write (x, v)) with
+        | Event.Ok_written -> ops rest
         | Event.Aborted -> `Aborted
         | Event.Value _ | Event.Committed -> assert false)
   in
-  ops [] body
+  ops body
 
 let run entry ~nprocs ~ntvars ~submissions ~workload ~seed =
   let cfg = Tm_impl.Tm_intf.config ~seed ~nprocs ~ntvars () in
@@ -46,6 +50,7 @@ let run entry ~nprocs ~ntvars ~submissions ~workload ~seed =
   let history = ref History.empty in
   let committed = Array.make (nprocs + 1) 0 in
   let retries = Array.make (nprocs + 1) 0 in
+  let reads = Workload.Reads.create ~ntvars in
   (* Round-robin over the submission queues: the TM (executor) decides the
      schedule, and it never interleaves two bodies — which is precisely
      the control the environment gives up in this model. *)
@@ -56,7 +61,7 @@ let run entry ~nprocs ~ntvars ~submissions ~workload ~seed =
         if k > 1000 then
           failwith "controlled executor: body cannot commit in isolation"
         else
-          match attempt tm history p body with
+          match attempt tm history reads p body with
           | `Committed -> committed.(p) <- committed.(p) + 1
           | `Aborted ->
               retries.(p) <- retries.(p) + 1;

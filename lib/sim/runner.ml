@@ -47,7 +47,8 @@ type pstate = {
   workload : Workload.t;
   mutable mode : mode;
   mutable body : Workload.op list;  (** remaining ops before tryC *)
-  mutable reads_acc : (Event.tvar * Event.value) list;  (** latest first *)
+  reads : Workload.Reads.t;  (** what the current attempt has read *)
+  latest : Event.tvar -> Event.value;  (** [Workload.Reads.latest reads] *)
   mutable txn_index : int;  (** committed transactions so far *)
   mutable parasite_counter : int;
   mutable ok_count : int;  (** write acknowledgements received, ever *)
@@ -90,12 +91,14 @@ let drive ~keep ?trace (entry : Tm_impl.Registry.entry) s =
   let master = Prng.create s.seed in
   let ps =
     Array.init (n + 1) (fun p ->
+        let reads = Workload.Reads.create ~ntvars:s.ntvars in
         {
           prng = Prng.split master;
           workload = workload_of s p;
           mode = Normal;
           body = [];
-          reads_acc = [];
+          reads;
+          latest = Workload.Reads.latest reads;
           txn_index = 0;
           parasite_counter = 0;
           ok_count = 0;
@@ -193,7 +196,7 @@ let drive ~keep ?trace (entry : Tm_impl.Registry.entry) s =
         st.body <-
           parasite_workload.Workload.body st.prng st.parasite_counter
     | Normal -> st.body <- st.workload.Workload.body st.prng st.txn_index);
-    st.reads_acc <- []
+    Workload.Reads.next_attempt st.reads
   in
 
   let handle_response p (st : pstate) (inv : Event.invocation option) resp =
@@ -222,7 +225,7 @@ let drive ~keep ?trace (entry : Tm_impl.Registry.entry) s =
     match (resp : Event.response) with
     | Event.Value v -> (
         match inv with
-        | Some (Event.Read x) -> st.reads_acc <- (x, v) :: st.reads_acc
+        | Some (Event.Read x) -> Workload.Reads.record st.reads x v
         | Some (Event.Write _ | Event.Try_commit) | None -> ())
     | Event.Ok_written ->
         st.ok_count <- st.ok_count + 1;
@@ -245,7 +248,7 @@ let drive ~keep ?trace (entry : Tm_impl.Registry.entry) s =
           read_inv x
       | Workload.W_write (x, f) :: rest ->
           st.body <- rest;
-          Event.Write (x, f st.reads_acc)
+          Event.Write (x, f st.latest)
       | [] -> (
           match st.mode with
           | Normal -> Event.Try_commit
@@ -259,7 +262,7 @@ let drive ~keep ?trace (entry : Tm_impl.Registry.entry) s =
                   read_inv x
               | Workload.W_write (x, f) :: rest ->
                   st.body <- rest;
-                  Event.Write (x, f st.reads_acc)
+                  Event.Write (x, f st.latest)
               | [] -> invalid_arg "parasite workload produced an empty body"))
     in
     invocations.(p) <- invocations.(p) + 1;

@@ -33,11 +33,7 @@ type windows = { stalls : int; runner_commits : int list }
 
 (* Read the hot t-variable, then increment it three times. *)
 let hot =
-  let inc =
-    Workload.W_write
-      (0, fun reads ->
-        (match List.assoc_opt 0 reads with Some v -> v | None -> 0) + 1)
-  in
+  let inc = Workload.W_write (0, fun latest -> latest 0 + 1) in
   Workload.fixed [ [ Workload.W_read 0; inc; inc; inc ] ]
 
 let crash_windows ?(samples = 40) entry =

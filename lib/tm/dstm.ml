@@ -52,18 +52,13 @@ let begin_if_needed t p =
 
 (* Abort p's transaction: drop its ownerships (tentative values are simply
    forgotten; the committed values were never touched). *)
-let release_ownerships t p =
-  Array.iteri
-    (fun x o -> if Tm_intf.held_by p o then t.owner.(x) <- None)
-    t.owner
-
 let deliver_abort t p =
-  release_ownerships t p;
+  Tm_intf.release p t.owner;
   t.txns.(p) <- fresh_txn ();
   Event.Aborted
 
 let doom t q =
-  release_ownerships t q;
+  Tm_intf.release q t.owner;
   t.txns.(q).doomed <- true
 
 let view_of t p =
@@ -77,8 +72,7 @@ let view_of t p =
 
 (* Value-based validation: every read must still see its value in the
    committed state. *)
-let reads_valid t p =
-  List.for_all (fun (x, v) -> t.committed.(x) = v) t.txns.(p).reads
+let reads_valid t p = Tm_intf.values_hold t.committed t.txns.(p).reads
 
 (* Resolve a conflict between p and the owner q of variable x.
    Returns [`Proceed] if p may now use x, [`Wait], or [`Abort_self]. *)
@@ -95,55 +89,65 @@ let resolve t p q =
       `Wait
   | Cm.Abort_self -> `Abort_self
 
+(* Whether p may use variable x now, settling a conflict with its owner
+   through the contention manager. *)
+let claim t p x =
+  match t.owner.(x) with
+  | Some q when q <> p -> resolve t p q
+  | Some _ | None -> `Proceed
+
+let read t p x =
+  let txn = t.txns.(p) in
+  let v =
+    if Tm_intf.held_by p t.owner.(x) then t.tentative.(x)
+    else t.committed.(x)
+  in
+  if not (Tm_intf.held_by p t.owner.(x)) then
+    txn.reads <- (x, v) :: txn.reads;
+  txn.ops_done <- txn.ops_done + 1;
+  txn.waits <- 0;
+  Tm_intf.value v
+
+let write t p x v =
+  let txn = t.txns.(p) in
+  if not (Tm_intf.held_by p t.owner.(x)) then t.owner.(x) <- Some p;
+  t.tentative.(x) <- v;
+  txn.ops_done <- txn.ops_done + 1;
+  txn.waits <- 0;
+  Some Event.Ok_written
+
+(* Commit is one atomic step: re-validate reads, then install tentative
+   values. *)
+let try_commit t p =
+  if not (reads_valid t p) then Tm_intf.answer (deliver_abort t p)
+  else begin
+    for x = 0 to Array.length t.owner - 1 do
+      if Tm_intf.held_by p t.owner.(x) then begin
+        t.committed.(x) <- t.tentative.(x);
+        t.owner.(x) <- None
+      end
+    done;
+    t.txns.(p) <- fresh_txn ();
+    Some Event.Committed
+  end
+
 let step t p inv =
   begin_if_needed t p;
-  let txn = t.txns.(p) in
-  if txn.doomed then Tm_intf.answer (deliver_abort t p)
+  if t.txns.(p).doomed then Tm_intf.answer (deliver_abort t p)
   else if not (reads_valid t p) then Tm_intf.answer (deliver_abort t p)
   else
-    let use_variable x k =
-      match t.owner.(x) with
-      | Some q when q <> p -> (
-          match resolve t p q with
-          | `Proceed -> k ()
-          | `Wait -> None
-          | `Abort_self -> Tm_intf.answer (deliver_abort t p))
-      | Some _ | None -> k ()
-    in
     match inv with
-    | Event.Read x ->
-        use_variable x (fun () ->
-            let v =
-              if Tm_intf.held_by p t.owner.(x) then t.tentative.(x)
-              else t.committed.(x)
-            in
-            if not (Tm_intf.held_by p t.owner.(x)) then
-              txn.reads <- (x, v) :: txn.reads;
-            txn.ops_done <- txn.ops_done + 1;
-            txn.waits <- 0;
-            Tm_intf.answer (Event.Value v))
-    | Event.Write (x, v) ->
-        use_variable x (fun () ->
-            if not (Tm_intf.held_by p t.owner.(x)) then t.owner.(x) <- Some p;
-            t.tentative.(x) <- v;
-            txn.ops_done <- txn.ops_done + 1;
-            txn.waits <- 0;
-            Some Event.Ok_written)
-    | Event.Try_commit ->
-        (* Commit is one atomic step: re-validate reads, then install
-           tentative values. *)
-        if not (reads_valid t p) then Tm_intf.answer (deliver_abort t p)
-        else begin
-          Array.iteri
-            (fun x o ->
-              if Tm_intf.held_by p o then begin
-                t.committed.(x) <- t.tentative.(x);
-                t.owner.(x) <- None
-              end)
-            t.owner;
-          t.txns.(p) <- fresh_txn ();
-          Some Event.Committed
-        end
+    | Event.Read x -> (
+        match claim t p x with
+        | `Proceed -> read t p x
+        | `Wait -> None
+        | `Abort_self -> Tm_intf.answer (deliver_abort t p))
+    | Event.Write (x, v) -> (
+        match claim t p x with
+        | `Proceed -> write t p x v
+        | `Wait -> None
+        | `Abort_self -> Tm_intf.answer (deliver_abort t p))
+    | Event.Try_commit -> try_commit t p
 
 module Variant (C : sig
   val cm : Cm.t

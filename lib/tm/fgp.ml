@@ -41,17 +41,17 @@ let higher_priority_active t p =
   !active
 
 let step ~priority t p inv =
-  Tm_intf.answer
-    (match t.status.(p) with
-    | `A -> deliver_abort ~priority t p
-    | `C -> (
-        match inv with
-        | Event.Read x -> Event.Value t.vals.(p).(x)
-        | Event.Write (_, _) -> Event.Ok_written
-        | Event.Try_commit ->
-            if priority && higher_priority_active t p then
-              deliver_abort ~priority t p
-            else deliver_commit t p))
+  match t.status.(p) with
+  | `A -> Tm_intf.answer (deliver_abort ~priority t p)
+  | `C -> (
+      match inv with
+      | Event.Read x -> Tm_intf.value t.vals.(p).(x)
+      | Event.Write (_, _) -> Tm_intf.answer Event.Ok_written
+      | Event.Try_commit ->
+          Tm_intf.answer
+            (if priority && higher_priority_active t p then
+               deliver_abort ~priority t p
+             else deliver_commit t p))
 
 (* The two variants share everything but their name and the [priority]
    rules of [step]. *)

@@ -66,13 +66,12 @@ include Tm_intf.Make (struct
   let step t p inv =
     if not (holds_lock t p || try_acquire t p) then None
     else
-      Tm_intf.answer
-        (match inv with
-        | Event.Read x -> Event.Value t.store.(x)
-        | Event.Write (x, v) ->
-            t.store.(x) <- v;
-            Event.Ok_written
-        | Event.Try_commit ->
-            release t;
-            Event.Committed)
+      match inv with
+      | Event.Read x -> Tm_intf.value t.store.(x)
+      | Event.Write (x, v) ->
+          t.store.(x) <- v;
+          Tm_intf.answer Event.Ok_written
+      | Event.Try_commit ->
+          release t;
+          Tm_intf.answer Event.Committed
 end)

@@ -1,6 +1,9 @@
 open Tm_history
 
-type commit_phase = Idle | Acquiring of Event.tvar list
+type commit_phase =
+  | Idle
+  | Acquiring of (Event.tvar * Event.value) list
+      (** write-set entries still to lock *)
 
 type txn = {
   mutable started : bool;
@@ -40,14 +43,13 @@ let begin_if_needed t p =
     txn.phase <- Idle
   end
 
-(* Newest version no newer than the snapshot: always exists because
-   version 0 of everything is the initial value. *)
-let read_at t x rv =
-  let rec find = function
-    | [] -> assert false
-    | (ver, v) :: rest -> if ver <= rv then (ver, v) else find rest
-  in
-  find t.versions.(x)
+(* Newest version no newer than the snapshot, of a t-variable's
+   versions: always exists because version 0 of everything is the
+   initial value. *)
+let rec read_at (rv : int) = function
+  | [] -> assert false
+  | ((ver, _) as version) :: rest ->
+      if ver <= rv then version else read_at rv rest
 
 let latest_version t x =
   match t.versions.(x) with (ver, _) :: _ -> ver | [] -> assert false
@@ -55,31 +57,34 @@ let latest_version t x =
 let locked_by_other t p x =
   match t.lock.(x) with Some q -> q <> p | None -> false
 
-let release_acquired t p =
-  Array.iteri
-    (fun x o -> if Tm_intf.held_by p o then t.lock.(x) <- None)
-    t.lock
-
 let abort t p =
-  release_acquired t p;
+  Tm_intf.release p t.lock;
   t.txns.(p) <- fresh_txn ();
   Event.Aborted
 
-let write_set txn =
-  List.sort_uniq Int.compare (List.map fst txn.writes)
-  |> List.map (fun x -> (x, List.assoc x txn.writes))
+(* Whether every read is still of its t-variable's latest version. *)
+let rec still_latest t = function
+  | [] -> true
+  | (x, ver) :: rest -> latest_version t x = ver && still_latest t rest
+
+(* Install a write set as version [wv]. *)
+let rec install t wv = function
+  | [] -> ()
+  | (x, v) :: rest ->
+      t.versions.(x) <- (wv, v) :: t.versions.(x);
+      install t wv rest
 
 let commit_step t p =
   let txn = t.txns.(p) in
   match txn.phase with
   | Idle -> (
-      match write_set txn with
+      match Tm_intf.write_set txn.writes with
       | [] ->
           (* Read-only: the snapshot is consistent by construction. *)
           t.txns.(p) <- fresh_txn ();
           Some Event.Committed
       | ws ->
-          txn.phase <- Acquiring (List.map fst ws);
+          txn.phase <- Acquiring ws;
           None)
   | Acquiring [] ->
       (* First-committer-wins: every read must still be of the latest
@@ -87,21 +92,15 @@ let commit_step t p =
          writes were computed from.  Installation is a single atomic step:
          a multi-step install would let a reader whose snapshot is the new
          clock value observe half of this commit. *)
-      let valid =
-        List.for_all (fun (x, ver) -> latest_version t x = ver) txn.reads
-      in
-      if not valid then Tm_intf.answer (abort t p)
+      if not (still_latest t txn.reads) then Tm_intf.answer (abort t p)
       else begin
         t.clock <- t.clock + 1;
-        let wv = t.clock in
-        List.iter
-          (fun (x, v) -> t.versions.(x) <- (wv, v) :: t.versions.(x))
-          (write_set txn);
-        release_acquired t p;
+        install t t.clock (Tm_intf.write_set txn.writes);
+        Tm_intf.release p t.lock;
         t.txns.(p) <- fresh_txn ();
         Some Event.Committed
       end
-  | Acquiring (x :: rest) ->
+  | Acquiring ((x, _) :: rest) ->
       if locked_by_other t p x then Tm_intf.answer (abort t p)
       else begin
         t.lock.(x) <- Some p;
@@ -146,11 +145,11 @@ include Tm_intf.Make (struct
     match inv with
     | Event.Read x -> (
         match List.assoc_opt x txn.writes with
-        | Some v -> Tm_intf.answer (Event.Value v)
+        | Some v -> Tm_intf.value v
         | None ->
-            let ver, v = read_at t x txn.rv in
+            let ver, v = read_at txn.rv t.versions.(x) in
             txn.reads <- (x, ver) :: txn.reads;
-            Tm_intf.answer (Event.Value v))
+            Tm_intf.value v)
     | Event.Write (x, v) ->
         txn.writes <- (x, v) :: txn.writes;
         Some Event.Ok_written

@@ -50,15 +50,11 @@ let abort t p =
    snapshot. *)
 let revalidate t p =
   let txn = t.txns.(p) in
-  if List.for_all (fun (x, v) -> t.value.(x) = v) txn.reads then begin
+  if Tm_intf.values_hold t.value txn.reads then begin
     txn.snapshot <- t.counter;
     true
   end
   else false
-
-let write_set txn =
-  List.sort_uniq Int.compare (List.map fst txn.writes)
-  |> List.map (fun x -> (x, List.assoc x txn.writes))
 
 include Tm_intf.Make (struct
   type nonrec t = t
@@ -97,7 +93,7 @@ include Tm_intf.Make (struct
     match inv with
     | Event.Read x -> (
         match List.assoc_opt x txn.writes with
-        | Some v -> Tm_intf.answer (Event.Value v)
+        | Some v -> Tm_intf.value v
         | None ->
             (* Wait out an in-flight writer: its write-back is not an
                atomic snapshot. *)
@@ -108,7 +104,7 @@ include Tm_intf.Make (struct
             else begin
               let v = t.value.(x) in
               txn.reads <- (x, v) :: txn.reads;
-              Tm_intf.answer (Event.Value v)
+              Tm_intf.value v
             end)
     | Event.Write (x, v) ->
         txn.writes <- (x, v) :: txn.writes;
@@ -116,7 +112,7 @@ include Tm_intf.Make (struct
     | Event.Try_commit -> (
         match txn.phase with
         | Idle ->
-            if write_set txn = [] then
+            if txn.writes = [] then
               (* Read-only: the read set was coherent at the last
                  (re)validation and no writer has intervened since the
                  snapshot was adopted. *)
@@ -130,7 +126,7 @@ include Tm_intf.Make (struct
               t.writer <- Some p;
               if not (revalidate t p) then Tm_intf.answer (abort t p)
               else begin
-                txn.phase <- Writing_back (write_set txn);
+                txn.phase <- Writing_back (Tm_intf.write_set txn.writes);
                 None
               end
             end

@@ -4,7 +4,7 @@ open Tm_history
    everything needed to finish the commit, so any process can advance it —
    [advance] below is called both by the owner's polls and by helpers. *)
 type phase =
-  | Acquiring of Event.tvar list
+  | Acquiring of (Event.tvar * Event.value) list  (** still to acquire *)
   | Checking of (Event.tvar * int) list
   | Writing of (Event.tvar * Event.value) list
   | Done of bool  (** success? *)
@@ -49,12 +49,11 @@ let begin_if_needed t p =
   end
 
 let release t d =
-  Array.iteri
-    (fun x h ->
-      match h with
-      | Some d' when d' == d -> t.holder.(x) <- None
-      | Some _ | None -> ())
-    t.holder
+  for x = 0 to Array.length t.holder - 1 do
+    match t.holder.(x) with
+    | Some d' when d' == d -> t.holder.(x) <- None
+    | Some _ | None -> ()
+  done
 
 (* One transition of a descriptor's commit procedure.  The owner performs
    one per poll (so a crash can strand a half-done commit); a process that
@@ -68,7 +67,7 @@ let rec advance_step t d =
       t.clock <- t.clock + 1;
       d.d_wv <- t.clock;
       d.d_phase <- Checking d.d_reads
-  | Acquiring (x :: rest) -> (
+  | Acquiring ((x, _) :: rest) -> (
       match t.holder.(x) with
       | Some d' when d' != d ->
           (* Finish the other commit, then retry this acquisition on the
@@ -101,10 +100,6 @@ and advance_full t d =
   | Acquiring _ | Checking _ | Writing _ ->
       advance_step t d;
       advance_full t d
-
-let write_set txn =
-  List.sort_uniq Int.compare (List.map fst txn.writes)
-  |> List.map (fun x -> (x, List.assoc x txn.writes))
 
 let abort t p =
   (match t.txns.(p).desc with Some d -> release t d | None -> ());
@@ -175,7 +170,7 @@ include Tm_intf.Make (struct
     match inv with
     | Event.Read x -> (
         match List.assoc_opt x txn.writes with
-        | Some v -> Tm_intf.answer (Event.Value v)
+        | Some v -> Tm_intf.value v
         | None ->
             (* Help any in-flight commit holding x to completion, then
                read. *)
@@ -185,33 +180,33 @@ include Tm_intf.Make (struct
             if t.version.(x) > txn.rv then Tm_intf.answer (abort t p)
             else begin
               txn.reads <- (x, t.version.(x)) :: txn.reads;
-              Tm_intf.answer (Event.Value t.value.(x))
+              Tm_intf.value t.value.(x)
             end)
     | Event.Write (x, v) ->
         txn.writes <- (x, v) :: txn.writes;
         Some Event.Ok_written
     | Event.Try_commit -> (
         match txn.desc with
-        | None ->
-            if write_set txn = [] then
-              (* Read-only: reads were validated against rv as they
-                 happened. *)
-              Tm_intf.answer (commit t p)
-            else begin
-              let d =
-                {
-                  d_rv = txn.rv;
-                  d_reads = txn.reads;
-                  d_writes = write_set txn;
-                  d_wv = 0;
-                  d_phase = Acquiring (List.map fst (write_set txn));
-                }
-              in
-              txn.desc <- Some d;
-              (* One poll publishes the descriptor; the next drives it.
-                 Helpers may finish it in between. *)
-              None
-            end
+        | None -> (
+            match Tm_intf.write_set txn.writes with
+            | [] ->
+                (* Read-only: reads were validated against rv as they
+                   happened. *)
+                Tm_intf.answer (commit t p)
+            | ws ->
+                let d =
+                  {
+                    d_rv = txn.rv;
+                    d_reads = txn.reads;
+                    d_writes = ws;
+                    d_wv = 0;
+                    d_phase = Acquiring ws;
+                  }
+                in
+                txn.desc <- Some d;
+                (* One poll publishes the descriptor; the next drives it.
+                   Helpers may finish it in between. *)
+                None)
         | Some d -> (
             advance_step t d;
             match d.d_phase with

@@ -15,10 +15,20 @@ type t = {
 
 let fresh_txn () = { live = false; reads = []; writes = [] }
 
-let others_live t p =
-  let live = ref false in
-  Array.iteri (fun q txn -> if q <> p && q > 0 && txn.live then live := true) t.txns;
-  !live
+(* Whether a process from [q] on, other than [p], has a live
+   transaction. *)
+let rec live_from t p q =
+  q < Array.length t.txns
+  && ((q <> p && t.txns.(q).live) || live_from t p (q + 1))
+
+let others_live t p = live_from t p 1
+
+(* Apply writes oldest first, so a variable's latest write lands last. *)
+let rec apply store = function
+  | [] -> ()
+  | (x, v) :: older ->
+      apply store older;
+      store.(x) <- v
 
 include Tm_intf.Make (struct
   type nonrec t = t
@@ -54,34 +64,34 @@ include Tm_intf.Make (struct
   let step t p inv =
     let txn = t.txns.(p) in
     txn.live <- true;
-    Tm_intf.answer
-      (match inv with
-      | Event.Read x -> (
-          match List.assoc_opt x txn.writes with
-          | Some v -> Event.Value v
-          | None ->
-              (* Reads return the committed value; since writers commit
-                 only in quiescence, the whole read set is automatically
-                 a consistent snapshot as long as this transaction lives
-                 (nobody can commit while it does). *)
-              let v = t.store.(x) in
-              txn.reads <- (x, v) :: txn.reads;
-              Event.Value v)
-      | Event.Write (x, v) ->
-          txn.writes <- (x, v) :: txn.writes;
-          Event.Ok_written
-      | Event.Try_commit ->
-          if txn.writes = [] then begin
-            t.txns.(p) <- fresh_txn ();
-            Event.Committed
-          end
-          else if others_live t p then begin
-            t.txns.(p) <- fresh_txn ();
-            Event.Aborted
-          end
-          else begin
-            List.iter (fun (x, v) -> t.store.(x) <- v) (List.rev txn.writes);
-            t.txns.(p) <- fresh_txn ();
-            Event.Committed
-          end)
+    match inv with
+    | Event.Read x -> (
+        match List.assoc_opt x txn.writes with
+        | Some v -> Tm_intf.value v
+        | None ->
+            (* Reads return the committed value; since writers commit
+               only in quiescence, the whole read set is automatically
+               a consistent snapshot as long as this transaction lives
+               (nobody can commit while it does). *)
+            let v = t.store.(x) in
+            txn.reads <- (x, v) :: txn.reads;
+            Tm_intf.value v)
+    | Event.Write (x, v) ->
+        txn.writes <- (x, v) :: txn.writes;
+        Tm_intf.answer Event.Ok_written
+    | Event.Try_commit ->
+        Tm_intf.answer
+          (if txn.writes = [] then begin
+             t.txns.(p) <- fresh_txn ();
+             Event.Committed
+           end
+           else if others_live t p then begin
+             t.txns.(p) <- fresh_txn ();
+             Event.Aborted
+           end
+           else begin
+             apply t.store txn.writes;
+             t.txns.(p) <- fresh_txn ();
+             Event.Committed
+           end)
 end)

@@ -53,19 +53,29 @@ let begin_if_needed t p =
     txn.rv <- t.clock
   end
 
-let release_locks t p =
-  Array.iteri
-    (fun x o -> if Tm_intf.held_by p o then t.wlock.(x) <- None)
-    t.wlock
-
 let deliver_abort t p =
-  release_locks t p;
+  Tm_intf.release p t.wlock;
   t.txns.(p) <- fresh_txn ();
   Event.Aborted
 
 let doom t q =
-  release_locks t q;
+  Tm_intf.release q t.wlock;
   t.txns.(q).doomed <- true
+
+(* Whether every read still sits at the version it read, and no later
+   than [rv]. *)
+let rec reads_valid t rv = function
+  | [] -> true
+  | (x, ver) :: rest ->
+      t.version.(x) = ver && t.version.(x) <= rv && reads_valid t rv rest
+
+(* Install a write set at version [wv]. *)
+let rec install t wv = function
+  | [] -> ()
+  | (x, v) :: rest ->
+      t.value.(x) <- v;
+      t.version.(x) <- wv;
+      install t wv rest
 
 include Tm_intf.Make (struct
   type nonrec t = t
@@ -113,13 +123,13 @@ include Tm_intf.Make (struct
           match List.assoc_opt x txn.writes with
           | Some v ->
               txn.ops_done <- txn.ops_done + 1;
-              Tm_intf.answer (Event.Value v)
+              Tm_intf.value v
           | None ->
               if t.version.(x) > txn.rv then Tm_intf.answer (deliver_abort t p)
               else begin
                 txn.reads <- (x, t.version.(x)) :: txn.reads;
                 txn.ops_done <- txn.ops_done + 1;
-                Tm_intf.answer (Event.Value t.value.(x))
+                Tm_intf.value t.value.(x)
               end)
       | Event.Write (x, v) -> (
           match t.wlock.(x) with
@@ -150,26 +160,14 @@ include Tm_intf.Make (struct
              a reader whose snapshot is the new clock value observe half
              of the commit.  SwissTM's fault character lives in its
              eager encounter-time write locks, which is unaffected. *)
-          let valid =
-            List.for_all
-              (fun (x, ver) -> t.version.(x) = ver && t.version.(x) <= txn.rv)
-              txn.reads
-          in
-          if not valid then Tm_intf.answer (deliver_abort t p)
+          if not (reads_valid t txn.rv txn.reads) then
+            Tm_intf.answer (deliver_abort t p)
           else begin
             (if txn.writes <> [] then begin
                t.clock <- t.clock + 1;
-               let wv = t.clock in
-               let vars =
-                 List.sort_uniq Int.compare (List.map fst txn.writes)
-               in
-               List.iter
-                 (fun x ->
-                   t.value.(x) <- List.assoc x txn.writes;
-                   t.version.(x) <- wv)
-                 vars
+               install t t.clock (Tm_intf.write_set txn.writes)
              end);
-            release_locks t p;
+            Tm_intf.release p t.wlock;
             t.txns.(p) <- fresh_txn ();
             Some Event.Committed
           end)

@@ -41,96 +41,95 @@ let locked_by_other t p x =
 
 let owns t p x = Tm_intf.held_by p t.lock.(x)
 
-(* Roll back in-place writes (newest first restores the oldest state last,
-   which is what we want since undo is newest-first and we restore each
-   variable to its pre-transaction state the last time it appears). *)
-let abort t p =
-  let txn = t.txns.(p) in
-  List.iter
-    (fun (x, v, ver) ->
+(* Roll back in-place writes, oldest first, so the newest entry is
+   restored last (each variable restored to its pre-transaction state
+   the last time it appears). *)
+let rec undo t = function
+  | [] -> ()
+  | (x, v, ver) :: older ->
+      undo t older;
       t.value.(x) <- v;
-      t.version.(x) <- ver)
-    (List.rev txn.undo);
-  Array.iteri
-    (fun x o -> if Tm_intf.held_by p o then t.lock.(x) <- None)
-    t.lock;
+      t.version.(x) <- ver
+
+let abort t p =
+  undo t t.txns.(p).undo;
+  Tm_intf.release p t.lock;
   t.txns.(p) <- fresh_txn ();
   Event.Aborted
 
 (* Timestamp extension: if every recorded read still sits at the version
    it was read at (and is not locked by someone else), the snapshot can be
    moved forward to the current clock. *)
+let rec unchanged t p = function
+  | [] -> true
+  | (x, ver) :: rest ->
+      t.version.(x) = ver && (not (locked_by_other t p x)) && unchanged t p rest
+
 let try_extend t p =
   let txn = t.txns.(p) in
-  t.extension
-  && List.for_all
-       (fun (x, ver) ->
-         t.version.(x) = ver && not (locked_by_other t p x))
-       txn.reads
+  t.extension && unchanged t p txn.reads
   && begin
        txn.rv <- t.clock;
        true
      end
 
+(* Each read must still sit at the exact version it was read at (own
+   locks are fine: the version was checked when the lock was taken). *)
+let rec reads_valid t p = function
+  | [] -> true
+  | (x, ver) :: rest ->
+      (owns t p x || ((not (locked_by_other t p x)) && t.version.(x) = ver))
+      && reads_valid t p rest
+
 let step t p inv =
   begin_if_needed t p;
   let txn = t.txns.(p) in
-  Tm_intf.answer
-    (match inv with
-    | Event.Read x ->
-        if owns t p x then Event.Value t.value.(x)
-        else if locked_by_other t p x then abort t p
-        else if t.version.(x) > txn.rv && not (try_extend t p) then
-          abort t p
-        else begin
-          txn.reads <- (x, t.version.(x)) :: txn.reads;
-          Event.Value t.value.(x)
-        end
-    | Event.Write (x, v) ->
-        if locked_by_other t p x then abort t p
-        else if
-          t.version.(x) > txn.rv
-          && (not (owns t p x))
-          && not (try_extend t p)
-        then
-          (* Writing over a version we could not have read keeps the
-             commit-time validation simple: abort early (or extend). *)
-          abort t p
-        else begin
-          if not (owns t p x) then begin
-            t.lock.(x) <- Some p;
-            txn.undo <- (x, t.value.(x), t.version.(x)) :: txn.undo
-          end;
-          t.value.(x) <- v;
-          Event.Ok_written
-        end
-    | Event.Try_commit ->
-        (* Each read must still sit at the exact version it was read at
-           (own locks are fine: the version was checked when the lock
-           was taken).  The exact comparison is what keeps the
-           timestamp-extension variant sound — with a moving snapshot,
-           "version <= rv" would accept a variable that changed twice. *)
-        let valid =
-          List.for_all
-            (fun (x, ver) ->
-              owns t p x
-              || ((not (locked_by_other t p x)) && t.version.(x) = ver))
-            txn.reads
-        in
-        if not valid then abort t p
-        else begin
-          t.clock <- t.clock + 1;
-          let wv = t.clock in
-          Array.iteri
-            (fun x o ->
-              if Tm_intf.held_by p o then begin
-                t.version.(x) <- wv;
-                t.lock.(x) <- None
-              end)
-            t.lock;
-          t.txns.(p) <- fresh_txn ();
-          Event.Committed
-        end)
+  match inv with
+  | Event.Read x ->
+      if owns t p x then Tm_intf.value t.value.(x)
+      else if locked_by_other t p x then Tm_intf.answer (abort t p)
+      else if t.version.(x) > txn.rv && not (try_extend t p) then
+        Tm_intf.answer (abort t p)
+      else begin
+        txn.reads <- (x, t.version.(x)) :: txn.reads;
+        Tm_intf.value t.value.(x)
+      end
+  | Event.Write (x, v) ->
+      Tm_intf.answer
+        (if locked_by_other t p x then abort t p
+         else if
+           t.version.(x) > txn.rv
+           && (not (owns t p x))
+           && not (try_extend t p)
+         then
+           (* Writing over a version we could not have read keeps the
+              commit-time validation simple: abort early (or extend). *)
+           abort t p
+         else begin
+           if not (owns t p x) then begin
+             t.lock.(x) <- Some p;
+             txn.undo <- (x, t.value.(x), t.version.(x)) :: txn.undo
+           end;
+           t.value.(x) <- v;
+           Event.Ok_written
+         end)
+  | Event.Try_commit ->
+      (* The exact version comparison of [reads_valid] is what keeps the
+         timestamp-extension variant sound — with a moving snapshot,
+         "version <= rv" would accept a variable that changed twice. *)
+      Tm_intf.answer
+        (if not (reads_valid t p txn.reads) then abort t p
+         else begin
+           t.clock <- t.clock + 1;
+           for x = 0 to Array.length t.lock - 1 do
+             if owns t p x then begin
+               t.version.(x) <- t.clock;
+               t.lock.(x) <- None
+             end
+           done;
+           t.txns.(p) <- fresh_txn ();
+           Event.Committed
+         end)
 
 module Variant (E : sig
   val extension : bool

@@ -2,7 +2,8 @@ open Tm_history
 
 type commit_phase =
   | Idle
-  | Acquiring of Event.tvar list  (** write-set vars still to lock *)
+  | Acquiring of (Event.tvar * Event.value) list
+      (** write-set entries still to lock *)
   | Validating of int * (Event.tvar * int) list
       (** write version, read-set entries still to validate *)
   | Writing_back of int * (Event.tvar * Event.value) list
@@ -48,13 +49,8 @@ let begin_if_needed t p =
 let locked_by_other t p x =
   match t.lock.(x) with Some q -> q <> p | None -> false
 
-let release_acquired t p =
-  Array.iteri
-    (fun x owner -> if Tm_intf.held_by p owner then t.lock.(x) <- None)
-    t.lock
-
 let abort t p =
-  release_acquired t p;
+  Tm_intf.release p t.lock;
   t.txns.(p) <- fresh_txn ();
   Event.Aborted
 
@@ -62,21 +58,15 @@ let commit t p =
   t.txns.(p) <- fresh_txn ();
   Event.Committed
 
-(* The write set in canonical (ascending) order, one entry per variable,
-   with the transaction's final value for it. *)
-let write_set txn =
-  List.sort_uniq Int.compare (List.map fst txn.writes)
-  |> List.map (fun x -> (x, List.assoc x txn.writes))
-
 let read_value t p x =
   let txn = t.txns.(p) in
   match List.assoc_opt x txn.writes with
-  | Some v -> Tm_intf.answer (Event.Value v)
+  | Some v -> Tm_intf.value v
   | None ->
       if locked_by_other t p x || t.version.(x) > txn.rv then None
       else begin
         txn.reads <- (x, t.version.(x)) :: txn.reads;
-        Tm_intf.answer (Event.Value t.value.(x))
+        Tm_intf.value t.value.(x)
       end
 
 (* One micro-step of the commit state machine. *)
@@ -84,19 +74,19 @@ let commit_step t p =
   let txn = t.txns.(p) in
   match txn.phase with
   | Idle -> (
-      match write_set txn with
+      match Tm_intf.write_set txn.writes with
       | [] ->
           (* Read-only transactions need no locks and no re-validation:
              every read was validated against rv when it happened. *)
           Tm_intf.answer (commit t p)
       | ws ->
-          txn.phase <- Acquiring (List.map fst ws);
+          txn.phase <- Acquiring ws;
           None)
   | Acquiring [] ->
       t.clock <- t.clock + 1;
       txn.phase <- Validating (t.clock, txn.reads);
       None
-  | Acquiring (x :: rest) ->
+  | Acquiring ((x, _) :: rest) ->
       if locked_by_other t p x then Tm_intf.answer (abort t p)
       else begin
         t.lock.(x) <- Some p;
@@ -104,7 +94,7 @@ let commit_step t p =
         None
       end
   | Validating (wv, []) ->
-      txn.phase <- Writing_back (wv, write_set txn);
+      txn.phase <- Writing_back (wv, Tm_intf.write_set txn.writes);
       None
   | Validating (wv, (x, _ver) :: rest) ->
       if locked_by_other t p x || t.version.(x) > txn.rv then
@@ -114,7 +104,7 @@ let commit_step t p =
         None
       end
   | Writing_back (_, []) ->
-      release_acquired t p;
+      Tm_intf.release p t.lock;
       Tm_intf.answer (commit t p)
   | Writing_back (wv, (x, v) :: rest) ->
       t.value.(x) <- v;

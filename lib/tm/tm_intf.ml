@@ -71,13 +71,32 @@ end
     allocate the option and call the polymorphic compare on every poll. *)
 let held_by p = function Some (q : Event.proc) -> q = p | None -> false
 
+(** [release p owners] empties every slot of [owners] (the locks or
+    ownerships of the t-variables) that [p] holds. *)
+let release p (owners : Event.proc option array) =
+  for x = 0 to Array.length owners - 1 do
+    if held_by p owners.(x) then owners.(x) <- None
+  done
+
+(** [values_hold values reads]: every [(x, v)] of a value-based read set
+    still holds, [values.(x) = v]. *)
+let rec values_hold (values : Event.value array) = function
+  | [] -> true
+  | (x, v) :: rest -> values.(x) = v && values_hold values rest
+
 (** [blit_array a ~into] overwrites [into] with [a] (of the same length);
     the element blocks are shared. *)
 let blit_array a ~into = Array.blit a 0 into 0 (Array.length a)
 
-(** Shared per-process pending-invocation bookkeeping. *)
+(** Shared per-process pending-invocation bookkeeping.  [put] stores a
+    shared [Some] for [Try_commit] and for reads of the t-variables
+    0..63, so only a write, or a read of a larger t-variable, allocates
+    its slot's option. *)
 module Mailbox = struct
   type t = Event.invocation option array
+
+  let some_read = Array.init 64 (fun x -> Some (Event.Read x))
+  let some_try_commit = Some Event.Try_commit
 
   let create cfg : t = Array.make (cfg.nprocs + 1) None
 
@@ -94,25 +113,59 @@ module Mailbox = struct
     | Some _ ->
         invalid_arg
           (Fmt.str "process p%d already has a pending invocation" p)
-    | None -> m.(p) <- Some inv
+    | None ->
+        m.(p) <-
+          (match inv with
+          | Event.Read x when x >= 0 && x < Array.length some_read ->
+              some_read.(x)
+          | Event.Try_commit -> some_try_commit
+          | Event.Read _ | Event.Write _ -> Some inv)
 
   let get (m : t) p = m.(p)
   let clear (m : t) p = m.(p) <- None
   let blit (m : t) ~(into : t) = blit_array m ~into
 end
 
+let values = Array.init 64 (fun v -> Some (Event.Value v))
+
+(** [value v] is [Some (Event.Value v)], shared rather than allocated for
+    the values 0..63.  A read answers through it: [answer (Event.Value
+    v)] would allocate the response it is passed. *)
+let value v =
+  if v >= 0 && v < Array.length values then values.(v)
+  else Some (Event.Value v)
+
 (** [answer r] is [Some r], shared rather than allocated for the constant
     responses and for reads of the values 0..63: a [step] that answers
-    [Some (abort t p)] or [Some (Event.Value v)] allocates on every poll,
-    [answer (abort t p)] mostly does not. *)
-let answer : Event.response -> Event.response option =
-  let values = Array.init 64 (fun v -> Some (Event.Value v)) in
-  function
+    [Some (abort t p)] allocates on every poll, [answer (abort t p)]
+    does not. *)
+let answer : Event.response -> Event.response option = function
   | Event.Committed -> Some Event.Committed
   | Event.Aborted -> Some Event.Aborted
   | Event.Ok_written -> Some Event.Ok_written
   | Event.Value v when v >= 0 && v < Array.length values -> values.(v)
   | Event.Value _ as r -> Some r
+
+(** [write_set writes] is the write set of a transaction whose writes
+    are [writes], latest first: one [(x, v)] per t-variable [x] written,
+    [v] its latest value, in ascending order of [x].  One pass inserts
+    each write, newest first, into the sorted result, so the first value
+    met for [x] is kept.  The pairs are [writes]'s own, a write set of
+    one write is [writes] itself, and a repeated write allocates
+    nothing. *)
+let write_set (writes : (Event.tvar * Event.value) list) =
+  let rec insert (((x : Event.tvar), _) as w) = function
+    | [] -> [ w ]
+    | ((y, _) as w') :: rest as ws ->
+        if x < y then w :: ws
+        else if x = y then ws
+        else
+          let rest' = insert w rest in
+          if rest' == rest then ws else w' :: rest'
+  in
+  match writes with
+  | [] | [ _ ] -> writes
+  | _ -> List.fold_left (fun ws w -> insert w ws) [] writes
 
 (** The TM author's side of the protocol: the state, with the TM's own
     [cfg] and [mail] fields, and one bounded internal step. *)

@@ -15,6 +15,9 @@ type t = {
   readers : bool array array;  (** readers.(x).(p) *)
   writer : Event.proc option array;
   txns : txn array;
+  path : Event.proc array;
+      (** scratch for [break_deadlock]'s chase, not state: [blit] leaves
+          it alone *)
 }
 
 let fresh_txn () = { started = false; doomed = false; timestamp = 0; writes = [] }
@@ -36,58 +39,90 @@ let begin_if_needed t p =
   end
 
 let release_locks t p =
-  Array.iter (fun row -> row.(p) <- false) t.readers;
-  Array.iteri
-    (fun x w -> if Tm_intf.held_by p w then t.writer.(x) <- None)
-    t.writer
+  for x = 0 to Array.length t.writer - 1 do
+    t.readers.(x).(p) <- false;
+    if Tm_intf.held_by p t.writer.(x) then t.writer.(x) <- None
+  done
 
 let deliver_abort t p =
   release_locks t p;
   t.txns.(p) <- fresh_txn ();
   Event.Aborted
 
-(* The processes whose locks prevent p's pending operation (its mailbox
-   slot) from proceeding. *)
-let blockers t p =
+(* A process other than [p] holding [x]'s write lock, or 0. *)
+let other_writer t p x =
+  match t.writer.(x) with Some q when q <> p -> q | Some _ | None -> 0
+
+(* The first process from [q] on, other than [p], holding a read lock on
+   [x], or 0. *)
+let rec next_reader t p x q =
+  if q > t.cfg.nprocs then 0
+  else if q <> p && t.readers.(x).(q) then q
+  else next_reader t p x (q + 1)
+
+(* Whether other processes' locks prevent p's pending operation (its
+   mailbox slot) from proceeding.  Its blockers are [x]'s writer, then,
+   for a write, [x]'s readers in increasing order. *)
+let blocked t p =
   match t.mail.(p) with
-  | None | Some Event.Try_commit -> []
-  | Some (Event.Read x) -> (
-      match t.writer.(x) with Some q when q <> p -> [ q ] | _ -> [])
+  | None | Some Event.Try_commit -> false
+  | Some (Event.Read x) -> other_writer t p x <> 0
   | Some (Event.Write (x, _)) ->
-      let ws = match t.writer.(x) with Some q when q <> p -> [ q ] | _ -> [] in
-      let rs =
-        List.filter
-          (fun q -> q <> p && t.readers.(x).(q))
-          (List.init t.cfg.nprocs (fun i -> i + 1))
-      in
-      ws @ rs
+      other_writer t p x <> 0 || next_reader t p x 1 <> 0
+
+let rec on_path (path : Event.proc array) depth q =
+  depth > 0 && (path.(depth - 1) = q || on_path path (depth - 1) q)
+
+(* The youngest of [p], [q] and the chase's path, latest first: the
+   first one met wins a tie. *)
+let youngest t p depth q =
+  let best = ref p in
+  if t.txns.(q).timestamp > t.txns.(!best).timestamp then best := q;
+  for i = depth - 1 downto 0 do
+    let r = t.path.(i) in
+    if t.txns.(r).timestamp > t.txns.(!best).timestamp then best := r
+  done;
+  !best
+
+(* A depth-first chase from [q] along the waits-for graph, [path.(0 ..
+   depth - 1)] the processes chased so far: the youngest transaction on
+   the first cycle found (with the path that led to it), or 0. *)
+let rec chase t p depth q =
+  if on_path t.path depth q then youngest t p depth q
+  else begin
+    t.path.(depth) <- q;
+    match t.mail.(q) with
+    | None | Some Event.Try_commit -> 0
+    | Some (Event.Read x) -> chase_writer t p (depth + 1) q x
+    | Some (Event.Write (x, _)) ->
+        let found = chase_writer t p (depth + 1) q x in
+        if found <> 0 then found else chase_readers t p (depth + 1) q x 1
+  end
+
+and chase_writer t p depth q x =
+  let w = other_writer t q x in
+  if w = 0 then 0 else chase t p depth w
+
+and chase_readers t p depth q x from =
+  let r = next_reader t q x from in
+  if r = 0 then 0
+  else
+    let found = chase t p depth r in
+    if found <> 0 then found else chase_readers t p depth q x (r + 1)
 
 (* Detect a waits-for cycle through p; if found, doom the youngest
    transaction on it.  Blocked processes wait for lock holders; a holder
-   that is itself blocked extends the chain. *)
+   that is itself blocked extends the chain.  The graph is small: a
+   depth-first chase suffices. *)
 let break_deadlock t p =
-  let rec chase visited q =
-    if List.mem q visited then Some (q :: visited)
-    else
-      match blockers t q with
-      | [] -> None
-      | qs ->
-          (* Follow each blocker; the graph is small, DFS suffices. *)
-          List.fold_left
-            (fun acc q' ->
-              match acc with Some _ -> acc | None -> chase (q :: visited) q')
-            None qs
-  in
-  match chase [] p with
-  | None -> ()
-  | Some cycle ->
-      let youngest =
-        List.fold_left
-          (fun best q ->
-            if t.txns.(q).timestamp > t.txns.(best).timestamp then q else best)
-          p cycle
-      in
-      t.txns.(youngest).doomed <- true
+  let victim = chase t p 0 p in
+  if victim <> 0 then t.txns.(victim).doomed <- true
+
+let rec install t = function
+  | [] -> ()
+  | (x, v) :: rest ->
+      t.value.(x) <- v;
+      install t rest
 
 include Tm_intf.Make (struct
   type nonrec t = t
@@ -108,6 +143,7 @@ include Tm_intf.Make (struct
         Array.init cfg.ntvars (fun _ -> Array.make (cfg.nprocs + 1) false);
       writer = Array.make cfg.ntvars None;
       txns = Array.init (cfg.nprocs + 1) (fun _ -> fresh_txn ());
+      path = Array.make (cfg.nprocs + 1) 0;
     }
 
   let blit t ~into =
@@ -143,9 +179,9 @@ include Tm_intf.Make (struct
                 | Some v -> v
                 | None -> t.value.(x)
               in
-              Tm_intf.answer (Event.Value v))
+              Tm_intf.value v)
       | Event.Write (x, v) ->
-          if blockers t p <> [] then begin
+          if blocked t p then begin
             break_deadlock t p;
             None
           end
@@ -158,12 +194,7 @@ include Tm_intf.Make (struct
       | Event.Try_commit ->
           (* Strictness: writes apply under the exclusive locks, which
              are only now released. *)
-          let vars =
-            List.sort_uniq Int.compare (List.map fst txn.writes)
-          in
-          List.iter
-            (fun x -> t.value.(x) <- List.assoc x txn.writes)
-            vars;
+          install t (Tm_intf.write_set txn.writes);
           release_locks t p;
           t.txns.(p) <- fresh_txn ();
           Some Event.Committed)

@@ -244,12 +244,7 @@ let test_find_lasso_on_deterministic_run () =
       [
         [
           Tm_sim.Workload.W_read 0;
-          Tm_sim.Workload.W_write
-            ( 0,
-              fun reads ->
-                match List.assoc_opt 0 reads with
-                | Some v -> 1 - v
-                | None -> 1 );
+          Tm_sim.Workload.W_write (0, fun latest -> 1 - latest 0);
         ];
       ]
   in
