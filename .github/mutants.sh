@@ -28,9 +28,28 @@ row trail-no-undo --case "resumption is invisible" lib/safety/monitor.ml \
   's/while m.ntrail > mark do/while false \&\& m.ntrail > mark do/' \
   -- dune exec test/test_safety.exe -- test "monitor resumption"
 
+# Each saved frame keeps the mask of the processes whose live
+# transaction fails, computed from its parent's mask and one event: an
+# invocation or a write's ok leaves a clear bit clear.  Take that
+# shortcut on every event: a read that leaves an accepted prefix's
+# transaction with no consistent snapshot point still reads accepted.
+row verdict-diff-any-event --case "resumption is invisible" \
+  lib/safety/monitor.ml \
+  's/^  | (Event.Inv (p, _) | Event.Res (p, Event.Ok_written))$/  | Event.Inv (p, _) | Event.Res (p, _)/' \
+  -- dune exec test/test_safety.exe -- test "monitor resumption"
+
+# A commit moves the epoch and the versions, so it recomputes every live
+# process's bit of that mask.  Recompute only the committer's: a commit
+# that gives a peer's reads a snapshot point, or takes its commit-
+# pending one away, leaves the peer's verdict stale.
+row verdict-diff-skips-commit --case "resumption is invisible" \
+  lib/safety/monitor.ml \
+  's/^  | Event.Res (_, Event.Committed) -> failing_from t 0$/  | Event.Res (_, Event.Committed) when false -> failing_from t 0/' \
+  -- dune exec test/test_safety.exe -- test "monitor resumption"
+
 # Put back the uniform scheduler's per-tick List.filter over all
 # processes: the schedule is unchanged, but the runner's words per step
-# (<= 10 words) read 16.3 (3.45 without it).
+# (<= 10 words) read 16.2 (3.27 without it).
 row per-tick-live-filter --case "runner words per step" lib/sim/runner.ml \
   's/^  let rr = ref 0 in$/  let all_procs = List.init n succ in\n  let rr = ref 0 in/;s/^    | Uniform -> live.(Prng.int sched_prng !nlive)$/    | Uniform ->\n        let procs = List.filter (fun q -> not (crashed tick q)) all_procs in\n        List.nth procs (Prng.int sched_prng (List.length procs))/' \
   -- dune exec test/test_sim.exe -- test "pipeline allocation" 4
@@ -38,7 +57,7 @@ row per-tick-live-filter --case "runner words per step" lib/sim/runner.ml \
 # The model checker blits each child but the last into the TM of the
 # level below.  Give each such child a copy of its parent's TM instead:
 # the preorder is unchanged, but the words per node (<= 10 words) read
-# 19.3 (7.30 with the blit).
+# 19.2 (7.21 with the blit).
 row walk-copies --case "enumeration words per node" lib/sim/sweep.ml \
   's/^      M.blit tm ~into:below;$/      ignore below;/;s/^      below$/      M.copy tm/' \
   -- dune exec test/test_sim.exe -- test "pipeline allocation" 1
@@ -46,7 +65,7 @@ row walk-copies --case "enumeration words per node" lib/sim/sweep.ml \
 # A counter body is immutable, so every draw of a t-variable below 64
 # returns one shared body.  Build a fresh body on every draw: the
 # schedule is unchanged, but the runner's words per event over a TM
-# that allocates nothing (<= 2) read 3.8 (1.28 with the shared ones).
+# that allocates nothing (<= 1.25) read 3.6 (1.09 with the shared ones).
 row counter-fresh-body --case "runner alone words per event" \
   lib/sim/workload.ml \
   's/if x < Array.length counter_bodies then counter_bodies.(x)/if false then counter_bodies.(x)/' \
@@ -55,7 +74,7 @@ row counter-fresh-body --case "runner alone words per event" \
 # Tm_intf.write_set builds a write set in one pass over the pairs it
 # has.  Put back the definition it replaced, a List.sort_uniq of the
 # variables and a List.assoc for each: the verdicts are unchanged, but
-# tl2's words per node at depth 8 (<= 9.5) read 10.4 (7.46 with the
+# tl2's words per node at depth 8 (<= 9.5) read 10.3 (7.39 with the
 # one pass).
 row write-set-sort-uniq --case "enumeration words per node, whole zoo" \
   --expect 'tl2: words per enumerated node at depth 8' lib/tm/tm_intf.ml \
@@ -142,6 +161,13 @@ row fgp-priority-cp-drop --case "only fgp-priority's abort leaves CP" \
 # differently from a replay.
 row tl2-blit-skips-clock --case "blit overwrites every field" lib/tm/tl2.ml \
   's/^    into.clock <- t.clock;$//' \
+  -- dune exec test/test_sim.exe -- test "exhaustive sweep" 11
+
+# A blit stores a list field only where the target's differs
+# physically.  Guard tl2's write list with its read list: a target whose
+# reads are already the source's keeps its own writes.
+row blit-guard-stale --case "blit overwrites every field" lib/tm/tl2.ml \
+  's/^  if into.writes != txn.writes then into.writes <- txn.writes;$/  if into.reads != txn.reads then into.writes <- txn.writes;/' \
   -- dune exec test/test_sim.exe -- test "exhaustive sweep" 11
 
 # A blit leaves no mutable block of its source reachable from its

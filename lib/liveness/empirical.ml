@@ -62,21 +62,29 @@ let code_of_kind = function
 
 (* Per-process event counts over everything tallied, in an array indexed
    from the lowest process counted, and the codes ((process - lo) * 4 +
-   kind) of the newest events in a ring: [ring.(pos - 1)] is the newest,
-   wrapping. *)
+   kind) of the newest events in a ring of 16-bit slots: slot [pos - 1]
+   is the newest, wrapping.  A slot is read only once written. *)
 type tally = {
   lo : Event.proc;
   total : int array;
-  ring : int array;
+  ring : Bytes.t;
   mutable pos : int;
   mutable count : int;  (** events tallied *)
 }
 
+let max_procs = 1 lsl 14 (* a code fits a slot *)
+
+let slots t = Bytes.length t.ring lsr 1
+
 let tally ~lo ~hi ~capacity =
+  let n = Int.max 0 (hi - lo + 1) in
+  if n > max_procs then
+    invalid_arg
+      (Fmt.str "Empirical.tally: %d processes, more than %d" n max_procs);
   {
     lo;
-    total = Array.make (Int.max 0 (hi - lo + 1)) 0;
-    ring = Array.make (Int.max 1 capacity) 0;
+    total = Array.make n 0;
+    ring = Bytes.create (2 * Int.max 1 capacity);
     pos = 0;
     count = 0;
   }
@@ -84,15 +92,15 @@ let tally ~lo ~hi ~capacity =
 let tally_kind t p kind =
   let k = p - t.lo in
   t.total.(k) <- t.total.(k) + 1;
-  t.ring.(t.pos) <- (k lsl 2) lor code_of_kind kind;
+  Bytes.set_uint16_ne t.ring (2 * t.pos) ((k lsl 2) lor code_of_kind kind);
   let pos = t.pos + 1 in
-  t.pos <- (if pos = Array.length t.ring then 0 else pos);
+  t.pos <- (if pos = slots t then 0 else pos);
   t.count <- t.count + 1
 
 let tally_event t e = tally_kind t (Event.proc e) (kind e)
 
 let tally_summaries t ~window =
-  let w = Int.max 0 (Int.min window t.count) and cap = Array.length t.ring in
+  let w = Int.max 0 (Int.min window t.count) and cap = slots t in
   if w > cap then
     invalid_arg "Empirical.tally_summaries: window exceeds capacity";
   let size = Array.length t.total in
@@ -101,7 +109,7 @@ let tally_summaries t ~window =
   let start = t.pos - w in
   for j = 0 to w - 1 do
     let i = start + j in
-    let c = t.ring.(if i < 0 then i + cap else i) in
+    let c = Bytes.get_uint16_ne t.ring (2 * if i < 0 then i + cap else i) in
     let k = c lsr 2 in
     in_window.(k) <- in_window.(k) + 1;
     match c land 3 with

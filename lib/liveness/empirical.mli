@@ -41,7 +41,9 @@ type window_summary = {
 val classify_window : window:int -> History.t -> window_summary list
 (** One summary per process, ascending; the window is the last [window]
     events of the history.  One pass over the events, with per-process
-    counters (a {!tally}) spanning the lowest to the highest process id. *)
+    counters (a {!tally}) spanning the lowest to the highest process id.
+    @raise Invalid_argument if that span holds more than 16,384
+    processes. *)
 
 (** {2 Window tallies}
 
@@ -50,7 +52,9 @@ val classify_window : window:int -> History.t -> window_summary list
     metrics) can read the window when the run ends.  A tally keeps each
     process's event count and, in a ring, a (process, kind) code for each
     of its newest [capacity] events; the heuristics that turn counts into
-    a {!window_summary} live only here. *)
+    a {!window_summary} live only here.  A code takes 2 bytes, so a
+    tally spans at most 16,384 processes, and a 4,000-step run's
+    1,000-event ring is 250 words. *)
 
 (** What the window counts of an event. *)
 type kind =
@@ -63,7 +67,8 @@ type tally
 
 val tally : lo:Event.proc -> hi:Event.proc -> capacity:int -> tally
 (** Zeroed counters for processes [lo .. hi], keeping the codes of the
-    newest [max 1 capacity] events. *)
+    newest [max 1 capacity] events.
+    @raise Invalid_argument if [hi - lo + 1] exceeds 16,384. *)
 
 val tally_kind : tally -> Event.proc -> kind -> unit
 (** Counts the next event, of process [p] and kind [kind].  Allocates

@@ -314,24 +314,27 @@ let step t e =
 
 type verdict = Accepted | No_witness of string
 
-(* Close out live transactions, lowest process first: commit-pending ones
-   may be taken either way (committed-last or aborted); others are
-   aborted. *)
+(* Whether [p]'s live transaction, if any, fails when closed out: a
+   commit-pending one may be taken either way (committed-last or
+   aborted); others are aborted. *)
+let live_fails t p =
+  let b = p * nf in
+  let start = t.procs.(b + f_start) in
+  not
+    (start < 0
+    || has_point t p ~lo:start ~hi:t.epoch
+    || t.procs.(b + f_inv) = k_commit
+       && has_point t p ~lo:t.epoch ~hi:t.epoch)
+
+let live_failure p =
+  No_witness
+    (Fmt.str "live transaction of p%d has no consistent snapshot point" p)
+
+(* Live transactions, lowest process first. *)
 let rec first_bad t p =
   if p >= t.np then Accepted
-  else
-    let b = p * nf in
-    let start = t.procs.(b + f_start) in
-    let ok =
-      start < 0
-      || has_point t p ~lo:start ~hi:t.epoch
-      || t.procs.(b + f_inv) = k_commit
-         && has_point t p ~lo:t.epoch ~hi:t.epoch
-    in
-    if ok then first_bad t (p + 1)
-    else
-      No_witness
-        (Fmt.str "live transaction of p%d has no consistent snapshot point" p)
+  else if live_fails t p then live_failure p
+  else first_bad t (p + 1)
 
 let verdict t =
   match t.failed with Some msg -> No_witness msg | None -> first_bad t 0
@@ -347,13 +350,22 @@ let verdict t =
    seen since), and pops the versions installed since.  Nothing is
    allocated to save or restore a frame once the trail has grown.
 
+   A frame also keeps its verdict by difference: the mask of the
+   processes whose live transaction fails ([live_fails]), bit [p] for
+   process [p], computed from its parent frame's mask and the one event
+   between them (see [next_mask]).  The verdict is then the recorded
+   failure, else the mask's lowest process, with no walk over the
+   processes.
+
    Only histories of at most [bound] events whose new events use ids of
-   at most [max_recorded_id] are recorded, so every table a frame covers
-   stays small.  The others run from scratch, unrecorded, on the same
-   monitor, which is then cleared and shrunk back. *)
+   at most [max_recorded_id] (processes: [max_recorded_proc], one mask
+   bit each) are recorded, so every table a frame covers stays small.
+   The others run from scratch, unrecorded, on the same monitor, which
+   is then cleared and shrunk back. *)
 
 let bound = 64
 let max_recorded_id = 63
+let max_recorded_proc = Sys.int_size - 1
 let max_kept_log = 1024 (* ints: a longer log is dropped after a run *)
 
 (* A frame's ints, at [i * frame_ints] in [frames.ints]. *)
@@ -361,13 +373,46 @@ let fr_trail = 0
 let fr_epoch = 1
 let fr_installs = 2
 let fr_np = 3
-let frame_ints = 4
+let fr_failing = 4 (* the mask of processes whose live transaction fails *)
+let frame_ints = 5
+
+let bit p = 1 lsl p
+
+(* The mask of the processes from [p] on whose live transaction fails. *)
+let rec failing_from t p =
+  if p >= t.np then 0
+  else (if live_fails t p then bit p else 0) lor failing_from t (p + 1)
+
+(* The failing mask after [e], stepped on [t], from the mask [mask]
+   before it.  [live_fails q] reads [q]'s start epoch, pending
+   invocation and read log, the epoch and the versions.
+   - A commit may move the epoch and the versions: every live process
+     is recomputed.
+   - Any other event touches only its own process's ints and logs.
+   - An invocation, or a write's [ok], cannot make a passing [p] fail:
+     it opens a transaction with no reads (consistent at its start
+     epoch), or only adds the commit-pending disjunct, or clears a
+     pending write; it leaves the read log and the epoch alone.  So a
+     clear bit stays clear, and an accepted parent (mask 0) recomputes
+     nothing. *)
+let next_mask t mask e =
+  match e with
+  | Event.Res (_, Event.Committed) -> failing_from t 0
+  | (Event.Inv (p, _) | Event.Res (p, Event.Ok_written))
+    when mask land bit p = 0 ->
+      mask
+  | Event.Inv (p, _) | Event.Res (p, _) ->
+      if live_fails t p then mask lor bit p else mask land lnot (bit p)
+
+(* The lowest process of a non-zero mask. *)
+let rec lowest mask p = if mask land bit p <> 0 then p else lowest mask (p + 1)
 
 type frames = {
   m : t;
   spine : Event.t list array;  (** frame [i]: its prefix, newest first *)
   failure : string option array;
-  ints : int array;  (** frame [i]: trail length, epoch, ninstalls, np *)
+  ints : int array;
+      (** frame [i]: trail length, epoch, ninstalls, np, failing mask *)
   mutable valid : int;
       (** frames [0 .. valid-1] hold prefixes of one history *)
   mutable at : int;  (** the frame [m] is in, or -1 *)
@@ -384,14 +429,17 @@ let frames_key =
         at = 0;
       })
 
-let save r i s =
+(* The failure is [None] at nearly every frame: it is stored only when
+   it changed. *)
+let save r i s ~failing =
   let m = r.m and a = r.ints and b = i * frame_ints in
   a.(b + fr_trail) <- m.ntrail;
   a.(b + fr_epoch) <- m.epoch;
   a.(b + fr_installs) <- m.ninstalls;
   a.(b + fr_np) <- m.np;
+  a.(b + fr_failing) <- failing;
   r.spine.(i) <- s;
-  r.failure.(i) <- m.failed;
+  if r.failure.(i) != m.failed then r.failure.(i) <- m.failed;
   r.valid <- i + 1
 
 let restore r i =
@@ -409,8 +457,16 @@ let restore r i =
     m.versions.(x) <- List.tl m.versions.(x)
   done;
   m.np <- a.(b + fr_np);
-  m.failed <- r.failure.(i);
+  if m.failed != r.failure.(i) then m.failed <- r.failure.(i);
   r.valid <- i + 1
+
+(* Frame [i]'s verdict: [verdict r.m] when [r.m] is in frame [i]. *)
+let frame_verdict r i =
+  match r.failure.(i) with
+  | Some msg -> No_witness msg
+  | None ->
+      let failing = r.ints.((i * frame_ints) + fr_failing) in
+      if failing = 0 then Accepted else live_failure (lowest failing 0)
 
 let rec drop s k = if k = 0 then s else drop (List.tl s) (k - 1)
 
@@ -420,6 +476,7 @@ let rec longest_prefix r i s =
   if r.spine.(i) == s then i else longest_prefix r (i - 1) (List.tl s)
 
 let recordable_id i = 0 <= i && i <= max_recorded_id
+let recordable_proc p = 0 <= p && p <= max_recorded_proc
 
 (* Whether the [k] newest events of [s] can be recorded. *)
 let rec recordable s k =
@@ -430,8 +487,9 @@ let rec recordable s k =
   | e :: older ->
       (match e with
       | Event.Inv (p, (Event.Read x | Event.Write (x, _))) ->
-          recordable_id p && recordable_id x
-      | Event.Inv (p, Event.Try_commit) | Event.Res (p, _) -> recordable_id p)
+          recordable_proc p && recordable_id x
+      | Event.Inv (p, Event.Try_commit) | Event.Res (p, _) ->
+          recordable_proc p)
       && recordable older (k - 1)
 
 (* Step the [k] newest events of [s], oldest first, saving a frame after
@@ -442,7 +500,8 @@ let rec replay r s k n =
     | e :: older ->
         replay r older (k - 1) (n - 1);
         step r.m e;
-        save r n s
+        let parent = r.ints.(((n - 1) * frame_ints) + fr_failing) in
+        save r n s ~failing:(next_mask r.m parent e)
     | [] -> ()
 
 (* After an unrecorded run: back to frame 0, recording, with every table
@@ -502,7 +561,7 @@ let run h =
     r.at <- -1;
     replay r s (n - i) n;
     r.at <- n;
-    verdict r.m
+    frame_verdict r n
   end
 
 module Tev = Tm_trace.Trace_event

@@ -61,23 +61,34 @@ val run : History.t -> verdict
     last history checked on the same domain, as each schedule of the
     model checker's depth-first enumeration extends its parent.  Any
     other history costs O(|h|), walked in place without copying its
-    events.  A prefix state is four ints and the failure: while
+    events.  A prefix state is five ints and the failure: while
     recording, each write to a process's ints pushes the int's index
     and old value onto a per-domain trail, and restoring a prefix pops
     the trail back to that state's mark, writing the old values back —
     O(events undone), whatever the number of processes.  Neither saving
-    nor restoring allocates once the trail has grown.
+    nor restoring allocates once the trail has grown, and the failure,
+    [None] at nearly every prefix, is stored only when it changed.
+
+    The fifth int is the prefix's verdict by difference: a mask of the
+    processes whose live transaction fails, computed from the parent
+    prefix's mask and the one event between them.  A commit recomputes
+    every live process; any other event only its own, and an
+    invocation or a write's [ok] none when its process passed before
+    (it cannot make a passing transaction fail).  So the verdict of a
+    resumed history walks no process table: on the model checker's
+    trees most nodes recompute nothing or one process.
 
     {b Order independence.}  Verdicts and messages depend only on the
     history: not on which histories were checked before on the domain,
     nor on an earlier call that raised part-way.
 
     {b Retained state.}  Per domain: the spine of the last history of
-    at most 64 events, its prefix states (4 ints each), the trail (at
+    at most 64 events, its prefix states (5 ints each), the trail (at
     most 12 ints per event, so under 1,024 ints) and the monitor's
-    tables, all bounded by process and t-variable ids below 64; each
-    process's read and write logs keep at most 1,024 ints apiece.  A
-    history with a larger id, or longer than 64 events, is checked
+    tables, all bounded by process ids below 63 (one mask bit each) and
+    t-variable ids below 64; each process's read and write logs keep at
+    most 1,024 ints apiece.  A history with a larger id, or longer than
+    64 events, is checked
     without saving prefix states, and the tables it grew are dropped
     afterwards: nothing retained grows with the largest id seen
     or with the longest history. *)

@@ -33,7 +33,7 @@ let fresh_txn () =
 let blit_txn txn ~into =
   into.started <- txn.started;
   into.doomed <- txn.doomed;
-  into.reads <- txn.reads;
+  if into.reads != txn.reads then into.reads <- txn.reads;
   into.ops_done <- txn.ops_done;
   into.waits <- txn.waits;
   into.timestamp <- txn.timestamp

@@ -55,7 +55,7 @@ include Tm_intf.Make (struct
   let blit t ~into =
     Tm_intf.Mailbox.blit t.mail ~into:into.mail;
     Tm_intf.blit_array t.store ~into:into.store;
-    into.owner <- t.owner;
+    if into.owner != t.owner then into.owner <- t.owner;
     Queue.clear into.queue;
     Queue.iter (fun p -> Queue.add p into.queue) t.queue;
     Tm_intf.blit_array t.waiting ~into:into.waiting

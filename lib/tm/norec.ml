@@ -27,9 +27,9 @@ let fresh_txn () =
 let blit_txn txn ~into =
   into.started <- txn.started;
   into.snapshot <- txn.snapshot;
-  into.reads <- txn.reads;
-  into.writes <- txn.writes;
-  into.phase <- txn.phase
+  if into.reads != txn.reads then into.reads <- txn.reads;
+  if into.writes != txn.writes then into.writes <- txn.writes;
+  if into.phase != txn.phase then into.phase <- txn.phase
 
 let begin_if_needed t p =
   let txn = t.txns.(p) in
@@ -78,7 +78,7 @@ include Tm_intf.Make (struct
   let blit t ~into =
     Tm_intf.Mailbox.blit t.mail ~into:into.mail;
     into.counter <- t.counter;
-    into.writer <- t.writer;
+    if into.writer != t.writer then into.writer <- t.writer;
     Tm_intf.blit_array t.value ~into:into.value;
     for p = 0 to Array.length t.txns - 1 do
       blit_txn t.txns.(p) ~into:into.txns.(p)
@@ -92,8 +92,8 @@ include Tm_intf.Make (struct
     let txn = t.txns.(p) in
     match inv with
     | Event.Read x -> (
-        match List.assoc_opt x txn.writes with
-        | Some v -> Tm_intf.value v
+        match Tm_intf.own_value x txn.writes with
+        | Some _ as r -> r
         | None ->
             (* Wait out an in-flight writer: its write-back is not an
                atomic snapshot. *)

@@ -156,8 +156,8 @@ include Tm_intf.Make (struct
       let txn = t.txns.(p) and txn' = into.txns.(p) in
       txn'.started <- txn.started;
       txn'.rv <- txn.rv;
-      txn'.reads <- txn.reads;
-      txn'.writes <- txn.writes;
+      if txn'.reads != txn.reads then txn'.reads <- txn.reads;
+      if txn'.writes != txn.writes then txn'.writes <- txn.writes;
       txn'.desc <- copy_desc txn.desc
     done
 
@@ -169,8 +169,8 @@ include Tm_intf.Make (struct
     let txn = t.txns.(p) in
     match inv with
     | Event.Read x -> (
-        match List.assoc_opt x txn.writes with
-        | Some v -> Tm_intf.value v
+        match Tm_intf.own_value x txn.writes with
+        | Some _ as r -> r
         | None ->
             (* Help any in-flight commit holding x to completion, then
                read. *)

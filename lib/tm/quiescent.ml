@@ -54,8 +54,8 @@ include Tm_intf.Make (struct
     for p = 0 to Array.length t.txns - 1 do
       let txn = t.txns.(p) and txn' = into.txns.(p) in
       txn'.live <- txn.live;
-      txn'.reads <- txn.reads;
-      txn'.writes <- txn.writes
+      if txn'.reads != txn.reads then txn'.reads <- txn.reads;
+      if txn'.writes != txn.writes then txn'.writes <- txn.writes
     done
 
   let cfg t = t.cfg
@@ -66,8 +66,8 @@ include Tm_intf.Make (struct
     txn.live <- true;
     match inv with
     | Event.Read x -> (
-        match List.assoc_opt x txn.writes with
-        | Some v -> Tm_intf.value v
+        match Tm_intf.own_value x txn.writes with
+        | Some _ as r -> r
         | None ->
             (* Reads return the committed value; since writers commit
                only in quiescence, the whole read set is automatically

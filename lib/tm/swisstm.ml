@@ -40,8 +40,8 @@ let fresh_txn () =
 let blit_txn txn ~into =
   into.started <- txn.started;
   into.rv <- txn.rv;
-  into.reads <- txn.reads;
-  into.writes <- txn.writes;
+  if into.reads != txn.reads then into.reads <- txn.reads;
+  if into.writes != txn.writes then into.writes <- txn.writes;
   into.ops_done <- txn.ops_done;
   into.waits <- txn.waits;
   into.doomed <- txn.doomed
@@ -120,10 +120,10 @@ include Tm_intf.Make (struct
       | Event.Read x -> (
           (* Lazy updates: the committed value is always in place, so a
              write lock does not block readers. *)
-          match List.assoc_opt x txn.writes with
-          | Some v ->
+          match Tm_intf.own_value x txn.writes with
+          | Some _ as r ->
               txn.ops_done <- txn.ops_done + 1;
-              Tm_intf.value v
+              r
           | None ->
               if t.version.(x) > txn.rv then Tm_intf.answer (deliver_abort t p)
               else begin

@@ -24,8 +24,8 @@ let fresh_txn () = { started = false; rv = 0; reads = []; undo = [] }
 let blit_txn txn ~into =
   into.started <- txn.started;
   into.rv <- txn.rv;
-  into.reads <- txn.reads;
-  into.undo <- txn.undo
+  if into.reads != txn.reads then into.reads <- txn.reads;
+  if into.undo != txn.undo then into.undo <- txn.undo
 
 let begin_if_needed t p =
   let txn = t.txns.(p) in

@@ -32,9 +32,9 @@ let fresh_txn () =
 let blit_txn txn ~into =
   into.started <- txn.started;
   into.rv <- txn.rv;
-  into.reads <- txn.reads;
-  into.writes <- txn.writes;
-  into.phase <- txn.phase
+  if into.reads != txn.reads then into.reads <- txn.reads;
+  if into.writes != txn.writes then into.writes <- txn.writes;
+  if into.phase != txn.phase then into.phase <- txn.phase
 
 let begin_if_needed t p =
   let txn = t.txns.(p) in
@@ -60,8 +60,8 @@ let commit t p =
 
 let read_value t p x =
   let txn = t.txns.(p) in
-  match List.assoc_opt x txn.writes with
-  | Some v -> Tm_intf.value v
+  match Tm_intf.own_value x txn.writes with
+  | Some _ as r -> r
   | None ->
       if locked_by_other t p x || t.version.(x) > txn.rv then None
       else begin

@@ -84,9 +84,19 @@ let rec values_hold (values : Event.value array) = function
   | [] -> true
   | (x, v) :: rest -> values.(x) = v && values_hold values rest
 
-(** [blit_array a ~into] overwrites [into] with [a] (of the same length);
-    the element blocks are shared. *)
-let blit_array a ~into = Array.blit a 0 into 0 (Array.length a)
+(** [blit_array a ~into] overwrites [into] with [a] (of the same length).
+    The elements are shared, so they must be immediates or immutable
+    values, as in every array a zoo member blits.  An element is stored
+    only where [into]'s is not already physically the same: a
+    model-check child usually differs from the sibling blitted before it
+    in a field or two, and each skipped store saves a [caml_modify].
+    The C call of [Array.blit] cost more than this loop over a small
+    instance's 1-3 elements. *)
+let blit_array a ~into =
+  for i = 0 to Array.length a - 1 do
+    let v = Array.unsafe_get a i in
+    if Array.unsafe_get into i != v then Array.unsafe_set into i v
+  done
 
 (** Shared per-process pending-invocation bookkeeping.  [put] stores a
     shared [Some] for [Try_commit] and for reads of the t-variables
@@ -134,6 +144,15 @@ let values = Array.init 64 (fun v -> Some (Event.Value v))
 let value v =
   if v >= 0 && v < Array.length values then values.(v)
   else Some (Event.Value v)
+
+(** [own_value x writes] answers a read of [x] from the transaction's
+    own writes [writes], latest first: [value v] for its latest write
+    [(x, v)], or [None] when it has not written [x].  Unlike
+    [List.assoc_opt], it allocates no option of its own. *)
+let rec own_value x = function
+  | [] -> None
+  | ((y : Event.tvar), v) :: older ->
+      if x = y then value v else own_value x older
 
 (** [answer r] is [Some r], shared rather than allocated for the constant
     responses and for reads of the values 0..63: a [step] that answers
@@ -192,7 +211,18 @@ module type STEP = sig
       block.  Immutable values (lists, the config, a contention-manager
       policy) may be shared.  The exhaustive model checker relies on this
       to expand a schedule node with at most one [blit] and one action
-      into the instance of the level below. *)
+      into the instance of the level below.
+
+      [into] is most often the sibling of [src]'s last child, so most of
+      its fields already hold [src]'s values.  A field or array element
+      that holds an immutable value (a list, an option, a commit phase)
+      may therefore be stored only when it differs physically, [if
+      into.f != t.f then into.f <- t.f], as {!blit_array} does: a
+      skipped store changes nothing, and the write barrier of an
+      unchanged pointer field costs more than the test.  A field that
+      holds a mutable block has no such shortcut: the block is
+      overwritten in place or copied afresh (OSTM's descriptors,
+      global-lock's waiter queue) as above. *)
 
   val cfg : t -> config
   val mail : t -> Mailbox.t

@@ -26,7 +26,7 @@ let blit_txn txn ~into =
   into.started <- txn.started;
   into.doomed <- txn.doomed;
   into.timestamp <- txn.timestamp;
-  into.writes <- txn.writes
+  if into.writes != txn.writes then into.writes <- txn.writes
 
 let begin_if_needed t p =
   let txn = t.txns.(p) in
@@ -174,12 +174,9 @@ include Tm_intf.Make (struct
               None
           | Some _ | None ->
               t.readers.(x).(p) <- true;
-              let v =
-                match List.assoc_opt x txn.writes with
-                | Some v -> v
-                | None -> t.value.(x)
-              in
-              Tm_intf.value v)
+              match Tm_intf.own_value x txn.writes with
+              | Some _ as r -> r
+              | None -> Tm_intf.value t.value.(x))
       | Event.Write (x, v) ->
           if blocked t p then begin
             break_deadlock t p;

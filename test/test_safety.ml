@@ -463,10 +463,15 @@ let test_random_verdicts_pinned () =
    prefix of the last history it checked on the domain; a fresh
    [create]/[step]/[verdict] on the same events is the reference.  The
    corpus is every depth-7 model-check history of the zoo, checked in
-   DFS order (each extends one checked just before), then again in a
-   seeded shuffled order among random draws on both sides of the 64
-   resumable events, histories with the largest process id, and
-   ill-formed histories that raise mid-way, then on a 2-job pool. *)
+   DFS order (each extends one checked just before), and the prefix
+   chains of random draws, each prefix checked right after the one it
+   extends; then again in a seeded shuffled order among random draws on
+   both sides of the 64 resumable events, histories with the largest
+   process id, and ill-formed histories that raise mid-way, then on a
+   2-job pool.  No depth-7 history of the zoo fails for a live
+   transaction, so the chains are where a resumed verdict meets an
+   accepted prefix whose extension fails, and a commit that moves
+   another process's verdict. *)
 let fresh_verdict h =
   let t = Monitor.create () in
   match List.iter (Monitor.step t) (History.events h) with
@@ -505,8 +510,34 @@ let check_resumed what hs ~want got =
           got.(i) want.(i) History.pp h)
     hs
 
+(* The prefixes of [h], shortest first, each [History.append]ed to the
+   one before. *)
+let prefix_chain h =
+  let _, chain =
+    List.fold_left
+      (fun (prefix, chain) e ->
+        let prefix = History.append prefix e in
+        (prefix, prefix :: chain))
+      (History.empty, []) (History.events h)
+  in
+  Array.of_list (List.rev chain)
+
+let live_failure = "no-witness: live transaction of p"
+
+(* The prefixes, of one chain, that a fresh monitor fails for a live
+   transaction right after accepting the prefix before. *)
+let live_flips want =
+  let n = ref 0 in
+  for i = 1 to Array.length want - 1 do
+    if
+      want.(i - 1) = "accepted"
+      && String.starts_with ~prefix:live_failure want.(i)
+    then incr n
+  done;
+  !n
+
 let test_monitor_resumption_invisible () =
-  let corpus =
+  let dfs =
     Array.concat
       (List.map
          (fun entry ->
@@ -523,6 +554,23 @@ let test_monitor_resumption_invisible () =
            hs)
          Tm_impl.Registry.all)
   in
+  let flips = ref 0 in
+  let chains =
+    Array.concat
+      (List.init 200 (fun seed ->
+           let hs =
+             prefix_chain
+               (Generator.well_formed ~steps:(20 + (seed mod 40)) seed)
+           in
+           let want = Array.map fresh_verdict hs in
+           flips := !flips + live_flips want;
+           check_resumed (Fmt.str "prefix chain %d" seed) hs ~want
+             (Array.map run_verdict hs);
+           hs))
+  in
+  Alcotest.(check bool) "some prefix flips accepted to a live failure" true
+    (!flips > 0);
+  let corpus = Array.append dfs chains in
   let g = Random.State.make [| 18 |] in
   let raising h =
     if History.length h < 2 then h
